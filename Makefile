@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 test race bench benchjson benchguard benchsnap allocguard vet attacksweep schedfuzz mafuzz churnfuzz smtfuzz fuzzsmoke cover loadtest daemonsmoke fleetsmoke watchsmoke
+.PHONY: tier1 test race bench benchjson benchguard benchsnap allocguard benchvet vet attacksweep schedfuzz mafuzz churnfuzz smtfuzz fuzzsmoke cover loadtest daemonsmoke fleetsmoke watchsmoke
 
 # tier1 is the gate every PR must keep green: build + full test suite +
 # vet + race detector on the packages that spawn goroutines or share state
@@ -39,12 +39,20 @@ benchjson:
 benchguard:
 	$(GO) run ./cmd/rmtbench -compare BENCH.json
 
-# Allocation-only hot-path guard. Unlike wall-clock numbers, allocation
-# counts are deterministic, so this one DOES gate every PR — it runs as an
-# ordinary test inside `go test ./...` (and therefore inside tier1); the
-# named target exists for running it alone.
+# Allocation-only hot-path guards. Unlike wall-clock numbers, allocation
+# counts are deterministic, so these DO gate every PR — they run as
+# ordinary tests inside `go test ./...` (and therefore inside tier1); the
+# named target runs every *AllocBudget test alone: the PKA receiver, the
+# cut searches and the connected-set walk.
 allocguard:
-	$(GO) test -run TestPKARunAllocBudget -count=1 .
+	$(GO) test -run 'AllocBudget' -count=1 . ./internal/graph/
+
+# The steady rmtd benchmark (rmtdbench/, run by `bash rmtdbench/run.sh`) is
+# its own Go module, so the root `go build ./...` and `go vet ./...` never
+# compile it. Vet it offline so an exported-API change in core, zcpa or
+# server fails here instead of breaking the benchmark.
+benchvet:
+	cd rmtdbench && GOPROXY=off GOFLAGS= $(GO) vet ./...
 
 # Per-PR benchmark snapshot: BENCH_<pr>.json next to the rolling BENCH.json
 # baseline, so the perf trajectory accumulates one point per PR (CI archives
@@ -128,9 +136,12 @@ watchsmoke:
 fleetsmoke:
 	$(GO) run ./cmd/rmtload -fleet -smoke
 
-# Short coverage-guided fuzz smoke on the instance-spec parser.
+# Short coverage-guided fuzz smokes: the instance-spec parser, and the cut
+# kernel against the ⊕-based reference searches (every decoded instance must
+# get the same verdicts, witnesses and completeness from both).
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
+	$(GO) test ./internal/cutsearch/ -run=^$$ -fuzz=FuzzCutSearchMatchesReference -fuzztime=10s
 
 # Per-package coverage with a repo-level floor. The threshold gates total
 # statement coverage across every package, example mains included — the

@@ -3,16 +3,16 @@ package core
 import (
 	"context"
 
+	"rmt/internal/cutsearch"
 	"rmt/internal/instance"
-	"rmt/internal/nodeset"
 )
 
 // IncrementalCut maintains an RMT-cut verdict across a sequence of
 // instance revisions (e.g. a base instance followed by topology deltas).
 // The exponential enumeration only runs when it must: while the instance
 // stays infeasible, each revision is answered by re-verifying the previous
-// revision's witness against the new graph — one BFS plus one candidate
-// evaluation — and only a repair failure (or a previously feasible
+// revision's witness against the new graph — two BFS passes plus one
+// candidate evaluation — and only a repair failure (or a previously feasible
 // instance, which carries no certificate) falls back to FindRMTCut.
 //
 // Soundness: a repaired witness is constructed in the searcher's own shape
@@ -76,32 +76,10 @@ func (ic *IncrementalCut) Stats() (repaired, fresh int) { return ic.repaired, ic
 // for in. The old cut (restricted to surviving nodes) still separates D
 // from R or it doesn't: if it does, B' = comp_R(G − C_old) with the tight
 // cut N(B') is a candidate in exactly the searcher's shape, and one pass
-// over the maximal sets decides it. Cost: one BFS + one candidate
-// evaluation, versus the enumeration's worst-case exponential.
+// over the maximal sets decides it. Cost: two BFS passes + one candidate
+// evaluation over B's nodes, versus the enumeration's worst-case
+// exponential.
 func repairRMTCut(in *instance.Instance, old RMTCut) (RMTCut, bool) {
-	if !in.G.Connected(in.Dealer, in.Receiver) {
-		return RMTCut{
-			C1: nodeset.Empty(),
-			C2: nodeset.Empty(),
-			B:  in.G.ComponentOf(in.Receiver),
-		}, true
-	}
-	c := old.Cut().Intersect(in.G.Nodes())
-	if c.Contains(in.Dealer) || c.Contains(in.Receiver) {
-		return RMTCut{}, false
-	}
-	b := in.G.ComponentAvoiding(in.Receiver, c)
-	if b.Contains(in.Dealer) {
-		return RMTCut{}, false // the old cut no longer separates
-	}
-	cut := in.G.Boundary(b) // ⊆ c, the tight cut realizing this side
-	vgb := in.JointViewNodes(b)
-	zb := in.JointStructure(b)
-	for _, m := range in.Z.Maximal() {
-		c2 := cut.Minus(m)
-		if zb.Contains(c2.Intersect(vgb)) {
-			return RMTCut{C1: cut.Intersect(m), C2: c2, B: b}, true
-		}
-	}
-	return RMTCut{}, false
+	w, ok := cutsearch.Repair(in, cutsearch.JointView, cutsearch.Witness(old))
+	return RMTCut(w), ok
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"rmt/internal/cutsearch"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
 )
@@ -33,7 +34,10 @@ func (c RMTCut) String() string {
 // the same B — C1 may be replaced by N(B) ∩ M for the maximal M ∈ 𝒵
 // covering it (monotone), and shrinking C2 only shrinks C2 ∩ V(γ(B))
 // (monotone again). So enumerating connected receiver-side candidates B
-// with C = N(B), against every maximal M, is exhaustive.
+// with C = N(B), against every maximal M, is exhaustive. The search runs on
+// the cutsearch kernel, which decides C2 ∩ V(γ(B)) ∈ Z_B node by node
+// (C2 ∩ V(γ(u)) ∈ Z_u for every u ∈ B) instead of folding ⊕ over B;
+// VerifyRMTCut still checks witnesses against the ⊕ fold itself.
 func FindRMTCut(in *instance.Instance) (RMTCut, bool) {
 	cut, found, _ := FindRMTCutBounded(in, 0)
 	return cut, found
@@ -60,39 +64,9 @@ func FindRMTCutCtx(ctx context.Context, in *instance.Instance) (RMTCut, bool, er
 	return witness, found, err
 }
 
-func findRMTCut(ctx context.Context, in *instance.Instance, maxCandidates int) (witness RMTCut, found, complete bool, err error) {
-	if !in.G.Connected(in.Dealer, in.Receiver) {
-		return RMTCut{
-			C1: nodeset.Empty(),
-			C2: nodeset.Empty(),
-			B:  in.G.ComponentOf(in.Receiver),
-		}, true, true, nil
-	}
-	inspected := 0
-	complete = true
-	in.G.ReceiverSideCandidates(in.Dealer, in.Receiver, func(b, cut nodeset.Set) bool {
-		if err = ctx.Err(); err != nil {
-			complete = false
-			return false
-		}
-		if maxCandidates > 0 && inspected >= maxCandidates {
-			complete = false
-			return false
-		}
-		inspected++
-		vgb := in.JointViewNodes(b)
-		zb := in.JointStructure(b)
-		for _, m := range in.Z.Maximal() {
-			c2 := cut.Minus(m)
-			if zb.Contains(c2.Intersect(vgb)) {
-				witness = RMTCut{C1: cut.Intersect(m), C2: c2, B: b}
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return witness, found, complete, err
+func findRMTCut(ctx context.Context, in *instance.Instance, maxCandidates int) (RMTCut, bool, bool, error) {
+	w, found, complete, err := cutsearch.Search(ctx, in, cutsearch.JointView, maxCandidates)
+	return RMTCut(w), found, complete, err
 }
 
 // Solvable reports whether RMT is solvable on the instance, by the tight

@@ -8,8 +8,9 @@ import "rmt/internal/nodeset"
 // connected component B of R in G − C. For all three, the side condition is
 // monotone in the "uncovered" part of the cut, so the existential check
 // reduces to enumerating connected candidate sets B containing R and taking
-// C = N(B) (see DESIGN.md §4). The enumeration below visits every connected
-// induced subgraph containing a start node exactly once.
+// C = N(B) (see DESIGN.md §4). The enumeration (Walk, walk.go) visits every
+// connected induced subgraph containing a start node exactly once; the
+// Set-valued methods below are adapters over it.
 
 // Separates reports whether removing cut disconnects src from dst in g.
 // A valid separator contains neither endpoint; if cut contains src or dst
@@ -39,65 +40,27 @@ func (g *Graph) Boundary(b nodeset.Set) nodeset.Set {
 // ConnectedSets enumerates every connected node set B of g with start ∈ B
 // and B ∩ banned = ∅, calling fn exactly once per set. Enumeration stops
 // early if fn returns false. The start node must exist and not be banned,
-// else nothing is enumerated.
-//
-// The algorithm is the classic fix-and-extend enumeration: each recursive
-// call emits its current set, then extends it by each boundary candidate in
-// turn, banning the candidate for later siblings so no set is produced
-// twice.
+// else nothing is enumerated. fn may retain its argument: it is a fresh
+// Set built from the walk's row (see Walk for the algorithm).
 func (g *Graph) ConnectedSets(start int, banned nodeset.Set, fn func(b nodeset.Set) bool) {
-	g.connectedSetsBnd(start, banned, func(b, _ nodeset.Set) bool { return fn(b) })
-}
-
-// connectedSetsBnd is the enumeration core shared by ConnectedSets and
-// ReceiverSideCandidates. It maintains the boundary N(B) incrementally —
-// N(B ∪ {v}) = (N(B) ∪ N(v)) \ (B ∪ {v}), since N(B) already excludes B —
-// and hands it to fn alongside each set, saving a full Boundary recomputation
-// per candidate. fn must not mutate its arguments but may retain them: the
-// recursion only reads them after the call.
-func (g *Graph) connectedSetsBnd(start int, banned nodeset.Set, fn func(b, bnd nodeset.Set) bool) {
-	if !g.HasNode(start) || banned.Contains(start) {
-		return
-	}
-	var rec func(b, bnd, excluded nodeset.Set) bool
-	rec = func(b, bnd, excluded nodeset.Set) bool {
-		if !fn(b, bnd) {
-			return false
-		}
-		cand := bnd.Minus(excluded)
-		cont := true
-		cand.ForEach(func(v int) bool {
-			nb := b.Add(v)
-			nbnd := bnd.Union(g.Neighbors(v))
-			nbnd.MutateMinus(nb)
-			cont = rec(nb, nbnd, excluded)
-			excluded = excluded.Add(v)
-			return cont
-		})
-		return cont
-	}
-	rec(nodeset.Of(start), g.Neighbors(start).Remove(start), banned.Add(start))
+	wk := g.NewWalk()
+	wk.connectedSets(start, banned, func(b, _ []uint64) bool { return fn(nodeset.FromWords(b)) })
 }
 
 // ReceiverSideCandidates enumerates, for a dealer D and receiver R, every
 // connected set B with R ∈ B, D ∉ B and D ∉ N(B), i.e. every candidate
 // "receiver side" of a D–R cut C = N(B) that excludes the dealer. For each
 // candidate it calls fn(B, N(B)); fn returning false stops the enumeration.
+// fn may retain its arguments: they are fresh Sets built from the walk's
+// rows (Walk.ReceiverSides is the allocation-free form).
 //
 // Every D–R separator C' (with comp_R(G−C') = B) satisfies N(B) ⊆ C', so
 // checking a cut predicate that is monotone-decreasing in the cut on all
 // (B, N(B)) pairs is exhaustive over all cuts.
 func (g *Graph) ReceiverSideCandidates(dealer, receiver int, fn func(b, cut nodeset.Set) bool) {
-	if dealer == receiver {
-		return
-	}
-	g.connectedSetsBnd(receiver, nodeset.Of(dealer), func(b, cut nodeset.Set) bool {
-		if cut.Contains(dealer) {
-			// B touches the dealer; supersets of B may still avoid it
-			// (they can absorb other neighbors first), so keep going.
-			return true
-		}
-		return fn(b, cut)
+	wk := g.NewWalk()
+	wk.ReceiverSides(dealer, receiver, func(b, cut []uint64) bool {
+		return fn(nodeset.FromWords(b), nodeset.FromWords(cut))
 	})
 }
 

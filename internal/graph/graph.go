@@ -98,32 +98,6 @@ func (g *Graph) RemoveNode(id int) {
 	delete(g.labels, id)
 }
 
-// ComponentAvoiding returns the connected component of v in G − blocked
-// without materializing the subgraph: a BFS from v that never enters
-// blocked. It returns the empty set when v is not a node or is itself
-// blocked. Incremental cut re-verification uses it to recompute one
-// receiver-side component per topology delta instead of one induced
-// subgraph per delta.
-func (g *Graph) ComponentAvoiding(v int, blocked nodeset.Set) nodeset.Set {
-	if !g.HasNode(v) || blocked.Contains(v) {
-		return nodeset.Empty()
-	}
-	visited := nodeset.Of(v)
-	frontier := []int{v}
-	for len(frontier) > 0 {
-		u := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		g.adj[u].ForEach(func(w int) bool {
-			if !visited.Contains(w) && !blocked.Contains(w) {
-				visited = visited.Add(w)
-				frontier = append(frontier, w)
-			}
-			return true
-		})
-	}
-	return visited
-}
-
 // AddPath adds edges forming the path ids[0] - ids[1] - ... - ids[k-1].
 func (g *Graph) AddPath(ids ...int) {
 	for i := 1; i < len(ids); i++ {

@@ -51,27 +51,3 @@ func TestRemoveNode(t *testing.T) {
 	}
 	g.RemoveNode(1) // absent: no-op
 }
-
-func TestComponentAvoiding(t *testing.T) {
-	g := New()
-	g.AddPath(0, 1, 2, 3, 4)
-	g.AddEdge(1, 5)
-	got := g.ComponentAvoiding(4, nodeset.Of(2))
-	if !got.Equal(nodeset.Of(3, 4)) {
-		t.Fatalf("ComponentAvoiding(4, {2}) = %v, want {3, 4}", got)
-	}
-	// Agrees with the subgraph formulation.
-	want := g.RemoveNodes(nodeset.Of(2)).ComponentOf(4)
-	if !got.Equal(want) {
-		t.Fatalf("disagrees with RemoveNodes+ComponentOf: %v vs %v", got, want)
-	}
-	if !g.ComponentAvoiding(4, nodeset.Empty()).Equal(g.ComponentOf(4)) {
-		t.Fatal("empty blocked set should give the full component")
-	}
-	if !g.ComponentAvoiding(4, nodeset.Of(4)).IsEmpty() {
-		t.Fatal("blocked start should give the empty set")
-	}
-	if !g.ComponentAvoiding(99, nodeset.Empty()).IsEmpty() {
-		t.Fatal("non-node start should give the empty set")
-	}
-}

@@ -436,6 +436,15 @@ func (s Set) Words() []uint64 {
 	return out
 }
 
+// CopyTo writes s into dst as a fixed-width row of words: the words of s,
+// then zeros to the end of dst. Members at or beyond 64·len(dst) are
+// dropped, so word-level kernels size their rows to cover every ID they
+// use. It allocates nothing; FromWords is the way back.
+func (s Set) CopyTo(dst []uint64) {
+	n := copy(dst, s.words)
+	clear(dst[n:])
+}
+
 // FromWords builds a Set from raw bitset words.
 func FromWords(words []uint64) Set {
 	cp := make([]uint64, len(words))

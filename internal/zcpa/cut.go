@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"rmt/internal/cutsearch"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
 )
@@ -32,7 +33,7 @@ func (c ZppCut) String() string {
 // monotone-decreasing in C2, and shrinking B only drops ∀u∈B constraints,
 // so restricting to component-shaped B with minimal boundary is complete —
 // see DESIGN.md §4). For each candidate, C1 is best chosen as C ∩ M for a
-// maximal M ∈ 𝒵.
+// maximal M ∈ 𝒵. The search runs on the cutsearch kernel with P_u = N(u).
 //
 // The enumeration is exponential in |V| in the worst case, as expected for
 // a tight characterization of an NP-hard-style cut condition; instances in
@@ -61,67 +62,9 @@ func FindRMTZppCutCtx(ctx context.Context, in *instance.Instance) (ZppCut, bool,
 	return witness, found, err
 }
 
-func findRMTZppCut(ctx context.Context, in *instance.Instance, maxCandidates int) (witness ZppCut, found, complete bool, err error) {
-	// Disconnected dealer/receiver: the empty cut is an RMT 𝒵-pp cut.
-	if !in.G.Connected(in.Dealer, in.Receiver) {
-		return ZppCut{
-			C1: nodeset.Empty(),
-			C2: nodeset.Empty(),
-			B:  in.G.ComponentOf(in.Receiver),
-		}, true, true, nil
-	}
-	inspected := 0
-	complete = true
-	memo := make(map[int]map[string]bool)
-	in.G.ReceiverSideCandidates(in.Dealer, in.Receiver, func(b, cut nodeset.Set) bool {
-		if err = ctx.Err(); err != nil {
-			complete = false
-			return false
-		}
-		if maxCandidates > 0 && inspected >= maxCandidates {
-			complete = false
-			return false
-		}
-		inspected++
-		for _, m := range in.Z.Maximal() {
-			c2 := cut.Minus(m)
-			if holdsForAll(in, b, c2, memo) {
-				witness = ZppCut{C1: cut.Intersect(m), C2: c2, B: b}
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return witness, found, complete, err
-}
-
-// holdsForAll checks ∀u ∈ B: N(u) ∩ C2 ∈ Z_u. Candidates share most of
-// their (u, N(u) ∩ C2) pairs with their parents in the enumeration, so the
-// per-node membership verdicts are memoized for the duration of one search,
-// keyed by node and intersection.
-func holdsForAll(in *instance.Instance, b, c2 nodeset.Set, memo map[int]map[string]bool) bool {
-	ok := true
-	b.ForEach(func(u int) bool {
-		part := in.G.Neighbors(u).Intersect(c2)
-		byPart := memo[u]
-		if byPart == nil {
-			byPart = make(map[string]bool)
-			memo[u] = byPart
-		}
-		k := part.Key()
-		res, seen := byPart[k]
-		if !seen {
-			res = in.LocalStructure(u).Contains(part)
-			byPart[k] = res
-		}
-		if !res {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
+func findRMTZppCut(ctx context.Context, in *instance.Instance, maxCandidates int) (ZppCut, bool, bool, error) {
+	w, found, complete, err := cutsearch.Search(ctx, in, cutsearch.Neighborhood, maxCandidates)
+	return ZppCut(w), found, complete, err
 }
 
 // Solvable reports whether ad hoc RMT is solvable on the instance, by the

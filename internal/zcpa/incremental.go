@@ -3,16 +3,17 @@ package zcpa
 import (
 	"context"
 
+	"rmt/internal/cutsearch"
 	"rmt/internal/instance"
-	"rmt/internal/nodeset"
 )
 
 // IncrementalCut maintains an RMT 𝒵-pp cut verdict across a sequence of
 // instance revisions — the ad hoc counterpart of core.IncrementalCut,
 // with the same contract: while the instance stays infeasible, each
-// revision re-verifies the previous witness (one BFS plus one candidate
-// evaluation with the ∀u ∈ B local check) and only falls back to the full
-// FindRMTZppCut enumeration when repair fails or no certificate exists.
+// revision re-verifies the previous witness (two BFS passes plus one
+// candidate evaluation with the ∀u ∈ B local check) and only falls back to
+// the full FindRMTZppCut enumeration when repair fails or no certificate
+// exists.
 // Verdicts always equal a fresh search's; witnesses may differ.
 //
 // The zero value is ready to use. Not safe for concurrent use.
@@ -68,28 +69,6 @@ func (ic *IncrementalCut) Stats() (repaired, fresh int) { return ic.repaired, ic
 // for in; see core.repairRMTCut for the shape argument. The candidate
 // predicate here is Definition 7's: ∀u ∈ B, N(u) ∩ C2 ∈ Z_u.
 func repairZppCut(in *instance.Instance, old ZppCut) (ZppCut, bool) {
-	if !in.G.Connected(in.Dealer, in.Receiver) {
-		return ZppCut{
-			C1: nodeset.Empty(),
-			C2: nodeset.Empty(),
-			B:  in.G.ComponentOf(in.Receiver),
-		}, true
-	}
-	c := old.Cut().Intersect(in.G.Nodes())
-	if c.Contains(in.Dealer) || c.Contains(in.Receiver) {
-		return ZppCut{}, false
-	}
-	b := in.G.ComponentAvoiding(in.Receiver, c)
-	if b.Contains(in.Dealer) {
-		return ZppCut{}, false
-	}
-	cut := in.G.Boundary(b)
-	memo := make(map[int]map[string]bool)
-	for _, m := range in.Z.Maximal() {
-		c2 := cut.Minus(m)
-		if holdsForAll(in, b, c2, memo) {
-			return ZppCut{C1: cut.Intersect(m), C2: c2, B: b}, true
-		}
-	}
-	return ZppCut{}, false
+	w, ok := cutsearch.Repair(in, cutsearch.Neighborhood, cutsearch.Witness(old))
+	return ZppCut(w), ok
 }

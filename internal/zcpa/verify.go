@@ -37,8 +37,12 @@ func VerifyZppCut(in *instance.Instance, cut ZppCut) error {
 	if !in.Z.Contains(cut.C1) {
 		return fmt.Errorf("zcpa: C1 %v is not admissible", cut.C1)
 	}
-	if !holdsForAll(in, cut.B, cut.C2, make(map[int]map[string]bool)) {
-		return fmt.Errorf("zcpa: some u ∈ B has N(u) ∩ C2 ∉ Z_u")
-	}
-	return nil
+	var bad error
+	cut.B.ForEach(func(u int) bool {
+		if part := in.G.Neighbors(u).Intersect(cut.C2); !in.LocalStructure(u).Contains(part) {
+			bad = fmt.Errorf("zcpa: N(%d) ∩ C2 = %v is not in Z_%d", u, part, u)
+		}
+		return bad == nil
+	})
+	return bad
 }
