@@ -6,15 +6,17 @@ GO ?= go
 .PHONY: tier1 test race bench benchjson benchguard benchsnap allocguard benchvet vet attacksweep schedfuzz mafuzz churnfuzz smtfuzz fuzzsmoke cover loadtest daemonsmoke fleetsmoke watchsmoke
 
 # tier1 is the gate every PR must keep green: build + full test suite +
-# vet + race detector on the packages that spawn goroutines or share state
-# across them (the lockstep/goroutine network engines, the parallel
-# experiment harness, the protocol registry, the Byzantine strategy
-# library, the attack sweep that fans trials out across workers, the wire
-# engine's coordinator/child plumbing, and the sharded query daemon).
+# vet + gofmt-clean sources + race detector on the packages that spawn
+# goroutines or share state across them (the network engines' shared round
+# loop, the parallel experiment harness, the protocol registry, the
+# Byzantine strategy library, the attack sweep that fans trials out across
+# workers, the wire engine's coordinator/child plumbing, and the sharded
+# query daemon).
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) test -race ./internal/network/ ./internal/eval/ ./internal/protocol/ ./internal/byzantine/ ./internal/attack/ ./internal/server/ ./internal/wire/ ./internal/feasibility/ ./internal/mbrb/ ./internal/smt/
 
 test:
@@ -136,11 +138,15 @@ watchsmoke:
 fleetsmoke:
 	$(GO) run ./cmd/rmtload -fleet -smoke
 
-# Short coverage-guided fuzz smokes: the instance-spec parser, and the cut
-# kernel against the ⊕-based reference searches (every decoded instance must
-# get the same verdicts, witnesses and completeness from both).
+# Short coverage-guided fuzz smokes, one per native fuzz target: the text
+# parsers (instance spec, adversary structure, node set, edge list), and
+# the cut kernel against the ⊕-based reference searches (every decoded
+# instance must get the same verdicts, witnesses and completeness from both).
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
+	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseStructure -fuzztime=10s
+	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseNodeSet -fuzztime=10s
+	$(GO) test ./internal/graph/ -run=^$$ -fuzz=FuzzParseEdgeList -fuzztime=10s
 	$(GO) test ./internal/cutsearch/ -run=^$$ -fuzz=FuzzCutSearchMatchesReference -fuzztime=10s
 
 # Per-package coverage with a repo-level floor. The threshold gates total

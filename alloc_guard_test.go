@@ -35,7 +35,7 @@ func TestPKARunAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		res, err := RunPKA(in, "x", nil, PKAOptions{})
+		res, err := RunProtocol(ProtocolPKA, in, "x", nil, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestPKARunAllocBudget(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(20, run)
 	if avg > pkaRunAllocBudget {
-		t.Errorf("RunPKA allocates %.1f allocs/op, budget %d — the packed receiver hot path regressed", avg, pkaRunAllocBudget)
+		t.Errorf("a PKA run allocates %.1f allocs/op, budget %d — the packed receiver hot path regressed", avg, pkaRunAllocBudget)
 	}
 }
 

@@ -168,7 +168,7 @@ func BenchmarkPKARunGoroutineEngine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunPKA(in, "x", nil, PKAOptions{Engine: Goroutine}); err != nil {
+		if _, err := RunProtocol(ProtocolPKA, in, "x", nil, RunOptions{Engine: Goroutine}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func BenchmarkPKAUnderSilentAttack(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunPKA(in, "x", SilentCorruption(NodeSet(1)), PKAOptions{}); err != nil {
+		if _, err := RunProtocol(ProtocolPKA, in, "x", SilentCorruption(NodeSet(1)), RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func BenchmarkZCPAWithPiDecider(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunZCPA(in, "x", nil, ZCPAOptions{Decider: NewPiDecider(in)}); err != nil {
+		if _, err := RunProtocol(ProtocolZCPA, in, "x", nil, RunOptions{Decider: NewPiDecider(in)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,12 +8,12 @@ import (
 
 // The triple-relay network: reliable transmission despite any single
 // corrupted relay.
-func ExampleRunPKA() {
+func ExampleRunProtocol() {
 	g, _ := rmt.ParseEdgeList("0-1 0-2 0-3 1-4 2-4 3-4")
 	z := rmt.StructureOf([]int{1}, []int{2}, []int{3})
 	in, _ := rmt.NewAdHocInstance(g, z, 0, 4)
 
-	res, _ := rmt.RunPKA(in, "attack at dawn", rmt.SilentCorruption(rmt.NodeSet(2)), rmt.PKAOptions{})
+	res, _ := rmt.RunProtocol(rmt.ProtocolPKA, in, "attack at dawn", rmt.SilentCorruption(rmt.NodeSet(2)), rmt.RunOptions{})
 	x, ok := res.DecisionOf(4)
 	fmt.Println(x, ok)
 	// Output: attack at dawn true
@@ -46,13 +46,13 @@ func ExampleJoinViews() {
 }
 
 // 𝒵-CPA decides in the ad hoc model whenever its tight condition holds.
-func ExampleRunZCPA() {
+func ExampleRunProtocol_zcpa() {
 	g, _ := rmt.ParseEdgeList("0-1 0-2 0-3 1-4 2-4 3-4")
 	z := rmt.Threshold(rmt.NodeSet(1, 2, 3), 1)
 	in, _ := rmt.NewAdHocInstance(g, z, 0, 4)
 
 	fmt.Println(rmt.SolvableZCPA(in))
-	res, _ := rmt.RunZCPA(in, "retreat", nil, rmt.ZCPAOptions{})
+	res, _ := rmt.RunProtocol(rmt.ProtocolZCPA, in, "retreat", nil, rmt.RunOptions{})
 	x, _ := res.DecisionOf(4)
 	fmt.Println(x)
 	// Output:

@@ -44,7 +44,7 @@ func solvableLayered() {
 
 	// Corrupt relay 5 with the full zoo's value-flip strategy.
 	zoo := rmt.AttackZoo(in, rmt.NodeSet(5), "retreat at once")
-	res, err := rmt.RunZCPA(in, "attack at dawn", zoo["value-flip"], rmt.ZCPAOptions{})
+	res, err := rmt.RunProtocol(rmt.ProtocolZCPA, in, "attack at dawn", zoo["value-flip"], rmt.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func impossibleDiamond() {
 	// Run Z-CPA anyway, with relay 1 lying: safety means the receiver
 	// stays undecided instead of being fooled.
 	zoo := rmt.AttackZoo(in, rmt.NodeSet(1), "retreat at once")
-	res, err := rmt.RunZCPA(in, "attack at dawn", zoo["value-flip"], rmt.ZCPAOptions{})
+	res, err := rmt.RunProtocol(rmt.ProtocolZCPA, in, "attack at dawn", zoo["value-flip"], rmt.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

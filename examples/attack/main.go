@@ -50,7 +50,7 @@ func main() {
 			t := rmt.NodeSet(corruptNode...)
 			zoo := rmt.AttackZoo(in, t, "retreat at once")
 			for _, name := range strategies {
-				res, err := rmt.RunPKA(in, "attack at dawn", zoo[name], rmt.PKAOptions{})
+				res, err := rmt.RunProtocol(rmt.ProtocolPKA, in, "attack at dawn", zoo[name], rmt.RunOptions{})
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -79,7 +79,7 @@ func main() {
 		joint2.Contains(rmt.NodeSet(2, 3)))
 
 	// And the payoff: run RMT-PKA at radius 2 with cut node 2 silenced.
-	res, err := rmt.RunPKA(r2, "attack at dawn", rmt.SilentCorruption(rmt.NodeSet(2)), rmt.PKAOptions{})
+	res, err := rmt.RunProtocol(rmt.ProtocolPKA, r2, "attack at dawn", rmt.SilentCorruption(rmt.NodeSet(2)), rmt.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,14 +43,14 @@ func main() {
 	fmt.Println("feasibility: no RMT-cut — transmission is guaranteed")
 
 	// Honest run.
-	res, err := rmt.RunPKA(in, "attack at dawn", nil, rmt.PKAOptions{})
+	res, err := rmt.RunProtocol(rmt.ProtocolPKA, in, "attack at dawn", nil, rmt.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("honest run", res, 4)
 
 	// Run with relay 2 corrupted and silent (the worst case for delivery).
-	res, err = rmt.RunPKA(in, "attack at dawn", rmt.SilentCorruption(rmt.NodeSet(2)), rmt.PKAOptions{})
+	res, err = rmt.RunProtocol(rmt.ProtocolPKA, in, "attack at dawn", rmt.SilentCorruption(rmt.NodeSet(2)), rmt.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestHorizonPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPKA(in, "x", nil, PKAOptions{Horizon: 3})
+	res, err := RunProtocol(ProtocolPKA, in, "x", nil, RunOptions{Horizon: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

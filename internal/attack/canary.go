@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rmt/internal/byzantine"
@@ -173,108 +174,65 @@ func mbrbCanaryFixture() (*instance.Instance, nodeset.Set, error) {
 	return in, nodeset.Of(1), nil
 }
 
-// runCanaryBattery runs every configured strategy against the gullible
-// receiver on the fixture and counts how many runs the safety oracle flags.
-// The battery's event traces go to cfg.Out so the JSONL stream always
-// contains at least one fully traced attack.
-func runCanaryBattery(cfg Config, rep *Report) error {
-	in, corrupt, err := canaryFixture()
-	if err != nil {
-		return fmt.Errorf("attack: canary fixture: %w", err)
-	}
-	for _, stratName := range cfg.strategies() {
-		strat, ok := byzantine.Get(stratName)
-		if !ok {
-			return byzantine.UnknownError(stratName)
-		}
-		var tracers []network.Tracer
-		var jsonl *network.JSONLTracer
-		if cfg.Out != nil {
-			jsonl = network.NewJSONLTracer(cfg.Out)
-			tracers = append(tracers, jsonl)
-		}
-		res, err := protocol.Run(canaryProto{}, in, xD, protocol.Options{
-			Engine:    network.Lockstep,
-			MaxRounds: cfg.maxRounds(),
-			Corrupt:   strat.Build(in, corrupt, ForgedValue),
-			Tracers:   tracers,
-		})
-		if err != nil {
-			return fmt.Errorf("attack: canary under %s: %w", stratName, err)
-		}
-		if jsonl != nil {
-			if err := jsonl.Err(); err != nil {
-				return fmt.Errorf("attack: canary trace under %s: %w", stratName, err)
-			}
-		}
-		rep.CanaryRuns++
-		if len(unsafeDecisions(in, corrupt, res)) > 0 {
-			rep.CanaryFlagged++
-		}
-	}
-	return runMBRBCanaryBattery(cfg, rep)
+// canaries is the safety oracle's teeth check: one row per deliberately
+// unsafe decision rule, each run on its fixture under every configured
+// strategy through the same cells and oracle as the audited protocols.
+// Every run is traced to cfg.Out, so the JSONL stream always contains fully
+// traced attacks. A new family's canary is one more row.
+var canaries = []struct {
+	proto   protocol.Protocol
+	fixture func() (*instance.Instance, nodeset.Set, error)
+	// always is a strategy the row runs even when the sweep is narrowed to
+	// others: the one stock strategy that speaks the rule's message type,
+	// without which a narrowed sweep would fail the teeth check vacuously.
+	always string
+	// suppress adds one run per configured suppression budget under the
+	// targeted policy, which needs no seed, so a flagged run replays
+	// without bookkeeping: a receiver that ignores distinct-sender quorums
+	// must be caught with and without message loss.
+	suppress bool
+}{
+	{proto: canaryProto{}, fixture: canaryFixture},
+	{proto: mbrbCanaryProto{}, fixture: mbrbCanaryFixture, always: byzantine.ReadyForgerName, suppress: true},
 }
 
-// runMBRBCanaryBattery is the message-adversary battery's teeth check: the
-// gullible MBRB receiver under every configured strategy, once clean and —
-// when suppression budgets are configured — once per budget under the
-// targeted policy. A safety oracle that cannot catch a receiver ignoring
-// MBRB's distinct-sender quorums, with or without message loss, proves
-// nothing about the real mbrb protocol. The ready-forger always joins the
-// battery even when the sweep is restricted to other strategies: it is the
-// one stock strategy that speaks MBRB's message type, so without it a
-// narrowed sweep would fail the teeth check vacuously.
-func runMBRBCanaryBattery(cfg Config, rep *Report) error {
-	in, corrupt, err := mbrbCanaryFixture()
-	if err != nil {
-		return fmt.Errorf("attack: mbrb canary fixture: %w", err)
-	}
-	names := cfg.strategies()
-	hasForger := false
-	for _, n := range names {
-		hasForger = hasForger || n == byzantine.ReadyForgerName
-	}
-	if !hasForger {
-		names = append(append([]string(nil), names...), byzantine.ReadyForgerName)
-	}
-	for _, stratName := range names {
-		strat, ok := byzantine.Get(stratName)
-		if !ok {
-			return byzantine.UnknownError(stratName)
+// runCanaries runs every canary row and tallies, per canary, how many runs
+// the Theorem-4 oracle flags.
+func runCanaries(cfg Config, rep *Report) error {
+	for _, row := range canaries {
+		name := row.proto.Name()
+		in, corrupt, err := row.fixture()
+		if err != nil {
+			return fmt.Errorf("attack: %s fixture: %w", name, err)
 		}
-		budgets := []int{0}
-		budgets = append(budgets, cfg.MABudgets...)
-		for _, budget := range budgets {
-			opts := protocol.Options{
-				Engine:    network.Lockstep,
-				MaxRounds: cfg.maxRounds(),
-				Corrupt:   strat.Build(in, corrupt, ForgedValue),
-				MABudget:  budget,
+		cells := []cell{{engine: network.Lockstep, corrupt: corrupt}}
+		if row.suppress {
+			for _, d := range cfg.MABudgets {
+				cells = append(cells, cell{engine: network.Lockstep, corrupt: corrupt, maPolicy: network.MATargeted, maBudget: d})
 			}
-			if budget > 0 {
-				// Deterministic policy: the targeted adversary needs no seed,
-				// so every flagged run replays without bookkeeping.
-				opts.MsgAdversary = network.MustMessageAdversary(network.MATargeted, budget, 0)
+		}
+		strategies := cfg.strategies()
+		if row.always != "" && !slices.Contains(strategies, row.always) {
+			strategies = append(slices.Clip(strategies), row.always)
+		}
+		var tally CanaryTally
+		for _, stratName := range strategies {
+			strat, ok := byzantine.Get(stratName)
+			if !ok {
+				return byzantine.UnknownError(stratName)
 			}
-			var jsonl *network.JSONLTracer
-			if cfg.Out != nil {
-				jsonl = network.NewJSONLTracer(cfg.Out)
-				opts.Tracers = []network.Tracer{jsonl}
-			}
-			res, err := protocol.Run(mbrbCanaryProto{}, in, xD, opts)
-			if err != nil {
-				return fmt.Errorf("attack: mbrb canary under %s (d=%d): %w", stratName, budget, err)
-			}
-			if jsonl != nil {
-				if err := jsonl.Err(); err != nil {
-					return fmt.Errorf("attack: mbrb canary trace under %s: %w", stratName, err)
+			for _, c := range cells {
+				res, _, err := c.run(cfg, row.proto, in, strat, cfg.Out)
+				if err != nil {
+					return fmt.Errorf("attack: %s under %s on %s: %w", name, stratName, c.label(), err)
+				}
+				tally.Runs++
+				if len(unsafeDecisions(in, c.corrupt, res)) > 0 {
+					tally.Flagged++
 				}
 			}
-			rep.MBRBCanaryRuns++
-			if len(unsafeDecisions(in, corrupt, res)) > 0 {
-				rep.MBRBCanaryFlagged++
-			}
 		}
+		rep.Canaries[name] = tally
 	}
 	return nil
 }

@@ -53,18 +53,6 @@ func (v PrivacyViolation) String() string {
 	return fmt.Sprintf("%s under %s on %v (%s): %s", v.Protocol, v.Variant, v.Listen, v.Engine, v.Detail)
 }
 
-// privacyCell is one engine/schedule/suppression configuration of the
-// battery. Paired runs share the cell, including every seed, so the only
-// difference between the two runs is the secret itself.
-type privacyCell struct {
-	name     string
-	schedule string
-	seed     int64
-	maBudget int
-	maSeed   int64
-	ma       bool
-}
-
 // runPrivacyBattery executes the battery and folds its counts into rep.
 func runPrivacyBattery(cfg Config, rep *Report) error {
 	g, d, r := gen.DisjointPaths(3, 1)
@@ -82,21 +70,16 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 		full = full.Add(i)
 	}
 
-	cells := []privacyCell{{name: "lockstep"}}
-	for i, schedName := range cfg.Schedules {
-		cells = append(cells, privacyCell{
-			name:     "async/" + schedName,
-			schedule: schedName,
-			seed:     eval.TrialSeed(cfg.Seed, 5000+i, 0),
-		})
+	// Paired runs share the cell, including every seed, so the only
+	// difference between the two runs is the secret itself.
+	cells := []cell{{engine: network.Lockstep}}
+	for i, sched := range cfg.Schedules {
+		cells = append(cells, cell{engine: network.Async,
+			schedule: sched, schedSeed: eval.TrialSeed(cfg.Seed, 5000+i, 0)})
 	}
-	for i, budget := range cfg.MABudgets {
-		cells = append(cells, privacyCell{
-			name:     fmt.Sprintf("lockstep+ma/random(d=%d)", budget),
-			maBudget: budget,
-			maSeed:   eval.TrialSeed(cfg.Seed, 5500+i, 0),
-			ma:       true,
-		})
+	for i, d := range cfg.MABudgets {
+		cells = append(cells, cell{engine: network.Lockstep,
+			maPolicy: network.MARandom, maBudget: d, maSeed: eval.TrialSeed(cfg.Seed, 5500+i, 0)})
 	}
 
 	protos := []protocol.Protocol{smt.Proto{}, leakySMTProto{}}
@@ -109,12 +92,13 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 	}
 	secrets := []network.Value{privacyX0, privacyX1}
 
+	var leaky CanaryTally
 	for _, coalition := range listen.Maximal() {
 		if coalition.IsEmpty() {
 			continue
 		}
 		for _, variant := range variants {
-			for _, cell := range cells {
+			for _, c := range cells {
 				for _, proto := range protos {
 					var (
 						views   [2]string
@@ -122,28 +106,15 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 					)
 					for s, secret := range secrets {
 						log := &byzantine.ListenLog{}
-						opts := protocol.Options{
-							Engine:    network.Lockstep,
-							MaxRounds: 32,
-							Listen:    listen,
-							Seed:      42,
-							Corrupt:   byzantine.NewListeners(coalition, log, variant.forward),
+						opts, err := c.options(32)
+						if err != nil {
+							return fmt.Errorf("attack: privacy battery: %w", err)
 						}
-						if cell.schedule != "" {
-							sched, err := network.NewScheduler(cell.schedule, cell.seed)
-							if err != nil {
-								return fmt.Errorf("attack: privacy battery: %w", err)
-							}
-							opts.Engine = network.Async
-							opts.Scheduler = sched
-						}
-						if cell.ma {
-							opts.MsgAdversary = network.MustMessageAdversary(network.MARandom, cell.maBudget, cell.maSeed)
-							opts.MABudget = cell.maBudget
-						}
+						opts.Listen, opts.Seed = listen, 42
+						opts.Corrupt = byzantine.NewListeners(coalition, log, variant.forward)
 						if _, err := protocol.Run(proto, in, secret, opts); err != nil {
 							return fmt.Errorf("attack: privacy battery %s/%s/%s: %w",
-								proto.Name(), variant.name, cell.name, err)
+								proto.Name(), variant.name, c.label(), err)
 						}
 						views[s], indices[s] = log.View(), log.ShareIndices()
 					}
@@ -161,7 +132,7 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 					// differ; the view-equality oracle applies to loss-free
 					// cells only.
 					dep := plan.Dependent()
-					if !cell.ma && !indices[0].Contains(dep) && !indices[1].Contains(dep) && views[0] != views[1] {
+					if c.maPolicy == "" && !indices[0].Contains(dep) && !indices[1].Contains(dep) && views[0] != views[1] {
 						details = append(details,
 							"paired views differ though the secret-dependent share was never heard")
 					}
@@ -174,9 +145,9 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 					}
 
 					if proto.Name() == leakyCanaryName {
-						rep.SMTCanaryRuns += len(secrets)
+						leaky.Runs += len(secrets)
 						if len(details) > 0 {
-							rep.SMTCanaryFlagged++
+							leaky.Flagged++
 						}
 						continue
 					}
@@ -186,7 +157,7 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 							Protocol: proto.Name(),
 							Listen:   members(coalition),
 							Variant:  variant.name,
-							Engine:   cell.name,
+							Engine:   c.label(),
 							Detail:   detail,
 						})
 					}
@@ -194,6 +165,7 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 			}
 		}
 	}
+	rep.Canaries[leakyCanaryName] = leaky
 	return nil
 }
 

@@ -10,7 +10,7 @@ import (
 // clean, and the leaky canary must be flagged — in every configuration
 // class, or the oracle's coverage is narrower than it claims.
 func TestPrivacyBatteryHonestAndCanary(t *testing.T) {
-	rep := &Report{}
+	rep := &Report{Canaries: map[string]CanaryTally{}}
 	cfg := Config{Seed: 3, Schedules: []string{"sync", "random"}, MABudgets: []int{1}}
 	if err := runPrivacyBattery(cfg, rep); err != nil {
 		t.Fatal(err)
@@ -21,30 +21,31 @@ func TestPrivacyBatteryHonestAndCanary(t *testing.T) {
 	for _, v := range rep.PrivacyViolations {
 		t.Errorf("honest smt flagged: %s", v)
 	}
-	if rep.SMTCanaryRuns == 0 || rep.SMTCanaryFlagged == 0 {
+	leaky := rep.Canaries[leakyCanaryName]
+	if leaky.Runs == 0 || leaky.Flagged == 0 {
 		t.Fatalf("leaky canary: %d/%d flagged — the privacy oracle has no teeth",
-			rep.SMTCanaryFlagged, rep.SMTCanaryRuns)
+			leaky.Flagged, leaky.Runs)
 	}
 	// Every cell pairs one honest run set with one canary run set, so equal
 	// counts mean the canary rode through the full configuration matrix.
-	if rep.SMTCanaryRuns != rep.PrivacyRuns {
-		t.Fatalf("canary runs %d != privacy runs %d: batteries diverged", rep.SMTCanaryRuns, rep.PrivacyRuns)
+	if leaky.Runs != rep.PrivacyRuns {
+		t.Fatalf("canary runs %d != privacy runs %d: batteries diverged", leaky.Runs, rep.PrivacyRuns)
 	}
 }
 
 // TestPrivacyOracleInSummary: the sweep-level report surfaces the privacy
 // counts and fails loudly when the canary goes unflagged.
 func TestPrivacyOracleInSummary(t *testing.T) {
-	rep := &Report{SMTCanaryRuns: 4}
-	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "privacy oracle has no teeth") {
+	rep := &Report{Canaries: map[string]CanaryTally{leakyCanaryName: {Runs: 4}}}
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), leakyCanaryName+" survived 4 runs undetected") {
 		t.Fatalf("unflagged canary not fatal: %v", err)
 	}
 	rep = &Report{PrivacyViolations: []PrivacyViolation{{Protocol: "smt", Detail: "x"}}}
 	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "privacy violations") {
 		t.Fatalf("privacy violations not fatal: %v", err)
 	}
-	rep = &Report{}
-	if !strings.Contains(rep.Summary(), "privacy") {
-		t.Fatal("summary omits the privacy battery")
+	rep = &Report{Canaries: map[string]CanaryTally{leakyCanaryName: {Runs: 4, Flagged: 2}}}
+	if s := rep.Summary(); !strings.Contains(s, "privacy") || !strings.Contains(s, "2/4 "+leakyCanaryName+" runs") {
+		t.Fatalf("summary omits the privacy battery: %s", s)
 	}
 }

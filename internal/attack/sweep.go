@@ -11,16 +11,22 @@
 //     of 𝒵 plus one honest node); their outcomes are counted but not
 //     asserted, documenting that the guarantee being fuzzed is exactly the
 //     t ∈ 𝒵 boundary;
-//   - a canary battery runs a deliberately unsafe decision rule
-//     (internal/attack's gullible receiver) through the same oracle and the
-//     sweep FAILS unless the oracle flags it — a safety fuzzer that cannot
-//     catch a gullible receiver has no teeth.
+//   - a table of canaries runs deliberately unsafe decision rules (the
+//     gullible receivers in canary.go) through the same cells and oracle,
+//     and the sweep FAILS unless the oracle flags each of them — a safety
+//     fuzzer that cannot catch a gullible receiver has no teeth.
+//
+// Every run is one cell (see cell): pure data naming its engine, corruption
+// set, schedule and message adversary, from which the sweep, the trace
+// replay of a violating run, the canaries and the privacy battery all build
+// their run options the same way.
 package attack
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -82,7 +88,7 @@ type Config struct {
 	MaxRounds int
 	// Out, when non-nil, receives one JSONL record per run, in trial
 	// order, plus full message-level event traces (network.JSONLTracer)
-	// for every violating run and for the canary battery.
+	// for every violating run and for every canary run.
 	Out io.Writer
 }
 
@@ -158,17 +164,6 @@ type Report struct {
 	ControlRuns       int
 	ControlViolations int
 
-	// CanaryRuns / CanaryFlagged count the unsafe-decision-rule battery;
-	// the sweep fails unless at least one canary run is flagged.
-	CanaryRuns    int
-	CanaryFlagged int
-
-	// MBRBCanaryRuns / MBRBCanaryFlagged count the MBRB battery's own
-	// teeth check — a receiver that ignores distinct-sender quorums; the
-	// sweep fails unless the oracle flags at least one of its runs.
-	MBRBCanaryRuns    int
-	MBRBCanaryFlagged int
-
 	// Skipped counts (protocol, fixture) cells the matrix left out because
 	// the protocol's Assemble rejected the pairing as a capability mismatch
 	// (protocol.CapsError) — e.g. SMT on a sample whose corruptible ground
@@ -182,15 +177,30 @@ type Report struct {
 	PrivacyRuns       int
 	PrivacyViolations []PrivacyViolation
 
-	// SMTCanaryRuns / SMTCanaryFlagged count the privacy oracle's own teeth
-	// check — the plaintext-leaking SMT variant; the sweep fails unless the
-	// oracle flags at least one of its runs.
-	SMTCanaryRuns    int
-	SMTCanaryFlagged int
+	// Canaries counts each oracle's teeth check by canary name: runs of a
+	// deliberately unsafe protocol variant through the oracle, and how many
+	// of them it flagged. The sweep fails unless every canary that ran was
+	// flagged at least once.
+	Canaries map[string]CanaryTally
+}
+
+// CanaryTally counts one canary's runs and the runs its oracle flagged.
+type CanaryTally struct {
+	Runs, Flagged int
+}
+
+// canaryNames returns the report's canary names, sorted.
+func (r *Report) canaryNames() []string {
+	names := make([]string, 0, len(r.Canaries))
+	for name := range r.Canaries {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Err reports whether the sweep establishes what it claims: zero safety
-// violations, zero engine disagreements, and a safety oracle with teeth.
+// and privacy violations, zero engine disagreements, and oracles with teeth.
 func (r *Report) Err() error {
 	if len(r.Violations) > 0 {
 		return fmt.Errorf("attack: %d Theorem-4 safety violations (first: %s)",
@@ -201,34 +211,33 @@ func (r *Report) Err() error {
 		return fmt.Errorf("attack: %d engine disagreements (first: trial %d %s/%s: %s)",
 			len(r.Mismatches), m.Trial, m.Protocol, m.Strategy, m.Detail)
 	}
-	if r.CanaryRuns > 0 && r.CanaryFlagged == 0 {
-		return fmt.Errorf("attack: canary decision rule survived %d runs undetected — the safety oracle has no teeth", r.CanaryRuns)
-	}
-	if r.MBRBCanaryRuns > 0 && r.MBRBCanaryFlagged == 0 {
-		return fmt.Errorf("attack: mbrb canary decision rule survived %d runs undetected — the suppression oracle has no teeth", r.MBRBCanaryRuns)
-	}
 	if len(r.PrivacyViolations) > 0 {
 		return fmt.Errorf("attack: %d SMT privacy violations (first: %s)",
 			len(r.PrivacyViolations), r.PrivacyViolations[0])
 	}
-	if r.SMTCanaryRuns > 0 && r.SMTCanaryFlagged == 0 {
-		return fmt.Errorf("attack: leaky SMT canary survived %d runs undetected — the privacy oracle has no teeth", r.SMTCanaryRuns)
+	for _, name := range r.canaryNames() {
+		if c := r.Canaries[name]; c.Runs > 0 && c.Flagged == 0 {
+			return fmt.Errorf("attack: %s survived %d runs undetected — its oracle has no teeth", name, c.Runs)
+		}
 	}
 	return nil
 }
 
 // Summary renders a one-paragraph human summary.
 func (r *Report) Summary() string {
+	canaries := make([]string, 0, len(r.Canaries))
+	for _, name := range r.canaryNames() {
+		c := r.Canaries[name]
+		canaries = append(canaries, fmt.Sprintf("%d/%d %s runs", c.Flagged, c.Runs, name))
+	}
 	return fmt.Sprintf(
 		"attack sweep: %d trials, %d runs (%d cells skipped on capability mismatch): "+
 			"%d violations, %d engine mismatches; "+
-			"%d control runs (%d unsafe, expected outside 𝒵); canary flagged in %d/%d runs; "+
-			"mbrb canary flagged in %d/%d runs; "+
-			"%d privacy runs, %d violations; leaky smt canary flagged in %d/%d runs",
+			"%d control runs (%d unsafe, expected outside 𝒵); "+
+			"%d privacy runs, %d violations; canary flagged in %s",
 		r.Trials, r.Runs, r.Skipped, len(r.Violations), len(r.Mismatches),
-		r.ControlRuns, r.ControlViolations, r.CanaryFlagged, r.CanaryRuns,
-		r.MBRBCanaryFlagged, r.MBRBCanaryRuns,
-		r.PrivacyRuns, len(r.PrivacyViolations), r.SMTCanaryFlagged, r.SMTCanaryRuns)
+		r.ControlRuns, r.ControlViolations,
+		r.PrivacyRuns, len(r.PrivacyViolations), strings.Join(canaries, ", "))
 }
 
 // sample is one drawn (instance, corruption, control) trial.
@@ -379,6 +388,129 @@ type runRecord struct {
 	Suppressed int    `json:"suppressed,omitempty"`
 }
 
+// cell is one sweep run as pure data: the engine, corruption set, delivery
+// schedule and message adversary of one run of a (protocol, strategy) pair.
+// A trial's cells are built once and their seeds derive from (Seed, trial)
+// alone, so any cell replays exactly — which is how a violating run is
+// re-traced.
+type cell struct {
+	engine  network.Engine
+	corrupt nodeset.Set
+	// control marks a non-admissible control run: recorded, never asserted.
+	control bool
+	// schedule and schedSeed build the async delivery schedule ("" = none).
+	schedule  string
+	schedSeed int64
+	// maPolicy, maBudget and maSeed build the message adversary ("" =
+	// none); maBudget is also the budget the protocol provisions for.
+	maPolicy string
+	maBudget int
+	maSeed   int64
+}
+
+// label is the cell's engine label in records and reports, e.g. "goroutine",
+// "async/random" or "lockstep+ma/eclipse(d=1)".
+func (c cell) label() string {
+	l := c.engine.Name()
+	if c.schedule != "" {
+		l += "/" + c.schedule
+	}
+	if c.maPolicy != "" {
+		l += fmt.Sprintf("+ma/%s(d=%d)", c.maPolicy, c.maBudget)
+	}
+	return l
+}
+
+// options builds the cell's run options around a fresh scheduler and
+// message adversary: both keep per-run state and are single-use.
+func (c cell) options(maxRounds int) (protocol.Options, error) {
+	opts := protocol.Options{Engine: c.engine, MaxRounds: maxRounds, MABudget: c.maBudget}
+	if c.schedule != "" {
+		sched, err := network.NewScheduler(c.schedule, c.schedSeed)
+		if err != nil {
+			return opts, err
+		}
+		opts.Scheduler = sched
+	}
+	if c.maPolicy != "" {
+		madv, err := network.NewMessageAdversary(c.maPolicy, c.maBudget, c.maSeed)
+		if err != nil {
+			return opts, err
+		}
+		opts.MsgAdversary = madv
+	}
+	return opts, nil
+}
+
+// run executes proto on in under the cell, with a fresh strat overlay
+// (strategy processes are stateful and single-use) corrupting the cell's
+// set, and returns the result and the number of copies the message
+// adversary suppressed. A non-nil trace receives the run's message-level
+// JSONL event stream.
+func (c cell) run(cfg Config, proto protocol.Protocol, in *instance.Instance,
+	strat byzantine.Strategy, trace io.Writer) (*network.Result, int, error) {
+	opts, err := c.options(cfg.maxRounds())
+	if err != nil {
+		return nil, 0, err
+	}
+	opts.RecordTranscript = true
+	opts.Corrupt = strat.Build(in, c.corrupt, ForgedValue)
+	var jsonl *network.JSONLTracer
+	if trace != nil {
+		jsonl = network.NewJSONLTracer(trace)
+		opts.Tracers = []network.Tracer{jsonl}
+	}
+	res, err := protocol.Run(proto, in, xD, opts)
+	if err == nil && jsonl != nil {
+		err = jsonl.Err()
+	}
+	if err != nil || opts.MsgAdversary == nil {
+		return res, 0, err
+	}
+	return res, opts.MsgAdversary.Suppressed(), nil
+}
+
+// mustAgree reports whether the cell must reproduce cells[0], the first
+// engine's run, transcript for transcript: every loss-free admissible cell
+// that runs synchronously or under the zero-fault schedule.
+func (c cell) mustAgree() bool {
+	return !c.control && c.maPolicy == "" && (c.schedule == "" || c.schedule == network.SchedSync)
+}
+
+// maStreams spaces the per-budget seed streams of the message-adversary
+// cells; it only needs to exceed the number of stock policies and schedules.
+const maStreams = 16
+
+// cells lists one trial's runs of each (protocol, strategy) pair, in record
+// order: every engine; every schedule under the async engine; for each
+// suppression budget, every stock policy under lockstep and then every
+// schedule under the seeded random policy; and the control.
+func (c Config) cells(smp *sample, trial int) []cell {
+	var cells []cell
+	for _, e := range c.engines() {
+		cells = append(cells, cell{engine: e, corrupt: smp.corrupt})
+	}
+	for i, sched := range c.Schedules {
+		cells = append(cells, cell{engine: network.Async, corrupt: smp.corrupt,
+			schedule: sched, schedSeed: eval.TrialSeed(c.Seed, 1000+i, trial)})
+	}
+	for b, d := range c.MABudgets {
+		for p, policy := range network.MessageAdversaryNames() {
+			cells = append(cells, cell{engine: network.Lockstep, corrupt: smp.corrupt,
+				maPolicy: policy, maBudget: d, maSeed: eval.TrialSeed(c.Seed, 2000+b*maStreams+p, trial)})
+		}
+		for i, sched := range c.Schedules {
+			cells = append(cells, cell{engine: network.Async, corrupt: smp.corrupt,
+				schedule: sched, schedSeed: eval.TrialSeed(c.Seed, 3000+b*maStreams+i, trial),
+				maPolicy: network.MARandom, maBudget: d, maSeed: eval.TrialSeed(c.Seed, 4000+b*maStreams+i, trial)})
+		}
+	}
+	if smp.control.Len() > 0 {
+		cells = append(cells, cell{engine: network.Lockstep, corrupt: smp.control, control: true})
+	}
+	return cells
+}
+
 // trialResult is everything one trial reports back to the aggregator.
 type trialResult struct {
 	err        error
@@ -393,20 +525,12 @@ type trialResult struct {
 	traces []traceRequest
 }
 
+// traceRequest identifies a violating run for replay.
 type traceRequest struct {
-	sample   *sample
-	protocol string
-	strategy string
-	corrupt  nodeset.Set
-	// schedule and schedSeed identify the async schedule of a violating
-	// schedule run; schedule == "" re-traces under lockstep.
-	schedule  string
-	schedSeed int64
-	// maPolicy, maBudget and maSeed rebuild the message adversary of a
-	// violating suppression run; maPolicy == "" re-traces without one.
-	maPolicy string
-	maBudget int
-	maSeed   int64
+	proto protocol.Protocol
+	in    *instance.Instance
+	strat byzantine.Strategy
+	cell  cell
 }
 
 // Sweep runs the fuzzer and aggregates its report. The per-trial work is
@@ -421,7 +545,7 @@ func Sweep(cfg Config) (*Report, error) {
 		return runTrial(cfg, trial, rng)
 	})
 
-	rep := &Report{Trials: cfg.Trials}
+	rep := &Report{Trials: cfg.Trials, Canaries: map[string]CanaryTally{}}
 	for _, tr := range results {
 		if tr.err != nil {
 			return nil, tr.err
@@ -450,7 +574,7 @@ func Sweep(cfg Config) (*Report, error) {
 		}
 	}
 
-	if err := runCanaryBattery(cfg, rep); err != nil {
+	if err := runCanaries(cfg, rep); err != nil {
 		return nil, err
 	}
 	if err := runPrivacyBattery(cfg, rep); err != nil {
@@ -459,8 +583,8 @@ func Sweep(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// runTrial executes the full protocol × strategy × engine matrix on one
-// sampled fixture.
+// runTrial runs every protocol × strategy pair on one sampled fixture,
+// under every one of the trial's cells.
 func runTrial(cfg Config, trial int, rng *rand.Rand) trialResult {
 	var tr trialResult
 	smp, err := drawSample(rng)
@@ -468,7 +592,7 @@ func runTrial(cfg Config, trial int, rng *rand.Rand) trialResult {
 		tr.err = err
 		return tr
 	}
-
+	cells := cfg.cells(smp, trial)
 	for _, protoName := range cfg.protocols() {
 		proto, ok := protocol.Get(protoName)
 		if !ok {
@@ -491,245 +615,70 @@ func runTrial(cfg Config, trial int, rng *rand.Rand) trialResult {
 				tr.err = byzantine.UnknownError(stratName)
 				return tr
 			}
-
-			// Admissible corruption: assert safety and engine agreement.
-			var runs []*network.Result
-			for _, engine := range cfg.engines() {
-				res, err := runOnce(cfg, proto, strat, in, smp.corrupt, engine)
-				if err != nil {
-					tr.err = fmt.Errorf("attack: trial %d %s %s/%s: %w",
-						trial, smp.desc, protoName, stratName, err)
-					return tr
-				}
-				tr.runs++
-				runs = append(runs, res)
-				viols := unsafeDecisions(in, smp.corrupt, res)
-				for _, v := range viols {
-					tr.violations = append(tr.violations, Violation{
-						Trial: trial, Instance: smp.desc,
-						Protocol: protoName, Strategy: stratName,
-						Engine: engine.Name(), Corrupt: members(smp.corrupt),
-						Node: v.node, Got: v.got,
-					})
-				}
-				if len(viols) > 0 {
-					tr.traces = append(tr.traces, traceRequest{
-						sample: smp, protocol: protoName, strategy: stratName,
-						corrupt: smp.corrupt,
-					})
-				}
-				tr.records = append(tr.records, record(trial, smp.desc, protoName, stratName,
-					engine.Name(), smp.corrupt, true, in, res, len(viols) == 0))
-			}
-			if d := disagreement(cfg.engines(), runs); d != "" {
-				tr.mismatches = append(tr.mismatches, Mismatch{
-					Trial: trial, Instance: smp.desc,
-					Protocol: protoName, Strategy: stratName, Detail: d,
-				})
-			}
-
-			// Schedule runs: the async engine under every configured
-			// delivery schedule, seeded per (trial, schedule) so any
-			// violation replays from (Seed, trial) alone.
-			for schedIdx, schedName := range cfg.Schedules {
-				schedSeed := eval.TrialSeed(cfg.Seed, 1000+schedIdx, trial)
-				sched, err := network.NewScheduler(schedName, schedSeed)
-				if err != nil {
-					tr.err = fmt.Errorf("attack: trial %d: %w", trial, err)
-					return tr
-				}
-				res, err := runSchedule(cfg, proto, strat, in, smp.corrupt, sched)
-				if err != nil {
-					tr.err = fmt.Errorf("attack: trial %d %s %s/%s sched %s: %w",
-						trial, smp.desc, protoName, stratName, schedName, err)
-					return tr
-				}
-				tr.runs++
-				engName := "async/" + schedName
-				viols := unsafeDecisions(in, smp.corrupt, res)
-				for _, v := range viols {
-					tr.violations = append(tr.violations, Violation{
-						Trial: trial, Instance: smp.desc,
-						Protocol: protoName, Strategy: stratName,
-						Engine: engName, Corrupt: members(smp.corrupt),
-						Node: v.node, Got: v.got,
-					})
-				}
-				if len(viols) > 0 {
-					tr.traces = append(tr.traces, traceRequest{
-						sample: smp, protocol: protoName, strategy: stratName,
-						corrupt: smp.corrupt, schedule: schedName, schedSeed: schedSeed,
-					})
-				}
-				tr.records = append(tr.records, record(trial, smp.desc, protoName,
-					stratName, engName, smp.corrupt, true, in, res, len(viols) == 0))
-				// The zero-fault schedule must be indistinguishable from the
-				// synchronous engines: same transcript, same decisions.
-				if schedName == network.SchedSync && len(runs) > 0 {
-					if d := disagreement([]network.Engine{cfg.engines()[0], network.Async},
-						[]*network.Result{runs[0], res}); d != "" {
-						tr.mismatches = append(tr.mismatches, Mismatch{
-							Trial: trial, Instance: smp.desc,
-							Protocol: protoName, Strategy: stratName,
-							Detail: "sync schedule: " + d,
-						})
-					}
-				}
-			}
-
-			// Message-adversary runs: for each suppression budget, every
-			// stock policy under lockstep plus every configured schedule
-			// with the seeded random policy layered on top. Safety-only
-			// oracle — dropped copies can starve liveness but must never
-			// produce a wrong decision.
-			for bIdx, budget := range cfg.MABudgets {
-				for pIdx, maName := range network.MessageAdversaryNames() {
-					maSeed := eval.TrialSeed(cfg.Seed, 2000+bIdx*maStreams+pIdx, trial)
-					madv, err := network.NewMessageAdversary(maName, budget, maSeed)
-					if err != nil {
-						tr.err = fmt.Errorf("attack: trial %d: %w", trial, err)
-						return tr
-					}
-					res, err := runSuppressed(cfg, proto, strat, in, smp.corrupt, madv, budget, nil)
-					if err != nil {
-						tr.err = fmt.Errorf("attack: trial %d %s %s/%s ma %s(d=%d): %w",
-							trial, smp.desc, protoName, stratName, maName, budget, err)
-						return tr
-					}
-					tr.runs++
-					engName := fmt.Sprintf("lockstep+ma/%s(d=%d)", maName, budget)
-					viols := unsafeDecisions(in, smp.corrupt, res)
-					for _, v := range viols {
-						tr.violations = append(tr.violations, Violation{
-							Trial: trial, Instance: smp.desc,
-							Protocol: protoName, Strategy: stratName,
-							Engine: engName, Corrupt: members(smp.corrupt),
-							Node: v.node, Got: v.got,
-						})
-					}
-					if len(viols) > 0 {
-						tr.traces = append(tr.traces, traceRequest{
-							sample: smp, protocol: protoName, strategy: stratName,
-							corrupt: smp.corrupt,
-							maPolicy: maName, maBudget: budget, maSeed: maSeed,
-						})
-					}
-					rec := record(trial, smp.desc, protoName, stratName,
-						engName, smp.corrupt, true, in, res, len(viols) == 0)
-					rec.MAPolicy, rec.MABudget, rec.Suppressed = maName, budget, madv.Suppressed()
-					tr.records = append(tr.records, rec)
-				}
-				for schedIdx, schedName := range cfg.Schedules {
-					schedSeed := eval.TrialSeed(cfg.Seed, 3000+bIdx*maStreams+schedIdx, trial)
-					sched, err := network.NewScheduler(schedName, schedSeed)
-					if err != nil {
-						tr.err = fmt.Errorf("attack: trial %d: %w", trial, err)
-						return tr
-					}
-					maSeed := eval.TrialSeed(cfg.Seed, 4000+bIdx*maStreams+schedIdx, trial)
-					madv := network.MustMessageAdversary(network.MARandom, budget, maSeed)
-					res, err := runSuppressed(cfg, proto, strat, in, smp.corrupt, madv, budget, sched)
-					if err != nil {
-						tr.err = fmt.Errorf("attack: trial %d %s %s/%s sched %s + ma random(d=%d): %w",
-							trial, smp.desc, protoName, stratName, schedName, budget, err)
-						return tr
-					}
-					tr.runs++
-					engName := fmt.Sprintf("async/%s+ma/random(d=%d)", schedName, budget)
-					viols := unsafeDecisions(in, smp.corrupt, res)
-					for _, v := range viols {
-						tr.violations = append(tr.violations, Violation{
-							Trial: trial, Instance: smp.desc,
-							Protocol: protoName, Strategy: stratName,
-							Engine: engName, Corrupt: members(smp.corrupt),
-							Node: v.node, Got: v.got,
-						})
-					}
-					if len(viols) > 0 {
-						tr.traces = append(tr.traces, traceRequest{
-							sample: smp, protocol: protoName, strategy: stratName,
-							corrupt: smp.corrupt, schedule: schedName, schedSeed: schedSeed,
-							maPolicy: network.MARandom, maBudget: budget, maSeed: maSeed,
-						})
-					}
-					rec := record(trial, smp.desc, protoName, stratName,
-						engName, smp.corrupt, true, in, res, len(viols) == 0)
-					rec.MAPolicy, rec.MABudget, rec.Suppressed = network.MARandom, budget, madv.Suppressed()
-					tr.records = append(tr.records, rec)
-				}
-			}
-
-			// Control: minimal non-admissible superset, lockstep only.
-			// Outcomes are recorded, not asserted.
-			if smp.control.Len() > 0 {
-				res, err := runOnce(cfg, proto, strat, in, smp.control, network.Lockstep)
-				if err != nil {
-					tr.err = fmt.Errorf("attack: trial %d control %s %s/%s: %w",
-						trial, smp.desc, protoName, stratName, err)
-					return tr
-				}
-				tr.ctrlRuns++
-				unsafe := len(unsafeDecisions(in, smp.control, res)) > 0
-				if unsafe {
-					tr.ctrlViol++
-				}
-				tr.records = append(tr.records, record(trial, smp.desc, protoName, stratName,
-					network.Lockstep.Name(), smp.control, false, in, res, !unsafe))
+			if tr.err = tr.runCells(cfg, trial, smp.desc, in, proto, strat, cells); tr.err != nil {
+				return tr
 			}
 		}
 	}
 	return tr
 }
 
-// runOnce builds a fresh corruption overlay (strategy processes are
-// stateful and single-use) and executes one run.
-func runOnce(cfg Config, proto protocol.Protocol, strat byzantine.Strategy,
-	in *instance.Instance, corrupt nodeset.Set, engine network.Engine) (*network.Result, error) {
-	return protocol.Run(proto, in, xD, protocol.Options{
-		Engine:           engine,
-		MaxRounds:        cfg.maxRounds(),
-		RecordTranscript: true,
-		Corrupt:          strat.Build(in, corrupt, ForgedValue),
-	})
-}
-
-// maStreams spaces the per-budget seed streams of the message-adversary
-// runs; it only needs to exceed the number of stock policies and schedules.
-const maStreams = 16
-
-// runSuppressed is runOnce with a (single-use) message adversary attached:
-// lockstep when sched is nil, async under sched otherwise. The budget is
-// passed through Options so budget-aware protocols (mbrb) provision their
-// quorums for it.
-func runSuppressed(cfg Config, proto protocol.Protocol, strat byzantine.Strategy,
-	in *instance.Instance, corrupt nodeset.Set, madv network.MessageAdversary,
-	budget int, sched network.Scheduler) (*network.Result, error) {
-	opts := protocol.Options{
-		Engine:           network.Lockstep,
-		MaxRounds:        cfg.maxRounds(),
-		RecordTranscript: true,
-		Corrupt:          strat.Build(in, corrupt, ForgedValue),
-		MsgAdversary:     madv,
-		MABudget:         budget,
+// runCells runs one (protocol, strategy) pair under every cell and folds the
+// outcomes into tr: the Theorem-4 oracle on admissible cells, engine
+// agreement with cells[0] on the cells that must reproduce it, and the
+// control cell's outcome counted but not asserted.
+func (tr *trialResult) runCells(cfg Config, trial int, desc string, in *instance.Instance,
+	proto protocol.Protocol, strat byzantine.Strategy, cells []cell) error {
+	var ref *network.Result // cells[0]'s run, which mustAgree cells reproduce
+	for i, c := range cells {
+		res, suppressed, err := c.run(cfg, proto, in, strat, nil)
+		if err != nil {
+			return fmt.Errorf("attack: trial %d %s %s/%s on %s: %w",
+				trial, desc, proto.Name(), strat.Name(), c.label(), err)
+		}
+		viols := unsafeDecisions(in, c.corrupt, res)
+		val, decided := res.DecisionOf(in.Receiver)
+		tr.records = append(tr.records, runRecord{
+			Type: "run", Trial: trial, Instance: desc,
+			Protocol: proto.Name(), Strategy: strat.Name(), Engine: c.label(),
+			Corrupt: members(c.corrupt), InZ: !c.control,
+			Rounds: res.Rounds, Messages: res.Metrics.MessagesSent,
+			Decided: decided, Value: val, Safe: len(viols) == 0,
+			MAPolicy: c.maPolicy, MABudget: c.maBudget, Suppressed: suppressed,
+		})
+		if c.control {
+			tr.ctrlRuns++
+			if len(viols) > 0 {
+				tr.ctrlViol++
+			}
+			continue
+		}
+		tr.runs++
+		for _, v := range viols {
+			tr.violations = append(tr.violations, Violation{
+				Trial: trial, Instance: desc,
+				Protocol: proto.Name(), Strategy: strat.Name(),
+				Engine: c.label(), Corrupt: members(c.corrupt),
+				Node: v.node, Got: v.got,
+			})
+		}
+		if len(viols) > 0 {
+			tr.traces = append(tr.traces, traceRequest{proto: proto, in: in, strat: strat, cell: c})
+		}
+		switch {
+		case i == 0:
+			ref = res
+		case c.mustAgree():
+			if d := disagreement(ref, res); d != "" {
+				tr.mismatches = append(tr.mismatches, Mismatch{
+					Trial: trial, Instance: desc,
+					Protocol: proto.Name(), Strategy: strat.Name(),
+					Detail: fmt.Sprintf("%s vs %s: %s", c.label(), cells[0].label(), d),
+				})
+			}
+		}
 	}
-	if sched != nil {
-		opts.Engine = network.Async
-		opts.Scheduler = sched
-	}
-	return protocol.Run(proto, in, xD, opts)
-}
-
-// runSchedule is runOnce under the async engine with the given (single-use)
-// scheduler.
-func runSchedule(cfg Config, proto protocol.Protocol, strat byzantine.Strategy,
-	in *instance.Instance, corrupt nodeset.Set, sched network.Scheduler) (*network.Result, error) {
-	return protocol.Run(proto, in, xD, protocol.Options{
-		Engine:           network.Async,
-		Scheduler:        sched,
-		MaxRounds:        cfg.maxRounds(),
-		RecordTranscript: true,
-		Corrupt:          strat.Build(in, corrupt, ForgedValue),
-	})
+	return nil
 }
 
 type unsafeDecision struct {
@@ -752,47 +701,16 @@ func unsafeDecisions(in *instance.Instance, corrupt nodeset.Set, res *network.Re
 	return out
 }
 
-// disagreement compares the recorded transcripts and decisions of the
-// per-engine runs of one deterministic configuration.
-func disagreement(engines []network.Engine, runs []*network.Result) string {
-	if len(runs) < 2 {
-		return ""
+// disagreement compares the recorded transcripts and decisions of two runs
+// of one deterministic configuration.
+func disagreement(ref, res *network.Result) string {
+	if res.Transcript.Key() != ref.Transcript.Key() {
+		return "transcripts differ"
 	}
-	ref := runs[0]
-	for i, res := range runs[1:] {
-		if res.Transcript.Key() != ref.Transcript.Key() {
-			return fmt.Sprintf("transcript of %s differs from %s", engines[i+1], engines[0])
-		}
-		if !decisionsEqual(ref.Decisions, res.Decisions) {
-			return fmt.Sprintf("decisions of %s differ from %s: %v vs %v",
-				engines[i+1], engines[0], res.Decisions, ref.Decisions)
-		}
+	if !maps.Equal(ref.Decisions, res.Decisions) {
+		return fmt.Sprintf("decisions differ: %v vs %v", res.Decisions, ref.Decisions)
 	}
 	return ""
-}
-
-func decisionsEqual(a, b map[int]network.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}
-
-func record(trial int, desc, protoName, stratName, engine string,
-	corrupt nodeset.Set, inZ bool, in *instance.Instance, res *network.Result, safe bool) runRecord {
-	val, decided := res.DecisionOf(in.Receiver)
-	return runRecord{
-		Type: "run", Trial: trial, Instance: desc,
-		Protocol: protoName, Strategy: stratName, Engine: engine,
-		Corrupt: members(corrupt), InZ: inZ,
-		Rounds: res.Rounds, Messages: res.Metrics.MessagesSent,
-		Decided: decided, Value: val, Safe: safe,
-	}
 }
 
 func members(s nodeset.Set) []int {
@@ -804,42 +722,16 @@ func members(s nodeset.Set) []int {
 	return out
 }
 
-// traceRun re-executes a violating run with a message-level JSONL tracer
-// attached, so the attack trace lands in the output stream right after the
-// violating run's summary record. Schedule violations replay under the same
-// (schedule, seed) pair, reproducing the violating delivery order exactly.
+// traceRun replays a violating cell with a message-level JSONL tracer
+// attached, so the attack trace lands in the output stream after the
+// violating trial's summary records. The cell's seeds reproduce the
+// violating delivery order and suppression pattern exactly.
 func traceRun(cfg Config, req traceRequest) error {
-	proto := protocol.MustGet(req.protocol)
-	in := req.sample.forProtocol(proto)
-	strat := byzantine.MustGet(req.strategy)
-	tracer := network.NewJSONLTracer(cfg.Out)
-	opts := protocol.Options{
-		Engine:    network.Lockstep,
-		MaxRounds: cfg.maxRounds(),
-		Corrupt:   strat.Build(in, req.corrupt, ForgedValue),
-		Tracers:   []network.Tracer{tracer},
+	if _, _, err := req.cell.run(cfg, req.proto, req.in, req.strat, cfg.Out); err != nil {
+		return fmt.Errorf("attack: tracing %s/%s on %s: %w",
+			req.proto.Name(), req.strat.Name(), req.cell.label(), err)
 	}
-	if req.schedule != "" {
-		sched, err := network.NewScheduler(req.schedule, req.schedSeed)
-		if err != nil {
-			return err
-		}
-		opts.Engine = network.Async
-		opts.Scheduler = sched
-	}
-	if req.maPolicy != "" {
-		madv, err := network.NewMessageAdversary(req.maPolicy, req.maBudget, req.maSeed)
-		if err != nil {
-			return err
-		}
-		opts.MsgAdversary = madv
-		opts.MABudget = req.maBudget
-	}
-	_, err := protocol.Run(proto, in, xD, opts)
-	if err != nil {
-		return fmt.Errorf("attack: tracing %s/%s: %w", req.protocol, req.strategy, err)
-	}
-	return tracer.Err()
+	return nil
 }
 
 // ParseEngines parses a comma-separated engine list

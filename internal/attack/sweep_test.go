@@ -2,6 +2,12 @@ package attack
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -27,11 +33,8 @@ func TestSweepHoldsTheoremFourSafety(t *testing.T) {
 	if rep.Runs != wantRuns {
 		t.Fatalf("runs = %d, want %d (unskipped cells × strategies × engines)", rep.Runs, wantRuns)
 	}
-	if rep.CanaryRuns != len(byzantine.Names()) {
-		t.Fatalf("canary runs = %d, want one per strategy", rep.CanaryRuns)
-	}
-	if rep.CanaryFlagged == 0 {
-		t.Fatal("canary was never flagged")
+	if c := rep.Canaries[CanaryName]; c.Runs != len(byzantine.Names()) || c.Flagged == 0 {
+		t.Fatalf("canary flagged in %d/%d runs, want one run per strategy and a flag", c.Flagged, c.Runs)
 	}
 	if rep.ControlRuns == 0 {
 		t.Fatal("no control runs: the non-𝒵 boundary went unexercised")
@@ -98,19 +101,19 @@ func TestSweepFlagsCanaryViolation(t *testing.T) {
 }
 
 func TestReportErrRequiresTeeth(t *testing.T) {
-	rep := &Report{CanaryRuns: 5}
+	rep := &Report{Canaries: map[string]CanaryTally{CanaryName: {Runs: 5}}}
 	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "teeth") {
 		t.Fatalf("toothless report did not fail: %v", err)
 	}
-	rep.CanaryFlagged = 1
+	rep.Canaries[CanaryName] = CanaryTally{Runs: 5, Flagged: 1}
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	rep.MBRBCanaryRuns = 3
-	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "suppression oracle") {
+	rep.Canaries[MBRBCanaryName] = CanaryTally{Runs: 3}
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), MBRBCanaryName) {
 		t.Fatalf("toothless mbrb canary did not fail: %v", err)
 	}
-	rep.MBRBCanaryFlagged = 1
+	rep.Canaries[MBRBCanaryName] = CanaryTally{Runs: 3, Flagged: 1}
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +121,7 @@ func TestReportErrRequiresTeeth(t *testing.T) {
 	if rep.Err() == nil {
 		t.Fatal("violations did not fail the report")
 	}
-	rep = &Report{CanaryRuns: 1, CanaryFlagged: 1, Mismatches: []Mismatch{{Detail: "x"}}}
+	rep = &Report{Mismatches: []Mismatch{{Detail: "x"}}}
 	if rep.Err() == nil {
 		t.Fatal("engine mismatches did not fail the report")
 	}
@@ -185,11 +188,8 @@ func TestSweepMessageAdversaryCrossProduct(t *testing.T) {
 			rep.Runs, wantRuns)
 	}
 	wantMBRB := len(byzantine.Names()) * (1 + len(budgets))
-	if rep.MBRBCanaryRuns != wantMBRB {
-		t.Fatalf("mbrb canary runs = %d, want %d", rep.MBRBCanaryRuns, wantMBRB)
-	}
-	if rep.MBRBCanaryFlagged == 0 {
-		t.Fatal("mbrb canary was never flagged")
+	if c := rep.Canaries[MBRBCanaryName]; c.Runs != wantMBRB || c.Flagged == 0 {
+		t.Fatalf("mbrb canary flagged in %d/%d runs, want %d runs and a flag", c.Flagged, c.Runs, wantMBRB)
 	}
 	text := out.String()
 	if !strings.Contains(text, `"ma_policy":"targeted"`) || !strings.Contains(text, `"ma_policy":"random"`) {
@@ -373,4 +373,132 @@ func TestUnsafeDecisionsOracle(t *testing.T) {
 		t.Fatalf("oracle = %+v, want exactly node 4", viols)
 	}
 	_ = nodeset.Empty() // keep import if fixture changes
+}
+
+var updateDigest = flag.Bool("update", false, "rewrite testdata/sweep-stream.sha256")
+
+// TestSweepStreamDigest pins the JSONL stream of a small sweep that crosses
+// every cell kind — three engines, the zero-fault and a seeded schedule,
+// every suppression policy, scheduled suppression, controls and both safety
+// canaries — as a SHA-256 digest, so a refactor of the run plumbing must
+// reproduce every record and trace byte for byte. Regenerate after an
+// intentional change with:
+//
+//	go test ./internal/attack/ -run TestSweepStreamDigest -update
+func TestSweepStreamDigest(t *testing.T) {
+	var out bytes.Buffer
+	rep, err := Sweep(Config{
+		Seed:      5,
+		Trials:    4,
+		Workers:   2,
+		Engines:   []network.Engine{network.Lockstep, network.Goroutine, network.Async},
+		Schedules: []string{"sync", "random"},
+		MABudgets: []int{1},
+		Out:       &out,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(out.Bytes())
+	got := hex.EncodeToString(sum[:]) + "\n"
+	path := filepath.Join("testdata", "sweep-stream.sha256")
+	if *updateDigest {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record the digest)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("sweep JSONL digest = %s, want %s (%d bytes)", strings.TrimSpace(got), strings.TrimSpace(string(want)), out.Len())
+	}
+}
+
+// TestTraceReplaysViolatingCells runs the gullible canary through the
+// sweep's own per-cell code — runCells, then traceRun for every violating
+// cell — and checks that each replayed trace runs on the violating cell's
+// engine and shows the receiver deciding the violation's value. The canary
+// is fooled on engine, schedule and suppression cells alike, so the replay
+// is exercised for every cell kind.
+func TestTraceReplaysViolatingCells(t *testing.T) {
+	in, corrupt, err := canaryFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Seed:      5,
+		Engines:   []network.Engine{network.Lockstep, network.Goroutine},
+		Schedules: []string{"sync", "random"},
+		MABudgets: []int{1},
+	}
+	smp := &sample{desc: CanaryName, in: in, corrupt: corrupt}
+	var tr trialResult
+	strat := byzantine.MustGet(byzantine.ValueFlipName)
+	if err := tr.runCells(cfg, 0, smp.desc, in, canaryProto{}, strat, cfg.cells(smp, 0)); err != nil {
+		t.Fatal(err)
+	}
+	traced := map[string]bool{}
+	kinds := map[string]bool{}
+	for _, req := range tr.traces {
+		c := req.cell
+		traced[c.label()] = true
+		switch {
+		case c.maPolicy != "":
+			kinds["suppression"] = true
+		case c.schedule != "":
+			kinds["schedule"] = true
+		default:
+			kinds["engine"] = true
+		}
+		var out bytes.Buffer
+		cfg.Out = &out
+		if err := traceRun(cfg, req); err != nil {
+			t.Fatal(err)
+		}
+		engine, decided := "", map[int]string{}
+		for _, line := range bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n")) {
+			var ev struct {
+				Ev     string `json:"ev"`
+				Player *int   `json:"player"`
+				Value  string `json:"value"`
+				Engine string `json:"engine"`
+			}
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatalf("%s trace line %s: %v", c.label(), line, err)
+			}
+			switch ev.Ev {
+			case "run":
+				engine = ev.Engine
+			case "decide":
+				decided[*ev.Player] = ev.Value
+			}
+		}
+		if engine != c.engine.Name() {
+			t.Errorf("%s trace ran on %q, want %q", c.label(), engine, c.engine.Name())
+		}
+		for _, v := range tr.violations {
+			if v.Engine == c.label() && decided[v.Node] != string(v.Got) {
+				t.Errorf("%s trace: node %d decided %q, violation says %q", c.label(), v.Node, decided[v.Node], v.Got)
+			}
+		}
+	}
+	for _, v := range tr.violations {
+		if !traced[v.Engine] {
+			t.Errorf("violation on %s was never traced", v.Engine)
+		}
+	}
+	for _, kind := range []string{"engine", "schedule", "suppression"} {
+		if !kinds[kind] {
+			t.Errorf("no violating %s cell: the canary fooled only %v", kind, traced)
+		}
+	}
 }

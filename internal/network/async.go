@@ -29,5 +29,5 @@ func (e asyncEngine) Run(cfg Config) (*Result, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = SyncScheduler{}
 	}
-	return runLockstep(cfg)
+	return runRounds(cfg, false)
 }

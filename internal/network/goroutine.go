@@ -1,9 +1,8 @@
 package network
 
-import "sync"
-
 // goroutineEngine runs every player in its own goroutine with a round
-// barrier — the natural Go embedding of a synchronous distributed node.
+// barrier — the natural Go embedding of a synchronous distributed node —
+// on the shared round loop (see runRounds).
 type goroutineEngine struct{}
 
 // Name implements Engine.
@@ -19,97 +18,5 @@ func (e goroutineEngine) Run(cfg Config) (*Result, error) {
 		cfg.Engine = e
 	}
 	cfg.Scheduler = nil
-	return runGoroutine(cfg)
-}
-
-// runGoroutine executes the run with one goroutine per player per round and
-// a barrier between rounds — the natural Go embedding of a synchronous
-// distributed system. Each player writes sends into its own buffer, so the
-// concurrent phase is data-race free; buffers are merged in player-ID order
-// after the barrier, which makes results identical to the lockstep engine
-// for deterministic protocols. All goroutines are joined before the
-// function returns.
-func runGoroutine(cfg Config) (*Result, error) {
-	st := newRunState(cfg)
-
-	// Per-player buffers and outboxes live for the whole run (recs are
-	// truncated, not reallocated, each round); each goroutine writes only
-	// its own buffer, so the concurrent phases stay data-race free.
-	bufs, outboxes := st.setupBufs()
-
-	// Round 0: Init, concurrently.
-	var wg sync.WaitGroup
-	for i := range st.ids {
-		proc, out := st.procs[i], outboxes[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			proc.Init(out)
-		}()
-	}
-	wg.Wait()
-	for i := range st.ids {
-		st.merge(0, &bufs[i])
-	}
-	st.sealRound(0)
-	st.refreshDecisions() // record Init-time decisions as round 0
-
-	haltedNow := make(map[int]bool, len(st.ids))
-	for round := 1; round <= st.maxRounds; round++ {
-		st.applyChurn(round)
-		live := st.takePending(round)
-		if live == 0 && st.futureLive() == 0 && st.allHalted() {
-			break
-		}
-		quiescent := live == 0 && st.futureLive() == 0
-
-		var mu sync.Mutex // guards haltedNow
-		for k := range haltedNow {
-			delete(haltedNow, k)
-		}
-		for i, v := range st.ids {
-			if st.isHalted(v) {
-				continue
-			}
-			inbox := st.inboxOf(v)
-			st.noteInbox(v, round, inbox)
-			bufs[i].recs = bufs[i].recs[:0]
-			out := outboxes[i]
-			proc := st.procs[i]
-			node := v
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if !proc.Round(round, inbox, out) {
-					mu.Lock()
-					haltedNow[node] = true
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		for i, v := range st.ids {
-			if st.isHalted(v) {
-				continue
-			}
-			st.merge(round, &bufs[i])
-			if haltedNow[v] {
-				st.halt(round, v)
-			}
-		}
-		sent := st.sealRound(round)
-		st.rounds = round
-		// The round is fully processed: inboxes handed out this round are
-		// dead, so their buffer can back future deliveries.
-		st.recycle()
-		if st.stopEarly() {
-			break
-		}
-		if quiescent && sent == 0 && !st.churnPending() {
-			break
-		}
-	}
-	res := st.result()
-	st.release()
-	return res, nil
+	return runRounds(cfg, true)
 }

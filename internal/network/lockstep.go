@@ -1,5 +1,7 @@
 package network
 
+import "sync"
+
 // lockstepEngine is the deterministic single-goroutine engine: players step
 // in increasing ID order with synchronous next-round delivery.
 type lockstepEngine struct{}
@@ -17,14 +19,23 @@ func (e lockstepEngine) Run(cfg Config) (*Result, error) {
 		cfg.Engine = e
 	}
 	cfg.Scheduler = nil
-	return runLockstep(cfg)
+	return runRounds(cfg, false)
 }
 
-// runLockstep executes the run in a single goroutine, stepping players in
-// increasing ID order. It is fully deterministic. It is shared verbatim by
-// the async engine (all asynchrony lives in the delivery calendar the
-// Scheduler fills) and, through proxy processes, by the wire engine.
-func runLockstep(cfg Config) (*Result, error) {
+// runRounds is the round loop shared by every in-process engine. Each round
+// has a compute phase, in which every live player runs against its inbox
+// and buffers its sends, and a merge phase, in which the buffers are folded
+// into the delivery calendar in player-ID order. The async engine reuses
+// the loop verbatim (all asynchrony lives in the delivery calendar the
+// Scheduler fills), and the wire engine reaches it through proxy processes.
+//
+// With parallel set — the goroutine engine — each player's compute step
+// runs in its own goroutine, joined at a barrier before the merge. Each
+// player writes only its own buffer and halt flag, so the concurrent phase
+// is data-race free, and the ID-order merge makes the run identical to the
+// sequential one for deterministic protocols. Without it the run is
+// single-goroutine and fully deterministic.
+func runRounds(cfg Config, parallel bool) (*Result, error) {
 	st := newRunState(cfg)
 
 	// Per-player buffers and outboxes live for the whole run, Init
@@ -32,15 +43,16 @@ func runLockstep(cfg Config) (*Result, error) {
 	// round loop is the simulator's hot path and must not allocate per
 	// player per round.
 	bufs, outboxes := st.setupBufs()
-	haltedNow := make([]bool, len(st.ids))
-
-	// Round 0: Init. Each player's sends merge immediately, as one batch
-	// per player in ID order — the same event order the round loop emits.
-	for i := range st.ids {
-		bufs[i].recs = bufs[i].recs[:0]
-		st.procs[i].Init(outboxes[i])
-		st.merge(0, &bufs[i])
+	halted := make([]bool, len(st.ids))
+	var wg *sync.WaitGroup
+	if parallel {
+		wg = new(sync.WaitGroup)
 	}
+
+	// Round 0: Init. Each player's sends merge as one batch per player in
+	// ID order — the same event order the round loop emits.
+	st.compute(0, bufs, outboxes, halted, wg)
+	st.mergeRound(0, bufs, halted)
 	st.sealRound(0)
 	st.refreshDecisions() // record Init-time decisions as round 0
 
@@ -52,27 +64,8 @@ func runLockstep(cfg Config) (*Result, error) {
 		}
 		quiescent := live == 0 && st.futureLive() == 0
 
-		// Compute phase: run every live player against its inbox, buffering
-		// sends. Merging afterwards in ID order mirrors the goroutine engine
-		// exactly, so the two emit identical tracer event sequences.
-		for i, v := range st.ids {
-			if st.isHalted(v) {
-				continue
-			}
-			inbox := st.inboxOf(v)
-			st.noteInbox(v, round, inbox)
-			bufs[i].recs = bufs[i].recs[:0]
-			haltedNow[i] = !st.procs[i].Round(round, inbox, outboxes[i])
-		}
-		for i, v := range st.ids {
-			if st.isHalted(v) {
-				continue
-			}
-			st.merge(round, &bufs[i])
-			if haltedNow[i] {
-				st.halt(round, v)
-			}
-		}
+		st.compute(round, bufs, outboxes, halted, wg)
+		st.mergeRound(round, bufs, halted)
 		sent := st.sealRound(round)
 		st.rounds = round
 		// The round is fully processed: inboxes handed out this round are
@@ -91,4 +84,62 @@ func runLockstep(cfg Config) (*Result, error) {
 	res := st.result()
 	st.release()
 	return res, nil
+}
+
+// compute runs the compute phase of round (0 = Init): every live player's
+// step against its inbox, with sends buffered in bufs and halts flagged in
+// halted. A non-nil wg runs each step in its own goroutine and waits for
+// all of them.
+func (st *runState) compute(round int, bufs []sendBuf, outboxes []Outbox, halted []bool, wg *sync.WaitGroup) {
+	for i, v := range st.ids {
+		if st.isHalted(v) {
+			continue
+		}
+		var inbox []Message
+		if round > 0 {
+			inbox = st.inboxOf(v)
+			st.noteInbox(v, round, inbox)
+		}
+		bufs[i].recs = bufs[i].recs[:0]
+		if wg == nil {
+			halted[i] = step(st.procs[i], round, inbox, outboxes[i])
+			continue
+		}
+		wg.Add(1)
+		go stepAndSignal(wg, st.procs[i], round, inbox, outboxes[i], &halted[i])
+	}
+	if wg != nil {
+		wg.Wait()
+	}
+}
+
+// mergeRound is the merge phase of round: every live player's buffered
+// sends, then its halt, in player-ID order.
+func (st *runState) mergeRound(round int, bufs []sendBuf, halted []bool) {
+	for i, v := range st.ids {
+		if st.isHalted(v) {
+			continue
+		}
+		st.merge(round, &bufs[i])
+		if halted[i] {
+			st.halt(round, v)
+		}
+	}
+}
+
+// step runs one player's compute step — Init in round 0, Round afterwards
+// — and reports whether the player halted.
+func step(p Process, round int, inbox []Message, out Outbox) bool {
+	if round == 0 {
+		p.Init(out)
+		return false
+	}
+	return !p.Round(round, inbox, out)
+}
+
+// stepAndSignal is step on its own goroutine: the goroutine engine's unit
+// of work. It writes only its player's halt flag.
+func stepAndSignal(wg *sync.WaitGroup, p Process, round int, inbox []Message, out Outbox, halted *bool) {
+	defer wg.Done()
+	*halted = step(p, round, inbox, out)
 }

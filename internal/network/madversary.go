@@ -164,8 +164,8 @@ func (l *budgetLedger) take(round int, m Message) bool {
 // targetedAdversary suppresses the first d copies of every broadcast.
 type targetedAdversary struct{ ledger *budgetLedger }
 
-func (*targetedAdversary) Name() string     { return MATargeted }
-func (a *targetedAdversary) Budget() int    { return a.ledger.d }
+func (*targetedAdversary) Name() string      { return MATargeted }
+func (a *targetedAdversary) Budget() int     { return a.ledger.d }
 func (a *targetedAdversary) Suppressed() int { return a.ledger.total }
 
 func (a *targetedAdversary) Suppress(round int, m Message) bool {
@@ -179,8 +179,8 @@ type randomAdversary struct {
 	rng    *splitmix64
 }
 
-func (*randomAdversary) Name() string     { return MARandom }
-func (a *randomAdversary) Budget() int    { return a.ledger.d }
+func (*randomAdversary) Name() string      { return MARandom }
+func (a *randomAdversary) Budget() int     { return a.ledger.d }
 func (a *randomAdversary) Suppressed() int { return a.ledger.total }
 
 func (a *randomAdversary) Suppress(round int, m Message) bool {
@@ -201,8 +201,8 @@ type eclipseAdversary struct {
 	victim map[int]bool
 }
 
-func (*eclipseAdversary) Name() string     { return MAEclipse }
-func (a *eclipseAdversary) Budget() int    { return a.ledger.d }
+func (*eclipseAdversary) Name() string      { return MAEclipse }
+func (a *eclipseAdversary) Budget() int     { return a.ledger.d }
 func (a *eclipseAdversary) Suppressed() int { return a.ledger.total }
 
 func (a *eclipseAdversary) Suppress(round int, m Message) bool {

@@ -24,9 +24,9 @@ type serverMetrics struct {
 	cacheMisses atomic.Int64
 	peerHits    atomic.Int64 // bodies served from a fleet peer's cache
 	peerMisses  atomic.Int64 // peer asked, answered 404 (or was unreachable)
-	rejected    atomic.Int64 // 429s: queue-full backpressure
-	timeouts    atomic.Int64 // 504s: compute-deadline expiries
-	cancels     atomic.Int64 // 499s: client disconnected mid-compute
+	rejected    atomic.Int64 // queue-full backpressure: 429s and refused watch revisions
+	timeouts    atomic.Int64 // compute-deadline expiries: 504s and timed-out watch revisions
+	cancels     atomic.Int64 // client disconnected mid-compute: 499s and abandoned watches
 	watchEvents atomic.Int64 // verdict-change lines streamed by /v1/watch
 
 	latency map[string]*histogram // endpoint → latency histogram

@@ -336,18 +336,27 @@ func (q InstanceRequest) build() (*instance.Instance, gen.Knowledge, error) {
 // before we could answer" — there is no official HTTP code for it.
 const statusClientClosedRequest = 499
 
-// compute runs fn on the worker pool under the request deadline and returns
-// the response body. fn receives the deadline context, which is also
-// canceled when the client disconnects; fn must poll it during long work so
-// an abandoned request frees its worker slot. compute maps overload to 429,
-// deadline expiry to 504 and client disconnect to 499, recording each
-// outcome in the metrics; a nil body means the reply was already sent.
-func (s *Server) compute(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context) ([]byte, error)) []byte {
+// The failed outcomes of pooled, each wrapped with its detail.
+var (
+	errOverloaded   = errors.New("overloaded")
+	errClientClosed = errors.New("client closed the request")
+	errDeadline     = errors.New("deadline exceeded")
+)
+
+// pooled runs fn on the worker pool under the per-request deadline derived
+// from parent and returns its body. fn receives the deadline context, which
+// is also canceled when parent is (the client disconnected); fn must poll
+// it during long work so an abandoned request frees its worker slot. Every
+// failed outcome is recorded in the metrics: overload as errOverloaded
+// (rmtd_rejected_total), a client disconnect as errClientClosed
+// (rmtd_client_cancels_total — not a compute timeout, and it must not skew
+// that metric), deadline expiry as errDeadline (rmtd_timeouts_total).
+func (s *Server) pooled(parent context.Context, fn func(ctx context.Context) ([]byte, error)) ([]byte, error) {
 	type outcome struct {
 		body []byte
 		err  error
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(parent, s.opts.RequestTimeout)
 	defer cancel()
 	done := make(chan outcome, 1)
 	job := func() {
@@ -364,39 +373,43 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, fn func(ctx con
 	}
 	if !s.pool.TrySubmit(job) {
 		s.metrics.rejected.Add(1)
-		writeError(w, http.StatusTooManyRequests, "overloaded: %d requests in flight", s.pool.Depth())
-		return nil
+		return nil, fmt.Errorf("%w: %d requests in flight", errOverloaded, s.pool.Depth())
 	}
 	select {
 	case out := <-done:
-		if out.err != nil {
-			if errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) {
-				s.interrupted(w, r)
-				return nil
-			}
-			writeError(w, http.StatusInternalServerError, "%v", out.err)
-			return nil
+		if !errors.Is(out.err, context.Canceled) && !errors.Is(out.err, context.DeadlineExceeded) {
+			return out.body, out.err
 		}
-		return out.body
 	case <-ctx.Done():
-		s.interrupted(w, r)
-		return nil
 	}
-}
-
-// interrupted answers a request whose compute context ended before a result:
-// a client disconnect (the parent request context is done) is logged as 499
-// and counted in rmtd_client_cancels_total — it is not a compute timeout and
-// must not skew that metric — while a genuine deadline expiry is a 504
-// counted in rmtd_timeouts_total.
-func (s *Server) interrupted(w http.ResponseWriter, r *http.Request) {
-	if r.Context().Err() != nil {
+	if parent.Err() != nil {
 		s.metrics.cancels.Add(1)
-		writeError(w, statusClientClosedRequest, "client closed the request")
-		return
+		return nil, errClientClosed
 	}
 	s.metrics.timeouts.Add(1)
-	writeError(w, http.StatusGatewayTimeout, "deadline exceeded after %v", s.opts.RequestTimeout)
+	return nil, fmt.Errorf("%w after %v", errDeadline, s.opts.RequestTimeout)
+}
+
+// compute runs fn through pooled under the request's context and returns
+// the response body, mapping failures to 429 (overload), 499 (client
+// disconnect), 504 (deadline) or 500; a nil body means the reply was
+// already sent.
+func (s *Server) compute(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context) ([]byte, error)) []byte {
+	body, err := s.pooled(r.Context(), fn)
+	if err == nil {
+		return body
+	}
+	code := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, errOverloaded):
+		code = http.StatusTooManyRequests
+	case errors.Is(err, errClientClosed):
+		code = statusClientClosedRequest
+	case errors.Is(err, errDeadline):
+		code = http.StatusGatewayTimeout
+	}
+	writeError(w, code, "%v", err)
+	return nil
 }
 
 // serveCached answers from the result cache or computes, caches and serves.

@@ -168,7 +168,7 @@ func (s *Server) watchVerdict(ctx context.Context, cur *instance.Instance, level
 			return ev, body, nil
 		}
 	}
-	body, err := s.poolCompute(ctx, func(ctx context.Context) ([]byte, error) {
+	body, err := s.pooled(ctx, func(ctx context.Context) ([]byte, error) {
 		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
 		cut, found, err := incR.CheckCtx(ctx, cur)
 		if err != nil {
@@ -206,38 +206,6 @@ func (s *Server) watchVerdict(ctx context.Context, cur *instance.Instance, level
 		return nil, nil, err
 	}
 	return ev, body, nil
-}
-
-// poolCompute runs fn on the worker pool under the per-request deadline and
-// returns its body. Unlike compute it writes no HTTP response — watch
-// streams report errors in-band after the status line is spent.
-func (s *Server) poolCompute(parent context.Context, fn func(ctx context.Context) ([]byte, error)) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(parent, s.opts.RequestTimeout)
-	defer cancel()
-	type outcome struct {
-		body []byte
-		err  error
-	}
-	done := make(chan outcome, 1)
-	job := func() {
-		defer func() {
-			if p := recover(); p != nil {
-				done <- outcome{nil, fmt.Errorf("panic: %v", p)}
-			}
-		}()
-		body, err := fn(ctx)
-		done <- outcome{body, err}
-	}
-	if !s.pool.TrySubmit(job) {
-		s.metrics.rejected.Add(1)
-		return nil, fmt.Errorf("overloaded: %d requests in flight", s.pool.Depth())
-	}
-	select {
-	case out := <-done:
-		return out.body, out.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // seedCheckers primes the incremental checkers with a revision verdict that

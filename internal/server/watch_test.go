@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -444,5 +445,31 @@ func TestRouterShardTimeoutDefaultExceedsShardDeadline(t *testing.T) {
 	defer shardDefault.Close()
 	if rt.opts.ShardTimeout <= shardDefault.opts.RequestTimeout {
 		t.Fatalf("router default %s must exceed shard compute deadline %s", rt.opts.ShardTimeout, shardDefault.opts.RequestTimeout)
+	}
+}
+
+// TestWatchTimeoutCounted: a revision whose cut search outlives
+// RequestTimeout ends the stream with an in-band error and is counted in
+// rmtd_timeouts_total, exactly like a 504 on the request endpoints. The
+// uncorrupted 6×6 grid has no cut, so its search would enumerate every
+// connected receiver side — seconds past the deadline.
+func TestWatchTimeoutCounted(t *testing.T) {
+	_, ts := newTestServer(t, Options{RequestTimeout: 50 * time.Millisecond})
+	var edges []string
+	for v := 0; v < 36; v++ {
+		if v%6 < 5 {
+			edges = append(edges, fmt.Sprintf("%d-%d", v, v+1))
+		}
+		if v < 30 {
+			edges = append(edges, fmt.Sprintf("%d-%d", v, v+6))
+		}
+	}
+	grid := fmt.Sprintf(`{"graph":%q,"dealer":0,"receiver":35}`, strings.Join(edges, " "))
+	code, lines := postWatch(t, ts, watchBody(grid))
+	if code != http.StatusOK || len(lines) != 1 || !bytes.Contains(lines[0], []byte("deadline exceeded")) {
+		t.Fatalf("slow watch answered %d %q, want one in-band deadline error", code, lines)
+	}
+	if _, m := get(t, ts, "/metrics"); !strings.Contains(string(m), "rmtd_timeouts_total 1") {
+		t.Fatalf("metrics missing rmtd_timeouts_total 1:\n%s", m)
 	}
 }

@@ -9,11 +9,11 @@
 // The library provides:
 //
 //   - RMT-PKA, the paper's unique protocol for the partial knowledge model
-//     (RunPKA), with its tight feasibility characterization via RMT-cuts
-//     (SolvablePKA, FindRMTCut);
-//   - 𝒵-CPA for ad hoc networks (RunZCPA) with the RMT 𝒵-pp cut
+//     (RunProtocol with ProtocolPKA), with its tight feasibility
+//     characterization via RMT-cuts (SolvablePKA, FindRMTCut);
+//   - 𝒵-CPA for ad hoc networks (ProtocolZCPA) with the RMT 𝒵-pp cut
 //     characterization (SolvableZCPA, FindZppCut);
-//   - the PPA full-knowledge baseline (RunPPA) with the 𝒵-pair cut
+//   - the PPA full-knowledge baseline (ProtocolPPA) with the 𝒵-pair cut
 //     condition (FindPairCut);
 //   - the ⊕ joint-view operation on adversary structures (JoinViews) and
 //     the partial-knowledge machinery (view functions, local structures);
@@ -29,7 +29,7 @@
 //	z := rmt.StructureOf([]int{1}, []int{2}, []int{3})
 //	in, _ := rmt.NewAdHocInstance(g, z, 0, 4)
 //	if rmt.SolvablePKA(in) {
-//		res, _ := rmt.RunPKA(in, "attack at dawn", nil, rmt.PKAOptions{})
+//		res, _ := rmt.RunProtocol(rmt.ProtocolPKA, in, "attack at dawn", nil, rmt.RunOptions{})
 //		x, ok := res.DecisionOf(4) // "attack at dawn", true
 //		_ = x
 //		_ = ok
@@ -108,10 +108,6 @@ type (
 	// RunOptions is the unified option set of the protocol runtime, shared
 	// by every registered protocol (see Protocols, RunProtocol).
 	RunOptions = protocol.Options
-	// PKAOptions tweaks an RMT-PKA run.
-	PKAOptions = core.Options
-	// ZCPAOptions tweaks a 𝒵-CPA run.
-	ZCPAOptions = zcpa.Options
 	// Tracer observes a run event-by-event (sends, drops, deliveries,
 	// decisions, halts, round boundaries); install via RunOptions.Tracers.
 	Tracer = network.Tracer
@@ -224,42 +220,6 @@ func RunProtocol(name string, in *Instance, xD Value, corrupt map[int]Process, o
 		opts.Corrupt = corrupt
 	}
 	return protocol.RunByName(name, in, xD, opts)
-}
-
-// RunPKA executes RMT-PKA (Protocol 1) with dealer value xD. Nodes in
-// corrupt run the supplied Byzantine processes instead of the protocol; the
-// dealer and receiver cannot be corrupted.
-func RunPKA(in *Instance, xD Value, corrupt map[int]Process, opts PKAOptions) (*Result, error) {
-	return RunProtocol(ProtocolPKA, in, xD, corrupt, opts)
-}
-
-// RunZCPA executes 𝒵-CPA adapted for RMT (Section 4).
-func RunZCPA(in *Instance, xD Value, corrupt map[int]Process, opts ZCPAOptions) (*Result, error) {
-	return RunProtocol(ProtocolZCPA, in, xD, corrupt, opts)
-}
-
-// RunPPA executes the full-knowledge Path Propagation baseline.
-func RunPPA(in *Instance, xD Value, corrupt map[int]Process, engine Engine) (*Result, error) {
-	return RunProtocol(ProtocolPPA, in, xD, corrupt, RunOptions{Engine: engine})
-}
-
-// RunMBRB executes the signature-free MBRB reliable-broadcast protocol on a
-// complete-graph instance. Set opts.MABudget to the message adversary's
-// suppression budget d (the quorums provision for it) and opts.MsgAdversary
-// to an actual suppression policy (NewMessageAdversary, NewEclipse) to drop
-// copies; MBRB delivers at every correct player iff n > 3t + 2d
-// (MBRBFeasible).
-func RunMBRB(in *Instance, xD Value, corrupt map[int]Process, opts RunOptions) (*Result, error) {
-	return RunProtocol(ProtocolMBRB, in, xD, corrupt, opts)
-}
-
-// RunSMT executes the secure message transmission protocol: the dealer
-// splits xD into one additive share per disjoint-from-listening path and the
-// receiver reconstructs only once every share arrives. Set opts.Listen to
-// the listening structure ℒ the run must keep the secret from; the protocol
-// refuses (IsCapsError) pairings that SMTFeasible rejects.
-func RunSMT(in *Instance, xD Value, corrupt map[int]Process, opts RunOptions) (*Result, error) {
-	return RunProtocol(ProtocolSMT, in, xD, corrupt, opts)
 }
 
 // Generalised is the fully generalised adversary of the SMT model: a
@@ -405,7 +365,7 @@ func AttackZoo(in *Instance, t Set, forged Value) map[string]map[int]Process {
 func NewBasic(middle Set, z Structure) Basic { return selfred.NewBasic(middle, z) }
 
 // NewPiDecider builds the Theorem 9 Decision Protocol for an instance's
-// local knowledge, pluggable into ZCPAOptions.Decider.
+// local knowledge, pluggable into RunOptions.Decider.
 func NewPiDecider(in *Instance) *PiDecider {
 	return &PiDecider{LK: in.LocalKnowledge()}
 }

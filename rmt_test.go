@@ -22,7 +22,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if !SolvablePKA(in) || !SolvableZCPA(in) {
 		t.Fatal("triple path should be solvable")
 	}
-	res, err := RunPKA(in, "attack at dawn", nil, PKAOptions{})
+	res, err := RunProtocol(ProtocolPKA, in, "attack at dawn", nil, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRunZCPAWithSilentCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunZCPA(in, "x", SilentCorruption(NodeSet(2)), ZCPAOptions{})
+	res, err := RunProtocol(ProtocolZCPA, in, "x", SilentCorruption(NodeSet(2)), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRunPPAFullKnowledge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPPA(in, "x", nil, Lockstep)
+	res, err := RunProtocol(ProtocolPPA, in, "x", nil, RunOptions{Engine: Lockstep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAttackZooSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, corrupt := range AttackZoo(in, NodeSet(2), "forged") {
-		res, err := RunPKA(in, "real", corrupt, PKAOptions{})
+		res, err := RunProtocol(ProtocolPKA, in, "real", corrupt, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestPiDeciderPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := NewPiDecider(in)
-	res, err := RunZCPA(in, "x", nil, ZCPAOptions{Decider: pi})
+	res, err := RunProtocol(ProtocolZCPA, in, "x", nil, RunOptions{Decider: pi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestGoroutineEnginePublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPKA(in, "x", nil, PKAOptions{Engine: Goroutine})
+	res, err := RunProtocol(ProtocolPKA, in, "x", nil, RunOptions{Engine: Goroutine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestNoCorruptionLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPKA(in, "hello", nil, PKAOptions{})
+	res, err := RunProtocol(ProtocolPKA, in, "hello", nil, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
