@@ -10,14 +10,15 @@ GO ?= go
 # goroutines or share state across them (the network engines' shared round
 # loop, the parallel experiment harness, the protocol registry, the
 # Byzantine strategy library, the attack sweep that fans trials out across
-# workers, the wire engine's coordinator/child plumbing, and the sharded
-# query daemon).
+# workers, the wire engine's coordinator/child plumbing, the sharded query
+# daemon, and the instance's lazily built Z_v and canonical key, which
+# concurrent run trials reach first together).
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
-	$(GO) test -race ./internal/network/ ./internal/eval/ ./internal/protocol/ ./internal/byzantine/ ./internal/attack/ ./internal/server/ ./internal/wire/ ./internal/feasibility/ ./internal/mbrb/ ./internal/smt/
+	$(GO) test -race ./internal/network/ ./internal/eval/ ./internal/protocol/ ./internal/byzantine/ ./internal/attack/ ./internal/server/ ./internal/wire/ ./internal/feasibility/ ./internal/mbrb/ ./internal/smt/ ./internal/instance/
 
 test:
 	$(GO) test ./...
@@ -45,7 +46,8 @@ benchguard:
 # counts are deterministic, so these DO gate every PR — they run as
 # ordinary tests inside `go test ./...` (and therefore inside tier1); the
 # named target runs every *AllocBudget test alone: the PKA receiver, the
-# cut searches and the connected-set walk.
+# cut searches, the connected-set walk, and parse + build + CanonicalKey
+# at every knowledge level.
 allocguard:
 	$(GO) test -run 'AllocBudget' -count=1 . ./internal/graph/
 
@@ -139,15 +141,18 @@ fleetsmoke:
 	$(GO) run ./cmd/rmtload -fleet -smoke
 
 # Short coverage-guided fuzz smokes, one per native fuzz target: the text
-# parsers (instance spec, adversary structure, node set, edge list), and
-# the cut kernel against the ⊕-based reference searches (every decoded
-# instance must get the same verdicts, witnesses and completeness from both).
+# parsers (instance spec, adversary structure, node set, edge list), the
+# cut kernel against the ⊕-based reference searches (every decoded
+# instance must get the same verdicts, witnesses and completeness from
+# both), and delta application (Validate and Apply agree, and every applied
+# delta keys like a fresh build of the edited tuple).
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseStructure -fuzztime=10s
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseNodeSet -fuzztime=10s
 	$(GO) test ./internal/graph/ -run=^$$ -fuzz=FuzzParseEdgeList -fuzztime=10s
 	$(GO) test ./internal/cutsearch/ -run=^$$ -fuzz=FuzzCutSearchMatchesReference -fuzztime=10s
+	$(GO) test ./internal/instance/ -run=^$$ -fuzz=FuzzApplyDelta -fuzztime=10s
 
 # Per-package coverage with a repo-level floor. The threshold gates total
 # statement coverage across every package, example mains included — the

@@ -1,19 +1,24 @@
 package rmt
 
-// Tier-1 allocation guards for the PKA receiver hot path and the cut
-// searches. The full benchguard (make benchguard) is opt-in because
+// Tier-1 allocation guards for the PKA receiver hot path, the cut
+// searches and the instance layer every request builds. The full benchguard (make benchguard) is opt-in because
 // wall-clock numbers are too machine-sensitive to gate every PR — but
 // allocation counts are not: they are deterministic modulo GC-driven pool
 // evictions, so cheap AllocsPerRun checks can run in the ordinary test
-// suite and catch the packed receiver or the word-level cut kernel
-// regressing to per-run or per-candidate heap churn.
+// suite and catch the packed receiver, the word-level cut kernel or the
+// row-based views and key writer regressing to per-run, per-candidate or
+// per-edge heap churn.
 
 import (
+	"math/rand"
 	"testing"
 
 	"rmt/internal/adversary"
 	"rmt/internal/benchdef"
+	"rmt/internal/cliutil"
 	"rmt/internal/gen"
+	"rmt/internal/graph"
+	"rmt/internal/nodeset"
 )
 
 // pkaRunAllocBudget is deliberately looser than the steady-state figure
@@ -90,6 +95,49 @@ func TestCutSearchAllocBudget(t *testing.T) {
 		avg := testing.AllocsPerRun(20, func() { tc.search() })
 		if avg > cutSearchAllocBudget {
 			t.Errorf("%s allocates %.1f allocs/op, budget %d — the cut kernel allocates per candidate again", tc.name, avg, cutSearchAllocBudget)
+		}
+	}
+}
+
+// instanceBuildAllocBudget bounds what every rmtd request pays before its
+// cache lookup: parse the edge list, build the instance with its views at
+// one knowledge level, and hash it with CanonicalKey. The fixture is a
+// seeded G(14, 0.4) with singleton corruption on the relays. Counted when
+// the instance layer moved onto words (views on shared rows, the key
+// streamed by appends, Z_v left to first use), per level: adhoc
+// 1,061 → 174, radius1 1,139 → 275, radius2 1,522 → 249, radius3
+// 1,565 → 230, full 793 → 118. The budgets leave about a quarter of
+// slack and stay under half the per-edge, per-node counts they replaced.
+var instanceBuildAllocBudget = map[gen.Knowledge]float64{
+	gen.AdHoc:         220,
+	gen.Radius1:       345,
+	gen.Radius2:       310,
+	gen.Radius3:       290,
+	gen.FullKnowledge: 150,
+}
+
+func TestInstanceBuildAllocBudget(t *testing.T) {
+	const n = 14
+	g := gen.RandomGNP(rand.New(rand.NewSource(1)), n, 0.4)
+	text := cliutil.FormatEdgeList(g)
+	z := gen.Singletons(g.Nodes().Minus(nodeset.Of(0, n-1)))
+	for _, level := range gen.Levels() {
+		run := func() {
+			g, err := graph.ParseEdgeList(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := gen.Build(g, z, level, 0, n-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(in.CanonicalKey()) != 64 {
+				t.Fatal("malformed key")
+			}
+		}
+		avg := testing.AllocsPerRun(20, run)
+		if budget := instanceBuildAllocBudget[level]; avg > budget {
+			t.Errorf("%s: parse + build + key allocates %.0f allocs/op, budget %.0f — the instance layer allocates per edge or per node again", level, avg, budget)
 		}
 	}
 }

@@ -41,9 +41,16 @@ func (r Restricted) Equal(other Restricted) bool {
 	return r.Domain.Equal(other.Domain) && r.Structure.Equal(other.Structure)
 }
 
-// String renders the restricted structure with its domain.
-func (r Restricted) String() string {
-	return fmt.Sprintf("%v on %v", r.Structure, r.Domain)
+// String renders the restricted structure with its domain, e.g.
+// "⟨{1}⟩ on {0, 1, 2}".
+func (r Restricted) String() string { return string(r.AppendString(nil)) }
+
+// AppendString appends the String rendering of r to dst and returns the
+// extended slice.
+func (r Restricted) AppendString(dst []byte) []byte {
+	dst = r.Structure.AppendString(dst)
+	dst = append(dst, " on "...)
+	return r.Domain.AppendString(dst)
 }
 
 // Join computes the paper's ⊕ operation (Definition 2):

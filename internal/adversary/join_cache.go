@@ -24,15 +24,6 @@ type JoinCache struct {
 	kbuf  []byte // scratch for allocation-free memo probes (guarded by mu)
 }
 
-// NewJoinCache returns a cache over a LocalKnowledge map. Nodes without an
-// entry contribute the identity, matching LocalKnowledge.JointOf.
-func NewJoinCache(lk LocalKnowledge) *JoinCache {
-	return NewJoinCacheFunc(func(v int) (Restricted, bool) {
-		r, ok := lk[v]
-		return r, ok
-	})
-}
-
 // NewJoinCacheFunc returns a cache over an arbitrary per-node knowledge
 // function; ok=false means the node contributes the identity.
 func NewJoinCacheFunc(local func(v int) (Restricted, bool)) *JoinCache {

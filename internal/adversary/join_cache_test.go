@@ -25,6 +25,15 @@ func randomLocalKnowledge(r *rand.Rand, n int) LocalKnowledge {
 	return lk
 }
 
+// cacheOver returns a cache over a LocalKnowledge map. Nodes without an
+// entry contribute the identity, matching LocalKnowledge.JointOf.
+func cacheOver(lk LocalKnowledge) *JoinCache {
+	return NewJoinCacheFunc(func(v int) (Restricted, bool) {
+		r, ok := lk[v]
+		return r, ok
+	})
+}
+
 func randomSubsetUpTo(r *rand.Rand, n int) nodeset.Set {
 	b := nodeset.Empty()
 	for v := 0; v < n; v++ {
@@ -45,7 +54,7 @@ func TestJoinCacheMatchesDirectFold(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 3 + r.Intn(5)
 		lk := randomLocalKnowledge(r, n)
-		cache := NewJoinCache(lk)
+		cache := cacheOver(lk)
 		queries := make([]nodeset.Set, 40)
 		for i := range queries {
 			if i > 0 && r.Intn(3) == 0 {
@@ -73,7 +82,7 @@ func TestJoinCacheConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	n := 6
 	lk := randomLocalKnowledge(r, n)
-	cache := NewJoinCache(lk)
+	cache := cacheOver(lk)
 	queries := make([]nodeset.Set, 32)
 	for i := range queries {
 		queries[i] = randomSubsetUpTo(r, n)

@@ -18,7 +18,6 @@ package adversary
 
 import (
 	"sort"
-	"strings"
 
 	"rmt/internal/nodeset"
 )
@@ -190,11 +189,28 @@ func (z Structure) WithSet(s nodeset.Set) Structure {
 }
 
 // Restrict returns the restriction Z^A = { Z ∩ A : Z ∈ 𝒵 } as a structure.
+// When every maximal set lies inside A the restriction is z itself and
+// shares its antichain. Otherwise only the maximal sets that meet A are
+// intersected: a set disjoint from A contributes ∅, which any non-empty
+// intersection dominates, and the reduction still yields {∅} when no set
+// meets A.
 func (z Structure) Restrict(a nodeset.Set) Structure {
 	zm := z.antichain()
-	restricted := make([]nodeset.Set, len(zm))
-	for i, m := range zm {
-		restricted[i] = m.Intersect(a)
+	inside := true
+	for _, m := range zm {
+		if !m.SubsetOf(a) {
+			inside = false
+			break
+		}
+	}
+	if inside {
+		return Structure{maximal: zm}
+	}
+	restricted := make([]nodeset.Set, 0, len(zm))
+	for _, m := range zm {
+		if m.Intersects(a) {
+			restricted = append(restricted, m.Intersect(a))
+		}
 	}
 	return Structure{maximal: reduceToAntichainOwned(restricted)}
 }
@@ -240,15 +256,17 @@ func (z Structure) NumMembers() int {
 }
 
 // String renders the antichain, e.g. "⟨{1}, {2, 3}⟩".
-func (z Structure) String() string {
-	var b strings.Builder
-	b.WriteString("⟨")
+func (z Structure) String() string { return string(z.AppendString(nil)) }
+
+// AppendString appends the String rendering of z to dst and returns the
+// extended slice.
+func (z Structure) AppendString(dst []byte) []byte {
+	dst = append(dst, "⟨"...)
 	for i, m := range z.antichain() {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(m.String())
+		dst = m.AppendString(dst)
 	}
-	b.WriteString("⟩")
-	return b.String()
+	return append(dst, "⟩"...)
 }

@@ -38,14 +38,16 @@ func (ni NodeInfo) VersionKey() string {
 	return ni.renderVersionKey()
 }
 
+// renderVersionKey renders "node|γ(u)|Z_u" with Graph.String and
+// Restricted.String, appended into one buffer.
 func (ni NodeInfo) renderVersionKey() string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(ni.Node))
-	b.WriteByte('|')
-	b.WriteString(ni.View.String())
-	b.WriteByte('|')
-	b.WriteString(ni.Z.String())
-	return b.String()
+	b := make([]byte, 0, 512) // on the stack unless a large claim outgrows it
+	b = strconv.AppendInt(b, int64(ni.Node), 10)
+	b = append(b, '|')
+	b = ni.View.AppendString(b)
+	b = append(b, '|')
+	b = ni.Z.AppendString(b)
+	return string(b)
 }
 
 // Sealed returns a copy of ni with its VersionKey and bit size precomputed.

@@ -53,8 +53,31 @@ func (g *Graph) ensure(id int) {
 
 // AddNode adds a node with the given ID. Adding an existing node is a no-op.
 func (g *Graph) AddNode(id int) {
+	if g.nodes.Contains(id) {
+		return
+	}
 	g.ensure(id)
 	g.nodes = g.nodes.Add(id)
+}
+
+// NewStar returns the star with center v and the given leaves: nodes
+// {v} ∪ leaves and an edge from v to each leaf. The graph shares leaves as
+// v's row and one {v} row among all leaves (Sets are immutable, as in
+// Clone), so the star costs a constant number of allocations however many
+// leaves it has.
+func NewStar(v int, leaves nodeset.Set) *Graph {
+	if leaves.Contains(v) {
+		panic("graph: self-loop")
+	}
+	nodes := leaves.Add(v)
+	adj := make([]nodeset.Set, nodes.Max()+1)
+	adj[v] = leaves
+	center := nodeset.Of(v)
+	leaves.ForEach(func(u int) bool {
+		adj[u] = center
+		return true
+	})
+	return &Graph{nodes: nodes, adj: adj}
 }
 
 // AddEdge adds the undirected edge {u, v}, adding the endpoints as needed.
@@ -214,18 +237,22 @@ func (g *Graph) Equal(h *Graph) bool {
 }
 
 // InducedSubgraph returns the subgraph induced by keep ∩ V(g): the nodes in
-// keep that exist in g, and every edge of g with both endpoints kept.
+// keep that exist in g, and every edge of g with both endpoints kept. A row
+// of g that lies inside the kept set is shared rather than copied.
 func (g *Graph) InducedSubgraph(keep nodeset.Set) *Graph {
 	kept := g.nodes.Intersect(keep)
-	sub := New()
-	kept.ForEach(func(id int) bool {
-		sub.AddNode(id)
-		return true
-	})
-	kept.ForEach(func(id int) bool {
-		sub.adj[id] = g.adj[id].Intersect(kept)
-		return true
-	})
+	sub := &Graph{nodes: kept}
+	if m := kept.Max(); m >= 0 {
+		sub.adj = make([]nodeset.Set, m+1)
+		kept.ForEach(func(id int) bool {
+			if row := g.adj[id]; row.SubsetOf(kept) {
+				sub.adj[id] = row
+			} else {
+				sub.adj[id] = row.Intersect(kept)
+			}
+			return true
+		})
+	}
 	sub.copyLabels(g, kept)
 	return sub
 }
@@ -364,20 +391,28 @@ func (g *Graph) Distances(src int) []int {
 }
 
 // Ball returns the set of nodes within the given hop radius of v,
-// including v itself.
+// including v itself. It grows the ball one BFS layer at a time: each
+// layer is the union of its predecessor's neighbor rows minus the ball.
 func (g *Graph) Ball(v, radius int) nodeset.Set {
-	if !g.HasNode(v) {
+	if !g.HasNode(v) || radius < 0 {
 		return nodeset.Empty()
 	}
-	dist := g.Distances(v)
-	out := nodeset.Empty()
-	g.nodes.ForEach(func(id int) bool {
-		if dist[id] >= 0 && dist[id] <= radius {
-			out = out.Add(id)
+	ball := nodeset.Of(v)
+	frontier := nodeset.Of(v)
+	for d := 0; d < radius; d++ {
+		var next nodeset.Set
+		frontier.ForEach(func(u int) bool {
+			next.MutateUnion(g.adj[u])
+			return true
+		})
+		next.MutateMinus(ball)
+		if next.IsEmpty() {
+			break
 		}
-		return true
-	})
-	return out
+		ball.MutateUnion(next)
+		frontier = next
+	}
+	return ball
 }
 
 // Diameter returns the maximum finite BFS distance over all node pairs,
@@ -395,18 +430,40 @@ func (g *Graph) Diameter() int {
 	return max
 }
 
-// String renders the graph as "nodes; u-v, u-w, ..." for debugging.
-func (g *Graph) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "G(V=%s, E={", g.nodes)
-	for i, e := range g.Edges() {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d-%d", e[0], e[1])
-	}
-	b.WriteString("})")
-	return b.String()
+// String renders the graph as "G(V={a, b}, E={a-b, ...})" for debugging
+// and for claim keys.
+func (g *Graph) String() string { return string(g.AppendString(nil)) }
+
+// AppendString appends the String rendering of g to dst and returns the
+// extended slice.
+func (g *Graph) AppendString(dst []byte) []byte {
+	dst = append(dst, "G(V="...)
+	dst = g.nodes.AppendString(dst)
+	dst = append(dst, ", E={"...)
+	dst = g.AppendEdges(dst, ", ")
+	return append(dst, "})"...)
+}
+
+// AppendEdges appends the edges of g as "u-v" pairs (u < v) in Edges order,
+// separated by sep, to dst and returns the extended slice.
+func (g *Graph) AppendEdges(dst []byte, sep string) []byte {
+	first := true
+	g.nodes.ForEach(func(u int) bool {
+		g.adj[u].ForEach(func(v int) bool {
+			if v > u {
+				if !first {
+					dst = append(dst, sep...)
+				}
+				first = false
+				dst = strconv.AppendInt(dst, int64(u), 10)
+				dst = append(dst, '-')
+				dst = strconv.AppendInt(dst, int64(v), 10)
+			}
+			return true
+		})
+		return true
+	})
+	return dst
 }
 
 // ParseEdgeList builds a graph from a string like "0-1, 1-2, 2-3; 7" where

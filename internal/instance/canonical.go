@@ -3,12 +3,14 @@ package instance
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
+	"io"
+	"slices"
+	"strconv"
 	"strings"
-	"sync"
 
+	"rmt/internal/adversary"
 	"rmt/internal/graph"
+	"rmt/internal/nodeset"
 )
 
 // This file defines the canonical content identity of an instance: two
@@ -20,14 +22,6 @@ import (
 // the same instance with permuted edge lists or structure sets hits the
 // same cache line.
 
-// canonical carries the lazily computed identity; it lives behind a
-// pointer so Instance stays copy-safe and the memo is shared by copies.
-type canonical struct {
-	once sync.Once
-	str  string
-	key  string
-}
-
 // CanonicalString renders the full instance tuple in a canonical textual
 // form: sorted node and edge lists for G, the sorted antichain of maximal
 // sets for 𝒵, each node's view graph in node order for γ, then the
@@ -35,61 +29,98 @@ type canonical struct {
 // equal strings iff graph, structure, views and terminals all coincide),
 // which makes the derived hash a sound cache key.
 func (in *Instance) CanonicalString() string {
-	in.canon.once.Do(in.renderCanonical)
-	return in.canon.str
+	var b strings.Builder
+	in.writeCanonical(&b)
+	return b.String()
 }
 
 // CanonicalKey returns the canonical content hash of the instance: the
 // hex-encoded SHA-256 of CanonicalString. Equal keys identify equal
 // instance tuples (up to hash collision); input order of edges, structure
-// sets and view edges never influences the key.
+// sets and view edges never influences the key. The text is streamed into
+// the hash, never held whole, and the key is memoized.
 func (in *Instance) CanonicalKey() string {
-	in.canon.once.Do(in.renderCanonical)
-	return in.canon.key
+	in.lazy.keyOnce.Do(func() {
+		h := sha256.New()
+		in.writeCanonical(h)
+		var sum [sha256.Size]byte
+		in.lazy.key = hex.EncodeToString(h.Sum(sum[:0]))
+	})
+	return in.lazy.key
 }
 
-func (in *Instance) renderCanonical() {
-	var b strings.Builder
-	b.WriteString("rmt-instance-v1\n")
-	fmt.Fprintf(&b, "graph: %s\n", canonicalGraph(in.G))
-	fmt.Fprintf(&b, "structure: %s\n", canonicalStructureOf(in))
-	b.WriteString("gamma:\n")
+// canonicalFlushAt bounds writeCanonical's line buffer: the buffer is
+// handed to the writer once it holds this many bytes.
+const canonicalFlushAt = 1 << 10
+
+// writeCanonical streams the rmt-instance-v1 text to w through one reused
+// byte buffer:
+//
+//	rmt-instance-v1
+//	graph: V{<Key of V(G)>} E{u-v u-v ...}
+//	structure: <Keys of 𝒵's maximal sets, sorted, ';'-separated>
+//	gamma:
+//	  <v>: <γ(v) rendered like G>        (one line per node, in node order)
+//	dealer: <D>
+//	receiver: <R>
+//
+// G's text is rendered once and reused for every view that is G or equal
+// to it — every view under full knowledge, and every ball that reaches
+// all of V(G).
+func (in *Instance) writeCanonical(w io.Writer) {
+	buf := make([]byte, 0, 2*canonicalFlushAt)
+	buf = append(buf, "rmt-instance-v1\ngraph: "...)
+	start := len(buf)
+	buf = appendCanonicalGraph(buf, in.G)
+	gText := string(buf[start:])
+	buf = append(buf, "\nstructure: "...)
+	buf = appendCanonicalStructure(buf, in.Z)
+	buf = append(buf, "\ngamma:\n"...)
 	in.Gamma.Domain().ForEach(func(v int) bool {
-		fmt.Fprintf(&b, "  %d: %s\n", v, canonicalGraph(in.Gamma.Of(v)))
+		if len(buf) >= canonicalFlushAt {
+			w.Write(buf)
+			buf = buf[:0]
+		}
+		buf = append(buf, "  "...)
+		buf = strconv.AppendInt(buf, int64(v), 10)
+		buf = append(buf, ": "...)
+		if sub := in.Gamma.Of(v); sub == in.G || sub.Equal(in.G) {
+			buf = append(buf, gText...)
+		} else {
+			buf = appendCanonicalGraph(buf, sub)
+		}
+		buf = append(buf, '\n')
 		return true
 	})
-	fmt.Fprintf(&b, "dealer: %d\nreceiver: %d\n", in.Dealer, in.Receiver)
-	in.canon.str = b.String()
-	sum := sha256.Sum256([]byte(in.canon.str))
-	in.canon.key = hex.EncodeToString(sum[:])
+	buf = append(buf, "dealer: "...)
+	buf = strconv.AppendInt(buf, int64(in.Dealer), 10)
+	buf = append(buf, "\nreceiver: "...)
+	buf = strconv.AppendInt(buf, int64(in.Receiver), 10)
+	buf = append(buf, '\n')
+	w.Write(buf)
 }
 
-// canonicalGraph renders nodes and edges in sorted order. The node set is
-// included explicitly so isolated nodes are part of the identity.
-func canonicalGraph(g *graph.Graph) string {
-	var b strings.Builder
-	b.WriteString("V{")
-	b.WriteString(g.Nodes().Key())
-	b.WriteString("} E{")
-	for i, e := range g.Edges() { // Edges iterates sorted: u ascending, v>u ascending
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d-%d", e[0], e[1])
-	}
-	b.WriteString("}")
-	return b.String()
+// appendCanonicalGraph renders nodes and edges in sorted order. The node
+// set is included explicitly so isolated nodes are part of the identity.
+func appendCanonicalGraph(dst []byte, g *graph.Graph) []byte {
+	dst = append(dst, "V{"...)
+	dst = g.Nodes().AppendKey(dst)
+	dst = append(dst, "} E{"...)
+	dst = g.AppendEdges(dst, " ")
+	return append(dst, '}')
 }
 
-// canonicalStructureOf renders the antichain of maximal sets sorted by
+// appendCanonicalStructure renders the antichain of maximal sets sorted by
 // their canonical set keys — the stored antichain order can depend on the
 // order sets were supplied in, so it is normalized here.
-func canonicalStructureOf(in *Instance) string {
-	maximal := in.Z.Maximal()
-	keys := make([]string, len(maximal))
-	for i, s := range maximal {
-		keys[i] = s.Key()
+func appendCanonicalStructure(dst []byte, z adversary.Structure) []byte {
+	sorted := slices.Clone(z.Maximal())
+	slices.SortFunc(sorted, nodeset.Set.KeyCompare)
+	for i, s := range sorted {
+		if i > 0 {
+			dst = append(dst, ';')
+		}
+		dst = s.AppendKey(dst)
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
+	return dst
 }

@@ -24,13 +24,23 @@ type Instance struct {
 	Dealer   int
 	Receiver int
 
-	local     adversary.LocalKnowledge // memoized Z_v per node
-	joints    *adversary.JoinCache     // memoized Z_B = ⊕_{v∈B} Z_v
-	viewNodes *nodeset.UnionCache      // memoized V(γ(B)) = ∪_{v∈B} V(γ(v))
-	canon     *canonical               // memoized canonical identity (see canonical.go)
+	lazy      *lazy                // Z_v and the canonical key, built on first use
+	joints    *adversary.JoinCache // memoized Z_B = ⊕_{v∈B} Z_v
+	viewNodes *nodeset.UnionCache  // memoized V(γ(B)) = ∪_{v∈B} V(γ(v))
 
 	derivedMu sync.Mutex
 	derived   map[any]any // protocol-attached derived caches (see Derived)
+}
+
+// lazy holds the derived state New does not build: the local structures
+// Z_v, which only protocol runs read (the cut searches read V(γ(v)) and 𝒵
+// directly), and the canonical key. It lives behind a pointer so Instance
+// stays copy-safe and copies share it.
+type lazy struct {
+	localOnce sync.Once
+	local     adversary.LocalKnowledge
+	keyOnce   sync.Once
+	key       string
 }
 
 // Validation errors returned by New.
@@ -55,14 +65,15 @@ func New(g *graph.Graph, z adversary.Structure, gamma view.Function, dealer, rec
 	if dealer == receiver {
 		return nil, ErrDealerIsReceiver
 	}
-	if z.Ground().Contains(dealer) {
+	ground := z.Ground()
+	if ground.Contains(dealer) {
 		return nil, ErrDealerCorruptib
 	}
-	if z.Ground().Contains(receiver) {
+	if ground.Contains(receiver) {
 		return nil, ErrReceiverCorrupt
 	}
-	if !z.Ground().SubsetOf(g.Nodes()) {
-		return nil, fmt.Errorf("instance: adversary structure mentions non-nodes %v", z.Ground().Minus(g.Nodes()))
+	if !ground.SubsetOf(g.Nodes()) {
+		return nil, fmt.Errorf("instance: adversary structure mentions non-nodes %v", ground.Minus(g.Nodes()))
 	}
 	if err := gamma.ConsistentWith(g); err != nil {
 		return nil, fmt.Errorf("instance: %w", err)
@@ -76,11 +87,13 @@ func New(g *graph.Graph, z adversary.Structure, gamma view.Function, dealer, rec
 		Gamma:    gamma,
 		Dealer:   dealer,
 		Receiver: receiver,
-		local:    gamma.AllLocalStructures(z),
+		lazy:     &lazy{},
 	}
-	in.joints = adversary.NewJoinCache(in.local)
+	in.joints = adversary.NewJoinCacheFunc(func(v int) (adversary.Restricted, bool) {
+		r, ok := in.LocalKnowledge()[v]
+		return r, ok
+	})
 	in.viewNodes = nodeset.NewUnionCache(gamma.NodesOf)
-	in.canon = &canonical{}
 	return in, nil
 }
 
@@ -100,14 +113,18 @@ func AdHoc(g *graph.Graph, z adversary.Structure, dealer, receiver int) (*Instan
 
 // LocalStructure returns the memoized Z_v for node v.
 func (in *Instance) LocalStructure(v int) adversary.Restricted {
-	if r, ok := in.local[v]; ok {
+	if r, ok := in.LocalKnowledge()[v]; ok {
 		return r
 	}
 	return adversary.Identity()
 }
 
-// LocalKnowledge returns the full node → Z_v map. Callers must not modify it.
-func (in *Instance) LocalKnowledge() adversary.LocalKnowledge { return in.local }
+// LocalKnowledge returns the full node → Z_v map, built on first use.
+// Callers must not modify it.
+func (in *Instance) LocalKnowledge() adversary.LocalKnowledge {
+	in.lazy.localOnce.Do(func() { in.lazy.local = in.Gamma.AllLocalStructures(in.Z) })
+	return in.lazy.local
+}
 
 // JointStructure returns Z_B = ⊕_{v∈B} Z_v for a node set B. Results are
 // memoized per sub-fold (semilattice laws make the sharing sound), so

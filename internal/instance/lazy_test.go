@@ -1,0 +1,86 @@
+package instance_test
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"rmt/internal/core"
+	"rmt/internal/gen"
+	"rmt/internal/instance"
+	"rmt/internal/nodeset"
+	"rmt/internal/zcpa"
+)
+
+// TestLazyStateConcurrentFirstUse: Z_v and the canonical key are built on
+// first use, and /v1/run trials read them from several goroutines at once.
+// Eight goroutines racing on a fresh instance must all see the values a
+// sequential reader of an identical instance sees.
+func TestLazyStateConcurrentFirstUse(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	g, z, d, rcv := randomTuple(r, 12, 90, true, false)
+	for _, level := range gen.Levels() {
+		ref, err := gen.Build(g, z, level, d, rcv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := gen.Build(g, z, level, d, rcv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := g.SortedIDs()
+		joint := nodeset.Of(ids[1], ids[len(ids)/2], ids[len(ids)-2])
+		wantKey, wantJoint := ref.CanonicalKey(), ref.JointStructure(joint)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				// Vary the first call so every lazy path is someone's first use.
+				if i%2 == 0 {
+					if fresh.CanonicalKey() != wantKey {
+						t.Error("concurrent CanonicalKey disagrees")
+					}
+				}
+				for _, v := range ids {
+					if !fresh.LocalStructure(v).Equal(ref.LocalStructure(v)) {
+						t.Errorf("%s: concurrent Z_%d disagrees", level, v)
+					}
+				}
+				lk := fresh.LocalKnowledge()
+				if len(lk) != len(ids) {
+					t.Errorf("%s: LocalKnowledge has %d entries, want %d", level, len(lk), len(ids))
+				}
+				if !fresh.JointStructure(joint).Equal(wantJoint) {
+					t.Errorf("%s: concurrent JointStructure disagrees", level)
+				}
+				if fresh.CanonicalKey() != wantKey {
+					t.Errorf("%s: concurrent CanonicalKey disagrees", level)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+}
+
+// TestCutSearchesLeaveZvUnbuilt: building, keying and both feasibility cut
+// searches read V(γ(v)) and 𝒵 only, so a feasibility request never pays
+// for the local structures; the first LocalStructure call builds them.
+func TestCutSearchesLeaveZvUnbuilt(t *testing.T) {
+	g, z, d, rcv := gen.ChimeraScaled(2)
+	for _, level := range gen.Levels() {
+		in, err := gen.Build(g, z, level, d, rcv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.CanonicalKey()
+		core.FindRMTCut(in)
+		zcpa.FindRMTZppCut(in)
+		if instance.LocalKnowledgeBuilt(in) {
+			t.Fatalf("%s: the feasibility path built Z_v", level)
+		}
+		if !in.LocalStructure(d).Equal(z.RestrictTo(in.Gamma.NodesOf(d))) || !instance.LocalKnowledgeBuilt(in) {
+			t.Fatalf("%s: LocalStructure did not build Z_v on first use", level)
+		}
+	}
+}

@@ -35,11 +35,23 @@ func Empty() Set { return Set{} }
 
 // Of returns the set containing exactly the given IDs.
 func Of(ids ...int) Set {
-	var s Set
+	max := -1
 	for _, id := range ids {
-		s = s.Add(id)
+		if id < 0 {
+			panic("nodeset: negative ID")
+		}
+		if id > max {
+			max = id
+		}
 	}
-	return s
+	if max < 0 {
+		return Set{}
+	}
+	words := make([]uint64, max/wordBits+1)
+	for _, id := range ids {
+		words[id/wordBits] |= 1 << uint(id%wordBits)
+	}
+	return Set{words: words}
 }
 
 // FromSlice returns the set containing exactly the IDs in the slice.
@@ -400,6 +412,32 @@ func (s Set) Key() string {
 	return b.String()
 }
 
+// KeyCompare orders sets as their Key strings compare bytewise, returning
+// -1, 0 or +1, without rendering either key.
+func (s Set) KeyCompare(t Set) int {
+	n := min(len(s.words), len(t.words))
+	for i := 0; i < n; i++ {
+		a, b := s.words[i], t.words[i]
+		if a == b {
+			continue
+		}
+		// Key writes each word least significant byte first, so the first
+		// differing key byte is the lowest differing byte of the words.
+		shift := uint(bits.TrailingZeros64(a^b)) &^ 7
+		if byte(a>>shift) < byte(b>>shift) {
+			return -1
+		}
+		return 1
+	}
+	switch {
+	case len(s.words) < len(t.words):
+		return -1
+	case len(s.words) > len(t.words):
+		return 1
+	}
+	return 0
+}
+
 // AppendKey appends the Key bytes of s to dst and returns the extended
 // slice. It is the allocation-free form of Key for callers assembling
 // compound map keys in a reused buffer.
@@ -413,20 +451,24 @@ func (s Set) AppendKey(dst []byte) []byte {
 }
 
 // String renders s as "{a, b, c}" with members in increasing order.
-func (s Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
+func (s Set) String() string { return string(s.AppendString(nil)) }
+
+// AppendString appends the String rendering of s to dst and returns the
+// extended slice.
+func (s Set) AppendString(dst []byte) []byte {
+	dst = append(dst, '{')
 	first := true
-	s.ForEach(func(id int) bool {
-		if !first {
-			b.WriteString(", ")
+	for i, w := range s.words {
+		for w != 0 {
+			if !first {
+				dst = append(dst, ", "...)
+			}
+			first = false
+			dst = strconv.AppendInt(dst, int64(i*wordBits+bits.TrailingZeros64(w)), 10)
+			w &= w - 1
 		}
-		first = false
-		b.WriteString(strconv.Itoa(id))
-		return true
-	})
-	b.WriteByte('}')
-	return b.String()
+	}
+	return append(dst, '}')
 }
 
 // Words returns a copy of the underlying bitset words (normal form).

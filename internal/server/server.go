@@ -820,6 +820,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "max_rounds must be ≥ 0")
 		return
 	}
+	// Check membership before building the set: nodeset.Of panics on a
+	// negative ID and sizes its words by the largest one.
+	for _, id := range req.Corrupt {
+		if !in.G.HasNode(id) {
+			writeError(w, http.StatusBadRequest, "corrupt node %d is not a node of G", id)
+			return
+		}
+	}
 	corrupt := nodeset.Of(req.Corrupt...)
 	if !in.Admissible(corrupt) {
 		writeError(w, http.StatusBadRequest, "corruption set %v is not admissible under %v", corrupt, in.Z)

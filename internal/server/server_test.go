@@ -378,6 +378,28 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonNodeCorrupt: a corrupt ID that is not a node of G gets
+// a 400 before any set is built. A negative ID used to panic the handler
+// (the client saw EOF), and a huge one sized a bitset by its value.
+func TestRunRejectsNonNodeCorrupt(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	base := `"graph":"0-1 0-2 1-3 2-3","structure":"1;2","dealer":0,"receiver":3`
+	for _, corrupt := range []string{"-1", "68719476736"} {
+		start := time.Now()
+		code, body := post(t, ts, "/v1/run", fmt.Sprintf(`{%s,"corrupt":[%s]}`, base, corrupt))
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "not a node of G") {
+			t.Errorf("corrupt [%s]: got %d %s, want 400 naming the non-node", corrupt, code, body)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("corrupt [%s]: rejection took %v", corrupt, elapsed)
+		}
+	}
+	code, body := post(t, ts, "/v1/run", fmt.Sprintf(`{%s,"corrupt":[1]}`, base))
+	if code != http.StatusOK {
+		t.Fatalf("request after the rejections: %d %s", code, body)
+	}
+}
+
 // TestRunBytesIdenticalAcrossWorkerCounts: the same request served by a
 // single-worker and a many-worker daemon produces byte-identical JSON — the
 // determinism guarantee the cache's first-body-wins rule builds on.

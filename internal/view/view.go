@@ -25,7 +25,8 @@ import (
 // every node of the underlying graph. Functions are immutable after
 // construction.
 type Function struct {
-	views map[int]*graph.Graph
+	views  map[int]*graph.Graph
+	domain nodeset.Set // the nodes that have views, recorded at construction
 }
 
 // FromMap builds a view function from an explicit node→subgraph map,
@@ -37,10 +38,12 @@ func FromMap(views map[int]*graph.Graph) (Function, error) {
 		}
 	}
 	cp := make(map[int]*graph.Graph, len(views))
+	ids := make([]int, 0, len(views))
 	for v, sub := range views {
 		cp[v] = sub
+		ids = append(ids, v)
 	}
-	return Function{views: cp}, nil
+	return Function{views: cp, domain: nodeset.Of(ids...)}, nil
 }
 
 // AdHoc returns the ad hoc view function on g: γ(v) is the star consisting
@@ -49,16 +52,10 @@ func FromMap(views map[int]*graph.Graph) (Function, error) {
 func AdHoc(g *graph.Graph) Function {
 	views := make(map[int]*graph.Graph, g.NumNodes())
 	g.Nodes().ForEach(func(v int) bool {
-		star := graph.New()
-		star.AddNode(v)
-		g.Neighbors(v).ForEach(func(u int) bool {
-			star.AddEdge(v, u)
-			return true
-		})
-		views[v] = star
+		views[v] = graph.NewStar(v, g.Neighbors(v))
 		return true
 	})
-	return Function{views: views}
+	return Function{views: views, domain: g.Nodes()}
 }
 
 // Radius returns the view function where γ(v) is the subgraph of g induced
@@ -72,7 +69,7 @@ func Radius(g *graph.Graph, k int) Function {
 		views[v] = g.InducedSubgraph(g.Ball(v, k))
 		return true
 	})
-	return Function{views: views}
+	return Function{views: views, domain: g.Nodes()}
 }
 
 // Full returns the full-knowledge view function: γ(v) = g for every v.
@@ -82,7 +79,7 @@ func Full(g *graph.Graph) Function {
 		views[v] = g
 		return true
 	})
-	return Function{views: views}
+	return Function{views: views, domain: g.Nodes()}
 }
 
 // Of returns γ(v). Unknown nodes get an empty graph.
@@ -109,13 +106,7 @@ func (f Function) Joint(s nodeset.Set) *graph.Graph {
 }
 
 // Domain returns the set of nodes that have views.
-func (f Function) Domain() nodeset.Set {
-	s := nodeset.Empty()
-	for v := range f.views {
-		s = s.Add(v)
-	}
-	return s
-}
+func (f Function) Domain() nodeset.Set { return f.domain }
 
 // LocalStructure returns Z_v = Z^{V(γ(v))}: the restriction of the real
 // structure to the nodes of v's view, paired with that domain.
@@ -150,20 +141,37 @@ func (f Function) Refines(g Function) bool {
 }
 
 // ConsistentWith reports whether every view is a genuine subgraph of g that
-// contains its owner — the well-formedness condition of the model.
+// contains its owner — the well-formedness condition of the model. Views
+// are checked in node order, and each view row by row in node order with
+// one word-wise subset test N_γ(v)(u) ⊆ N_G(u). Both graphs are symmetric,
+// so the first row u that fails holds the view's first non-edge in Edges()
+// order: u-w, with w the least member of N_γ(v)(u) \ N_G(u).
 func (f Function) ConsistentWith(g *graph.Graph) error {
-	for v, sub := range f.views {
-		if !sub.HasNode(v) {
-			return fmt.Errorf("view: γ(%d) omits its owner", v)
-		}
-		if !sub.Nodes().SubsetOf(g.Nodes()) {
-			return fmt.Errorf("view: γ(%d) contains nodes outside G", v)
-		}
-		for _, e := range sub.Edges() {
-			if !g.HasEdge(e[0], e[1]) {
-				return fmt.Errorf("view: γ(%d) contains non-edge %d-%d", v, e[0], e[1])
-			}
-		}
+	var err error
+	f.domain.ForEach(func(v int) bool {
+		err = consistentView(g, v, f.views[v])
+		return err == nil
+	})
+	return err
+}
+
+func consistentView(g *graph.Graph, v int, sub *graph.Graph) error {
+	if !sub.HasNode(v) {
+		return fmt.Errorf("view: γ(%d) omits its owner", v)
 	}
-	return nil
+	if sub == g {
+		return nil
+	}
+	if !sub.Nodes().SubsetOf(g.Nodes()) {
+		return fmt.Errorf("view: γ(%d) contains nodes outside G", v)
+	}
+	var err error
+	sub.Nodes().ForEach(func(u int) bool {
+		if row := sub.Neighbors(u); !row.SubsetOf(g.Neighbors(u)) {
+			w := row.Minus(g.Neighbors(u)).Min()
+			err = fmt.Errorf("view: γ(%d) contains non-edge %d-%d", v, u, w)
+		}
+		return err == nil
+	})
+	return err
 }
