@@ -45,9 +45,9 @@ benchguard:
 # Allocation-only hot-path guards. Unlike wall-clock numbers, allocation
 # counts are deterministic, so these DO gate every PR — they run as
 # ordinary tests inside `go test ./...` (and therefore inside tier1); the
-# named target runs every *AllocBudget test alone: the PKA receiver, the
-# cut searches, the connected-set walk, and parse + build + CanonicalKey
-# at every knowledge level.
+# named target runs every *AllocBudget test alone: the PKA receiver, warm
+# and on a fresh instance, the cut searches, the connected-set walk, and
+# parse + build + CanonicalKey at every knowledge level.
 allocguard:
 	$(GO) test -run 'AllocBudget' -count=1 . ./internal/graph/
 
@@ -141,11 +141,12 @@ fleetsmoke:
 	$(GO) run ./cmd/rmtload -fleet -smoke
 
 # Short coverage-guided fuzz smokes, one per native fuzz target: the text
-# parsers (instance spec, adversary structure, node set, edge list), the
-# cut kernel against the ⊕-based reference searches (every decoded
-# instance must get the same verdicts, witnesses and completeness from
-# both), and delta application (Validate and Apply agree, and every applied
-# delta keys like a fresh build of the edited tuple).
+# parsers (instance spec, adversary structure, node set, edge list), every
+# cut condition on the kernel against its reference (one decoded byte picks
+# Definitions 3 and 7 — verdicts, witnesses, completeness and both
+# verifiers —, Definition 10, PPA's pair cut, or the adversary cover over
+# decoded claims), and delta application (Validate and Apply agree, and
+# every applied delta keys like a fresh build of the edited tuple).
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseStructure -fuzztime=10s

@@ -1,7 +1,7 @@
 package rmt
 
-// Tier-1 allocation guards for the PKA receiver hot path, the cut
-// searches and the instance layer every request builds. The full benchguard (make benchguard) is opt-in because
+// Tier-1 allocation guards for the PKA receiver hot path, warm and cold,
+// the cut searches and the instance layer every request builds. The full benchguard (make benchguard) is opt-in because
 // wall-clock numbers are too machine-sensitive to gate every PR — but
 // allocation counts are not: they are deterministic modulo GC-driven pool
 // evictions, so cheap AllocsPerRun checks can run in the ordinary test
@@ -56,6 +56,41 @@ func TestPKARunAllocBudget(t *testing.T) {
 	avg := testing.AllocsPerRun(20, run)
 	if avg > pkaRunAllocBudget {
 		t.Errorf("a PKA run allocates %.1f allocs/op, budget %d — the packed receiver hot path regressed", avg, pkaRunAllocBudget)
+	}
+}
+
+// pkaColdRunAllocBudget bounds a PKA run on a fresh instance — what
+// /v1/run and every new sweep instance pay — counting the instance build,
+// with the receiver's memo and under DisableMemo. Counted when the adversary
+// cover moved onto the cut kernel: 1,118 → 436 allocs with the memo and
+// 1,076 → 393 without, of which building the instance and its Z_v is
+// about 186. The budgets leave about a quarter of slack and stay under
+// half the ⊕-fold cover's counts.
+var pkaColdRunAllocBudget = map[bool]float64{false: 550, true: 495}
+
+func TestPKAColdRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, nomemo := range []bool{false, true} {
+		run := func() {
+			in, err := benchdef.ChainInstance(3, 2, gen.Radius2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunProtocol(ProtocolPKA, in, "x", nil, RunOptions{DisableMemo: nomemo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := res.DecisionOf(in.Receiver); !ok {
+				t.Fatal("undecided")
+			}
+		}
+		run()
+		avg := testing.AllocsPerRun(20, run)
+		if budget := pkaColdRunAllocBudget[nomemo]; avg > budget {
+			t.Errorf("a cold PKA run (DisableMemo %v) allocates %.1f allocs/op, budget %.0f — the adversary cover allocates per candidate side again", nomemo, avg, budget)
+		}
 	}
 }
 

@@ -256,3 +256,48 @@ func BenchmarkJoinViewFold(b *testing.B) {
 		_ = JoinAll(rs...)
 	}
 }
+
+// TestJoinMembershipIdentity pins the identity the cut kernel decides
+// Definitions 3 and 6 by (DESIGN.md §4): for restricted structures whose
+// maximal sets lie inside their domains A_v,
+//
+//	S ∈ ⊕_{v∈B} Z_v ⟺ S ⊆ ∪_{v∈B} A_v ∧ ∀v ∈ B: S ∩ A_v ∈ Z_v.
+//
+// The domains are drawn independently of the view set S is cut from, and
+// a quarter of the trials spread the nodes over two or three words.
+func TestJoinMembershipIdentity(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	const trials = 12000
+	members := 0
+	for trial := 0; trial < trials; trial++ {
+		span := 3 + r.Intn(8)
+		if trial%4 == 3 {
+			span = 64 + r.Intn(70)
+		}
+		lk := LocalKnowledge{}
+		var union nodeset.Set
+		b := nodeset.Range(0, 1+r.Intn(4))
+		b.ForEach(func(v int) bool {
+			dom := randomSpreadSubset(r, span, 0.3+r.Float64()*0.5)
+			lk[v] = Restricted{Domain: dom, Structure: Random(r, dom, 1+r.Intn(3), 0.3+r.Float64()*0.6)}
+			union.MutateUnion(dom)
+			return true
+		})
+		view := randomSpreadSubset(r, span, 0.3+r.Float64()*0.7)
+		s := view.Intersect(randomSpreadSubset(r, span, r.Float64()*0.4))
+		want := s.SubsetOf(union)
+		b.ForEach(func(v int) bool {
+			want = want && lk[v].Contains(s.Intersect(lk[v].Domain))
+			return want
+		})
+		if got := lk.JointOf(b).Contains(s); got != want {
+			t.Fatalf("trial %d: S = %v, Z_B = %v: ⊕ fold says %v, per-node form %v", trial, s, lk.JointOf(b), got, want)
+		}
+		if want {
+			members++
+		}
+	}
+	if members < trials/10 || members > trials-trials/10 {
+		t.Errorf("%d of %d sets are members; the draw is too lopsided", members, trials)
+	}
+}

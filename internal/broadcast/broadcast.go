@@ -15,9 +15,11 @@
 package broadcast
 
 import (
+	"context"
 	"fmt"
 
 	"rmt/internal/adversary"
+	"rmt/internal/cutsearch"
 	"rmt/internal/graph"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
@@ -147,58 +149,19 @@ func (c ZppCut) String() string {
 	return fmt.Sprintf("BroadcastZppCut(C1=%v, C2=%v, B=%v)", c.C1, c.C2, c.B)
 }
 
-// FindZppCut searches for a Definition-10 cut. Candidate far sides B are
-// connected sets avoiding the dealer and its boundary; each connected set
-// is enumerated exactly once by requiring its minimum element to be the
-// enumeration's start node. C = N(B) is the least cut realizing B, which
-// suffices because the per-node condition is monotone-decreasing in C2.
+// FindZppCut searches for a Definition-10 cut on the cutsearch kernel.
+// Candidate far sides B are connected sets avoiding the dealer and its
+// boundary; each connected set is enumerated exactly once, from its least
+// member, by walking from every non-dealer start in increasing ID order
+// with the smaller IDs banned. C = N(B) is the least cut realizing B, which
+// suffices because the per-node condition N(u) ∩ C2 ∈ Z_u is
+// monotone-decreasing in C2.
 func FindZppCut(in *Instance) (ZppCut, bool) {
-	var (
-		witness ZppCut
-		found   bool
-	)
-	in.G.Nodes().ForEach(func(start int) bool {
-		if start == in.Dealer {
-			return true
-		}
-		banned := nodeset.Of(in.Dealer)
-		// Canonical enumeration: B's minimum member must be start.
-		in.G.Nodes().ForEach(func(v int) bool {
-			if v < start {
-				banned = banned.Add(v)
-			}
-			return true
-		})
-		in.G.ConnectedSets(start, banned, func(b nodeset.Set) bool {
-			cut := in.G.Boundary(b)
-			if cut.Contains(in.Dealer) {
-				return true
-			}
-			for _, m := range in.Z.Maximal() {
-				c2 := cut.Minus(m)
-				if in.holdsForAll(b, c2) {
-					witness = ZppCut{C1: cut.Intersect(m), C2: c2, B: b}
-					found = true
-					return false
-				}
-			}
-			return true
-		})
-		return !found
-	})
-	return witness, found
-}
-
-func (in *Instance) holdsForAll(b, c2 nodeset.Set) bool {
-	ok := true
-	b.ForEach(func(u int) bool {
-		if !in.LocalStructure(u).Contains(in.G.Neighbors(u).Intersect(c2)) {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
+	w, found, _, _ := cutsearch.Search(context.Background(), cutsearch.Input{
+		G: in.G, Dealer: in.Dealer, Receiver: -1,
+		C1: in.Z.Maximal(), Views: &in.Gamma, Rule: cutsearch.Neighborhood,
+	}, 0)
+	return ZppCut(w), found
 }
 
 // Solvable reports whether broadcast is achievable: no Definition-10 cut.

@@ -80,6 +80,6 @@ func (ic *IncrementalCut) Stats() (repaired, fresh int) { return ic.repaired, ic
 // evaluation over B's nodes, versus the enumeration's worst-case
 // exponential.
 func repairRMTCut(in *instance.Instance, old RMTCut) (RMTCut, bool) {
-	w, ok := cutsearch.Repair(in, cutsearch.JointView, cutsearch.Witness(old))
+	w, ok := cutsearch.Repair(cutsearch.FromInstance(in, cutsearch.JointView), cutsearch.Witness(old))
 	return RMTCut(w), ok
 }

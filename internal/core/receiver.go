@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"sort"
 	"strconv"
 
-	"rmt/internal/adversary"
+	"rmt/internal/cutsearch"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
@@ -121,14 +122,6 @@ type Receiver struct {
 	// Contested nodes grow past their capacity-1 sub-slice and migrate to
 	// their own backing automatically.
 	verSlab []claimVer
-
-	// Run-level cover-search caches, valid for candidates whose members all
-	// have a single claim version (then Z_v and γ(v) per member are stable
-	// for the rest of the run: a second version would make the node
-	// contested and exclude it from every all-unique candidate, so stale
-	// folds are never re-queried). Contested combos get fresh caches.
-	joints *adversary.JoinCache
-	views  *nodeset.UnionCache
 
 	// Reused scratch buffers (per-run; grown once, then allocation-free).
 	keyBuf         []byte
@@ -283,6 +276,14 @@ func (r *Receiver) ingestInfo(info NodeInfo) {
 		return
 	}
 	vers, seen := r.claims[node]
+	k := info.VersionKey()
+	i := sort.Search(len(vers), func(i int) bool { return vers[i].info.VersionKey() >= k })
+	if i < len(vers) && vers[i].info.VersionKey() == k {
+		return // duplicate version
+	}
+	if !wellFormed(info) {
+		return // erroneous message
+	}
 	if !seen {
 		r.knownIDs = insertSortedInt(r.knownIDs, node)
 		if node >= 0 && node < maxDenseID {
@@ -290,11 +291,6 @@ func (r *Receiver) ingestInfo(info NodeInfo) {
 		} else {
 			r.knownSparse = true
 		}
-	}
-	k := info.VersionKey()
-	i := sort.Search(len(vers), func(i int) bool { return vers[i].info.VersionKey() >= k })
-	if i < len(vers) && vers[i].info.VersionKey() == k {
-		return // duplicate version
 	}
 	// Seal the stored copy so every later VersionKey call — claim combos,
 	// candidate memo keys — reuses the rendered string.
@@ -323,6 +319,27 @@ func (r *Receiver) ingestInfo(info NodeInfo) {
 		r.contested++
 	}
 	r.dirty = true
+}
+
+// wellFormed reports whether a claim's structure has exactly its claimed
+// view's node set as domain and keeps its maximal sets inside that domain
+// (Restricted's invariant). Every honest claim (v, γ(v), 𝒵^{V(γ(v))})
+// passes. coverFor decides Definition 6 node by node through the ⊕
+// membership identity, which holds only for such claims, so the receiver
+// treats any other claim as an erroneous message. Dropping a corrupted
+// node's message is a move the adversary already has: Theorem 4's safety
+// and Theorem 5's liveness arguments are untouched.
+func wellFormed(info NodeInfo) bool {
+	dom := info.Z.Domain
+	if !dom.Equal(info.View.Nodes()) {
+		return false
+	}
+	for _, m := range info.Z.Structure.Maximal() {
+		if !m.SubsetOf(dom) {
+			return false
+		}
+	}
+	return true
 }
 
 // valOf returns the packed store for value x, inserting it in sorted
@@ -373,7 +390,7 @@ func (r *Receiver) searchDecision() (network.Value, bool) {
 		}
 		r.comboScratch = combo
 		if pass := r.passingValues(ids); len(pass) > 0 {
-			if x, ok := r.evalCandidate(ids, combo, pass, true); ok {
+			if x, ok := r.evalCandidate(ids, combo, pass); ok {
 				return x, true
 			}
 		}
@@ -402,15 +419,8 @@ func (r *Receiver) searchDecision() (network.Value, bool) {
 			if len(pass) == 0 {
 				return true // no value can be full on these members
 			}
-			allUnique := len(r.claims[r.dealer]) == 1
-			for _, id := range subset {
-				if len(r.claims[id]) != 1 {
-					allUnique = false
-					break
-				}
-			}
 			r.forEachCombo(members, func(combo []claimVer) bool {
-				if x, got := r.evalCandidate(members, combo, pass, allUnique); got {
+				if x, got := r.evalCandidate(members, combo, pass); got {
 					found, ok = x, true
 					return false
 				}
@@ -514,7 +524,7 @@ func (r *Receiver) forEachCombo(members []int, fn func(combo []claimVer) bool) {
 // record shared across rounds — and, through pkaShared, across runs; only
 // fullness (a bitset subset test against the growing type-1 store) is
 // re-evaluated per call.
-func (r *Receiver) evalCandidate(members []int, combo []claimVer, pass []*valState, allUnique bool) (network.Value, bool) {
+func (r *Receiver) evalCandidate(members []int, combo []claimVer, pass []*valState) (network.Value, bool) {
 	if r.nomemo || r.store == nil {
 		return r.freshEval(members, combo, pass)
 	}
@@ -540,7 +550,7 @@ func (r *Receiver) evalCandidate(members []int, combo []claimVer, pass []*valSta
 		}
 		c := rec.cover.Load()
 		if c == 0 {
-			if r.coverFor(rec.gm, members, combo, allUnique) {
+			if r.coverFor(rec.gm, members, combo) {
 				c = 1
 			} else {
 				c = 2
@@ -732,93 +742,50 @@ func overHasStr(over []overPath, key string) bool {
 	return false
 }
 
-// coverFor checks Definition 6: some cut C of G_M between D and R with
-// C ∩ V(γ(B)) ∈ Z_B, where B is the receiver-side component and both γ(B)
-// and Z_B are computed from the claims in M. Minimal cuts C = N(B) per
-// receiver-side candidate B are sufficient (the membership condition is
+// coverFor checks Definition 6 on the cutsearch kernel: some cut C of G_M
+// between D and R with C ∩ V(γ(B)) ∈ Z_B, where B is the receiver-side
+// component and both γ(B) and Z_B are computed from the claims in M. The
+// only C1 candidate is ∅, and by the ⊕ membership identity (DESIGN.md §4)
+// C ∩ V(γ(B)) ∈ Z_B holds exactly when, for every u ∈ B, C ∩ V(γ(u)) lies
+// inside one of u's claimed maximal sets — for claims whose structure
+// lives on their view's nodes, which ingestInfo enforces. Minimal cuts
+// C = N(B) per receiver-side candidate B suffice (the condition is
 // monotone-decreasing in C).
-//
-// All-unique candidates share one JoinCache/UnionCache pair for the whole
-// run (see the Receiver field docs for why that is sound); contested combos
-// build fresh caches per call, like the unpacked search did.
-func (r *Receiver) coverFor(gm *graph.Graph, members []int, combo []claimVer, allUnique bool) bool {
-	if !allUnique {
-		return coverFresh(gm, r.dealer, r.id, members, combo)
-	}
-	if r.joints == nil {
-		r.joints = adversary.NewJoinCacheFunc(r.uniqueZ)
-		r.views = nodeset.NewUnionCache(r.uniqueViewNodes)
-	}
-	covered := false
-	gm.ReceiverSideCandidates(r.dealer, r.id, func(b, cut nodeset.Set) bool {
-		zb := r.joints.JointOf(b)
-		if zb.Contains(cut.Intersect(r.views.Of(b))) {
-			covered = true
-			return false
-		}
-		return true
-	})
-	return covered
+func (r *Receiver) coverFor(gm *graph.Graph, members []int, combo []claimVer) bool {
+	claims := &candidateClaims{members: members, combo: combo}
+	_, found, _, _ := cutsearch.Search(context.Background(), cutsearch.Input{
+		G: gm, Dealer: r.dealer, Receiver: r.id,
+		C1: noCorruption, Views: claims, Fit: claims.maximal, Rule: cutsearch.JointView,
+	}, 0)
+	return found
 }
 
-// uniqueZ is the run-level cover cache's claim lookup: defined exactly for
-// R itself and nodes with a single claim version. Cover candidates B are
-// subsets of V(G_M) ⊆ members, which for all-unique candidates are exactly
-// such nodes.
-func (r *Receiver) uniqueZ(v int) (adversary.Restricted, bool) {
-	if v == r.id {
-		return r.own.Z, true
-	}
-	if vers := r.claims[v]; len(vers) == 1 {
-		return vers[0].info.Z, true
-	}
-	return adversary.Restricted{}, false
+// candidateClaims is a candidate M's claims as the cut kernel reads them:
+// every node of G_M is a member, so each has one.
+type candidateClaims struct {
+	members []int
+	combo   []claimVer
+	last    int // where the previous lookup ended
 }
 
-func (r *Receiver) uniqueViewNodes(v int) nodeset.Set {
-	if v == r.id {
-		return r.own.View.Nodes()
+// claim returns u's claim, scanning from the previous lookup's position:
+// the kernel asks for nodes in increasing ID order, several times each,
+// so for the (usually sorted) members a lookup is a step or two.
+func (c *candidateClaims) claim(u int) *NodeInfo {
+	for c.members[c.last] != u {
+		c.last = (c.last + 1) % len(c.members)
 	}
-	if vers := r.claims[v]; len(vers) == 1 {
-		return vers[0].info.View.Nodes()
-	}
-	return nodeset.Empty()
+	return &c.combo[c.last].info
 }
 
-// coverFresh is the cache-free cover check, used for contested combos and
-// under DisableMemo. The semilattice caches are per-call: the enumeration
-// grows candidates B one node at a time, so each candidate still pays one
-// ⊕ and one union on top of its parent's fold.
-func coverFresh(gm *graph.Graph, dealer, receiver int, members []int, combo []claimVer) bool {
-	claimAt := func(v int) (claimVer, bool) {
-		for i, id := range members {
-			if id == v {
-				return combo[i], true
-			}
-		}
-		return claimVer{}, false
-	}
-	joints := adversary.NewJoinCacheFunc(func(v int) (adversary.Restricted, bool) {
-		cv, ok := claimAt(v)
-		return cv.info.Z, ok
-	})
-	views := nodeset.NewUnionCache(func(v int) nodeset.Set {
-		if cv, ok := claimAt(v); ok {
-			return cv.info.View.Nodes()
-		}
-		return nodeset.Empty()
-	})
-	covered := false
-	gm.ReceiverSideCandidates(dealer, receiver, func(b, cut nodeset.Set) bool {
-		zb := joints.JointOf(b)
-		if zb.Contains(cut.Intersect(views.Of(b))) {
-			covered = true
-			return false
-		}
-		return true
-	})
-	return covered
-}
+// NodesOf returns u's claimed V(γ(u)).
+func (c *candidateClaims) NodesOf(u int) nodeset.Set { return c.claim(u).View.Nodes() }
+
+// maximal returns the maximal sets of u's claimed Z_u.
+func (c *candidateClaims) maximal(u int) []nodeset.Set { return c.claim(u).Z.Structure.Maximal() }
+
+// noCorruption is the cover's one C1 candidate: Definition 6 has no C1.
+var noCorruption = []nodeset.Set{nodeset.Empty()}
 
 // freshEval is the record-free candidate evaluation (DisableMemo, record
 // store at capacity, or uninterned claim versions): G_M is rebuilt, its
@@ -843,7 +810,7 @@ func (r *Receiver) freshEval(members []int, combo []claimVer, pass []*valState) 
 		if !full {
 			continue
 		}
-		if !coverFresh(gm, r.dealer, r.id, members, combo) {
+		if !r.coverFor(gm, members, combo) {
 			return vs.x, true
 		}
 		break // covered: no value can certify this candidate

@@ -36,8 +36,7 @@ func (c RMTCut) String() string {
 // (monotone again). So enumerating connected receiver-side candidates B
 // with C = N(B), against every maximal M, is exhaustive. The search runs on
 // the cutsearch kernel, which decides C2 ∩ V(γ(B)) ∈ Z_B node by node
-// (C2 ∩ V(γ(u)) ∈ Z_u for every u ∈ B) instead of folding ⊕ over B;
-// VerifyRMTCut still checks witnesses against the ⊕ fold itself.
+// (C2 ∩ V(γ(u)) ∈ Z_u for every u ∈ B) instead of folding ⊕ over B.
 func FindRMTCut(in *instance.Instance) (RMTCut, bool) {
 	cut, found, _ := FindRMTCutBounded(in, 0)
 	return cut, found
@@ -65,7 +64,7 @@ func FindRMTCutCtx(ctx context.Context, in *instance.Instance) (RMTCut, bool, er
 }
 
 func findRMTCut(ctx context.Context, in *instance.Instance, maxCandidates int) (RMTCut, bool, bool, error) {
-	w, found, complete, err := cutsearch.Search(ctx, in, cutsearch.JointView, maxCandidates)
+	w, found, complete, err := cutsearch.Search(ctx, cutsearch.FromInstance(in, cutsearch.JointView), maxCandidates)
 	return RMTCut(w), found, complete, err
 }
 

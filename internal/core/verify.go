@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"rmt/internal/cutsearch"
 	"rmt/internal/instance"
 )
 
@@ -15,34 +16,12 @@ import (
 //  2. C = C1 ∪ C2 separates D from R;
 //  3. B is exactly the connected component of R in G − C;
 //  4. C1 ∈ 𝒵;
-//  5. C2 ∩ V(γ(B)) ∈ Z_B, with Z_B the ⊕-joint structure of B.
+//  5. C2 ∩ V(γ(B)) ∈ Z_B, checked node by node: C2 ∩ V(γ(u)) ∈ Z_u for
+//     every u ∈ B, which the ⊕ membership identity (DESIGN.md §4) makes
+//     equivalent without building any Z_v.
 func VerifyRMTCut(in *instance.Instance, cut RMTCut) error {
-	c := cut.Cut()
-	if cut.C1.Intersects(cut.C2) {
-		return fmt.Errorf("core: C1 %v and C2 %v overlap", cut.C1, cut.C2)
-	}
-	if c.Contains(in.Dealer) || c.Contains(in.Receiver) {
-		return fmt.Errorf("core: cut %v contains a terminal", c)
-	}
-	if !c.SubsetOf(in.G.Nodes()) {
-		return fmt.Errorf("core: cut %v contains non-nodes", c)
-	}
-	// Disconnected terminals admit the empty cut.
-	if !in.G.Separates(c, in.Dealer, in.Receiver) &&
-		in.G.Connected(in.Dealer, in.Receiver) {
-		return fmt.Errorf("core: %v does not separate %d from %d", c, in.Dealer, in.Receiver)
-	}
-	comp := in.G.RemoveNodes(c).ComponentOf(in.Receiver)
-	if !comp.Equal(cut.B) {
-		return fmt.Errorf("core: B %v is not the receiver component %v", cut.B, comp)
-	}
-	if !in.Z.Contains(cut.C1) {
-		return fmt.Errorf("core: C1 %v is not admissible", cut.C1)
-	}
-	vgb := in.JointViewNodes(cut.B)
-	zb := in.JointStructure(cut.B)
-	if part := cut.C2.Intersect(vgb); !zb.Contains(part) {
-		return fmt.Errorf("core: C2 ∩ V(γ(B)) = %v is not in Z_B", part)
+	if err := cutsearch.Verify(cutsearch.FromInstance(in, cutsearch.JointView), cutsearch.Witness(cut)); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

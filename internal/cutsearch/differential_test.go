@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"rmt/internal/adversary"
+	"rmt/internal/broadcast"
 	"rmt/internal/core"
 	"rmt/internal/cutsearch"
 	"rmt/internal/gen"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
+	"rmt/internal/ppa"
 	"rmt/internal/view"
 	"rmt/internal/zcpa"
 )
@@ -274,4 +276,109 @@ func TestIncrementalMatchesReference(t *testing.T) {
 		checkChain(t, fmt.Sprintf("chain %d (%v)", c, level), revisions)
 	}
 	checkChain(t, "churn line", churnLine(t, 16))
+}
+
+// checkDefinition10 asserts kernel ≡ reference, witness included, for
+// Definition 10 on the broadcast instance (G, 𝒵, γ, D) of in's tuple, and
+// returns the verdict.
+func checkDefinition10(t testing.TB, label string, in *instance.Instance) bool {
+	t.Helper()
+	bin, err := broadcast.NewWithViews(in.G, in.Z, in.Gamma, in.Dealer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, found := broadcast.FindZppCut(bin)
+	rw, rfound := refBroadcastZppCut(bin)
+	if found != rfound || (found && !sameWitness(cutsearch.Witness(w), cutsearch.Witness(rw))) {
+		t.Fatalf("%s definition 10 on %v: kernel (found %v, %v), reference (found %v, %v)", label, in, found, w, rfound, rw)
+	}
+	return found
+}
+
+// checkPairCut asserts kernel ≡ reference, witness included, for PPA's
+// pair cut, and returns the verdict.
+func checkPairCut(t testing.TB, label string, in *instance.Instance) bool {
+	t.Helper()
+	z1, z2, found := ppa.PairCut(in)
+	r1, r2, rfound := refPairCut(in)
+	if found != rfound || !z1.Equal(r1) || !z2.Equal(r2) {
+		t.Fatalf("%s pair cut on %v: kernel (found %v, %v, %v), reference (found %v, %v, %v)", label, in, found, z1, z2, rfound, r1, r2)
+	}
+	return found
+}
+
+// checkVerifiers asserts that both verifiers accept and reject exactly as
+// the references do, on every found witness and on mutations of it.
+func checkVerifiers(t testing.TB, label string, in *instance.Instance) {
+	t.Helper()
+	for _, rule := range rules {
+		w, found, _ := search(in, rule, 0)
+		if !found {
+			continue
+		}
+		for _, m := range mutations(in, w) {
+			err, rerr := verify(in, rule, m), refVerify(in, rule, m)
+			if (err == nil) != (rerr == nil) {
+				t.Fatalf("%s %s verifier on %v, witness %v: got %v, reference %v", label, ruleName(rule), in, m, err, rerr)
+			}
+		}
+	}
+}
+
+// mutations returns w, w with C1 and C2 swapped, and w with each node of G
+// toggled in C1, in C2 and in B.
+func mutations(in *instance.Instance, w cutsearch.Witness) []cutsearch.Witness {
+	out := []cutsearch.Witness{w, {C1: w.C2, C2: w.C1, B: w.B}}
+	toggle := func(s nodeset.Set, v int) nodeset.Set {
+		if s.Contains(v) {
+			return s.Remove(v)
+		}
+		return s.Add(v)
+	}
+	in.G.Nodes().ForEach(func(v int) bool {
+		out = append(out,
+			cutsearch.Witness{C1: toggle(w.C1, v), C2: w.C2, B: w.B},
+			cutsearch.Witness{C1: w.C1, C2: toggle(w.C2, v), B: w.B},
+			cutsearch.Witness{C1: w.C1, C2: w.C2, B: toggle(w.B, v)})
+		return true
+	})
+	return out
+}
+
+// TestConditionsMatchReference runs the Definition-10, pair-cut and
+// verifier differentials on 1,200 seeded instances at every knowledge
+// level and with partial views, a quarter of them on IDs spread over two
+// or more words.
+func TestConditionsMatchReference(t *testing.T) {
+	trials := 1200
+	if testing.Short() {
+		trials = 300
+	}
+	r := rand.New(rand.NewSource(17))
+	levels := append(gen.Levels(), partialViews)
+	var cuts [2]int // Definition 10, pair cut
+	for trial := 0; trial < trials; trial++ {
+		level := levels[trial%len(levels)]
+		n := 4 + r.Intn(8)
+		span := n
+		if trial%4 == 3 {
+			span = 64 + r.Intn(130)
+		}
+		in, err := randomInstance(r, n, span, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("trial %d (%v)", trial, level)
+		for i, found := range [2]bool{checkDefinition10(t, label, in), checkPairCut(t, label, in)} {
+			if found {
+				cuts[i]++
+			}
+		}
+		checkVerifiers(t, label, in)
+	}
+	for i, c := range cuts {
+		if c < trials/10 || c > trials-trials/10 {
+			t.Errorf("%s: %d of %d instances have a cut; the draw is too lopsided", [2]string{"definition 10", "pair cut"}[i], c, trials)
+		}
+	}
 }

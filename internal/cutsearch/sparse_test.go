@@ -40,9 +40,9 @@ func TestSparseIDsCostLinearMemory(t *testing.T) {
 				var w cutsearch.Witness
 				var found bool
 				allocated := bytesAllocated(func() {
-					w, found, _, err = cutsearch.Search(context.Background(), in, rule, 0)
+					w, found, _, err = cutsearch.Search(context.Background(), cutsearch.FromInstance(in, rule), 0)
 					if found {
-						_, found = cutsearch.Repair(in, rule, w)
+						_, found = cutsearch.Repair(cutsearch.FromInstance(in, rule), w)
 					}
 				})
 				if err != nil || found != tc.found {

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -41,10 +42,56 @@ func TestBoundary(t *testing.T) {
 	}
 }
 
+// connectedSets hands fn every connected set the walk visits from start
+// with banned excluded and nothing skipped, as a Set.
+func connectedSets(g *Graph, start int, banned nodeset.Set, fn func(b nodeset.Set) bool) {
+	wk := g.NewWalk()
+	wk.Sides(start, banned, -1, func(b, _ []uint64) bool { return fn(nodeset.FromWords(b)) })
+}
+
+// receiverSides hands fn every receiver side (B, N(B)) of a D–R cut that
+// excludes the dealer — the walk's Sides(R, {D}, D) — as Sets.
+func receiverSides(g *Graph, dealer, receiver int, fn func(b, cut nodeset.Set) bool) {
+	wk := g.NewWalk()
+	wk.Sides(receiver, nodeset.Of(dealer), dealer, func(b, cut []uint64) bool {
+		return fn(nodeset.FromWords(b), nodeset.FromWords(cut))
+	})
+}
+
+// minimalSeparators returns the minimal src–dst separators in canonical
+// order, read off the walk: a separator C is minimal exactly when both
+// src's and dst's components of G − C are full (every node of C has a
+// neighbor in each), and the dst side of every such C is a receiver side
+// B with C = N(B). B is always dst's component of G − N(B) and full, so
+// the boundaries whose src component is full are exactly the minimal
+// separators.
+func minimalSeparators(g *Graph, src, dst int) []nodeset.Set {
+	var out []nodeset.Set
+	seen := map[string]bool{}
+	receiverSides(g, src, dst, func(b, cut nodeset.Set) bool {
+		if cut.IsEmpty() || seen[cut.Key()] {
+			return true
+		}
+		a := g.RemoveNodes(cut).ComponentOf(src)
+		full := true
+		cut.ForEach(func(v int) bool {
+			full = g.Neighbors(v).Intersects(a)
+			return full
+		})
+		if full {
+			seen[cut.Key()] = true
+			out = append(out, cut)
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
+}
+
 func TestConnectedSetsPathGraph(t *testing.T) {
 	g := mustParse(t, "0-1 1-2 2-3")
 	var got []string
-	g.ConnectedSets(1, nodeset.Empty(), func(b nodeset.Set) bool {
+	connectedSets(g, 1, nodeset.Empty(), func(b nodeset.Set) bool {
 		got = append(got, b.String())
 		return true
 	})
@@ -64,7 +111,7 @@ func TestConnectedSetsPathGraph(t *testing.T) {
 func TestConnectedSetsBanned(t *testing.T) {
 	g := mustParse(t, "0-1 1-2 2-3")
 	count := 0
-	g.ConnectedSets(0, nodeset.Of(2), func(b nodeset.Set) bool {
+	connectedSets(g, 0, nodeset.Of(2), func(b nodeset.Set) bool {
 		if b.Contains(2) || b.Contains(3) {
 			t.Errorf("set %v crosses ban", b)
 		}
@@ -76,7 +123,7 @@ func TestConnectedSetsBanned(t *testing.T) {
 	}
 	// Banned start yields nothing.
 	n := 0
-	g.ConnectedSets(0, nodeset.Of(0), func(nodeset.Set) bool { n++; return true })
+	connectedSets(g, 0, nodeset.Of(0), func(nodeset.Set) bool { n++; return true })
 	if n != 0 {
 		t.Fatal("banned start enumerated sets")
 	}
@@ -97,7 +144,7 @@ func TestConnectedSetsCompleteness(t *testing.T) {
 			return true
 		})
 		got := map[string]bool{}
-		g.ConnectedSets(start, nodeset.Empty(), func(b nodeset.Set) bool {
+		connectedSets(g, start, nodeset.Empty(), func(b nodeset.Set) bool {
 			if got[b.Key()] {
 				t.Fatalf("duplicate %v", b)
 			}
@@ -120,7 +167,7 @@ func TestReceiverSideCandidates(t *testing.T) {
 	g := mustParse(t, "0-1 1-3 0-2 2-3")
 	type pair struct{ b, c string }
 	var got []pair
-	g.ReceiverSideCandidates(0, 3, func(b, cut nodeset.Set) bool {
+	receiverSides(g, 0, 3, func(b, cut nodeset.Set) bool {
 		if b.Contains(0) || cut.Contains(0) {
 			t.Errorf("candidate touches dealer: B=%v C=%v", b, cut)
 		}
@@ -143,7 +190,7 @@ func TestReceiverSideCandidates(t *testing.T) {
 func TestReceiverSideCandidatesDealerEqualsReceiver(t *testing.T) {
 	g := mustParse(t, "0-1")
 	n := 0
-	g.ReceiverSideCandidates(0, 0, func(b, c nodeset.Set) bool { n++; return true })
+	receiverSides(g, 0, 0, func(b, c nodeset.Set) bool { n++; return true })
 	if n != 0 {
 		t.Fatal("D == R should enumerate nothing")
 	}
@@ -152,18 +199,18 @@ func TestReceiverSideCandidatesDealerEqualsReceiver(t *testing.T) {
 func TestMinimalSeparators(t *testing.T) {
 	// Diamond: minimal 0-3 separators are {1,2}.
 	g := mustParse(t, "0-1 0-2 1-3 2-3")
-	seps := g.MinimalSeparators(0, 3)
+	seps := minimalSeparators(g, 0, 3)
 	if len(seps) != 1 || !seps[0].Equal(nodeset.Of(1, 2)) {
 		t.Fatalf("seps = %v", seps)
 	}
 	// Path 0-1-2-3: minimal separators {1} and {2}.
 	g2 := mustParse(t, "0-1 1-2 2-3")
-	seps2 := g2.MinimalSeparators(0, 3)
+	seps2 := minimalSeparators(g2, 0, 3)
 	if len(seps2) != 2 || !seps2[0].Equal(nodeset.Of(1)) || !seps2[1].Equal(nodeset.Of(2)) {
 		t.Fatalf("path seps = %v", seps2)
 	}
 	// Adjacent nodes have no separator.
-	if got := g2.MinimalSeparators(0, 1); got != nil {
+	if got := minimalSeparators(g2, 0, 1); got != nil {
 		t.Fatalf("adjacent seps = %v", got)
 	}
 }
@@ -177,7 +224,10 @@ func TestMinimalSeparatorsAreMinimalAndSeparate(t *testing.T) {
 		if g.HasEdge(src, dst) {
 			continue
 		}
-		for _, c := range g.MinimalSeparators(src, dst) {
+		seps := minimalSeparators(g, src, dst)
+		got := map[string]bool{}
+		for _, c := range seps {
+			got[c.Key()] = true
 			if !g.Separates(c, src, dst) {
 				t.Fatalf("trial %d: %v does not separate in %v", trial, c, g)
 			}
@@ -188,6 +238,19 @@ func TestMinimalSeparatorsAreMinimalAndSeparate(t *testing.T) {
 				return true
 			})
 		}
+		// Every non-empty minimal separator, found by brute force, is among
+		// them.
+		g.Nodes().Minus(nodeset.Of(src, dst)).Subsets(func(c nodeset.Set) bool {
+			minimal := !c.IsEmpty() && g.Separates(c, src, dst)
+			c.ForEach(func(v int) bool {
+				minimal = minimal && !g.Separates(c.Remove(v), src, dst)
+				return minimal
+			})
+			if minimal && !got[c.Key()] {
+				t.Fatalf("trial %d: minimal separator %v missing from %v in %v", trial, c, seps, g)
+			}
+			return true
+		})
 	}
 }
 
@@ -215,28 +278,22 @@ func TestVertexConnectivity(t *testing.T) {
 }
 
 func TestQuickMengersTheorem(t *testing.T) {
-	// Min separator size == vertex connectivity (Menger).
+	// Min separator size == vertex connectivity (Menger). Every minimal
+	// separator is the N(B) of its receiver component B, and every N(B)
+	// separates, so the oracle is the smallest |N(B)| over the walk's
+	// receiver sides: 0 when the terminals are disconnected, and no side
+	// at all (-1, like VertexConnectivity) when they are adjacent.
 	f := func(a genGraph) bool {
 		g := a.G
-		n := g.NumNodes()
-		src, dst := 0, n-1
-		if g.HasEdge(src, dst) {
-			return true
-		}
-		seps := g.MinimalSeparators(src, dst)
-		k := g.VertexConnectivity(src, dst)
-		if len(seps) == 0 {
-			// No separator at all (e.g. src==dst neighbors case excluded):
-			// only possible when disconnected: k == 0 and some boundary empty.
-			return k == 0
-		}
-		min := seps[0].Len()
-		for _, s := range seps {
-			if s.Len() < min {
-				min = s.Len()
+		src, dst := 0, g.NumNodes()-1
+		min := -1
+		receiverSides(g, src, dst, func(b, cut nodeset.Set) bool {
+			if min < 0 || cut.Len() < min {
+				min = cut.Len()
 			}
-		}
-		return min == k
+			return true
+		})
+		return min == g.VertexConnectivity(src, dst)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -255,7 +312,7 @@ func TestQuickBoundarySeparates(t *testing.T) {
 			return true
 		}
 		ok := true
-		g.ReceiverSideCandidates(src, dst, func(b, cut nodeset.Set) bool {
+		receiverSides(g, src, dst, func(b, cut nodeset.Set) bool {
 			if cut.IsEmpty() {
 				// dst's component excludes src entirely: disconnected.
 				if g.Connected(src, dst) && b.Equal(g.ComponentOf(dst)) {

@@ -12,8 +12,8 @@ const wordBits = 64
 // needs to hold any node set of g.
 func (g *Graph) RowWidth() int { return (g.MaxID() + wordBits) / wordBits }
 
-// Walk is the word-level connected-set enumeration behind ConnectedSets,
-// ReceiverSideCandidates and the cut-search kernel (internal/cutsearch).
+// Walk is the word-level connected-set enumeration behind the cut-search
+// kernel (internal/cutsearch).
 // Node sets are rows of W = RowWidth() words. Per-node tables hold one row
 // per node, not per ID: node v's row is number Rank(v), its position among
 // g's nodes in increasing ID order, so a graph with sparse IDs costs
@@ -91,47 +91,31 @@ func (wk *Walk) Row(v int) []uint64 {
 	return wk.adj[r*wk.w : (r+1)*wk.w]
 }
 
-// connectedSets calls fn(B, N(B)) for every connected node set B with
-// start ∈ B and B ∩ banned = ∅, once per set, until fn returns false.
-// Nothing is enumerated when start is not a node or is banned. The rows
-// passed to fn are the walk's own state: fn must neither modify nor
-// retain them.
-func (wk *Walk) connectedSets(start int, banned nodeset.Set, fn func(b, bnd []uint64) bool) {
-	if !wk.g.HasNode(start) || banned.Contains(start) {
+// Sides calls fn(B, N(B)) for every connected node set B with start ∈ B
+// that avoids banned and skip and whose boundary misses skip, once per
+// set, until fn returns false. Sets whose boundary holds skip are not
+// passed to fn but are still extended: supersets of B may absorb other
+// neighbors first and avoid it. A skip that is not a node (-1, say)
+// constrains nothing, and nothing is enumerated when start is not a node,
+// is banned or is skip.
+//
+// The receiver sides of a D–R cut C = N(B) that excludes the dealer are
+// Sides(R, ∅, D): connected sets holding R, avoiding D, whose boundary
+// misses D. The rows passed to fn are the walk's own state: fn must
+// neither modify nor retain them.
+func (wk *Walk) Sides(start int, banned nodeset.Set, skip int, fn func(b, bnd []uint64) bool) {
+	if !wk.g.HasNode(start) || banned.Contains(start) || start == skip {
 		return
 	}
-	_, excl := wk.frame(0)
-	banned.CopyTo(excl)
-	wk.run(start, -1, fn)
-}
-
-// ReceiverSides calls fn(B, N(B)) for every connected set B with R ∈ B,
-// D ∉ B and D ∉ N(B) — every receiver side of a D–R cut C = N(B) that
-// excludes the dealer — in the order connectedSets(R, {D}) visits them,
-// until fn returns false. Sets whose boundary holds the dealer are
-// skipped but still extended: supersets of B may absorb other neighbors
-// first and avoid it. The rows passed to fn are the walk's own state: fn
-// must neither modify nor retain them.
-func (wk *Walk) ReceiverSides(dealer, receiver int, fn func(b, cut []uint64) bool) {
-	if dealer == receiver || !wk.g.HasNode(receiver) {
-		return
-	}
-	_, excl := wk.frame(0)
-	clear(excl)
-	skip := -1
-	if wk.g.HasNode(dealer) {
-		// A dealer outside the graph never enters a boundary: no ban needed.
-		excl[dealer/wordBits] |= 1 << uint(dealer%wordBits)
-		skip = dealer
-	}
-	wk.run(receiver, skip, fn)
-}
-
-// run seeds depth 0 with B = {start} (frame 0's excluded row already holds
-// the banned set) and walks. Graphs have no self-loops, so N(start) is
-// already a valid boundary.
-func (wk *Walk) run(start, skip int, fn func(b, bnd []uint64) bool) {
 	bnd, excl := wk.frame(0)
+	banned.CopyTo(excl)
+	if wk.g.HasNode(skip) {
+		excl[skip/wordBits] |= 1 << uint(skip%wordBits)
+	} else {
+		skip = -1
+	}
+	// Depth 0 is B = {start}; graphs have no self-loops, so N(start) is
+	// already a valid boundary.
 	clear(wk.b)
 	wk.b[start/wordBits] |= 1 << uint(start%wordBits)
 	copy(bnd, wk.Row(start))

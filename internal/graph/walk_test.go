@@ -75,21 +75,13 @@ func TestWalkMatchesSetEnumeration(t *testing.T) {
 			want = append(want, candidate{b, bnd})
 			return len(want) < stopAfter
 		})
-		g.ConnectedSets(start, banned, func(b nodeset.Set) bool {
-			got = append(got, candidate{b: b})
+		wk := g.NewWalk()
+		wk.Sides(start, banned, -1, func(b, bnd []uint64) bool {
+			got = append(got, candidate{nodeset.FromWords(b), nodeset.FromWords(bnd)})
 			return len(got) < stopAfter
 		})
-		wk := g.NewWalk()
-		i := 0
-		wk.connectedSets(start, banned, func(b, bnd []uint64) bool {
-			if i < len(got) {
-				got[i].bnd = nodeset.FromWords(bnd)
-			}
-			i++
-			return i < stopAfter
-		})
-		if len(got) != len(want) || i != len(want) {
-			t.Fatalf("trial %d: walk emitted %d/%d sets, reference %d", trial, len(got), i, len(want))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: walk emitted %d sets, reference %d", trial, len(got), len(want))
 		}
 		for k := range want {
 			if !got[k].b.Equal(want[k].b) || !got[k].bnd.Equal(want[k].bnd) {
@@ -98,8 +90,9 @@ func TestWalkMatchesSetEnumeration(t *testing.T) {
 			}
 		}
 
-		// ReceiverSideCandidates is the reference enumeration from R with
-		// the dealer banned, minus sets whose boundary touches the dealer.
+		// The receiver sides Sides(R, {D}, D) are the reference enumeration
+		// from R with the dealer banned, minus sets whose boundary touches
+		// the dealer.
 		want = want[:0]
 		setConnectedSets(g, start, nodeset.Of(other), func(b, bnd nodeset.Set) bool {
 			if !bnd.Contains(other) {
@@ -108,8 +101,8 @@ func TestWalkMatchesSetEnumeration(t *testing.T) {
 			return true
 		})
 		got = got[:0]
-		g.ReceiverSideCandidates(other, start, func(b, cut nodeset.Set) bool {
-			got = append(got, candidate{b, cut})
+		wk.Sides(start, nodeset.Of(other), other, func(b, cut []uint64) bool {
+			got = append(got, candidate{nodeset.FromWords(b), nodeset.FromWords(cut)})
 			return true
 		})
 		if len(got) != len(want) {
@@ -124,33 +117,6 @@ func TestWalkMatchesSetEnumeration(t *testing.T) {
 	}
 }
 
-// TestAdaptersRetainArguments pins the adapters' contract that fn may keep
-// the Sets it is handed: later candidates must not overwrite them.
-func TestAdaptersRetainArguments(t *testing.T) {
-	g := mustParse(t, "0-1 1-2 2-3 1-3 3-4")
-	var kept []candidate
-	g.ReceiverSideCandidates(0, 4, func(b, cut nodeset.Set) bool {
-		kept = append(kept, candidate{b, cut})
-		return true
-	})
-	var want []candidate
-	setConnectedSets(g, 4, nodeset.Of(0), func(b, bnd nodeset.Set) bool {
-		if !bnd.Contains(0) {
-			want = append(want, candidate{b, bnd})
-		}
-		return true
-	})
-	if len(kept) != len(want) || len(kept) < 3 {
-		t.Fatalf("got %d candidates, want %d (≥ 3)", len(kept), len(want))
-	}
-	for k := range want {
-		if !kept[k].b.Equal(want[k].b) || !kept[k].bnd.Equal(want[k].bnd) {
-			t.Fatalf("retained candidate %d changed to (%v, %v), want (%v, %v)",
-				k, kept[k].b, kept[k].bnd, want[k].b, want[k].bnd)
-		}
-	}
-}
-
 // TestWalkAllocBudget pins that a walk allocates its rows once and then
 // one chunk per doubling of the depth it reaches, never per candidate.
 func TestWalkAllocBudget(t *testing.T) {
@@ -159,10 +125,11 @@ func TestWalkAllocBudget(t *testing.T) {
 		g.AddEdge(v, v+1)
 	}
 	n := 0
+	banned := nodeset.Of(0)
 	allocs := testing.AllocsPerRun(10, func() {
 		n = 0
 		wk := g.NewWalk()
-		wk.ReceiverSides(0, 39, func(b, cut []uint64) bool { n++; return true })
+		wk.Sides(39, banned, 0, func(b, cut []uint64) bool { n++; return true })
 	})
 	// Rows and rank table, then chunks for depths [16, 32) and [32, 64).
 	const budget = 4
@@ -184,11 +151,12 @@ func TestSparseIDsCostLinearMemory(t *testing.T) {
 	const budgetRows = 64
 	var cands int
 	allocated := bytesAllocated(func() {
-		g.ReceiverSideCandidates(0, big, func(b, cut nodeset.Set) bool {
+		wk := g.NewWalk()
+		wk.Sides(big, nodeset.Of(0), 0, func(b, cut []uint64) bool {
 			cands++
 			return true
 		})
-		g.ConnectedSets(big, nodeset.Empty(), func(nodeset.Set) bool { return true })
+		wk.Sides(big, nodeset.Empty(), -1, func(b, bnd []uint64) bool { return true })
 	})
 	if cands != 1 {
 		t.Fatalf("got %d receiver sides, want 1 ({%d} behind cut {7})", cands, big)

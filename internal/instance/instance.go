@@ -1,7 +1,7 @@
 // Package instance defines the RMT problem instance tuple
 // 𝓘 = (G, 𝒵, γ, D, R) from the paper, with validation and the derived
-// quantities protocols consume: local structures Z_v, joint structures Z_B,
-// and admissible corruption sets.
+// quantities protocols consume: local structures Z_v and admissible
+// corruption sets.
 package instance
 
 import (
@@ -24,18 +24,16 @@ type Instance struct {
 	Dealer   int
 	Receiver int
 
-	lazy      *lazy                // Z_v and the canonical key, built on first use
-	joints    *adversary.JoinCache // memoized Z_B = ⊕_{v∈B} Z_v
-	viewNodes *nodeset.UnionCache  // memoized V(γ(B)) = ∪_{v∈B} V(γ(v))
+	lazy *lazy // Z_v and the canonical key, built on first use
 
 	derivedMu sync.Mutex
 	derived   map[any]any // protocol-attached derived caches (see Derived)
 }
 
 // lazy holds the derived state New does not build: the local structures
-// Z_v, which only protocol runs read (the cut searches read V(γ(v)) and 𝒵
-// directly), and the canonical key. It lives behind a pointer so Instance
-// stays copy-safe and copies share it.
+// Z_v, which only protocol runs read (the cut searches and their verifiers
+// read V(γ(v)) and 𝒵 directly), and the canonical key. It lives behind a
+// pointer so Instance stays copy-safe and copies share it.
 type lazy struct {
 	localOnce sync.Once
 	local     adversary.LocalKnowledge
@@ -81,20 +79,14 @@ func New(g *graph.Graph, z adversary.Structure, gamma view.Function, dealer, rec
 	if !gamma.Domain().Equal(g.Nodes()) {
 		return nil, fmt.Errorf("instance: view function domain %v != V(G) %v", gamma.Domain(), g.Nodes())
 	}
-	in := &Instance{
+	return &Instance{
 		G:        g,
 		Z:        z,
 		Gamma:    gamma,
 		Dealer:   dealer,
 		Receiver: receiver,
 		lazy:     &lazy{},
-	}
-	in.joints = adversary.NewJoinCacheFunc(func(v int) (adversary.Restricted, bool) {
-		r, ok := in.LocalKnowledge()[v]
-		return r, ok
-	})
-	in.viewNodes = nodeset.NewUnionCache(gamma.NodesOf)
-	return in, nil
+	}, nil
 }
 
 // MustNew is New for tests and examples; it panics on invalid tuples.
@@ -124,19 +116,6 @@ func (in *Instance) LocalStructure(v int) adversary.Restricted {
 func (in *Instance) LocalKnowledge() adversary.LocalKnowledge {
 	in.lazy.localOnce.Do(func() { in.lazy.local = in.Gamma.AllLocalStructures(in.Z) })
 	return in.lazy.local
-}
-
-// JointStructure returns Z_B = ⊕_{v∈B} Z_v for a node set B. Results are
-// memoized per sub-fold (semilattice laws make the sharing sound), so
-// candidate enumerations that grow B one node at a time pay one ⊕ per call.
-func (in *Instance) JointStructure(b nodeset.Set) adversary.Restricted {
-	return in.joints.JointOf(b)
-}
-
-// JointViewNodes returns V(γ(B)) = ∪_{v∈B} V(γ(v)) without materializing
-// the joint view graph, memoized the same way as JointStructure.
-func (in *Instance) JointViewNodes(b nodeset.Set) nodeset.Set {
-	return in.viewNodes.Of(b)
 }
 
 // Derived returns the instance-scoped singleton registered under key,

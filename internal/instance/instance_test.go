@@ -109,8 +109,8 @@ func TestLocalAndJointStructure(t *testing.T) {
 		t.Fatal("unknown node local structure not identity")
 	}
 	// Joint of {3} is Z_3 itself.
-	if !in.JointStructure(nodeset.Of(3)).Equal(r3) {
-		t.Fatal("JointStructure({3}) != Z_3")
+	if !in.LocalKnowledge().JointOf(nodeset.Of(3)).Equal(r3) {
+		t.Fatal("JointOf({3}) != Z_3")
 	}
 }
 

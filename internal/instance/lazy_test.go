@@ -9,6 +9,7 @@ import (
 	"rmt/internal/gen"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
+	"rmt/internal/ppa"
 	"rmt/internal/zcpa"
 )
 
@@ -30,7 +31,7 @@ func TestLazyStateConcurrentFirstUse(t *testing.T) {
 		}
 		ids := g.SortedIDs()
 		joint := nodeset.Of(ids[1], ids[len(ids)/2], ids[len(ids)-2])
-		wantKey, wantJoint := ref.CanonicalKey(), ref.JointStructure(joint)
+		wantKey, wantJoint := ref.CanonicalKey(), ref.LocalKnowledge().JointOf(joint)
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
 			wg.Add(1)
@@ -51,8 +52,8 @@ func TestLazyStateConcurrentFirstUse(t *testing.T) {
 				if len(lk) != len(ids) {
 					t.Errorf("%s: LocalKnowledge has %d entries, want %d", level, len(lk), len(ids))
 				}
-				if !fresh.JointStructure(joint).Equal(wantJoint) {
-					t.Errorf("%s: concurrent JointStructure disagrees", level)
+				if !lk.JointOf(joint).Equal(wantJoint) {
+					t.Errorf("%s: concurrent JointOf disagrees", level)
 				}
 				if fresh.CanonicalKey() != wantKey {
 					t.Errorf("%s: concurrent CanonicalKey disagrees", level)
@@ -63,9 +64,10 @@ func TestLazyStateConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestCutSearchesLeaveZvUnbuilt: building, keying and both feasibility cut
-// searches read V(γ(v)) and 𝒵 only, so a feasibility request never pays
-// for the local structures; the first LocalStructure call builds them.
+// TestCutSearchesLeaveZvUnbuilt: building, keying, both feasibility cut
+// searches, their verifiers and PPA's pair cut read V(γ(v)) and 𝒵 only, so
+// a feasibility request or a watch re-seed never pays for the local
+// structures; the first LocalStructure call builds them.
 func TestCutSearchesLeaveZvUnbuilt(t *testing.T) {
 	g, z, d, rcv := gen.ChimeraScaled(2)
 	for _, level := range gen.Levels() {
@@ -74,8 +76,17 @@ func TestCutSearchesLeaveZvUnbuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.CanonicalKey()
-		core.FindRMTCut(in)
-		zcpa.FindRMTZppCut(in)
+		if cut, found := core.FindRMTCut(in); found {
+			if err := core.VerifyRMTCut(in, cut); err != nil {
+				t.Fatalf("%s: %v", level, err)
+			}
+		}
+		if cut, found := zcpa.FindRMTZppCut(in); found {
+			if err := zcpa.VerifyZppCut(in, cut); err != nil {
+				t.Fatalf("%s: %v", level, err)
+			}
+		}
+		ppa.PairCut(in)
 		if instance.LocalKnowledgeBuilt(in) {
 			t.Fatalf("%s: the feasibility path built Z_v", level)
 		}

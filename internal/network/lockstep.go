@@ -56,7 +56,13 @@ func runRounds(cfg Config, parallel bool) (*Result, error) {
 	st.sealRound(0)
 	st.refreshDecisions() // record Init-time decisions as round 0
 
+	var err error
 	for round := 1; round <= st.maxRounds; round++ {
+		if cfg.Context != nil {
+			if err = cfg.Context.Err(); err != nil {
+				break
+			}
+		}
 		st.applyChurn(round)
 		live := st.takePending(round)
 		if live == 0 && st.futureLive() == 0 && st.allHalted() {
@@ -81,8 +87,13 @@ func runRounds(cfg Config, parallel bool) (*Result, error) {
 			break
 		}
 	}
+	// An aborted run still drains its calendar, so the pooled state is
+	// clean for the next run.
 	res := st.result()
 	st.release()
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

@@ -31,6 +31,7 @@
 package network
 
 import (
+	"context"
 	"fmt"
 
 	"rmt/internal/graph"
@@ -183,6 +184,10 @@ type Config struct {
 	// coordinating goroutine (see Tracer). The engine's metrics and the
 	// optional transcript recorder are installed automatically.
 	Tracers []Tracer
+	// Context, when non-nil, is polled once per round; once it is done the
+	// run stops and returns its error. A server passes its request deadline
+	// here so that one long run cannot hold a worker past it.
+	Context context.Context
 }
 
 // engine returns the effective engine (Lockstep when unset).

@@ -2,7 +2,6 @@ package nodeset
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -62,59 +61,4 @@ func TestMutateUnionNeverAliasesArgument(t *testing.T) {
 	if big.Key() != snapshot {
 		t.Fatalf("argument mutated through aliasing: %v (key %q), want key %q", big, big.Key(), snapshot)
 	}
-}
-
-// TestUnionCacheMatchesDirectUnion: the memoized incremental union must
-// agree with the direct fold for arbitrary (including repeated) queries.
-func TestUnionCacheMatchesDirectUnion(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(9)
-		vals := make([]Set, n)
-		for v := range vals {
-			vals[v] = randomSet(r, 70, 0.5)
-		}
-		calls := 0
-		c := NewUnionCache(func(v int) Set { calls++; return vals[v] })
-		for q := 0; q < 30; q++ {
-			b := randomSet(r, n, 0.5)
-			want := Empty()
-			b.ForEach(func(v int) bool { want = want.Union(vals[v]); return true })
-			if got := c.Of(b); !got.Equal(want) {
-				t.Fatalf("trial %d: Of(%v) = %v, want %v", trial, b, got, want)
-			}
-		}
-		if calls > n {
-			t.Fatalf("per-node function called %d times for %d nodes — memoization broken", calls, n)
-		}
-	}
-}
-
-// TestUnionCacheConcurrent is the -race smoke test for the shared memo.
-func TestUnionCacheConcurrent(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	vals := make([]Set, 12)
-	for v := range vals {
-		vals[v] = randomSet(r, 70, 0.5)
-	}
-	c := NewUnionCache(func(v int) Set { return vals[v] })
-	queries := make([]Set, 24)
-	for i := range queries {
-		queries[i] = randomSet(r, len(vals), 0.5)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, b := range queries {
-				want := Empty()
-				b.ForEach(func(v int) bool { want = want.Union(vals[v]); return true })
-				if got := c.Of(b); !got.Equal(want) {
-					panic("concurrent UnionCache mismatch")
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -18,9 +18,11 @@
 package ppa
 
 import (
+	"context"
 	"sort"
 
 	"rmt/internal/core"
+	"rmt/internal/cutsearch"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
@@ -219,18 +221,17 @@ func Resilient(in *instance.Instance) (bool, error) {
 
 // PairCut searches for a 𝒵-pair cut: a D–R separator C = Z1 ∪ Z2 with
 // Z1, Z2 ∈ 𝒵 — the full-knowledge impossibility condition PPA is tight
-// against. It returns a witness if one exists.
+// against. It returns a witness if one exists. On the cutsearch kernel it
+// is the JointView test with V(G) as every node's view: t = C \ M1 must
+// lie in one maximal set, and the witness is (C ∩ M1, C \ M1).
 func PairCut(in *instance.Instance) (z1, z2 nodeset.Set, found bool) {
-	if !in.G.Connected(in.Dealer, in.Receiver) {
-		return nodeset.Empty(), nodeset.Empty(), true
-	}
-	in.G.ReceiverSideCandidates(in.Dealer, in.Receiver, func(b, cut nodeset.Set) bool {
-		// A pair cut is exactly a cut on which Q2 fails.
-		if c1, c2, covered := in.Z.CoversWith(cut); covered {
-			z1, z2, found = c1, c2, true
-			return false
-		}
-		return true
-	})
-	return z1, z2, found
+	cond := cutsearch.FromInstance(in, cutsearch.JointView)
+	cond.Views = wholeGraph{in.G}
+	w, found, _, _ := cutsearch.Search(context.Background(), cond, 0)
+	return w.C1, w.C2, found
 }
+
+// wholeGraph gives every node V(G) as its view: full knowledge.
+type wholeGraph struct{ g *graph.Graph }
+
+func (w wholeGraph) NodesOf(int) nodeset.Set { return w.g.Nodes() }

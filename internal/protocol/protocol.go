@@ -15,6 +15,8 @@
 package protocol
 
 import (
+	"context"
+
 	"rmt/internal/adversary"
 	"rmt/internal/instance"
 	"rmt/internal/network"
@@ -117,6 +119,9 @@ type Options struct {
 	// Decider overrides the full decision subroutine; takes precedence
 	// over Oracle when non-nil. Read by: zcpa, broadcast.
 	Decider Decider
+	// Context, when non-nil, stops the run at the first round boundary
+	// after it is done, with its error (see network.Config.Context).
+	Context context.Context
 }
 
 // Caps declares a protocol's capabilities and requirements to generic

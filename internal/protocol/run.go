@@ -44,6 +44,7 @@ func Run(p Protocol, in *instance.Instance, xD network.Value, opts Options) (*ne
 		MaxRounds:        opts.MaxRounds,
 		Tracers:          opts.Tracers,
 		Churn:            opts.Churn,
+		Context:          opts.Context,
 	}
 	if opts.Blueprint != nil {
 		bp := *opts.Blueprint

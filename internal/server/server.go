@@ -14,7 +14,7 @@
 //     backpressure: when the queue is full the daemon answers 429 instead of
 //     accumulating goroutines. The per-request deadline context is plumbed
 //     into the compute itself — the cut searches poll it once per candidate
-//     and multi-trial runs poll it between trials — so a timed-out request
+//     and protocol runs once per round — so a timed-out request
 //     answers 504 *and* frees its worker slot promptly rather than leaking
 //     it to a stuck exponential search. A client that disconnects early
 //     cancels its compute the same way, logged as 499 and counted
@@ -874,9 +874,9 @@ func (s *Server) runTrials(ctx context.Context, in *instance.Instance, req *RunR
 		workers = runTrialWorkers
 	}
 	trials := eval.ParallelMap(req.Trials, workers, func(i int) TrialResult {
-		// Each trial is bounded by MaxRounds, so polling the deadline
-		// between trials is enough to keep abandoned requests from holding
-		// a worker through a long multi-trial sweep.
+		// The deadline is polled between trials and, through the run's
+		// context, once per round: max_rounds has no cap, so one trial of
+		// a never-deciding run could otherwise hold the worker far past it.
 		if err := ctx.Err(); err != nil {
 			errMu.Lock()
 			if firstErr == nil {
@@ -886,7 +886,7 @@ func (s *Server) runTrials(ctx context.Context, in *instance.Instance, req *RunR
 			return TrialResult{}
 		}
 		schedSeed := eval.TrialSeed(req.Seed, 0, i)
-		opts := protocol.Options{Engine: eng, MaxRounds: req.MaxRounds}
+		opts := protocol.Options{Engine: eng, MaxRounds: req.MaxRounds, Context: ctx}
 		if eng == network.Async {
 			sched, err := network.NewScheduler(req.Schedule, schedSeed)
 			if err != nil {

@@ -476,6 +476,22 @@ func TestDeadlineAnswers504(t *testing.T) {
 	}
 }
 
+// TestRunTrialStopsAtDeadline: a /v1/run trial polls the request deadline
+// once per round, not only between trials. The spammer never goes quiet
+// and the receiver never decides, so with max_rounds in the millions the
+// one trial would hold the only worker for seconds after its request timed
+// out; the request right after it must be served, not answered 504.
+func TestRunTrialStopsAtDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, RequestTimeout: 200 * time.Millisecond})
+	code, body := post(t, ts, "/v1/run", `{"graph":"0-1 1-2","structure":"1","dealer":0,"receiver":2,"corrupt":[1],"attack":"spammer","max_rounds":3000000}`)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("never-deciding run answered %d %s, want 504", code, body)
+	}
+	if code, body := post(t, ts, "/v1/run", solvableButterfly); code != http.StatusOK {
+		t.Fatalf("the request after it answered %d %s, want 200", code, body)
+	}
+}
+
 // TestClientCancelNotCountedAsTimeout: a client that disconnects while its
 // request waits on the pool is recorded in rmtd_client_cancels_total (and
 // logged as 499), not in rmtd_timeouts_total — the timeout metric must only

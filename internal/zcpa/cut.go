@@ -63,7 +63,7 @@ func FindRMTZppCutCtx(ctx context.Context, in *instance.Instance) (ZppCut, bool,
 }
 
 func findRMTZppCut(ctx context.Context, in *instance.Instance, maxCandidates int) (ZppCut, bool, bool, error) {
-	w, found, complete, err := cutsearch.Search(ctx, in, cutsearch.Neighborhood, maxCandidates)
+	w, found, complete, err := cutsearch.Search(ctx, cutsearch.FromInstance(in, cutsearch.Neighborhood), maxCandidates)
 	return ZppCut(w), found, complete, err
 }
 

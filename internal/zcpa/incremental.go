@@ -69,6 +69,6 @@ func (ic *IncrementalCut) Stats() (repaired, fresh int) { return ic.repaired, ic
 // for in; see core.repairRMTCut for the shape argument. The candidate
 // predicate here is Definition 7's: ∀u ∈ B, N(u) ∩ C2 ∈ Z_u.
 func repairZppCut(in *instance.Instance, old ZppCut) (ZppCut, bool) {
-	w, ok := cutsearch.Repair(in, cutsearch.Neighborhood, cutsearch.Witness(old))
+	w, ok := cutsearch.Repair(cutsearch.FromInstance(in, cutsearch.Neighborhood), cutsearch.Witness(old))
 	return ZppCut(w), ok
 }
