@@ -11,14 +11,16 @@ GO ?= go
 # loop, the parallel experiment harness, the protocol registry, the
 # Byzantine strategy library, the attack sweep that fans trials out across
 # workers, the wire engine's coordinator/child plumbing, the sharded query
-# daemon, and the instance's lazily built Z_v and canonical key, which
-# concurrent run trials reach first together).
+# daemon, the instance's lazily built Z_v and canonical key, which
+# concurrent run trials reach first together, and the 𝒵-CPA deciders —
+# selfred's Π-simulating one included — that goroutine-engine players
+# share).
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
-	$(GO) test -race ./internal/network/ ./internal/eval/ ./internal/protocol/ ./internal/byzantine/ ./internal/attack/ ./internal/server/ ./internal/wire/ ./internal/feasibility/ ./internal/mbrb/ ./internal/smt/ ./internal/instance/
+	$(GO) test -race ./internal/network/ ./internal/eval/ ./internal/protocol/ ./internal/byzantine/ ./internal/attack/ ./internal/server/ ./internal/wire/ ./internal/feasibility/ ./internal/mbrb/ ./internal/smt/ ./internal/instance/ ./internal/selfred/ ./internal/zcpa/
 
 test:
 	$(GO) test ./...
@@ -45,8 +47,9 @@ benchguard:
 # Allocation-only hot-path guards. Unlike wall-clock numbers, allocation
 # counts are deterministic, so these DO gate every PR — they run as
 # ordinary tests inside `go test ./...` (and therefore inside tier1); the
-# named target runs every *AllocBudget test alone: the PKA receiver, warm
-# and on a fresh instance, the cut searches, the connected-set walk, and
+# named target runs every *AllocBudget test alone: every protocol
+# benchmark row (TestProtocolAllocBudget), warm on a shared instance and
+# cold on a fresh one, the cut searches, the connected-set walk, and
 # parse + build + CanonicalKey at every knowledge level.
 allocguard:
 	$(GO) test -run 'AllocBudget' -count=1 . ./internal/graph/

@@ -1,8 +1,9 @@
 package rmt
 
-// Tier-1 allocation guards for the PKA receiver hot path, warm and cold,
-// the cut searches and the instance layer every request builds. The full benchguard (make benchguard) is opt-in because
-// wall-clock numbers are too machine-sensitive to gate every PR — but
+// Tier-1 allocation guards for every protocol benchmark row, warm and
+// cold, the cut searches and the instance layer every request builds. The
+// full benchguard (make benchguard) is opt-in because wall-clock numbers
+// are too machine-sensitive to gate every PR — but
 // allocation counts are not: they are deterministic modulo GC-driven pool
 // evictions, so cheap AllocsPerRun checks can run in the ordinary test
 // suite and catch the packed receiver, the word-level cut kernel or the
@@ -21,76 +22,69 @@ import (
 	"rmt/internal/nodeset"
 )
 
-// pkaRunAllocBudget is deliberately looser than the steady-state figure
-// (~35 allocs/op in BENCH.json, guarded exactly by benchguard): the tier-1
-// budget only has to catch the hot path falling off a cliff — a map
-// rebuilt per run, a transcript recorded unconditionally — not one stray
-// allocation, and the slack absorbs an unluckily timed GC emptying the
-// run-state pool mid-measurement.
-const pkaRunAllocBudget = 100
+// protocolAllocBudget bounds one run of every benchdef.ProtoBenches row,
+// warm — one shared instance, whose run-state pool and memo caches the
+// first runs fill — and cold — a fresh pb.Instance() per run, the build
+// included, which is what /v1/run and every new sweep instance pay.
+// Budgets sit about a quarter above the counts measured when protocol runs
+// moved onto the sender tally, the one-pass loss sweeps and the one-pass
+// G_M; a per-message or per-recipient allocation costs hundreds more on
+// the Large rows.
+var protocolAllocBudget = map[string]struct{ warm, cold float64 }{
+	"PKARun":       {42, 485},
+	"PKARunNoMemo": {205, 430},
+	"PKARunLarge":  {55, 9490},
+	"ZCPARun":      {24, 98},
+	"ZCPARunLarge": {285, 2810},
+	"PPARun":       {88, 150},
+	"BroadcastRun": {24, 98},
+	"MBRBRun":      {58, 160},
+	"MBRBRunLarge": {380, 3585},
+	"SMTRun":       {92, 168},
+	"SMTRunLarge":  {515, 820},
+}
 
-func TestPKARunAllocBudget(t *testing.T) {
+func TestProtocolAllocBudget(t *testing.T) {
 	if raceEnabled {
 		// sync.Pool randomly bypasses caching under the race detector, so
 		// pooled run states look freshly allocated and the count is noise.
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	in, err := benchdef.ChainInstance(3, 2, gen.Radius2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() {
-		res, err := RunProtocol(ProtocolPKA, in, "x", nil, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := res.DecisionOf(in.Receiver); !ok {
-			t.Fatal("undecided")
-		}
-	}
-	// Warm the run-state pool and the instance's memo caches so the
-	// measurement sees the steady state a long-running caller sees.
-	for i := 0; i < 3; i++ {
-		run()
-	}
-	avg := testing.AllocsPerRun(20, run)
-	if avg > pkaRunAllocBudget {
-		t.Errorf("a PKA run allocates %.1f allocs/op, budget %d — the packed receiver hot path regressed", avg, pkaRunAllocBudget)
-	}
-}
-
-// pkaColdRunAllocBudget bounds a PKA run on a fresh instance — what
-// /v1/run and every new sweep instance pay — counting the instance build,
-// with the receiver's memo and under DisableMemo. Counted when the adversary
-// cover moved onto the cut kernel: 1,118 → 436 allocs with the memo and
-// 1,076 → 393 without, of which building the instance and its Z_v is
-// about 186. The budgets leave about a quarter of slack and stay under
-// half the ⊕-fold cover's counts.
-var pkaColdRunAllocBudget = map[bool]float64{false: 550, true: 495}
-
-func TestPKAColdRunAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	for _, nomemo := range []bool{false, true} {
-		run := func() {
-			in, err := benchdef.ChainInstance(3, 2, gen.Radius2)
-			if err != nil {
-				t.Fatal(err)
+	for _, pb := range benchdef.ProtoBenches {
+		t.Run(pb.Name, func(t *testing.T) {
+			budget, ok := protocolAllocBudget[pb.Name]
+			if !ok {
+				t.Fatal("no allocation budget")
 			}
-			res, err := RunProtocol(ProtocolPKA, in, "x", nil, RunOptions{DisableMemo: nomemo})
-			if err != nil {
-				t.Fatal(err)
+			fresh := func() *Instance {
+				in, err := pb.Instance()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return in
 			}
-			if _, ok := res.DecisionOf(in.Receiver); !ok {
-				t.Fatal("undecided")
+			run := func(in *Instance) {
+				res, err := RunProtocol(pb.Protocol, in, "x", nil, pb.Opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := res.DecisionOf(in.Receiver); pb.MustDecide && !ok {
+					t.Fatal("undecided")
+				}
 			}
-		}
-		run()
-		avg := testing.AllocsPerRun(20, run)
-		if budget := pkaColdRunAllocBudget[nomemo]; avg > budget {
-			t.Errorf("a cold PKA run (DisableMemo %v) allocates %.1f allocs/op, budget %.0f — the adversary cover allocates per candidate side again", nomemo, avg, budget)
-		}
+			in := fresh()
+			for i := 0; i < 3; i++ {
+				run(in)
+			}
+			warm := testing.AllocsPerRun(20, func() { run(in) })
+			cold := testing.AllocsPerRun(20, func() { run(fresh()) })
+			if warm > budget.warm {
+				t.Errorf("a warm run allocates %.0f allocs/op, budget %.0f", warm, budget.warm)
+			}
+			if cold > budget.cold {
+				t.Errorf("a cold run allocates %.0f allocs/op, budget %.0f", cold, budget.cold)
+			}
+		})
 	}
 }
 

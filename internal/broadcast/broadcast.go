@@ -85,13 +85,7 @@ func (o localOracle) Member(v int, reporters nodeset.Set) bool {
 // relay-and-decide players everywhere, with the given corrupted overrides
 // (the dealer cannot be corrupted).
 func NewProcesses(in *Instance, xD network.Value, corrupt map[int]network.Process) map[int]network.Process {
-	decider := zcpa.WrapOracle(localOracle{in: in})
-	return protocol.Build(in.G, nodeset.Of(in.Dealer), corrupt, func(v int) network.Process {
-		if v == in.Dealer {
-			return zcpa.NewDealer(in.G.Neighbors(v), xD)
-		}
-		return zcpa.NewRelayPlayer(v, in.Dealer, in.G.Neighbors(v), decider)
-	})
+	return zcpa.NewPlayers(in.G, in.Dealer, -1, nodeset.Of(in.Dealer), xD, corrupt, zcpa.WrapOracle(localOracle{in: in}))
 }
 
 // Run executes 𝒵-CPA broadcast and returns the run result; decisions of

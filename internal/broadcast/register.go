@@ -36,12 +36,7 @@ func (Proto) Assemble(in *instance.Instance, xD network.Value, opts protocol.Opt
 		}
 		decider = zcpa.WrapOracle(oracle)
 	}
-	return protocol.Build(in.G, nodeset.Of(in.Dealer, in.Receiver), opts.Corrupt, func(v int) network.Process {
-		if v == in.Dealer {
-			return zcpa.NewDealer(in.G.Neighbors(v), xD)
-		}
-		return zcpa.NewRelayPlayer(v, in.Dealer, in.G.Neighbors(v), decider)
-	}), nil
+	return zcpa.NewPlayers(in.G, in.Dealer, -1, nodeset.Of(in.Dealer, in.Receiver), xD, opts.Corrupt, decider), nil
 }
 
 // Solvable implements protocol.Feasibility for the designated receiver's

@@ -191,3 +191,81 @@ func TestMalformedClaimsAreErroneous(t *testing.T) {
 		}
 	}
 }
+
+// refGraphOfCombo is G_M as the receiver built it before one pass: the
+// claimed views folded by Union in ascending node order, then induced on
+// the claimed node set.
+func refGraphOfCombo(members []int, combo []claimVer) *graph.Graph {
+	var vm nodeset.Set
+	views := map[int]*graph.Graph{}
+	for i, id := range members {
+		vm.MutateAdd(id)
+		views[id] = combo[i].info.View
+	}
+	joint := graph.New()
+	vm.ForEach(func(id int) bool {
+		joint = joint.Union(views[id])
+		return true
+	})
+	return joint.InducedSubgraph(vm)
+}
+
+// TestGraphOfComboMatchesFoldAndInduce: on 1,000 seeded candidates — random
+// instances, forged views with extra edges and ghost nodes, members in
+// candidate order (dealer and receiver first), and claimed views carrying
+// competing node labels — graphOfCombo's one-pass G_M equals the
+// fold-and-induce G_M: nodes, edges, rendering and every node's label.
+func TestGraphOfComboMatchesFoldAndInduce(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	labelled := 0
+	for trial := 0; trial < 1000; trial++ {
+		n := 4 + r.Intn(6)
+		g := gen.RandomGNP(r, n, 0.3+r.Float64()*0.4)
+		z := adversary.Random(r, g.Nodes().Minus(nodeset.Of(0, n-1)), 1+r.Intn(3), 0.3)
+		in, err := gen.Build(g, z, gen.Levels()[trial%len(gen.Levels())], 0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcv := NewReceiver(in)
+		members := []int{in.Dealer, in.Receiver}
+		combo := []claimVer{{info: trueInfo(in, in.Dealer)}, {info: trueInfo(in, in.Receiver)}}
+		ghosted := false
+		for _, v := range r.Perm(n) {
+			if v == in.Dealer || v == in.Receiver || r.Intn(4) == 0 {
+				continue
+			}
+			info := trueInfo(in, v)
+			if r.Intn(2) == 0 {
+				forged, ghostInfo := randomClaim(r, in, v, n)
+				info = forged
+				if ghostInfo != nil && !ghosted {
+					ghosted = true
+					members = append(members, n)
+					combo = append(combo, claimVer{info: *ghostInfo})
+				}
+			}
+			if r.Intn(3) == 0 {
+				info.View = info.View.Clone()
+				info.View.SetLabel(info.View.Nodes().Members()[r.Intn(info.View.NumNodes())], fmt.Sprintf("by%d", v))
+			}
+			members = append(members, v)
+			combo = append(combo, claimVer{info: info})
+		}
+		got, want := rcv.graphOfCombo(members, combo), refGraphOfCombo(members, combo)
+		if !got.Equal(want) || got.String() != want.String() || got.MaxID() != want.MaxID() {
+			t.Fatalf("trial %d on %v: G_M %v, reference %v", trial, in, got, want)
+		}
+		want.Nodes().ForEach(func(id int) bool {
+			if got.Label(id) != want.Label(id) {
+				t.Fatalf("trial %d: label of %d = %q, reference %q", trial, id, got.Label(id), want.Label(id))
+			}
+			if want.Label(id) != fmt.Sprint(id) {
+				labelled++
+			}
+			return true
+		})
+	}
+	if labelled < 500 {
+		t.Fatalf("only %d labelled G_M nodes compared", labelled)
+	}
+}

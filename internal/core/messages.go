@@ -62,15 +62,16 @@ func (ni NodeInfo) Sealed() NodeInfo {
 }
 
 // bitSize estimates the encoded size: node IDs at 16 bits, edges at 32,
-// antichain entries at 16 bits per element.
-func (ni NodeInfo) bitSize() int {
+// antichain entries at 16 bits per element. It and renderBitSize take a
+// pointer so that reading a sealed claim's size copies nothing.
+func (ni *NodeInfo) bitSize() int {
 	if ni.bits != 0 {
 		return ni.bits
 	}
 	return ni.renderBitSize()
 }
 
-func (ni NodeInfo) renderBitSize() int {
+func (ni *NodeInfo) renderBitSize() int {
 	bits := 16
 	bits += 16*ni.View.NumNodes() + 32*ni.View.NumEdges()
 	bits += 16 * ni.Z.Domain.Len()

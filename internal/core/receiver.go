@@ -128,6 +128,7 @@ type Receiver struct {
 	candKey        []byte
 	memberSet      nodeset.Set
 	membersScratch []int
+	viewsScratch   []*graph.Graph // graphOfCombo's claimed views, by node ID
 	optScratch     []int
 	comboScratch   []claimVer
 	pairScratch    []vpair
@@ -649,19 +650,20 @@ func (r *Receiver) buildRecord(members []int, combo []claimVer) *candRec {
 }
 
 // graphOfCombo builds G_M: the union of the claimed views γ(V_M), induced
-// on the claimed node set V_M.
+// on the claimed node set V_M, in one pass over the views' rows.
 func (r *Receiver) graphOfCombo(members []int, combo []claimVer) *graph.Graph {
 	var vm nodeset.Set
 	for _, id := range members {
 		vm.MutateAdd(id)
 	}
-	joint := graph.New()
-	// Deterministic union order (ascending by node ID).
+	// Deterministic union order (ascending by node ID), which fixes labels.
+	views := r.viewsScratch[:0]
 	vm.ForEach(func(id int) bool {
-		joint.UnionInPlace(r.comboView(members, combo, id))
+		views = append(views, r.comboView(members, combo, id))
 		return true
 	})
-	return joint.InducedSubgraph(vm)
+	r.viewsScratch = views
+	return graph.UnionInduced(vm, views)
 }
 
 func (r *Receiver) comboView(members []int, combo []claimVer, id int) *graph.Graph {

@@ -148,7 +148,7 @@ func decodeClaims(src *bytesIn, in *instance.Instance) (*graph.Graph, claimSet) 
 	}
 	gm := graph.New()
 	members.ForEach(func(v int) bool {
-		gm.UnionInPlace(claims[v].view)
+		gm = gm.Union(claims[v].view)
 		return true
 	})
 	return gm.InducedSubgraph(members), claims

@@ -77,7 +77,7 @@ func E7DecisionProtocol(p Params) *Table {
 					panic(err)
 				}
 				c.runs++
-				c.pairs += pi.SimulatedRuns / 2
+				c.pairs += int(pi.SimulatedRuns.Load() / 2)
 				dv, dok := direct.DecisionOf(in.Receiver)
 				sv, sok := sim.DecisionOf(in.Receiver)
 				if dv == sv && dok == sok && direct.Rounds == sim.Rounds {

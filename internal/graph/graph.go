@@ -290,26 +290,47 @@ func (g *Graph) Union(h *Graph) *Graph {
 	return u
 }
 
-// UnionInPlace adds h's nodes and edges to g in place and returns g. It is
-// the accumulator form of Union for incrementally maintained joint views:
-// folding k views into one graph costs O(Σ|view|) instead of the O(k²)
-// node-set cloning of repeated Union calls. g must be exclusively owned by
-// the caller; h is never retained or modified.
-func (g *Graph) UnionInPlace(h *Graph) *Graph {
-	if m := h.nodes.Max(); m >= 0 {
-		g.ensure(m)
+// UnionInduced returns the union of graphs induced on keep: the nodes of
+// keep that lie in some graph, and every edge of some graph with both
+// endpoints kept. A node's label is the first one the graphs give it, in
+// slice order. It is the fold of Union over graphs followed by
+// InducedSubgraph(keep), built in one pass over the graphs' rows: each kept
+// row is allocated once and masked in place, and the union itself is never
+// materialized.
+func UnionInduced(keep nodeset.Set, graphs []*Graph) *Graph {
+	var all nodeset.Set
+	for _, h := range graphs {
+		all.MutateUnion(h.nodes)
 	}
-	g.nodes = g.nodes.Union(h.nodes)
-	h.nodes.ForEach(func(id int) bool {
-		g.adj[id] = g.adj[id].Union(h.adj[id])
+	kept := all.Intersect(keep)
+	sub := &Graph{nodes: kept}
+	m := kept.Max()
+	if m < 0 {
+		return sub
+	}
+	sub.adj = make([]nodeset.Set, m+1)
+	for _, h := range graphs {
+		h.nodes.ForEach(func(u int) bool {
+			if kept.Contains(u) {
+				sub.adj[u].MutateUnion(h.adj[u])
+			}
+			return true
+		})
+	}
+	// Every row lies inside all, so masking it to kept drops all \ keep.
+	drop := all.Minus(keep)
+	kept.ForEach(func(u int) bool {
+		sub.adj[u].MutateMinus(drop)
 		return true
 	})
-	for id, l := range h.labels {
-		if _, taken := g.labels[id]; !taken {
-			g.SetLabel(id, l)
+	for _, h := range graphs {
+		for id, l := range h.labels {
+			if _, taken := sub.labels[id]; !taken && kept.Contains(id) {
+				sub.SetLabel(id, l)
+			}
 		}
 	}
-	return g
+	return sub
 }
 
 // ComponentOf returns the node set of the connected component containing v,

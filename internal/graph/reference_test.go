@@ -172,3 +172,67 @@ func TestNewStarSharesRowsSafely(t *testing.T) {
 	}()
 	NewStar(1, nodeset.Of(1, 2))
 }
+
+// refUnionInPlace is the accumulator G_M was folded with before
+// UnionInduced: g grows by h's nodes, rows and labels, first label kept.
+func refUnionInPlace(g, h *Graph) *Graph {
+	if m := h.nodes.Max(); m >= 0 {
+		g.ensure(m)
+	}
+	g.nodes = g.nodes.Union(h.nodes)
+	h.nodes.ForEach(func(id int) bool {
+		g.adj[id] = g.adj[id].Union(h.adj[id])
+		return true
+	})
+	for id, l := range h.labels {
+		if _, taken := g.labels[id]; !taken {
+			g.SetLabel(id, l)
+		}
+	}
+	return g
+}
+
+// TestUnionInducedMatchesFoldAndInduce: on 1,000 seeded families of
+// overlapping views — spread IDs, shared nodes, some labelled with
+// competing labels — and keep sets that cut them and include non-nodes,
+// UnionInduced equals folding the views with refUnionInPlace in order and
+// inducing on keep: nodes, rows, row-slice length, labels and rendering.
+func TestUnionInducedMatchesFoldAndInduce(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 1000; trial++ {
+		span := 2 + r.Intn(90)
+		views := make([]*Graph, r.Intn(7))
+		keep := nodeset.Empty()
+		for i := range views {
+			n := 1 + r.Intn(min(span, 9))
+			views[i] = spreadGraph(r, n, span, 0.2+0.6*r.Float64())
+			if r.Intn(3) == 0 {
+				views[i].SetLabel(views[i].Nodes().Min(), fmt.Sprintf("v%d", i))
+			}
+			views[i].Nodes().ForEach(func(id int) bool {
+				if r.Intn(4) > 0 {
+					keep = keep.Add(id)
+				}
+				return true
+			})
+		}
+		for i := r.Intn(3); i > 0; i-- {
+			keep = keep.Add(r.Intn(span + 40))
+		}
+		joint := New()
+		for _, h := range views {
+			refUnionInPlace(joint, h)
+		}
+		ref := joint.InducedSubgraph(keep)
+		got := UnionInduced(keep, views)
+		if err := sameGraph(got, ref); err != nil {
+			t.Fatalf("trial %d: UnionInduced(%v): %v", trial, keep, err)
+		}
+		if len(got.adj) != len(ref.adj) || got.String() != ref.String() {
+			t.Fatalf("trial %d: %d rows %q, reference %d rows %q", trial, len(got.adj), got, len(ref.adj), ref)
+		}
+		if fmt.Sprint(got.labels) != fmt.Sprint(ref.labels) {
+			t.Fatalf("trial %d: labels %v, reference %v", trial, got.labels, ref.labels)
+		}
+	}
+}

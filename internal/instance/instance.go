@@ -35,6 +35,8 @@ type Instance struct {
 // read V(γ(v)) and 𝒵 directly), and the canonical key. It lives behind a
 // pointer so Instance stays copy-safe and copies share it.
 type lazy struct {
+	localMu   sync.Mutex
+	localOf   map[int]adversary.Restricted // Z_v, one node at a time
 	localOnce sync.Once
 	local     adversary.LocalKnowledge
 	keyOnce   sync.Once
@@ -103,12 +105,25 @@ func AdHoc(g *graph.Graph, z adversary.Structure, dealer, receiver int) (*Instan
 	return New(g, z, view.AdHoc(g), dealer, receiver)
 }
 
-// LocalStructure returns the memoized Z_v for node v.
+// LocalStructure returns the memoized Z_v for node v, building only Z_v:
+// a certification rule that reads one player's structure (the 𝒵-CPA
+// receiver's, say) never pays for every node's.
 func (in *Instance) LocalStructure(v int) adversary.Restricted {
-	if r, ok := in.LocalKnowledge()[v]; ok {
+	l := in.lazy
+	l.localMu.Lock()
+	defer l.localMu.Unlock()
+	if r, ok := l.localOf[v]; ok {
 		return r
 	}
-	return adversary.Identity()
+	if !in.Gamma.Domain().Contains(v) {
+		return adversary.Identity()
+	}
+	if l.localOf == nil {
+		l.localOf = make(map[int]adversary.Restricted)
+	}
+	r := in.Gamma.LocalStructure(in.Z, v)
+	l.localOf[v] = r
+	return r
 }
 
 // LocalKnowledge returns the full node → Z_v map, built on first use.

@@ -67,7 +67,7 @@ func TestLazyStateConcurrentFirstUse(t *testing.T) {
 // TestCutSearchesLeaveZvUnbuilt: building, keying, both feasibility cut
 // searches, their verifiers and PPA's pair cut read V(γ(v)) and 𝒵 only, so
 // a feasibility request or a watch re-seed never pays for the local
-// structures; the first LocalStructure call builds them.
+// structures; a LocalStructure call builds the one Z_v it asks for.
 func TestCutSearchesLeaveZvUnbuilt(t *testing.T) {
 	g, z, d, rcv := gen.ChimeraScaled(2)
 	for _, level := range gen.Levels() {
@@ -87,11 +87,14 @@ func TestCutSearchesLeaveZvUnbuilt(t *testing.T) {
 			}
 		}
 		ppa.PairCut(in)
-		if instance.LocalKnowledgeBuilt(in) {
+		if instance.LocalKnowledgeBuilt(in) || instance.LocalStructuresBuilt(in) > 0 {
 			t.Fatalf("%s: the feasibility path built Z_v", level)
 		}
-		if !in.LocalStructure(d).Equal(z.RestrictTo(in.Gamma.NodesOf(d))) || !instance.LocalKnowledgeBuilt(in) {
-			t.Fatalf("%s: LocalStructure did not build Z_v on first use", level)
+		if !in.LocalStructure(d).Equal(z.RestrictTo(in.Gamma.NodesOf(d))) || instance.LocalStructuresBuilt(in) != 1 {
+			t.Fatalf("%s: LocalStructure did not build Z_%d on first use", level, d)
+		}
+		if instance.LocalKnowledgeBuilt(in) {
+			t.Fatalf("%s: LocalStructure(%d) built every node's Z_v", level, d)
 		}
 	}
 }

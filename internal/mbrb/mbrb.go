@@ -31,7 +31,6 @@ package mbrb
 
 import (
 	"fmt"
-	"sort"
 
 	"rmt/internal/instance"
 	"rmt/internal/network"
@@ -102,8 +101,8 @@ type Player struct {
 	neighbors nodeset.Set
 	q         Quorums
 
-	echoes    map[network.Value]nodeset.Set
-	readys    map[network.Value]nodeset.Set
+	echoes    protocol.Tally
+	readys    protocol.Tally
 	echoed    bool
 	readied   bool
 	delivered bool
@@ -113,15 +112,12 @@ type Player struct {
 // NewPlayer builds the process for node id of the instance with the given
 // quorums; xD is non-empty exactly at the dealer.
 func NewPlayer(in *instance.Instance, id int, xD network.Value, q Quorums) *Player {
-	return &Player{
-		id:        id,
-		dealer:    in.Dealer,
-		value:     xD,
-		neighbors: in.G.Neighbors(id),
-		q:         q,
-		echoes:    make(map[network.Value]nodeset.Set),
-		readys:    make(map[network.Value]nodeset.Set),
-	}
+	p := newPlayer(in, id, xD, q)
+	return &p
+}
+
+func newPlayer(in *instance.Instance, id int, xD network.Value, q Quorums) Player {
+	return Player{id: id, dealer: in.Dealer, value: xD, neighbors: in.G.Neighbors(id), q: q}
 }
 
 // Init implements network.Process: the dealer broadcasts INIT, which counts
@@ -131,7 +127,7 @@ func (p *Player) Init(out network.Outbox) {
 		return
 	}
 	p.echoed = true
-	p.count(p.echoes, p.id, p.value)
+	p.echoes.Add(p.value, p.id)
 	p.broadcast(out, Msg{Phase: PhaseInit, X: p.value})
 }
 
@@ -151,30 +147,31 @@ func (p *Player) Round(_ int, inbox []network.Message, out network.Outbox) bool 
 				continue // only the dealer's INIT carries weight
 			}
 			// The dealer's INIT is its echo, and prompts ours.
-			p.count(p.echoes, m.From, msg.X)
+			p.echoes.Add(msg.X, m.From)
 			p.echo(out, msg.X)
 		case PhaseEcho:
-			p.count(p.echoes, m.From, msg.X)
+			p.echoes.Add(msg.X, m.From)
 		case PhaseReady:
-			p.count(p.readys, m.From, msg.X)
+			p.readys.Add(msg.X, m.From)
 		}
 	}
 	// Quorum checks run after the whole inbox is folded in, in sorted value
-	// order, so every engine reaches identical verdicts.
-	for _, x := range p.values(p.echoes) {
-		if p.echoes[x].Len() >= p.q.Amp {
-			p.echo(out, x) // self-count may complete the echo quorum below
+	// order, so every engine reaches identical verdicts. Self-counts below
+	// only add senders to values already tallied, so indices stay put.
+	for i := 0; i < p.echoes.Len(); i++ {
+		if p.echoes.Count(i) >= p.q.Amp {
+			p.echo(out, p.echoes.Value(i)) // self-count may complete the echo quorum below
 		}
-		if p.echoes[x].Len() >= p.q.Echo {
-			p.ready(out, x)
+		if p.echoes.Count(i) >= p.q.Echo {
+			p.ready(out, p.echoes.Value(i))
 		}
 	}
-	for _, x := range p.values(p.readys) {
-		if p.readys[x].Len() >= p.q.Amp {
-			p.ready(out, x)
+	for i := 0; i < p.readys.Len(); i++ {
+		if p.readys.Count(i) >= p.q.Amp {
+			p.ready(out, p.readys.Value(i))
 		}
-		if p.readys[x].Len() >= p.q.Deliver {
-			p.delivered, p.x = true, x
+		if p.readys.Count(i) >= p.q.Deliver {
+			p.delivered, p.x = true, p.readys.Value(i)
 			return false // deliver and halt
 		}
 	}
@@ -189,7 +186,7 @@ func (p *Player) echo(out network.Outbox, x network.Value) {
 		return
 	}
 	p.echoed = true
-	p.count(p.echoes, p.id, x)
+	p.echoes.Add(x, p.id)
 	p.broadcast(out, Msg{Phase: PhaseEcho, X: x})
 }
 
@@ -198,33 +195,18 @@ func (p *Player) ready(out network.Outbox, x network.Value) {
 		return
 	}
 	p.readied = true
-	p.count(p.readys, p.id, x)
+	p.readys.Add(x, p.id)
 	p.broadcast(out, Msg{Phase: PhaseReady, X: x})
 }
 
-func (p *Player) count(into map[network.Value]nodeset.Set, from int, x network.Value) {
-	set, ok := into[x]
-	if !ok {
-		set = nodeset.Empty()
-	}
-	into[x] = set.Add(from)
-}
-
+// broadcast sends m to every neighbor, boxing it once: every recipient
+// shares the one immutable payload.
 func (p *Player) broadcast(out network.Outbox, m Msg) {
+	var payload network.Payload = m
 	p.neighbors.ForEach(func(u int) bool {
-		out(u, m)
+		out(u, payload)
 		return true
 	})
-}
-
-// values returns the map's keys sorted, for deterministic quorum scans.
-func (p *Player) values(m map[network.Value]nodeset.Set) []network.Value {
-	vals := make([]network.Value, 0, len(m))
-	for x := range m {
-		vals = append(vals, x)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return vals
 }
 
 // NewProcesses assembles the MBRB process map for a run with suppression
@@ -232,12 +214,14 @@ func (p *Player) values(m map[network.Value]nodeset.Set) []network.Value {
 // corrupted overrides (the dealer and receiver cannot be corrupted).
 func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, d int) map[int]network.Process {
 	q := NewQuorums(in.N(), Threshold(in), d)
+	slab := make([]Player, 0, in.N()) // one allocation for the run's players
 	return protocol.Build(in.G, nodeset.Of(in.Dealer, in.Receiver), corrupt, func(v int) network.Process {
 		val := network.Value("")
 		if v == in.Dealer {
 			val = xD
 		}
-		return NewPlayer(in, v, val, q)
+		slab = append(slab, newPlayer(in, v, val, q))
+		return &slab[len(slab)-1]
 	})
 }
 

@@ -43,7 +43,7 @@ func runRounds(cfg Config, parallel bool) (*Result, error) {
 	// round loop is the simulator's hot path and must not allocate per
 	// player per round.
 	bufs, outboxes := st.setupBufs()
-	halted := make([]bool, len(st.ids))
+	halted := st.haltFlags
 	var wg *sync.WaitGroup
 	if parallel {
 		wg = new(sync.WaitGroup)
@@ -111,7 +111,7 @@ func (st *runState) compute(round int, bufs []sendBuf, outboxes []Outbox, halted
 			inbox = st.inboxOf(v)
 			st.noteInbox(v, round, inbox)
 		}
-		bufs[i].recs = bufs[i].recs[:0]
+		bufs[i].truncate()
 		if wg == nil {
 			halted[i] = step(st.procs[i], round, inbox, outboxes[i])
 			continue

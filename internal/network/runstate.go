@@ -1,6 +1,8 @@
 package network
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -35,6 +37,10 @@ type runState struct {
 	ids        []int
 	bufs       []sendBuf // per-player send buffers, reused across runs
 	outs       []Outbox  // outboxes bound to bufs (see setupBufs)
+	slab       []sendRec // backing store the send buffers are carved from
+	per        int       // records per buffer in slab
+	haltFlags  []bool    // per-player halt flags of the compute phase
+	lostBuf    []Message // scratch for loseHalted and loseSevered
 	maxRounds  int
 	procs      []Process         // procs[i] = cfg.Processes[ids[i]]
 	haltedB    []bool            // dense-ID fast path: haltedB[v], nil when IDs are sparse
@@ -154,6 +160,7 @@ func newRunState(cfg Config) *runState {
 type sendBuf struct {
 	from int
 	recs []sendRec
+	used int // the most records recs has held this run
 }
 
 type sendRec struct {
@@ -161,57 +168,63 @@ type sendRec struct {
 	ok  bool
 }
 
-// newOutbox returns the Outbox for player v writing into buf. The edge
-// check enforces authenticated channels: only existing links carry data.
-func (st *runState) newOutbox(v int, buf *sendBuf) Outbox {
+// truncate empties the buffer for the next round, remembering how far it
+// was filled so that release zeroes no more than the run wrote.
+func (b *sendBuf) truncate() {
+	b.used = max(b.used, len(b.recs))
+	b.recs = b.recs[:0]
+}
+
+// newOutbox returns the Outbox writing into buf as player buf.from. The
+// edge check enforces authenticated channels: only existing links carry
+// data. The sender is read from buf at send time, so a pooled closure
+// serves whichever player its buffer is assigned to in the next run.
+func (st *runState) newOutbox(buf *sendBuf) Outbox {
 	return func(to int, p Payload) {
+		v := buf.from
 		ok := to != v && st.cfg.Graph.HasEdge(v, to)
 		buf.recs = append(buf.recs, sendRec{msg: Message{From: v, To: to, Payload: p}, ok: ok})
 	}
 }
 
-// setupBufs builds the per-player send buffers and outboxes both engines
-// use. Buffers live for the whole run (recs are truncated, not reallocated,
-// each round) and their initial capacity is carved from one shared slab
-// sized by the average degree; a player that outgrows its slice reallocates
-// privately, so concurrent appends under the goroutine engine stay safe.
-//
-// A pooled runState that is re-run over a topology with the same player
-// IDs reuses the previous buffers and closures outright: the closures read
-// the graph through st.cfg, which newRunState has already repointed.
+// setupBufs hands out the per-player send buffers and outboxes both
+// engines use. Buffers live for the whole run (truncated, not
+// reallocated, each round) and their initial capacity is carved from one
+// slab sized by the average degree; a player that outgrows its window
+// reallocates privately, so concurrent appends under the goroutine engine
+// stay safe. A pooled runState reuses its slab whenever it is large
+// enough, and its buffers and outbox closures whenever there are enough of
+// them: the closures read the sender from their buffer and the graph
+// through st.cfg, which newRunState has already repointed.
 func (st *runState) setupBufs() ([]sendBuf, []Outbox) {
 	n := len(st.ids)
-	if len(st.bufs) == n {
-		same := true
-		for i, v := range st.ids {
-			if st.bufs[i].from != v {
-				same = false
-				break
-			}
-		}
-		if same {
-			for i := range st.bufs {
-				st.bufs[i].recs = st.bufs[i].recs[:0]
-			}
-			return st.bufs, st.outs
-		}
-	}
 	per := 8
 	if n > 0 {
 		if d := 4 * st.cfg.Graph.NumEdges() / n; d > per {
 			per = d
 		}
 	}
-	slab := make([]sendRec, n*per)
-	bufs := make([]sendBuf, n)
-	outs := make([]Outbox, n)
-	for i, v := range st.ids {
-		bufs[i].from = v
-		bufs[i].recs = slab[i*per : i*per : (i+1)*per]
-		outs[i] = st.newOutbox(v, &bufs[i])
+	st.per = per
+	if cap(st.slab) < n*per {
+		st.slab = make([]sendRec, n*per)
 	}
-	st.bufs, st.outs = bufs, outs
-	return bufs, outs
+	if len(st.bufs) < n {
+		st.bufs = make([]sendBuf, n)
+		st.outs = make([]Outbox, n)
+		for i := range st.bufs {
+			st.outs[i] = st.newOutbox(&st.bufs[i])
+		}
+	}
+	for i, v := range st.ids {
+		st.bufs[i].from = v
+		st.bufs[i].recs = st.slab[i*per : i*per : (i+1)*per]
+	}
+	if cap(st.haltFlags) < n {
+		st.haltFlags = make([]bool, n)
+	}
+	st.haltFlags = st.haltFlags[:n]
+	clear(st.haltFlags)
+	return st.bufs[:n], st.outs[:n]
 }
 
 // merge folds one player's send buffer into the delivery calendar, emitting
@@ -361,38 +374,14 @@ func (st *runState) churnPending() bool { return st.churnIdx < len(st.churn) }
 func (st *runState) loseSevered() {
 	g := st.cfg.Graph
 	rounds := make([]int, 0, len(st.future))
-	for at, flat := range st.future {
-		for _, m := range flat {
-			if !g.HasEdge(m.From, m.To) {
-				rounds = append(rounds, at)
-				break
-			}
-		}
+	for at := range st.future {
+		rounds = append(rounds, at)
 	}
 	sort.Ints(rounds)
 	for _, at := range rounds {
 		flat := st.future[at]
-		var tos []int
-		for _, m := range flat {
-			if !g.HasEdge(m.From, m.To) && !containsInt(tos, m.To) {
-				tos = append(tos, m.To)
-			}
-		}
-		sort.Ints(tos)
-		for _, to := range tos {
-			for _, m := range flat {
-				if m.To == to && !g.HasEdge(m.From, m.To) {
-					st.lose(at, m)
-					st.inFlight--
-				}
-			}
-		}
-		kept := flat[:0]
-		for _, m := range flat {
-			if g.HasEdge(m.From, m.To) {
-				kept = append(kept, m)
-			}
-		}
+		kept := st.loseWhere(at, flat, func(m Message) bool { return !g.HasEdge(m.From, m.To) })
+		st.inFlight -= len(flat) - len(kept)
 		if len(kept) == 0 {
 			delete(st.future, at)
 			st.freeFlat = append(st.freeFlat, kept)
@@ -527,53 +516,46 @@ func (st *runState) isHalted(v int) bool {
 }
 
 // loseHalted strips messages addressed to halted players from one round
-// buffer, recording each as a loss: halted recipients in ascending ID
-// order, each recipient's messages in merge order — the event order the
-// per-recipient calendar this replaced emitted. The surviving messages are
-// compacted in place.
+// buffer, recording each as a loss (see loseWhere for the order). The
+// surviving messages are compacted in place.
 func (st *runState) loseHalted(round int, flat []Message) []Message {
 	if st.haltedN == 0 {
 		return flat
 	}
-	lost := 0
-	for _, m := range flat {
-		if st.isHalted(m.To) {
-			lost++
-		}
-	}
-	if lost == 0 {
+	return st.loseWhere(round, flat, func(m Message) bool { return st.isHalted(m.To) })
+}
+
+// loseWhere records the messages of flat that lost reports as losses in
+// round, in one stable pass: recipients ascending, each recipient's
+// messages in merge order — the event order every loss sweep emits. It
+// returns the other messages, compacted in place in merge order.
+func (st *runState) loseWhere(round int, flat []Message, lost func(Message) bool) []Message {
+	first := slices.IndexFunc(flat, lost)
+	if first < 0 {
 		return flat
 	}
-	tos := make([]int, 0, 8)
-	for _, m := range flat {
-		if st.isHalted(m.To) && !containsInt(tos, m.To) {
-			tos = append(tos, m.To)
-		}
-	}
-	sort.Ints(tos)
-	for _, to := range tos {
-		for _, m := range flat {
-			if m.To == to {
-				st.lose(round, m)
-			}
-		}
-	}
-	kept := flat[:0]
-	for _, m := range flat {
-		if !st.isHalted(m.To) {
+	gone := st.lostBuf[:0]
+	kept := flat[:first]
+	for _, m := range flat[first:] {
+		if lost(m) {
+			gone = append(gone, m)
+		} else {
 			kept = append(kept, m)
 		}
 	}
+	st.loseByRecipient(round, gone)
+	clear(gone)
+	st.lostBuf = gone[:0]
 	return kept
 }
 
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
+// loseByRecipient records msgs as losses in round, recipients ascending
+// and each recipient's messages in their given order. It reorders msgs.
+func (st *runState) loseByRecipient(round int, msgs []Message) {
+	slices.SortStableFunc(msgs, func(a, b Message) int { return cmp.Compare(a.To, b.To) })
+	for _, m := range msgs {
+		st.lose(round, m)
 	}
-	return false
 }
 
 // recycle returns the round buffer behind the current inboxes (from
@@ -685,21 +667,7 @@ func (st *runState) drainCalendar() {
 	sort.Ints(rounds)
 	for _, at := range rounds {
 		flat := st.future[at]
-		var tos []int
-		for _, m := range flat {
-			if !containsInt(tos, m.To) {
-				tos = append(tos, m.To)
-			}
-		}
-		sort.Ints(tos)
-		for _, to := range tos {
-			for _, m := range flat {
-				if m.To == to {
-					st.lose(at, m)
-					st.inFlight--
-				}
-			}
-		}
+		st.loseByRecipient(at, flat)
 		st.freeFlat = append(st.freeFlat, flat[:0])
 	}
 	clear(st.future)
@@ -711,6 +679,18 @@ func (st *runState) drainCalendar() {
 // the state — round buffers, outbox closures and all — to the pool.
 func (st *runState) release() {
 	st.recycle()
+	// Zero the run's send records so the pooled slab pins no payloads. A
+	// buffer that outgrew its slab window filled it first; its private
+	// array is dropped.
+	for i := range st.bufs {
+		b := &st.bufs[i]
+		if cap(b.recs) > st.per {
+			clear(st.slab[i*st.per : (i+1)*st.per])
+		} else {
+			clear(b.recs[:max(b.used, len(b.recs))])
+		}
+		b.recs, b.used = nil, 0
+	}
 	clear(st.procs)
 	st.cfg = Config{}
 	st.extra = nil

@@ -36,9 +36,11 @@ type MembershipOracle interface {
 // protocols: given the partition of a player's same-value reporter classes,
 // it returns the certified value, if any. It is the fully general form of
 // the Definition 8 hook; internal/zcpa's WrapOracle adapts a
-// MembershipOracle into the textbook rule.
+// MembershipOracle into the textbook rule. The classes are the player's
+// own Tally, in ascending value order; Decide reads them during the call
+// only (see Tally).
 type Decider interface {
-	Decide(v int, classes map[network.Value]nodeset.Set) (network.Value, bool)
+	Decide(v int, classes *Tally) (network.Value, bool)
 }
 
 // Options is the unified run-option set shared by every registered

@@ -43,12 +43,14 @@ package selfred
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"rmt/internal/adversary"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/view"
 )
 
@@ -157,34 +159,29 @@ func canonicalReports(reports map[network.Value]nodeset.Set) string {
 type PiDecider struct {
 	LK adversary.LocalKnowledge
 	// SimulatedRuns counts every e_0^l/e_1^l pair simulated, across all
-	// players sharing this decider.
-	SimulatedRuns int
+	// players sharing this decider. It is atomic because players decide
+	// concurrently under the goroutine engine.
+	SimulatedRuns atomic.Int64
 }
 
 // Decide implements zcpa.Decider: player v simulates, in parallel, the 2m
 // runs (e_0^l, e_1^l) for its m reporter classes and decides a_l iff e_0^l
 // terminates with decision 0.
-func (d *PiDecider) Decide(v int, classes map[network.Value]nodeset.Set) (network.Value, bool) {
-	a := nodeset.Empty()
-	for _, c := range classes {
-		a = a.Union(c)
-	}
+func (d *PiDecider) Decide(v int, classes *protocol.Tally) (network.Value, bool) {
 	zv, ok := d.LK[v]
 	if !ok {
 		return "", false
 	}
-	b := NewBasic(a, zv.Structure)
-
-	vals := make([]network.Value, 0, len(classes))
-	for x := range classes {
-		vals = append(vals, x)
+	var a nodeset.Set
+	for i := 0; i < classes.Len(); i++ {
+		a.MutateUnion(classes.Senders(i))
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	for _, al := range vals {
-		e0, _, _ := RunPair(b, classes[al])
-		d.SimulatedRuns += 2
+	b := NewBasic(a, zv.Structure)
+	for i := 0; i < classes.Len(); i++ {
+		e0, _, _ := RunPair(b, classes.Senders(i))
+		d.SimulatedRuns.Add(2)
 		if e0.Decided && e0.Decision == "0" {
-			return al, true
+			return classes.Value(i), true
 		}
 	}
 	return "", false

@@ -5,11 +5,14 @@ import (
 	"testing"
 
 	"rmt/internal/adversary"
+	"rmt/internal/benchdef"
 	"rmt/internal/byzantine"
+	"rmt/internal/gen"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/zcpa"
 )
 
@@ -234,17 +237,48 @@ func TestPiDeciderCountsRuns(t *testing.T) {
 	if _, err := zcpa.Run(in, "x", nil, zcpa.Options{Decider: pi}); err != nil {
 		t.Fatal(err)
 	}
-	if pi.SimulatedRuns == 0 {
+	if pi.SimulatedRuns.Load() == 0 {
 		t.Fatal("no simulated runs counted")
 	}
-	if pi.SimulatedRuns%2 != 0 {
+	if pi.SimulatedRuns.Load()%2 != 0 {
 		t.Fatal("runs must come in e0/e1 pairs")
 	}
 }
 
 func TestPiDeciderUnknownNodeAbstains(t *testing.T) {
 	pi := &PiDecider{LK: adversary.LocalKnowledge{}}
-	if _, ok := pi.Decide(7, map[network.Value]nodeset.Set{"x": nodeset.Of(1)}); ok {
+	var classes protocol.Tally
+	classes.Add("x", 1)
+	if _, ok := pi.Decide(7, &classes); ok {
 		t.Fatal("decided without local knowledge")
+	}
+}
+
+// TestPiDeciderConcurrentPlayers runs one shared PiDecider under the
+// goroutine engine, where the twelve second-hop relays consult it on their
+// own goroutines in the same round: under -race it fails if the
+// simulated-run counter is updated unguarded. The run must still agree
+// with the direct decider, and the count come in e0/e1 pairs.
+func TestPiDeciderConcurrentPlayers(t *testing.T) {
+	in, err := benchdef.ChainInstance(12, 2, gen.Radius2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := &PiDecider{LK: in.LocalKnowledge()}
+	sim, err := zcpa.Run(in, "x", nil, zcpa.Options{Decider: pi, Engine: network.Goroutine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := zcpa.Run(in, "x", nil, zcpa.Options{Engine: network.Goroutine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, sok := sim.DecisionOf(in.Receiver)
+	dx, dok := direct.DecisionOf(in.Receiver)
+	if sx != dx || sok != dok || sim.Rounds != direct.Rounds {
+		t.Fatalf("Π-simulating run decided %q/%v in %d rounds, direct %q/%v in %d", sx, sok, sim.Rounds, dx, dok, direct.Rounds)
+	}
+	if runs := pi.SimulatedRuns.Load(); runs == 0 || runs%2 != 0 {
+		t.Fatalf("%d simulated runs; want a positive even count", runs)
 	}
 }

@@ -64,8 +64,30 @@ func (m ShareMsg) Key() string {
 
 // BitSize implements network.Payload. As with the other wire-codable
 // payloads it is derived from the canonical encoding, so metrics charge for
-// exactly what crosses the wire.
-func (m ShareMsg) BitSize() int { return 8 * len(m.Key()) }
+// exactly what crosses the wire: eight bits per byte of Key, whose length
+// is counted without rendering it.
+func (m ShareMsg) BitSize() int {
+	n := len("smt:share:") + decimalLen(m.Idx) + len(":") + len(":") + len(m.X)
+	for i, v := range m.P {
+		if i > 0 {
+			n += len("-")
+		}
+		n += decimalLen(v)
+	}
+	return 8 * n
+}
+
+// decimalLen returns len(strconv.Itoa(v)).
+func decimalLen(v int) int {
+	n, u := 1, uint(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
 
 // Plan is the dealer's share-routing plan: the canonical witness-path
 // family, one XOR share per path, plus the per-listening-set witness

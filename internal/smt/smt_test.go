@@ -2,6 +2,8 @@ package smt
 
 import (
 	"bytes"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -254,5 +256,44 @@ func TestReceiverRejectsInjectedShares(t *testing.T) {
 	rcv.Round(3, []network.Message{{From: real[len(real)-2], To: r, Payload: badIdx}}, nil)
 	if rcv.have != 0 {
 		t.Fatal("receiver accepted an out-of-range share index")
+	}
+}
+
+// TestShareBitSizeMatchesKey pins the arithmetic BitSize to the encoding it
+// charges for: eight bits per byte of Key, over seeded shares with one- to
+// many-digit and negative indices and hop IDs, empty and long paths, and
+// empty X.
+func TestShareBitSizeMatchesKey(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	num := func() int {
+		switch r.Intn(4) {
+		case 0:
+			return r.Intn(10)
+		case 1:
+			return r.Intn(1000)
+		case 2:
+			return r.Int()
+		default:
+			return -r.Intn(1 << 20)
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		m := ShareMsg{Idx: num()}
+		for hops := r.Intn(6); hops > 0; hops-- {
+			m.P = append(m.P, num())
+		}
+		if r.Intn(3) > 0 {
+			b := make([]byte, r.Intn(40))
+			r.Read(b)
+			m.X = hex.EncodeToString(b)
+		}
+		if got, want := m.BitSize(), 8*len(m.Key()); got != want {
+			t.Fatalf("%+v: BitSize = %d, want 8·len(%q) = %d", m, got, m.Key(), want)
+		}
+	}
+	for _, v := range []int{0, 9, 10, -1, -10, math.MaxInt, math.MinInt} {
+		if m := (ShareMsg{Idx: v, P: graph.Path{v, v}}); m.BitSize() != 8*len(m.Key()) {
+			t.Fatalf("Idx %d: BitSize = %d, want %d", v, m.BitSize(), 8*len(m.Key()))
+		}
 	}
 }

@@ -19,8 +19,7 @@
 package zcpa
 
 import (
-	"sort"
-
+	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
@@ -34,7 +33,7 @@ import (
 type Oracle = protocol.MembershipOracle
 
 // DirectOracle answers membership checks straight from the instance's
-// precomputed local structures — the "explicitly given structure" regime in
+// memoized local structures — the "explicitly given structure" regime in
 // which the paper notes 𝒵-CPA is trivially fully polynomial.
 type DirectOracle struct {
 	In *instance.Instance
@@ -54,20 +53,15 @@ type Decider = protocol.Decider
 
 // WrapOracle adapts a membership Oracle into a Decider implementing the
 // textbook rule: certify x iff the x-reporter class is not in Z_v. Values
-// are scanned in sorted order for determinism.
+// are scanned in the tally's sorted order for determinism.
 func WrapOracle(o Oracle) Decider { return oracleDecider{o: o} }
 
 type oracleDecider struct{ o Oracle }
 
-func (d oracleDecider) Decide(v int, classes map[network.Value]nodeset.Set) (network.Value, bool) {
-	vals := make([]network.Value, 0, len(classes))
-	for x := range classes {
-		vals = append(vals, x)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	for _, x := range vals {
-		if !d.o.Member(v, classes[x]) {
-			return x, true
+func (d oracleDecider) Decide(v int, classes *protocol.Tally) (network.Value, bool) {
+	for i := 0; i < classes.Len(); i++ {
+		if !d.o.Member(v, classes.Senders(i)) {
+			return classes.Value(i), true
 		}
 	}
 	return "", false
@@ -91,16 +85,15 @@ type Dealer struct {
 	neighbors nodeset.Set
 }
 
-// NewDealer builds a dealer process at an explicit graph position, for
-// callers outside the instance machinery (e.g. internal/broadcast).
-func NewDealer(neighbors nodeset.Set, xD network.Value) *Dealer {
-	return &Dealer{Value: xD, neighbors: neighbors}
-}
-
 // Init implements network.Process.
-func (d *Dealer) Init(out network.Outbox) {
-	d.neighbors.ForEach(func(u int) bool {
-		out(u, ValuePayload{X: d.Value})
+func (d *Dealer) Init(out network.Outbox) { send(out, d.neighbors, d.Value) }
+
+// send sends x to every node of to, boxing the payload once: every
+// recipient shares the one immutable payload.
+func send(out network.Outbox, to nodeset.Set, x network.Value) {
+	var payload network.Payload = ValuePayload{X: x}
+	to.ForEach(func(u int) bool {
+		out(u, payload)
 		return true
 	})
 }
@@ -119,37 +112,26 @@ type Player struct {
 	neighbors  nodeset.Set
 	decider    Decider
 
-	reporters map[network.Value]nodeset.Set
+	reporters protocol.Tally
 	decided   bool
 	value     network.Value
 }
 
-// NewPlayer builds the process for node id of the given instance, deciding
-// through the membership oracle.
-func NewPlayer(in *instance.Instance, id int, oracle Oracle) *Player {
-	return NewPlayerWithDecider(in, id, WrapOracle(oracle))
-}
-
-// NewPlayerWithDecider builds the process for node id with a custom
-// decision subroutine.
-func NewPlayerWithDecider(in *instance.Instance, id int, decider Decider) *Player {
-	p := NewRelayPlayer(id, in.Dealer, in.G.Neighbors(id), decider)
-	p.isReceiver = id == in.Receiver
-	return p
-}
-
-// NewRelayPlayer builds a relay-and-decide player without a designated
-// receiver: upon deciding it always relays and terminates. This is the
-// player shape of 𝒵-CPA in its original Reliable Broadcast role, used by
-// internal/broadcast.
-func NewRelayPlayer(id, dealer int, neighbors nodeset.Set, decider Decider) *Player {
-	return &Player{
-		id:        id,
-		dealer:    dealer,
-		neighbors: neighbors,
-		decider:   decider,
-		reporters: make(map[network.Value]nodeset.Set),
-	}
+// NewPlayers assembles a 𝒵-CPA process map on g: the dealer sending xD,
+// a relay-and-decide Player at every other node, and the corrupt overlay on
+// every node outside protected. The receiver, when it is a node of g,
+// outputs its decision without relaying; passing -1 makes every player
+// relay, which is 𝒵-CPA in its original broadcast role (internal/broadcast).
+// The run's players are carved from one slab.
+func NewPlayers(g *graph.Graph, dealer, receiver int, protected nodeset.Set, xD network.Value, corrupt map[int]network.Process, decider Decider) map[int]network.Process {
+	slab := make([]Player, 0, g.NumNodes())
+	return protocol.Build(g, protected, corrupt, func(v int) network.Process {
+		if v == dealer {
+			return &Dealer{Value: xD, neighbors: g.Neighbors(v)}
+		}
+		slab = append(slab, Player{id: v, dealer: dealer, isReceiver: v == receiver, neighbors: g.Neighbors(v), decider: decider})
+		return &slab[len(slab)-1]
+	})
 }
 
 // Init implements network.Process.
@@ -170,19 +152,15 @@ func (p *Player) Round(_ int, inbox []network.Message, out network.Outbox) bool 
 			p.decide(vp.X, out)
 			return false
 		}
-		set, exists := p.reporters[vp.X]
-		if !exists {
-			set = nodeset.Empty()
-		}
-		p.reporters[vp.X] = set.Add(m.From)
+		p.reporters.Add(vp.X, m.From)
 	}
 	// Certification rule: decide on x iff the x-reporters form a set
 	// outside Z_v. Checking the full reporter set suffices: if it is a
 	// member, monotonicity puts every subset inside Z_v too. (At most one
 	// value can ever certify for an honest player, by the safety argument
 	// of Theorem 7.)
-	if len(p.reporters) > 0 {
-		if x, ok := p.decider.Decide(p.id, p.reporters); ok {
+	if p.reporters.Len() > 0 {
+		if x, ok := p.decider.Decide(p.id, &p.reporters); ok {
 			p.decide(x, out)
 			return false
 		}
@@ -196,10 +174,7 @@ func (p *Player) decide(x network.Value, out network.Outbox) {
 	if p.isReceiver {
 		return // R outputs its decision and terminates without relaying
 	}
-	p.neighbors.ForEach(func(u int) bool {
-		out(u, ValuePayload{X: x})
-		return true
-	})
+	send(out, p.neighbors, x)
 }
 
 // Decision implements network.Process.
@@ -219,12 +194,7 @@ func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]netwo
 // NewProcessesWithDecider assembles the process map with a custom decision
 // subroutine for every honest player.
 func NewProcessesWithDecider(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, decider Decider) map[int]network.Process {
-	return protocol.Build(in.G, nodeset.Of(in.Dealer, in.Receiver), corrupt, func(v int) network.Process {
-		if v == in.Dealer {
-			return &Dealer{Value: xD, neighbors: in.G.Neighbors(v)}
-		}
-		return NewPlayerWithDecider(in, v, decider)
-	})
+	return NewPlayers(in.G, in.Dealer, in.Receiver, nodeset.Of(in.Dealer, in.Receiver), xD, corrupt, decider)
 }
 
 // Options tweaks a run. It is the unified option set of the protocol

@@ -185,7 +185,7 @@ func TestPiDeciderPublic(t *testing.T) {
 	if got, ok := res.DecisionOf(4); !ok || got != "x" {
 		t.Fatalf("decision = %q, %v", got, ok)
 	}
-	if pi.SimulatedRuns == 0 {
+	if pi.SimulatedRuns.Load() == 0 {
 		t.Fatal("no Π runs simulated")
 	}
 }
