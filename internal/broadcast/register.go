@@ -28,15 +28,7 @@ func (Proto) Caps() protocol.Caps { return protocol.Caps{AllDecide: true} }
 
 // Assemble implements protocol.Protocol.
 func (Proto) Assemble(in *instance.Instance, xD network.Value, opts protocol.Options) (map[int]network.Process, error) {
-	decider := opts.Decider
-	if decider == nil {
-		oracle := opts.Oracle
-		if oracle == nil {
-			oracle = zcpa.DirectOracle{In: in}
-		}
-		decider = zcpa.WrapOracle(oracle)
-	}
-	return zcpa.NewPlayers(in.G, in.Dealer, -1, nodeset.Of(in.Dealer, in.Receiver), xD, opts.Corrupt, decider), nil
+	return zcpa.NewPlayers(in.G, in.Dealer, -1, nodeset.Of(in.Dealer, in.Receiver), xD, opts.Corrupt, zcpa.ResolveDecider(in, opts)), nil
 }
 
 // Solvable implements protocol.Feasibility for the designated receiver's

@@ -211,13 +211,11 @@ func refGraphOfCombo(members []int, combo []claimVer) *graph.Graph {
 }
 
 // TestGraphOfComboMatchesFoldAndInduce: on 1,000 seeded candidates — random
-// instances, forged views with extra edges and ghost nodes, members in
-// candidate order (dealer and receiver first), and claimed views carrying
-// competing node labels — graphOfCombo's one-pass G_M equals the
-// fold-and-induce G_M: nodes, edges, rendering and every node's label.
+// instances, forged views with extra edges and ghost nodes, and members in
+// candidate order (dealer and receiver first) — graphOfCombo's one-pass G_M
+// equals the fold-and-induce G_M: nodes, edges and rendering.
 func TestGraphOfComboMatchesFoldAndInduce(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
-	labelled := 0
 	for trial := 0; trial < 1000; trial++ {
 		n := 4 + r.Intn(6)
 		g := gen.RandomGNP(r, n, 0.3+r.Float64()*0.4)
@@ -244,10 +242,6 @@ func TestGraphOfComboMatchesFoldAndInduce(t *testing.T) {
 					combo = append(combo, claimVer{info: *ghostInfo})
 				}
 			}
-			if r.Intn(3) == 0 {
-				info.View = info.View.Clone()
-				info.View.SetLabel(info.View.Nodes().Members()[r.Intn(info.View.NumNodes())], fmt.Sprintf("by%d", v))
-			}
 			members = append(members, v)
 			combo = append(combo, claimVer{info: info})
 		}
@@ -255,17 +249,5 @@ func TestGraphOfComboMatchesFoldAndInduce(t *testing.T) {
 		if !got.Equal(want) || got.String() != want.String() || got.MaxID() != want.MaxID() {
 			t.Fatalf("trial %d on %v: G_M %v, reference %v", trial, in, got, want)
 		}
-		want.Nodes().ForEach(func(id int) bool {
-			if got.Label(id) != want.Label(id) {
-				t.Fatalf("trial %d: label of %d = %q, reference %q", trial, id, got.Label(id), want.Label(id))
-			}
-			if want.Label(id) != fmt.Sprint(id) {
-				labelled++
-			}
-			return true
-		})
-	}
-	if labelled < 500 {
-		t.Fatalf("only %d labelled G_M nodes compared", labelled)
 	}
 }

@@ -656,7 +656,7 @@ func (r *Receiver) graphOfCombo(members []int, combo []claimVer) *graph.Graph {
 	for _, id := range members {
 		vm.MutateAdd(id)
 	}
-	// Deterministic union order (ascending by node ID), which fixes labels.
+	// Deterministic union order: ascending by node ID.
 	views := r.viewsScratch[:0]
 	vm.ForEach(func(id int) bool {
 		views = append(views, r.comboView(members, combo, id))

@@ -23,9 +23,8 @@ import (
 
 // Graph is an undirected graph over integer node IDs.
 type Graph struct {
-	nodes  nodeset.Set
-	adj    []nodeset.Set // indexed by node ID; entries for non-nodes are empty
-	labels map[int]string
+	nodes nodeset.Set
+	adj   []nodeset.Set // indexed by node ID; entries for non-nodes are empty
 }
 
 // New returns an empty graph.
@@ -118,7 +117,6 @@ func (g *Graph) RemoveNode(id int) {
 	})
 	g.adj[id] = nodeset.Empty()
 	g.nodes = g.nodes.Remove(id)
-	delete(g.labels, id)
 }
 
 // AddPath adds edges forming the path ids[0] - ids[1] - ... - ids[k-1].
@@ -126,23 +124,6 @@ func (g *Graph) AddPath(ids ...int) {
 	for i := 1; i < len(ids); i++ {
 		g.AddEdge(ids[i-1], ids[i])
 	}
-}
-
-// SetLabel attaches a display label to a node.
-func (g *Graph) SetLabel(id int, label string) {
-	g.AddNode(id)
-	if g.labels == nil {
-		g.labels = make(map[int]string)
-	}
-	g.labels[id] = label
-}
-
-// Label returns the node's display label, defaulting to its numeric ID.
-func (g *Graph) Label(id int) string {
-	if l, ok := g.labels[id]; ok {
-		return l
-	}
-	return strconv.Itoa(id)
 }
 
 // HasNode reports whether id is a node of g.
@@ -210,17 +191,10 @@ func (g *Graph) Edges() [][2]int {
 func (g *Graph) Clone() *Graph {
 	cp := &Graph{nodes: g.nodes, adj: make([]nodeset.Set, len(g.adj))}
 	copy(cp.adj, g.adj) // Sets are immutable values; shallow copy is safe
-	if g.labels != nil {
-		cp.labels = make(map[int]string, len(g.labels))
-		for k, v := range g.labels {
-			cp.labels[k] = v
-		}
-	}
 	return cp
 }
 
 // Equal reports whether g and h have identical node and edge sets.
-// Labels are ignored.
 func (g *Graph) Equal(h *Graph) bool {
 	if !g.nodes.Equal(h.nodes) {
 		return false
@@ -253,21 +227,12 @@ func (g *Graph) InducedSubgraph(keep nodeset.Set) *Graph {
 			return true
 		})
 	}
-	sub.copyLabels(g, kept)
 	return sub
 }
 
 // RemoveNodes returns the subgraph induced by V(g) \ drop.
 func (g *Graph) RemoveNodes(drop nodeset.Set) *Graph {
 	return g.InducedSubgraph(g.nodes.Minus(drop))
-}
-
-func (g *Graph) copyLabels(from *Graph, keep nodeset.Set) {
-	for id, l := range from.labels {
-		if keep.Contains(id) {
-			g.SetLabel(id, l)
-		}
-	}
 }
 
 // Union returns the graph (V(g) ∪ V(h), E(g) ∪ E(h)). This is the topology
@@ -282,18 +247,12 @@ func (g *Graph) Union(h *Graph) *Graph {
 		u.adj[id] = u.adj[id].Union(h.adj[id])
 		return true
 	})
-	for id, l := range h.labels {
-		if _, taken := u.labels[id]; !taken {
-			u.SetLabel(id, l)
-		}
-	}
 	return u
 }
 
 // UnionInduced returns the union of graphs induced on keep: the nodes of
 // keep that lie in some graph, and every edge of some graph with both
-// endpoints kept. A node's label is the first one the graphs give it, in
-// slice order. It is the fold of Union over graphs followed by
+// endpoints kept. It is the fold of Union over graphs followed by
 // InducedSubgraph(keep), built in one pass over the graphs' rows: each kept
 // row is allocated once and masked in place, and the union itself is never
 // materialized.
@@ -323,13 +282,6 @@ func UnionInduced(keep nodeset.Set, graphs []*Graph) *Graph {
 		sub.adj[u].MutateMinus(drop)
 		return true
 	})
-	for _, h := range graphs {
-		for id, l := range h.labels {
-			if _, taken := sub.labels[id]; !taken && kept.Contains(id) {
-				sub.SetLabel(id, l)
-			}
-		}
-	}
 	return sub
 }
 

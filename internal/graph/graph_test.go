@@ -70,20 +70,6 @@ func TestAddPath(t *testing.T) {
 	}
 }
 
-func TestLabels(t *testing.T) {
-	g := New()
-	g.SetLabel(3, "D")
-	if g.Label(3) != "D" {
-		t.Fatalf("Label(3) = %q", g.Label(3))
-	}
-	if g.Label(7) != "7" {
-		t.Fatalf("Label(7) = %q", g.Label(7))
-	}
-	if !g.HasNode(3) {
-		t.Fatal("SetLabel did not add the node")
-	}
-}
-
 func TestNeighborsDegree(t *testing.T) {
 	g := mustParse(t, "0-1 0-2 0-3 2-3")
 	if got := g.Neighbors(0).Members(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
@@ -110,15 +96,10 @@ func TestEdgesSorted(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	g := mustParse(t, "0-1")
-	g.SetLabel(0, "D")
 	cp := g.Clone()
 	cp.AddEdge(1, 2)
-	cp.SetLabel(0, "X")
 	if g.HasNode(2) || g.HasEdge(1, 2) {
 		t.Fatal("Clone shares structure")
-	}
-	if g.Label(0) != "D" {
-		t.Fatal("Clone shares labels")
 	}
 	if !cp.HasEdge(0, 1) {
 		t.Fatal("Clone lost an edge")

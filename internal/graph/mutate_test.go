@@ -30,7 +30,6 @@ func TestRemoveNode(t *testing.T) {
 	g := New()
 	g.AddPath(0, 1, 2, 3)
 	g.AddEdge(1, 3)
-	g.SetLabel(1, "relay")
 	clone := g.Clone()
 	g.RemoveNode(1)
 	if g.HasNode(1) {

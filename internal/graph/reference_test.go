@@ -41,7 +41,6 @@ func refInducedSubgraph(g *Graph, keep nodeset.Set) *Graph {
 		sub.adj[id] = g.adj[id].Intersect(kept)
 		return true
 	})
-	sub.copyLabels(g, kept)
 	return sub
 }
 
@@ -109,9 +108,6 @@ func TestWordLevelConstructorsMatchReference(t *testing.T) {
 			span = n + r.Intn(200)
 		}
 		g := spreadGraph(r, n, span, 0.1+0.6*r.Float64())
-		if trial%7 == 0 {
-			g.SetLabel(g.Nodes().Min(), "dealer")
-		}
 		if got, want := g.String(), refString(g); got != want {
 			t.Fatalf("trial %d: String %q, reference %q", trial, got, want)
 		}
@@ -134,11 +130,6 @@ func TestWordLevelConstructorsMatchReference(t *testing.T) {
 			}
 			if got, want := sub.String(), refString(ref); got != want {
 				t.Fatalf("trial %d: induced String %q, reference %q", trial, got, want)
-			}
-			for id, l := range ref.labels {
-				if sub.Label(id) != l {
-					t.Fatalf("trial %d: induced label of %d = %q, want %q", trial, id, sub.Label(id), l)
-				}
 			}
 		}
 		g.Nodes().ForEach(func(v int) bool {
@@ -174,7 +165,7 @@ func TestNewStarSharesRowsSafely(t *testing.T) {
 }
 
 // refUnionInPlace is the accumulator G_M was folded with before
-// UnionInduced: g grows by h's nodes, rows and labels, first label kept.
+// UnionInduced: g grows by h's nodes and rows.
 func refUnionInPlace(g, h *Graph) *Graph {
 	if m := h.nodes.Max(); m >= 0 {
 		g.ensure(m)
@@ -184,19 +175,14 @@ func refUnionInPlace(g, h *Graph) *Graph {
 		g.adj[id] = g.adj[id].Union(h.adj[id])
 		return true
 	})
-	for id, l := range h.labels {
-		if _, taken := g.labels[id]; !taken {
-			g.SetLabel(id, l)
-		}
-	}
 	return g
 }
 
 // TestUnionInducedMatchesFoldAndInduce: on 1,000 seeded families of
-// overlapping views — spread IDs, shared nodes, some labelled with
-// competing labels — and keep sets that cut them and include non-nodes,
-// UnionInduced equals folding the views with refUnionInPlace in order and
-// inducing on keep: nodes, rows, row-slice length, labels and rendering.
+// overlapping views — spread IDs and shared nodes — and keep sets that cut
+// them and include non-nodes, UnionInduced equals folding the views with
+// refUnionInPlace in order and inducing on keep: nodes, rows, row-slice
+// length and rendering.
 func TestUnionInducedMatchesFoldAndInduce(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 1000; trial++ {
@@ -206,9 +192,6 @@ func TestUnionInducedMatchesFoldAndInduce(t *testing.T) {
 		for i := range views {
 			n := 1 + r.Intn(min(span, 9))
 			views[i] = spreadGraph(r, n, span, 0.2+0.6*r.Float64())
-			if r.Intn(3) == 0 {
-				views[i].SetLabel(views[i].Nodes().Min(), fmt.Sprintf("v%d", i))
-			}
 			views[i].Nodes().ForEach(func(id int) bool {
 				if r.Intn(4) > 0 {
 					keep = keep.Add(id)
@@ -230,9 +213,6 @@ func TestUnionInducedMatchesFoldAndInduce(t *testing.T) {
 		}
 		if len(got.adj) != len(ref.adj) || got.String() != ref.String() {
 			t.Fatalf("trial %d: %d rows %q, reference %d rows %q", trial, len(got.adj), got, len(ref.adj), ref)
-		}
-		if fmt.Sprint(got.labels) != fmt.Sprint(ref.labels) {
-			t.Fatalf("trial %d: labels %v, reference %v", trial, got.labels, ref.labels)
 		}
 	}
 }

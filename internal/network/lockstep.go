@@ -43,7 +43,7 @@ func runRounds(cfg Config, parallel bool) (*Result, error) {
 	// round loop is the simulator's hot path and must not allocate per
 	// player per round.
 	bufs, outboxes := st.setupBufs()
-	halted := st.haltFlags
+	haltNow := st.haltFlags
 	var wg *sync.WaitGroup
 	if parallel {
 		wg = new(sync.WaitGroup)
@@ -51,8 +51,8 @@ func runRounds(cfg Config, parallel bool) (*Result, error) {
 
 	// Round 0: Init. Each player's sends merge as one batch per player in
 	// ID order — the same event order the round loop emits.
-	st.compute(0, bufs, outboxes, halted, wg)
-	st.mergeRound(0, bufs, halted)
+	st.compute(0, bufs, outboxes, haltNow, wg)
+	st.mergeRound(0, bufs, haltNow)
 	st.sealRound(0)
 	st.refreshDecisions() // record Init-time decisions as round 0
 
@@ -70,8 +70,8 @@ func runRounds(cfg Config, parallel bool) (*Result, error) {
 		}
 		quiescent := live == 0 && st.futureLive() == 0
 
-		st.compute(round, bufs, outboxes, halted, wg)
-		st.mergeRound(round, bufs, halted)
+		st.compute(round, bufs, outboxes, haltNow, wg)
+		st.mergeRound(round, bufs, haltNow)
 		sent := st.sealRound(round)
 		st.rounds = round
 		// The round is fully processed: inboxes handed out this round are
@@ -99,25 +99,25 @@ func runRounds(cfg Config, parallel bool) (*Result, error) {
 
 // compute runs the compute phase of round (0 = Init): every live player's
 // step against its inbox, with sends buffered in bufs and halts flagged in
-// halted. A non-nil wg runs each step in its own goroutine and waits for
+// haltNow. A non-nil wg runs each step in its own goroutine and waits for
 // all of them.
-func (st *runState) compute(round int, bufs []sendBuf, outboxes []Outbox, halted []bool, wg *sync.WaitGroup) {
+func (st *runState) compute(round int, bufs []sendBuf, outboxes []Outbox, haltNow []bool, wg *sync.WaitGroup) {
 	for i, v := range st.ids {
-		if st.isHalted(v) {
+		if st.halted[i] {
 			continue
 		}
 		var inbox []Message
 		if round > 0 {
-			inbox = st.inboxOf(v)
+			inbox = st.inboxes[i]
 			st.noteInbox(v, round, inbox)
 		}
 		bufs[i].truncate()
 		if wg == nil {
-			halted[i] = step(st.procs[i], round, inbox, outboxes[i])
+			haltNow[i] = step(st.procs[i], round, inbox, outboxes[i])
 			continue
 		}
 		wg.Add(1)
-		go stepAndSignal(wg, st.procs[i], round, inbox, outboxes[i], &halted[i])
+		go stepAndSignal(wg, st.procs[i], round, inbox, outboxes[i], &haltNow[i])
 	}
 	if wg != nil {
 		wg.Wait()
@@ -126,14 +126,14 @@ func (st *runState) compute(round int, bufs []sendBuf, outboxes []Outbox, halted
 
 // mergeRound is the merge phase of round: every live player's buffered
 // sends, then its halt, in player-ID order.
-func (st *runState) mergeRound(round int, bufs []sendBuf, halted []bool) {
-	for i, v := range st.ids {
-		if st.isHalted(v) {
+func (st *runState) mergeRound(round int, bufs []sendBuf, haltNow []bool) {
+	for i := range st.ids {
+		if st.halted[i] {
 			continue
 		}
 		st.merge(round, &bufs[i])
-		if halted[i] {
-			st.halt(round, v)
+		if haltNow[i] {
+			st.halt(round, i)
 		}
 	}
 }

@@ -237,8 +237,8 @@ func (l *lossLog) Lose(round int, m Message) {
 // holds seeded random sends: several delivery rounds, repeated recipients
 // and senders in merge order (sender-ascending per round, as merges emit
 // them), and a seeded set of halted players. Dense and sparse node IDs
-// both occur, so both halted-bookkeeping paths run. Equal seeds build
-// equal states.
+// both occur, so rank takes both of its branches. Equal seeds build equal
+// states.
 func sweepState(seed int64) (*runState, *lossLog) {
 	r := rand.New(rand.NewSource(seed))
 	n := 2 + r.Intn(12)
@@ -279,12 +279,7 @@ func sweepState(seed int64) (*runState, *lossLog) {
 	}
 	for i := 0; i < n; i++ {
 		if r.Intn(3) == 0 {
-			v := i * stride
-			if st.haltedB != nil {
-				st.haltedB[v] = true
-			} else {
-				st.halted[v] = true
-			}
+			st.halted[i] = true
 			st.haltedN++
 		}
 	}

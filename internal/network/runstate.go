@@ -13,16 +13,21 @@ import (
 // sealRound. Keeping merges in ID order makes the goroutine engine's
 // observable behavior identical to lockstep for deterministic protocols.
 //
+// Every per-player structure is a slice indexed by rank, a player's
+// position in ascending ID order: for IDs 0..n-1 the rank is the ID, and
+// any other ID set is the same run under a monotone relabelling. The round
+// loop already walks players by rank; a message's recipient is mapped once
+// with rank.
+//
 // All instrumentation — complexity metrics, the transcript, and any
 // user-installed observers — flows through the Tracer event stream: the
 // engine itself only moves messages. Tracer calls all happen on the
 // coordinating goroutine (merges and inbox hand-offs are serialized even
-// under the goroutine engine), so tracers need no locking.
+// under the goroutine engine), so tracers need no locking. The metrics
+// tracer is called through a concrete field, because it sits on the hot
+// path of every run; every other tracer, the transcript recorder included,
+// goes through the extra slice.
 //
-// The two stock tracers are dispatched through concrete fields rather than
-// the extra-tracer slice: metrics accumulation sits on the engines' hot
-// path, and the usual case (no transcript, no user tracers) must stay as
-// cheap as the inline counters it replaced.
 // statePool recycles runState values — buffers, outbox closures and
 // bookkeeping included — across runs. A protocol run is short (tens of
 // microseconds) and experiment drivers execute thousands of them over the
@@ -33,40 +38,36 @@ import (
 var statePool sync.Pool
 
 type runState struct {
-	cfg        Config
-	ids        []int
-	bufs       []sendBuf // per-player send buffers, reused across runs
-	outs       []Outbox  // outboxes bound to bufs (see setupBufs)
-	slab       []sendRec // backing store the send buffers are carved from
-	per        int       // records per buffer in slab
-	haltFlags  []bool    // per-player halt flags of the compute phase
-	lostBuf    []Message // scratch for loseHalted and loseSevered
-	maxRounds  int
-	procs      []Process         // procs[i] = cfg.Processes[ids[i]]
-	haltedB    []bool            // dense-ID fast path: haltedB[v], nil when IDs are sparse
-	halted     map[int]bool      // sparse fallback, nil when haltedB is in use
-	haltedN    int               // number of halted players
-	decidedB   []bool            // dense-ID fast path mirroring the decisions map
-	future     map[int][]Message // delivery round → messages, in merge order
-	freeFlat   [][]Message       // consumed round buffers, ready for reuse
-	pending    map[int][]Message // sparse-ID inbox grouping (views into one round buffer)
-	pendingArr [][]Message       // dense-ID inbox grouping, indexed by player ID
-	counts     []int             // dense scatter offsets, reused every round
-	pendFlat   []Message         // round buffer currently backing the inboxes
-	keybuf     []string          // rendered payload keys, reused by sortDeliveries
-	sorter     deliverySorter    // reusable sort.Stable adapter for large rounds
-	inFlight   int               // undelivered scheduled messages
-	sched      Scheduler         // nil = synchronous delivery at sent+1
-	madv       MessageAdversary  // nil = no message suppression
-	churn      []ChurnEvent      // validated topology edits, in round order
-	churnIdx   int               // first churn event not yet applied
-	extra      []Tracer          // user-installed observers (Config.Tracers)
-	mt         MetricsTracer
-	tt         *TranscriptTracer // nil unless Config.RecordTranscript
-	rounds     int
-	roundSend  int
-	decisions  map[int]Value
-	decidedAt  map[int]int
+	cfg       Config
+	ids       []int     // node IDs, ascending: a player's rank is its index here
+	bufs      []sendBuf // per-player send buffers, reused across runs
+	outs      []Outbox  // outboxes bound to bufs (see setupBufs)
+	slab      []sendRec // backing store the send buffers are carved from
+	per       int       // records per buffer in slab
+	haltFlags []bool    // per-player halt flags of the compute phase
+	lostBuf   []Message // scratch for loseHalted and loseSevered
+	maxRounds int
+	procs     []Process         // procs[i] = cfg.Processes[ids[i]]
+	halted    []bool            // halted[i]: player ids[i] has halted
+	haltedN   int               // number of halted players
+	decided   []bool            // decided[i]: ids[i] is in the decisions map
+	future    map[int][]Message // delivery round → messages, in merge order
+	freeFlat  [][]Message       // consumed round buffers, ready for reuse
+	inboxes   [][]Message       // inboxes[i]: this round's inbox of ids[i]
+	counts    []int             // scatter offsets by recipient rank, reused every round
+	pendFlat  []Message         // round buffer currently backing the inboxes
+	inFlight  int               // undelivered scheduled messages
+	sched     Scheduler         // nil = synchronous delivery at sent+1
+	madv      MessageAdversary  // nil = no message suppression
+	churn     []ChurnEvent      // validated topology edits, in round order
+	churnIdx  int               // first churn event not yet applied
+	extra     []Tracer          // every observer but the metrics tracer
+	mt        MetricsTracer
+	tt        *TranscriptTracer // nil unless Config.RecordTranscript
+	rounds    int
+	roundSend int
+	decisions map[int]Value
+	decidedAt map[int]int
 }
 
 func newRunState(cfg Config) *runState {
@@ -74,23 +75,19 @@ func newRunState(cfg Config) *runState {
 	if st == nil {
 		st = &runState{
 			future:   make(map[int][]Message, 2),
-			pending:  make(map[int][]Message, 8),
 			freeFlat: make([][]Message, 0, 2),
 		}
 	}
 	st.cfg = cfg
+	// Node sets iterate in ascending order, so ids comes out sorted.
 	ids := st.ids[:0]
 	cfg.Graph.Nodes().ForEach(func(v int) bool {
 		ids = append(ids, v)
 		return true
 	})
-	sort.Ints(ids)
 	st.ids = ids
 	n := len(ids)
 	st.maxRounds = cfg.maxRounds()
-	st.extra = cfg.Tracers
-	st.sched = nil
-	st.tt = nil
 	st.haltedN = 0
 	st.inFlight = 0
 	st.churn, st.churnIdx = cfg.Churn, 0
@@ -99,38 +96,13 @@ func newRunState(cfg Config) *runState {
 	// one piece of bookkeeping allocated fresh every run.
 	st.decisions = make(map[int]Value, n)
 	st.decidedAt = make(map[int]int, n)
-	if cap(st.procs) >= n {
-		st.procs = st.procs[:n]
-	} else {
-		st.procs = make([]Process, n)
-	}
+	st.procs = resize(st.procs, n)
 	for i, v := range ids {
 		st.procs[i] = cfg.Processes[v]
 	}
-	// The usual case — node IDs 0..n-1 (ids is sorted and distinct, so
-	// checking the endpoints suffices) — gets array-indexed halted/decided
-	// bookkeeping and inbox grouping; arbitrary IDs fall back to maps.
-	if n > 0 && ids[0] == 0 && ids[n-1] == n-1 {
-		st.halted = nil
-		if cap(st.haltedB) >= n {
-			st.haltedB = st.haltedB[:n]
-			clear(st.haltedB)
-			st.decidedB = st.decidedB[:n]
-			clear(st.decidedB)
-		} else {
-			st.haltedB = make([]bool, n)
-			st.decidedB = make([]bool, n)
-		}
-		if cap(st.pendingArr) >= n {
-			st.pendingArr = st.pendingArr[:n]
-			clear(st.pendingArr)
-		} else {
-			st.pendingArr = make([][]Message, n)
-		}
-	} else {
-		st.haltedB, st.decidedB, st.pendingArr = nil, nil, nil
-		st.halted = make(map[int]bool, n)
-	}
+	st.halted = resize(st.halted, n)
+	st.decided = resize(st.decided, n)
+	st.inboxes = resize(st.inboxes, n)
 	// MessagesPerRound escapes through Result.Metrics; the other counters
 	// are plain values, so resetting the tracer wholesale is enough.
 	st.mt = MetricsTracer{}
@@ -142,18 +114,41 @@ func newRunState(cfg Config) *runState {
 	// engine: suppression is a property of the channels, not of timing.
 	st.sched = cfg.Scheduler
 	st.madv = cfg.MsgAdversary
+	// The transcript recorder heads a fresh slice rather than being
+	// appended to cfg.Tracers, whose backing array is the caller's.
+	st.tt = nil
+	st.extra = cfg.Tracers
 	if cfg.RecordTranscript {
 		st.tt = NewTranscriptTracer()
+		st.extra = append([]Tracer{st.tt}, cfg.Tracers...)
 	}
 	nodes, edges, engine := cfg.Graph.NumNodes(), cfg.Graph.NumEdges(), cfg.engine()
 	st.mt.BeginRun(nodes, edges, engine)
-	if st.tt != nil {
-		st.tt.BeginRun(nodes, edges, engine)
-	}
 	for _, tr := range st.extra {
 		tr.BeginRun(nodes, edges, engine)
 	}
 	return st
+}
+
+// resize returns s with length n and every element zeroed, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// rank returns the index of node v in ids. Under the usual IDs 0..n-1 it
+// is v itself; any other ID set pays a binary search.
+func (st *runState) rank(v int) int {
+	if uint(v) < uint(len(st.ids)) && st.ids[v] == v {
+		return v
+	}
+	i, _ := slices.BinarySearch(st.ids, v)
+	return i
 }
 
 // sendBuf collects one player's sends during one round.
@@ -219,11 +214,7 @@ func (st *runState) setupBufs() ([]sendBuf, []Outbox) {
 		st.bufs[i].from = v
 		st.bufs[i].recs = st.slab[i*per : i*per : (i+1)*per]
 	}
-	if cap(st.haltFlags) < n {
-		st.haltFlags = make([]bool, n)
-	}
-	st.haltFlags = st.haltFlags[:n]
-	clear(st.haltFlags)
+	st.haltFlags = resize(st.haltFlags, n)
 	return st.bufs[:n], st.outs[:n]
 }
 
@@ -246,9 +237,6 @@ func (st *runState) merge(round int, buf *sendBuf) {
 	for _, r := range buf.recs {
 		if !r.ok {
 			st.mt.Drop(round, r.msg)
-			if st.tt != nil {
-				st.tt.Drop(round, r.msg)
-			}
 			for _, tr := range st.extra {
 				tr.Drop(round, r.msg)
 			}
@@ -256,9 +244,6 @@ func (st *runState) merge(round int, buf *sendBuf) {
 		}
 		st.roundSend++
 		st.mt.Send(round, r.msg)
-		if st.tt != nil {
-			st.tt.Send(round, r.msg)
-		}
 		for _, tr := range st.extra {
 			tr.Send(round, r.msg)
 		}
@@ -287,9 +272,6 @@ func (st *runState) merge(round int, buf *sendBuf) {
 		st.inFlight++
 		if at != round+1 {
 			st.mt.Delay(round, at, r.msg)
-			if st.tt != nil {
-				st.tt.Delay(round, at, r.msg)
-			}
 			for _, tr := range st.extra {
 				tr.Delay(round, at, r.msg)
 			}
@@ -346,9 +328,6 @@ func (st *runState) applyChurn(round int) {
 			removedAny = true
 		}
 		st.mt.Churn(round, ev.AddEdges, ev.RemoveEdges)
-		if st.tt != nil {
-			st.tt.Churn(round, ev.AddEdges, ev.RemoveEdges)
-		}
 		for _, tr := range st.extra {
 			tr.Churn(round, ev.AddEdges, ev.RemoveEdges)
 		}
@@ -394,12 +373,19 @@ func (st *runState) loseSevered() {
 // takePending removes the messages due for delivery in round and groups
 // them into per-recipient inboxes sorted into the order the Process
 // contract promises (sender ID, ties broken by payload key); engines fetch
-// them with inboxOf. Messages addressed to players that have already halted
-// can never be received; they are removed and recorded as losses so the
-// send/delivery accounting reconciles. It returns the number of deliverable
-// messages — all addressed to live players, so this is also the round's
-// live-delivery count. The inboxes are views into one reusable round
-// buffer; call recycle once the round is fully processed.
+// them from inboxes, by recipient rank. Messages addressed to players that
+// have already halted can never be received; they are removed and recorded
+// as losses so the send/delivery accounting reconciles. It returns the
+// number of deliverable messages — all addressed to live players, so this
+// is also the round's live-delivery count. The inboxes are views into one
+// reusable round buffer; call recycle once the round is fully processed.
+//
+// Grouping is a stable counting scatter by recipient rank, so each inbox
+// starts in merge order, and one insertion pass (sortInbox) then sorts it.
+// Under synchronous delivery merge order is already sender-ascending and
+// the pass only compares keys within one sender's run; a scheduler that
+// files several send rounds into one delivery round interleaves those
+// runs, and the pass merges them.
 func (st *runState) takePending(round int) int {
 	flat := st.future[round]
 	delete(st.future, round)
@@ -411,40 +397,10 @@ func (st *runState) takePending(round int) int {
 		}
 		return 0
 	}
-	if st.pendingArr != nil {
-		st.scatterDense(flat)
-		return len(st.pendFlat)
-	}
-	st.sortDeliveries(flat)
-	st.pendFlat = flat
-	for start := 0; start < len(flat); {
-		end := start + 1
-		for end < len(flat) && flat[end].To == flat[start].To {
-			end++
-		}
-		st.pending[flat[start].To] = flat[start:end:end]
-		start = end
-	}
-	return len(flat)
-}
-
-// scatterDense distributes one round's messages into per-recipient inboxes
-// in O(messages): merge order is already sender-ascending (buffers merge in
-// player-ID order), so a stable counting scatter by recipient yields each
-// inbox sorted by sender, and only runs of messages from a single sender
-// still need their payload keys compared. The result is exactly the
-// (recipient, sender, key) order the sparse sorting path produces.
-func (st *runState) scatterDense(flat []Message) {
-	n := len(st.ids)
-	if cap(st.counts) >= n {
-		st.counts = st.counts[:n]
-		clear(st.counts)
-	} else {
-		st.counts = make([]int, n)
-	}
-	counts := st.counts
+	counts := resize(st.counts, len(st.ids))
+	st.counts = counts
 	for _, m := range flat {
-		counts[m.To]++
+		counts[st.rank(m.To)]++
 	}
 	var dist []Message
 	if k := len(st.freeFlat); k > 0 {
@@ -457,63 +413,59 @@ func (st *runState) scatterDense(flat []Message) {
 		dist = dist[:len(flat)]
 	}
 	off := 0
-	for to, c := range counts {
-		counts[to] = off
+	for i, c := range counts {
+		counts[i] = off
 		off += c
 	}
 	for _, m := range flat {
-		dist[counts[m.To]] = m
-		counts[m.To]++
+		i := st.rank(m.To)
+		dist[counts[i]] = m
+		counts[i]++
 	}
 	start := 0
-	for to := 0; to < n; to++ {
-		end := counts[to] // now the end offset of to's group
+	for i, end := range counts { // counts[i] is now the end of rank i's group
 		if end > start {
 			inbox := dist[start:end:end]
-			sortSameSender(inbox)
-			st.pendingArr[to] = inbox
+			sortInbox(inbox)
+			st.inboxes[i] = inbox
 			start = end
 		}
 	}
 	st.freeFlat = append(st.freeFlat, flat[:0])
 	st.pendFlat = dist
+	return len(dist)
 }
 
-// sortSameSender orders runs of messages from one sender by payload key;
-// the scatter already grouped the inbox by sender. Runs are almost always
-// short (one sender's payloads to one recipient in one round), so a stable
-// insertion pass suffices. Key() is cached on sealed payloads.
-func sortSameSender(inbox []Message) {
+// sortInbox is a stable insertion sort by sender, then payload key. Inboxes
+// arrive as a few sender-ascending runs (one per send round delivered
+// together), so the pass is near-linear, and it renders keys only where
+// two messages share a sender, each moving message's once. Key() is cached
+// on sealed payloads.
+func sortInbox(inbox []Message) {
 	for i := 1; i < len(inbox); i++ {
-		if inbox[i].From != inbox[i-1].From {
-			continue
-		}
 		m := inbox[i]
-		k := m.Payload.Key()
+		k, keyed := "", false
 		j := i
-		for j > 0 && inbox[j-1].From == m.From && inbox[j-1].Payload.Key() > k {
-			inbox[j] = inbox[j-1]
-			j--
+		for ; j > 0; j-- {
+			p := inbox[j-1]
+			if p.From == m.From {
+				if !keyed {
+					k, keyed = m.Payload.Key(), true
+				}
+				if p.Payload.Key() <= k {
+					break
+				}
+			} else if p.From < m.From {
+				break
+			}
+			inbox[j] = p
 		}
 		inbox[j] = m
 	}
 }
 
-// inboxOf returns player v's inbox for the round prepared by takePending.
-func (st *runState) inboxOf(v int) []Message {
-	if st.pendingArr != nil {
-		return st.pendingArr[v]
-	}
-	return st.pending[v]
-}
-
 // isHalted reports whether player v has halted.
-func (st *runState) isHalted(v int) bool {
-	if st.haltedB != nil {
-		return st.haltedB[v]
-	}
-	return st.halted[v]
-}
+func (st *runState) isHalted(v int) bool { return st.halted[st.rank(v)] }
 
 // loseHalted strips messages addressed to halted players from one round
 // buffer, recording each as a loss (see loseWhere for the order). The
@@ -567,83 +519,14 @@ func (st *runState) recycle() {
 	if st.pendFlat == nil {
 		return
 	}
-	if st.pendingArr != nil {
-		clear(st.pendingArr)
-	} else {
-		clear(st.pending)
-	}
+	clear(st.inboxes)
 	st.freeFlat = append(st.freeFlat, st.pendFlat[:0])
 	st.pendFlat = nil
-}
-
-// sortDeliveries orders one round's deliveries by recipient, then sender,
-// then payload key — recipient grouping plus the deterministic inbox order
-// the Process contract promises. Keys are rendered once per message up
-// front: the comparator runs many times and Key() may be expensive for
-// unsealed payloads (e.g. forged type-2 claims render their whole view
-// graph). Small rounds use a stable insertion sort; large rounds go through
-// sort.Stable via a reusable adapter, so neither path allocates per round
-// in steady state.
-func (st *runState) sortDeliveries(msgs []Message) {
-	if len(msgs) < 2 {
-		return
-	}
-	keys := st.keybuf[:0]
-	for _, m := range msgs {
-		keys = append(keys, m.Payload.Key())
-	}
-	st.keybuf = keys
-	if len(msgs) <= 48 {
-		for i := 1; i < len(msgs); i++ {
-			m, k := msgs[i], keys[i]
-			j := i
-			for j > 0 && deliveryAfter(msgs[j-1], keys[j-1], m, k) {
-				msgs[j], keys[j] = msgs[j-1], keys[j-1]
-				j--
-			}
-			msgs[j], keys[j] = m, k
-		}
-		return
-	}
-	st.sorter.msgs, st.sorter.keys = msgs, keys
-	sort.Stable(&st.sorter)
-	st.sorter.msgs, st.sorter.keys = nil, nil
-}
-
-// deliveryAfter reports whether message a (key ak) sorts after b (key bk)
-// in delivery order: recipient, then sender, then payload key.
-func deliveryAfter(a Message, ak string, b Message, bk string) bool {
-	if a.To != b.To {
-		return a.To > b.To
-	}
-	if a.From != b.From {
-		return a.From > b.From
-	}
-	return ak > bk
-}
-
-// deliverySorter adapts one round's messages and their pre-rendered keys to
-// sort.Stable. It lives on runState so large rounds sort without allocating.
-type deliverySorter struct {
-	msgs []Message
-	keys []string
-}
-
-func (s *deliverySorter) Len() int { return len(s.msgs) }
-func (s *deliverySorter) Less(i, j int) bool {
-	return deliveryAfter(s.msgs[j], s.keys[j], s.msgs[i], s.keys[i])
-}
-func (s *deliverySorter) Swap(i, j int) {
-	s.msgs[i], s.msgs[j] = s.msgs[j], s.msgs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // lose reports one accepted send that will never reach a live player.
 func (st *runState) lose(round int, m Message) {
 	st.mt.Lose(round, m)
-	if st.tt != nil {
-		st.tt.Lose(round, m)
-	}
 	for _, tr := range st.extra {
 		tr.Lose(round, m)
 	}
@@ -697,7 +580,6 @@ func (st *runState) release() {
 	st.sched = nil
 	st.madv = nil
 	st.tt = nil
-	st.halted = nil
 	st.churn = nil
 	st.decisions, st.decidedAt = nil, nil
 	st.mt = MetricsTracer{}
@@ -728,9 +610,6 @@ func (st *runState) sealRound(round int) int {
 	sent := st.roundSend
 	st.roundSend = 0
 	st.mt.EndRound(round, sent)
-	if st.tt != nil {
-		st.tt.EndRound(round, sent)
-	}
 	for _, tr := range st.extra {
 		tr.EndRound(round, sent)
 	}
@@ -740,26 +619,17 @@ func (st *runState) sealRound(round int) int {
 // noteInbox announces the inbox handed to live player v this round.
 func (st *runState) noteInbox(v, round int, inbox []Message) {
 	st.mt.Deliver(round, v, inbox)
-	if st.tt != nil {
-		st.tt.Deliver(round, v, inbox)
-	}
 	for _, tr := range st.extra {
 		tr.Deliver(round, v, inbox)
 	}
 }
 
-// halt marks player v as halted in the given round.
-func (st *runState) halt(round, v int) {
-	if st.haltedB != nil {
-		st.haltedB[v] = true
-	} else {
-		st.halted[v] = true
-	}
+// halt marks the player of rank i as halted in the given round.
+func (st *runState) halt(round, i int) {
+	st.halted[i] = true
 	st.haltedN++
+	v := st.ids[i]
 	st.mt.Halt(round, v)
-	if st.tt != nil {
-		st.tt.Halt(round, v)
-	}
 	for _, tr := range st.extra {
 		tr.Halt(round, v)
 	}
@@ -780,23 +650,14 @@ func (st *runState) stopEarly() bool {
 
 func (st *runState) refreshDecisions() {
 	for i, v := range st.ids {
-		if st.decidedB != nil {
-			if st.decidedB[i] {
-				continue
-			}
-		} else if _, have := st.decisions[v]; have {
+		if st.decided[i] {
 			continue
 		}
 		if val, ok := st.procs[i].Decision(); ok {
-			if st.decidedB != nil {
-				st.decidedB[i] = true
-			}
+			st.decided[i] = true
 			st.decisions[v] = val
 			st.decidedAt[v] = st.rounds
 			st.mt.Decide(st.rounds, v, val)
-			if st.tt != nil {
-				st.tt.Decide(st.rounds, v, val)
-			}
 			for _, tr := range st.extra {
 				tr.Decide(st.rounds, v, val)
 			}
@@ -808,9 +669,6 @@ func (st *runState) result() *Result {
 	st.refreshDecisions()
 	st.drainCalendar()
 	st.mt.EndRun(st.rounds)
-	if st.tt != nil {
-		st.tt.EndRun(st.rounds)
-	}
 	for _, tr := range st.extra {
 		tr.EndRun(st.rounds)
 	}

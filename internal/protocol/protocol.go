@@ -114,12 +114,9 @@ type Options struct {
 	// byte-identical transcripts, per the repo's seeded-determinism
 	// contract. Read by: smt.
 	Seed int64
-	// Oracle overrides the membership-check subroutine (nil = the direct
-	// check against the instance's local structures). Read by: zcpa,
-	// broadcast.
-	Oracle MembershipOracle
-	// Decider overrides the full decision subroutine; takes precedence
-	// over Oracle when non-nil. Read by: zcpa, broadcast.
+	// Decider overrides the decision subroutine (nil = the textbook rule
+	// over the direct membership check against the instance's local
+	// structures). Read by: zcpa, broadcast.
 	Decider Decider
 	// Context, when non-nil, stops the run at the first round boundary
 	// after it is done, with its error (see network.Config.Context).

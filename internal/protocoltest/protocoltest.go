@@ -20,6 +20,7 @@ import (
 	"rmt/internal/cliutil"
 	"rmt/internal/feasibility"
 	"rmt/internal/gen"
+	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
@@ -149,6 +150,7 @@ func Run(t *testing.T, f Factory, cfg Config) {
 	}
 	if !cfg.SkipSchedules {
 		t.Run(f.Name+"/schedule-safety", func(t *testing.T) { scheduleSafety(t, f, cfg) })
+		t.Run(f.Name+"/inbox-order", func(t *testing.T) { inboxOrder(t, f) })
 	}
 	t.Run(f.Name+"/message-adversary", func(t *testing.T) { messageAdversary(t, f, cfg) })
 	if cfg.WireEngine != nil && f.Protocol != "" {
@@ -674,6 +676,91 @@ func scheduleSafety(t *testing.T, f Factory, cfg Config) {
 							i, name, seed, m, got)
 					}
 				}
+			}
+		}
+	}
+}
+
+// inboxOrder pins the inbox order the Process contract promises — sender
+// ID, ties broken by payload key — under every stock schedule, on the first
+// fixture and on a copy with every node ID tripled. A delaying schedule
+// files several send rounds into one delivery round, and tripled IDs are
+// not the ranks the engine indexes its players by.
+func inboxOrder(t *testing.T, f Factory) {
+	in := fixtures(t, f)[0]
+	spread, err := spreadIDs(in, f.Knowledge, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fx := range []*instance.Instance{in, spread} {
+		for _, name := range network.SchedulerNames() {
+			for seed := int64(1); seed <= 2; seed++ {
+				ot := &orderTracer{}
+				res, err := network.Run(network.Config{
+					Graph:     fx.G,
+					Processes: f.NewProcesses(fx, "x", nil),
+					Engine:    network.Async,
+					Scheduler: network.MustScheduler(name, seed),
+					MaxRounds: 64,
+					Tracers:   []network.Tracer{ot},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("nodes %v, schedule %s seed %d", fx.G.Nodes(), name, seed)
+				if ot.err != nil {
+					t.Errorf("%s: %v", label, ot.err)
+				}
+				if res.Metrics.MessagesDelivered == 0 {
+					t.Errorf("%s: nothing delivered", label)
+				}
+			}
+		}
+	}
+}
+
+// spreadIDs returns in with every node ID multiplied by k, at knowledge
+// level lvl: the same instance under an order-preserving relabelling.
+func spreadIDs(in *instance.Instance, lvl gen.Knowledge, k int) (*instance.Instance, error) {
+	g := graph.New()
+	in.G.Nodes().ForEach(func(v int) bool {
+		g.AddNode(k * v)
+		return true
+	})
+	for _, e := range in.G.Edges() {
+		g.AddEdge(k*e[0], k*e[1])
+	}
+	var sets []nodeset.Set
+	for _, m := range in.Z.Maximal() {
+		var s nodeset.Set
+		m.ForEach(func(v int) bool {
+			s.MutateAdd(k * v)
+			return true
+		})
+		sets = append(sets, s)
+	}
+	return gen.Build(g, adversary.FromSets(sets...), lvl, k*in.Dealer, k*in.Receiver)
+}
+
+// orderTracer checks every Deliver inbox against the Process contract:
+// each message is addressed to the player, and senders ascend with ties
+// broken by ascending payload key. It keeps the first violation.
+type orderTracer struct {
+	network.NopTracer
+	err error
+}
+
+func (o *orderTracer) Deliver(round, player int, inbox []network.Message) {
+	for i, m := range inbox {
+		if o.err != nil {
+			return
+		}
+		if m.To != player {
+			o.err = fmt.Errorf("round %d: player %d got %d>%d", round, player, m.From, m.To)
+		} else if i > 0 {
+			p := inbox[i-1]
+			if p.From > m.From || p.From == m.From && p.Payload.Key() > m.Payload.Key() {
+				o.err = fmt.Errorf("round %d, player %d: %s delivered before %s", round, player, p.Key(), m.Key())
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -139,24 +140,36 @@ var fleetWorkload = []string{
 }
 
 func TestRouterForwardsByCanonicalKey(t *testing.T) {
-	_, _, rt := newFleet(t, 3)
+	_, urls, rt := newFleet(t, 3)
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
+	// The shards listen on random ports, so which shard owns which
+	// instance varies from run to run; the forward counts must match what
+	// the ring predicts for this run's URLs. TestRingSpreadsKeys pins the
+	// spread itself on fixed URLs.
+	ring := newHashRing(urls)
+	want := map[string]int64{}
+	for _, url := range urls {
+		want[url] = 0
+	}
 	for _, body := range fleetWorkload {
+		var q InstanceRequest
+		if err := json.Unmarshal([]byte(body), &q); err != nil {
+			t.Fatal(err)
+		}
+		in, _, err := q.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[ring.owner(in.CanonicalKey())]++
 		code, resp := post(t, ts, "/v1/feasibility", body)
 		if code != http.StatusOK {
 			t.Fatalf("via router: %d %s", code, resp)
 		}
 	}
-	busy := 0
-	for _, n := range rt.Forwards() {
-		if n > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Fatalf("6 distinct instances landed on %d shard(s): %v", busy, rt.Forwards())
+	if got := rt.Forwards(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("forwards per shard %v, ring predicts %v", got, want)
 	}
 
 	// Same instance, different spelling → same shard: total forwards grow by

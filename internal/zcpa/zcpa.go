@@ -198,20 +198,17 @@ func NewProcessesWithDecider(in *instance.Instance, xD network.Value, corrupt ma
 }
 
 // Options tweaks a run. It is the unified option set of the protocol
-// runtime; 𝒵-CPA reads Oracle and Decider (Decider overrides Oracle; both
-// nil defaults to the DirectOracle) in addition to the engine fields.
+// runtime; 𝒵-CPA reads Decider (nil = the textbook rule over the
+// DirectOracle) in addition to the engine fields.
 type Options = protocol.Options
 
-// resolveDecider picks the decision subroutine the options call for.
-func resolveDecider(in *instance.Instance, opts Options) Decider {
+// ResolveDecider picks the decision subroutine the options call for:
+// opts.Decider when set, else the textbook rule over the DirectOracle.
+func ResolveDecider(in *instance.Instance, opts Options) Decider {
 	if opts.Decider != nil {
 		return opts.Decider
 	}
-	oracle := opts.Oracle
-	if oracle == nil {
-		oracle = DirectOracle{In: in}
-	}
-	return WrapOracle(oracle)
+	return WrapOracle(DirectOracle{In: in})
 }
 
 // Proto is 𝒵-CPA's registry entry; the package registers it under
@@ -227,7 +224,7 @@ func (Proto) Caps() protocol.Caps { return protocol.Caps{} }
 
 // Assemble implements protocol.Protocol.
 func (Proto) Assemble(in *instance.Instance, xD network.Value, opts protocol.Options) (map[int]network.Process, error) {
-	return NewProcessesWithDecider(in, xD, opts.Corrupt, resolveDecider(in, opts)), nil
+	return NewProcessesWithDecider(in, xD, opts.Corrupt, ResolveDecider(in, opts)), nil
 }
 
 // Solvable implements protocol.Feasibility: 𝒵-CPA is tight against the RMT
