@@ -12,15 +12,16 @@ GO ?= go
 # Byzantine strategy library, the attack sweep that fans trials out across
 # workers, the wire engine's coordinator/child plumbing, the sharded query
 # daemon, the instance's lazily built Z_v and canonical key, which
-# concurrent run trials reach first together, and the 𝒵-CPA deciders —
-# selfred's Π-simulating one included — that goroutine-engine players
-# share).
+# concurrent run trials reach first together, RMT-PKA's per-instance warm
+# store, which every PKA run on an instance shares, and the 𝒵-CPA
+# deciders — selfred's Π-simulating one included — that goroutine-engine
+# players share).
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
-	$(GO) test -race ./internal/network/ ./internal/eval/ ./internal/protocol/ ./internal/byzantine/ ./internal/attack/ ./internal/server/ ./internal/wire/ ./internal/feasibility/ ./internal/mbrb/ ./internal/smt/ ./internal/instance/ ./internal/selfred/ ./internal/zcpa/
+	$(GO) test -race ./internal/network/ ./internal/eval/ ./internal/protocol/ ./internal/byzantine/ ./internal/attack/ ./internal/server/ ./internal/wire/ ./internal/feasibility/ ./internal/mbrb/ ./internal/smt/ ./internal/instance/ ./internal/selfred/ ./internal/zcpa/ ./internal/core/
 
 test:
 	$(GO) test ./...

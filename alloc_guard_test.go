@@ -32,7 +32,6 @@ import (
 // the Large rows.
 var protocolAllocBudget = map[string]struct{ warm, cold float64 }{
 	"PKARun":       {42, 485},
-	"PKARunNoMemo": {205, 430},
 	"PKARunLarge":  {55, 9490},
 	"ZCPARun":      {24, 98},
 	"ZCPARunLarge": {285, 2810},

@@ -67,24 +67,18 @@ func (r *gullibleReceiver) Round(_ int, inbox []network.Message, _ network.Outbo
 func (r *gullibleReceiver) Decision() (network.Value, bool) { return r.value, r.decided }
 
 // canaryProto wires the gullible receiver into an otherwise honest RMT-PKA
-// player set. It implements protocol.Protocol so it runs through the very
-// same protocol.Run path as the audited protocols, but is never registered.
+// player set: RMT-PKA's own assembly with the receiver swapped out. It
+// implements protocol.Protocol so it runs through the very same
+// protocol.Run path as the audited protocols, but is never registered.
 type canaryProto struct{}
 
 func (canaryProto) Name() string        { return CanaryName }
 func (canaryProto) Caps() protocol.Caps { return protocol.Caps{} }
 
 func (canaryProto) Assemble(in *instance.Instance, xD network.Value, opts protocol.Options) (map[int]network.Process, error) {
-	return protocol.Build(in.G, nodeset.Of(in.Dealer, in.Receiver), opts.Corrupt, func(v int) network.Process {
-		switch v {
-		case in.Dealer:
-			return core.NewDealer(in, xD)
-		case in.Receiver:
-			return &gullibleReceiver{id: v}
-		default:
-			return core.NewRelay(in, v)
-		}
-	}), nil
+	procs := core.NewProcesses(in, xD, opts.Corrupt, opts)
+	procs[in.Receiver] = &gullibleReceiver{id: in.Receiver}
+	return procs, nil
 }
 
 // canaryFixture is the deterministic teeth fixture: three disjoint one-hop

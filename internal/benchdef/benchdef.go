@@ -25,7 +25,7 @@ type ProtoBench struct {
 	// Instance builds the benchmark instance. Called once per suite run,
 	// outside the timed loop.
 	Instance func() (*instance.Instance, error)
-	// Opts are the run options (engine, memo escape hatch, ...).
+	// Opts are the run options (engine, message-adversary budget, ...).
 	Opts protocol.Options
 	// MustDecide asserts the receiver decided after every run: a bench
 	// that silently stopped deciding would be measuring a useless run.
@@ -91,17 +91,13 @@ func CompleteInstance(n int, level gen.Knowledge) (*instance.Instance, error) {
 
 // ProtoBenches is the protocol hot-path benchmark table. Every entry runs
 // through the registry, so a new protocol variant becomes a table row, not
-// a new code path. The PKARun/PKARunNoMemo/ZCPARun names predate the
-// registry and stay stable for BENCH.json comparability. The *Large
-// entries are the ≥200-node family: they separate asymptotic wins from
-// constant-factor ones.
+// a new code path. The PKARun/ZCPARun names predate the registry and stay
+// stable for BENCH.json comparability. The *Large entries are the
+// ≥200-node family: they separate asymptotic wins from constant-factor
+// ones.
 var ProtoBenches = []ProtoBench{
 	{Name: "PKARun", Protocol: protocol.PKA,
 		Instance:   func() (*instance.Instance, error) { return ChainInstance(3, 2, gen.Radius2) },
-		MustDecide: true},
-	{Name: "PKARunNoMemo", Protocol: protocol.PKA,
-		Instance:   func() (*instance.Instance, error) { return ChainInstance(3, 2, gen.Radius2) },
-		Opts:       protocol.Options{DisableMemo: true},
 		MustDecide: true},
 	{Name: "PKARunLarge", Protocol: protocol.PKA,
 		Instance: func() (*instance.Instance, error) {

@@ -102,7 +102,7 @@ func TestCoverMatchesFoldReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcv := NewReceiver(in)
+		rcv := newReceiver(in, sharedOf(in), 0)
 		ghost, ghosted := n, false
 		var members []int
 		var combo []claimVer
@@ -170,17 +170,20 @@ func TestMalformedClaimsAreErroneous(t *testing.T) {
 			// A maximal set leaves the domain.
 			InfoMsg{Info: NodeInfo{Node: c, View: fake, Z: adversary.Restricted{Domain: fake.Nodes(), Structure: adversary.FromSets(in.G.Nodes().Remove(in.Dealer).Remove(in.Receiver))}}, P: graph.Path{c}},
 		}
-		for _, nomemo := range []bool{false, true} {
+		for _, runner := range []struct {
+			name string
+			run  func(*instance.Instance, network.Value, map[int]network.Process, Options) (*network.Result, error)
+		}{{"memoized", Run}, {"record-free", runRecordFree}} {
 			run := func(extra []network.Payload) *network.Result {
 				forger := NewPathForger(in, c, "forged")
 				forger.InitAll = append(forger.InitAll, extra...)
-				res, err := Run(in, "1", map[int]network.Process{c: forger}, Options{DisableMemo: nomemo})
+				res, err := runner.run(in, "1", map[int]network.Process{c: forger}, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			label := fmt.Sprintf("%s (DisableMemo %v)", tc.name, nomemo)
+			label := fmt.Sprintf("%s (%s)", tc.name, runner.name)
 			want, with := run(nil), run(malformed)
 			wx, wok := want.DecisionOf(in.Receiver)
 			gx, gok := with.DecisionOf(in.Receiver)
@@ -224,7 +227,7 @@ func TestGraphOfComboMatchesFoldAndInduce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcv := NewReceiver(in)
+		rcv := newReceiver(in, sharedOf(in), 0)
 		members := []int{in.Dealer, in.Receiver}
 		combo := []claimVer{{info: trueInfo(in, in.Dealer)}, {info: trueInfo(in, in.Receiver)}}
 		ghosted := false

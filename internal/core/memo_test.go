@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"sync"
 	"testing"
 
 	"rmt/internal/adversary"
@@ -16,16 +18,62 @@ import (
 	"rmt/internal/view"
 )
 
-// requireSameRun asserts two results are observably identical at the
-// receiver: same decision, same decidedness, same round count.
-func requireSameRun(t *testing.T, label string, in *instance.Instance, memo, fresh *network.Result) {
+// requireSameRun asserts a memoized run is observably identical at the
+// receiver to its reference run (record-free, or run alone): same
+// decision, same decidedness, same round count.
+func requireSameRun(t *testing.T, label string, in *instance.Instance, memo, ref *network.Result) {
 	t.Helper()
 	mv, mok := memo.DecisionOf(in.Receiver)
-	fv, fok := fresh.DecisionOf(in.Receiver)
-	if mv != fv || mok != fok || memo.Rounds != fresh.Rounds {
-		t.Fatalf("%s: memoized run (decision %q/%v, %d rounds) != fresh run (decision %q/%v, %d rounds)",
-			label, mv, mok, memo.Rounds, fv, fok, fresh.Rounds)
+	fv, fok := ref.DecisionOf(in.Receiver)
+	if mv != fv || mok != fok || memo.Rounds != ref.Rounds {
+		t.Fatalf("%s: memoized run (decision %q/%v, %d rounds) != reference run (decision %q/%v, %d rounds)",
+			label, mv, mok, memo.Rounds, fv, fok, ref.Rounds)
 	}
+}
+
+// fullInterners returns a path and a claim-version interner already at
+// capacity, shared by every record-free run: nothing ever interns into
+// them, so concurrent runs only read them.
+var fullInterners = sync.OnceValues(func() (*pathInterner, *verInterner) {
+	vers := &verInterner{ids: make(map[string]int32, maxInternVers)}
+	for i := 0; i < maxInternVers; i++ {
+		// '#' appears in no rendered version key.
+		vers.ids["#"+strconv.Itoa(i)] = int32(i)
+	}
+	return &pathInterner{keys: make([]string, maxInternPaths)}, vers
+})
+
+// recordFree is RMT-PKA without candidate records or relay caches, the
+// reference the warm store is diffed against. Its receiver sits on full
+// interners: no claim version interns, so no candidate is keyed and each
+// is evaluated on a record that is not stored; no path interns, so every
+// received path lands on the overflow lists and every fullness check
+// streams G_M's paths against them — the evaluation a version spray drives
+// the warm store into. Its relays carry no rebuild cache.
+type recordFree struct{ Proto }
+
+func (recordFree) Assemble(in *instance.Instance, xD network.Value, opts protocol.Options) (map[int]network.Process, error) {
+	procs := NewProcesses(in, xD, opts.Corrupt, opts)
+	sh := sharedOf(in)
+	for v, p := range procs {
+		if rel, ok := p.(*Relay); ok && rel.cache != nil {
+			cold := NewRelayAt(v, in.G.Neighbors(v), sh.infos[v])
+			cold.horizon = rel.horizon
+			procs[v] = cold
+		}
+	}
+	rcv := procs[in.Receiver].(*Receiver)
+	rcv.paths, rcv.vers = fullInterners()
+	rcv.ownClaim.vid = -1
+	return procs, nil
+}
+
+// runRecordFree is Run on the record-free reference.
+func runRecordFree(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, opts Options) (*network.Result, error) {
+	if corrupt != nil {
+		opts.Corrupt = corrupt
+	}
+	return protocol.Run(recordFree{}, in, xD, opts)
 }
 
 // memoEngines is the engine axis of the differential sweep. Async runs
@@ -40,26 +88,35 @@ var memoEngines = []struct {
 	{"async", network.Async},
 }
 
+type memoFixture struct {
+	name string
+	in   *instance.Instance
+}
+
+// memoFixtures builds every feasibility fixture at each knowledge level.
+func memoFixtures(t *testing.T, levels ...gen.Knowledge) []memoFixture {
+	t.Helper()
+	var fixtures []memoFixture
+	for _, level := range levels {
+		for _, f := range feasibility.All() {
+			in, err := f.Build(level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fixtures = append(fixtures, memoFixture{fmt.Sprintf("%s@%v", f.Name, level), in})
+		}
+	}
+	return fixtures
+}
+
 // TestReceiverMemoNeverChangesDecisions is the receiver-memoization
 // equivalence property, run as a differential sweep: for every feasibility
 // fixture (solvable and unsolvable alike), every maximal corruption, every
-// strategy of the Byzantine zoo and every execution engine, RMT-PKA with
-// the packed/interned warm store must be observably identical to a fresh
-// run with Options.DisableMemo — and every engine must agree with
-// lockstep, memoized or not.
+// strategy of the Byzantine zoo and every execution engine, RMT-PKA on the
+// instance's warm store must be observably identical to the record-free
+// reference — and every engine must agree with lockstep.
 func TestReceiverMemoNeverChangesDecisions(t *testing.T) {
-	type fix struct {
-		name string
-		in   *instance.Instance
-	}
-	fixtures := make([]fix, 0, len(feasibility.All())+1)
-	for _, f := range feasibility.All() {
-		in, err := f.Build(gen.AdHoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fixtures = append(fixtures, fix{f.Name, in})
-	}
+	fixtures := memoFixtures(t, gen.AdHoc)
 	// Chimera is the knowledge-separation instance: unsolvable ad hoc but
 	// solvable at radius 2, so the radius-2 build exercises the memo on a
 	// deciding run the ad hoc build cannot produce.
@@ -67,7 +124,7 @@ func TestReceiverMemoNeverChangesDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixtures = append(fixtures, fix{"chimera@radius2", chimera})
+	fixtures = append(fixtures, memoFixture{"chimera@radius2", chimera})
 
 	for _, fx := range fixtures {
 		for _, m := range fx.in.MaximalCorruptions() {
@@ -81,8 +138,8 @@ func TestReceiverMemoNeverChangesDecisions(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fresh, err := Run(fx.in, "real", Strategies(fx.in, m, "forged")[name],
-						Options{Engine: eng.engine, DisableMemo: true})
+					fresh, err := runRecordFree(fx.in, "real", Strategies(fx.in, m, "forged")[name],
+						Options{Engine: eng.engine})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -95,6 +152,40 @@ func TestReceiverMemoNeverChangesDecisions(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReceiverMemoNeverChangesDecisionsUnderHorizon is the same
+// differential for Horizon-PKA, whose records hold the bounded-span slice
+// of G_M in per-horizon stores: every feasibility fixture ad hoc and at
+// radius 2, every maximal corruption, every strategy, horizons 3–5.
+func TestReceiverMemoNeverChangesDecisionsUnderHorizon(t *testing.T) {
+	runs, decided := 0, 0
+	for _, fx := range memoFixtures(t, gen.AdHoc, gen.Radius2) {
+		for _, m := range fx.in.MaximalCorruptions() {
+			for name := range Strategies(fx.in, m, "forged") {
+				for horizon := 3; horizon <= 5; horizon++ {
+					opts := Options{Horizon: horizon}
+					memo, err := Run(fx.in, "real", Strategies(fx.in, m, "forged")[name], opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh, err := runRecordFree(fx.in, "real", Strategies(fx.in, m, "forged")[name], opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameRun(t, fmt.Sprintf("%s/%s/horizon %d", fx.name, name, horizon), fx.in, memo, fresh)
+					runs++
+					if _, ok := memo.DecisionOf(fx.in.Receiver); ok {
+						decided++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d horizon runs compared, %d deciding", runs, decided)
+	if decided < runs/4 || decided == runs {
+		t.Fatalf("%d of %d horizon runs decide; the sweep no longer covers both outcomes", decided, runs)
 	}
 }
 
@@ -126,7 +217,7 @@ func TestReceiverMemoEquivalenceRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := Run(in, "real", protocol.Silence(m), Options{DisableMemo: true})
+			fresh, err := runRecordFree(in, "real", protocol.Silence(m), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +267,8 @@ func newVersionSprayer(in *instance.Instance, c, ghost int, forged network.Value
 // for thousands of runs against one instance and asserts the shared warm
 // store saturates at its documented caps instead of growing without bound
 // — and that saturation is harmless: every run still decides the honest
-// value via the two untouched relays, including with memoization off.
+// value via the two untouched relays, and spot checks equal the
+// record-free reference.
 func TestVersionSprayStaysWithinMemoryCaps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-run spray")
@@ -207,12 +299,13 @@ func TestVersionSprayStaysWithinMemoryCaps(t *testing.T) {
 		if got, ok := res.DecisionOf(in.Receiver); !ok || got != xD {
 			t.Fatalf("spray run %d: decision = %q, %v; want %q", i, got, ok, xD)
 		}
-		// Spot-check packed ≡ fresh under the spray as well: the memoized
-		// path must stay equivalent even while its caches are saturating.
+		// Spot-check packed ≡ record-free under the spray as well: the
+		// memoized path must stay equivalent even while its caches are
+		// saturating.
 		if i%512 == 0 {
-			fresh, err := Run(in, xD,
+			fresh, err := runRecordFree(in, xD,
 				map[int]network.Process{corruptNode: newVersionSprayer(in, corruptNode, ghostBase+i, "forged")},
-				Options{DisableMemo: true})
+				Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,22 +322,18 @@ func TestVersionSprayStaysWithinMemoryCaps(t *testing.T) {
 	if n := len(sh.paths.keys); n > maxInternPaths {
 		t.Errorf("path interner grew to %d entries, cap %d", n, maxInternPaths)
 	}
-	if n := len(sh.dealerVals); n > maxDealerVals {
-		t.Errorf("dealer payload cache grew to %d entries, cap %d", n, maxDealerVals)
+	if n := sh.dealerVals.Len(); n != maxDealerVals {
+		t.Errorf("dealer payload cache holds %d entries, cap %d", n, maxDealerVals)
 	}
-	for horizon, cs := range sh.stores {
-		if n := cs.len(); n > maxMemoEntries {
-			t.Errorf("candidate store (horizon %d) grew to %d records, cap %d", horizon, n, maxMemoEntries)
+	// The spray runs without a horizon, so it only reaches horizon 0's
+	// candidate store and relays.
+	if n := sh.stores.Get(0, func() *candStore { return new(candStore) }).len(); n > maxMemoEntries {
+		t.Errorf("candidate store grew to %d records, cap %d", n, maxMemoEntries)
+	}
+	in.G.Nodes().Minus(nodeset.Of(in.Dealer, in.Receiver)).ForEach(func(v int) bool {
+		if n := sh.relay(in, v, 0).cache.Len(); n > maxRelayCache {
+			t.Errorf("relay %d cache grew to %d payloads, cap %d", v, n, maxRelayCache)
 		}
-	}
-	for horizon, byNode := range sh.relays {
-		for v, rel := range byNode {
-			if rel.cache == nil {
-				continue
-			}
-			if n := len(rel.cache.m); n > maxRelayCache {
-				t.Errorf("relay %d cache (horizon %d) grew to %d payloads, cap %d", v, horizon, n, maxRelayCache)
-			}
-		}
-	}
+		return true
+	})
 }

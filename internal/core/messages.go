@@ -81,19 +81,8 @@ func (ni *NodeInfo) renderBitSize() int {
 	return bits
 }
 
-func pathKey(p graph.Path) string {
-	var b strings.Builder
-	for i, v := range p {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
-	return b.String()
-}
-
-// appendPathKey is pathKey into a reused byte buffer, for allocation-free
-// intern-table probes.
+// appendPathKey renders p as comma-separated node IDs into a reused byte
+// buffer, for allocation-free intern-table probes.
 func appendPathKey(dst []byte, p graph.Path) []byte {
 	for i, v := range p {
 		if i > 0 {

@@ -10,40 +10,20 @@ import (
 
 // Dealer is RMT-PKA's dealer process: it sends (x_D, {D}) and
 // ((D, γ(D), Z_D), {D}) to all neighbors and terminates. Its two Init
-// payloads are prebuilt with sealed keys — per run on the cold path, once
-// per instance through pkaShared.
+// payloads are prebuilt with sealed keys, once per instance (pkaShared).
 type Dealer struct {
 	Value     network.Value
-	id        int
 	neighbors nodeset.Set
-	info      NodeInfo
 	valueMsg  network.Payload
 	infoMsg   network.Payload
 }
 
-// NewDealer builds the dealer process for the instance.
-func NewDealer(in *instance.Instance, xD network.Value) *Dealer {
-	d := in.Dealer
-	info := trueInfo(in, d)
-	return &Dealer{
-		Value:     xD,
-		id:        d,
-		neighbors: in.G.Neighbors(d),
-		info:      info,
-		valueMsg:  NewValueMsg(xD, graph.Path{d}),
-		infoMsg:   NewInfoMsg(info, graph.Path{d}),
-	}
-}
-
-// newDealerShared is NewDealer against the instance's warm store.
-func newDealerShared(in *instance.Instance, xD network.Value, sh *pkaShared) *Dealer {
+func newDealer(in *instance.Instance, xD network.Value, sh *pkaShared) *Dealer {
 	d := in.Dealer
 	return &Dealer{
 		Value:     xD,
-		id:        d,
 		neighbors: in.G.Neighbors(d),
-		info:      sh.infos[d],
-		valueMsg:  sh.dealerValueMsg(d, xD),
+		valueMsg:  sh.dealerVals.Get(xD, func() network.Payload { return NewValueMsg(xD, graph.Path{d}) }),
 		infoMsg:   sh.dealerInfoMsg,
 	}
 }
@@ -75,27 +55,21 @@ func (d *Dealer) Decision() (network.Value, bool) { return d.Value, true }
 type Relay struct {
 	id        int
 	neighbors nodeset.Set
-	info      NodeInfo
 	horizon   int             // max D–R path length in nodes; 0 = unlimited
 	initMsg   network.Payload // prebuilt Init announcement
-	cache     *relayCache     // rebuilt payloads by incoming key; nil = cold
+	// cache holds rebuilt payloads by incoming payload key (nil for
+	// NewRelayAt's relays).
+	cache *protocol.Cache[string, network.Payload]
 }
 
-// NewRelay builds the relay process for node id.
-func NewRelay(in *instance.Instance, id int) *Relay {
-	return NewRelayAt(id, in.G.Neighbors(id),
-		NodeInfo{Node: id, View: in.Gamma.Of(id), Z: in.LocalStructure(id)})
-}
-
-// NewRelayAt builds a relay from explicit parameters, for reuse outside
-// full RMT instances (e.g. Byzantine topology discovery).
+// NewRelayAt builds a relay from explicit parameters, for relays with no
+// RMT instance behind them (e.g. Byzantine topology discovery). It has no
+// rebuild cache; NewProcesses hands out the instance's shared relays.
 func NewRelayAt(id int, neighbors nodeset.Set, info NodeInfo) *Relay {
-	sealed := info.Sealed()
 	return &Relay{
 		id:        id,
 		neighbors: neighbors,
-		info:      sealed,
-		initMsg:   NewInfoMsg(sealed, graph.Path{id}),
+		initMsg:   NewInfoMsg(info.Sealed(), graph.Path{id}),
 	}
 }
 
@@ -125,12 +99,8 @@ func (r *Relay) Round(_ int, inbox []network.Message, out network.Outbox) bool {
 			// The rebuilt message is a pure function of the incoming
 			// payload (whose key is canonical per the Payload contract) and
 			// this relay's identity, so the cache replays the exact payload
-			// the cold path would construct.
-			k := m.Payload.Key()
-			if np = r.cache.get(k); np == nil {
-				np = rebuild(trail.Append(r.id))
-				r.cache.put(k, np)
-			}
+			// a rebuild would construct.
+			np = r.cache.Get(m.Payload.Key(), func() network.Payload { return rebuild(trail.Append(r.id)) })
 		} else {
 			np = rebuild(trail.Append(r.id))
 		}
@@ -151,38 +121,27 @@ func (r *Relay) Decision() (network.Value, bool) { return "", false }
 
 // NewProcesses assembles the full process map for an RMT-PKA run, replacing
 // the nodes of corrupt with the supplied Byzantine processes (the dealer
-// and receiver cannot be corrupted). Unless opts.DisableMemo is set, the
-// honest processes draw on the instance's warm store (pkaShared): sealed
-// claims, prebuilt payloads, shared relays, and the receiver's interned
-// candidate records all persist across runs.
+// and receiver cannot be corrupted). The honest processes draw on the
+// instance's warm store (pkaShared): sealed claims, prebuilt payloads,
+// shared relays, and the receiver's interned candidate records all persist
+// across runs.
 func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, opts Options) map[int]network.Process {
-	var sh *pkaShared
-	if !opts.DisableMemo {
-		sh = sharedOf(in)
-	}
+	sh := sharedOf(in)
 	return protocol.Build(in.G, nodeset.Of(in.Dealer, in.Receiver), corrupt, func(v int) network.Process {
 		switch v {
 		case in.Dealer:
-			if sh != nil {
-				return newDealerShared(in, xD, sh)
-			}
-			return NewDealer(in, xD)
+			return newDealer(in, xD, sh)
 		case in.Receiver:
-			return newReceiver(in, sh, opts)
+			return newReceiver(in, sh, opts.Horizon)
 		default:
-			if sh != nil {
-				return sh.relay(in, v, opts.Horizon)
-			}
-			rel := NewRelay(in, v)
-			rel.horizon = opts.Horizon
-			return rel
+			return sh.relay(in, v, opts.Horizon)
 		}
 	})
 }
 
 // Options tweaks an RMT-PKA run. It is the unified option set of the
-// protocol runtime; RMT-PKA reads Horizon and DisableMemo in addition to
-// the engine fields (see protocol.Options for field docs).
+// protocol runtime; RMT-PKA reads Horizon in addition to the engine fields
+// (see protocol.Options for field docs).
 type Options = protocol.Options
 
 // Proto is RMT-PKA's registry entry; the package registers it under
@@ -233,8 +192,7 @@ func Resilient(in *instance.Instance) (bool, error) {
 	return true, nil
 }
 
-// trueInfo returns the honest NodeInfo of a node, used by the receiver for
-// its own knowledge.
+// trueInfo returns the honest, sealed NodeInfo of a node.
 func trueInfo(in *instance.Instance, v int) NodeInfo {
 	return NodeInfo{Node: v, View: in.Gamma.Of(v), Z: in.LocalStructure(v)}.Sealed()
 }

@@ -320,7 +320,7 @@ func TestRelayAdmissionRules(t *testing.T) {
 	// A relay must drop messages whose trail contains itself or whose tail
 	// is not the sender.
 	in := adhocInstance(t, "0-1 1-2", adversary.Trivial(), 0, 2)
-	relay := NewRelay(in, 1)
+	relay := sharedOf(in).relay(in, 1, 0)
 	var sent []network.Message
 	out := func(to int, p network.Payload) {
 		sent = append(sent, network.Message{From: 1, To: to, Payload: p})
@@ -347,7 +347,7 @@ func TestRelayAdmissionRules(t *testing.T) {
 
 func TestReceiverDiscardsForgedTails(t *testing.T) {
 	in := adhocInstance(t, "0-1 1-2", adversary.Trivial(), 0, 2)
-	r := NewReceiver(in)
+	r := newReceiver(in, sharedOf(in), 0)
 	// Type-1 claiming a direct dealer send, but delivered by node 1.
 	r.Round(1, []network.Message{
 		{From: 1, To: 2, Payload: ValueMsg{X: "forged", P: graph.Path{0}}},

@@ -35,7 +35,8 @@ const (
 
 // claimVer is one stored version of a type-2 claim: the sealed claim plus
 // its interned version ID (-1 when the intern table was full, in which case
-// candidates naming this version are evaluated fresh, uncached).
+// candidates naming this version cannot be keyed and are evaluated on a
+// record that is not stored).
 type claimVer struct {
 	info NodeInfo
 	vid  int32
@@ -77,26 +78,22 @@ type vpair struct {
 // All hot-path state is packed: received D–R paths and claim versions are
 // interned into small ints at ingest, so per-round fullness checks are
 // bitset subset tests and candidate memo probes are byte-key map lookups
-// instead of rendered-string comparisons. When built through NewProcesses
-// without Options.DisableMemo, the intern tables and candidate records live
-// on the instance (pkaShared) and stay warm across runs.
+// instead of rendered-string comparisons. The intern tables and candidate
+// records live on the instance (pkaShared) and stay warm across runs.
 type Receiver struct {
 	id     int
 	dealer int
 
-	// own is R's own initial knowledge, implicitly part of every M.
-	own      NodeInfo
+	// ownClaim is R's own initial knowledge, implicitly part of every M.
 	ownClaim claimVer
 
 	decided bool
 	value   network.Value
 	dirty   bool // new messages since the last search
 	horizon int  // Horizon-PKA bound on D–R path length in nodes; 0 = off
-	nomemo  bool // Options.DisableMemo: evaluate everything fresh
 
-	// Interners and the candidate-record store. Instance-scoped when the
-	// receiver was built with a pkaShared, run-scoped otherwise; store is
-	// nil under DisableMemo (every candidate evaluated fresh).
+	// The instance's interners and its candidate-record store for this
+	// horizon (pkaShared.stores).
 	paths *pathInterner
 	vers  *verInterner
 	store *candStore
@@ -111,10 +108,8 @@ type Receiver struct {
 	claims map[int][]claimVer
 
 	// Incrementally maintained search inputs.
-	knownIDs    []int       // claimed nodes plus r.id, sorted
-	knownSet    nodeset.Set // same, as a bitset (dense IDs only)
-	knownSparse bool        // some claimed node fell outside the dense range
-	contested   int         // claimed nodes with ≥ 2 versions
+	knownIDs  []int // claimed nodes plus r.id, sorted
+	contested int   // claimed nodes with ≥ 2 versions
 
 	// verSlab backs the single-version common case of claims: first
 	// versions are appended here and each node's slice points into it, so a
@@ -136,46 +131,25 @@ type Receiver struct {
 	pnodes         []nodeset.Set // interner node-set snapshot per search
 }
 
-// NewReceiver builds a cold receiver process for the instance: run-scoped
-// intern tables, default options. NewProcesses builds warm receivers that
-// share state across runs via the instance.
-func NewReceiver(in *instance.Instance) *Receiver {
-	return newReceiver(in, nil, Options{})
-}
-
-func newReceiver(in *instance.Instance, sh *pkaShared, opts Options) *Receiver {
+// newReceiver builds R's process on the instance's warm store.
+func newReceiver(in *instance.Instance, sh *pkaShared, horizon int) *Receiver {
 	n := in.N()
 	r := &Receiver{
 		id:       in.Receiver,
 		dealer:   in.Dealer,
+		horizon:  horizon,
+		paths:    &sh.paths,
+		vers:     &sh.vers,
+		store:    sh.stores.Get(horizon, func() *candStore { return new(candStore) }),
 		claims:   make(map[int][]claimVer, n),
 		knownIDs: make([]int, 1, n+1),
 		verSlab:  make([]claimVer, 0, n),
-		horizon:  opts.Horizon,
-		nomemo:   opts.DisableMemo,
 	}
 	r.knownIDs[0] = in.Receiver
-	if sh != nil {
-		r.own = sh.infos[in.Receiver]
-		r.paths = &sh.paths
-		r.vers = &sh.vers
-		r.store = sh.storeFor(opts.Horizon)
-	} else {
-		r.own = trueInfo(in, in.Receiver)
-		r.paths = &pathInterner{}
-		if !r.nomemo {
-			r.vers = &verInterner{}
-			r.store = &candStore{}
-		}
+	r.ownClaim = claimVer{info: sh.infos[in.Receiver], vid: -1}
+	if v, ok := r.vers.intern(r.ownClaim.info.VersionKey()); ok {
+		r.ownClaim.vid = v
 	}
-	ownVid := int32(-1)
-	if r.vers != nil {
-		if v, ok := r.vers.intern(r.own.VersionKey()); ok {
-			ownVid = v
-		}
-	}
-	r.ownClaim = claimVer{info: r.own, vid: ownVid}
-	r.knownSet.MutateAdd(r.id)
 	return r
 }
 
@@ -287,23 +261,15 @@ func (r *Receiver) ingestInfo(info NodeInfo) {
 	}
 	if !seen {
 		r.knownIDs = insertSortedInt(r.knownIDs, node)
-		if node >= 0 && node < maxDenseID {
-			r.knownSet.MutateAdd(node)
-		} else {
-			r.knownSparse = true
-		}
 	}
 	// Seal the stored copy so every later VersionKey call — claim combos,
 	// candidate memo keys — reuses the rendered string.
 	ni := info
 	ni.key = k
-	vid := int32(-1)
-	if r.vers != nil {
-		if v, ok := r.vers.intern(k); ok {
-			vid = v
-		}
+	cv := claimVer{info: ni, vid: -1}
+	if v, ok := r.vers.intern(k); ok {
+		cv.vid = v
 	}
-	cv := claimVer{info: ni, vid: vid}
 	if !seen && len(r.verSlab) < cap(r.verSlab) {
 		// Common case: first (and usually only) version of a node goes into
 		// the shared arena; the capped sub-slice keeps later appends for
@@ -524,20 +490,21 @@ func (r *Receiver) forEachCombo(members []int, fn func(combo []claimVer) bool) {
 // the exact claim versions alone, so they live in a content-keyed candidate
 // record shared across rounds — and, through pkaShared, across runs; only
 // fullness (a bitset subset test against the growing type-1 store) is
-// re-evaluated per call.
+// re-evaluated per call. A candidate that cannot be keyed (it names an
+// uninterned claim version), or that finds the store full, is evaluated on
+// a record of its own that is not stored.
 func (r *Receiver) evalCandidate(members []int, combo []claimVer, pass []*valState) (network.Value, bool) {
-	if r.nomemo || r.store == nil {
-		return r.freshEval(members, combo, pass)
-	}
 	key, keyable := r.encodeCandKey(members, combo)
-	if !keyable {
-		return r.freshEval(members, combo, pass)
+	var rec *candRec
+	if keyable {
+		rec = r.store.get(key)
 	}
-	rec := r.store.get(key)
 	if rec == nil {
 		rec = r.buildRecord(members, combo)
-		if stored := r.store.put(key, rec); stored != nil {
-			rec = stored
+		if keyable {
+			if stored := r.store.put(key, rec); stored != nil {
+				rec = stored
+			}
 		}
 	}
 	if rec.gm == nil || !rec.hasPath {
@@ -568,8 +535,7 @@ func (r *Receiver) evalCandidate(members []int, combo []claimVer, pass []*valSta
 
 // encodeCandKey packs the candidate's exact claim versions as
 // (node, version) varint pairs in ascending node order. It reports false
-// when any version is uninterned (table at capacity): such candidates are
-// evaluated fresh, uncached.
+// when any version is uninterned (table at capacity).
 func (r *Receiver) encodeCandKey(members []int, combo []claimVer) ([]byte, bool) {
 	pairs := r.pairScratch[:0]
 	for i, id := range members {
@@ -788,50 +754,6 @@ func (c *candidateClaims) maximal(u int) []nodeset.Set { return c.claim(u).Z.Str
 
 // noCorruption is the cover's one C1 candidate: Definition 6 has no C1.
 var noCorruption = []nodeset.Set{nodeset.Empty()}
-
-// freshEval is the record-free candidate evaluation (DisableMemo, record
-// store at capacity, or uninterned claim versions): G_M is rebuilt, its
-// paths re-streamed, and the cover re-checked, with nothing retained.
-func (r *Receiver) freshEval(members []int, combo []claimVer, pass []*valState) (network.Value, bool) {
-	gm := r.graphOfCombo(members, combo)
-	if !gm.HasNode(r.dealer) || !gm.HasNode(r.id) {
-		return "", false
-	}
-	if r.horizon > 0 {
-		span := gm.BoundedPathSpan(r.dealer, r.id, r.horizon)
-		gm = gm.InducedSubgraph(span)
-		if !gm.HasNode(r.dealer) || !gm.HasNode(r.id) {
-			return "", false
-		}
-	}
-	for _, vs := range pass {
-		full, hasPath := r.streamFull(gm, vs)
-		if !hasPath {
-			return "", false // pathless for every value
-		}
-		if !full {
-			continue
-		}
-		if !r.coverFor(gm, members, combo) {
-			return vs.x, true
-		}
-		break // covered: no value can certify this candidate
-	}
-	return "", false
-}
-
-func (r *Receiver) streamFull(gm *graph.Graph, vs *valState) (full, hasPath bool) {
-	full = true
-	gm.AllPaths(r.dealer, r.id, nodeset.Empty(), func(p graph.Path) bool {
-		hasPath = true
-		if !r.pathReceived(vs, p) {
-			full = false
-			return false
-		}
-		return true
-	})
-	return full && hasPath, hasPath
-}
 
 // insertSortedInt inserts id into sorted ids if absent.
 func insertSortedInt(ids []int, id int) []int {

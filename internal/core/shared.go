@@ -8,19 +8,21 @@ import (
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 )
 
 // Capacity caps for the per-instance warm stores. All of them only bound
 // memory against adversaries that spray fresh claim versions or trails;
-// overflow never changes decisions, it only degrades to uncached (fresh)
-// evaluation, which the differential tests pin.
+// overflow never changes decisions, it only degrades to evaluation on
+// records that are not stored and to streamed fullness checks, which the
+// record-free differential tests pin.
 const (
 	// maxInternPaths caps the path intern table (received trails plus
 	// enumerated G_M paths). Paths beyond the cap fall back to per-run
 	// string-keyed overflow lists.
 	maxInternPaths = 1 << 15
 	// maxInternVers caps the claim-version intern table. Candidates naming
-	// uninterned versions are evaluated fresh, uncached.
+	// uninterned versions are evaluated on a record that is not stored.
 	maxInternVers = 1 << 12
 	// maxRelayCache caps each relay's rebuilt-payload cache.
 	maxRelayCache = 1 << 14
@@ -116,7 +118,7 @@ type verInterner struct {
 
 // intern returns the ID for version key k, assigning one if the table has
 // room; ok=false means the table is at capacity and candidates naming this
-// version must be evaluated uncached.
+// version cannot be keyed.
 func (vi *verInterner) intern(k string) (int32, bool) {
 	vi.mu.RLock()
 	id, ok := vi.ids[k]
@@ -196,24 +198,26 @@ func (cs *candStore) len() int {
 // payloads, relay processes with their rebuild caches, the receiver's intern
 // tables and candidate records — is built once here and shared by all runs
 // on the instance (including concurrent ones; everything is lock-protected
-// or append-only). Options.DisableMemo bypasses the store entirely, keeping
-// the cold path alive as the differential-testing reference.
+// or append-only).
 type pkaShared struct {
 	infos []NodeInfo // sealed honest claims, indexed by node ID
 
-	dealerInfoMsg network.Payload // dealer's sealed Init type-2 payload
-	dealerMu      sync.RWMutex
-	dealerVals    map[network.Value]network.Payload // Init type-1 payload per x_D
-
-	relayMu sync.Mutex
-	relays  map[int]map[int]*Relay // horizon → node → shared relay process
+	dealerInfoMsg network.Payload                                // dealer's sealed Init type-2 payload
+	dealerVals    protocol.Cache[network.Value, network.Payload] // Init type-1 payload per x_D
+	relays        protocol.Cache[relayKey, *Relay]
 
 	paths pathInterner
 	vers  verInterner
 
-	storeMu sync.Mutex
-	stores  map[int]*candStore // horizon → candidate records
+	// stores holds the candidate records per horizon: the horizon changes
+	// G_M (the decision graph is sliced to the bounded path span), so
+	// records are segregated per horizon value.
+	stores protocol.Cache[int, *candStore]
 }
+
+// relayKey names a shared relay: horizon-bounded relays drop trails the
+// unbounded ones forward, so each horizon has its own.
+type relayKey struct{ horizon, node int }
 
 // sharedKeyT keys the pkaShared singleton in instance.Derived.
 type sharedKeyT struct{}
@@ -226,100 +230,22 @@ func sharedOf(in *instance.Instance) *pkaShared {
 func newPKAShared(in *instance.Instance) *pkaShared {
 	sh := &pkaShared{infos: make([]NodeInfo, in.G.MaxID()+1)}
 	in.G.Nodes().ForEach(func(v int) bool {
-		sh.infos[v] = NodeInfo{Node: v, View: in.Gamma.Of(v), Z: in.LocalStructure(v)}.Sealed()
+		sh.infos[v] = trueInfo(in, v)
 		return true
 	})
 	sh.dealerInfoMsg = NewInfoMsg(sh.infos[in.Dealer], graph.Path{in.Dealer})
+	sh.dealerVals.Max = maxDealerVals
 	return sh
-}
-
-// dealerValueMsg returns the dealer's prebuilt Init type-1 payload for xD.
-func (sh *pkaShared) dealerValueMsg(dealer int, xD network.Value) network.Payload {
-	sh.dealerMu.RLock()
-	p, ok := sh.dealerVals[xD]
-	sh.dealerMu.RUnlock()
-	if ok {
-		return p
-	}
-	sh.dealerMu.Lock()
-	defer sh.dealerMu.Unlock()
-	if p, ok := sh.dealerVals[xD]; ok {
-		return p
-	}
-	p = NewValueMsg(xD, graph.Path{dealer})
-	if sh.dealerVals == nil {
-		sh.dealerVals = make(map[network.Value]network.Payload)
-	}
-	if len(sh.dealerVals) < maxDealerVals {
-		sh.dealerVals[xD] = p
-	}
-	return p
 }
 
 // relay returns the shared relay process for node v under the given
 // horizon. Relays are stateless per round (their rebuild cache is locked),
 // so one process instance serves every run on the instance.
 func (sh *pkaShared) relay(in *instance.Instance, v, horizon int) *Relay {
-	sh.relayMu.Lock()
-	defer sh.relayMu.Unlock()
-	byNode := sh.relays[horizon]
-	if byNode == nil {
-		byNode = make(map[int]*Relay)
-		if sh.relays == nil {
-			sh.relays = make(map[int]map[int]*Relay)
-		}
-		sh.relays[horizon] = byNode
-	}
-	if rel, ok := byNode[v]; ok {
+	return sh.relays.Get(relayKey{horizon, v}, func() *Relay {
+		rel := NewRelayAt(v, in.G.Neighbors(v), sh.infos[v])
+		rel.horizon = horizon
+		rel.cache = &protocol.Cache[string, network.Payload]{Max: maxRelayCache}
 		return rel
-	}
-	rel := NewRelayAt(v, in.G.Neighbors(v), sh.infos[v])
-	rel.horizon = horizon
-	rel.cache = &relayCache{}
-	byNode[v] = rel
-	return rel
-}
-
-// storeFor returns the candidate-record store for the given horizon. The
-// horizon changes G_M (the decision graph is sliced to the bounded path
-// span), so records are segregated per horizon value.
-func (sh *pkaShared) storeFor(horizon int) *candStore {
-	sh.storeMu.Lock()
-	defer sh.storeMu.Unlock()
-	if cs, ok := sh.stores[horizon]; ok {
-		return cs
-	}
-	if sh.stores == nil {
-		sh.stores = make(map[int]*candStore)
-	}
-	cs := &candStore{}
-	sh.stores[horizon] = cs
-	return cs
-}
-
-// relayCache memoizes a relay's rebuilt payloads, keyed by the incoming
-// payload's key. The rebuilt message is a pure function of (relay, incoming
-// payload) — the trail extension and key surgery are deterministic — so a
-// cache hit replays the exact payload the cold path would construct.
-type relayCache struct {
-	mu sync.RWMutex
-	m  map[string]network.Payload
-}
-
-func (rc *relayCache) get(k string) network.Payload {
-	rc.mu.RLock()
-	p := rc.m[k]
-	rc.mu.RUnlock()
-	return p
-}
-
-func (rc *relayCache) put(k string, p network.Payload) {
-	rc.mu.Lock()
-	if rc.m == nil {
-		rc.m = make(map[string]network.Payload)
-	}
-	if len(rc.m) < maxRelayCache {
-		rc.m[k] = p
-	}
-	rc.mu.Unlock()
+	})
 }

@@ -132,20 +132,21 @@ func TestSMTVerdictWitnesses(t *testing.T) {
 	}
 }
 
-// TestSMTFeasibleChimera exercises the predicate off the battery: the
-// Chimera worked example is corruption-feasible, and listening on either of
-// its two halves alone is fine while a structure covering both is not.
+// TestSMTFeasibleChimera exercises the predicate off the battery on the
+// Chimera worked example. The dealer's whole neighbourhood {1, 2, 3} is a
+// corruption set, so Chimera is SMT-infeasible under every listening
+// structure, the trivial one included, and that neighbourhood is the
+// disruption cut. (The listening side of the predicate is pinned by the
+// SMTExtraEar boundary pair.)
 func TestSMTFeasibleChimera(t *testing.T) {
 	g, z, d, r := gen.Chimera()
 	in, err := instance.AdHoc(g, z, d, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SMTFeasible(in, adversary.Trivial()) {
-		t.Skip("chimera is not even disruption-feasible; fixture changed")
-	}
-	all := in.G.Nodes().Remove(d).Remove(r)
-	if SMTFeasible(in, adversary.FromSets(all)) {
-		t.Error("listening on the whole interior should always fail secrecy")
+	v := SMTVerdictFor(in, adversary.Trivial())
+	if v.Feasible || !v.DisruptionFound || !v.DisruptionCut.Equal(nodeset.Of(1, 2, 3)) {
+		t.Fatalf("chimera under trivial listening: feasible %v, disruption cut %v (found %v); want infeasible with cut {1, 2, 3}",
+			v.Feasible, v.DisruptionCut, v.DisruptionFound)
 	}
 }

@@ -52,13 +52,41 @@ const (
 type Msg struct {
 	Phase Phase
 	X     network.Value
+
+	// key memoizes Key. Players broadcast sealed payloads (see payloads),
+	// whose key every recipient's inbox sort then reads; unsealed literals
+	// (forged payloads, decoded wire frames) fall back to rendering per
+	// call.
+	key string
 }
 
 // BitSize implements network.Payload: the value plus a two-bit phase tag.
 func (m Msg) BitSize() int { return 8*len(m.X) + 2 }
 
 // Key implements network.Payload.
-func (m Msg) Key() string { return "mbrb:" + string(m.Phase) + ":" + string(m.X) }
+func (m Msg) Key() string {
+	if m.key != "" {
+		return m.key
+	}
+	return m.render()
+}
+
+func (m Msg) render() string { return "mbrb:" + string(m.Phase) + ":" + string(m.X) }
+
+// payloads is an instance's sealed broadcast payloads, keyed by the
+// unsealed literal: one per (phase, value) its runs have broadcast, boxed
+// once with its key rendered and shared by every run, so a broadcast
+// allocates nothing once its payload exists. maxPayloads caps it against
+// runs with ever new values.
+type payloads = protocol.Cache[Msg, network.Payload]
+
+const maxPayloads = 64
+
+type payloadsKey struct{}
+
+func payloadsOf(in *instance.Instance) *payloads {
+	return in.Derived(payloadsKey{}, func() any { return &payloads{Max: maxPayloads} }).(*payloads)
+}
 
 // Quorums are the three thresholds of an (n, t, d) MBRB run.
 type Quorums struct {
@@ -100,6 +128,7 @@ type Player struct {
 	value     network.Value // dealer's value; empty for non-dealers
 	neighbors nodeset.Set
 	q         Quorums
+	payloads  *payloads
 
 	echoes    protocol.Tally
 	readys    protocol.Tally
@@ -112,12 +141,12 @@ type Player struct {
 // NewPlayer builds the process for node id of the instance with the given
 // quorums; xD is non-empty exactly at the dealer.
 func NewPlayer(in *instance.Instance, id int, xD network.Value, q Quorums) *Player {
-	p := newPlayer(in, id, xD, q)
+	p := newPlayer(in, id, xD, q, payloadsOf(in))
 	return &p
 }
 
-func newPlayer(in *instance.Instance, id int, xD network.Value, q Quorums) Player {
-	return Player{id: id, dealer: in.Dealer, value: xD, neighbors: in.G.Neighbors(id), q: q}
+func newPlayer(in *instance.Instance, id int, xD network.Value, q Quorums, ps *payloads) Player {
+	return Player{id: id, dealer: in.Dealer, value: xD, neighbors: in.G.Neighbors(id), q: q, payloads: ps}
 }
 
 // Init implements network.Process: the dealer broadcasts INIT, which counts
@@ -199,10 +228,14 @@ func (p *Player) ready(out network.Outbox, x network.Value) {
 	p.broadcast(out, Msg{Phase: PhaseReady, X: x})
 }
 
-// broadcast sends m to every neighbor, boxing it once: every recipient
+// broadcast sends m's sealed payload to every neighbor: every recipient
 // shares the one immutable payload.
 func (p *Player) broadcast(out network.Outbox, m Msg) {
-	var payload network.Payload = m
+	payload := p.payloads.Get(m, func() network.Payload {
+		sealed := m
+		sealed.key = m.render()
+		return sealed
+	})
 	p.neighbors.ForEach(func(u int) bool {
 		out(u, payload)
 		return true
@@ -214,13 +247,14 @@ func (p *Player) broadcast(out network.Outbox, m Msg) {
 // corrupted overrides (the dealer and receiver cannot be corrupted).
 func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, d int) map[int]network.Process {
 	q := NewQuorums(in.N(), Threshold(in), d)
+	ps := payloadsOf(in)
 	slab := make([]Player, 0, in.N()) // one allocation for the run's players
 	return protocol.Build(in.G, nodeset.Of(in.Dealer, in.Receiver), corrupt, func(v int) network.Process {
 		val := network.Value("")
 		if v == in.Dealer {
 			val = xD
 		}
-		slab = append(slab, newPlayer(in, v, val, q))
+		slab = append(slab, newPlayer(in, v, val, q, ps))
 		return &slab[len(slab)-1]
 	})
 }

@@ -171,3 +171,24 @@ func TestAssembleErrors(t *testing.T) {
 		t.Error("negative budget accepted")
 	}
 }
+
+// TestBroadcastKeyAllocatesNothing: a player's broadcast payload carries
+// its key rendered once, so the engine's inbox sort, which compares keys of
+// one sender's payloads, allocates nothing per comparison. A literal Msg
+// renders the same key.
+func TestBroadcastKeyAllocatesNothing(t *testing.T) {
+	in := kInstance(t, 4, 1)
+	dealer := mbrb.NewPlayer(in, in.Dealer, "x", mbrb.NewQuorums(4, 1, 0))
+	var sent []network.Payload
+	dealer.Init(func(_ int, p network.Payload) { sent = append(sent, p) })
+	if len(sent) != 3 {
+		t.Fatalf("dealer sent %d payloads, want 3", len(sent))
+	}
+	p := sent[0]
+	if want := (mbrb.Msg{Phase: mbrb.PhaseInit, X: "x"}).Key(); p.Key() != want {
+		t.Fatalf("broadcast key %q, literal key %q", p.Key(), want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = p.Key() }); n != 0 {
+		t.Fatalf("Key on a broadcast payload allocates %.0f times per call", n)
+	}
+}

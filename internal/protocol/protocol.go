@@ -95,12 +95,6 @@ type Options struct {
 	// message-complexity savings against the solvability loss.
 	// Read by: pka.
 	Horizon int
-	// DisableMemo turns off RMT-PKA's receiver decision-subroutine
-	// memoization (claim-graph, path-set and cover-verdict caches).
-	// Decisions are identical either way — the flag exists for equivalence
-	// tests and as an escape hatch if memory is tighter than CPU.
-	// Read by: pka.
-	DisableMemo bool
 	// Listen is the adversary's listening structure ℒ: the monotone family
 	// of node sets it may eavesdrop on (Dowden's fully generalised
 	// adversary; see internal/adversary). The zero value means "no
