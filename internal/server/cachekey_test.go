@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 )
 
@@ -81,4 +82,101 @@ func TestFeasibilityCacheKeyCarriesListen(t *testing.T) {
 	if code != http.StatusOK || string(again) != string(body) {
 		t.Fatalf("listening request not served byte-identically from cache")
 	}
+}
+
+// TestCacheKeysCoverRequestFields walks FeasibilityRequest and RunRequest
+// by reflection, so a field added later cannot be left out of its cache
+// key unnoticed — the bug class of the knowledge-level collision and of the
+// listen poisoning above. After a base request primes the cache:
+//   - a request differing from it in one field outside the instance tuple
+//     must miss, and so must a feasibility request at a knowledge level
+//     that shares the base's canonical hash;
+//   - a re-spelling of one instance field must hit.
+//
+// Every field needs an entry in the tables below, so a new one fails here
+// until it says which kind it is.
+func TestCacheKeysCoverRequestFields(t *testing.T) {
+	// Triangle-free, so the adhoc and radius1 views coincide.
+	base := InstanceRequest{Graph: "0-1 0-2 0-3 1-4 2-4 3-4", Structure: "1;2;3", Dealer: 0, Receiver: 4}
+	respell := map[string]any{
+		"Graph":     "3-4, 2-4; 1-4 0-3 0-2 1-0",
+		"Structure": "3; 2;1;1",
+		"Knowledge": "adhoc",
+		"Dealer":    nil, // an int has one spelling
+		"Receiver":  nil,
+	}
+	// levelHits says whether radius1 answers from the adhoc entry. A
+	// feasibility body echoes the level and carries the ad hoc-only ZCPA
+	// verdict; a run depends on the instance tuple alone.
+	cases := []struct {
+		path      string
+		base      any
+		vary      map[string]any
+		levelHits bool
+	}{
+		{"/v1/feasibility", FeasibilityRequest{InstanceRequest: base},
+			map[string]any{"MABudget": 1, "Listen": "2"}, false},
+		{"/v1/run", RunRequest{InstanceRequest: base, Protocol: "pka", Value: "1", Engine: "async",
+			Schedule: "sync", Seed: 1, Trials: 1, Corrupt: []int{1}, Attack: "silent", Forged: "x"},
+			map[string]any{"Protocol": "zcpa", "Value": "2", "Engine": "lockstep", "Schedule": "random",
+				"Seed": int64(2), "Trials": 2, "Corrupt": []int{2}, "Attack": "value-flip", "Forged": "y",
+				"MaxRounds": 9, "Transcript": true}, true},
+	}
+	for _, c := range cases {
+		srv, ts := newTestServer(t, Options{})
+		// expect posts req and checks that it moved the hit or the miss
+		// counter.
+		expect := func(label string, req any, hit bool) {
+			t.Helper()
+			hits, misses := srv.metrics.cacheHits.Load(), srv.metrics.cacheMisses.Load()
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code, reply := post(t, ts, c.path, string(body)); code != http.StatusOK {
+				t.Fatalf("%s %s: %d %s", c.path, label, code, reply)
+			}
+			gotHit := srv.metrics.cacheHits.Load() == hits+1
+			if gotHit != hit || srv.metrics.cacheMisses.Load() != misses+boolInt(!hit) {
+				t.Errorf("%s %s: cache hit %v, want %v", c.path, label, gotHit, hit)
+			}
+		}
+		expect("base", c.base, false)
+		with := func(field string, value any) any {
+			v := reflect.New(reflect.TypeOf(c.base)).Elem()
+			v.Set(reflect.ValueOf(c.base))
+			v.FieldByName(field).Set(reflect.ValueOf(value))
+			return v.Interface()
+		}
+		typ := reflect.TypeOf(c.base)
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if f.Type != reflect.TypeOf(InstanceRequest{}) {
+				value, ok := c.vary[f.Name]
+				if !ok {
+					t.Fatalf("%s: field %s has no variant; say how it reaches the cache key", c.path, f.Name)
+				}
+				expect(f.Name, with(f.Name, value), false)
+				continue
+			}
+			for j := 0; j < f.Type.NumField(); j++ {
+				name := f.Type.Field(j).Name
+				value, ok := respell[name]
+				if !ok {
+					t.Fatalf("%s: instance field %s has no re-spelling; add one or mark it nil", c.path, name)
+				}
+				if value != nil {
+					expect(name+" re-spelled", with(name, value), true)
+				}
+			}
+			expect("knowledge radius1", with("Knowledge", "radius1"), c.levelHits)
+		}
+	}
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
