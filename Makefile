@@ -108,16 +108,21 @@ loadtest:
 daemonsmoke:
 	$(GO) run ./cmd/rmtload -smoke
 
-# Churn-schedule fuzzer: the incremental ≡ fresh differential across every
-# feasibility fixture × CHURN_CHAINS seeded random delta chains of
-# CHURN_STEPS single edits each. A scaled-up run of the tier-1 test —
-# every revision's incremental RMT-cut and 𝒵-pp-cut verdicts (and verified
-# witnesses) must match a from-scratch search.
+# Churn-schedule fuzzer, two scaled-up tier-1 differentials. First,
+# incremental ≡ fresh across every feasibility fixture × CHURN_CHAINS
+# seeded random delta chains of CHURN_STEPS single edits each: every
+# revision's incremental RMT-cut and 𝒵-pp-cut verdicts (and verified
+# witnesses) must match a from-scratch search. Second, cutsearch's own
+# differential over CHURN_CHAINS random-instance chains: both
+# instantiations of cutsearch.Incremental must match the reference
+# repair-then-search flow down to witnesses and repaired/fresh counts.
 CHURN_CHAINS ?= 400
 CHURN_STEPS  ?= 8
 churnfuzz:
 	CHURN_CHAINS=$(CHURN_CHAINS) CHURN_STEPS=$(CHURN_STEPS) \
 		$(GO) test ./internal/feasibility/ -run TestIncrementalMatchesFreshAcrossChurn -count=1 -v
+	CHURN_CHAINS=$(CHURN_CHAINS) \
+		$(GO) test ./internal/cutsearch/ -run TestIncrementalMatchesReference -count=1 -v
 
 # SMT fuzzer: the secure-transmission differential at scale. SMT_TRIALS
 # seeded random (graph, 𝒵, ℒ) triples must agree between the Dowden-style

@@ -9,13 +9,11 @@ import (
 
 	"rmt/internal/adversary"
 	"rmt/internal/gen"
+	"rmt/internal/graph"
 	"rmt/internal/nodeset"
 )
 
-// MaxNodeID bounds node IDs accepted from external input: node sets are
-// dense bitsets, so an absurd ID would allocate proportional memory.
-const MaxNodeID = 1 << 20
-
+// parseBoundedID parses a node ID no larger than graph.MaxNodeID.
 func parseBoundedID(s string) (int, error) {
 	id, err := strconv.Atoi(s)
 	if err != nil {
@@ -24,8 +22,8 @@ func parseBoundedID(s string) (int, error) {
 	if id < 0 {
 		return 0, fmt.Errorf("negative node %d", id)
 	}
-	if id > MaxNodeID {
-		return 0, fmt.Errorf("node %d exceeds the %d ID limit", id, MaxNodeID)
+	if id > graph.MaxNodeID {
+		return 0, fmt.Errorf("node %d exceeds the %d ID limit", id, graph.MaxNodeID)
 	}
 	return id, nil
 }

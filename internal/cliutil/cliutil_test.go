@@ -1,11 +1,13 @@
 package cliutil
 
 import (
+	"fmt"
 	"testing"
 
 	"rmt/internal/adversary"
 	"rmt/internal/gen"
 	"rmt/internal/graph"
+	"rmt/internal/instance"
 	"rmt/internal/nodeset"
 )
 
@@ -94,5 +96,44 @@ func TestFormatEdgeListRoundTrip(t *testing.T) {
 	}
 	if !back.Equal(g) {
 		t.Fatalf("round trip: %v != %v", back, g)
+	}
+}
+
+// TestNodeIDBound: every entry point for node IDs from outside — edge
+// lists, structures, node sets and topology deltas — accepts
+// graph.MaxNodeID and rejects one more, with its own error text.
+func TestNodeIDBound(t *testing.T) {
+	in, err := gen.Build(gen.Line(3), adversary.Trivial(), gen.AdHoc, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		parse func(id int) error
+		want  string
+	}{
+		{"edge list", func(id int) error {
+			_, err := graph.ParseEdgeList(fmt.Sprintf("0-%d", id))
+			return err
+		}, "graph: node 1048577 in edge exceeds the 1048576 ID limit"},
+		{"structure", func(id int) error {
+			_, err := ParseStructure(fmt.Sprintf("1;%d", id))
+			return err
+		}, `cliutil: bad node "1048577" in structure: node 1048577 exceeds the 1048576 ID limit`},
+		{"node set", func(id int) error {
+			_, err := ParseNodeSet(fmt.Sprintf("1,%d", id))
+			return err
+		}, `cliutil: bad node "1048577": node 1048577 exceeds the 1048576 ID limit`},
+		{"delta", func(id int) error {
+			return instance.Delta{AddEdges: [][2]int{{1, id}}}.Validate(in)
+		}, "instance: delta add_edges node 1048577 exceeds the 1048576 ID limit"},
+	}
+	for _, c := range cases {
+		if err := c.parse(graph.MaxNodeID); err != nil {
+			t.Errorf("%s: the bound itself is rejected: %v", c.name, err)
+		}
+		if err := c.parse(graph.MaxNodeID + 1); err == nil || err.Error() != c.want {
+			t.Errorf("%s: bound + 1 gave %v, want %q", c.name, err, c.want)
+		}
 	}
 }

@@ -177,19 +177,9 @@ func Run(in *instance.Instance, xD network.Value, corrupt map[int]network.Proces
 }
 
 // Resilient reports whether RMT-PKA achieves RMT on the instance for every
-// admissible corruption: it simulates the silent adversary on each maximal
-// corruption set (the liveness-worst behavior, DESIGN.md §5).
+// admissible corruption (protocol.Resilient).
 func Resilient(in *instance.Instance) (bool, error) {
-	for _, t := range in.MaximalCorruptions() {
-		res, err := Run(in, "1", protocol.Silence(t), Options{})
-		if err != nil {
-			return false, err
-		}
-		if _, ok := res.DecisionOf(in.Receiver); !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	return protocol.Resilient(Proto{}, in)
 }
 
 // trueInfo returns the honest, sealed NodeInfo of a node.

@@ -26,6 +26,17 @@ func (c RMTCut) String() string {
 	return fmt.Sprintf("RMTCut(C1=%v, C2=%v, B=%v)", c.C1, c.C2, c.B)
 }
 
+// Rule names the set Definition 3 tests C2 against at each u ∈ B: V(γ(u)).
+func (RMTCut) Rule() cutsearch.Rule { return cutsearch.JointView }
+
+// IncrementalCut maintains the RMT-cut verdict across instance revisions,
+// repairing the previous revision's witness before searching afresh; see
+// cutsearch.Incremental. The zero value is ready to use.
+type IncrementalCut = cutsearch.Incremental[RMTCut]
+
+// NewIncrementalCut returns an empty checker; the first Check runs fresh.
+func NewIncrementalCut() *IncrementalCut { return &IncrementalCut{} }
+
 // FindRMTCut searches the instance for an RMT-cut, returning a witness if
 // one exists.
 //

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 
 	"rmt/internal/adversary"
@@ -244,10 +246,21 @@ func checkChain(t *testing.T, label string, revisions []*instance.Instance) {
 	}
 }
 
+// TestIncrementalMatchesReference runs checkChain on seeded 8-step delta
+// chains over random instances at every knowledge level, a quarter of them
+// on IDs spread over two words. CHURN_CHAINS sets the chain count (default
+// 120, 30 under -short); `make churnfuzz` scales it up.
 func TestIncrementalMatchesReference(t *testing.T) {
 	chains := 120
 	if testing.Short() {
 		chains = 30
+	}
+	if s := os.Getenv("CHURN_CHAINS"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 0 {
+			t.Fatalf("CHURN_CHAINS=%q: want a positive integer", s)
+		}
+		chains = n
 	}
 	r := rand.New(rand.NewSource(8))
 	for c := 0; c < chains; c++ {

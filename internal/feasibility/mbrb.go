@@ -16,14 +16,17 @@ import (
 // degenerates to Bracha's classical n > 3t.
 func MBRBFeasible(n, t, d int) bool { return n > 3*t+2*d }
 
-// MBRBVerdict is the instance-level evaluation of the bound.
+// MBRBVerdict is the instance-level evaluation of the bound; rmtd serves it
+// as the /v1/feasibility "mbrb" field.
 type MBRBVerdict struct {
 	// N, T, D are the parameters the verdict was computed from: the player
 	// count, the adversary structure's largest corruption set, and the
 	// suppression budget under evaluation.
-	N, T, D int
+	N int `json:"n"`
+	T int `json:"t"`
+	D int `json:"d"`
 	// Feasible is MBRBFeasible(N, T, D).
-	Feasible bool
+	Feasible bool `json:"feasible"`
 }
 
 // MBRBVerdictFor evaluates the n > 3t + 2d bound on an instance. The bound
@@ -138,14 +141,4 @@ func MBRBBoundaries() []MBRBBoundary {
 		mk(MBRBDoubleBudget, "t=1, d=2: two eclipsed players cost two quorum votes "+
 			"each round; K8 still seats 5 = qE voters, K7 only 4.", 1, 2),
 	}
-}
-
-// MBRBBoundaryByName returns the named boundary pair.
-func MBRBBoundaryByName(name string) (MBRBBoundary, bool) {
-	for _, b := range MBRBBoundaries() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return MBRBBoundary{}, false
 }

@@ -439,18 +439,21 @@ func (g *Graph) AppendEdges(dst []byte, sep string) []byte {
 	return dst
 }
 
+// MaxNodeID bounds the node IDs accepted from external input — edge lists,
+// structures, node sets and topology deltas. Adjacency rows and node sets
+// are dense (indexed by ID), so an absurd ID would allocate memory
+// proportional to the ID rather than to the graph.
+const MaxNodeID = 1 << 20
+
 // ParseEdgeList builds a graph from a string like "0-1, 1-2, 2-3; 7" where
 // edges are "u-v" pairs and bare integers add isolated nodes. Separators may
-// be commas, semicolons, whitespace or newlines.
+// be commas, semicolons, whitespace or newlines. IDs above MaxNodeID are
+// rejected.
 func ParseEdgeList(s string) (*Graph, error) {
 	g := New()
 	fields := strings.FieldsFunc(s, func(r rune) bool {
 		return r == ',' || r == ';' || r == ' ' || r == '\n' || r == '\t' || r == '\r'
 	})
-	// Adjacency is dense (indexed by ID), so external input must not name
-	// absurd IDs: that would allocate memory proportional to the largest
-	// ID rather than to the graph.
-	const maxParsedID = 1 << 20
 	parseID := func(s, context string) (int, error) {
 		id, err := strconv.Atoi(s)
 		if err != nil {
@@ -459,8 +462,8 @@ func ParseEdgeList(s string) (*Graph, error) {
 		if id < 0 {
 			return 0, fmt.Errorf("graph: negative node %d in %s", id, context)
 		}
-		if id > maxParsedID {
-			return 0, fmt.Errorf("graph: node %d in %s exceeds the %d ID limit", id, context, maxParsedID)
+		if id > MaxNodeID {
+			return 0, fmt.Errorf("graph: node %d in %s exceeds the %d ID limit", id, context, MaxNodeID)
 		}
 		return id, nil
 	}

@@ -138,13 +138,12 @@ func ChainKeys(in *Instance, deltas []Delta) []string {
 }
 
 // Validate checks a delta against the instance it is to be applied to,
-// without applying it: every referenced ID is non-negative, added edges are
-// not self-loops, removed edges/nodes exist (after this delta's additions),
-// and the terminals survive. Apply calls it; the watch API calls it to
-// reject a bad subscription step with a useful error instead of a failed
-// instance rebuild.
+// without applying it: every referenced ID lies in [0, graph.MaxNodeID],
+// added edges are not self-loops, removed edges/nodes exist (after this
+// delta's additions), and the terminals survive. Apply calls it; the watch
+// API calls it to reject a bad subscription step with a useful error
+// instead of a failed instance rebuild.
 func (d Delta) Validate(in *Instance) error {
-	const maxDeltaID = 1 << 20 // same bound as graph.ParseEdgeList, same reason
 	present := func(id int) bool {
 		if in.G.HasNode(id) {
 			return true
@@ -165,8 +164,8 @@ func (d Delta) Validate(in *Instance) error {
 		if id < 0 {
 			return fmt.Errorf("instance: delta %s references negative node %d", what, id)
 		}
-		if id > maxDeltaID {
-			return fmt.Errorf("instance: delta %s node %d exceeds the %d ID limit", what, id, maxDeltaID)
+		if id > graph.MaxNodeID {
+			return fmt.Errorf("instance: delta %s node %d exceeds the %d ID limit", what, id, graph.MaxNodeID)
 		}
 		return nil
 	}

@@ -103,9 +103,6 @@ type MetricsTracer struct {
 	m Metrics
 }
 
-// NewMetricsTracer returns an empty metrics accumulator.
-func NewMetricsTracer() *MetricsTracer { return &MetricsTracer{} }
-
 // Send implements Tracer.
 func (t *MetricsTracer) Send(round int, m Message) {
 	t.m.MessagesSent++

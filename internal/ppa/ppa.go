@@ -204,19 +204,10 @@ func Run(in *instance.Instance, xD network.Value, corrupt map[int]network.Proces
 	return protocol.Run(Proto{}, in, xD, protocol.Options{Engine: engine, Corrupt: corrupt})
 }
 
-// Resilient reports whether PPA achieves RMT against every maximal silent
-// corruption set.
+// Resilient reports whether PPA achieves RMT on the instance for every
+// admissible corruption set (protocol.Resilient).
 func Resilient(in *instance.Instance) (bool, error) {
-	for _, t := range in.MaximalCorruptions() {
-		res, err := Run(in, "1", protocol.Silence(t), nil)
-		if err != nil {
-			return false, err
-		}
-		if _, ok := res.DecisionOf(in.Receiver); !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	return protocol.Resilient(Proto{}, in)
 }
 
 // PairCut searches for a 𝒵-pair cut: a D–R separator C = Z1 ∪ Z2 with

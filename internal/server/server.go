@@ -41,6 +41,7 @@ import (
 	"rmt/internal/byzantine"
 	"rmt/internal/cliutil"
 	"rmt/internal/core"
+	"rmt/internal/cutsearch"
 	"rmt/internal/eval"
 	"rmt/internal/feasibility"
 	"rmt/internal/gen"
@@ -390,14 +391,18 @@ func (s *Server) pooled(parent context.Context, fn func(ctx context.Context) ([]
 	return nil, fmt.Errorf("%w after %v", errDeadline, s.opts.RequestTimeout)
 }
 
-// compute runs fn through pooled under the request's context and returns
-// the response body, mapping failures to 429 (overload), 499 (client
-// disconnect), 504 (deadline) or 500; a nil body means the reply was
-// already sent.
-func (s *Server) compute(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context) ([]byte, error)) []byte {
-	body, err := s.pooled(r.Context(), fn)
+// serveCached answers a POST endpoint through cached, mapping a failed
+// compute to 429 (overload), 499 (client disconnect), 504 (deadline) or
+// 500. ownerKey is the instance's canonical content hash, the unit of
+// fleet ownership.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerKey string, fn func(ctx context.Context) ([]byte, error)) {
+	body, source, err := s.cached(r.Context(), key, ownerKey, json.Valid, fn)
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.cache = source
+	}
 	if err == nil {
-		return body
+		writeJSON(w, http.StatusOK, body)
+		return
 	}
 	code := http.StatusInternalServerError
 	switch {
@@ -409,47 +414,34 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, fn func(ctx con
 		code = http.StatusGatewayTimeout
 	}
 	writeError(w, code, "%v", err)
-	return nil
 }
 
-// serveCached answers from the result cache or computes, caches and serves.
-// The incumbent body always wins (see resultCache.put), so equal cache keys
-// get byte-identical replies regardless of worker count or arrival order.
-//
-// ownerKey is the instance's canonical content hash, the unit of fleet
-// ownership: in a sharded fleet, a local miss on a key another shard owns
-// first asks that peer's cache (see fetchFromPeer) before computing.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerKey string, fn func(ctx context.Context) ([]byte, error)) {
-	rec, _ := w.(*statusRecorder)
+// cached returns the body for key: from the result LRU, else — on a fleet
+// shard that does not own ownerKey — from the owning peer's cache (see
+// fetchFromPeer), else computed by fn through pooled. A peer's body is
+// stored only if valid accepts it. Every stored body is read back, because
+// the incumbent wins (see resultCache.put): equal keys get byte-identical
+// bodies regardless of worker count, arrival order or shard. source is
+// "hit", "peer" or "miss" (computed, or failed with err).
+func (s *Server) cached(ctx context.Context, key, ownerKey string, valid func([]byte) bool, fn func(ctx context.Context) ([]byte, error)) (body []byte, source string, err error) {
 	if body, ok := s.cache.get(key); ok {
 		s.metrics.cacheHits.Add(1)
-		if rec != nil {
-			rec.cache = "hit"
-		}
-		writeJSON(w, http.StatusOK, body)
-		return
+		return body, "hit", nil
 	}
 	s.metrics.cacheMisses.Add(1)
-	if rec != nil {
-		rec.cache = "miss"
-	}
-	if body, ok := s.fetchFromPeer(r.Context(), key, ownerKey); ok {
-		if rec != nil {
-			rec.cache = "peer"
+	body, ok := s.fetchFromPeer(ctx, key, ownerKey)
+	source = "peer"
+	if !ok || !valid(body) {
+		source = "miss"
+		if body, err = s.pooled(ctx, fn); err != nil {
+			return nil, source, err
 		}
-		s.cache.put(key, body)
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-	body := s.compute(w, r, fn)
-	if body == nil {
-		return
 	}
 	s.cache.put(key, body)
-	if cached, ok := s.cache.get(key); ok {
-		body = cached
+	if stored, ok := s.cache.get(key); ok {
+		body = stored
 	}
-	writeJSON(w, http.StatusOK, body)
+	return body, source, nil
 }
 
 // fetchFromPeer asks the owning peer's cache for key when this server is a
@@ -551,12 +543,7 @@ type FeasibilityRequest struct {
 
 // MBRBVerdict is the signature-free reliable-broadcast answer: the bound
 // n > 3t + 2d evaluated on the instance's (n, t) and the requested d.
-type MBRBVerdict struct {
-	N        int  `json:"n"`
-	T        int  `json:"t"`
-	D        int  `json:"d"`
-	Feasible bool `json:"feasible"`
-}
+type MBRBVerdict = feasibility.MBRBVerdict
 
 // SMTVerdict is the secure-message-transmission answer under the fully
 // generalised adversary (𝒵, ℒ): Dowden's disruption and secrecy cut
@@ -629,37 +616,73 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, key, in.CanonicalKey(), func(ctx context.Context) ([]byte, error) {
 		resp := FeasibilityResponse{Key: in.CanonicalKey(), Knowledge: level.String()}
 		if mv, err := feasibility.MBRBVerdictFor(in, req.MABudget); err == nil {
-			resp.MBRB = &MBRBVerdict{N: mv.N, T: mv.T, D: mv.D, Feasible: mv.Feasible}
+			resp.MBRB = &mv
 		}
 		resp.SMT = smtVerdictOf(in, listen)
-		cut, found, err := core.FindRMTCutCtx(ctx, in)
-		if err != nil {
+		var cuts cutCheckers
+		var err error
+		if resp.PKA, resp.ZCPA, err = cuts.verdicts(ctx, in, level); err != nil {
 			return nil, err
-		}
-		if found {
-			resp.PKA.Witness = witnessOf(cut.C1, cut.C2, cut.B)
-		} else {
-			resp.PKA.Solvable = true
-		}
-		if level == gen.AdHoc {
-			v := &Verdict{}
-			zcut, zfound, err := zcpa.FindRMTZppCutCtx(ctx, in)
-			if err != nil {
-				return nil, err
-			}
-			if zfound {
-				v.Witness = witnessOf(zcut.C1, zcut.C2, zcut.B)
-			} else {
-				v.Solvable = true
-			}
-			resp.ZCPA = v
 		}
 		return marshalBody(resp)
 	})
 }
 
-func witnessOf(c1, c2, b nodeset.Set) *CutWitness {
-	return &CutWitness{C1: members(c1), C2: members(c2), B: members(b)}
+// cutCheckers computes, renders and re-seeds the verdicts of the paper's
+// two tight cut conditions: Definition 3's RMT-cut (pka) at every
+// knowledge level and Definition 7's 𝒵-pp cut (zcpa) on ad hoc instances.
+// A /v1/feasibility request uses a zero value, whose first check is a
+// plain search; a /v1/watch subscription keeps one across its revisions,
+// so each revision first repairs the last one's witness.
+type cutCheckers struct {
+	pka  core.IncrementalCut
+	zcpa zcpa.IncrementalCut
+}
+
+// verdicts checks in under both conditions; z is nil unless level is ad
+// hoc.
+func (c *cutCheckers) verdicts(ctx context.Context, in *instance.Instance, level gen.Knowledge) (pka Verdict, z *Verdict, err error) {
+	if pka, err = checkCut(ctx, &c.pka, in); err != nil || level != gen.AdHoc {
+		return pka, nil, err
+	}
+	zv, err := checkCut(ctx, &c.zcpa, in)
+	return pka, &zv, err
+}
+
+// seed primes both checkers with the verdicts of a revision served from a
+// cache rather than computed, so the next revision can still repair.
+func (c *cutCheckers) seed(in *instance.Instance, pka Verdict, z *Verdict) {
+	seedCut(&c.pka, in, &pka)
+	seedCut(&c.zcpa, in, z)
+}
+
+// checkCut runs one checker on in and renders its verdict.
+func checkCut[W cutsearch.Cut](ctx context.Context, ic *cutsearch.Incremental[W], in *instance.Instance) (Verdict, error) {
+	w, found, err := ic.CheckCtx(ctx, in)
+	if err != nil {
+		return Verdict{}, err
+	}
+	if !found {
+		return Verdict{Solvable: true}, nil
+	}
+	c := cutsearch.Witness(w)
+	return Verdict{Witness: &CutWitness{C1: members(c.C1), C2: members(c.C2), B: members(c.B)}}, nil
+}
+
+// seedCut seeds ic with v, if there is one. A cached witness is verified
+// first: the body is cache-authentic, but the checker trusts its seeds.
+func seedCut[W cutsearch.Cut](ic *cutsearch.Incremental[W], in *instance.Instance, v *Verdict) {
+	switch {
+	case v == nil:
+	case v.Witness != nil:
+		w := W(cutsearch.Witness{C1: nodeset.Of(v.Witness.C1...), C2: nodeset.Of(v.Witness.C2...), B: nodeset.Of(v.Witness.B...)})
+		if cutsearch.Verify(cutsearch.FromInstance(in, w.Rule()), cutsearch.Witness(w)) == nil {
+			ic.Seed(w, true)
+		}
+	case v.Solvable:
+		var none W
+		ic.Seed(none, false)
+	}
 }
 
 // smtVerdictOf evaluates the Dowden cut conditions under the requested

@@ -10,11 +10,8 @@ import (
 	"io"
 	"net/http"
 
-	"rmt/internal/core"
 	"rmt/internal/gen"
 	"rmt/internal/instance"
-	"rmt/internal/nodeset"
-	"rmt/internal/zcpa"
 )
 
 // WatchEvent is one line of the POST /v1/watch response stream: the
@@ -90,11 +87,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	base := in.CanonicalKey()
 	key := base
-	incR := core.NewIncrementalCut()
-	var incZ *zcpa.IncrementalCut
-	if level == gen.AdHoc {
-		incZ = zcpa.NewIncrementalCut()
-	}
+	var cuts cutCheckers
 	cur := in
 	var prev *WatchEvent
 	for rev := 0; ; rev++ {
@@ -102,7 +95,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			s.watchFail(w, rc, rev, "delta limit %d exceeded", s.opts.MaxWatchDeltas)
 			return
 		}
-		ev, body, err := s.watchVerdict(r.Context(), cur, level, base, key, rev, incR, incZ)
+		ev, body, err := s.watchVerdict(r.Context(), &cuts, cur, level, base, key, rev)
 		if err != nil {
 			s.watchFail(w, rc, rev, "%v", err)
 			return
@@ -144,95 +137,35 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// watchVerdict produces one revision's verdict event, preferring the local
-// LRU, then the base owner's peer cache, then computing on the worker pool
-// under the per-step deadline. The returned body is exactly the bytes the
-// cache holds (first body wins), so equal chains stream byte-identical
-// events fleet-wide. Compute paths advance the incremental checkers as a
-// side effect; cache and peer hits re-seed them from the decoded (and
-// re-verified) witness so the next revision can still repair.
-func (s *Server) watchVerdict(ctx context.Context, cur *instance.Instance, level gen.Knowledge, base, key string, rev int, incR *core.IncrementalCut, incZ *zcpa.IncrementalCut) (*WatchEvent, []byte, error) {
-	cacheKey := "watch-v1\n" + level.String() + "\n" + key
-	if body, ok := s.cache.get(cacheKey); ok {
-		if ev, err := decodeWatchEvent(body); err == nil {
-			s.metrics.cacheHits.Add(1)
-			seedCheckers(cur, ev, incR, incZ)
-			return ev, body, nil
-		}
+// watchVerdict produces one revision's verdict event through cached, under
+// the base owner's key, so equal chains stream byte-identical events
+// fleet-wide. A computed revision advances the subscription's checkers; a
+// revision served from a cache re-seeds them from its witnesses, so the
+// next revision can still repair.
+func (s *Server) watchVerdict(ctx context.Context, cuts *cutCheckers, cur *instance.Instance, level gen.Knowledge, base, key string, rev int) (*WatchEvent, []byte, error) {
+	valid := func(body []byte) bool {
+		_, err := decodeWatchEvent(body)
+		return err == nil
 	}
-	s.metrics.cacheMisses.Add(1)
-	if body, ok := s.fetchFromPeer(ctx, cacheKey, base); ok {
-		if ev, err := decodeWatchEvent(body); err == nil {
-			s.cache.put(cacheKey, body)
-			seedCheckers(cur, ev, incR, incZ)
-			return ev, body, nil
-		}
-	}
-	body, err := s.pooled(ctx, func(ctx context.Context) ([]byte, error) {
+	body, source, err := s.cached(ctx, "watch-v1\n"+level.String()+"\n"+key, base, valid, func(ctx context.Context) ([]byte, error) {
 		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
-		cut, found, err := incR.CheckCtx(ctx, cur)
-		if err != nil {
+		var err error
+		if ev.PKA, ev.ZCPA, err = cuts.verdicts(ctx, cur, level); err != nil {
 			return nil, err
-		}
-		if found {
-			ev.PKA.Witness = witnessOf(cut.C1, cut.C2, cut.B)
-		} else {
-			ev.PKA.Solvable = true
-		}
-		if incZ != nil {
-			v := &Verdict{}
-			zcut, zfound, err := incZ.CheckCtx(ctx, cur)
-			if err != nil {
-				return nil, err
-			}
-			if zfound {
-				v.Witness = witnessOf(zcut.C1, zcut.C2, zcut.B)
-			} else {
-				v.Solvable = true
-			}
-			ev.ZCPA = v
 		}
 		return marshalBody(ev)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	s.cache.put(cacheKey, body)
-	if cached, ok := s.cache.get(cacheKey); ok {
-		body = cached
-	}
 	ev, err := decodeWatchEvent(body)
 	if err != nil {
 		return nil, nil, err
 	}
+	if source != "miss" {
+		cuts.seed(cur, ev.PKA, ev.ZCPA)
+	}
 	return ev, body, nil
-}
-
-// seedCheckers primes the incremental checkers with a revision verdict that
-// was served from a cache rather than computed, so the next delta can be
-// answered by witness repair. Cached witnesses are re-verified before
-// seeding — a body is cache-authentic but the checker contract trusts
-// seeds, so the boundary verifies.
-func seedCheckers(cur *instance.Instance, ev *WatchEvent, incR *core.IncrementalCut, incZ *zcpa.IncrementalCut) {
-	if wv := ev.PKA.Witness; wv != nil {
-		cut := core.RMTCut{C1: nodeset.Of(wv.C1...), C2: nodeset.Of(wv.C2...), B: nodeset.Of(wv.B...)}
-		if core.VerifyRMTCut(cur, cut) == nil {
-			incR.Seed(cut, true)
-		}
-	} else if ev.PKA.Solvable {
-		incR.Seed(core.RMTCut{}, false)
-	}
-	if incZ == nil || ev.ZCPA == nil {
-		return
-	}
-	if wv := ev.ZCPA.Witness; wv != nil {
-		cut := zcpa.ZppCut{C1: nodeset.Of(wv.C1...), C2: nodeset.Of(wv.C2...), B: nodeset.Of(wv.B...)}
-		if zcpa.VerifyZppCut(cur, cut) == nil {
-			incZ.Seed(cut, true)
-		}
-	} else if ev.ZCPA.Solvable {
-		incZ.Seed(zcpa.ZppCut{}, false)
-	}
 }
 
 func decodeWatchEvent(body []byte) (*WatchEvent, error) {

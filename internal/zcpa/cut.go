@@ -25,6 +25,17 @@ func (c ZppCut) String() string {
 	return fmt.Sprintf("ZppCut(C1=%v, C2=%v, B=%v)", c.C1, c.C2, c.B)
 }
 
+// Rule names the set Definition 7 tests C2 against at each u ∈ B: N(u).
+func (ZppCut) Rule() cutsearch.Rule { return cutsearch.Neighborhood }
+
+// IncrementalCut maintains the RMT 𝒵-pp cut verdict across instance
+// revisions — the ad hoc counterpart of core.IncrementalCut; see
+// cutsearch.Incremental. The zero value is ready to use.
+type IncrementalCut = cutsearch.Incremental[ZppCut]
+
+// NewIncrementalCut returns an empty checker; the first Check runs fresh.
+func NewIncrementalCut() *IncrementalCut { return &IncrementalCut{} }
+
 // FindRMTZppCut searches for an RMT 𝒵-pp cut in the instance, returning a
 // witness if one exists.
 //

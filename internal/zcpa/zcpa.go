@@ -244,18 +244,7 @@ func Run(in *instance.Instance, xD network.Value, corrupt map[int]network.Proces
 }
 
 // Resilient reports whether 𝒵-CPA achieves RMT on the instance for every
-// admissible corruption set. It simulates the silent adversary on every
-// maximal corruption set, which is the worst case for liveness because
-// 𝒵-CPA is safe (DESIGN.md §5); monotonicity makes maximal sets sufficient.
+// admissible corruption set (protocol.Resilient).
 func Resilient(in *instance.Instance) (bool, error) {
-	for _, t := range in.MaximalCorruptions() {
-		res, err := Run(in, "1", protocol.Silence(t), Options{})
-		if err != nil {
-			return false, err
-		}
-		if _, ok := res.DecisionOf(in.Receiver); !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	return protocol.Resilient(Proto{}, in)
 }
