@@ -1,8 +1,8 @@
 package rmt
 
-// One benchmark per experiment table/figure of EXPERIMENTS.md (E1–E8, F1,
-// F2), plus micro-benchmarks for the protocol hot paths. Regenerate the
-// printed tables themselves with: go run ./cmd/rmtbench
+// One sub-benchmark per experiment table/figure of EXPERIMENTS.md
+// (BenchmarkExperiments), plus micro-benchmarks for the protocol hot paths.
+// Regenerate the printed tables themselves with: go run ./cmd/rmtbench
 import (
 	"io"
 	"testing"
@@ -15,103 +15,17 @@ import (
 
 func benchParams() eval.Params { return eval.Params{Seed: 2016, Trials: 10} }
 
-// --- one bench per table/figure -----------------------------------------
-
-func BenchmarkE1JoinViewAlgebra(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E1JoinAlgebra(benchParams())
-	}
-}
-
-func BenchmarkE2PKATightness(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E2PKATightness(benchParams())
-	}
-}
-
-func BenchmarkE3PKAUnderAttack(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E3Safety(benchParams())
-	}
-}
-
-func BenchmarkE4ZCPATightness(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E4ZCPATightness(benchParams())
-	}
-}
-
-func BenchmarkE5KnowledgeSweep(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E5KnowledgeSweep(benchParams())
-	}
-}
-
-func BenchmarkE6MinimalKnowledge(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E6MinimalKnowledge(benchParams())
-	}
-}
-
-func BenchmarkE7DecisionProtocol(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E7DecisionProtocol(benchParams())
-	}
-}
-
-func BenchmarkE8Scaling(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E8Scaling(benchParams())
-	}
-}
-
-func BenchmarkE9BroadcastTightness(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E9BroadcastTightness(benchParams())
-	}
-}
-
-func BenchmarkE10HorizonAblation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E10HorizonAblation(benchParams())
-	}
-}
-
-func BenchmarkE11RepresentationAblation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E11RepresentationAblation(benchParams())
-	}
-}
-
-func BenchmarkE12Discovery(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E12Discovery(benchParams())
-	}
-}
-
-func BenchmarkF1BasicInstances(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.F1BasicFrontier(benchParams())
-	}
-}
-
-func BenchmarkF2IndistinguishableRuns(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.F2IndistinguishableRuns(benchParams())
+// BenchmarkExperiments times every experiment of eval.Experiments, one
+// sub-benchmark per table ID; run one with e.g.
+// go test -bench 'Experiments/E7$' .
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range eval.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Run(benchParams())
+			}
+		})
 	}
 }
 
@@ -250,12 +164,5 @@ func BenchmarkRenderAllTables(b *testing.B) {
 		for _, t := range tables {
 			t.Render(io.Discard)
 		}
-	}
-}
-
-func BenchmarkE13Exhaustive(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eval.E13Exhaustive(benchParams())
 	}
 }

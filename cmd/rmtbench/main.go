@@ -28,6 +28,7 @@ import (
 
 	"rmt/internal/eval"
 	"rmt/internal/network"
+	"rmt/internal/protocol"
 )
 
 func main() {
@@ -70,9 +71,10 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return usageError{err}
 	}
-	var scheduler network.Scheduler
+	p := eval.Params{Seed: *seed, Trials: *trials, Workers: *workers, Engine: eng}
 	if eng == network.Async {
-		if scheduler, err = network.NewScheduler(*sched, *seed); err != nil {
+		p.Schedule = *sched
+		if _, err := (protocol.Cell{Engine: eng, Schedule: *sched}).Options(); err != nil {
 			return usageError{err}
 		}
 	} else if *sched != "sync" {
@@ -109,40 +111,18 @@ func run(args []string, out io.Writer) error {
 	if *compare != "" {
 		return compareBenchJSON(*compare, out)
 	}
-	p := eval.Params{Seed: *seed, Trials: *trials, Workers: *workers, Engine: eng, Scheduler: scheduler}
-
 	wanted := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
 			wanted[strings.ToUpper(strings.TrimSpace(id))] = true
 		}
 	}
-	experiments := []struct {
-		id  string
-		run func(eval.Params) *eval.Table
-	}{
-		{"E1", eval.E1JoinAlgebra},
-		{"E2", eval.E2PKATightness},
-		{"E3", eval.E3Safety},
-		{"E4", eval.E4ZCPATightness},
-		{"E5", eval.E5KnowledgeSweep},
-		{"E6", eval.E6MinimalKnowledge},
-		{"E7", eval.E7DecisionProtocol},
-		{"E8", eval.E8Scaling},
-		{"E9", eval.E9BroadcastTightness},
-		{"E10", eval.E10HorizonAblation},
-		{"E11", eval.E11RepresentationAblation},
-		{"E12", eval.E12Discovery},
-		{"E13", eval.E13Exhaustive},
-		{"F1", eval.F1BasicFrontier},
-		{"F2", eval.F2IndistinguishableRuns},
-	}
 	ran := 0
-	for _, e := range experiments {
-		if len(wanted) > 0 && !wanted[e.id] {
+	for _, e := range eval.Experiments {
+		if len(wanted) > 0 && !wanted[e.ID] {
 			continue
 		}
-		e.run(p).Render(out)
+		e.Run(p).Render(out)
 		ran++
 	}
 	if ran == 0 {

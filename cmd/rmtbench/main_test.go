@@ -23,15 +23,22 @@ func TestRunSubset(t *testing.T) {
 }
 
 func TestRunWorkersFlagDeterministic(t *testing.T) {
-	var seq, par strings.Builder
-	if err := run([]string{"-only", "E1", "-trials", "5", "-workers", "1"}, &seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-only", "E1", "-trials", "5", "-workers", "4"}, &par); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Fatalf("-workers changed table output:\n%s\nvs\n%s", seq.String(), par.String())
+	for _, args := range [][]string{
+		{"-only", "E1", "-trials", "5"},
+		// Every E7 run gets its own seeded schedule, so the direct and
+		// simulated runs of a pair see one delivery order.
+		{"-engine", "async", "-sched", "fifo", "-only", "E7", "-trials", "5"},
+	} {
+		var seq, par strings.Builder
+		if err := run(append(args, "-workers", "1"), &seq); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append(args, "-workers", "4"), &par); err != nil {
+			t.Fatal(err)
+		}
+		if seq.String() != par.String() {
+			t.Fatalf("%v: -workers changed table output:\n%s\nvs\n%s", args, seq.String(), par.String())
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 
 	"rmt"
 	"rmt/internal/cliutil"
+	"rmt/internal/protocol"
 	"rmt/internal/wire" // registers the real-socket "wire" engine
 )
 
@@ -64,7 +65,7 @@ func run(args []string, out io.Writer) error {
 		dealer    = fs.Int("dealer", 0, "dealer node ID")
 		receiver  = fs.Int("receiver", -1, "receiver node ID (required unless -file)")
 		knowledge = fs.String("knowledge", "adhoc", "adhoc|radius1|radius2|radius3|full")
-		protocol  = fs.String("protocol", rmt.ProtocolPKA, "protocol name: "+strings.Join(rmt.Protocols(), "|"))
+		protoName = fs.String("protocol", rmt.ProtocolPKA, "protocol name: "+strings.Join(rmt.Protocols(), "|"))
 		value     = fs.String("value", "1", "dealer value x_D")
 		listen    = fs.String("listen", "", "listening structure ℒ for smt, e.g. \"2;3\" (empty = no listening)")
 		corrupt   = fs.String("corrupt", "", "corrupted nodes, e.g. \"2,3\" (must be admissible)")
@@ -130,11 +131,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var scheduler rmt.Scheduler
+	cell := protocol.Cell{Engine: eng, SchedSeed: *seed, MAPolicy: *ma, MABudget: *maBudget, MASeed: *maSeed}
 	if eng == rmt.Async {
-		if scheduler, err = rmt.NewScheduler(*sched, *seed); err != nil {
-			return err
-		}
+		cell.Schedule = *sched
 	} else if *sched != "sync" {
 		return fmt.Errorf("-sched %q requires -engine async", *sched)
 	}
@@ -152,22 +151,19 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-listen: %w", err)
 	}
 
-	opts := rmt.RunOptions{Engine: eng, Scheduler: scheduler, RecordTranscript: *trace,
-		Listen: listenZ, Seed: *seed}
-	var madv rmt.MessageAdversary
-	if *ma != "" {
-		if madv, err = rmt.NewMessageAdversary(*ma, *maBudget, *maSeed); err != nil {
-			return err
-		}
-		opts.MsgAdversary, opts.MABudget = madv, *maBudget
-	} else if *maBudget != 0 {
+	if *ma == "" && *maBudget != 0 {
 		return fmt.Errorf("-mabudget %d requires -ma", *maBudget)
 	}
+	opts, err := cell.Options()
+	if err != nil {
+		return err
+	}
+	opts.RecordTranscript, opts.Listen, opts.Seed = *trace, listenZ, *seed
 	// The blueprint mirrors the flags as pure data; in-process engines
 	// ignore it, the wire engine rebuilds the run from it in each child.
 	opts.Blueprint = &rmt.Blueprint{
 		Instance: spec.Format(),
-		Protocol: *protocol,
+		Protocol: *protoName,
 		Value:    *value,
 		Corrupt:  t.Members(),
 		Attack:   *attack,
@@ -189,7 +185,7 @@ func run(args []string, out io.Writer) error {
 		jt = rmt.NewJSONLTracer(w)
 		opts.Tracers = []rmt.Tracer{jt}
 	}
-	res, err := rmt.RunProtocol(*protocol, in, rmt.Value(*value), corruptProcs, opts)
+	res, err := rmt.RunProtocol(*protoName, in, rmt.Value(*value), corruptProcs, opts)
 	if err != nil {
 		// A capability rejection — the protocol refusing this instance or
 		// listening-structure pairing outright — is a usage problem with the
@@ -215,13 +211,13 @@ func run(args []string, out io.Writer) error {
 	}
 
 	engineDesc := eng.Name()
-	if scheduler != nil {
-		engineDesc = fmt.Sprintf("%s sched=%s seed=%d", eng.Name(), scheduler.Name(), *seed)
+	if opts.Scheduler != nil {
+		engineDesc = fmt.Sprintf("%s sched=%s seed=%d", eng.Name(), opts.Scheduler.Name(), *seed)
 	}
-	if madv != nil {
+	if opts.MsgAdversary != nil {
 		engineDesc = fmt.Sprintf("%s ma=%s(d=%d)", engineDesc, *ma, *maBudget)
 	}
-	fmt.Fprintf(out, "protocol=%s engine=%s corrupt=%v attack=%s\n", *protocol, engineDesc, t, *attack)
+	fmt.Fprintf(out, "protocol=%s engine=%s corrupt=%v attack=%s\n", *protoName, engineDesc, t, *attack)
 	if got, ok := res.DecisionOf(*receiver); ok {
 		status := "CORRECT"
 		if got != rmt.Value(*value) {
@@ -237,8 +233,8 @@ func run(args []string, out io.Writer) error {
 	if eng == rmt.Async {
 		fmt.Fprintf(out, "delayed=%d\n", res.Metrics.MessagesDelayed)
 	}
-	if madv != nil {
-		fmt.Fprintf(out, "suppressed=%d\n", madv.Suppressed())
+	if opts.MsgAdversary != nil {
+		fmt.Fprintf(out, "suppressed=%d\n", opts.MsgAdversary.Suppressed())
 	}
 	if *perRound {
 		for r, m := range res.Metrics.MessagesPerRound {

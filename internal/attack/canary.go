@@ -199,10 +199,10 @@ func runCanaries(cfg Config, rep *Report) error {
 		if err != nil {
 			return fmt.Errorf("attack: %s fixture: %w", name, err)
 		}
-		cells := []cell{{engine: network.Lockstep, corrupt: corrupt}}
+		cells := []cell{{Cell: protocol.Cell{Engine: network.Lockstep}, corrupt: corrupt}}
 		if row.suppress {
 			for _, d := range cfg.MABudgets {
-				cells = append(cells, cell{engine: network.Lockstep, corrupt: corrupt, maPolicy: network.MATargeted, maBudget: d})
+				cells = append(cells, cell{Cell: protocol.Cell{Engine: network.Lockstep, MAPolicy: network.MATargeted, MABudget: d}, corrupt: corrupt})
 			}
 		}
 		strategies := cfg.strategies()

@@ -72,14 +72,14 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 
 	// Paired runs share the cell, including every seed, so the only
 	// difference between the two runs is the secret itself.
-	cells := []cell{{engine: network.Lockstep}}
+	cells := []cell{{Cell: protocol.Cell{Engine: network.Lockstep}}}
 	for i, sched := range cfg.Schedules {
-		cells = append(cells, cell{engine: network.Async,
-			schedule: sched, schedSeed: eval.TrialSeed(cfg.Seed, 5000+i, 0)})
+		cells = append(cells, cell{Cell: protocol.Cell{Engine: network.Async,
+			Schedule: sched, SchedSeed: eval.TrialSeed(cfg.Seed, 5000+i, 0)}})
 	}
 	for i, d := range cfg.MABudgets {
-		cells = append(cells, cell{engine: network.Lockstep,
-			maPolicy: network.MARandom, maBudget: d, maSeed: eval.TrialSeed(cfg.Seed, 5500+i, 0)})
+		cells = append(cells, cell{Cell: protocol.Cell{Engine: network.Lockstep,
+			MAPolicy: network.MARandom, MABudget: d, MASeed: eval.TrialSeed(cfg.Seed, 5500+i, 0)}})
 	}
 
 	protos := []protocol.Protocol{smt.Proto{}, leakySMTProto{}}
@@ -106,11 +106,11 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 					)
 					for s, secret := range secrets {
 						log := &byzantine.ListenLog{}
-						opts, err := c.options(32)
+						opts, err := c.Options()
 						if err != nil {
 							return fmt.Errorf("attack: privacy battery: %w", err)
 						}
-						opts.Listen, opts.Seed = listen, 42
+						opts.MaxRounds, opts.Listen, opts.Seed = 32, listen, 42
 						opts.Corrupt = byzantine.NewListeners(coalition, log, variant.forward)
 						if _, err := protocol.Run(proto, in, secret, opts); err != nil {
 							return fmt.Errorf("attack: privacy battery %s/%s/%s: %w",
@@ -132,7 +132,7 @@ func runPrivacyBattery(cfg Config, rep *Report) error {
 					// differ; the view-equality oracle applies to loss-free
 					// cells only.
 					dep := plan.Dependent()
-					if c.maPolicy == "" && !indices[0].Contains(dep) && !indices[1].Contains(dep) && views[0] != views[1] {
+					if c.MAPolicy == "" && !indices[0].Contains(dep) && !indices[1].Contains(dep) && views[0] != views[1] {
 						details = append(details,
 							"paired views differ though the secret-dependent share was never heard")
 					}

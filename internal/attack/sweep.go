@@ -16,17 +16,16 @@
 //     and the sweep FAILS unless the oracle flags each of them — a safety
 //     fuzzer that cannot catch a gullible receiver has no teeth.
 //
-// Every run is one cell (see cell): pure data naming its engine, corruption
-// set, schedule and message adversary, from which the sweep, the trace
-// replay of a violating run, the canaries and the privacy battery all build
-// their run options the same way.
+// Every run is one cell (see cell): a protocol.Cell naming its engine,
+// schedule and message adversary, plus the corruption set, from which the
+// sweep, the trace replay of a violating run, the canaries and the privacy
+// battery all build their run options the same way.
 package attack
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -388,58 +387,29 @@ type runRecord struct {
 	Suppressed int    `json:"suppressed,omitempty"`
 }
 
-// cell is one sweep run as pure data: the engine, corruption set, delivery
-// schedule and message adversary of one run of a (protocol, strategy) pair.
-// A trial's cells are built once and their seeds derive from (Seed, trial)
+// cell is one sweep run as pure data: a protocol.Cell (engine, schedule
+// and message adversary) plus the corruption set the strategy overlays. A
+// trial's cells are built once and their seeds derive from (Seed, trial)
 // alone, so any cell replays exactly — which is how a violating run is
 // re-traced.
 type cell struct {
-	engine  network.Engine
+	protocol.Cell
 	corrupt nodeset.Set
 	// control marks a non-admissible control run: recorded, never asserted.
 	control bool
-	// schedule and schedSeed build the async delivery schedule ("" = none).
-	schedule  string
-	schedSeed int64
-	// maPolicy, maBudget and maSeed build the message adversary ("" =
-	// none); maBudget is also the budget the protocol provisions for.
-	maPolicy string
-	maBudget int
-	maSeed   int64
 }
 
 // label is the cell's engine label in records and reports, e.g. "goroutine",
 // "async/random" or "lockstep+ma/eclipse(d=1)".
 func (c cell) label() string {
-	l := c.engine.Name()
-	if c.schedule != "" {
-		l += "/" + c.schedule
+	l := c.Engine.Name()
+	if c.Schedule != "" {
+		l += "/" + c.Schedule
 	}
-	if c.maPolicy != "" {
-		l += fmt.Sprintf("+ma/%s(d=%d)", c.maPolicy, c.maBudget)
+	if c.MAPolicy != "" {
+		l += fmt.Sprintf("+ma/%s(d=%d)", c.MAPolicy, c.MABudget)
 	}
 	return l
-}
-
-// options builds the cell's run options around a fresh scheduler and
-// message adversary: both keep per-run state and are single-use.
-func (c cell) options(maxRounds int) (protocol.Options, error) {
-	opts := protocol.Options{Engine: c.engine, MaxRounds: maxRounds, MABudget: c.maBudget}
-	if c.schedule != "" {
-		sched, err := network.NewScheduler(c.schedule, c.schedSeed)
-		if err != nil {
-			return opts, err
-		}
-		opts.Scheduler = sched
-	}
-	if c.maPolicy != "" {
-		madv, err := network.NewMessageAdversary(c.maPolicy, c.maBudget, c.maSeed)
-		if err != nil {
-			return opts, err
-		}
-		opts.MsgAdversary = madv
-	}
-	return opts, nil
 }
 
 // run executes proto on in under the cell, with a fresh strat overlay
@@ -449,10 +419,11 @@ func (c cell) options(maxRounds int) (protocol.Options, error) {
 // JSONL event stream.
 func (c cell) run(cfg Config, proto protocol.Protocol, in *instance.Instance,
 	strat byzantine.Strategy, trace io.Writer) (*network.Result, int, error) {
-	opts, err := c.options(cfg.maxRounds())
+	opts, err := c.Options()
 	if err != nil {
 		return nil, 0, err
 	}
+	opts.MaxRounds = cfg.maxRounds()
 	opts.RecordTranscript = true
 	opts.Corrupt = strat.Build(in, c.corrupt, ForgedValue)
 	var jsonl *network.JSONLTracer
@@ -474,7 +445,7 @@ func (c cell) run(cfg Config, proto protocol.Protocol, in *instance.Instance,
 // engine's run, transcript for transcript: every loss-free admissible cell
 // that runs synchronously or under the zero-fault schedule.
 func (c cell) mustAgree() bool {
-	return !c.control && c.maPolicy == "" && (c.schedule == "" || c.schedule == network.SchedSync)
+	return !c.control && c.MAPolicy == "" && (c.Schedule == "" || c.Schedule == network.SchedSync)
 }
 
 // maStreams spaces the per-budget seed streams of the message-adversary
@@ -488,25 +459,25 @@ const maStreams = 16
 func (c Config) cells(smp *sample, trial int) []cell {
 	var cells []cell
 	for _, e := range c.engines() {
-		cells = append(cells, cell{engine: e, corrupt: smp.corrupt})
+		cells = append(cells, cell{Cell: protocol.Cell{Engine: e}, corrupt: smp.corrupt})
 	}
 	for i, sched := range c.Schedules {
-		cells = append(cells, cell{engine: network.Async, corrupt: smp.corrupt,
-			schedule: sched, schedSeed: eval.TrialSeed(c.Seed, 1000+i, trial)})
+		cells = append(cells, cell{Cell: protocol.Cell{Engine: network.Async,
+			Schedule: sched, SchedSeed: eval.TrialSeed(c.Seed, 1000+i, trial)}, corrupt: smp.corrupt})
 	}
 	for b, d := range c.MABudgets {
 		for p, policy := range network.MessageAdversaryNames() {
-			cells = append(cells, cell{engine: network.Lockstep, corrupt: smp.corrupt,
-				maPolicy: policy, maBudget: d, maSeed: eval.TrialSeed(c.Seed, 2000+b*maStreams+p, trial)})
+			cells = append(cells, cell{Cell: protocol.Cell{Engine: network.Lockstep,
+				MAPolicy: policy, MABudget: d, MASeed: eval.TrialSeed(c.Seed, 2000+b*maStreams+p, trial)}, corrupt: smp.corrupt})
 		}
 		for i, sched := range c.Schedules {
-			cells = append(cells, cell{engine: network.Async, corrupt: smp.corrupt,
-				schedule: sched, schedSeed: eval.TrialSeed(c.Seed, 3000+b*maStreams+i, trial),
-				maPolicy: network.MARandom, maBudget: d, maSeed: eval.TrialSeed(c.Seed, 4000+b*maStreams+i, trial)})
+			cells = append(cells, cell{Cell: protocol.Cell{Engine: network.Async,
+				Schedule: sched, SchedSeed: eval.TrialSeed(c.Seed, 3000+b*maStreams+i, trial),
+				MAPolicy: network.MARandom, MABudget: d, MASeed: eval.TrialSeed(c.Seed, 4000+b*maStreams+i, trial)}, corrupt: smp.corrupt})
 		}
 	}
 	if smp.control.Len() > 0 {
-		cells = append(cells, cell{engine: network.Lockstep, corrupt: smp.control, control: true})
+		cells = append(cells, cell{Cell: protocol.Cell{Engine: network.Lockstep}, corrupt: smp.control, control: true})
 	}
 	return cells
 }
@@ -644,7 +615,7 @@ func (tr *trialResult) runCells(cfg Config, trial int, desc string, in *instance
 			Corrupt: members(c.corrupt), InZ: !c.control,
 			Rounds: res.Rounds, Messages: res.Metrics.MessagesSent,
 			Decided: decided, Value: val, Safe: len(viols) == 0,
-			MAPolicy: c.maPolicy, MABudget: c.maBudget, Suppressed: suppressed,
+			MAPolicy: c.MAPolicy, MABudget: c.MABudget, Suppressed: suppressed,
 		})
 		if c.control {
 			tr.ctrlRuns++
@@ -669,7 +640,7 @@ func (tr *trialResult) runCells(cfg Config, trial int, desc string, in *instance
 		case i == 0:
 			ref = res
 		case c.mustAgree():
-			if d := disagreement(ref, res); d != "" {
+			if d := network.Disagreement(ref, res); d != "" {
 				tr.mismatches = append(tr.mismatches, Mismatch{
 					Trial: trial, Instance: desc,
 					Protocol: proto.Name(), Strategy: strat.Name(),
@@ -699,18 +670,6 @@ func unsafeDecisions(in *instance.Instance, corrupt nodeset.Set, res *network.Re
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].node < out[j].node })
 	return out
-}
-
-// disagreement compares the recorded transcripts and decisions of two runs
-// of one deterministic configuration.
-func disagreement(ref, res *network.Result) string {
-	if res.Transcript.Key() != ref.Transcript.Key() {
-		return "transcripts differ"
-	}
-	if !maps.Equal(ref.Decisions, res.Decisions) {
-		return fmt.Sprintf("decisions differ: %v vs %v", res.Decisions, ref.Decisions)
-	}
-	return ""
 }
 
 func members(s nodeset.Set) []int {
@@ -743,7 +702,7 @@ func ParseEngines(s string) ([]network.Engine, error) {
 	}
 	var out []network.Engine
 	for _, name := range strings.Split(s, ",") {
-		e, err := network.ParseEngine(strings.TrimSpace(name))
+		e, err := network.EngineByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, fmt.Errorf("attack: %w", err)
 		}

@@ -452,9 +452,9 @@ func TestTraceReplaysViolatingCells(t *testing.T) {
 		c := req.cell
 		traced[c.label()] = true
 		switch {
-		case c.maPolicy != "":
+		case c.MAPolicy != "":
 			kinds["suppression"] = true
-		case c.schedule != "":
+		case c.Schedule != "":
 			kinds["schedule"] = true
 		default:
 			kinds["engine"] = true
@@ -482,8 +482,8 @@ func TestTraceReplaysViolatingCells(t *testing.T) {
 				decided[*ev.Player] = ev.Value
 			}
 		}
-		if engine != c.engine.Name() {
-			t.Errorf("%s trace ran on %q, want %q", c.label(), engine, c.engine.Name())
+		if engine != c.Engine.Name() {
+			t.Errorf("%s trace ran on %q, want %q", c.label(), engine, c.Engine.Name())
 		}
 		for _, v := range tr.violations {
 			if v.Engine == c.label() && decided[v.Node] != string(v.Got) {

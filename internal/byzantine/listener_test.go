@@ -9,6 +9,7 @@ import (
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/smt"
 )
 
@@ -25,8 +26,7 @@ func TestListenerIsPassive(t *testing.T) {
 	secret := network.Value("eavesdrop-me")
 
 	log := &ListenLog{}
-	res, err := smt.Run(in, secret, NewListeners(nodeset.Of(2), log, true),
-		smt.Options{Listen: listen, Seed: 5})
+	res, err := protocol.Run(smt.Proto{}, in, secret, protocol.Options{Corrupt: NewListeners(nodeset.Of(2), log, true), Listen: listen, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,7 @@ func TestListenerIsPassive(t *testing.T) {
 	}
 
 	quiet := &ListenLog{}
-	res, err = smt.Run(in, secret, NewListeners(nodeset.Of(2), quiet, false),
-		smt.Options{Listen: listen, Seed: 5, MaxRounds: 16})
+	res, err = protocol.Run(smt.Proto{}, in, secret, protocol.Options{Corrupt: NewListeners(nodeset.Of(2), quiet, false), Listen: listen, Seed: 5, MaxRounds: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

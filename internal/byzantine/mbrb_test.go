@@ -10,6 +10,7 @@ import (
 	"rmt/internal/mbrb"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 )
 
 // TestReadyForgerCannotSubvertMBRB pins the quorum-safety argument: the
@@ -24,13 +25,13 @@ func TestReadyForgerCannotSubvertMBRB(t *testing.T) {
 	}
 	strat := byzantine.MustGet(byzantine.ReadyForgerName)
 	for _, withMA := range []bool{false, true} {
-		opts := mbrb.Options{MABudget: 1, Corrupt: strat.Build(in, nodeset.Of(1), "evil")}
+		opts := protocol.Options{MABudget: 1, Corrupt: strat.Build(in, nodeset.Of(1), "evil")}
 		victims := []int{}
 		if withMA {
 			opts.MsgAdversary = network.NewEclipse(2)
 			victims = append(victims, 2)
 		}
-		res, err := mbrb.Run(in, "x", nil, opts)
+		res, err := protocol.Run(mbrb.Proto{}, in, "x", opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 )
 
 // coverFresh is the adversary cover (Definition 6) as the receiver checked
@@ -171,13 +172,13 @@ func TestMalformedClaimsAreErroneous(t *testing.T) {
 			InfoMsg{Info: NodeInfo{Node: c, View: fake, Z: adversary.Restricted{Domain: fake.Nodes(), Structure: adversary.FromSets(in.G.Nodes().Remove(in.Dealer).Remove(in.Receiver))}}, P: graph.Path{c}},
 		}
 		for _, runner := range []struct {
-			name string
-			run  func(*instance.Instance, network.Value, map[int]network.Process, Options) (*network.Result, error)
-		}{{"memoized", Run}, {"record-free", runRecordFree}} {
+			name  string
+			proto protocol.Protocol
+		}{{"memoized", Proto{}}, {"record-free", recordFree{}}} {
 			run := func(extra []network.Payload) *network.Result {
 				forger := NewPathForger(in, c, "forged")
 				forger.InitAll = append(forger.InitAll, extra...)
-				res, err := runner.run(in, "1", map[int]network.Process{c: forger}, Options{})
+				res, err := protocol.Run(runner.proto, in, "1", protocol.Options{Corrupt: map[int]network.Process{c: forger}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -17,7 +17,7 @@ import (
 func TestHorizonDeliversOnShortPaths(t *testing.T) {
 	// Triple path: all D–R paths have 3 nodes; horizon 3 changes nothing.
 	in := triplePath(t)
-	res, err := Run(in, "x", protocol.Silence(nodeset.Of(1)), Options{Horizon: 3})
+	res, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: protocol.Silence(nodeset.Of(1)), Horizon: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestHorizonSavesMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbounded, err := Run(in, "x", nil, Options{})
+	unbounded, err := protocol.Run(Proto{}, in, "x", protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded, err := Run(in, "x", nil, Options{Horizon: 4}) // direct layer paths only
+	bounded, err := protocol.Run(Proto{}, in, "x", protocol.Options{Horizon: 4}) // direct layer paths only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +65,14 @@ func TestHorizonDeliversOnLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Run(in, "x", nil, Options{Horizon: 5})
+	exact, err := protocol.Run(Proto{}, in, "x", protocol.Options{Horizon: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := exact.DecisionOf(4); !ok || got != "x" {
 		t.Fatalf("horizon=5 on 5-line: decision %q, %v", got, ok)
 	}
-	tooShort, err := Run(in, "x", nil, Options{Horizon: 4})
+	tooShort, err := protocol.Run(Proto{}, in, "x", protocol.Options{Horizon: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestHorizonSafetyUnderAttack(t *testing.T) {
 	in := triplePath(t)
 	for _, m := range in.MaximalCorruptions() {
 		for name, corrupt := range Strategies(in, m, "forged") {
-			res, err := Run(in, "real", corrupt, Options{Horizon: 3})
+			res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: corrupt, Horizon: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,11 +105,11 @@ func TestHorizonNeverBeatsUnbounded(t *testing.T) {
 	for _, in := range fixtures {
 		for _, m := range in.MaximalCorruptions() {
 			for _, h := range []int{3, 4, 5} {
-				bounded, err := Run(in, "x", protocol.Silence(m), Options{Horizon: h})
+				bounded, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: protocol.Silence(m), Horizon: h})
 				if err != nil {
 					t.Fatal(err)
 				}
-				unbounded, err := Run(in, "x", protocol.Silence(m), Options{})
+				unbounded, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: protocol.Silence(m)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -68,14 +68,6 @@ func (recordFree) Assemble(in *instance.Instance, xD network.Value, opts protoco
 	return procs, nil
 }
 
-// runRecordFree is Run on the record-free reference.
-func runRecordFree(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, opts Options) (*network.Result, error) {
-	if corrupt != nil {
-		opts.Corrupt = corrupt
-	}
-	return protocol.Run(recordFree{}, in, xD, opts)
-}
-
 // memoEngines is the engine axis of the differential sweep. Async runs
 // under the zero-fault SyncScheduler, which must be round-identical to
 // lockstep; goroutine must be identical by the merge-in-ID-order argument.
@@ -133,13 +125,11 @@ func TestReceiverMemoNeverChangesDecisions(t *testing.T) {
 				for _, eng := range memoEngines {
 					label := fmt.Sprintf("%s/%s/%s", fx.name, name, eng.name)
 					// Strategy processes are stateful: build a fresh zoo per run.
-					memo, err := Run(fx.in, "real", Strategies(fx.in, m, "forged")[name],
-						Options{Engine: eng.engine})
+					memo, err := protocol.Run(Proto{}, fx.in, "real", protocol.Options{Corrupt: Strategies(fx.in, m, "forged")[name], Engine: eng.engine})
 					if err != nil {
 						t.Fatal(err)
 					}
-					fresh, err := runRecordFree(fx.in, "real", Strategies(fx.in, m, "forged")[name],
-						Options{Engine: eng.engine})
+					fresh, err := protocol.Run(recordFree{}, fx.in, "real", protocol.Options{Corrupt: Strategies(fx.in, m, "forged")[name], Engine: eng.engine})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -165,12 +155,11 @@ func TestReceiverMemoNeverChangesDecisionsUnderHorizon(t *testing.T) {
 		for _, m := range fx.in.MaximalCorruptions() {
 			for name := range Strategies(fx.in, m, "forged") {
 				for horizon := 3; horizon <= 5; horizon++ {
-					opts := Options{Horizon: horizon}
-					memo, err := Run(fx.in, "real", Strategies(fx.in, m, "forged")[name], opts)
+					memo, err := protocol.Run(Proto{}, fx.in, "real", protocol.Options{Corrupt: Strategies(fx.in, m, "forged")[name], Horizon: horizon})
 					if err != nil {
 						t.Fatal(err)
 					}
-					fresh, err := runRecordFree(fx.in, "real", Strategies(fx.in, m, "forged")[name], opts)
+					fresh, err := protocol.Run(recordFree{}, fx.in, "real", protocol.Options{Corrupt: Strategies(fx.in, m, "forged")[name], Horizon: horizon})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -213,11 +202,11 @@ func TestReceiverMemoEquivalenceRandomized(t *testing.T) {
 		}
 		corruptions := append([]nodeset.Set{nodeset.Empty()}, in.MaximalCorruptions()...)
 		for _, m := range corruptions {
-			memo, err := Run(in, "real", protocol.Silence(m), Options{})
+			memo, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: protocol.Silence(m)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := runRecordFree(in, "real", protocol.Silence(m), Options{})
+			fresh, err := protocol.Run(recordFree{}, in, "real", protocol.Options{Corrupt: protocol.Silence(m)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +281,7 @@ func TestVersionSprayStaysWithinMemoryCaps(t *testing.T) {
 		corrupt := map[int]network.Process{
 			corruptNode: newVersionSprayer(in, corruptNode, ghostBase+i, "forged"),
 		}
-		res, err := Run(in, xD, corrupt, Options{})
+		res, err := protocol.Run(Proto{}, in, xD, protocol.Options{Corrupt: corrupt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,9 +292,8 @@ func TestVersionSprayStaysWithinMemoryCaps(t *testing.T) {
 		// memoized path must stay equivalent even while its caches are
 		// saturating.
 		if i%512 == 0 {
-			fresh, err := runRecordFree(in, xD,
-				map[int]network.Process{corruptNode: newVersionSprayer(in, corruptNode, ghostBase+i, "forged")},
-				Options{})
+			fresh, err := protocol.Run(recordFree{}, in, xD, protocol.Options{
+				Corrupt: map[int]network.Process{corruptNode: newVersionSprayer(in, corruptNode, ghostBase+i, "forged")}})
 			if err != nil {
 				t.Fatal(err)
 			}

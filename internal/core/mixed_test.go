@@ -9,6 +9,7 @@ import (
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 )
 
 // TestMixedStrategySafetyFuzz corrupts multi-node sets with HETEROGENEOUS
@@ -58,7 +59,7 @@ func TestMixedStrategySafetyFuzz(t *testing.T) {
 				i++
 				return true
 			})
-			res, err := Run(in, "real", corrupt, Options{})
+			res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: corrupt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +95,7 @@ func TestMixedStrategyLivenessOnSolvable(t *testing.T) {
 		default:
 			corrupt = map[int]network.Process{c: NewSplitBrain(in, c, "forged")}
 		}
-		res, err := Run(in, "real", corrupt, Options{})
+		res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: corrupt})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,7 +125,7 @@ func (r *Relay) Decision() (network.Value, bool) { return "", false }
 // instance's warm store (pkaShared): sealed claims, prebuilt payloads,
 // shared relays, and the receiver's interned candidate records all persist
 // across runs.
-func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, opts Options) map[int]network.Process {
+func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, opts protocol.Options) map[int]network.Process {
 	sh := sharedOf(in)
 	return protocol.Build(in.G, nodeset.Of(in.Dealer, in.Receiver), corrupt, func(v int) network.Process {
 		switch v {
@@ -138,11 +138,6 @@ func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]netwo
 		}
 	})
 }
-
-// Options tweaks an RMT-PKA run. It is the unified option set of the
-// protocol runtime; RMT-PKA reads Horizon in addition to the engine fields
-// (see protocol.Options for field docs).
-type Options = protocol.Options
 
 // Proto is RMT-PKA's registry entry; the package registers it under
 // protocol.PKA at init.
@@ -165,22 +160,6 @@ func (Proto) Assemble(in *instance.Instance, xD network.Value, opts protocol.Opt
 func (Proto) Solvable(in *instance.Instance) bool { return Solvable(in) }
 
 func init() { protocol.Register(Proto{}) }
-
-// Run executes RMT-PKA on the instance with dealer value xD and the given
-// corrupted players, stopping as soon as the receiver decides. A non-nil
-// corrupt map takes precedence over opts.Corrupt.
-func Run(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, opts Options) (*network.Result, error) {
-	if corrupt != nil {
-		opts.Corrupt = corrupt
-	}
-	return protocol.Run(Proto{}, in, xD, opts)
-}
-
-// Resilient reports whether RMT-PKA achieves RMT on the instance for every
-// admissible corruption (protocol.Resilient).
-func Resilient(in *instance.Instance) (bool, error) {
-	return protocol.Resilient(Proto{}, in)
-}
 
 // trueInfo returns the honest, sealed NodeInfo of a node.
 func trueInfo(in *instance.Instance, v int) NodeInfo {

@@ -46,7 +46,7 @@ func weakDiamond(t *testing.T) *instance.Instance {
 
 func TestDealerRule(t *testing.T) {
 	in := adhocInstance(t, "0-1", adversary.Trivial(), 0, 1)
-	res, err := Run(in, "attack at dawn", nil, Options{})
+	res, err := protocol.Run(Proto{}, in, "attack at dawn", protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDealerRule(t *testing.T) {
 
 func TestHonestLineDelivery(t *testing.T) {
 	in := adhocInstance(t, "0-1 1-2", adversary.Trivial(), 0, 2)
-	res, err := Run(in, "m", nil, Options{})
+	res, err := protocol.Run(Proto{}, in, "m", protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestHonestLineDelivery(t *testing.T) {
 
 func TestHonestLongerLine(t *testing.T) {
 	in := adhocInstance(t, "0-1 1-2 2-3 3-4", adversary.Trivial(), 0, 4)
-	res, err := Run(in, "deep", nil, Options{})
+	res, err := protocol.Run(Proto{}, in, "deep", protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestHonestLongerLine(t *testing.T) {
 func TestTriplePathResilient(t *testing.T) {
 	in := triplePath(t)
 	for _, c := range []int{1, 2, 3} {
-		res, err := Run(in, "x", protocol.Silence(nodeset.Of(c)), Options{})
+		res, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: protocol.Silence(nodeset.Of(c))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestTriplePathResilient(t *testing.T) {
 			t.Fatalf("corrupt=%d: decision = %q, %v", c, got, ok)
 		}
 	}
-	ok, err := Resilient(in)
+	ok, err := protocol.Resilient(Proto{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestWeakDiamondUnsolvable(t *testing.T) {
 	if Solvable(in) {
 		t.Fatal("Solvable despite cut")
 	}
-	ok, err := Resilient(in)
+	ok, err := protocol.Resilient(Proto{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +159,14 @@ func TestChimeraKnowledgeSeparation(t *testing.T) {
 
 	// Operational agreement: PKA fails somewhere in ad hoc, succeeds
 	// everywhere at radius 2.
-	okAdhoc, err := Resilient(adhoc)
+	okAdhoc, err := protocol.Resilient(Proto{}, adhoc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if okAdhoc {
 		t.Fatal("PKA resilient in ad hoc model despite RMT-cut")
 	}
-	okR2, err := Resilient(r2)
+	okR2, err := protocol.Resilient(Proto{}, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSafetyAgainstFullStrategyZoo(t *testing.T) {
 		for _, m := range fx.in.MaximalCorruptions() {
 			zoo := Strategies(fx.in, m, "forged")
 			for name, corrupt := range zoo {
-				res, err := Run(fx.in, "real", corrupt, Options{})
+				res, err := protocol.Run(Proto{}, fx.in, "real", protocol.Options{Corrupt: corrupt})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func TestPathForgeryDoesNotBlockLiveness(t *testing.T) {
 	// stall the receiver.
 	in := triplePath(t)
 	for _, c := range []int{1, 2, 3} {
-		res, err := Run(in, "real", map[int]network.Process{c: NewPathForger(in, c, "forged")}, Options{})
+		res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: map[int]network.Process{c: NewPathForger(in, c, "forged")}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestPathForgeryDoesNotBlockLiveness(t *testing.T) {
 func TestGhostForgerySafety(t *testing.T) {
 	in := weakDiamond(t)
 	for _, c := range []int{1, 2} {
-		res, err := Run(in, "real", map[int]network.Process{c: NewGhostForger(in, c, 9, "forged")}, Options{})
+		res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: map[int]network.Process{c: NewGhostForger(in, c, 9, "forged")}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestGhostForgerySafety(t *testing.T) {
 
 func TestSplitBrainSafety(t *testing.T) {
 	in := triplePath(t)
-	res, err := Run(in, "real", map[int]network.Process{2: NewSplitBrain(in, 2, "forged")}, Options{})
+	res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: map[int]network.Process{2: NewSplitBrain(in, 2, "forged")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestStructureLiarCannotStallSolvable(t *testing.T) {
 	// the receiver on a solvable instance: the valid-set search can simply
 	// exclude the liar.
 	in := triplePath(t)
-	res, err := Run(in, "real", map[int]network.Process{1: NewStructureLiar(in, 1)}, Options{})
+	res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: map[int]network.Process{1: NewStructureLiar(in, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +262,11 @@ func TestStructureLiarCannotStallSolvable(t *testing.T) {
 func TestGoroutineEngineAgrees(t *testing.T) {
 	in := triplePath(t)
 	for _, c := range []int{1, 2, 3} {
-		a, err := Run(in, "x", protocol.Silence(nodeset.Of(c)), Options{})
+		a, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: protocol.Silence(nodeset.Of(c))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(in, "x", protocol.Silence(nodeset.Of(c)), Options{Engine: network.Goroutine})
+		b, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: protocol.Silence(nodeset.Of(c)), Engine: network.Goroutine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestDealerRuleBeatsForgery(t *testing.T) {
 	// R adjacent to D plus a corrupt alternative path: the dealer rule must
 	// fire with the true value regardless.
 	in := adhocInstance(t, "0-1 0-2 2-1", adversary.FromSlices([]int{2}), 0, 1)
-	res, err := Run(in, "real", map[int]network.Process{2: NewValueFlipper(in, 2, "forged")}, Options{})
+	res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: map[int]network.Process{2: NewValueFlipper(in, 2, "forged")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"rmt/internal/gen"
 	"rmt/internal/instance"
 	"rmt/internal/network"
+	"rmt/internal/protocol"
 )
 
 // TestSharedStoreConcurrentRuns starts every strategy × engine ×
@@ -26,7 +27,7 @@ func TestSharedStoreConcurrentRuns(t *testing.T) {
 	type job struct {
 		label    string
 		strategy string
-		opts     Options
+		opts     protocol.Options
 	}
 	alone := build()
 	corrupt := alone.MaximalCorruptions()[0]
@@ -37,14 +38,16 @@ func TestSharedStoreConcurrentRuns(t *testing.T) {
 				jobs = append(jobs, job{
 					label:    fmt.Sprintf("%s/%s/horizon %d", name, eng.name, horizon),
 					strategy: name,
-					opts:     Options{Engine: eng.engine, Horizon: horizon},
+					opts:     protocol.Options{Engine: eng.engine, Horizon: horizon},
 				})
 			}
 		}
 	}
 	run := func(in *instance.Instance, j job) (*network.Result, error) {
 		// Strategy processes are stateful: build a fresh zoo per run.
-		return Run(in, "real", Strategies(in, corrupt, "forged")[j.strategy], j.opts)
+		opts := j.opts
+		opts.Corrupt = Strategies(in, corrupt, "forged")[j.strategy]
+		return protocol.Run(Proto{}, in, "real", opts)
 	}
 
 	want := make([]*network.Result, len(jobs))

@@ -8,6 +8,7 @@ import (
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/view"
 )
 
@@ -45,7 +46,7 @@ func TestTightnessRandomized(t *testing.T) {
 				continue
 			}
 			solvable := Solvable(in)
-			resilient, err := Resilient(in)
+			resilient, err := protocol.Resilient(Proto{}, in)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/zcpa"
 )
 
@@ -57,7 +58,7 @@ func E13Exhaustive(p Params) *Table {
 			}
 			c.total++
 			cutFree := core.Solvable(in)
-			ok, err := core.Resilient(in)
+			ok, err := protocol.Resilient(core.Proto{}, in)
 			if err != nil {
 				panic(err)
 			}
@@ -68,7 +69,7 @@ func E13Exhaustive(p Params) *Table {
 				c.solvable++
 			}
 			if k == gen.AdHoc {
-				zOK, err := zcpa.Resilient(in)
+				zOK, err := protocol.Resilient(zcpa.Proto{}, in)
 				if err != nil {
 					panic(err)
 				}

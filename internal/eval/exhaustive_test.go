@@ -9,6 +9,7 @@ import (
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/zcpa"
 )
 
@@ -46,14 +47,14 @@ func TestExhaustiveFiveNodes(t *testing.T) {
 		}
 		total++
 		cutFree := core.Solvable(in)
-		ok, err := core.Resilient(in)
+		ok, err := protocol.Resilient(core.Proto{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cutFree != ok {
 			t.Fatalf("mask %d: PKA cut=%v sim=%v on %v", mask, cutFree, ok, g)
 		}
-		if zOK, err := zcpa.Resilient(in); err != nil {
+		if zOK, err := protocol.Resilient(zcpa.Proto{}, in); err != nil {
 			t.Fatal(err)
 		} else if zcpa.Solvable(in) != zOK {
 			t.Fatalf("mask %d: Z-CPA mismatch on %v", mask, g)
@@ -95,7 +96,7 @@ func TestExhaustiveStructuresOnFixedGraph(t *testing.T) {
 		if cutFree != wantSolvable[i] {
 			t.Errorf("structure %v: solvable = %v, want %v", z, cutFree, wantSolvable[i])
 		}
-		ok, err := core.Resilient(in)
+		ok, err := protocol.Resilient(core.Proto{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}

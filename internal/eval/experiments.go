@@ -28,15 +28,23 @@ type Params struct {
 	// deterministic engines the tables are identical — that equivalence is
 	// exactly what the conformance battery asserts.
 	Engine network.Engine
-	// Scheduler is the async engine's delivery policy (nil = SyncScheduler);
-	// ignored by the synchronous engines.
-	Scheduler network.Scheduler
+	// Schedule names the async engine's delivery schedule ("" = the
+	// zero-fault schedule); every run gets a fresh one seeded by Seed, so
+	// tables stay independent of the worker count. Ignored by the
+	// synchronous engines.
+	Schedule string
 }
 
-// options seeds a protocol.Options with the suite-wide engine selection;
-// experiment code fills in per-run fields.
+// options builds one run's protocol.Options from the suite-wide engine
+// selection, through a protocol.Cell so every run gets its own scheduler;
+// experiment code fills in per-run fields. An unknown schedule name
+// panics, like any other failed run of the suite.
 func (p Params) options() protocol.Options {
-	return protocol.Options{Engine: p.Engine, Scheduler: p.Scheduler}
+	opts, err := protocol.Cell{Engine: p.Engine, Schedule: p.Schedule, SchedSeed: p.Seed}.Options()
+	if err != nil {
+		panic(err)
+	}
+	return opts
 }
 
 func (p Params) withDefaults() Params {
@@ -49,25 +57,40 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// Experiment is one table of the suite: its ID (as printed and as passed
+// to rmtbench -only) and the function that computes it.
+type Experiment struct {
+	ID  string
+	Run func(Params) *Table
+}
+
+// Experiments lists the suite in EXPERIMENTS.md order: RunAll, rmtbench
+// and the experiment benchmarks all read it.
+var Experiments = []Experiment{
+	{"E1", E1JoinAlgebra},
+	{"E2", E2PKATightness},
+	{"E3", E3Safety},
+	{"E4", E4ZCPATightness},
+	{"E5", E5KnowledgeSweep},
+	{"E6", E6MinimalKnowledge},
+	{"E7", E7DecisionProtocol},
+	{"E8", E8Scaling},
+	{"E9", E9BroadcastTightness},
+	{"E10", E10HorizonAblation},
+	{"E11", E11RepresentationAblation},
+	{"E12", E12Discovery},
+	{"E13", E13Exhaustive},
+	{"F1", F1BasicFrontier},
+	{"F2", F2IndistinguishableRuns},
+}
+
 // RunAll executes every experiment and returns the tables in index order.
 func RunAll(p Params) []*Table {
-	return []*Table{
-		E1JoinAlgebra(p),
-		E2PKATightness(p),
-		E3Safety(p),
-		E4ZCPATightness(p),
-		E5KnowledgeSweep(p),
-		E6MinimalKnowledge(p),
-		E7DecisionProtocol(p),
-		E8Scaling(p),
-		E9BroadcastTightness(p),
-		E10HorizonAblation(p),
-		E11RepresentationAblation(p),
-		E12Discovery(p),
-		E13Exhaustive(p),
-		F1BasicFrontier(p),
-		F2IndistinguishableRuns(p),
+	tables := make([]*Table, len(Experiments))
+	for i, e := range Experiments {
+		tables[i] = e.Run(p)
 	}
+	return tables
 }
 
 // E1JoinAlgebra validates the ⊕ algebra (Theorems 1, 11, 13, 14 and
@@ -157,7 +180,7 @@ func E2PKATightness(p Params) *Table {
 				return gen.RandomInstance(r, 4+r.Intn(3), 0.5, 1+r.Intn(2), 0.4, k)
 			})
 			cutFree := core.Solvable(in)
-			ok, err := core.Resilient(in)
+			ok, err := protocol.Resilient(core.Proto{}, in)
 			if err != nil {
 				panic(err)
 			}
@@ -292,7 +315,7 @@ func E4ZCPATightness(p Params) *Table {
 				return gen.RandomInstance(r, n, 0.5, 1+r.Intn(3), 0.4, gen.AdHoc)
 			})
 			cutFree := zcpa.Solvable(in)
-			ok, err := zcpa.Resilient(in)
+			ok, err := protocol.Resilient(zcpa.Proto{}, in)
 			if err != nil {
 				panic(err)
 			}

@@ -3,7 +3,10 @@ package eval
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"rmt/internal/network"
 )
 
 // TestParallelTablesDeterministic is the harness's contract: for a fixed
@@ -31,6 +34,30 @@ func TestParallelTablesDeterministic(t *testing.T) {
 	for id, want := range seq {
 		if got, ok := par[id]; !ok || !bytes.Equal(want, got) {
 			t.Errorf("%s: Workers=8 render differs from Workers=1\nsequential:\n%s\nparallel:\n%s", id, want, got)
+		}
+	}
+}
+
+// TestAsyncE7IndependentOfWorkers runs Theorem 9's experiment under a
+// seeded async schedule. Each run builds its own scheduler from the
+// schedule name and Params.Seed, so the direct and Π-simulated runs of a
+// pair see the same delivery order: every row must report disagree = 0,
+// and the table must not depend on the worker count.
+func TestAsyncE7IndependentOfWorkers(t *testing.T) {
+	render := func(workers int) (*Table, []byte) {
+		tbl := E7DecisionProtocol(Params{Trials: 10, Workers: workers, Engine: network.Async, Schedule: "fifo"})
+		var buf bytes.Buffer
+		tbl.Render(&buf)
+		return tbl, buf.Bytes()
+	}
+	tbl, seq := render(1)
+	if _, par := render(4); !bytes.Equal(seq, par) {
+		t.Fatalf("Workers=4 render differs from Workers=1\nsequential:\n%s\nparallel:\n%s", seq, par)
+	}
+	col := slices.Index(tbl.Columns, "disagree")
+	for _, row := range tbl.Rows {
+		if row[col] != "0" {
+			t.Errorf("%s: disagree = %s under the fifo schedule, want 0\n%s", row[0], row[col], seq)
 		}
 	}
 }

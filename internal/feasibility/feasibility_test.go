@@ -6,6 +6,7 @@ import (
 	"rmt/internal/core"
 	"rmt/internal/feasibility"
 	"rmt/internal/gen"
+	"rmt/internal/protocol"
 	"rmt/internal/zcpa"
 )
 
@@ -128,7 +129,7 @@ func TestOperationalAgreement(t *testing.T) {
 	for _, f := range feasibility.All() {
 		t.Run(f.Name+"/zcpa", func(t *testing.T) {
 			in := f.MustBuild(gen.AdHoc)
-			ok, err := zcpa.Resilient(in)
+			ok, err := protocol.Resilient(zcpa.Proto{}, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +145,7 @@ func TestOperationalAgreement(t *testing.T) {
 		}
 		for level, want := range f.PKASolvable {
 			t.Run(f.Name+"/pka/"+level.String(), func(t *testing.T) {
-				ok, err := core.Resilient(f.MustBuild(level))
+				ok, err := protocol.Resilient(core.Proto{}, f.MustBuild(level))
 				if err != nil {
 					t.Fatal(err)
 				}

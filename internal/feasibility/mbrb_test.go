@@ -63,11 +63,11 @@ func TestMBRBPredicateFlipsAtBound(t *testing.T) {
 func TestMBRBBoundaryOperational(t *testing.T) {
 	for _, b := range feasibility.MBRBBoundaries() {
 		run := func(in *instance.Instance) map[int]network.Value {
-			opts := mbrb.Options{MABudget: b.D}
+			opts := protocol.Options{MABudget: b.D, Corrupt: protocol.Silence(b.Corrupt)}
 			if len(b.Victims) > 0 {
 				opts.MsgAdversary = network.NewEclipse(b.Victims...)
 			}
-			res, err := mbrb.Run(in, "x", protocol.Silence(b.Corrupt), opts)
+			res, err := protocol.Run(mbrb.Proto{}, in, "x", opts)
 			if err != nil {
 				t.Fatalf("%s: %v", b.Name, err)
 			}

@@ -51,7 +51,7 @@ func TestSMTBoundaryAgreement(t *testing.T) {
 			}
 
 			secret := network.Value("boundary-secret")
-			res, runErr := smt.Run(in, secret, nil, smt.Options{Listen: s.point.Listen, Seed: 7})
+			res, runErr := protocol.Run(smt.Proto{}, in, secret, protocol.Options{Listen: s.point.Listen, Seed: 7})
 			if s.want {
 				if runErr != nil {
 					t.Errorf("%s/%s: run failed: %v", b.Name, s.name, runErr)

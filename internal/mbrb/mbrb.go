@@ -259,10 +259,6 @@ func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]netwo
 	})
 }
 
-// Options is the unified option set; MBRB reads MABudget (the d its quorums
-// provision for) and MsgAdversary in addition to the engine fields.
-type Options = protocol.Options
-
 // Proto is MBRB's registry entry; the package registers it under
 // protocol.MBRB at init.
 type Proto struct{}
@@ -309,13 +305,3 @@ func Complete(in *instance.Instance) bool {
 }
 
 func init() { protocol.Register(Proto{}) }
-
-// Run executes MBRB on the instance with dealer value xD, running until
-// quiescence so every player can deliver. A non-nil corrupt map takes
-// precedence over opts.Corrupt.
-func Run(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, opts Options) (*network.Result, error) {
-	if corrupt != nil {
-		opts.Corrupt = corrupt
-	}
-	return protocol.Run(Proto{}, in, xD, opts)
-}

@@ -32,7 +32,7 @@ func TestHonestRunAllDeliver(t *testing.T) {
 	in := kInstance(t, 6, 1)
 	var key string
 	for _, eng := range []network.Engine{network.Lockstep, network.Goroutine, network.Async} {
-		res, err := mbrb.Run(in, "x", nil, mbrb.Options{Engine: eng, MABudget: 1, RecordTranscript: true})
+		res, err := protocol.Run(mbrb.Proto{}, in, "x", protocol.Options{Engine: eng, MABudget: 1, RecordTranscript: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,8 @@ func TestHonestRunAllDeliver(t *testing.T) {
 func TestToleratesByzantineAndSuppression(t *testing.T) {
 	in := kInstance(t, 6, 1) // n=6, t=1, d=1: 6 > 3+2
 	corrupt := nodeset.Of(1)
-	res, err := mbrb.Run(in, "x", protocol.Silence(corrupt), mbrb.Options{
+	res, err := protocol.Run(mbrb.Proto{}, in, "x", protocol.Options{
+		Corrupt:      protocol.Silence(corrupt),
 		MABudget:     1,
 		MsgAdversary: network.NewEclipse(2),
 	})
@@ -83,7 +84,8 @@ func TestToleratesByzantineAndSuppression(t *testing.T) {
 // (n−t−d = 2t+d < qE = 2t+d+1) and no correct player ever delivers.
 func TestInfeasibleBoundNobodyDelivers(t *testing.T) {
 	in := kInstance(t, 5, 1) // n=5 = 3t+2d with t=1, d=1
-	res, err := mbrb.Run(in, "x", protocol.Silence(nodeset.Of(1)), mbrb.Options{
+	res, err := protocol.Run(mbrb.Proto{}, in, "x", protocol.Options{
+		Corrupt:      protocol.Silence(nodeset.Of(1)),
 		MABudget:     1,
 		MsgAdversary: network.NewEclipse(2),
 	})
@@ -115,7 +117,7 @@ func (f *forger) Decision() (network.Value, bool)                   { return "",
 func TestForgedQuorumsCannotSubvert(t *testing.T) {
 	in := kInstance(t, 6, 1)
 	corrupt := map[int]network.Process{1: &forger{neighbors: in.G.Neighbors(1)}}
-	res, err := mbrb.Run(in, "x", corrupt, mbrb.Options{MABudget: 1})
+	res, err := protocol.Run(mbrb.Proto{}, in, "x", protocol.Options{Corrupt: corrupt, MABudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +163,13 @@ func TestAssembleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mbrb.Run(path, "x", nil, mbrb.Options{}); err == nil {
+	if _, err := protocol.Run(mbrb.Proto{}, path, "x", protocol.Options{}); err == nil {
 		t.Error("incomplete network accepted")
 	}
 	if !mbrb.Complete(kInstance(t, 4, 1)) {
 		t.Error("K4 reported incomplete")
 	}
-	if _, err := mbrb.Run(kInstance(t, 4, 1), "x", nil, mbrb.Options{MABudget: -1}); err == nil {
+	if _, err := protocol.Run(mbrb.Proto{}, kInstance(t, 4, 1), "x", protocol.Options{MABudget: -1}); err == nil {
 		t.Error("negative budget accepted")
 	}
 }

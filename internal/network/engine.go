@@ -86,10 +86,6 @@ func EngineByName(name string) (Engine, error) {
 	return e, nil
 }
 
-// ParseEngine parses an engine name against the registry. It is
-// EngineByName under the historical name every CLI already uses.
-func ParseEngine(name string) (Engine, error) { return EngineByName(name) }
-
 // EngineNames returns the registered engine names, sorted.
 func EngineNames() []string {
 	engineRegistry.RLock()

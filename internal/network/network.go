@@ -33,6 +33,7 @@ package network
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"rmt/internal/graph"
 )
@@ -285,6 +286,20 @@ type Result struct {
 func (r *Result) DecisionOf(v int) (Value, bool) {
 	val, ok := r.Decisions[v]
 	return val, ok
+}
+
+// Disagreement compares two recorded runs of one deterministic
+// configuration — on different engines, or replayed — and describes the
+// first difference: the transcripts, then every player's decision. It
+// returns "" when the runs agree. Both runs must record a transcript.
+func Disagreement(ref, res *Result) string {
+	if res.Transcript.Key() != ref.Transcript.Key() {
+		return "transcripts differ"
+	}
+	if !maps.Equal(ref.Decisions, res.Decisions) {
+		return fmt.Sprintf("decisions differ: %v vs %v", res.Decisions, ref.Decisions)
+	}
+	return ""
 }
 
 // Metrics counts the complexity measures the paper discusses: round,

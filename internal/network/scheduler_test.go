@@ -201,12 +201,12 @@ func TestParseEngine(t *testing.T) {
 	for name, want := range map[string]Engine{
 		"lockstep": Lockstep, "goroutine": Goroutine, "async": Async,
 	} {
-		got, err := ParseEngine(name)
+		got, err := EngineByName(name)
 		if err != nil || got != want {
-			t.Errorf("ParseEngine(%q) = %v, %v", name, got, err)
+			t.Errorf("EngineByName(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParseEngine("nope"); err == nil {
-		t.Fatal("ParseEngine accepted unknown engine")
+	if _, err := EngineByName("nope"); err == nil {
+		t.Fatal("EngineByName accepted unknown engine")
 	}
 }

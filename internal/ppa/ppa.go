@@ -199,17 +199,6 @@ func (Proto) Solvable(in *instance.Instance) bool {
 
 func init() { protocol.Register(Proto{}) }
 
-// Run executes PPA on the instance.
-func Run(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, engine network.Engine) (*network.Result, error) {
-	return protocol.Run(Proto{}, in, xD, protocol.Options{Engine: engine, Corrupt: corrupt})
-}
-
-// Resilient reports whether PPA achieves RMT on the instance for every
-// admissible corruption set (protocol.Resilient).
-func Resilient(in *instance.Instance) (bool, error) {
-	return protocol.Resilient(Proto{}, in)
-}
-
 // PairCut searches for a 𝒵-pair cut: a D–R separator C = Z1 ∪ Z2 with
 // Z1, Z2 ∈ 𝒵 — the full-knowledge impossibility condition PPA is tight
 // against. It returns a witness if one exists. On the cutsearch kernel it

@@ -11,6 +11,7 @@ import (
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/view"
 )
 
@@ -29,7 +30,7 @@ func fullInstance(t *testing.T, edges string, z adversary.Structure, d, r int) *
 
 func TestHonestDelivery(t *testing.T) {
 	in := fullInstance(t, "0-1 1-2", adversary.Trivial(), 0, 2)
-	res, err := Run(in, "m", nil, nil)
+	res, err := protocol.Run(Proto{}, in, "m", protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestResilientTriplePath(t *testing.T) {
 	// Singleton corruptions, three disjoint paths: PPA succeeds.
 	in := fullInstance(t, "0-1 0-2 0-3 1-4 2-4 3-4",
 		adversary.FromSlices([]int{1}, []int{2}, []int{3}), 0, 4)
-	ok, err := Resilient(in)
+	ok, err := protocol.Resilient(Proto{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestPairCutDiamond(t *testing.T) {
 	if !z1.Union(z2).Equal(nodeset.Of(1, 2)) {
 		t.Fatalf("pair cut = %v ∪ %v", z1, z2)
 	}
-	ok, err := Resilient(in)
+	ok, err := protocol.Resilient(Proto{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSafetyAgainstValueForgery(t *testing.T) {
 	in := fullInstance(t, "0-1 0-2 0-3 1-4 2-4 3-4",
 		adversary.FromSlices([]int{1}, []int{2}, []int{3}), 0, 4)
 	for _, c := range []int{1, 2, 3} {
-		res, err := Run(in, "real", map[int]network.Process{c: core.NewValueFlipper(in, c, "forged")}, nil)
+		res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: map[int]network.Process{c: core.NewValueFlipper(in, c, "forged")}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestPairCutTightness(t *testing.T) {
 			continue
 		}
 		_, _, cut := PairCut(in)
-		ok, err := Resilient(in)
+		ok, err := protocol.Resilient(Proto{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,11 +151,11 @@ func TestPKADominatesPPA(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		ppaOK, err := Resilient(in)
+		ppaOK, err := protocol.Resilient(Proto{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkaOK, err := core.Resilient(in)
+		pkaOK, err := protocol.Resilient(core.Proto{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func TestPKADominatesPPA(t *testing.T) {
 func TestErroneousTrafficIgnored(t *testing.T) {
 	in := fullInstance(t, "0-1 0-2 1-3 2-3", adversary.FromSlices([]int{1}), 0, 3)
 	spam := &byzantine.Spammer{ID: 1, Neighbors: in.G.Neighbors(1), PerRound: 2}
-	res, err := Run(in, "x", map[int]network.Process{1: spam}, nil)
+	res, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: map[int]network.Process{1: spam}})
 	if err != nil {
 		t.Fatal(err)
 	}

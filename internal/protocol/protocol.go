@@ -1,13 +1,17 @@
 // Package protocol is the unified protocol runtime: a registry of the
-// repository's executable protocols (RMT-PKA, 𝒵-CPA, PPA, 𝒵-CPA broadcast)
-// behind one Protocol interface, one Options struct, and one Run path.
+// repository's six executable protocols (RMT-PKA, 𝒵-CPA, PPA, 𝒵-CPA
+// broadcast, MBRB and SMT) behind one Protocol interface, one Options
+// struct, and one way to start a run: Run, RunByName, or Resilient for the
+// silent-adversary loop. No protocol package keeps a Run of its own.
 //
 // Protocol packages register themselves at init time (like database/sql
 // drivers), so importing a protocol package makes it resolvable by name;
 // every consumer — the rmt.go wrappers, rmtsim, rmtbench, internal/eval,
 // the conformance battery — resolves protocols through the registry instead
 // of carrying its own switch. Adding a protocol variant is a registry entry,
-// not a new wiring path.
+// not a new wiring path. A run's engine, schedule and message adversary
+// come from a Cell, which builds the single-use scheduler and adversary
+// fresh for every run.
 //
 // The layering is deliberate: this package imports only the instance and
 // network substrates, and the protocol packages import it — never the other
@@ -45,14 +49,15 @@ type Decider interface {
 
 // Options is the unified run-option set shared by every registered
 // protocol. Each protocol reads the fields it understands and ignores the
-// rest; the per-protocol aliases (core.Options, zcpa.Options) are aliases
-// of this type, so option values flow unchanged through every layer.
+// rest, so option values flow unchanged through every layer. Build the
+// engine, Scheduler, MsgAdversary and MABudget fields with Cell.Options.
 type Options struct {
 	// Engine selects the execution engine (nil = lockstep); resolve one
 	// from the registry with network.EngineByName.
 	Engine network.Engine
 	// Scheduler is the async engine's delivery policy (nil = the zero-fault
-	// SyncScheduler). Ignored by the synchronous engines.
+	// SyncScheduler). Ignored by the synchronous engines. Schedulers are
+	// single-use: one run's options hold one, never a harness.
 	Scheduler network.Scheduler
 	// MsgAdversary is the message-suppression policy (nil = none); see
 	// network.MessageAdversary. Honored by every in-process engine; the

@@ -8,6 +8,7 @@ import (
 	"rmt/internal/gen"
 	"rmt/internal/instance"
 	"rmt/internal/network"
+	"rmt/internal/protocol"
 	"rmt/internal/selfred"
 	"rmt/internal/wire"
 	"rmt/internal/zcpa"
@@ -45,7 +46,7 @@ func TestConformancePKAFullKnowledge(t *testing.T) {
 	Run(t, Factory{
 		Name: "RMT-PKA-full",
 		NewProcesses: func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process) map[int]network.Process {
-			return core.NewProcesses(in, xD, corrupt, core.Options{})
+			return core.NewProcesses(in, xD, corrupt, protocol.Options{})
 		},
 		Solvable:  core.Solvable,
 		Knowledge: gen.FullKnowledge,
@@ -71,7 +72,7 @@ func TestConformanceHorizonPKASafetyOnly(t *testing.T) {
 	Run(t, Factory{
 		Name: "Horizon-PKA",
 		NewProcesses: func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process) map[int]network.Process {
-			return core.NewProcesses(in, xD, corrupt, core.Options{Horizon: 5})
+			return core.NewProcesses(in, xD, corrupt, protocol.Options{Horizon: 5})
 		},
 		Knowledge: gen.AdHoc,
 	}, Config{})

@@ -5,14 +5,20 @@
 // and, for protocols that declare a tight feasibility condition, the
 // cut-versus-simulation agreement that backs the paper's theorems.
 //
-// The repository's three protocols (RMT-PKA, 𝒵-CPA, PPA) all pass the
-// battery (see conformance_test.go); a downstream user adding a protocol
-// can run the same battery against it with a few lines of glue.
+// The repository's six registered protocols (RMT-PKA, 𝒵-CPA, PPA, 𝒵-CPA
+// broadcast, MBRB and SMT) all pass the battery (see conformance_test.go);
+// a downstream user adding a protocol can run the same battery against it
+// with a few lines of glue.
+//
+// Every battery run is configured by a protocol.Cell, which builds the
+// run's scheduler and message adversary fresh, and every cross-engine
+// comparison is network.Disagreement over a list of cells.
 package protocoltest
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rmt/internal/adversary"
@@ -39,10 +45,10 @@ type Factory struct {
 	Solvable func(in *instance.Instance) bool
 	// NewProcessesBudget, if non-nil, builds the process map provisioned
 	// for a per-broadcast suppression budget of d (protocol.Options.MABudget);
-	// the message-adversary slice prefers it so quorum-based protocols are
-	// tested with quorums matching the adversary they face. FactoryFor wires
-	// it for every registry protocol (protocols that predate the
-	// message-adversary model simply ignore the budget).
+	// every battery run prefers it, with its cell's budget, so quorum-based
+	// protocols are tested with quorums matching the adversary they face.
+	// FactoryFor wires it for every registry protocol (protocols that
+	// predate the message-adversary model simply ignore the budget).
 	NewProcessesBudget func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, d int) map[int]network.Process
 	// Knowledge is the knowledge level the protocol is designed for.
 	Knowledge gen.Knowledge
@@ -114,11 +120,9 @@ func RunRegistry(t *testing.T, cfg Config) {
 
 // Config tunes the battery.
 type Config struct {
-	Seed          int64
-	Trials        int // random instances for the tightness sweep
-	MaxRounds     int
-	SkipEngine    bool // skip the goroutine/async engine equivalence check
-	SkipSchedules bool // skip the async schedule-safety slice
+	Seed      int64
+	Trials    int // random instances for the tightness sweep
+	MaxRounds int
 	// WireEngine, when non-nil, enables the real-socket equivalence slice
 	// for factories with a registry Protocol name: every fixture run is
 	// repeated on all four engines (lockstep, goroutine, async, wire) and
@@ -144,14 +148,10 @@ func Run(t *testing.T, f Factory, cfg Config) {
 	cfg = cfg.withDefaults()
 	t.Run(f.Name+"/honest-delivery", func(t *testing.T) { honestDelivery(t, f, cfg) })
 	t.Run(f.Name+"/safety-zoo", func(t *testing.T) { safetyZoo(t, f, cfg) })
-	if !cfg.SkipEngine {
-		t.Run(f.Name+"/engine-equivalence", func(t *testing.T) { engineEquivalence(t, f, cfg) })
-		t.Run(f.Name+"/churn-equivalence", func(t *testing.T) { churnEquivalence(t, f, cfg) })
-	}
-	if !cfg.SkipSchedules {
-		t.Run(f.Name+"/schedule-safety", func(t *testing.T) { scheduleSafety(t, f, cfg) })
-		t.Run(f.Name+"/inbox-order", func(t *testing.T) { inboxOrder(t, f) })
-	}
+	t.Run(f.Name+"/engine-equivalence", func(t *testing.T) { engineEquivalence(t, f, cfg) })
+	t.Run(f.Name+"/churn-equivalence", func(t *testing.T) { churnEquivalence(t, f, cfg) })
+	t.Run(f.Name+"/schedule-safety", func(t *testing.T) { scheduleSafety(t, f, cfg) })
+	t.Run(f.Name+"/inbox-order", func(t *testing.T) { inboxOrder(t, f) })
 	t.Run(f.Name+"/message-adversary", func(t *testing.T) { messageAdversary(t, f, cfg) })
 	if cfg.WireEngine != nil && f.Protocol != "" {
 		t.Run(f.Name+"/wire-equivalence", func(t *testing.T) { wireEquivalence(t, f, cfg) })
@@ -161,44 +161,109 @@ func Run(t *testing.T, f Factory, cfg Config) {
 	}
 }
 
-func run(f Factory, in *instance.Instance, xD network.Value, corrupt map[int]network.Process, engine network.Engine, maxRounds int) (*network.Result, error) {
-	res, _, err := runTraced(f, in, xD, corrupt, engine, maxRounds, false)
-	return res, err
+// spec is one battery run: the cell that builds its engine, schedule and
+// message adversary fresh, plus what the slice layers on top.
+type spec struct {
+	protocol.Cell
+	xD        network.Value
+	corrupt   map[int]network.Process
+	churn     []network.ChurnEvent
+	maxRounds int
+	// toEnd runs to quiescence or maxRounds; otherwise the run stops as
+	// soon as the receiver decides.
+	toEnd bool
+	// record adds a transcript and a countTracer, for the agreement and
+	// reconciliation checks; tracer is one more observer.
+	record bool
+	tracer network.Tracer
+	// eclipse, when set, replaces the cell's message adversary with the
+	// eclipse of these named victims (network.NewEclipse): the one
+	// suppression pattern a cell's seeded policies cannot name.
+	eclipse []int
 }
 
-// runTraced additionally records a transcript and a tracer event count when
-// record is set, for the engine-equivalence and reconciliation slices.
-func runTraced(f Factory, in *instance.Instance, xD network.Value, corrupt map[int]network.Process, engine network.Engine, maxRounds int, record bool) (*network.Result, *countTracer, error) {
-	return runScheduled(f, in, xD, corrupt, engine, nil, maxRounds, record)
+// outcome is one battery run's result and the observers it was built with.
+type outcome struct {
+	res  *network.Result
+	ct   *countTracer // nil unless the spec records
+	madv network.MessageAdversary
 }
 
-// runScheduled is runTraced with an async delivery schedule installed.
-func runScheduled(f Factory, in *instance.Instance, xD network.Value, corrupt map[int]network.Process, engine network.Engine, sched network.Scheduler, maxRounds int, record bool) (*network.Result, *countTracer, error) {
-	return runChurned(f, in, xD, corrupt, engine, sched, nil, maxRounds, record)
-}
-
-// runChurned is runScheduled with a mid-run churn schedule installed.
-func runChurned(f Factory, in *instance.Instance, xD network.Value, corrupt map[int]network.Process, engine network.Engine, sched network.Scheduler, churn []network.ChurnEvent, maxRounds int, record bool) (*network.Result, *countTracer, error) {
+// run executes one battery run of f on in. The factory's processes are
+// provisioned for the cell's suppression budget when it can be told one.
+func (f Factory) run(in *instance.Instance, s spec) (outcome, error) {
+	opts, err := s.Options()
+	if err != nil {
+		return outcome{}, err
+	}
+	if s.eclipse != nil {
+		opts.MsgAdversary = network.NewEclipse(s.eclipse...)
+	}
+	var procs map[int]network.Process
+	if f.NewProcessesBudget != nil {
+		procs = f.NewProcessesBudget(in, s.xD, s.corrupt, s.MABudget)
+	} else {
+		procs = f.NewProcesses(in, s.xD, s.corrupt)
+	}
 	cfg := network.Config{
-		Graph:     in.G,
-		Processes: f.NewProcesses(in, xD, corrupt),
-		Engine:    engine,
-		Scheduler: sched,
-		Churn:     churn,
-		MaxRounds: maxRounds,
-		StopEarly: func(d map[int]network.Value) bool {
+		Graph:            in.G,
+		Processes:        procs,
+		Engine:           opts.Engine,
+		Scheduler:        opts.Scheduler,
+		MsgAdversary:     opts.MsgAdversary,
+		Churn:            s.churn,
+		MaxRounds:        s.maxRounds,
+		RecordTranscript: s.record,
+	}
+	if !s.toEnd {
+		cfg.StopEarly = func(d map[int]network.Value) bool {
 			_, ok := d[in.Receiver]
 			return ok
-		},
+		}
 	}
-	var ct *countTracer
-	if record {
-		cfg.RecordTranscript = true
-		ct = &countTracer{sends: map[int]int{}, bits: map[int]int{}}
-		cfg.Tracers = []network.Tracer{ct}
+	o := outcome{madv: opts.MsgAdversary}
+	if s.record {
+		o.ct = &countTracer{sends: map[int]int{}, bits: map[int]int{}}
+		cfg.Tracers = append(cfg.Tracers, o.ct)
 	}
-	res, err := network.Run(cfg)
-	return res, ct, err
+	if s.tracer != nil {
+		cfg.Tracers = append(cfg.Tracers, s.tracer)
+	}
+	o.res, err = network.Run(cfg)
+	return o, err
+}
+
+// engineCells are the in-process engines; the async one runs the
+// zero-fault schedule, which must be indistinguishable from lockstep.
+var engineCells = []protocol.Cell{{Engine: network.Lockstep}, {Engine: network.Goroutine}, {Engine: network.Async}}
+
+// agree runs one configuration under every cell and requires each run to
+// agree with the first under network.Disagreement — transcripts, then
+// every decision — and to balance its books: the tracer counts of a
+// recording run against its transcript and metrics, the metrics of any
+// other. It returns the runs, in cell order, for the slice's own checks.
+func agree(t *testing.T, label string, cells []protocol.Cell, run func(protocol.Cell) (outcome, error)) []outcome {
+	t.Helper()
+	outs := make([]outcome, len(cells))
+	for i, c := range cells {
+		o, err := run(c)
+		if err != nil {
+			t.Fatalf("%s, %s: %v", label, c.Engine.Name(), err)
+		}
+		outs[i] = o
+		l := label + ", " + c.Engine.Name()
+		if i > 0 {
+			if d := network.Disagreement(outs[0].res, o.res); d != "" {
+				t.Errorf("%s disagrees with %s: %s", l, cells[0].Engine.Name(), d)
+			}
+		}
+		if o.ct != nil {
+			o.ct.reconcile(t, l, o.res)
+		} else if err := o.res.Metrics.Reconcile(); err != nil {
+			t.Errorf("%s: %v", l, err)
+		}
+	}
+	return outs
 }
 
 // countTracer accumulates per-round send/bit counts from the event stream,
@@ -306,11 +371,11 @@ func fixtures(t *testing.T, f Factory) []*instance.Instance {
 
 func honestDelivery(t *testing.T, f Factory, cfg Config) {
 	for i, in := range fixtures(t, f) {
-		res, err := run(f, in, "x", nil, network.Lockstep, cfg.MaxRounds)
+		o, err := f.run(in, spec{xD: "x", maxRounds: cfg.MaxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := res.DecisionOf(in.Receiver); !ok || got != "x" {
+		if got, ok := o.res.DecisionOf(in.Receiver); !ok || got != "x" {
 			t.Errorf("fixture %d: honest decision = %q, %v", i, got, ok)
 		}
 	}
@@ -324,11 +389,11 @@ func safetyZoo(t *testing.T, f Factory, cfg Config) {
 			}
 			for _, strat := range byzantine.All() {
 				name := strat.Name()
-				res, err := run(f, in, "real", strat.Build(in, m, "forged"), network.Lockstep, cfg.MaxRounds)
+				o, err := f.run(in, spec{xD: "real", corrupt: strat.Build(in, m, "forged"), maxRounds: cfg.MaxRounds})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, ok := res.DecisionOf(in.Receiver); ok && got != "real" {
+				if got, ok := o.res.DecisionOf(in.Receiver); ok && got != "real" {
 					t.Errorf("fixture %d, strategy %s, corrupt %v: decided %q — SAFETY VIOLATION",
 						i, name, m, got)
 				}
@@ -337,46 +402,35 @@ func safetyZoo(t *testing.T, f Factory, cfg Config) {
 	}
 }
 
+// engineEquivalence runs the fixtures honest and under every silenced
+// maximal corruption on each in-process engine; the runs must agree.
 func engineEquivalence(t *testing.T, f Factory, cfg Config) {
 	for i, in := range fixtures(t, f) {
 		for _, m := range in.MaximalCorruptions() {
-			mk := func() map[int]network.Process {
+			// Deterministic protocols must be transcript-identical, not
+			// just decision-identical, across engines.
+			silenced := func() map[int]network.Process {
 				if m.IsEmpty() {
 					return nil
 				}
 				return protocol.Silence(m)
 			}
-			a, act, err := runTraced(f, in, "x", mk(), network.Lockstep, cfg.MaxRounds, true)
+			label := fmt.Sprintf("fixture %d, corrupt %v", i, m)
+			outs := agree(t, label, engineCells, func(c protocol.Cell) (outcome, error) {
+				return f.run(in, spec{Cell: c, xD: "x", corrupt: silenced(), maxRounds: cfg.MaxRounds, record: true})
+			})
+			// The check itself must have teeth: the lockstep run with the
+			// transcript of a run on another dealer value grafted on keeps
+			// every decision, and must still disagree.
+			other, err := f.run(in, spec{xD: "y", corrupt: silenced(), maxRounds: cfg.MaxRounds, record: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, bct, err := runTraced(f, in, "x", mk(), network.Goroutine, cfg.MaxRounds, true)
-			if err != nil {
-				t.Fatal(err)
+			grafted := *outs[0].res
+			grafted.Transcript = other.res.Transcript
+			if network.Disagreement(outs[0].res, &grafted) == "" {
+				t.Errorf("%s: network.Disagreement passed a run whose transcript differs", label)
 			}
-			// The async engine under the zero-fault schedule must be
-			// indistinguishable from the synchronous engines.
-			c, cct, err := runTraced(f, in, "x", mk(), network.Async, cfg.MaxRounds, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			av, aok := a.DecisionOf(in.Receiver)
-			for eng, res := range map[string]*network.Result{"goroutine": b, "async": c} {
-				v, ok := res.DecisionOf(in.Receiver)
-				if av != v || aok != ok {
-					t.Errorf("fixture %d, corrupt %v: %s disagrees with lockstep (%q/%v vs %q/%v)",
-						i, m, eng, v, ok, av, aok)
-				}
-				// Deterministic protocols must be transcript-identical, not
-				// just decision-identical, across engines.
-				if ak, k := a.Transcript.Key(), res.Transcript.Key(); ak != k {
-					t.Errorf("fixture %d, corrupt %v: %s transcript differs from lockstep:\nlockstep: %s\n%s: %s",
-						i, m, eng, ak, eng, k)
-				}
-			}
-			act.reconcile(t, fmt.Sprintf("fixture %d corrupt %v lockstep", i, m), a)
-			bct.reconcile(t, fmt.Sprintf("fixture %d corrupt %v goroutine", i, m), b)
-			cct.reconcile(t, fmt.Sprintf("fixture %d corrupt %v async", i, m), c)
 		}
 	}
 }
@@ -406,56 +460,10 @@ func churnEquivalence(t *testing.T, f Factory, cfg Config) {
 			{Round: 2, RemoveEdges: [][2]int{{in.Dealer, rel}}},
 			{Round: 4, AddEdges: [][2]int{{in.Dealer, rel}}},
 		}
-		a, act, err := runChurned(f, in, "x", nil, network.Lockstep, nil, churn, cfg.MaxRounds, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, bct, err := runChurned(f, in, "x", nil, network.Goroutine, nil, churn, cfg.MaxRounds, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, cct, err := runChurned(f, in, "x", nil, network.Async, nil, churn, cfg.MaxRounds, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		av, aok := a.DecisionOf(in.Receiver)
-		for eng, res := range map[string]*network.Result{"goroutine": b, "async": c} {
-			v, ok := res.DecisionOf(in.Receiver)
-			if av != v || aok != ok {
-				t.Errorf("fixture %d: %s under churn disagrees with lockstep (%q/%v vs %q/%v)",
-					i, eng, v, ok, av, aok)
-			}
-			if ak, k := a.Transcript.Key(), res.Transcript.Key(); ak != k {
-				t.Errorf("fixture %d: %s transcript under churn differs from lockstep:\nlockstep: %s\n%s: %s",
-					i, eng, ak, eng, k)
-			}
-		}
-		act.reconcile(t, fmt.Sprintf("fixture %d churn lockstep", i), a)
-		bct.reconcile(t, fmt.Sprintf("fixture %d churn goroutine", i), b)
-		cct.reconcile(t, fmt.Sprintf("fixture %d churn async", i), c)
+		agree(t, fmt.Sprintf("fixture %d under churn", i), engineCells, func(c protocol.Cell) (outcome, error) {
+			return f.run(in, spec{Cell: c, xD: "x", churn: churn, maxRounds: cfg.MaxRounds, record: true})
+		})
 	}
-}
-
-// runSuppressed executes a run under a message adversary, built with the
-// budget-aware assembly when the factory provides one. StopEarly is never
-// installed: the accounting checks need the full run, and the liveness
-// assertion needs every player's decision.
-func runSuppressed(f Factory, in *instance.Instance, xD network.Value, corrupt map[int]network.Process, engine network.Engine, madv network.MessageAdversary, d, maxRounds int) (*network.Result, *countTracer, error) {
-	procs := f.NewProcesses(in, xD, corrupt)
-	if f.NewProcessesBudget != nil {
-		procs = f.NewProcessesBudget(in, xD, corrupt, d)
-	}
-	ct := &countTracer{sends: map[int]int{}, bits: map[int]int{}}
-	res, err := network.Run(network.Config{
-		Graph:            in.G,
-		Processes:        procs,
-		Engine:           engine,
-		MsgAdversary:     madv,
-		MaxRounds:        maxRounds,
-		RecordTranscript: true,
-		Tracers:          []network.Tracer{ct},
-	})
-	return res, ct, err
 }
 
 // messageAdversary is the suppression slice: honest runs under every stock
@@ -471,39 +479,29 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 	const d = 1
 	for i, in := range fixtures(t, f) {
 		for _, name := range network.MessageAdversaryNames() {
-			type outcome struct {
-				res *network.Result
-				ct  *countTracer
-				mad network.MessageAdversary
+			var cells []protocol.Cell
+			for _, c := range engineCells {
+				cells = append(cells, protocol.Cell{Engine: c.Engine, MAPolicy: name, MABudget: d, MASeed: 11})
 			}
-			runs := map[string]outcome{}
-			for _, eng := range []network.Engine{network.Lockstep, network.Goroutine, network.Async} {
-				madv := network.MustMessageAdversary(name, d, 11)
-				res, ct, err := runSuppressed(f, in, "x", nil, eng, madv, d, cfg.MaxRounds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs[eng.Name()] = outcome{res, ct, madv}
-			}
-			a := runs[network.Lockstep.Name()]
-			for engName, o := range runs {
-				label := fmt.Sprintf("fixture %d, policy %s, %s", i, name, engName)
-				if k, ak := o.res.Transcript.Key(), a.res.Transcript.Key(); k != ak {
-					t.Errorf("%s: transcript differs from lockstep:\nlockstep: %s\n%s: %s",
-						label, ak, engName, k)
-				}
-				if o.mad.Suppressed() != a.mad.Suppressed() {
+			// StopEarly is never installed: the accounting checks need the
+			// full run, and the decision check every player's decision.
+			label := fmt.Sprintf("fixture %d, policy %s", i, name)
+			outs := agree(t, label, cells, func(c protocol.Cell) (outcome, error) {
+				return f.run(in, spec{Cell: c, xD: "x", maxRounds: cfg.MaxRounds, toEnd: true, record: true})
+			})
+			for j, o := range outs {
+				label := label + ", " + cells[j].Engine.Name()
+				if o.madv.Suppressed() != outs[0].madv.Suppressed() {
 					t.Errorf("%s: suppressed %d copies, lockstep %d",
-						label, o.mad.Suppressed(), a.mad.Suppressed())
+						label, o.madv.Suppressed(), outs[0].madv.Suppressed())
 				}
-				o.ct.reconcile(t, label, o.res)
 				if o.ct.loses != o.res.Metrics.MessagesLost {
 					t.Errorf("%s: tracer saw %d loses, Metrics.MessagesLost %d",
 						label, o.ct.loses, o.res.Metrics.MessagesLost)
 				}
-				if o.mad.Suppressed() > o.ct.loses {
+				if o.madv.Suppressed() > o.ct.loses {
 					t.Errorf("%s: %d suppressions but only %d Lose events",
-						label, o.mad.Suppressed(), o.ct.loses)
+						label, o.madv.Suppressed(), o.ct.loses)
 				}
 				for v, got := range o.res.Decisions {
 					if got != "x" {
@@ -534,7 +532,8 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 			if !m.IsEmpty() {
 				corrupt = protocol.Silence(m)
 			}
-			res, _, err := runSuppressed(f, in, "x", corrupt, network.Lockstep, network.NewEclipse(victim), d, cfg.MaxRounds)
+			o, err := f.run(in, spec{Cell: protocol.Cell{Engine: network.Lockstep, MABudget: d}, eclipse: []int{victim},
+				xD: "x", corrupt: corrupt, maxRounds: cfg.MaxRounds, toEnd: true, record: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -542,7 +541,7 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 				if v == victim || m.Contains(v) {
 					return true
 				}
-				if got, ok := res.DecisionOf(v); !ok || got != "x" {
+				if got, ok := o.res.DecisionOf(v); !ok || got != "x" {
 					t.Errorf("fixture %d, corrupt %v, victim %d: correct non-victim %d decided %q, %v; want \"x\"",
 						i, m, victim, v, got, ok)
 				}
@@ -555,7 +554,7 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 // wireEquivalence is the four-engine slice: on the standard fixtures plus
 // every feasibility fixture buildable at the factory's knowledge level, the
 // lockstep, goroutine, async and wire engines must produce identical
-// receiver decisions and byte-identical transcripts. The wire engine
+// decisions and byte-identical transcripts. The wire engine
 // re-execs the test binary once per player and rebuilds the run from the
 // Blueprint, so this slice proves the blueprint/codec path preserves the
 // exact event stream of an in-process run — transcript equivalence needs no
@@ -575,13 +574,9 @@ func wireEquivalence(t *testing.T, f Factory, cfg Config) {
 			ins = append(ins, in)
 		}
 	}
-	engines := map[string]network.Engine{
-		"goroutine": network.Goroutine,
-		"async":     network.Async,
-		"wire":      cfg.WireEngine,
-	}
+	cells := append(slices.Clip(engineCells), protocol.Cell{Engine: cfg.WireEngine})
 	for i, in := range ins {
-		spec := cliutil.InstanceSpec{
+		text := cliutil.InstanceSpec{
 			Graph:     in.G,
 			Z:         in.Z,
 			Knowledge: f.Knowledge,
@@ -600,43 +595,21 @@ func wireEquivalence(t *testing.T, f Factory, cfg Config) {
 			}
 		}
 		for _, m := range corruptions {
-			runOn := func(eng network.Engine) (*network.Result, error) {
-				bp := &network.Blueprint{Instance: spec, Protocol: f.Protocol}
-				opts := protocol.Options{
-					Engine:           eng,
-					RecordTranscript: true,
-					MaxRounds:        cfg.MaxRounds,
-					Blueprint:        bp,
+			agree(t, fmt.Sprintf("fixture %d, corrupt %v", i, m), cells, func(c protocol.Cell) (outcome, error) {
+				opts, err := c.Options()
+				if err != nil {
+					return outcome{}, err
 				}
+				bp := &network.Blueprint{Instance: text, Protocol: f.Protocol}
+				opts.RecordTranscript, opts.MaxRounds, opts.Blueprint = true, cfg.MaxRounds, bp
 				if !m.IsEmpty() {
 					bp.Corrupt = m.Members()
 					bp.Attack = byzantine.SilentName
 					opts.Corrupt = byzantine.MustGet(byzantine.SilentName).Build(in, m, "")
 				}
-				return protocol.RunByName(f.Protocol, in, "x", opts)
-			}
-			a, err := runOn(network.Lockstep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			av, aok := a.DecisionOf(in.Receiver)
-			for name, eng := range engines {
-				b, err := runOn(eng)
-				if err != nil {
-					t.Fatalf("fixture %d, corrupt %v, %s: %v", i, m, name, err)
-				}
-				if v, ok := b.DecisionOf(in.Receiver); av != v || aok != ok {
-					t.Errorf("fixture %d, corrupt %v: %s disagrees with lockstep (%q/%v vs %q/%v)",
-						i, m, name, v, ok, av, aok)
-				}
-				if ak, bk := a.Transcript.Key(), b.Transcript.Key(); ak != bk {
-					t.Errorf("fixture %d, corrupt %v: %s transcript differs from lockstep:\nlockstep: %s\n%s: %s",
-						i, m, name, ak, name, bk)
-				}
-				if err := b.Metrics.Reconcile(); err != nil {
-					t.Errorf("fixture %d, corrupt %v, %s: %v", i, m, name, err)
-				}
-			}
+				res, err := protocol.RunByName(f.Protocol, in, "x", opts)
+				return outcome{res: res}, err
+			})
 		}
 	}
 }
@@ -653,12 +626,12 @@ func scheduleSafety(t *testing.T, f Factory, cfg Config) {
 	for i, in := range fixtures(t, f) {
 		for _, name := range network.SchedulerNames() {
 			for seed := int64(1); seed <= 2; seed++ {
-				sched := network.MustScheduler(name, seed)
-				res, _, err := runScheduled(f, in, "x", nil, network.Async, sched, maxRounds, false)
+				cell := protocol.Cell{Engine: network.Async, Schedule: name, SchedSeed: seed}
+				o, err := f.run(in, spec{Cell: cell, xD: "x", maxRounds: maxRounds})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, ok := res.DecisionOf(in.Receiver); !ok || got != "x" {
+				if got, ok := o.res.DecisionOf(in.Receiver); !ok || got != "x" {
 					t.Errorf("fixture %d, schedule %s seed %d: honest decision = %q, %v",
 						i, name, seed, got, ok)
 				}
@@ -666,12 +639,11 @@ func scheduleSafety(t *testing.T, f Factory, cfg Config) {
 					if m.IsEmpty() {
 						continue
 					}
-					sched := network.MustScheduler(name, seed)
-					res, _, err := runScheduled(f, in, "real", protocol.Silence(m), network.Async, sched, maxRounds, false)
+					o, err := f.run(in, spec{Cell: cell, xD: "real", corrupt: protocol.Silence(m), maxRounds: maxRounds})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, ok := res.DecisionOf(in.Receiver); ok && got != "real" {
+					if got, ok := o.res.DecisionOf(in.Receiver); ok && got != "real" {
 						t.Errorf("fixture %d, schedule %s seed %d, corrupt %v: decided %q — SAFETY VIOLATION",
 							i, name, seed, m, got)
 					}
@@ -696,14 +668,8 @@ func inboxOrder(t *testing.T, f Factory) {
 		for _, name := range network.SchedulerNames() {
 			for seed := int64(1); seed <= 2; seed++ {
 				ot := &orderTracer{}
-				res, err := network.Run(network.Config{
-					Graph:     fx.G,
-					Processes: f.NewProcesses(fx, "x", nil),
-					Engine:    network.Async,
-					Scheduler: network.MustScheduler(name, seed),
-					MaxRounds: 64,
-					Tracers:   []network.Tracer{ot},
-				})
+				cell := protocol.Cell{Engine: network.Async, Schedule: name, SchedSeed: seed}
+				o, err := f.run(fx, spec{Cell: cell, xD: "x", maxRounds: 64, toEnd: true, tracer: ot})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -711,7 +677,7 @@ func inboxOrder(t *testing.T, f Factory) {
 				if ot.err != nil {
 					t.Errorf("%s: %v", label, ot.err)
 				}
-				if res.Metrics.MessagesDelivered == 0 {
+				if o.res.Metrics.MessagesDelivered == 0 {
 					t.Errorf("%s: nothing delivered", label)
 				}
 			}
@@ -781,11 +747,11 @@ func tightness(t *testing.T, f Factory, cfg Config) {
 		want := f.Solvable(in)
 		got := true
 		for _, tset := range in.MaximalCorruptions() {
-			res, err := run(f, in, "1", protocol.Silence(tset), network.Lockstep, cfg.MaxRounds)
+			o, err := f.run(in, spec{xD: "1", corrupt: protocol.Silence(tset), maxRounds: cfg.MaxRounds})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := res.DecisionOf(in.Receiver); !ok {
+			if _, ok := o.res.DecisionOf(in.Receiver); !ok {
 				got = false
 				break
 			}

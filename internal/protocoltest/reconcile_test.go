@@ -31,18 +31,10 @@ func TestMetricsReconcileEverywhere(t *testing.T) {
 	// well past their synchronous round counts; 64 dominates (see
 	// scheduleSafety).
 	const maxRounds = 64
-	type cell struct {
-		engine network.Engine
-		sched  string // "" = synchronous engines, no schedule
-		seed   int64
-	}
-	cells := []cell{
-		{network.Lockstep, "", 0},
-		{network.Goroutine, "", 0},
-	}
+	cells := []protocol.Cell{{Engine: network.Lockstep}, {Engine: network.Goroutine}}
 	for _, name := range network.SchedulerNames() {
 		for seed := int64(1); seed <= 2; seed++ {
-			cells = append(cells, cell{network.Async, name, seed})
+			cells = append(cells, protocol.Cell{Engine: network.Async, Schedule: name, SchedSeed: seed})
 		}
 	}
 
@@ -100,21 +92,17 @@ func TestMetricsReconcileEverywhere(t *testing.T) {
 			}
 			for _, c := range cells {
 				for ci, corrupt := range corruptions {
-					var sched network.Scheduler
-					if c.sched != "" {
-						sched = network.MustScheduler(c.sched, c.seed)
+					opts, err := c.Options()
+					if err != nil {
+						t.Fatal(err)
 					}
-					res, err := protocol.Run(p, in, "x", protocol.Options{
-						Engine:    c.engine,
-						Scheduler: sched,
-						MaxRounds: maxRounds,
-						Corrupt:   corrupt,
-					})
+					opts.MaxRounds, opts.Corrupt = maxRounds, corrupt
+					res, err := protocol.Run(p, in, "x", opts)
 					if err != nil {
 						t.Fatalf("%s/%s/%v: %v", p.Name(), fx.name, c, err)
 					}
 					label := fmt.Sprintf("%s %s engine=%v sched=%q seed=%d corrupt=%d",
-						p.Name(), fx.name, c.engine, c.sched, c.seed, ci)
+						p.Name(), fx.name, c.Engine, c.Schedule, c.SchedSeed, ci)
 					if err := res.Metrics.Reconcile(); err != nil {
 						t.Errorf("%s: %v", label, err)
 					}

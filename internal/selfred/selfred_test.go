@@ -190,7 +190,7 @@ func TestDecisionProtocolEquivalence(t *testing.T) {
 				} else {
 					corrupt = zcpa.WrongValueProcesses(in, tset, "forged")
 				}
-				direct, err := zcpa.Run(in, "real", corrupt, zcpa.Options{})
+				direct, err := protocol.Run(zcpa.Proto{}, in, "real", protocol.Options{Corrupt: corrupt})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,7 +201,7 @@ func TestDecisionProtocolEquivalence(t *testing.T) {
 				} else {
 					corrupt = zcpa.WrongValueProcesses(in, tset, "forged")
 				}
-				sim, err := zcpa.Run(in, "real", corrupt, zcpa.Options{Decider: pi})
+				sim, err := protocol.Run(zcpa.Proto{}, in, "real", protocol.Options{Corrupt: corrupt, Decider: pi})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -234,7 +234,7 @@ func TestPiDeciderCountsRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := &PiDecider{LK: in.LocalKnowledge()}
-	if _, err := zcpa.Run(in, "x", nil, zcpa.Options{Decider: pi}); err != nil {
+	if _, err := protocol.Run(zcpa.Proto{}, in, "x", protocol.Options{Decider: pi}); err != nil {
 		t.Fatal(err)
 	}
 	if pi.SimulatedRuns.Load() == 0 {
@@ -265,11 +265,11 @@ func TestPiDeciderConcurrentPlayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := &PiDecider{LK: in.LocalKnowledge()}
-	sim, err := zcpa.Run(in, "x", nil, zcpa.Options{Decider: pi, Engine: network.Goroutine})
+	sim, err := protocol.Run(zcpa.Proto{}, in, "x", protocol.Options{Decider: pi, Engine: network.Goroutine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := zcpa.Run(in, "x", nil, zcpa.Options{Engine: network.Goroutine})
+	direct, err := protocol.Run(zcpa.Proto{}, in, "x", protocol.Options{Engine: network.Goroutine})
 	if err != nil {
 		t.Fatal(err)
 	}

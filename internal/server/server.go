@@ -822,7 +822,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "protocol %q requires \"knowledge\": \"full\"", req.Protocol)
 		return
 	}
-	eng, err := network.ParseEngine(req.Engine)
+	eng, err := network.EngineByName(req.Engine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -896,32 +896,31 @@ func (s *Server) runTrials(ctx context.Context, in *instance.Instance, req *RunR
 	if req.Trials > 1 {
 		workers = runTrialWorkers
 	}
+	fail := func(err error) TrialResult {
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		errMu.Unlock()
+		return TrialResult{}
+	}
 	trials := eval.ParallelMap(req.Trials, workers, func(i int) TrialResult {
 		// The deadline is polled between trials and, through the run's
 		// context, once per round: max_rounds has no cap, so one trial of
 		// a never-deciding run could otherwise hold the worker far past it.
 		if err := ctx.Err(); err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-			return TrialResult{}
+			return fail(err)
 		}
 		schedSeed := eval.TrialSeed(req.Seed, 0, i)
-		opts := protocol.Options{Engine: eng, MaxRounds: req.MaxRounds, Context: ctx}
+		cell := protocol.Cell{Engine: eng, SchedSeed: schedSeed}
 		if eng == network.Async {
-			sched, err := network.NewScheduler(req.Schedule, schedSeed)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return TrialResult{}
-			}
-			opts.Scheduler = sched
+			cell.Schedule = req.Schedule
 		}
+		opts, err := cell.Options()
+		if err != nil {
+			return fail(err)
+		}
+		opts.MaxRounds, opts.Context = req.MaxRounds, ctx
 		if !corrupt.IsEmpty() {
 			opts.Corrupt = strategy.Build(in, corrupt, network.Value(req.Forged))
 		}
@@ -933,12 +932,7 @@ func (s *Server) runTrials(ctx context.Context, in *instance.Instance, req *RunR
 		}
 		res, err := protocol.RunByName(req.Protocol, in, xD, opts)
 		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-			return TrialResult{}
+			return fail(err)
 		}
 		tr := TrialResult{Seed: schedSeed, Rounds: res.Rounds, Metrics: res.Metrics}
 		if v, decided := res.DecisionOf(in.Receiver); decided {

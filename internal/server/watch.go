@@ -11,6 +11,7 @@ import (
 	"net/http"
 
 	"rmt/internal/gen"
+	"rmt/internal/graph"
 	"rmt/internal/instance"
 )
 
@@ -143,9 +144,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 // revision served from a cache re-seeds them from its witnesses, so the
 // next revision can still repair.
 func (s *Server) watchVerdict(ctx context.Context, cuts *cutCheckers, cur *instance.Instance, level gen.Knowledge, base, key string, rev int) (*WatchEvent, []byte, error) {
+	// A peer's body must decode, and its witnesses must name nodes of this
+	// revision's graph: cuts.seed builds node sets from them, and
+	// nodeset.Of panics on a negative ID.
 	valid := func(body []byte) bool {
-		_, err := decodeWatchEvent(body)
-		return err == nil
+		ev, err := decodeWatchEvent(body)
+		return err == nil && witnessOn(cur.G, &ev.PKA) && witnessOn(cur.G, ev.ZCPA)
 	}
 	body, source, err := s.cached(ctx, "watch-v1\n"+level.String()+"\n"+key, base, valid, func(ctx context.Context) ([]byte, error) {
 		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
@@ -166,6 +170,22 @@ func (s *Server) watchVerdict(ctx context.Context, cuts *cutCheckers, cur *insta
 		cuts.seed(cur, ev.PKA, ev.ZCPA)
 	}
 	return ev, body, nil
+}
+
+// witnessOn reports whether every ID of v's cut witness, if any, is a node
+// of g.
+func witnessOn(g *graph.Graph, v *Verdict) bool {
+	if v == nil || v.Witness == nil {
+		return true
+	}
+	for _, ids := range [][]int{v.Witness.C1, v.Witness.C2, v.Witness.B} {
+		for _, id := range ids {
+			if !g.HasNode(id) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func decodeWatchEvent(body []byte) (*WatchEvent, error) {

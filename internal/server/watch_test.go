@@ -473,3 +473,38 @@ func TestWatchTimeoutCounted(t *testing.T) {
 		t.Fatalf("metrics missing rmtd_timeouts_total 1:\n%s", m)
 	}
 }
+
+// TestWatchRejectsPeerWitnessOffGraph: a peer's watch body is stored only
+// if its cut witnesses name nodes of the revision's graph. The fake owner
+// answers every /internal/cache fetch with a well-formed event whose
+// witness holds a negative ID (which nodeset.Of panics on) or a non-node.
+// The shard must fall back to local compute: the stream carries the
+// computed event, and the LRU holds the computed body, not the peer's.
+func TestWatchRejectsPeerWitnessOffGraph(t *testing.T) {
+	_, plain := newTestServer(t, Options{})
+	code, want := postWatch(t, plain, watchBody(solvableButterfly))
+	if code != http.StatusOK || len(want) != 1 {
+		t.Fatalf("standalone watch: %d, %d lines", code, len(want))
+	}
+	base := decodeEvents(t, want)[0].Key
+	for name, witness := range map[string]string{
+		"negative": `{"c1":[-1],"c2":[2],"b":[4]}`,
+		"non-node": `{"c1":[1],"c2":[99],"b":[4]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				fmt.Fprintf(w, `{"rev":0,"key":%q,"knowledge":"adhoc","pka":{"solvable":false,"witness":%s}}`+"\n", base, witness)
+			}))
+			defer peer.Close()
+			s, ts := newTestServer(t, Options{Peers: []string{peer.URL}, Self: "http://self.invalid"})
+			code, got := postWatch(t, ts, watchBody(solvableButterfly))
+			if code != http.StatusOK || len(got) != 1 || !bytes.Equal(got[0], want[0]) {
+				t.Fatalf("watch with a bad peer body: %d %s, want %s", code, bytes.Join(got, []byte("\n")), want[0])
+			}
+			stored, ok := s.cache.get("watch-v1\nadhoc\n" + base)
+			if !ok || !bytes.Equal(bytes.TrimSpace(stored), want[0]) {
+				t.Fatalf("LRU holds %q, want the computed body %s", stored, want[0])
+			}
+		})
+	}
+}

@@ -337,10 +337,6 @@ func NewProcesses(in *instance.Instance, plan Plan, xD network.Value, seed int64
 	})
 }
 
-// Options is this protocol's view of the unified option set: Listen is the
-// adversary's listening structure, Seed keys the pad stream.
-type Options = protocol.Options
-
 // Proto is the registry entry for the SMT protocol.
 type Proto struct{}
 
@@ -369,12 +365,3 @@ func (Proto) Assemble(in *instance.Instance, xD network.Value, opts protocol.Opt
 }
 
 func init() { protocol.Register(Proto{}) }
-
-// Run executes SMT on the instance with dealer value (secret) xD. A non-nil
-// corrupt map takes precedence over opts.Corrupt.
-func Run(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, opts Options) (*network.Result, error) {
-	if corrupt != nil {
-		opts.Corrupt = corrupt
-	}
-	return protocol.Run(Proto{}, in, xD, opts)
-}

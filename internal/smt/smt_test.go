@@ -195,11 +195,11 @@ func TestRunDeliversSecret(t *testing.T) {
 
 	for _, engine := range []network.Engine{network.Lockstep, network.Goroutine, network.Async} {
 		for _, corrupt := range []nodeset.Set{nodeset.Empty(), nodeset.Of(1)} {
-			opts := Options{Engine: engine, Listen: listen, Seed: 1234}
+			opts := protocol.Options{Engine: engine, Listen: listen, Seed: 1234}
 			if !corrupt.IsEmpty() {
 				opts.Corrupt = protocol.Silence(corrupt)
 			}
-			res, err := Run(in, secret, nil, opts)
+			res, err := protocol.Run(Proto{}, in, secret, opts)
 			if err != nil {
 				t.Fatalf("engine=%v corrupt=%v: %v", engine, corrupt, err)
 			}
@@ -221,7 +221,7 @@ func TestRunRejectsInfeasiblePairing(t *testing.T) {
 	g, d, r := gen.DisjointPaths(3, 1)
 	in := mustInstance(t, g, gen.Singletons(nodeset.Of(1)), d, r)
 	// Ground {1}; listening set {2, 3} covers both surviving relays.
-	_, err := Run(in, "x", nil, Options{Listen: adversary.FromSlices([]int{2, 3})})
+	_, err := protocol.Run(Proto{}, in, "x", protocol.Options{Listen: adversary.FromSlices([]int{2, 3})})
 	if err == nil {
 		t.Fatal("Run succeeded on a secrecy-cut pairing")
 	}

@@ -180,31 +180,17 @@ func (p *Player) decide(x network.Value, out network.Outbox) {
 // Decision implements network.Process.
 func (p *Player) Decision() (network.Value, bool) { return p.value, p.decided }
 
-// NewProcesses assembles the process map for a 𝒵-CPA run: the dealer, honest
-// players, and the supplied corrupted processes (which take precedence for
-// their nodes; the dealer and receiver cannot be corrupted). A nil oracle
-// defaults to the DirectOracle.
-func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, oracle Oracle) map[int]network.Process {
-	if oracle == nil {
-		oracle = DirectOracle{In: in}
-	}
-	return NewProcessesWithDecider(in, xD, corrupt, WrapOracle(oracle))
-}
-
-// NewProcessesWithDecider assembles the process map with a custom decision
-// subroutine for every honest player.
+// NewProcessesWithDecider assembles the process map for a 𝒵-CPA run: the
+// dealer, honest players deciding through decider, and the supplied
+// corrupted processes (which take precedence for their nodes; the dealer
+// and receiver cannot be corrupted).
 func NewProcessesWithDecider(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, decider Decider) map[int]network.Process {
 	return NewPlayers(in.G, in.Dealer, in.Receiver, nodeset.Of(in.Dealer, in.Receiver), xD, corrupt, decider)
 }
 
-// Options tweaks a run. It is the unified option set of the protocol
-// runtime; 𝒵-CPA reads Decider (nil = the textbook rule over the
-// DirectOracle) in addition to the engine fields.
-type Options = protocol.Options
-
 // ResolveDecider picks the decision subroutine the options call for:
 // opts.Decider when set, else the textbook rule over the DirectOracle.
-func ResolveDecider(in *instance.Instance, opts Options) Decider {
+func ResolveDecider(in *instance.Instance, opts protocol.Options) Decider {
 	if opts.Decider != nil {
 		return opts.Decider
 	}
@@ -232,19 +218,3 @@ func (Proto) Assemble(in *instance.Instance, xD network.Value, opts protocol.Opt
 func (Proto) Solvable(in *instance.Instance) bool { return Solvable(in) }
 
 func init() { protocol.Register(Proto{}) }
-
-// Run executes 𝒵-CPA on the instance with dealer value xD and the given
-// corrupted players, stopping as soon as the receiver decides. A non-nil
-// corrupt map takes precedence over opts.Corrupt.
-func Run(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, opts Options) (*network.Result, error) {
-	if corrupt != nil {
-		opts.Corrupt = corrupt
-	}
-	return protocol.Run(Proto{}, in, xD, opts)
-}
-
-// Resilient reports whether 𝒵-CPA achieves RMT on the instance for every
-// admissible corruption set (protocol.Resilient).
-func Resilient(in *instance.Instance) (bool, error) {
-	return protocol.Resilient(Proto{}, in)
-}

@@ -95,7 +95,7 @@ func weakDiamond(t *testing.T) *instance.Instance {
 
 func TestDealerNeighborDecides(t *testing.T) {
 	in := mustInstance(t, "0-1", adversary.Trivial(), 0, 1)
-	res, err := Run(in, "attack at dawn", nil, Options{})
+	res, err := protocol.Run(Proto{}, in, "attack at dawn", protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDealerNeighborDecides(t *testing.T) {
 
 func TestMultiHopRelay(t *testing.T) {
 	in := mustInstance(t, "0-1 1-2 2-3", adversary.Trivial(), 0, 3)
-	res, err := Run(in, "m", nil, Options{})
+	res, err := protocol.Run(Proto{}, in, "m", protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestMultiHopRelay(t *testing.T) {
 func TestTriplePathResilient(t *testing.T) {
 	in := triplePath(t)
 	for _, corrupted := range []int{1, 2, 3} {
-		res, err := Run(in, "x", protocol.Silence(nodeset.Of(corrupted)), Options{})
+		res, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: protocol.Silence(nodeset.Of(corrupted))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestTriplePathResilient(t *testing.T) {
 			t.Fatalf("corrupt=%d: decision = %q, %v", corrupted, got, ok)
 		}
 	}
-	ok, err := Resilient(in)
+	ok, err := protocol.Resilient(Proto{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTriplePathResilient(t *testing.T) {
 
 func TestWeakDiamondNotResilient(t *testing.T) {
 	in := weakDiamond(t)
-	ok, err := Resilient(in)
+	ok, err := protocol.Resilient(Proto{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestAdjacentDealerReceiverAlwaysSolvable(t *testing.T) {
 	if _, found := FindRMTZppCut(in); found {
 		t.Fatal("found a cut despite D-R edge")
 	}
-	ok, err := Resilient(in)
+	ok, err := protocol.Resilient(Proto{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSafetyUnderWrongValueAttack(t *testing.T) {
 	in := triplePath(t)
 	for _, corrupted := range []int{1, 2, 3} {
 		procs := WrongValueProcesses(in, nodeset.Of(corrupted), "forged")
-		res, err := Run(in, "real", procs, Options{})
+		res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: procs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestSafetyOnUnsolvableInstance(t *testing.T) {
 	in := weakDiamond(t)
 	for _, corrupted := range []int{1, 2} {
 		procs := WrongValueProcesses(in, nodeset.Of(corrupted), "forged")
-		res, err := Run(in, "real", procs, Options{})
+		res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: procs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestTwoFacedAttackSafety(t *testing.T) {
 		Truth:     "real",
 		Lie:       "forged",
 	}
-	res, err := Run(in, "real", map[int]network.Process{2: attacker}, Options{})
+	res, err := protocol.Run(Proto{}, in, "real", protocol.Options{Corrupt: map[int]network.Process{2: attacker}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestTwoFacedAttackSafety(t *testing.T) {
 func TestErroneousMessagesIgnored(t *testing.T) {
 	in := triplePath(t)
 	spammer := &noisemaker{neighbors: in.G.Neighbors(2)}
-	res, err := Run(in, "x", map[int]network.Process{2: spammer}, Options{})
+	res, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: map[int]network.Process{2: spammer}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestErroneousMessagesIgnored(t *testing.T) {
 func TestReplayerHarmless(t *testing.T) {
 	in := triplePath(t)
 	rep := &echoer{neighbors: in.G.Neighbors(3)}
-	res, err := Run(in, "x", map[int]network.Process{3: rep}, Options{})
+	res, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: map[int]network.Process{3: rep}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestReplayerHarmless(t *testing.T) {
 
 func TestCorruptMapCannotTouchDealerReceiver(t *testing.T) {
 	in := triplePath(t)
-	procs := NewProcesses(in, "x", protocol.Silence(nodeset.Of(0, 4)), nil)
+	procs := NewProcessesWithDecider(in, "x", protocol.Silence(nodeset.Of(0, 4)), ResolveDecider(in, protocol.Options{}))
 	if _, ok := procs[0].(*Dealer); !ok {
 		t.Fatal("dealer was replaced by a corrupt process")
 	}
@@ -296,11 +296,11 @@ func TestCorruptMapCannotTouchDealerReceiver(t *testing.T) {
 func TestGoroutineEngineAgrees(t *testing.T) {
 	in := triplePath(t)
 	for _, corrupted := range []int{1, 2, 3} {
-		a, err := Run(in, "x", protocol.Silence(nodeset.Of(corrupted)), Options{})
+		a, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: protocol.Silence(nodeset.Of(corrupted))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(in, "x", protocol.Silence(nodeset.Of(corrupted)), Options{Engine: network.Goroutine})
+		b, err := protocol.Run(Proto{}, in, "x", protocol.Options{Corrupt: protocol.Silence(nodeset.Of(corrupted)), Engine: network.Goroutine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +335,7 @@ func TestTightness(t *testing.T) {
 			continue
 		}
 		solvable := Solvable(in)
-		resilient, err := Resilient(in)
+		resilient, err := protocol.Resilient(Proto{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func TestRoundComplexityLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(in, "x", nil, Options{})
+		res, err := protocol.Run(Proto{}, in, "x", protocol.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,7 +130,7 @@ var (
 
 // ParseEngine resolves an engine by registry name ("lockstep", "goroutine",
 // "async", plus any engine registered by imported packages, such as "wire").
-func ParseEngine(name string) (Engine, error) { return network.ParseEngine(name) }
+func ParseEngine(name string) (Engine, error) { return network.EngineByName(name) }
 
 // Engines returns the names of every registered engine, sorted.
 func Engines() []string { return network.EngineNames() }
@@ -323,11 +323,11 @@ func FindZppCutBounded(in *Instance, maxCandidates int) (cut ZppCut, found, comp
 
 // ResilientPKA verifies operationally that RMT-PKA delivers against every
 // maximal corruption set (silent adversary — the liveness worst case).
-func ResilientPKA(in *Instance) (bool, error) { return core.Resilient(in) }
+func ResilientPKA(in *Instance) (bool, error) { return protocol.Resilient(core.Proto{}, in) }
 
 // ResilientZCPA verifies operationally that 𝒵-CPA delivers against every
 // maximal corruption set.
-func ResilientZCPA(in *Instance) (bool, error) { return zcpa.Resilient(in) }
+func ResilientZCPA(in *Instance) (bool, error) { return protocol.Resilient(zcpa.Proto{}, in) }
 
 // SilentCorruption corrupts every node of t with the silent (blocking)
 // strategy — the worst case for liveness against safe protocols.
