@@ -155,10 +155,11 @@ fleetsmoke:
 # Definitions 3 and 7 — verdicts, witnesses, completeness and both
 # verifiers —, Definition 10, PPA's pair cut, or the adversary cover over
 # decoded claims), delta application (Validate and Apply agree, and every
-# applied delta keys like a fresh build of the edited tuple), and the
+# applied delta keys like a fresh build of the edited tuple), the
 # engine's run state (every inbox in sender-then-key order under every
 # schedule, metrics that reconcile, and a run on spread IDs equal by rank
-# to the run on IDs 0..n-1).
+# to the run on IDs 0..n-1), and rmtd's /v1/run bodies (every answer a 200
+# or a 400 with a JSON body).
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseStructure -fuzztime=10s
@@ -167,6 +168,7 @@ fuzzsmoke:
 	$(GO) test ./internal/cutsearch/ -run=^$$ -fuzz=FuzzCutSearchMatchesReference -fuzztime=10s
 	$(GO) test ./internal/instance/ -run=^$$ -fuzz=FuzzApplyDelta -fuzztime=10s
 	$(GO) test ./internal/network/ -run=^$$ -fuzz=FuzzRunStateOrder -fuzztime=10s
+	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzRunRequest -fuzztime=10s
 
 # Per-package coverage with a repo-level floor. The threshold gates total
 # statement coverage across every package, example mains included — the

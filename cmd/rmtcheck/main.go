@@ -28,37 +28,6 @@ func main() {
 	}
 }
 
-// resolveSpec assembles the instance description from -file or from the
-// individual flags.
-func resolveSpec(file, graphStr, structStr, knowledge string, dealer, receiver int) (cliutil.InstanceSpec, error) {
-	if file != "" {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return cliutil.InstanceSpec{}, err
-		}
-		return cliutil.ParseInstanceSpec(string(data))
-	}
-	if graphStr == "" {
-		return cliutil.InstanceSpec{}, fmt.Errorf("-graph (or -file) is required")
-	}
-	if receiver < 0 {
-		return cliutil.InstanceSpec{}, fmt.Errorf("-receiver (or -file) is required")
-	}
-	g, err := rmt.ParseEdgeList(graphStr)
-	if err != nil {
-		return cliutil.InstanceSpec{}, err
-	}
-	z, err := cliutil.ParseStructure(structStr)
-	if err != nil {
-		return cliutil.InstanceSpec{}, err
-	}
-	level, err := cliutil.ParseKnowledge(knowledge)
-	if err != nil {
-		return cliutil.InstanceSpec{}, err
-	}
-	return cliutil.InstanceSpec{Graph: g, Z: z, Knowledge: level, Dealer: dealer, Receiver: receiver}, nil
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rmtcheck", flag.ContinueOnError)
 	var (
@@ -73,7 +42,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := resolveSpec(*file, *graphStr, *structStr, *knowledge, *dealer, *receiver)
+	spec, err := cliutil.LoadSpec(*file, *graphStr, *structStr, *knowledge, *dealer, *receiver)
 	if err != nil {
 		return err
 	}
@@ -88,10 +57,9 @@ func run(args []string, out io.Writer) error {
 		g.NumNodes(), g.NumEdges(), *dealer, *receiver, level)
 	fmt.Fprintf(out, "structure: %s (%d maximal sets)\n", in.Z, in.Z.NumMaximal())
 
-	if rmt.SolvablePKA(in) {
+	if cut, found := rmt.FindRMTCut(in); !found {
 		fmt.Fprintln(out, "RMT (partial knowledge): SOLVABLE — no RMT-cut; RMT-PKA succeeds (Thm 5)")
 	} else {
-		cut, _ := rmt.FindRMTCut(in)
 		if err := rmt.VerifyRMTCut(in, cut); err != nil {
 			return fmt.Errorf("internal error: found witness fails verification: %w", err)
 		}
@@ -99,10 +67,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if level == gen.AdHoc {
-		if rmt.SolvableZCPA(in) {
+		if cut, found := rmt.FindZppCut(in); !found {
 			fmt.Fprintln(out, "RMT (ad hoc / Z-CPA):    SOLVABLE — no RMT Z-pp cut (Thm 7)")
 		} else {
-			cut, _ := rmt.FindZppCut(in)
 			if err := rmt.VerifyZppCut(in, cut); err != nil {
 				return fmt.Errorf("internal error: found witness fails verification: %w", err)
 			}

@@ -87,35 +87,10 @@ func run(args []string, out io.Writer) error {
 	if *node {
 		return fmt.Errorf("-node is internal: it marks a child process spawned by the wire engine and needs the coordinator's environment")
 	}
-	var spec cliutil.InstanceSpec
-	if *file != "" {
-		data, err := os.ReadFile(*file)
-		if err != nil {
-			return err
-		}
-		spec, err = cliutil.ParseInstanceSpec(string(data))
-		if err != nil {
-			return err
-		}
-	} else {
-		if *graphStr == "" || *receiver < 0 {
-			return fmt.Errorf("-graph and -receiver (or -file) are required")
-		}
-		g, err := rmt.ParseEdgeList(*graphStr)
-		if err != nil {
-			return err
-		}
-		z, err := cliutil.ParseStructure(*structStr)
-		if err != nil {
-			return err
-		}
-		level, err := cliutil.ParseKnowledge(*knowledge)
-		if err != nil {
-			return err
-		}
-		spec = cliutil.InstanceSpec{Graph: g, Z: z, Knowledge: level, Dealer: *dealer, Receiver: *receiver}
+	spec, err := cliutil.LoadSpec(*file, *graphStr, *structStr, *knowledge, *dealer, *receiver)
+	if err != nil {
+		return err
 	}
-	*receiver = spec.Receiver
 	in, err := spec.Instance()
 	if err != nil {
 		return err
@@ -124,8 +99,21 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if !in.Admissible(t) {
-		return fmt.Errorf("corruption set %v is not admissible under %v", t, in.Z)
+	// One blueprint describes the run for every engine: the in-process
+	// ones run what it resolves to, the wire engine ships it to its
+	// children, which resolve it the same way.
+	run, err := cliutil.ResolveRun(rmt.Blueprint{
+		Instance: spec.Format(),
+		Protocol: *protoName,
+		Value:    *value,
+		Corrupt:  t.Members(),
+		Attack:   *attack,
+		Forged:   "forged-by-" + *attack,
+		Listen:   *listen,
+		Seed:     *seed,
+	}, in)
+	if err != nil {
+		return err
 	}
 	eng, err := rmt.ParseEngine(*engine)
 	if err != nil {
@@ -137,40 +125,14 @@ func run(args []string, out io.Writer) error {
 	} else if *sched != "sync" {
 		return fmt.Errorf("-sched %q requires -engine async", *sched)
 	}
-
-	var corruptProcs map[int]rmt.Process
-	if !t.IsEmpty() {
-		corruptProcs, err = rmt.NewAttack(*attack, in, t, "forged-by-"+rmt.Value(*attack))
-		if err != nil {
-			return err
-		}
-	}
-
-	listenZ, err := cliutil.ParseStructure(*listen)
-	if err != nil {
-		return fmt.Errorf("-listen: %w", err)
-	}
-
 	if *ma == "" && *maBudget != 0 {
 		return fmt.Errorf("-mabudget %d requires -ma", *maBudget)
 	}
-	opts, err := cell.Options()
+	opts, err := run.Options(cell)
 	if err != nil {
 		return err
 	}
-	opts.RecordTranscript, opts.Listen, opts.Seed = *trace, listenZ, *seed
-	// The blueprint mirrors the flags as pure data; in-process engines
-	// ignore it, the wire engine rebuilds the run from it in each child.
-	opts.Blueprint = &rmt.Blueprint{
-		Instance: spec.Format(),
-		Protocol: *protoName,
-		Value:    *value,
-		Corrupt:  t.Members(),
-		Attack:   *attack,
-		Forged:   "forged-by-" + *attack,
-		Listen:   cliutil.FormatStructure(listenZ),
-		Seed:     *seed,
-	}
+	opts.RecordTranscript = *trace
 	var jt *rmt.JSONLTracer
 	if *jsonl != "" {
 		w := out
@@ -185,7 +147,7 @@ func run(args []string, out io.Writer) error {
 		jt = rmt.NewJSONLTracer(w)
 		opts.Tracers = []rmt.Tracer{jt}
 	}
-	res, err := rmt.RunProtocol(*protoName, in, rmt.Value(*value), corruptProcs, opts)
+	res, err := protocol.Run(run.Protocol, in, rmt.Value(*value), opts)
 	if err != nil {
 		// A capability rejection — the protocol refusing this instance or
 		// listening-structure pairing outright — is a usage problem with the
@@ -218,7 +180,7 @@ func run(args []string, out io.Writer) error {
 		engineDesc = fmt.Sprintf("%s ma=%s(d=%d)", engineDesc, *ma, *maBudget)
 	}
 	fmt.Fprintf(out, "protocol=%s engine=%s corrupt=%v attack=%s\n", *protoName, engineDesc, t, *attack)
-	if got, ok := res.DecisionOf(*receiver); ok {
+	if got, ok := res.DecisionOf(in.Receiver); ok {
 		status := "CORRECT"
 		if got != rmt.Value(*value) {
 			status = "WRONG (safety violation!)"

@@ -1,5 +1,7 @@
-// Package cliutil holds the small parsing and formatting helpers shared by
-// the command-line tools in cmd/.
+// Package cliutil holds the text formats shared by the front ends — the
+// command-line tools in cmd/ and rmtd — and the one resolver, ResolveRun,
+// that turns a network.Blueprint into a run for each of them and for the
+// wire engine's children.
 package cliutil
 
 import (

@@ -1,7 +1,9 @@
 package cliutil
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -96,4 +98,36 @@ func (s InstanceSpec) Format() string {
 // Instance validates and builds the RMT instance the spec describes.
 func (s InstanceSpec) Instance() (*instance.Instance, error) {
 	return gen.Build(s.Graph, s.Z, s.Knowledge, s.Dealer, s.Receiver)
+}
+
+// LoadSpec returns the instance spec a front end describes: the spec file
+// when file is set, and otherwise the one the parts spell out, in the
+// graph.ParseEdgeList, ParseStructure and ParseKnowledge syntaxes, with
+// knowledge "" meaning adhoc. rmtd's requests, rmtcheck and rmtsim all
+// read instances through it.
+func LoadSpec(file, edges, structure, knowledge string, dealer, receiver int) (InstanceSpec, error) {
+	if file != "" {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return InstanceSpec{}, err
+		}
+		return ParseInstanceSpec(string(data))
+	}
+	if strings.TrimSpace(edges) == "" {
+		return InstanceSpec{}, errors.New("graph is required")
+	}
+	spec := InstanceSpec{Knowledge: gen.AdHoc, Dealer: dealer, Receiver: receiver}
+	var err error
+	if spec.Graph, err = graph.ParseEdgeList(edges); err != nil {
+		return InstanceSpec{}, err
+	}
+	if spec.Z, err = ParseStructure(structure); err != nil {
+		return InstanceSpec{}, err
+	}
+	if knowledge != "" {
+		if spec.Knowledge, err = ParseKnowledge(knowledge); err != nil {
+			return InstanceSpec{}, err
+		}
+	}
+	return spec, nil
 }

@@ -92,38 +92,38 @@ type Process interface {
 }
 
 // Blueprint describes a run as pure data — instance spec text, registry
-// names and node IDs only, no live Go values — so an engine that executes
-// players outside this process (the wire engine) can rebuild the full
-// process map deterministically on the far side. Engines that run in-process
-// ignore it. Process implementations themselves can never cross a process
-// boundary (they are closures over live state); the Blueprint is the
-// name-based recipe that reconstructs them instead.
+// names and node IDs only, no live Go values. It is what every front end
+// (rmtd's /v1/run, rmtsim, the conformance battery) resolves into a run,
+// through cliutil.ResolveRun, and what the wire engine ships to its
+// children, which rebuild the full process map from it deterministically.
+// Engines that run in-process ignore it. The JSON form is the wire frame's
+// schema.
 type Blueprint struct {
 	// Instance is the cliutil instance-spec text ("# rmt instance v1"
 	// format: graph, adversary structure, knowledge level, dealer,
-	// receiver). Required.
-	Instance string
+	// receiver). Required by the wire engine; a front end that built its
+	// instance from other text leaves it empty.
+	Instance string `json:"instance"`
 	// Protocol is the protocol registry name ("pka", "zcpa", ...). Required.
-	Protocol string
+	Protocol string `json:"protocol"`
 	// Value is the dealer's input value.
-	Value string
+	Value string `json:"value"`
 	// Corrupt lists the corrupted node IDs, overlaid with the named
-	// byzantine Attack strategy ("" with a non-empty Corrupt means the
-	// silent strategy).
-	Corrupt []int
-	Attack  string
+	// byzantine Attack strategy ("" means the silent strategy).
+	Corrupt []int  `json:"corrupt,omitempty"`
+	Attack  string `json:"attack,omitempty"`
 	// Forged is the attacker's preferred wrong value (ignored by
 	// strategies that never inject values).
-	Forged string
+	Forged string `json:"forged,omitempty"`
 	// Listen is the adversary's listening structure in cliutil
 	// ParseStructure syntax ("1,2;3"); "" means no listening. Privacy-aware
 	// protocols (smt) derive their share routing from it, so wire children
 	// must rebuild with the same family the coordinator planned with.
-	Listen string
+	Listen string `json:"listen,omitempty"`
 	// Seed keys deterministic share/pad generation for privacy-aware
 	// protocols; wire children must use the coordinator's seed or their
 	// shares would disagree.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 }
 
 // ChurnEvent is one batch of topology edits taking effect at the start of

@@ -185,8 +185,21 @@ func (Proto) Name() string { return protocol.PPA }
 // baseline and only the receiver decides.
 func (Proto) Caps() protocol.Caps { return protocol.Caps{NeedsFullKnowledge: true} }
 
-// Assemble implements protocol.Protocol.
+// Assemble implements protocol.Protocol. PPA's receiver checks its paths
+// against the global 𝒵, which only a player who knows G may read, so it
+// fails with a protocol.CapsError unless every view γ(v) is G: a pointer
+// comparison for view.Full's shared graph, Equal for any other.
 func (Proto) Assemble(in *instance.Instance, xD network.Value, opts protocol.Options) (map[int]network.Process, error) {
+	partial := -1
+	in.G.Nodes().ForEach(func(v int) bool {
+		if gv := in.Gamma.Of(v); gv != in.G && !gv.Equal(in.G) {
+			partial = v
+		}
+		return partial < 0
+	})
+	if partial >= 0 {
+		return nil, protocol.Capsf(protocol.PPA, "node %d does not know G; PPA needs full topology knowledge", partial)
+	}
 	return NewProcesses(in, xD, opts.Corrupt), nil
 }
 

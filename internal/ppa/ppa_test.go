@@ -39,6 +39,37 @@ func TestHonestDelivery(t *testing.T) {
 	}
 }
 
+// TestAssembleNeedsFullKnowledge: PPA's receiver reads the global 𝒵, so
+// assembly refuses an instance in which some node does not know G, with a
+// protocol.CapsError — the usage error every front end maps to exit 2 or
+// a 400. A radius view that happens to cover G passes (Equal, not only
+// view.Full's shared pointer).
+func TestAssembleNeedsFullKnowledge(t *testing.T) {
+	g, err := graph.ParseEdgeList("0-1 0-2 1-3 2-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := adversary.FromSlices([]int{1}, []int{2})
+	adhoc, err := instance.New(g, z, view.AdHoc(g), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := protocol.Run(Proto{}, adhoc, "x", protocol.Options{}); !protocol.IsCapsError(err) {
+		t.Fatalf("ad hoc instance: err = %v, want a CapsError", err)
+	}
+	covering, err := instance.New(g, z, view.Radius(g, 2), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := protocol.Run(Proto{}, covering, "x", protocol.Options{})
+	if err != nil {
+		t.Fatalf("radius-2 views equal to G: %v", err)
+	}
+	if got, ok := res.DecisionOf(3); !ok || got != "x" {
+		t.Fatalf("decision = %q, %v", got, ok)
+	}
+}
+
 func TestResilientTriplePath(t *testing.T) {
 	// Singleton corruptions, three disjoint paths: PPA succeeds.
 	in := fullInstance(t, "0-1 0-2 0-3 1-4 2-4 3-4",

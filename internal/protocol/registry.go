@@ -80,8 +80,8 @@ func All() []Protocol {
 	return out
 }
 
-// unknownError builds the not-registered error with the available names.
-func unknownError(name string) error {
+// UnknownError builds the not-registered error with the available names.
+func UnknownError(name string) error {
 	return fmt.Errorf("protocol: unknown protocol %q (registered: %s)",
 		name, strings.Join(Names(), ", "))
 }

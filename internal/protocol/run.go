@@ -72,7 +72,7 @@ func Run(p Protocol, in *instance.Instance, xD network.Value, opts Options) (*ne
 func RunByName(name string, in *instance.Instance, xD network.Value, opts Options) (*network.Result, error) {
 	p, ok := Get(name)
 	if !ok {
-		return nil, unknownError(name)
+		return nil, UnknownError(name)
 	}
 	return Run(p, in, xD, opts)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rmt/internal/core"
-	"rmt/internal/gen"
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/protocol"
@@ -26,10 +25,6 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func newPi(in *instance.Instance) zcpa.Decider {
-	return &selfred.PiDecider{LK: in.LocalKnowledge()}
-}
-
 // TestConformanceRegistry runs the full battery against every protocol in
 // the registry — PKA, 𝒵-CPA, PPA and broadcast — with no per-protocol
 // wiring. A protocol added to the registry is picked up automatically,
@@ -40,40 +35,49 @@ func TestConformanceRegistry(t *testing.T) {
 
 // The variants below exercise configurations the registry entries don't
 // express on their own: alternate knowledge levels, a custom decider and a
-// bounded horizon.
+// bounded horizon. Each is a protocol value of its own, unregistered, so
+// the battery skips the wire slice for it.
+
+// pkaFull is RMT-PKA at full knowledge: the battery reads the knowledge
+// level from Caps.
+type pkaFull struct{ core.Proto }
+
+func (pkaFull) Name() string        { return "RMT-PKA-full" }
+func (pkaFull) Caps() protocol.Caps { return protocol.Caps{NeedsFullKnowledge: true} }
 
 func TestConformancePKAFullKnowledge(t *testing.T) {
-	Run(t, Factory{
-		Name: "RMT-PKA-full",
-		NewProcesses: func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process) map[int]network.Process {
-			return core.NewProcesses(in, xD, corrupt, protocol.Options{})
-		},
-		Solvable:  core.Solvable,
-		Knowledge: gen.FullKnowledge,
-	}, Config{Trials: 25})
+	Run(t, pkaFull{}, Config{Trials: 25})
+}
+
+// zcpaPi is 𝒵-CPA deciding through the Π-simulating decider.
+type zcpaPi struct{ zcpa.Proto }
+
+func (zcpaPi) Name() string { return "Z-CPA+Pi" }
+
+func (zcpaPi) Assemble(in *instance.Instance, xD network.Value, opts protocol.Options) (map[int]network.Process, error) {
+	opts.Decider = &selfred.PiDecider{LK: in.LocalKnowledge()}
+	return zcpa.Proto{}.Assemble(in, xD, opts)
 }
 
 func TestConformanceZCPAWithPiDecider(t *testing.T) {
-	Run(t, Factory{
-		Name: "Z-CPA+Pi",
-		NewProcesses: func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process) map[int]network.Process {
-			return zcpa.NewProcessesWithDecider(in, xD, corrupt, newPi(in))
-		},
-		Solvable:  zcpa.Solvable,
-		Knowledge: gen.AdHoc,
-	}, Config{Trials: 25})
+	Run(t, zcpaPi{}, Config{Trials: 25})
+}
+
+// horizonPKA is RMT-PKA with a horizon of 5, which covers both standard
+// fixtures (the 5-line's single path has exactly 5 nodes), letting the
+// honest-delivery, safety and engine slices all apply. Horizon-PKA is
+// deliberately not tight (it trades liveness), so it implements no
+// Solvable and the battery skips the tightness slice.
+type horizonPKA struct{}
+
+func (horizonPKA) Name() string        { return "Horizon-PKA" }
+func (horizonPKA) Caps() protocol.Caps { return protocol.Caps{} }
+
+func (horizonPKA) Assemble(in *instance.Instance, xD network.Value, opts protocol.Options) (map[int]network.Process, error) {
+	opts.Horizon = 5
+	return core.Proto{}.Assemble(in, xD, opts)
 }
 
 func TestConformanceHorizonPKASafetyOnly(t *testing.T) {
-	// Horizon-PKA is deliberately not tight (it trades liveness), so no
-	// Solvable condition is given; a horizon of 5 covers both standard
-	// fixtures (the 5-line's single path has exactly 5 nodes), letting the
-	// honest-delivery, safety and engine slices all apply.
-	Run(t, Factory{
-		Name: "Horizon-PKA",
-		NewProcesses: func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process) map[int]network.Process {
-			return core.NewProcesses(in, xD, corrupt, protocol.Options{Horizon: 5})
-		},
-		Knowledge: gen.AdHoc,
-	}, Config{})
+	Run(t, horizonPKA{}, Config{})
 }

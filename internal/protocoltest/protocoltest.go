@@ -1,14 +1,16 @@
 // Package protocoltest is a reusable conformance battery for RMT protocol
-// implementations. Given a factory that builds a protocol's process map,
-// it checks the properties every correct RMT protocol must have — honest
-// delivery, safety under the Byzantine strategy zoo, engine independence —
-// and, for protocols that declare a tight feasibility condition, the
-// cut-versus-simulation agreement that backs the paper's theorems.
+// implementations. Given a protocol.Protocol, it checks the properties
+// every correct RMT protocol must have — honest delivery, safety under the
+// Byzantine strategy zoo, engine independence — and, for protocols that
+// implement protocol.Feasibility, the cut-versus-simulation agreement that
+// backs the paper's theorems. The protocol's Caps pick the fixtures: the
+// knowledge level, complete graphs, or honest paths.
 //
 // The repository's six registered protocols (RMT-PKA, 𝒵-CPA, PPA, 𝒵-CPA
-// broadcast, MBRB and SMT) all pass the battery (see conformance_test.go);
-// a downstream user adding a protocol can run the same battery against it
-// with a few lines of glue.
+// broadcast, MBRB and SMT) all pass the battery (see conformance_test.go),
+// and so do test-only variants that are protocol values of their own; a
+// downstream user adding a protocol runs the same battery against its
+// Protocol value.
 //
 // Every battery run is configured by a protocol.Cell, which builds the
 // run's scheduler and message adversary fresh, and every cross-engine
@@ -33,88 +35,11 @@ import (
 	"rmt/internal/protocol"
 )
 
-// Factory describes a protocol under test.
-type Factory struct {
-	// Name labels test output.
-	Name string
-	// NewProcesses builds the protocol's process map; corrupted nodes are
-	// replaced by the given processes.
-	NewProcesses func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process) map[int]network.Process
-	// Solvable, if non-nil, is the protocol's tight feasibility condition;
-	// the battery then asserts Solvable ⇔ operational resilience.
-	Solvable func(in *instance.Instance) bool
-	// NewProcessesBudget, if non-nil, builds the process map provisioned
-	// for a per-broadcast suppression budget of d (protocol.Options.MABudget);
-	// every battery run prefers it, with its cell's budget, so quorum-based
-	// protocols are tested with quorums matching the adversary they face.
-	// FactoryFor wires it for every registry protocol (protocols that
-	// predate the message-adversary model simply ignore the budget).
-	NewProcessesBudget func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, d int) map[int]network.Process
-	// Knowledge is the knowledge level the protocol is designed for.
-	Knowledge gen.Knowledge
-	// Complete marks protocols whose quorum arithmetic needs a fully
-	// connected network (protocol.Caps.CompleteGraph): the battery then
-	// draws complete-graph fixtures instead of the sparse path fixtures,
-	// skips sparse feasibility fixtures in the wire slice, and adds the
-	// eclipse-liveness assertion to the message-adversary slice.
-	Complete bool
-	// HonestPaths marks protocols that route exclusively over
-	// corruption-free D–R paths (protocol.Caps.HonestPaths): the battery
-	// then draws path fixtures whose corruptible ground does not separate
-	// dealer from receiver, and skips the worked-example feasibility
-	// fixtures in the wire slice (their structures cover every path, which
-	// such protocols reject by design).
-	HonestPaths bool
-	// AllDecide marks broadcast-style protocols in which every honest
-	// player must decide (protocol.Caps.AllDecide).
-	AllDecide bool
-	// Protocol is the registry name when the factory's configuration is
-	// expressible as a pure-data Blueprint — i.e. it is exactly the
-	// registered protocol with default options. Only then can the battery
-	// run the wire engine (which rebuilds the run from registry names in
-	// child processes). FactoryFor sets it; variant factories with custom
-	// deciders, horizons or knowledge levels leave it empty.
-	Protocol string
-}
-
-// FactoryFor adapts a registered protocol into a Factory, so the battery
-// can iterate the registry with no per-protocol wiring: the knowledge level
-// comes from the protocol's capabilities and the tightness condition from
-// its optional Feasibility implementation.
-func FactoryFor(p protocol.Protocol) Factory {
-	assemble := func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process, d int) map[int]network.Process {
-		procs, err := p.Assemble(in, xD, protocol.Options{Corrupt: corrupt, MABudget: d})
-		if err != nil {
-			panic(fmt.Sprintf("protocoltest: %s.Assemble: %v", p.Name(), err))
-		}
-		return procs
-	}
-	f := Factory{
-		Name:     p.Name(),
-		Protocol: p.Name(),
-		NewProcesses: func(in *instance.Instance, xD network.Value, corrupt map[int]network.Process) map[int]network.Process {
-			return assemble(in, xD, corrupt, 0)
-		},
-		NewProcessesBudget: assemble,
-		Knowledge:          gen.AdHoc,
-		Complete:           p.Caps().CompleteGraph,
-		HonestPaths:        p.Caps().HonestPaths,
-		AllDecide:          p.Caps().AllDecide,
-	}
-	if p.Caps().NeedsFullKnowledge {
-		f.Knowledge = gen.FullKnowledge
-	}
-	if s, ok := p.(protocol.Feasibility); ok {
-		f.Solvable = s.Solvable
-	}
-	return f
-}
-
 // RunRegistry executes the full battery against every registered protocol.
 func RunRegistry(t *testing.T, cfg Config) {
 	t.Helper()
 	for _, p := range protocol.All() {
-		Run(t, FactoryFor(p), cfg)
+		Run(t, p, cfg)
 	}
 }
 
@@ -124,9 +49,9 @@ type Config struct {
 	Trials    int // random instances for the tightness sweep
 	MaxRounds int
 	// WireEngine, when non-nil, enables the real-socket equivalence slice
-	// for factories with a registry Protocol name: every fixture run is
-	// repeated on all four engines (lockstep, goroutine, async, wire) and
-	// must be transcript-identical. Callers pass wire.Engine; the battery
+	// for registered protocols: every fixture run is repeated on all four
+	// engines (lockstep, goroutine, async, wire) and must be
+	// transcript-identical. Callers pass wire.Engine; the battery
 	// cannot import internal/wire itself (the host test binary must also
 	// install the wire TestMain re-exec hook, which is the caller's choice).
 	WireEngine network.Engine
@@ -142,23 +67,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Run executes the full battery.
-func Run(t *testing.T, f Factory, cfg Config) {
+// Run executes the full battery against p.
+func Run(t *testing.T, p protocol.Protocol, cfg Config) {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	t.Run(f.Name+"/honest-delivery", func(t *testing.T) { honestDelivery(t, f, cfg) })
-	t.Run(f.Name+"/safety-zoo", func(t *testing.T) { safetyZoo(t, f, cfg) })
-	t.Run(f.Name+"/engine-equivalence", func(t *testing.T) { engineEquivalence(t, f, cfg) })
-	t.Run(f.Name+"/churn-equivalence", func(t *testing.T) { churnEquivalence(t, f, cfg) })
-	t.Run(f.Name+"/schedule-safety", func(t *testing.T) { scheduleSafety(t, f, cfg) })
-	t.Run(f.Name+"/inbox-order", func(t *testing.T) { inboxOrder(t, f) })
-	t.Run(f.Name+"/message-adversary", func(t *testing.T) { messageAdversary(t, f, cfg) })
-	if cfg.WireEngine != nil && f.Protocol != "" {
-		t.Run(f.Name+"/wire-equivalence", func(t *testing.T) { wireEquivalence(t, f, cfg) })
+	name := p.Name()
+	t.Run(name+"/honest-delivery", func(t *testing.T) { honestDelivery(t, p, cfg) })
+	t.Run(name+"/safety-zoo", func(t *testing.T) { safetyZoo(t, p, cfg) })
+	t.Run(name+"/engine-equivalence", func(t *testing.T) { engineEquivalence(t, p, cfg) })
+	t.Run(name+"/churn-equivalence", func(t *testing.T) { churnEquivalence(t, p, cfg) })
+	t.Run(name+"/schedule-safety", func(t *testing.T) { scheduleSafety(t, p, cfg) })
+	t.Run(name+"/inbox-order", func(t *testing.T) { inboxOrder(t, p) })
+	t.Run(name+"/message-adversary", func(t *testing.T) { messageAdversary(t, p, cfg) })
+	// The wire engine's children rebuild the run from registry names.
+	if _, registered := protocol.Get(name); registered && cfg.WireEngine != nil {
+		t.Run(name+"/wire-equivalence", func(t *testing.T) { wireEquivalence(t, p, cfg) })
 	}
-	if f.Solvable != nil {
-		t.Run(f.Name+"/tightness", func(t *testing.T) { tightness(t, f, cfg) })
+	if f, ok := p.(protocol.Feasibility); ok {
+		t.Run(name+"/tightness", func(t *testing.T) { tightness(t, p, f, cfg) })
 	}
+}
+
+// knowledge is the knowledge level p is designed for.
+func knowledge(p protocol.Protocol) gen.Knowledge {
+	if p.Caps().NeedsFullKnowledge {
+		return gen.FullKnowledge
+	}
+	return gen.AdHoc
 }
 
 // spec is one battery run: the cell that builds its engine, schedule and
@@ -189,9 +124,9 @@ type outcome struct {
 	madv network.MessageAdversary
 }
 
-// run executes one battery run of f on in. The factory's processes are
-// provisioned for the cell's suppression budget when it can be told one.
-func (f Factory) run(in *instance.Instance, s spec) (outcome, error) {
+// run executes one battery run of p on in, its processes provisioned for
+// the cell's suppression budget.
+func run(p protocol.Protocol, in *instance.Instance, s spec) (outcome, error) {
 	opts, err := s.Options()
 	if err != nil {
 		return outcome{}, err
@@ -199,11 +134,9 @@ func (f Factory) run(in *instance.Instance, s spec) (outcome, error) {
 	if s.eclipse != nil {
 		opts.MsgAdversary = network.NewEclipse(s.eclipse...)
 	}
-	var procs map[int]network.Process
-	if f.NewProcessesBudget != nil {
-		procs = f.NewProcessesBudget(in, s.xD, s.corrupt, s.MABudget)
-	} else {
-		procs = f.NewProcesses(in, s.xD, s.corrupt)
+	procs, err := p.Assemble(in, s.xD, protocol.Options{Corrupt: s.corrupt, MABudget: s.MABudget})
+	if err != nil {
+		return outcome{}, err
 	}
 	cfg := network.Config{
 		Graph:            in.G,
@@ -314,39 +247,40 @@ func (c *countTracer) reconcile(t *testing.T, label string, res *network.Result)
 // message-adversary slice's budget (K6 under singleton corruption is one
 // node above the n = 3t + 2d bound at t = d = 1); everyone else gets the
 // sparse path fixtures.
-func fixtures(t *testing.T, f Factory) []*instance.Instance {
+func fixtures(t *testing.T, p protocol.Protocol) []*instance.Instance {
 	t.Helper()
+	level := knowledge(p)
 	var out []*instance.Instance
-	if f.Complete {
+	if p.Caps().CompleteGraph {
 		// K6 with singleton corruption of the interior.
 		g1 := gen.Complete(6)
-		in1, err := gen.Build(g1, gen.Singletons(g1.Nodes().Minus(nodeset.Of(0, 5))), f.Knowledge, 0, 5)
+		in1, err := gen.Build(g1, gen.Singletons(g1.Nodes().Minus(nodeset.Of(0, 5))), level, 0, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, in1)
 		// An honest K4: trivially solvable.
 		g2 := gen.Complete(4)
-		in2, err := gen.Build(g2, adversary.Trivial(), f.Knowledge, 0, 3)
+		in2, err := gen.Build(g2, adversary.Trivial(), level, 0, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return append(out, in2)
 	}
-	if f.HonestPaths {
+	if p.Caps().HonestPaths {
 		// Four disjoint relays, two of them corruptible: the ground {1, 2}
 		// never separates dealer 0 from receiver 5, so honest-path routing
 		// always has relays 3 and 4 to work with, while the zoo still gets
 		// real maximal corruptions to overlay.
 		g1, d1, r1 := gen.DisjointPaths(4, 1)
-		in1, err := gen.Build(g1, gen.Singletons(nodeset.Of(1, 2)), f.Knowledge, d1, r1)
+		in1, err := gen.Build(g1, gen.Singletons(nodeset.Of(1, 2)), level, d1, r1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, in1)
 		// An honest line: trivially solvable.
 		g2 := gen.Line(5)
-		in2, err := gen.Build(g2, adversary.Trivial(), f.Knowledge, 0, 4)
+		in2, err := gen.Build(g2, adversary.Trivial(), level, 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,14 +288,14 @@ func fixtures(t *testing.T, f Factory) []*instance.Instance {
 	}
 	// Triple relays with singleton corruption: solvable at every level.
 	g1, d1, r1 := gen.DisjointPaths(3, 1)
-	in1, err := gen.Build(g1, gen.Singletons(g1.Nodes().Minus(nodeset.Of(d1, r1))), f.Knowledge, d1, r1)
+	in1, err := gen.Build(g1, gen.Singletons(g1.Nodes().Minus(nodeset.Of(d1, r1))), level, d1, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out = append(out, in1)
 	// An honest line: trivially solvable.
 	g2 := gen.Line(5)
-	in2, err := gen.Build(g2, adversary.Trivial(), f.Knowledge, 0, 4)
+	in2, err := gen.Build(g2, adversary.Trivial(), level, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,9 +303,9 @@ func fixtures(t *testing.T, f Factory) []*instance.Instance {
 	return out
 }
 
-func honestDelivery(t *testing.T, f Factory, cfg Config) {
-	for i, in := range fixtures(t, f) {
-		o, err := f.run(in, spec{xD: "x", maxRounds: cfg.MaxRounds})
+func honestDelivery(t *testing.T, p protocol.Protocol, cfg Config) {
+	for i, in := range fixtures(t, p) {
+		o, err := run(p, in, spec{xD: "x", maxRounds: cfg.MaxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,15 +315,15 @@ func honestDelivery(t *testing.T, f Factory, cfg Config) {
 	}
 }
 
-func safetyZoo(t *testing.T, f Factory, cfg Config) {
-	for i, in := range fixtures(t, f) {
+func safetyZoo(t *testing.T, p protocol.Protocol, cfg Config) {
+	for i, in := range fixtures(t, p) {
 		for _, m := range in.MaximalCorruptions() {
 			if m.IsEmpty() {
 				continue
 			}
 			for _, strat := range byzantine.All() {
 				name := strat.Name()
-				o, err := f.run(in, spec{xD: "real", corrupt: strat.Build(in, m, "forged"), maxRounds: cfg.MaxRounds})
+				o, err := run(p, in, spec{xD: "real", corrupt: strat.Build(in, m, "forged"), maxRounds: cfg.MaxRounds})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -404,8 +338,8 @@ func safetyZoo(t *testing.T, f Factory, cfg Config) {
 
 // engineEquivalence runs the fixtures honest and under every silenced
 // maximal corruption on each in-process engine; the runs must agree.
-func engineEquivalence(t *testing.T, f Factory, cfg Config) {
-	for i, in := range fixtures(t, f) {
+func engineEquivalence(t *testing.T, p protocol.Protocol, cfg Config) {
+	for i, in := range fixtures(t, p) {
 		for _, m := range in.MaximalCorruptions() {
 			// Deterministic protocols must be transcript-identical, not
 			// just decision-identical, across engines.
@@ -417,12 +351,12 @@ func engineEquivalence(t *testing.T, f Factory, cfg Config) {
 			}
 			label := fmt.Sprintf("fixture %d, corrupt %v", i, m)
 			outs := agree(t, label, engineCells, func(c protocol.Cell) (outcome, error) {
-				return f.run(in, spec{Cell: c, xD: "x", corrupt: silenced(), maxRounds: cfg.MaxRounds, record: true})
+				return run(p, in, spec{Cell: c, xD: "x", corrupt: silenced(), maxRounds: cfg.MaxRounds, record: true})
 			})
 			// The check itself must have teeth: the lockstep run with the
 			// transcript of a run on another dealer value grafted on keeps
 			// every decision, and must still disagree.
-			other, err := f.run(in, spec{xD: "y", corrupt: silenced(), maxRounds: cfg.MaxRounds, record: true})
+			other, err := run(p, in, spec{xD: "y", corrupt: silenced(), maxRounds: cfg.MaxRounds, record: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -443,8 +377,8 @@ func engineEquivalence(t *testing.T, f Factory, cfg Config) {
 // Liveness is deliberately not asserted: severing a dealer edge can make
 // the remaining instance unsolvable, and that verdict is the feasibility
 // layer's business, not the engines'.
-func churnEquivalence(t *testing.T, f Factory, cfg Config) {
-	for i, in := range fixtures(t, f) {
+func churnEquivalence(t *testing.T, p protocol.Protocol, cfg Config) {
+	for i, in := range fixtures(t, p) {
 		rel := -1
 		in.G.Neighbors(in.Dealer).ForEach(func(v int) bool {
 			if v != in.Receiver {
@@ -461,7 +395,7 @@ func churnEquivalence(t *testing.T, f Factory, cfg Config) {
 			{Round: 4, AddEdges: [][2]int{{in.Dealer, rel}}},
 		}
 		agree(t, fmt.Sprintf("fixture %d under churn", i), engineCells, func(c protocol.Cell) (outcome, error) {
-			return f.run(in, spec{Cell: c, xD: "x", churn: churn, maxRounds: cfg.MaxRounds, record: true})
+			return run(p, in, spec{Cell: c, xD: "x", churn: churn, maxRounds: cfg.MaxRounds, record: true})
 		})
 	}
 }
@@ -475,9 +409,9 @@ func churnEquivalence(t *testing.T, f Factory, cfg Config) {
 // prove budget-provisioned liveness: with quorums sized for d = 1, a
 // one-victim eclipse plus a silenced admissible corruption still delivers at
 // every correct non-victim.
-func messageAdversary(t *testing.T, f Factory, cfg Config) {
+func messageAdversary(t *testing.T, p protocol.Protocol, cfg Config) {
 	const d = 1
-	for i, in := range fixtures(t, f) {
+	for i, in := range fixtures(t, p) {
 		for _, name := range network.MessageAdversaryNames() {
 			var cells []protocol.Cell
 			for _, c := range engineCells {
@@ -487,7 +421,7 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 			// full run, and the decision check every player's decision.
 			label := fmt.Sprintf("fixture %d, policy %s", i, name)
 			outs := agree(t, label, cells, func(c protocol.Cell) (outcome, error) {
-				return f.run(in, spec{Cell: c, xD: "x", maxRounds: cfg.MaxRounds, toEnd: true, record: true})
+				return run(p, in, spec{Cell: c, xD: "x", maxRounds: cfg.MaxRounds, toEnd: true, record: true})
 			})
 			for j, o := range outs {
 				label := label + ", " + cells[j].Engine.Name()
@@ -511,7 +445,7 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 				}
 			}
 		}
-		if !f.Complete {
+		if !p.Caps().CompleteGraph {
 			continue
 		}
 		// Budget-provisioned liveness at the bound: eclipse one correct
@@ -532,7 +466,7 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 			if !m.IsEmpty() {
 				corrupt = protocol.Silence(m)
 			}
-			o, err := f.run(in, spec{Cell: protocol.Cell{Engine: network.Lockstep, MABudget: d}, eclipse: []int{victim},
+			o, err := run(p, in, spec{Cell: protocol.Cell{Engine: network.Lockstep, MABudget: d}, eclipse: []int{victim},
 				xD: "x", corrupt: corrupt, maxRounds: cfg.MaxRounds, toEnd: true, record: true})
 			if err != nil {
 				t.Fatal(err)
@@ -552,22 +486,24 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 }
 
 // wireEquivalence is the four-engine slice: on the standard fixtures plus
-// every feasibility fixture buildable at the factory's knowledge level, the
-// lockstep, goroutine, async and wire engines must produce identical
-// decisions and byte-identical transcripts. The wire engine
-// re-execs the test binary once per player and rebuilds the run from the
-// Blueprint, so this slice proves the blueprint/codec path preserves the
-// exact event stream of an in-process run — transcript equivalence needs no
+// every feasibility fixture buildable at the protocol's knowledge level,
+// the lockstep, goroutine, async and wire engines must produce identical
+// decisions and byte-identical transcripts. Each run is one blueprint
+// resolved through cliutil.ResolveRun; the wire engine re-execs the test
+// binary once per player and each child resolves the same blueprint, so
+// this slice proves the blueprint/codec path preserves the exact event
+// stream of an in-process run — transcript equivalence needs no
 // solvability, so unsolvable fixtures participate too.
-func wireEquivalence(t *testing.T, f Factory, cfg Config) {
-	ins := fixtures(t, f)
+func wireEquivalence(t *testing.T, p protocol.Protocol, cfg Config) {
+	level := knowledge(p)
+	ins := fixtures(t, p)
 	// The worked-example fixtures are sparse (complete-graph protocols
 	// reject them) and their structures cover every D–R path (honest-path
 	// protocols reject those), so both classes only run their own fixtures
 	// here.
-	if !f.Complete && !f.HonestPaths {
+	if !p.Caps().CompleteGraph && !p.Caps().HonestPaths {
 		for _, fx := range feasibility.All() {
-			in, err := fx.Build(f.Knowledge)
+			in, err := fx.Build(level)
 			if err != nil {
 				continue // fixture not expressible at this knowledge level
 			}
@@ -576,13 +512,11 @@ func wireEquivalence(t *testing.T, f Factory, cfg Config) {
 	}
 	cells := append(slices.Clip(engineCells), protocol.Cell{Engine: cfg.WireEngine})
 	for i, in := range ins {
-		text := cliutil.InstanceSpec{
-			Graph:     in.G,
-			Z:         in.Z,
-			Knowledge: f.Knowledge,
-			Dealer:    in.Dealer,
-			Receiver:  in.Receiver,
-		}.Format()
+		bp := network.Blueprint{
+			Instance: cliutil.InstanceSpec{Graph: in.G, Z: in.Z, Knowledge: level, Dealer: in.Dealer, Receiver: in.Receiver}.Format(),
+			Protocol: p.Name(),
+			Value:    "x",
+		}
 		// The honest run plus at most two silenced maximal corruptions
 		// bound the per-fixture child-process spawn cost.
 		corruptions := []nodeset.Set{{}}
@@ -595,19 +529,18 @@ func wireEquivalence(t *testing.T, f Factory, cfg Config) {
 			}
 		}
 		for _, m := range corruptions {
+			bp.Corrupt = m.Members()
+			r, err := cliutil.ResolveRun(bp, in)
+			if err != nil {
+				t.Fatal(err)
+			}
 			agree(t, fmt.Sprintf("fixture %d, corrupt %v", i, m), cells, func(c protocol.Cell) (outcome, error) {
-				opts, err := c.Options()
+				opts, err := r.Options(c)
 				if err != nil {
 					return outcome{}, err
 				}
-				bp := &network.Blueprint{Instance: text, Protocol: f.Protocol}
-				opts.RecordTranscript, opts.MaxRounds, opts.Blueprint = true, cfg.MaxRounds, bp
-				if !m.IsEmpty() {
-					bp.Corrupt = m.Members()
-					bp.Attack = byzantine.SilentName
-					opts.Corrupt = byzantine.MustGet(byzantine.SilentName).Build(in, m, "")
-				}
-				res, err := protocol.RunByName(f.Protocol, in, "x", opts)
+				opts.RecordTranscript, opts.MaxRounds = true, cfg.MaxRounds
+				res, err := protocol.Run(r.Protocol, in, "x", opts)
 				return outcome{res: res}, err
 			})
 		}
@@ -618,16 +551,16 @@ func wireEquivalence(t *testing.T, f Factory, cfg Config) {
 // honest runs must still deliver x_D to the receiver (eventual delivery
 // preserves liveness, just later), and silenced admissible corruptions must
 // never induce a wrong receiver decision under any delivery order.
-func scheduleSafety(t *testing.T, f Factory, cfg Config) {
+func scheduleSafety(t *testing.T, p protocol.Protocol, cfg Config) {
 	// Delays stretch a path of h hops to at most h·(1+MaxSkew) rounds, and
 	// the partition schedule holds cross messages for at most its heal
 	// round; 64 rounds dominate both on the small fixtures.
 	const maxRounds = 64
-	for i, in := range fixtures(t, f) {
+	for i, in := range fixtures(t, p) {
 		for _, name := range network.SchedulerNames() {
 			for seed := int64(1); seed <= 2; seed++ {
 				cell := protocol.Cell{Engine: network.Async, Schedule: name, SchedSeed: seed}
-				o, err := f.run(in, spec{Cell: cell, xD: "x", maxRounds: maxRounds})
+				o, err := run(p, in, spec{Cell: cell, xD: "x", maxRounds: maxRounds})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -639,7 +572,7 @@ func scheduleSafety(t *testing.T, f Factory, cfg Config) {
 					if m.IsEmpty() {
 						continue
 					}
-					o, err := f.run(in, spec{Cell: cell, xD: "real", corrupt: protocol.Silence(m), maxRounds: maxRounds})
+					o, err := run(p, in, spec{Cell: cell, xD: "real", corrupt: protocol.Silence(m), maxRounds: maxRounds})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -658,9 +591,9 @@ func scheduleSafety(t *testing.T, f Factory, cfg Config) {
 // fixture and on a copy with every node ID tripled. A delaying schedule
 // files several send rounds into one delivery round, and tripled IDs are
 // not the ranks the engine indexes its players by.
-func inboxOrder(t *testing.T, f Factory) {
-	in := fixtures(t, f)[0]
-	spread, err := spreadIDs(in, f.Knowledge, 3)
+func inboxOrder(t *testing.T, p protocol.Protocol) {
+	in := fixtures(t, p)[0]
+	spread, err := spreadIDs(in, knowledge(p), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +602,7 @@ func inboxOrder(t *testing.T, f Factory) {
 			for seed := int64(1); seed <= 2; seed++ {
 				ot := &orderTracer{}
 				cell := protocol.Cell{Engine: network.Async, Schedule: name, SchedSeed: seed}
-				o, err := f.run(fx, spec{Cell: cell, xD: "x", maxRounds: 64, toEnd: true, tracer: ot})
+				o, err := run(p, fx, spec{Cell: cell, xD: "x", maxRounds: 64, toEnd: true, tracer: ot})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -732,14 +665,14 @@ func (o *orderTracer) Deliver(round, player int, inbox []network.Message) {
 	}
 }
 
-func tightness(t *testing.T, f Factory, cfg Config) {
+func tightness(t *testing.T, p protocol.Protocol, f protocol.Feasibility, cfg Config) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	checked := 0
 	for trial := 0; trial < cfg.Trials; trial++ {
 		n := 4 + r.Intn(3)
 		g := gen.RandomGNP(r, n, 0.5)
 		z := adversary.Random(r, g.Nodes().Minus(nodeset.Of(0, n-1)), 1+r.Intn(2), 0.4)
-		in, err := gen.Build(g, z, f.Knowledge, 0, n-1)
+		in, err := gen.Build(g, z, knowledge(p), 0, n-1)
 		if err != nil {
 			continue
 		}
@@ -747,7 +680,7 @@ func tightness(t *testing.T, f Factory, cfg Config) {
 		want := f.Solvable(in)
 		got := true
 		for _, tset := range in.MaximalCorruptions() {
-			o, err := f.run(in, spec{xD: "1", corrupt: protocol.Silence(tset), maxRounds: cfg.MaxRounds})
+			o, err := run(p, in, spec{xD: "1", corrupt: protocol.Silence(tset), maxRounds: cfg.MaxRounds})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -757,7 +690,7 @@ func tightness(t *testing.T, f Factory, cfg Config) {
 			}
 		}
 		if got != want {
-			t.Fatalf(fmtMismatch(f.Name, trial, want, got, in))
+			t.Fatalf(fmtMismatch(p.Name(), trial, want, got, in))
 		}
 	}
 	if checked < cfg.Trials/2 {

@@ -45,7 +45,6 @@ import (
 	"rmt/internal/eval"
 	"rmt/internal/feasibility"
 	"rmt/internal/gen"
-	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
@@ -307,28 +306,12 @@ type InstanceRequest struct {
 }
 
 func (q InstanceRequest) build() (*instance.Instance, gen.Knowledge, error) {
-	if strings.TrimSpace(q.Graph) == "" {
-		return nil, 0, fmt.Errorf("graph is required")
-	}
-	g, err := graph.ParseEdgeList(q.Graph)
+	spec, err := cliutil.LoadSpec("", q.Graph, q.Structure, q.Knowledge, q.Dealer, q.Receiver)
 	if err != nil {
 		return nil, 0, err
 	}
-	z, err := cliutil.ParseStructure(q.Structure)
-	if err != nil {
-		return nil, 0, err
-	}
-	level := gen.AdHoc
-	if q.Knowledge != "" {
-		if level, err = cliutil.ParseKnowledge(q.Knowledge); err != nil {
-			return nil, 0, err
-		}
-	}
-	in, err := gen.Build(g, z, level, q.Dealer, q.Receiver)
-	if err != nil {
-		return nil, 0, err
-	}
-	return in, level, nil
+	in, err := spec.Instance()
+	return in, spec.Knowledge, err
 }
 
 // ------------------------------------------------------- pooled computation
@@ -392,7 +375,8 @@ func (s *Server) pooled(parent context.Context, fn func(ctx context.Context) ([]
 }
 
 // serveCached answers a POST endpoint through cached, mapping a failed
-// compute to 429 (overload), 499 (client disconnect), 504 (deadline) or
+// compute to 400 (a protocol.CapsError: the protocol refused the
+// instance), 429 (overload), 499 (client disconnect), 504 (deadline) or
 // 500. ownerKey is the instance's canonical content hash, the unit of
 // fleet ownership.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerKey string, fn func(ctx context.Context) ([]byte, error)) {
@@ -406,6 +390,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerK
 	}
 	code := http.StatusInternalServerError
 	switch {
+	case protocol.IsCapsError(err):
+		code = http.StatusBadRequest
 	case errors.Is(err, errOverloaded):
 		code = http.StatusTooManyRequests
 	case errors.Is(err, errClientClosed):
@@ -805,21 +791,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.normalize()
-	in, level, err := req.build()
+	in, _, err := req.build()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "instance: %v", err)
 		return
 	}
 
 	// Validate everything on the request goroutine so bad requests are
-	// rejected in microseconds without consuming a pool slot.
-	p, ok := protocol.Get(req.Protocol)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "unknown protocol %q (see /v1/protocols)", req.Protocol)
-		return
-	}
-	if p.Caps().NeedsFullKnowledge && level != gen.FullKnowledge {
-		writeError(w, http.StatusBadRequest, "protocol %q requires \"knowledge\": \"full\"", req.Protocol)
+	// rejected in microseconds without consuming a pool slot. The
+	// protocol's capability check runs at assembly, in the pool.
+	run, err := cliutil.ResolveRun(network.Blueprint{
+		Protocol: req.Protocol, Value: req.Value, Corrupt: req.Corrupt, Attack: req.Attack, Forged: req.Forged,
+	}, in)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	eng, err := network.EngineByName(req.Engine)
@@ -843,28 +828,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "max_rounds must be ≥ 0")
 		return
 	}
-	// Check membership before building the set: nodeset.Of panics on a
-	// negative ID and sizes its words by the largest one.
-	for _, id := range req.Corrupt {
-		if !in.G.HasNode(id) {
-			writeError(w, http.StatusBadRequest, "corrupt node %d is not a node of G", id)
-			return
-		}
-	}
-	corrupt := nodeset.Of(req.Corrupt...)
-	if !in.Admissible(corrupt) {
-		writeError(w, http.StatusBadRequest, "corruption set %v is not admissible under %v", corrupt, in.Z)
-		return
-	}
-	strategy, ok := byzantine.Get(req.Attack)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "%v", byzantine.UnknownError(req.Attack))
-		return
-	}
 
 	key := runCacheKey(in, &req)
 	s.serveCached(w, r, key, in.CanonicalKey(), func(ctx context.Context) ([]byte, error) {
-		resp, err := s.runTrials(ctx, in, &req, eng, corrupt, strategy)
+		resp, err := s.runTrials(ctx, run, &req, eng)
 		if err != nil {
 			return nil, err
 		}
@@ -888,8 +855,8 @@ func runCacheKey(in *instance.Instance, req *RunRequest) string {
 // value cannot monopolize the host on top of the pool's own parallelism.
 const runTrialWorkers = 4
 
-func (s *Server) runTrials(ctx context.Context, in *instance.Instance, req *RunRequest, eng network.Engine, corrupt nodeset.Set, strategy byzantine.Strategy) (*RunResponse, error) {
-	xD := network.Value(req.Value)
+func (s *Server) runTrials(ctx context.Context, run *cliutil.Run, req *RunRequest, eng network.Engine) (*RunResponse, error) {
+	in, xD := run.Instance, network.Value(req.Value)
 	var firstErr error
 	var errMu sync.Mutex
 	workers := 1
@@ -916,21 +883,18 @@ func (s *Server) runTrials(ctx context.Context, in *instance.Instance, req *RunR
 		if eng == network.Async {
 			cell.Schedule = req.Schedule
 		}
-		opts, err := cell.Options()
+		opts, err := run.Options(cell)
 		if err != nil {
 			return fail(err)
 		}
 		opts.MaxRounds, opts.Context = req.MaxRounds, ctx
-		if !corrupt.IsEmpty() {
-			opts.Corrupt = strategy.Build(in, corrupt, network.Value(req.Forged))
-		}
 		var transcript bytes.Buffer
 		var jt *network.JSONLTracer
 		if req.Transcript {
 			jt = network.NewJSONLTracer(&transcript)
 			opts.Tracers = []network.Tracer{jt}
 		}
-		res, err := protocol.RunByName(req.Protocol, in, xD, opts)
+		res, err := protocol.Run(run.Protocol, in, xD, opts)
 		if err != nil {
 			return fail(err)
 		}

@@ -378,6 +378,31 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunCapsRejectionIs400: a protocol that refuses the instance at
+// assembly (a protocol.CapsError) is a usage error, so /v1/run answers 400
+// with the protocol's reason, as rmtsim exits 2: mbrb on a sparse graph,
+// smt with every D–R path corruptible, and PPA without full knowledge. The
+// first two answered 500, and a rejection is never cached as a body.
+func TestRunCapsRejectionIs400(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cases := []struct{ name, body, reason string }{
+		{"mbrb on the triple path", `{"graph":"0-1 0-2 0-3 1-4 2-4 3-4","structure":"1;2;3","dealer":0,"receiver":4,"protocol":"mbrb"}`, "mbrb: network is not complete"},
+		{"smt on a covered diamond", `{"graph":"0-1 0-2 1-3 2-3","structure":"1,2","dealer":0,"receiver":3,"protocol":"smt"}`, "smt: "},
+		{"ppa without full knowledge", `{"graph":"0-1 0-2 1-3 2-3","structure":"1;2","dealer":0,"receiver":3,"protocol":"ppa"}`, "ppa: "},
+	}
+	for _, tc := range cases {
+		for attempt := 0; attempt < 2; attempt++ {
+			code, body := post(t, ts, "/v1/run", tc.body)
+			var e struct {
+				Error string `json:"error"`
+			}
+			if code != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, tc.reason) {
+				t.Errorf("%s, attempt %d: got %d %s, want 400 naming %q", tc.name, attempt, code, body, tc.reason)
+			}
+		}
+	}
+}
+
 // TestRunRejectsNonNodeCorrupt: a corrupt ID that is not a node of G gets
 // a 400 before any set is built. A negative ID used to panic the handler
 // (the client saw EOF), and a huge one sized a bitset by its value.

@@ -3,11 +3,9 @@ package wire
 import (
 	"fmt"
 
-	"rmt/internal/byzantine"
 	"rmt/internal/cliutil"
 	"rmt/internal/instance"
 	"rmt/internal/network"
-	"rmt/internal/nodeset"
 	"rmt/internal/protocol"
 
 	// The child rebuilds the run from registry names alone, so every
@@ -19,12 +17,12 @@ import (
 )
 
 // buildProcesses deterministically reconstructs the run's full process map
-// from the pure-data blueprint: parse the instance spec, resolve the
-// protocol and attack strategy by registry name, assemble. Every child
-// executes this same construction (strategies are deterministic by
+// from the pure-data blueprint: parse the instance spec, resolve the rest
+// through cliutil.ResolveRun, as every front end does, and assemble. Every
+// child executes this same construction (strategies are deterministic by
 // contract), so the cluster-wide process map is consistent even though each
 // child animates only its own node.
-func buildProcesses(bp blueprintBody) (map[int]network.Process, *instance.Instance, error) {
+func buildProcesses(bp network.Blueprint) (map[int]network.Process, *instance.Instance, error) {
 	if bp.Instance == "" {
 		return nil, nil, fmt.Errorf("wire: blueprint has no instance spec")
 	}
@@ -36,48 +34,17 @@ func buildProcesses(bp blueprintBody) (map[int]network.Process, *instance.Instan
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: blueprint instance: %w", err)
 	}
-	p, ok := protocol.Get(bp.Protocol)
-	if !ok {
-		return nil, nil, fmt.Errorf("wire: blueprint protocol %q not registered", bp.Protocol)
+	run, err := cliutil.ResolveRun(bp, in)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wire: blueprint: %w", err)
 	}
-	var opts protocol.Options
-	opts.Seed = bp.Seed
-	if bp.Listen != "" {
-		listen, err := cliutil.ParseStructure(bp.Listen)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wire: blueprint listening structure: %w", err)
-		}
-		opts.Listen = listen
+	opts, err := run.Options(protocol.Cell{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("wire: blueprint: %w", err)
 	}
-	if len(bp.Corrupt) > 0 {
-		name := bp.Attack
-		if name == "" {
-			name = "silent"
-		}
-		strat, ok := byzantine.Get(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("wire: blueprint attack %q not registered", name)
-		}
-		opts.Corrupt = strat.Build(in, nodeset.Of(bp.Corrupt...), network.Value(bp.Forged))
-	}
-	procs, err := p.Assemble(in, network.Value(bp.Value), opts)
+	procs, err := run.Protocol.Assemble(in, network.Value(bp.Value), opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: assemble %s: %w", bp.Protocol, err)
 	}
 	return procs, in, nil
-}
-
-// blueprintToBody converts the engine-facing network.Blueprint into its
-// wire form.
-func blueprintToBody(bp network.Blueprint) blueprintBody {
-	return blueprintBody{
-		Instance: bp.Instance,
-		Protocol: bp.Protocol,
-		Value:    bp.Value,
-		Corrupt:  bp.Corrupt,
-		Attack:   bp.Attack,
-		Forged:   bp.Forged,
-		Listen:   bp.Listen,
-		Seed:     bp.Seed,
-	}
 }

@@ -99,7 +99,7 @@ func runWire(cfg Config, opts EngineOptions) (*network.Result, error) {
 	if cfg.MsgAdversary != nil {
 		return nil, fmt.Errorf("wire: message adversaries are not supported (the blueprint carries no suppression policy, so children could not agree on quorum parameters)")
 	}
-	bp := blueprintToBody(*cfg.Blueprint)
+	bp := *cfg.Blueprint
 	localProcs, in, err := buildProcesses(bp)
 	if err != nil {
 		return nil, err
@@ -156,7 +156,7 @@ type nodeConn struct {
 // newCluster listens on an ephemeral loopback port, re-execs the current
 // binary once per player with the node identity in the environment, and
 // completes the hello/spec/ready handshake with every child.
-func newCluster(bp blueprintBody, procs map[int]network.Process, opts EngineOptions) (*cluster, error) {
+func newCluster(bp network.Blueprint, procs map[int]network.Process, opts EngineOptions) (*cluster, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen: %w", err)

@@ -25,6 +25,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"rmt/internal/network"
 )
 
 // frameVersion is the codec version; bumped on any incompatible change to
@@ -132,20 +134,7 @@ type helloBody struct {
 }
 
 type specBody struct {
-	Blueprint blueprintBody `json:"blueprint"`
-}
-
-// blueprintBody is network.Blueprint in wire form (stable field names,
-// independent of the Go struct).
-type blueprintBody struct {
-	Instance string `json:"instance"`
-	Protocol string `json:"protocol"`
-	Value    string `json:"value"`
-	Corrupt  []int  `json:"corrupt,omitempty"`
-	Attack   string `json:"attack,omitempty"`
-	Forged   string `json:"forged,omitempty"`
-	Listen   string `json:"listen,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
+	Blueprint network.Blueprint `json:"blueprint"`
 }
 
 type readyBody struct {
