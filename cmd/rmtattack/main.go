@@ -25,11 +25,12 @@
 //	rmtattack -trials 100 -seed 2 -engines lockstep -schedules all
 //	rmtattack -trials 60 -seed 4 -engines lockstep -schedules all -mabudgets 1,2
 //
-// Exit status is non-zero on any safety violation, engine disagreement,
-// or an unflagged canary.
+// Exit status is 1 on any safety violation, engine disagreement, or an
+// unflagged canary, and 2 on a usage error (bad flags, unknown names).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,12 +38,34 @@ import (
 	"strings"
 
 	"rmt/internal/attack"
+	"rmt/internal/byzantine"
+	"rmt/internal/protocol"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rmtattack:", err)
-		os.Exit(1)
+	}
+	os.Exit(exitCode(err))
+}
+
+// usageError marks invalid invocations: bad flags, unknown registry names.
+type usageError struct{ err error }
+
+func (e usageError) Error() string { return e.err.Error() }
+func (e usageError) Unwrap() error { return e.err }
+
+// exitCode maps run's error to the exit status, the rmtsim contract: 2 for
+// a usage error, 1 for a failed sweep of valid flags.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &usageError{}):
+		return 2
+	default:
+		return 1
 	}
 }
 
@@ -61,7 +84,7 @@ func run(args []string, out io.Writer) error {
 		outPath    = fs.String("out", "", "JSONL stream of run records and attack traces (\"-\" = stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	cfg := attack.Config{
 		Seed:      *seed,
@@ -72,29 +95,34 @@ func run(args []string, out io.Writer) error {
 	if *protocols != "" {
 		cfg.Protocols = splitList(*protocols)
 	}
+	for _, name := range cfg.Protocols {
+		if _, ok := protocol.Get(name); !ok {
+			return usageError{protocol.UnknownError(name)}
+		}
+	}
 	if *strategies != "" {
 		cfg.Strategies = splitList(*strategies)
 	}
-	if *engines != "" {
-		engs, err := attack.ParseEngines(*engines)
-		if err != nil {
-			return err
+	for _, name := range cfg.Strategies {
+		if _, ok := byzantine.Get(name); !ok {
+			return usageError{byzantine.UnknownError(name)}
 		}
-		cfg.Engines = engs
+	}
+	var err error
+	if *engines != "" {
+		if cfg.Engines, err = attack.ParseEngines(*engines); err != nil {
+			return usageError{err}
+		}
 	}
 	if *schedules != "" {
-		scheds, err := attack.ParseSchedules(*schedules)
-		if err != nil {
-			return err
+		if cfg.Schedules, err = attack.ParseSchedules(*schedules); err != nil {
+			return usageError{err}
 		}
-		cfg.Schedules = scheds
 	}
 	if *mabudgets != "" {
-		budgets, err := attack.ParseBudgets(*mabudgets)
-		if err != nil {
-			return err
+		if cfg.MABudgets, err = attack.ParseBudgets(*mabudgets); err != nil {
+			return usageError{err}
 		}
-		cfg.MABudgets = budgets
 	}
 	if *outPath != "" {
 		w := out

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,30 @@ func TestRunErrors(t *testing.T) {
 		var sb strings.Builder
 		if err := run(args, &sb); err == nil {
 			t.Errorf("case %d: no error", i)
+		}
+	}
+}
+
+// TestExitCodes pins the exit-status contract rmtsim and rmtbench share:
+// 0 for a clean sweep, 2 for every usage error, 1 for a failed sweep.
+func TestExitCodes(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-trials", "1", "-protocols", "pka", "-strategies", "value-flip", "-engines", "lockstep"}, 0},
+		// A silent adversary never fools the gullible canary, so Report.Err
+		// fails the sweep for a toothless oracle.
+		{[]string{"-trials", "1", "-protocols", "pka", "-strategies", "silent", "-engines", "lockstep"}, 1},
+		{[]string{"-nope"}, 2},
+		{[]string{"-engines", "nope"}, 2},
+		{[]string{"-strategies", "nope"}, 2},
+		{[]string{"-protocols", "nope"}, 2},
+		{[]string{"-schedules", "nope"}, 2},
+		{[]string{"-mabudgets", "x"}, 2},
+	} {
+		if got := exitCode(run(c.args, io.Discard)); got != c.want {
+			t.Errorf("%v: exit %d, want %d", c.args, got, c.want)
 		}
 	}
 }

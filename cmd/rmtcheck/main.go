@@ -8,9 +8,13 @@
 //
 //	rmtcheck -graph "0-1 0-2 0-3 1-4 2-4 1-5 3-5 4-6 5-6" \
 //	         -structure "1;2;3" -dealer 0 -receiver 6 -knowledge adhoc
+//
+// Exit status is 2 on a usage error (bad flags or instance) and 1 when a
+// witness the search found fails verification.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,9 +26,29 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rmtcheck:", err)
-		os.Exit(1)
+	}
+	os.Exit(exitCode(err))
+}
+
+// usageError marks invalid invocations: bad flags or a bad instance.
+type usageError struct{ err error }
+
+func (e usageError) Error() string { return e.err.Error() }
+func (e usageError) Unwrap() error { return e.err }
+
+// exitCode maps run's error to the exit status, the rmtsim contract: 2 for
+// a usage error, 1 for the failure of a valid check.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &usageError{}):
+		return 2
+	default:
+		return 1
 	}
 }
 
@@ -40,17 +64,17 @@ func run(args []string, out io.Writer) error {
 		design    = fs.Bool("design", false, "also list all feasible receivers (network design phase)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	spec, err := cliutil.LoadSpec(*file, *graphStr, *structStr, *knowledge, *dealer, *receiver)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	g, z, level := spec.Graph, spec.Z, spec.Knowledge
 	*dealer, *receiver = spec.Dealer, spec.Receiver
 	in, err := spec.Instance()
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 
 	fmt.Fprintf(out, "instance: n=%d m=%d dealer=%d receiver=%d knowledge=%s\n",

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -154,5 +157,28 @@ func TestRunFromMissingFile(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-file", "/nonexistent/x.rmt"}, &sb); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestExitCodes pins the exit-status contract rmtsim and rmtbench share:
+// 0 for a check that ran, 2 for every usage error.
+func TestExitCodes(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-graph", "0-1 1-2", "-receiver", "2"}, 0},
+		{[]string{"-knowledge", "psychic", "-graph", "0-1", "-receiver", "1"}, 2},
+		{[]string{"-nope"}, 2},
+		{[]string{"-graph", "0-1"}, 2},
+		{[]string{"-graph", "0-1", "-receiver", "9"}, 2},
+		{[]string{"-file", filepath.Join(t.TempDir(), "missing.rmt")}, 2},
+	} {
+		if got := exitCode(run(c.args, io.Discard)); got != c.want {
+			t.Errorf("%v: exit %d, want %d", c.args, got, c.want)
+		}
+	}
+	if got := exitCode(errors.New("internal error: found witness fails verification")); got != 1 {
+		t.Errorf("failed check: exit %d, want 1", got)
 	}
 }

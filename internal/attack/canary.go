@@ -48,7 +48,7 @@ func (r *gullibleReceiver) Round(_ int, inbox []network.Message, _ network.Outbo
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case core.ValueMsg:
-			if len(p.P) == 0 || p.P.Contains(r.id) || p.P.Tail() != m.From {
+			if !p.P.Admissible(r.id, m.From) {
 				continue
 			}
 			candidates = append(candidates, p.X)
@@ -221,7 +221,7 @@ func runCanaries(cfg Config, rep *Report) error {
 					return fmt.Errorf("attack: %s under %s on %s: %w", name, stratName, c.label(), err)
 				}
 				tally.Runs++
-				if len(unsafeDecisions(in, c.corrupt, res)) > 0 {
+				if len(res.UnsafeDeciders(c.corrupt, xD)) > 0 {
 					tally.Flagged++
 				}
 			}

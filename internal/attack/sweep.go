@@ -607,33 +607,33 @@ func (tr *trialResult) runCells(cfg Config, trial int, desc string, in *instance
 			return fmt.Errorf("attack: trial %d %s %s/%s on %s: %w",
 				trial, desc, proto.Name(), strat.Name(), c.label(), err)
 		}
-		viols := unsafeDecisions(in, c.corrupt, res)
+		unsafe := res.UnsafeDeciders(c.corrupt, xD)
 		val, decided := res.DecisionOf(in.Receiver)
 		tr.records = append(tr.records, runRecord{
 			Type: "run", Trial: trial, Instance: desc,
 			Protocol: proto.Name(), Strategy: strat.Name(), Engine: c.label(),
 			Corrupt: members(c.corrupt), InZ: !c.control,
 			Rounds: res.Rounds, Messages: res.Metrics.MessagesSent,
-			Decided: decided, Value: val, Safe: len(viols) == 0,
+			Decided: decided, Value: val, Safe: len(unsafe) == 0,
 			MAPolicy: c.MAPolicy, MABudget: c.MABudget, Suppressed: suppressed,
 		})
 		if c.control {
 			tr.ctrlRuns++
-			if len(viols) > 0 {
+			if len(unsafe) > 0 {
 				tr.ctrlViol++
 			}
 			continue
 		}
 		tr.runs++
-		for _, v := range viols {
+		for _, v := range unsafe {
 			tr.violations = append(tr.violations, Violation{
 				Trial: trial, Instance: desc,
 				Protocol: proto.Name(), Strategy: strat.Name(),
 				Engine: c.label(), Corrupt: members(c.corrupt),
-				Node: v.node, Got: v.got,
+				Node: v, Got: res.Decisions[v],
 			})
 		}
-		if len(viols) > 0 {
+		if len(unsafe) > 0 {
 			tr.traces = append(tr.traces, traceRequest{proto: proto, in: in, strat: strat, cell: c})
 		}
 		switch {
@@ -650,26 +650,6 @@ func (tr *trialResult) runCells(cfg Config, trial int, desc string, in *instance
 		}
 	}
 	return nil
-}
-
-type unsafeDecision struct {
-	node int
-	got  network.Value
-}
-
-// unsafeDecisions applies the Theorem-4 safety oracle: every decision by a
-// node outside the corruption set must equal x_D. Deciding ⊥ (not at all)
-// is always acceptable — safety, not liveness, is on trial.
-func unsafeDecisions(in *instance.Instance, corrupt nodeset.Set, res *network.Result) []unsafeDecision {
-	var out []unsafeDecision
-	for node, got := range res.Decisions {
-		if corrupt.Contains(node) || got == xD {
-			continue
-		}
-		out = append(out, unsafeDecision{node: node, got: got})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].node < out[j].node })
-	return out
 }
 
 func members(s nodeset.Set) []int {

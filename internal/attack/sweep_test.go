@@ -78,12 +78,12 @@ func TestSweepFlagsCanaryViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viols := unsafeDecisions(in, corrupt, res)
+	viols := res.UnsafeDeciders(corrupt, xD)
 	if len(viols) == 0 {
 		t.Fatal("gullible receiver survived a value flipper")
 	}
-	if viols[0].node != in.Receiver || viols[0].got == xD {
-		t.Fatalf("unexpected violation shape: %+v", viols[0])
+	if viols[0] != in.Receiver || res.Decisions[viols[0]] == xD {
+		t.Fatalf("unexpected violation shape: %+v", viols)
 	}
 	// Under the silent adversary the gullible receiver decides the honest
 	// value — the oracle must not false-positive.
@@ -95,7 +95,7 @@ func TestSweepFlagsCanaryViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viols := unsafeDecisions(in, corrupt, res); len(viols) != 0 {
+	if viols := res.UnsafeDeciders(corrupt, xD); len(viols) != 0 {
 		t.Fatalf("oracle false-positived on a safe run: %+v", viols)
 	}
 }
@@ -263,12 +263,12 @@ func TestMBRBCanaryFlagsReadyForger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viols := unsafeDecisions(in, corrupt, res)
+		viols := res.UnsafeDeciders(corrupt, xD)
 		if len(viols) == 0 {
 			t.Fatalf("d=%d: gullible mbrb receiver survived the ready forger", budget)
 		}
-		if viols[0].node != in.Receiver || viols[0].got == xD {
-			t.Fatalf("d=%d: unexpected violation shape: %+v", budget, viols[0])
+		if viols[0] != in.Receiver || res.Decisions[viols[0]] == xD {
+			t.Fatalf("d=%d: unexpected violation shape: %+v", budget, viols)
 		}
 	}
 	// Under the silent adversary every ready the gullible receiver sees is
@@ -281,7 +281,7 @@ func TestMBRBCanaryFlagsReadyForger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viols := unsafeDecisions(in, corrupt, res); viols != nil {
+	if viols := res.UnsafeDeciders(corrupt, xD); viols != nil {
 		t.Fatalf("oracle false-positived on a safe mbrb canary run: %+v", viols)
 	}
 }
@@ -358,7 +358,7 @@ func TestSweepGoroutineEngineUnderRace(t *testing.T) {
 }
 
 func TestUnsafeDecisionsOracle(t *testing.T) {
-	in, corrupt, err := canaryFixture()
+	_, corrupt, err := canaryFixture()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +368,8 @@ func TestUnsafeDecisionsOracle(t *testing.T) {
 		4: "0!forged", // honest receiver deciding wrong: violation
 		2: xD,         // honest, correct
 	}}
-	viols := unsafeDecisions(in, corrupt, res)
-	if len(viols) != 1 || viols[0].node != 4 {
+	viols := res.UnsafeDeciders(corrupt, xD)
+	if len(viols) != 1 || viols[0] != 4 {
 		t.Fatalf("oracle = %+v, want exactly node 4", viols)
 	}
 	_ = nodeset.Empty() // keep import if fixture changes

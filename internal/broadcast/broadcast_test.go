@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"rmt/internal/adversary"
-	"rmt/internal/byzantine"
 	"rmt/internal/gen"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/zcpa"
 )
 
@@ -181,11 +181,11 @@ func TestBroadcastEqualsAllReceiversRMT(t *testing.T) {
 
 func TestGoroutineEngineBroadcast(t *testing.T) {
 	in := mustInstance(t, "0-1 0-2 1-2 1-3 2-3", adversary.FromSlices([]int{1}), 0)
-	a, err := Run(in, "x", byzantine.SilentProcesses(nodeset.Of(1)), network.Lockstep)
+	a, err := Run(in, "x", protocol.Silence(nodeset.Of(1)), network.Lockstep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(in, "x", byzantine.SilentProcesses(nodeset.Of(1)), network.Goroutine)
+	b, err := Run(in, "x", protocol.Silence(nodeset.Of(1)), network.Goroutine)
 	if err != nil {
 		t.Fatal(err)
 	}

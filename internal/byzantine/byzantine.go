@@ -1,10 +1,10 @@
 // Package byzantine is the adversary library: named attack strategies that
 // corrupt players of any protocol run. A corrupted player is just a
 // network.Process with arbitrary behavior, so strategies range from
-// protocol-agnostic nuisances (Silent, Spammer, Replayer) to protocol-aware
-// attacks built on the RMT message vocabularies (Equivocator, PathForger,
-// ViewLiar, Eclipser), plus the legacy Forger constructions that stay in
-// internal/core. All of them self-register in a strategy registry mirroring
+// protocol-agnostic nuisances (protocol.Silence, Spammer, Replayer) to
+// protocol-aware attacks built on the RMT message vocabularies
+// (Equivocator, PathForger, ViewLiar, Eclipser), plus the legacy Forger
+// constructions that stay in internal/core. All of them self-register in a strategy registry mirroring
 // internal/protocol's, so the safety fuzzer, the CLI and the examples
 // enumerate one shared zoo.
 package byzantine
@@ -15,24 +15,6 @@ import (
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
 )
-
-// Silent is the adversary that blocks everything: it never relays and never
-// sends. For safe protocols this is the worst-case liveness adversary (see
-// DESIGN.md §5), so the resilience checkers use it.
-type Silent struct{}
-
-// NewSilent returns a silent corrupted player.
-func NewSilent() *Silent { return &Silent{} }
-
-// Init implements network.Process.
-func (*Silent) Init(network.Outbox) {}
-
-// Round implements network.Process. It consumes the inbox and stays alive
-// so the engine keeps delivering (and discarding) traffic to it.
-func (*Silent) Round(int, []network.Message, network.Outbox) bool { return true }
-
-// Decision implements network.Process.
-func (*Silent) Decision() (network.Value, bool) { return "", false }
 
 // NoisePayload is junk traffic sent by the Spammer. Its fields are exported
 // so engines that marshal payloads across process boundaries (the wire
@@ -121,14 +103,3 @@ func (r *Replayer) Round(_ int, inbox []network.Message, out network.Outbox) boo
 
 // Decision implements network.Process.
 func (*Replayer) Decision() (network.Value, bool) { return "", false }
-
-// SilentProcesses builds the corrupt-process map that silences every node
-// of t.
-func SilentProcesses(t nodeset.Set) map[int]network.Process {
-	m := make(map[int]network.Process, t.Len())
-	t.ForEach(func(v int) bool {
-		m[v] = NewSilent()
-		return true
-	})
-	return m
-}

@@ -6,6 +6,7 @@ import (
 	"rmt/internal/graph"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 )
 
 // collector counts messages it receives, per payload key.
@@ -62,7 +63,7 @@ func line(t *testing.T, n int) *graph.Graph {
 func TestSilentSendsNothing(t *testing.T) {
 	g := line(t, 3)
 	c := newCollector()
-	procs := map[int]network.Process{0: &pinger{to: 1, p: ping("x")}, 1: NewSilent(), 2: c}
+	procs := map[int]network.Process{0: &pinger{to: 1, p: ping("x")}, 1: protocol.Silence(nodeset.Of(1))[1], 2: c}
 	res := run(t, g, procs, 6)
 	if len(c.byKey) != 0 {
 		t.Fatalf("silent node leaked messages: %v", c.byKey)
@@ -74,9 +75,9 @@ func TestSilentSendsNothing(t *testing.T) {
 }
 
 func TestSilentStaysAlive(t *testing.T) {
-	// Silent must keep consuming messages without halting, so the engine
-	// never reports an artificial early quiescence from its side.
-	s := NewSilent()
+	// A silenced node must keep consuming messages without halting, so the
+	// engine never reports an artificial early quiescence from its side.
+	s := protocol.Silence(nodeset.Of(1))[1]
 	for r := 1; r <= 3; r++ {
 		if !s.Round(r, []network.Message{{From: 0, To: 1, Payload: ping("x")}}, nil) {
 			t.Fatal("Silent halted")
@@ -136,20 +137,5 @@ func TestReplayerEchoesWithDelay(t *testing.T) {
 	run(t, g, procs, 5)
 	if c.byKey["hello"] != 1 {
 		t.Fatalf("replayed payload count = %d, want 1", c.byKey["hello"])
-	}
-}
-
-func TestSilentProcesses(t *testing.T) {
-	m := SilentProcesses(nodeset.Of(1, 3, 5))
-	if len(m) != 3 {
-		t.Fatalf("len = %d", len(m))
-	}
-	for _, id := range []int{1, 3, 5} {
-		if _, ok := m[id].(*Silent); !ok {
-			t.Fatalf("node %d is not Silent", id)
-		}
-	}
-	if len(SilentProcesses(nodeset.Empty())) != 0 {
-		t.Fatal("empty set produced processes")
 	}
 }

@@ -3,117 +3,42 @@ package byzantine
 import (
 	"strconv"
 
-	"rmt/internal/adversary"
 	"rmt/internal/core"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/zcpa"
 )
 
-// admissibleTrail is Protocol 1's admission check from the attacker's seat:
-// a trail the honest code would have accepted from this channel. Strategies
-// apply it before mutating a message so that every forgery they emit is one
-// an honest relay could plausibly have produced — the strongest position
-// Theorem 4 grants the adversary.
-func admissibleTrail(trail graph.Path, self, from int) bool {
-	return len(trail) > 0 && !trail.Contains(self) && trail.Tail() == from
-}
-
-// honestInfo reconstructs the truthful type-2 claim of a corrupted node, for
-// strategies that stay plausible on the knowledge layer.
-func honestInfo(in *instance.Instance, v int) core.NodeInfo {
-	return core.NodeInfo{Node: v, View: in.Gamma.Of(v), Z: in.LocalStructure(v)}.Sealed()
-}
-
-// understatedInfo fabricates a claim for node v with the given view and a
-// trivial local structure ("nobody I see can be corrupted") — the shape that
-// makes a forged path look maximally trustworthy.
-func understatedInfo(v int, fakeView *graph.Graph) core.NodeInfo {
-	return core.NodeInfo{
-		Node: v,
-		View: fakeView,
-		Z:    adversary.Restricted{Domain: fakeView.Nodes(), Structure: adversary.Trivial()},
-	}.Sealed()
-}
-
-// Equivocator sends a different wrong value to every neighbor: at Init it
-// claims per-neighbor dealer values on both the RMT-PKA type-1 channel and
-// the 𝒵-CPA value channel, and while relaying it rewrites every admissible
-// type-1 value into the destination's private variant. Type-2 traffic is
-// relayed honestly so the attacker's knowledge layer stays above suspicion.
+// NewEquivocator corrupts node c of the instance to send a different wrong
+// value to every neighbor: at Init it claims per-neighbor dealer values on
+// both the RMT-PKA type-1 channel and the 𝒵-CPA value channel, and while
+// relaying it rewrites every admissible type-1 value into the destination's
+// private variant of forged. Type-2 traffic is relayed honestly so the
+// attacker's knowledge layer stays above suspicion.
 //
-// Safety intuition: every equivocated trail ends at the Equivocator, so any
+// Safety intuition: every equivocated trail ends at the equivocator, so any
 // valid message set containing one also contains a corrupted node — the
 // receiver's cover check absorbs the attack. In 𝒵-CPA the per-neighbor
 // variants fragment the reporter classes instead of concentrating them.
-type Equivocator struct {
-	id        int
-	dealer    int
-	neighbors nodeset.Set
-	forged    network.Value
-	info      core.NodeInfo
-}
-
-// NewEquivocator corrupts node c of the instance with the equivocation
-// strategy, forging variants of the given base value.
-func NewEquivocator(in *instance.Instance, c int, forged network.Value) *Equivocator {
-	return &Equivocator{
-		id:        c,
-		dealer:    in.Dealer,
-		neighbors: in.G.Neighbors(c),
-		forged:    forged,
-		info:      honestInfo(in, c),
+func NewEquivocator(in *instance.Instance, c int, forged network.Value) *core.Forger {
+	variant := func(_ network.Value, u int) network.Value {
+		return forged + "@" + network.Value(strconv.Itoa(u))
 	}
-}
-
-// variant is the neighbor-specific forged value.
-func (e *Equivocator) variant(u int) network.Value {
-	return e.forged + "@" + network.Value(strconv.Itoa(u))
-}
-
-// Init implements network.Process.
-func (e *Equivocator) Init(out network.Outbox) {
-	trail := graph.Path{e.id}
-	forgedTrail := graph.Path{e.dealer, e.id}
-	e.neighbors.ForEach(func(u int) bool {
-		out(u, core.InfoMsg{Info: e.info, P: trail})
-		out(u, core.ValueMsg{X: e.variant(u), P: forgedTrail})
-		out(u, zcpa.ValuePayload{X: e.variant(u)})
+	info := core.InfoMsg{Info: core.TrueInfo(in, c), P: graph.Path{c}}
+	per := make(map[int][]network.Payload)
+	in.G.Neighbors(c).ForEach(func(u int) bool {
+		per[u] = []network.Payload{
+			info,
+			core.ValueMsg{X: variant(forged, u), P: graph.Path{in.Dealer, c}},
+			zcpa.ValuePayload{X: variant(forged, u)},
+		}
 		return true
 	})
+	return &core.Forger{ID: c, Neighbors: in.G.Neighbors(c), InitPer: per, FlipValue: variant}
 }
-
-// Round implements network.Process.
-func (e *Equivocator) Round(_ int, inbox []network.Message, out network.Outbox) bool {
-	for _, m := range inbox {
-		switch p := m.Payload.(type) {
-		case core.ValueMsg:
-			if !admissibleTrail(p.P, e.id, m.From) {
-				continue
-			}
-			trail := p.P.Append(e.id)
-			e.neighbors.ForEach(func(u int) bool {
-				out(u, core.ValueMsg{X: e.variant(u), P: trail})
-				return true
-			})
-		case core.InfoMsg:
-			if !admissibleTrail(p.P, e.id, m.From) {
-				continue
-			}
-			next := core.InfoMsg{Info: p.Info, P: p.P.Append(e.id)}
-			e.neighbors.ForEach(func(u int) bool {
-				out(u, next)
-				return true
-			})
-		}
-	}
-	return true
-}
-
-// Decision implements network.Process.
-func (*Equivocator) Decision() (network.Value, bool) { return "", false }
 
 // PathForger attacks the trail discipline of type-1 messages: besides
 // injecting a fabricated direct-from-dealer claim at Init (backed by a
@@ -146,7 +71,7 @@ func NewTrailForger(in *instance.Instance, c int, forged network.Value) *PathFor
 		dealer:    in.Dealer,
 		neighbors: in.G.Neighbors(c),
 		forged:    forged,
-		info:      understatedInfo(c, fakeView),
+		info:      core.UnderstatedInfo(c, fakeView),
 		seen:      make(map[string]bool),
 	}
 }
@@ -167,7 +92,7 @@ func (f *PathForger) Round(_ int, inbox []network.Message, out network.Outbox) b
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
 		case core.ValueMsg:
-			if !admissibleTrail(p.P, f.id, m.From) {
+			if !p.P.Admissible(f.id, m.From) {
 				continue
 			}
 			// Mutate each distinct inbound message once. Truncation and
@@ -189,14 +114,7 @@ func (f *PathForger) Round(_ int, inbox []network.Message, out network.Outbox) b
 				return true
 			})
 		case core.InfoMsg:
-			if !admissibleTrail(p.P, f.id, m.From) {
-				continue
-			}
-			next := core.InfoMsg{Info: p.Info, P: p.P.Append(f.id)}
-			f.neighbors.ForEach(func(u int) bool {
-				out(u, next)
-				return true
-			})
+			relay(f.id, f.neighbors, m, out)
 		}
 	}
 	return true
@@ -227,91 +145,35 @@ func (f *PathForger) mutate(p core.ValueMsg) (core.ValueMsg, bool) {
 // Decision implements network.Process.
 func (*PathForger) Decision() (network.Value, bool) { return "", false }
 
-// ViewLiar attacks the knowledge layer only: it announces two contested
-// versions of its own initial knowledge (an understated fake view containing
-// direct edges to the dealer and the receiver, and an overstated version
-// claiming everything it sees may be corrupted), plus a claim on behalf of a
-// fictitious node that allegedly sits between the dealer and the liar. All
-// traffic is relayed honestly, so any unsafe decision traces back purely to
-// trusting fictitious γ/Z claims.
-type ViewLiar struct {
-	id        int
-	neighbors nodeset.Set
-	lies      []network.Payload
-}
-
-// NewViewLiar corrupts node c of the instance with the fictitious-knowledge
-// strategy.
-func NewViewLiar(in *instance.Instance, c int) *ViewLiar {
+// NewViewLiar corrupts node c of the instance to attack the knowledge
+// layer only: it announces two contested versions of its own initial
+// knowledge (an understated fake view containing direct edges to the dealer
+// and the receiver, and an overstated version claiming everything it sees
+// may be corrupted), plus a claim on behalf of a fictitious node that
+// allegedly sits between the dealer and the liar. All traffic is relayed
+// honestly, so any unsafe decision traces back purely to trusting
+// fictitious γ/Z claims.
+func NewViewLiar(in *instance.Instance, c int) *core.Forger {
 	ghost := in.G.MaxID() + 1
 	fakeView := in.Gamma.Of(c).Clone()
 	fakeView.AddEdge(c, in.Dealer)
 	fakeView.AddEdge(c, in.Receiver)
 	fakeView.AddEdge(c, ghost)
 
-	dom := in.Gamma.NodesOf(c)
-	overstated := core.NodeInfo{
-		Node: c,
-		View: in.Gamma.Of(c),
-		Z: adversary.Restricted{
-			Domain:    dom,
-			Structure: adversary.FromSets(dom.Remove(in.Dealer).Remove(in.Receiver)),
-		},
-	}.Sealed()
-
 	ghostView := graph.New()
 	ghostView.AddEdge(in.Dealer, ghost)
 	ghostView.AddEdge(ghost, c)
 
-	return &ViewLiar{
-		id:        c,
-		neighbors: in.G.Neighbors(c),
-		lies: []network.Payload{
-			core.InfoMsg{Info: understatedInfo(c, fakeView), P: graph.Path{c}},
-			core.InfoMsg{Info: overstated, P: graph.Path{c}},
-			core.InfoMsg{Info: understatedInfo(ghost, ghostView), P: graph.Path{ghost, c}},
+	return &core.Forger{
+		ID:        c,
+		Neighbors: in.G.Neighbors(c),
+		InitAll: []network.Payload{
+			core.InfoMsg{Info: core.UnderstatedInfo(c, fakeView), P: graph.Path{c}},
+			core.InfoMsg{Info: core.OverstatedInfo(in, c), P: graph.Path{c}},
+			core.InfoMsg{Info: core.UnderstatedInfo(ghost, ghostView), P: graph.Path{ghost, c}},
 		},
 	}
 }
-
-// Init implements network.Process.
-func (l *ViewLiar) Init(out network.Outbox) {
-	l.neighbors.ForEach(func(u int) bool {
-		for _, p := range l.lies {
-			out(u, p)
-		}
-		return true
-	})
-}
-
-// Round implements network.Process: relay both message types honestly.
-func (l *ViewLiar) Round(_ int, inbox []network.Message, out network.Outbox) bool {
-	for _, m := range inbox {
-		var next network.Payload
-		switch p := m.Payload.(type) {
-		case core.ValueMsg:
-			if !admissibleTrail(p.P, l.id, m.From) {
-				continue
-			}
-			next = core.ValueMsg{X: p.X, P: p.P.Append(l.id)}
-		case core.InfoMsg:
-			if !admissibleTrail(p.P, l.id, m.From) {
-				continue
-			}
-			next = core.InfoMsg{Info: p.Info, P: p.P.Append(l.id)}
-		default:
-			continue
-		}
-		l.neighbors.ForEach(func(u int) bool {
-			out(u, next)
-			return true
-		})
-	}
-	return true
-}
-
-// Decision implements network.Process.
-func (*ViewLiar) Decision() (network.Value, bool) { return "", false }
 
 // Eclipser is a selective-relay adversary: it behaves like an honest player
 // but forwards traffic only to neighbors that are no closer to the receiver
@@ -340,7 +202,7 @@ func NewEclipser(in *instance.Instance, c int) *Eclipser {
 	return &Eclipser{
 		id:      c,
 		allowed: allowed,
-		info:    honestInfo(in, c),
+		info:    core.TrueInfo(in, c),
 		seen:    make(map[string]bool),
 	}
 }
@@ -356,31 +218,19 @@ func (e *Eclipser) Init(out network.Outbox) {
 // Round implements network.Process.
 func (e *Eclipser) Round(_ int, inbox []network.Message, out network.Outbox) bool {
 	for _, m := range inbox {
-		var next network.Payload
-		switch p := m.Payload.(type) {
-		case core.ValueMsg:
-			if !admissibleTrail(p.P, e.id, m.From) {
-				continue
-			}
-			next = core.ValueMsg{X: p.X, P: p.P.Append(e.id)}
-		case core.InfoMsg:
-			if !admissibleTrail(p.P, e.id, m.From) {
-				continue
-			}
-			next = core.InfoMsg{Info: p.Info, P: p.P.Append(e.id)}
-		case zcpa.ValuePayload:
-			// 𝒵-CPA payloads carry no trail; dedup by key so two adjacent
-			// Eclipsers cannot ping-pong the same value forever.
-			if e.seen[p.Key()] {
-				continue
-			}
-			e.seen[p.Key()] = true
-			next = p
-		default:
+		p, isValue := m.Payload.(zcpa.ValuePayload)
+		if !isValue {
+			relay(e.id, e.allowed, m, out)
 			continue
 		}
+		// 𝒵-CPA payloads carry no trail; dedup by key so two adjacent
+		// Eclipsers cannot ping-pong the same value forever.
+		if e.seen[p.Key()] {
+			continue
+		}
+		e.seen[p.Key()] = true
 		e.allowed.ForEach(func(u int) bool {
-			out(u, next)
+			out(u, p)
 			return true
 		})
 	}
@@ -389,6 +239,20 @@ func (e *Eclipser) Round(_ int, inbox []network.Message, out network.Outbox) boo
 
 // Decision implements network.Process.
 func (*Eclipser) Decision() (network.Value, bool) { return "", false }
+
+// relay sends m on to every node of to through core.Relayed, Protocol 1's
+// relay step, when its trail is admissible at self: the honest relaying a
+// strategy keeps up so that its presence stays plausible.
+func relay(self int, to nodeset.Set, m network.Message, out network.Outbox) {
+	next, ok := core.Relayed(self, m)
+	if !ok {
+		return
+	}
+	to.ForEach(func(u int) bool {
+		out(u, next)
+		return true
+	})
+}
 
 // funcStrategy adapts a build function into a registered Strategy.
 type funcStrategy struct {
@@ -414,12 +278,22 @@ func (s funcStrategy) Build(in *instance.Instance, t nodeset.Set, forged network
 	return m
 }
 
+// silence registers protocol.Silence, the one silent player.
+type silence struct{}
+
+func (silence) Name() string { return SilentName }
+func (silence) Describe() string {
+	return "drop everything (worst case for liveness of safe protocols)"
+}
+
+// Build implements Strategy.
+func (silence) Build(_ *instance.Instance, t nodeset.Set, _ network.Value) map[int]network.Process {
+	return protocol.Silence(t)
+}
+
 func init() {
+	Register(silence{})
 	for _, s := range []funcStrategy{
-		{SilentName, "drop everything (worst case for liveness of safe protocols)",
-			func(in *instance.Instance, c int, _ network.Value, _ int) network.Process {
-				return NewSilent()
-			}},
 		{SpammerName, "flood neighbors with erroneous junk payloads every round",
 			func(in *instance.Instance, c int, _ network.Value, _ int) network.Process {
 				return &Spammer{ID: c, Neighbors: in.G.Neighbors(c)}

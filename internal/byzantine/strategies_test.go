@@ -1,6 +1,7 @@
 package byzantine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -311,5 +312,55 @@ func TestProtocolAwareStrategiesStayAdmissible(t *testing.T) {
 			{From: 0, To: 2, Payload: core.ValueMsg{X: "1", P: graph.Path{0}}},
 			{From: 0, To: 2, Payload: core.InfoMsg{Info: core.NodeInfo{Node: 0, View: in.Gamma.Of(0), Z: adversary.Restricted{Domain: nodeset.Of(0), Structure: adversary.Trivial()}}, P: graph.Path{0}}},
 		}, check)
+	}
+}
+
+// TestNoStrategyExtendsInadmissibleTrails: every registered strategy relays
+// through Protocol 1's admission check, so none ever sends on an inbound
+// trail that is empty, contains the corrupted node or does not end at its
+// sender, extended by its own node.
+func TestNoStrategyExtendsInadmissibleTrails(t *testing.T) {
+	in := pathsInstance(t)
+	const c = 2 // neighbors 0 and 4
+	claim := core.TrueInfo(in, 0)
+	var inbox []network.Message
+	forbidden := map[string]bool{}
+	for _, bad := range []graph.Path{{1}, {c, 0}, {}} { // tail ≠ sender, contains c, empty
+		inbox = append(inbox,
+			network.Message{From: 0, To: c, Payload: core.ValueMsg{X: "1", P: bad}},
+			network.Message{From: 0, To: c, Payload: core.InfoMsg{Info: claim, P: bad}})
+		forbidden[fmt.Sprint(bad.Append(c))] = true
+	}
+	// The admissible control keeps the check from passing vacuously.
+	control := graph.Path{0}
+	inbox = append(inbox,
+		network.Message{From: 0, To: c, Payload: core.ValueMsg{X: "1", P: control}},
+		network.Message{From: 0, To: c, Payload: core.InfoMsg{Info: claim, P: control}})
+	relayed := 0
+	for _, s := range All() {
+		p := s.Build(in, nodeset.Of(c), "bad")[c]
+		p.Init(func(int, network.Payload) {})
+		extended := false
+		p.Round(1, inbox, func(_ int, payload network.Payload) {
+			var trail graph.Path
+			switch m := payload.(type) {
+			case core.ValueMsg:
+				trail = m.P
+			case core.InfoMsg:
+				trail = m.P
+			default:
+				return
+			}
+			if forbidden[fmt.Sprint(trail)] {
+				t.Errorf("%s extended an inadmissible trail: sent %v", s.Name(), trail)
+			}
+			extended = extended || trail.Equal(control.Append(c))
+		})
+		if extended {
+			relayed++
+		}
+	}
+	if relayed == 0 {
+		t.Fatal("no strategy relayed the admissible control")
 	}
 }

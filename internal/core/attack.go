@@ -1,7 +1,6 @@
 package core
 
 import (
-	"rmt/internal/adversary"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
@@ -13,7 +12,8 @@ import (
 // and send different claims to different neighbors. The engine's
 // authenticated channels still apply — it can only talk to real neighbors —
 // so every forged trail necessarily ends at the forger, exactly the
-// capability Theorem 4's safety proof grants the adversary.
+// capability Theorem 4's safety proof grants the adversary. It backs the
+// legacy zoo below and byzantine's equivocator and view-liar strategies.
 type Forger struct {
 	ID        int
 	Neighbors nodeset.Set
@@ -22,10 +22,8 @@ type Forger struct {
 	// InitPer adds per-neighbor payloads at Init (split-brain claims).
 	InitPer map[int][]network.Payload
 	// FlipValue, if non-nil, replaces the value of every relayed type-1
-	// message.
-	FlipValue func(network.Value) network.Value
-	// DropRelays disables relaying entirely when true.
-	DropRelays bool
+	// message, per destination (equivocation).
+	FlipValue func(x network.Value, to int) network.Value
 }
 
 // Init implements network.Process.
@@ -41,23 +39,23 @@ func (f *Forger) Init(out network.Outbox) {
 	})
 }
 
-// Round implements network.Process: the forger relays like an honest node
-// (so its presence is plausible) but may rewrite type-1 values.
+// Round implements network.Process: the forger relays through Relayed, the
+// honest relay step (so its presence is plausible), but may rewrite type-1
+// values.
 func (f *Forger) Round(_ int, inbox []network.Message, out network.Outbox) bool {
-	if f.DropRelays {
-		return true
-	}
 	for _, m := range inbox {
-		trail, rebuild, ok := relayable(m.Payload)
-		if !ok || len(trail) == 0 || trail.Contains(f.ID) {
+		payload, ok := Relayed(f.ID, m)
+		if !ok {
 			continue
 		}
-		payload := rebuild(trail.Append(f.ID))
-		if vm, isValue := payload.(ValueMsg); isValue && f.FlipValue != nil {
-			payload = ValueMsg{X: f.FlipValue(vm.X), P: vm.P}
-		}
+		vm, flip := payload.(ValueMsg)
+		flip = flip && f.FlipValue != nil
 		f.Neighbors.ForEach(func(u int) bool {
-			out(u, payload)
+			if flip {
+				out(u, ValueMsg{X: f.FlipValue(vm.X, u), P: vm.P})
+			} else {
+				out(u, payload)
+			}
 			return true
 		})
 	}
@@ -74,8 +72,8 @@ func NewValueFlipper(in *instance.Instance, c int, forged network.Value) *Forger
 	return &Forger{
 		ID:        c,
 		Neighbors: in.G.Neighbors(c),
-		InitAll:   []network.Payload{InfoMsg{Info: trueInfo(in, c), P: graph.Path{c}}},
-		FlipValue: func(network.Value) network.Value { return forged },
+		InitAll:   []network.Payload{InfoMsg{Info: TrueInfo(in, c), P: graph.Path{c}}},
+		FlipValue: func(network.Value, int) network.Value { return forged },
 	}
 }
 
@@ -88,18 +86,11 @@ func NewValueFlipper(in *instance.Instance, c int, forged network.Value) *Forger
 func NewPathForger(in *instance.Instance, c int, forged network.Value) *Forger {
 	fakeView := in.Gamma.Of(c).Clone()
 	fakeView.AddEdge(c, in.Dealer)
-	fakeInfo := NodeInfo{
-		Node: c,
-		View: fakeView,
-		// The forger claims nobody in its view can be corrupted, making
-		// its forged path look maximally trustworthy.
-		Z: adversary.Restricted{Domain: fakeView.Nodes(), Structure: adversary.Trivial()},
-	}
 	return &Forger{
 		ID:        c,
 		Neighbors: in.G.Neighbors(c),
 		InitAll: []network.Payload{
-			InfoMsg{Info: fakeInfo, P: graph.Path{c}},
+			InfoMsg{Info: UnderstatedInfo(c, fakeView), P: graph.Path{c}},
 			ValueMsg{X: forged, P: graph.Path{in.Dealer, c}},
 		},
 	}
@@ -113,25 +104,15 @@ func NewGhostForger(in *instance.Instance, c, ghost int, forged network.Value) *
 	ghostView := graph.New()
 	ghostView.AddEdge(in.Dealer, ghost)
 	ghostView.AddEdge(ghost, c)
-	ghostInfo := NodeInfo{
-		Node: ghost,
-		View: ghostView,
-		Z:    adversary.Restricted{Domain: ghostView.Nodes(), Structure: adversary.Trivial()},
-	}
 	// c's own fake view includes the ghost edge so G_M contains the path.
 	fakeView := in.Gamma.Of(c).Clone()
 	fakeView.AddEdge(ghost, c)
-	selfInfo := NodeInfo{
-		Node: c,
-		View: fakeView,
-		Z:    adversary.Restricted{Domain: fakeView.Nodes(), Structure: adversary.Trivial()},
-	}
 	return &Forger{
 		ID:        c,
 		Neighbors: in.G.Neighbors(c),
 		InitAll: []network.Payload{
-			InfoMsg{Info: selfInfo, P: graph.Path{c}},
-			InfoMsg{Info: ghostInfo, P: graph.Path{ghost, c}},
+			InfoMsg{Info: UnderstatedInfo(c, fakeView), P: graph.Path{c}},
+			InfoMsg{Info: UnderstatedInfo(ghost, ghostView), P: graph.Path{ghost, c}},
 			ValueMsg{X: forged, P: graph.Path{in.Dealer, ghost, c}},
 		},
 	}
@@ -142,14 +123,10 @@ func NewGhostForger(in *instance.Instance, c, ghost int, forged network.Value) *
 // consistency requirement in a way only the receiver's valid-set grouping
 // can untangle.
 func NewSplitBrain(in *instance.Instance, c int, forged network.Value) *Forger {
-	honest := trueInfo(in, c)
+	honest := TrueInfo(in, c)
 	fakeView := in.Gamma.Of(c).Clone()
 	fakeView.AddEdge(c, in.Dealer)
-	lying := NodeInfo{
-		Node: c,
-		View: fakeView,
-		Z:    adversary.Restricted{Domain: fakeView.Nodes(), Structure: adversary.Trivial()},
-	}
+	lying := UnderstatedInfo(c, fakeView)
 	per := make(map[int][]network.Payload)
 	i := 0
 	in.G.Neighbors(c).ForEach(func(u int) bool {
@@ -172,42 +149,9 @@ func NewSplitBrain(in *instance.Instance, c int, forged network.Value) *Forger {
 // be corrupted, maximizing the receiver's perceived uncertainty (a
 // denial-of-decision attempt).
 func NewStructureLiar(in *instance.Instance, c int) *Forger {
-	dom := in.Gamma.NodesOf(c)
-	lying := NodeInfo{
-		Node: c,
-		View: in.Gamma.Of(c),
-		Z:    adversary.Restricted{Domain: dom, Structure: adversary.FromSets(dom.Remove(in.Dealer).Remove(in.Receiver))},
-	}
 	return &Forger{
 		ID:        c,
 		Neighbors: in.G.Neighbors(c),
-		InitAll:   []network.Payload{InfoMsg{Info: lying, P: graph.Path{c}}},
+		InitAll:   []network.Payload{InfoMsg{Info: OverstatedInfo(in, c), P: graph.Path{c}}},
 	}
-}
-
-// Strategies enumerates the full attack zoo against an instance for a given
-// corruption set: every node of t is corrupted with the same strategy kind.
-// Used by experiment E3 (safety) and the attack example.
-func Strategies(in *instance.Instance, t nodeset.Set, forged network.Value) map[string]map[int]network.Process {
-	ghostBase := in.G.MaxID() + 1
-	zoo := map[string]map[int]network.Process{
-		"silent":         {},
-		"value-flip":     {},
-		"path-forgery":   {},
-		"ghost-node":     {},
-		"split-brain":    {},
-		"structure-liar": {},
-	}
-	i := 0
-	t.ForEach(func(c int) bool {
-		zoo["silent"][c] = &Forger{ID: c, Neighbors: in.G.Neighbors(c), DropRelays: true}
-		zoo["value-flip"][c] = NewValueFlipper(in, c, forged)
-		zoo["path-forgery"][c] = NewPathForger(in, c, forged)
-		zoo["ghost-node"][c] = NewGhostForger(in, c, ghostBase+i, forged)
-		zoo["split-brain"][c] = NewSplitBrain(in, c, forged)
-		zoo["structure-liar"][c] = NewStructureLiar(in, c)
-		i++
-		return true
-	})
-	return zoo
 }

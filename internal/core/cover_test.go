@@ -108,7 +108,7 @@ func TestCoverMatchesFoldReference(t *testing.T) {
 		var members []int
 		var combo []claimVer
 		for _, v := range g.SortedIDs() {
-			info := trueInfo(in, v)
+			info := TrueInfo(in, v)
 			if v != in.Receiver && r.Intn(3) > 0 {
 				// A forged version; when contested, the candidate picks one.
 				forged, ghostInfo := randomClaim(r, in, v, ghost)
@@ -230,13 +230,13 @@ func TestGraphOfComboMatchesFoldAndInduce(t *testing.T) {
 		}
 		rcv := newReceiver(in, sharedOf(in), 0)
 		members := []int{in.Dealer, in.Receiver}
-		combo := []claimVer{{info: trueInfo(in, in.Dealer)}, {info: trueInfo(in, in.Receiver)}}
+		combo := []claimVer{{info: TrueInfo(in, in.Dealer)}, {info: TrueInfo(in, in.Receiver)}}
 		ghosted := false
 		for _, v := range r.Perm(n) {
 			if v == in.Dealer || v == in.Receiver || r.Intn(4) == 0 {
 				continue
 			}
-			info := trueInfo(in, v)
+			info := TrueInfo(in, v)
 			if r.Intn(2) == 0 {
 				forged, ghostInfo := randomClaim(r, in, v, n)
 				info = forged

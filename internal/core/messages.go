@@ -6,6 +6,7 @@ import (
 
 	"rmt/internal/adversary"
 	"rmt/internal/graph"
+	"rmt/internal/instance"
 	"rmt/internal/network"
 )
 
@@ -59,6 +60,34 @@ func (ni NodeInfo) Sealed() NodeInfo {
 		ni.bits = ni.renderBitSize()
 	}
 	return ni
+}
+
+// TrueInfo returns node v's honest claim (v, γ(v), Z_v), sealed.
+func TrueInfo(in *instance.Instance, v int) NodeInfo {
+	return NodeInfo{Node: v, View: in.Gamma.Of(v), Z: in.LocalStructure(v)}.Sealed()
+}
+
+// UnderstatedInfo returns a claim for node v with the given view and a
+// trivial local structure ("nobody I see can be corrupted"), sealed — the
+// shape that makes a forged path look maximally trustworthy.
+func UnderstatedInfo(v int, view *graph.Graph) NodeInfo {
+	return NodeInfo{
+		Node: v,
+		View: view,
+		Z:    adversary.Restricted{Domain: view.Nodes(), Structure: adversary.Trivial()},
+	}.Sealed()
+}
+
+// OverstatedInfo returns node v's true view with a local structure claiming
+// that every node it sees but D and R may be corrupted together, sealed —
+// the shape that maximizes the receiver's perceived uncertainty.
+func OverstatedInfo(in *instance.Instance, v int) NodeInfo {
+	dom := in.Gamma.NodesOf(v)
+	return NodeInfo{
+		Node: v,
+		View: in.Gamma.Of(v),
+		Z:    adversary.Restricted{Domain: dom, Structure: adversary.FromSets(dom.Remove(in.Dealer).Remove(in.Receiver))},
+	}.Sealed()
 }
 
 // bitSize estimates the encoded size: node IDs at 16 bits, edges at 32,
@@ -180,50 +209,70 @@ func writePathKey(b *strings.Builder, p graph.Path) {
 	}
 }
 
-// extendKey derives the payload key of a one-hop trail extension from the
-// parent's sealed key by rewriting the trailing "(…)" trail segment in
+// extendKey derives the payload key of a one-hop trail extension by v from
+// the parent's sealed key, rewriting the trailing "(…)" trail segment in
 // place of a full re-render — the claim/value portion of the key is
 // unchanged by relaying. It returns "" (render required) when the parent
-// key is absent or np is not old extended by exactly one node.
-func extendKey(parent string, old, np graph.Path) string {
-	if parent == "" || len(old) == 0 || len(np) != len(old)+1 {
+// key is absent. The parent trail must be non-empty, as every admitted
+// trail is.
+func extendKey(parent string, v int) string {
+	if parent == "" {
 		return ""
-	}
-	for i, v := range old {
-		if np[i] != v {
-			return ""
-		}
 	}
 	var b strings.Builder
 	b.Grow(len(parent) + 8)
 	b.WriteString(parent[:len(parent)-1])
 	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(np[len(np)-1]))
+	b.WriteString(strconv.Itoa(v))
 	b.WriteByte(')')
 	return b.String()
 }
 
-// relayable extracts the trail of either message type and rebuilds the
-// message with an extended trail. It returns false for foreign payloads.
-func relayable(p network.Payload) (graph.Path, func(newPath graph.Path) network.Payload, bool) {
+// trailOf returns the trail of either message type, or false for foreign
+// payloads.
+func trailOf(p network.Payload) (graph.Path, bool) {
 	switch m := p.(type) {
 	case ValueMsg:
-		return m.P, func(np graph.Path) network.Payload {
-			nm := ValueMsg{X: m.X, P: np, key: extendKey(m.key, m.P, np)}
-			if nm.key == "" {
-				nm.key = nm.render()
-			}
-			return nm
-		}, true
+		return m.P, true
 	case InfoMsg:
-		return m.P, func(np graph.Path) network.Payload {
-			nm := InfoMsg{Info: m.Info, P: np, key: extendKey(m.key, m.P, np)}
-			if nm.key == "" {
-				nm.key = nm.render()
-			}
-			return nm
-		}, true
+		return m.P, true
 	default:
-		return nil, nil, false
+		return nil, false
 	}
+}
+
+// extended rebuilds p, a ValueMsg or InfoMsg, with self appended to its
+// trail and its key sealed, derived from p's own sealed key when it has one.
+func extended(p network.Payload, self int) network.Payload {
+	switch m := p.(type) {
+	case ValueMsg:
+		nm := ValueMsg{X: m.X, P: m.P.Append(self), key: extendKey(m.key, self)}
+		if nm.key == "" {
+			nm.key = nm.render()
+		}
+		return nm
+	case InfoMsg:
+		nm := InfoMsg{Info: m.Info, P: m.P.Append(self), key: extendKey(m.key, self)}
+		if nm.key == "" {
+			nm.key = nm.render()
+		}
+		return nm
+	default:
+		return nil
+	}
+}
+
+// Relayed is Protocol 1's relay step for player self on one delivered
+// message: it runs the admission check (graph.Path.Admissible) and returns
+// the message with self appended to its trail, or false when the message
+// is not an RMT-PKA message or its trail is inadmissible. Corrupted players
+// that relay honestly, and PPA's relay, extend trails through it; Relay
+// runs the same two steps around its rebuild cache, whose key cannot see
+// the sender, so it must admit before the lookup.
+func Relayed(self int, m network.Message) (network.Payload, bool) {
+	trail, ok := trailOf(m.Payload)
+	if !ok || !trail.Admissible(self, m.From) {
+		return nil, false
+	}
+	return extended(m.Payload, self), true
 }

@@ -44,7 +44,7 @@ func TestMixedStrategySafetyFuzz(t *testing.T) {
 			tset.ForEach(func(c int) bool {
 				switch kinds[r.Intn(len(kinds))] {
 				case "silent":
-					corrupt[c] = &Forger{ID: c, Neighbors: in.G.Neighbors(c), DropRelays: true}
+					corrupt[c] = protocol.Silence(nodeset.Of(c))[c]
 				case "value-flip":
 					corrupt[c] = NewValueFlipper(in, c, "forged")
 				case "path-forgery":
@@ -85,7 +85,7 @@ func TestMixedStrategyLivenessOnSolvable(t *testing.T) {
 		var corrupt map[int]network.Process
 		switch trial % 5 {
 		case 0:
-			corrupt = map[int]network.Process{c: &Forger{ID: c, Neighbors: in.G.Neighbors(c), DropRelays: true}}
+			corrupt = protocol.Silence(nodeset.Of(c))
 		case 1:
 			corrupt = map[int]network.Process{c: NewValueFlipper(in, c, "forged")}
 		case 2:

@@ -81,14 +81,9 @@ func (r *Relay) Init(out network.Outbox) {
 // Round implements network.Process.
 func (r *Relay) Round(_ int, inbox []network.Message, out network.Outbox) bool {
 	for _, m := range inbox {
-		trail, rebuild, ok := relayable(m.Payload)
-		if !ok {
-			continue // erroneous message; discard
-		}
-		// Protocol 1's admission check: discard if v ∈ p or tail(p) ≠ u.
-		// The tail check pins the trail to the authenticated channel, so a
-		// forged trail necessarily contains a corrupted node.
-		if len(trail) == 0 || trail.Contains(r.id) || trail.Tail() != m.From {
+		// Protocol 1's admission check; erroneous messages are discarded.
+		trail, ok := trailOf(m.Payload)
+		if !ok || !trail.Admissible(r.id, m.From) {
 			continue
 		}
 		if r.horizon > 0 && len(trail)+1 > r.horizon-1 {
@@ -100,9 +95,9 @@ func (r *Relay) Round(_ int, inbox []network.Message, out network.Outbox) bool {
 			// payload (whose key is canonical per the Payload contract) and
 			// this relay's identity, so the cache replays the exact payload
 			// a rebuild would construct.
-			np = r.cache.Get(m.Payload.Key(), func() network.Payload { return rebuild(trail.Append(r.id)) })
+			np = r.cache.Get(m.Payload.Key(), func() network.Payload { return extended(m.Payload, r.id) })
 		} else {
-			np = rebuild(trail.Append(r.id))
+			np = extended(m.Payload, r.id)
 		}
 		r.broadcast(out, np)
 	}
@@ -160,8 +155,3 @@ func (Proto) Assemble(in *instance.Instance, xD network.Value, opts protocol.Opt
 func (Proto) Solvable(in *instance.Instance) bool { return Solvable(in) }
 
 func init() { protocol.Register(Proto{}) }
-
-// trueInfo returns the honest, sealed NodeInfo of a node.
-func trueInfo(in *instance.Instance, v int) NodeInfo {
-	return NodeInfo{Node: v, View: in.Gamma.Of(v), Z: in.LocalStructure(v)}.Sealed()
-}

@@ -345,6 +345,37 @@ func TestRelayAdmissionRules(t *testing.T) {
 	}
 }
 
+// TestForgerAdmissionRules: a corrupted Forger relays through the same
+// admission check as an honest relay, so a trail that does not end at its
+// sender is dropped rather than extended.
+func TestForgerAdmissionRules(t *testing.T) {
+	in := adhocInstance(t, "0-1 1-2", adversary.Trivial(), 0, 2)
+	f := NewValueFlipper(in, 1, "forged")
+	var sent []network.Message
+	out := func(to int, p network.Payload) {
+		sent = append(sent, network.Message{From: 1, To: to, Payload: p})
+	}
+	f.Round(1, []network.Message{
+		{From: 0, To: 1, Payload: ValueMsg{X: "x", P: graph.Path{5, 9}}},            // tail != sender
+		{From: 2, To: 1, Payload: InfoMsg{Info: TrueInfo(in, 0), P: graph.Path{0}}}, // tail != sender
+		{From: 0, To: 1, Payload: ValueMsg{X: "x", P: graph.Path{0, 1}}},            // contains self
+		{From: 0, To: 1, Payload: ValueMsg{X: "x", P: graph.Path{}}},                // empty trail
+		{From: 0, To: 1, Payload: ValueMsg{X: "x", P: graph.Path{0}}},               // admissible
+		{From: 2, To: 1, Payload: InfoMsg{Info: TrueInfo(in, 2), P: graph.Path{2}}}, // admissible
+	}, out)
+	if len(sent) != 4 { // two admissible messages, to neighbors 0 and 2
+		t.Fatalf("forger sent %d messages, want 4: %v", len(sent), sent)
+	}
+	vm, ok := sent[0].Payload.(ValueMsg)
+	if !ok || vm.X != "forged" || !vm.P.Equal(graph.Path{0, 1}) {
+		t.Fatalf("flipped relay = %v", sent[0].Payload)
+	}
+	im, ok := sent[2].Payload.(InfoMsg)
+	if !ok || im.Info.Node != 2 || !im.P.Equal(graph.Path{2, 1}) {
+		t.Fatalf("relayed claim = %v", sent[2].Payload)
+	}
+}
+
 func TestReceiverDiscardsForgedTails(t *testing.T) {
 	in := adhocInstance(t, "0-1 1-2", adversary.Trivial(), 0, 2)
 	r := newReceiver(in, sharedOf(in), 0)

@@ -186,12 +186,8 @@ func (r *Receiver) Decision() (network.Value, bool) { return r.value, r.decided 
 // actual sender, are forged (R relays nothing) and are discarded — the same
 // admission rule the relays apply, which Theorem 4's safety argument needs.
 func (r *Receiver) ingest(m network.Message) {
-	trail, _, ok := relayable(m.Payload)
-	if !ok {
-		return // erroneous message
-	}
-	if len(trail) == 0 || trail.Contains(r.id) || trail.Tail() != m.From {
-		return
+	if trail, ok := trailOf(m.Payload); !ok || !trail.Admissible(r.id, m.From) {
+		return // erroneous message or forged trail
 	}
 	switch msg := m.Payload.(type) {
 	case ValueMsg:

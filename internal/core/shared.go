@@ -230,7 +230,7 @@ func sharedOf(in *instance.Instance) *pkaShared {
 func newPKAShared(in *instance.Instance) *pkaShared {
 	sh := &pkaShared{infos: make([]NodeInfo, in.G.MaxID()+1)}
 	in.G.Nodes().ForEach(func(v int) bool {
-		sh.infos[v] = trueInfo(in, v)
+		sh.infos[v] = TrueInfo(in, v)
 		return true
 	})
 	sh.dealerInfoMsg = NewInfoMsg(sh.infos[in.Dealer], graph.Path{in.Dealer})

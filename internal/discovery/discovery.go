@@ -65,8 +65,7 @@ func (o *Observer) Round(_ int, inbox []network.Message, _ network.Outbox) bool 
 		if !ok {
 			continue
 		}
-		trail := im.P
-		if len(trail) == 0 || trail.Contains(o.id) || trail.Tail() != m.From {
+		if !im.P.Admissible(o.id, m.From) {
 			continue // forged trail
 		}
 		byVersion, ok := o.claims[im.Info.Node]

@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"rmt/internal/adversary"
-	"rmt/internal/byzantine"
 	"rmt/internal/core"
 	"rmt/internal/gen"
 	"rmt/internal/graph"
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/view"
 )
 
@@ -61,7 +61,7 @@ func TestSilentCorruptionHidesOnlyItself(t *testing.T) {
 	// unconfirmed, but are present in the honest claims (Claimed).
 	g := gen.Ring(5)
 	res, err := Run(g, adversary.FromSlices([]int{2}), view.AdHoc(g), 0,
-		byzantine.SilentProcesses(nodeset.Of(2)), nil)
+		protocol.Silence(nodeset.Of(2)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestDiscoveryCompletenessRandom(t *testing.T) {
 		g := gen.RandomGNP(r, n, 0.5)
 		corrupted := nodeset.Of(1 + r.Intn(n-1))
 		z := adversary.FromSets(corrupted)
-		res, err := Run(g, z, view.AdHoc(g), 0, byzantine.SilentProcesses(corrupted), nil)
+		res, err := Run(g, z, view.AdHoc(g), 0, protocol.Silence(corrupted), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestObserverOwnEdgesTrusted(t *testing.T) {
 	// endpoint is silent.
 	g := mustGraph(t, "0-1 1-2")
 	res, err := Run(g, adversary.FromSlices([]int{1}), view.AdHoc(g), 0,
-		byzantine.SilentProcesses(nodeset.Of(1)), nil)
+		protocol.Silence(nodeset.Of(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"rmt/internal/adversary"
+	"rmt/internal/byzantine"
 	"rmt/internal/core"
 	"rmt/internal/gen"
 	"rmt/internal/instance"
@@ -226,41 +227,33 @@ func E3Safety(p Params) *Table {
 		Title:   "RMT-PKA safety under the Byzantine strategy zoo (Thm 4)",
 		Columns: []string{"instance", "strategy", "runs", "correct", "undecided", "wrong"},
 	}
-	fixtures := safetyFixtures()
-	for _, fx := range fixtures {
-		perStrategy := map[string]*[3]int{}
+	// The legacy zoo, in row order: silence plus core's Forger strategies.
+	zoo := []string{byzantine.SilentName, byzantine.ValueFlipName, byzantine.PathForgeryName,
+		byzantine.GhostNodeName, byzantine.SplitBrainName, byzantine.StructureLiarName}
+	for _, fx := range safetyFixtures() {
+		counts := make([][3]int, len(zoo))
 		for _, m := range fx.in.MaximalCorruptions() {
 			if m.IsEmpty() {
 				continue
 			}
-			zoo := core.Strategies(fx.in, m, "forged")
-			for name, corrupt := range zoo {
+			for i, name := range zoo {
 				opts := p.options()
-				opts.Corrupt = corrupt
+				opts.Corrupt = byzantine.MustGet(name).Build(fx.in, m, "forged")
 				res, err := protocol.RunByName(protocol.PKA, fx.in, "real", opts)
 				if err != nil {
 					panic(err)
 				}
-				c := perStrategy[name]
-				if c == nil {
-					c = &[3]int{}
-					perStrategy[name] = c
-				}
 				if got, ok := res.DecisionOf(fx.in.Receiver); !ok {
-					c[1]++
+					counts[i][1]++
 				} else if got == "real" {
-					c[0]++
+					counts[i][0]++
 				} else {
-					c[2]++
+					counts[i][2]++
 				}
 			}
 		}
-		for _, name := range []string{"silent", "value-flip", "path-forgery", "ghost-node", "split-brain", "structure-liar"} {
-			c := perStrategy[name]
-			if c == nil {
-				continue
-			}
-			t.AddRow(fx.name, name, c[0]+c[1]+c[2], c[0], c[1], c[2])
+		for i, c := range counts {
+			t.AddRow(fx.name, zoo[i], c[0]+c[1]+c[2], c[0], c[1], c[2])
 		}
 	}
 	t.Notes = append(t.Notes, "expected: 0 in the wrong column everywhere (safety)")

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"rmt/internal/adversary"
-	"rmt/internal/byzantine"
 	"rmt/internal/gen"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
@@ -55,7 +54,7 @@ func E7DecisionProtocol(p Params) *Table {
 				mk := func() map[int]network.Process {
 					switch attack {
 					case "silent":
-						return byzantine.SilentProcesses(tset)
+						return protocol.Silence(tset)
 					case "wrong-value":
 						return zcpa.WrongValueProcesses(in, tset, "forged")
 					default:

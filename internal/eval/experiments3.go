@@ -7,7 +7,6 @@ import (
 
 	"rmt/internal/adversary"
 	"rmt/internal/broadcast"
-	"rmt/internal/byzantine"
 	"rmt/internal/core"
 	"rmt/internal/discovery"
 	"rmt/internal/gen"
@@ -236,7 +235,7 @@ func E12Discovery(p Params) *Table {
 			switch strat {
 			case "honest":
 			case "silent":
-				corrupt = byzantine.SilentProcesses(nodeset.Of(corruptNode))
+				corrupt = protocol.Silence(nodeset.Of(corruptNode))
 			case "fake-edge":
 				if fakeU < 0 {
 					continue

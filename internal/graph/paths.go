@@ -29,6 +29,14 @@ func (p Path) Contains(v int) bool {
 	return false
 }
 
+// Admissible is Protocol 1's admission check: player self accepts trail p
+// delivered by neighbor from only if p is non-empty, avoids self and ends
+// at from. Pinning the tail to the authenticated channel is what ties every
+// forged trail to a corrupted node (Theorem 4).
+func (p Path) Admissible(self, from int) bool {
+	return len(p) > 0 && !p.Contains(self) && p.Tail() == from
+}
+
 // Append returns the concatenation p || v from the paper, as a fresh path.
 func (p Path) Append(v int) Path {
 	cp := make(Path, len(p), len(p)+1)
@@ -87,41 +95,13 @@ func (p Path) ValidIn(g *Graph) bool {
 // early if fn returns false. Paths through nodes in the avoid set are
 // skipped (src and dst must not be in avoid).
 func (g *Graph) AllPaths(src, dst int, avoid nodeset.Set, fn func(p Path) bool) {
-	if !g.HasNode(src) || !g.HasNode(dst) || avoid.Contains(src) || avoid.Contains(dst) {
-		return
-	}
-	cur := Path{src}
-	onPath := nodeset.Of(src) // exclusively owned: mutated in place below
-	var rec func(v int) bool
-	rec = func(v int) bool {
-		if v == dst {
-			return fn(cur)
-		}
-		cont := true
-		g.Neighbors(v).ForEach(func(w int) bool {
-			if onPath.Contains(w) || avoid.Contains(w) {
-				return true
-			}
-			cur = append(cur, w)
-			onPath.MutateAdd(w)
-			cont = rec(w)
-			onPath.MutateRemove(w)
-			cur = cur[:len(cur)-1]
-			return cont
-		})
-		return cont
-	}
-	rec(src)
+	g.AllPathsBounded(src, dst, avoid, 0, fn)
 }
 
 // AllPathsBounded is AllPaths restricted to paths of at most maxNodes
 // nodes (0 means unbounded). The depth bound prunes the search itself, so
 // the cost is that of the bounded path space, not the full one.
 func (g *Graph) AllPathsBounded(src, dst int, avoid nodeset.Set, maxNodes int, fn func(p Path) bool) {
-	if maxNodes <= 0 {
-		g.AllPaths(src, dst, avoid, fn)
-		return
-	}
 	if !g.HasNode(src) || !g.HasNode(dst) || avoid.Contains(src) || avoid.Contains(dst) {
 		return
 	}
@@ -132,7 +112,7 @@ func (g *Graph) AllPathsBounded(src, dst int, avoid nodeset.Set, maxNodes int, f
 		if v == dst {
 			return fn(cur)
 		}
-		if len(cur) >= maxNodes {
+		if maxNodes > 0 && len(cur) >= maxNodes {
 			return true // no room left to reach dst
 		}
 		cont := true

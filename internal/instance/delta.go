@@ -43,12 +43,6 @@ type Delta struct {
 	RemoveNodes []int    `json:"remove_nodes,omitempty"`
 }
 
-// IsZero reports whether the delta carries no edits.
-func (d Delta) IsZero() bool {
-	return len(d.AddNodes) == 0 && len(d.AddEdges) == 0 &&
-		len(d.RemoveEdges) == 0 && len(d.RemoveNodes) == 0
-}
-
 // CanonicalString renders the delta in a canonical textual form: each edit
 // class deduplicated and sorted, edges normalized to (min, max). Two deltas
 // render equal strings iff they describe the same edit batch, which makes

@@ -1,7 +1,7 @@
 package instance
 
-// LocalKnowledgeBuilt reports whether in has built its full Z_v map yet.
-func LocalKnowledgeBuilt(in *Instance) bool { return in.lazy.local != nil }
+// LocalKnowledgeBuilt reports whether in has built every node's Z_v yet.
+func LocalKnowledgeBuilt(in *Instance) bool { return LocalStructuresBuilt(in) == in.G.NumNodes() }
 
 // LocalStructuresBuilt reports how many nodes' Z_v LocalStructure has built.
 func LocalStructuresBuilt(in *Instance) int {

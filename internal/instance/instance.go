@@ -35,12 +35,10 @@ type Instance struct {
 // read V(γ(v)) and 𝒵 directly), and the canonical key. It lives behind a
 // pointer so Instance stays copy-safe and copies share it.
 type lazy struct {
-	localMu   sync.Mutex
-	localOf   map[int]adversary.Restricted // Z_v, one node at a time
-	localOnce sync.Once
-	local     adversary.LocalKnowledge
-	keyOnce   sync.Once
-	key       string
+	localMu sync.Mutex
+	localOf adversary.LocalKnowledge // Z_v, one node at a time
+	keyOnce sync.Once
+	key     string
 }
 
 // Validation errors returned by New.
@@ -119,18 +117,24 @@ func (in *Instance) LocalStructure(v int) adversary.Restricted {
 		return adversary.Identity()
 	}
 	if l.localOf == nil {
-		l.localOf = make(map[int]adversary.Restricted)
+		l.localOf = make(adversary.LocalKnowledge)
 	}
 	r := in.Gamma.LocalStructure(in.Z, v)
 	l.localOf[v] = r
 	return r
 }
 
-// LocalKnowledge returns the full node → Z_v map, built on first use.
-// Callers must not modify it.
+// LocalKnowledge returns the full node → Z_v map: LocalStructure's memo,
+// once it holds every node. Once complete the memo is never written again,
+// so callers may read it unlocked; they must not modify it.
 func (in *Instance) LocalKnowledge() adversary.LocalKnowledge {
-	in.lazy.localOnce.Do(func() { in.lazy.local = in.Gamma.AllLocalStructures(in.Z) })
-	return in.lazy.local
+	in.G.Nodes().ForEach(func(v int) bool {
+		in.LocalStructure(v)
+		return true
+	})
+	in.lazy.localMu.Lock()
+	defer in.lazy.localMu.Unlock()
+	return in.lazy.localOf
 }
 
 // Derived returns the instance-scoped singleton registered under key,

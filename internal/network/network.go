@@ -34,8 +34,10 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 
 	"rmt/internal/graph"
+	"rmt/internal/nodeset"
 )
 
 // Value is an element of the message space X: the payload the dealer wants
@@ -286,6 +288,21 @@ type Result struct {
 func (r *Result) DecisionOf(v int) (Value, bool) {
 	val, ok := r.Decisions[v]
 	return val, ok
+}
+
+// UnsafeDeciders is the safety oracle every protocol is held to (Theorem 4
+// for RMT): it returns, in ascending order, each node outside corrupt that
+// decided a value other than xD. Deciding nothing is always safe — safety,
+// not liveness, is on trial.
+func (r *Result) UnsafeDeciders(corrupt nodeset.Set, xD Value) []int {
+	var out []int
+	for v, got := range r.Decisions {
+		if got != xD && !corrupt.Contains(v) {
+			out = append(out, v)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Disagreement compares two recorded runs of one deterministic

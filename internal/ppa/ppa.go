@@ -65,7 +65,7 @@ func (r *Receiver) Round(_ int, inbox []network.Message, _ network.Outbox) bool 
 			continue
 		}
 		trail := vm.P
-		if len(trail) == 0 || trail.Contains(r.id) || trail.Tail() != m.From {
+		if !trail.Admissible(r.id, m.From) {
 			continue // forged trail
 		}
 		if trail.Head() != r.dealer {
@@ -110,10 +110,10 @@ func (r *Receiver) certifies(paths []graph.Path) bool {
 // Decision implements network.Process.
 func (r *Receiver) Decision() (network.Value, bool) { return r.value, r.decided }
 
-// relay forwards value-trail messages with the Protocol-1 admission rule.
-// PPA relays are RMT-PKA relays minus the knowledge announcements; reusing
-// core.Relay directly would also announce type-2 info, so PPA has its own
-// lean relay.
+// relay forwards value-trail messages through RMT-PKA's relay step
+// (core.Relayed). PPA relays are RMT-PKA relays minus the knowledge
+// announcements and the type-2 relaying; reusing core.Relay directly would
+// also announce and relay type-2 info, so PPA has its own lean relay.
 type relay struct {
 	id        int
 	neighbors nodeset.Set
@@ -125,14 +125,13 @@ func (r *relay) Init(network.Outbox) {}
 // Round implements network.Process.
 func (r *relay) Round(_ int, inbox []network.Message, out network.Outbox) bool {
 	for _, m := range inbox {
-		vm, ok := m.Payload.(core.ValueMsg)
+		if _, ok := m.Payload.(core.ValueMsg); !ok {
+			continue
+		}
+		next, ok := core.Relayed(r.id, m)
 		if !ok {
 			continue
 		}
-		if len(vm.P) == 0 || vm.P.Contains(r.id) || vm.P.Tail() != m.From {
-			continue
-		}
-		next := core.ValueMsg{X: vm.X, P: vm.P.Append(r.id)}
 		r.neighbors.ForEach(func(u int) bool {
 			out(u, next)
 			return true

@@ -81,9 +81,6 @@ type Options struct {
 	Corrupt map[int]network.Process
 	// Tracers are extra run observers (see network.Tracer).
 	Tracers []network.Tracer
-	// Churn schedules mid-run topology edits (see network.ChurnEvent).
-	// Supported by the in-process engines; the wire engine rejects it.
-	Churn []network.ChurnEvent
 	// Blueprint is the pure-data run recipe required by engines that
 	// execute players in other processes (the wire engine); Run fills in
 	// the protocol name and dealer value when left empty. In-process

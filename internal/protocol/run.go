@@ -43,7 +43,6 @@ func Run(p Protocol, in *instance.Instance, xD network.Value, opts Options) (*ne
 		RecordTranscript: opts.RecordTranscript,
 		MaxRounds:        opts.MaxRounds,
 		Tracers:          opts.Tracers,
-		Churn:            opts.Churn,
 		Context:          opts.Context,
 	}
 	if opts.Blueprint != nil {

@@ -104,8 +104,9 @@ type spec struct {
 	corrupt   map[int]network.Process
 	churn     []network.ChurnEvent
 	maxRounds int
-	// toEnd runs to quiescence or maxRounds; otherwise the run stops as
-	// soon as the receiver decides.
+	// toEnd runs to quiescence or maxRounds; otherwise a protocol in which
+	// only the receiver decides stops as soon as it has, as protocol.Run
+	// stops it.
 	toEnd bool
 	// record adds a transcript and a countTracer, for the agreement and
 	// reconciliation checks; tracer is one more observer.
@@ -148,7 +149,7 @@ func run(p protocol.Protocol, in *instance.Instance, s spec) (outcome, error) {
 		MaxRounds:        s.maxRounds,
 		RecordTranscript: s.record,
 	}
-	if !s.toEnd {
+	if !s.toEnd && !p.Caps().AllDecide {
 		cfg.StopEarly = func(d map[int]network.Value) bool {
 			_, ok := d[in.Receiver]
 			return ok
@@ -327,9 +328,9 @@ func safetyZoo(t *testing.T, p protocol.Protocol, cfg Config) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, ok := o.res.DecisionOf(in.Receiver); ok && got != "real" {
-					t.Errorf("fixture %d, strategy %s, corrupt %v: decided %q — SAFETY VIOLATION",
-						i, name, m, got)
+				for _, v := range o.res.UnsafeDeciders(m, "real") {
+					t.Errorf("fixture %d, strategy %s, corrupt %v: node %d decided %q — SAFETY VIOLATION",
+						i, name, m, v, o.res.Decisions[v])
 				}
 			}
 		}
@@ -576,9 +577,9 @@ func scheduleSafety(t *testing.T, p protocol.Protocol, cfg Config) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, ok := o.res.DecisionOf(in.Receiver); ok && got != "real" {
-						t.Errorf("fixture %d, schedule %s seed %d, corrupt %v: decided %q — SAFETY VIOLATION",
-							i, name, seed, m, got)
+					for _, v := range o.res.UnsafeDeciders(m, "real") {
+						t.Errorf("fixture %d, schedule %s seed %d, corrupt %v: node %d decided %q — SAFETY VIOLATION",
+							i, name, seed, m, v, o.res.Decisions[v])
 					}
 				}
 			}

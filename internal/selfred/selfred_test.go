@@ -6,7 +6,6 @@ import (
 
 	"rmt/internal/adversary"
 	"rmt/internal/benchdef"
-	"rmt/internal/byzantine"
 	"rmt/internal/gen"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
@@ -186,7 +185,7 @@ func TestDecisionProtocolEquivalence(t *testing.T) {
 			for _, attack := range []string{"silent", "wrong-value"} {
 				var corrupt map[int]network.Process
 				if attack == "silent" {
-					corrupt = byzantine.SilentProcesses(tset)
+					corrupt = protocol.Silence(tset)
 				} else {
 					corrupt = zcpa.WrongValueProcesses(in, tset, "forged")
 				}
@@ -197,7 +196,7 @@ func TestDecisionProtocolEquivalence(t *testing.T) {
 				pi := &PiDecider{LK: in.LocalKnowledge()}
 				// Fresh corrupt processes: they are stateful.
 				if attack == "silent" {
-					corrupt = byzantine.SilentProcesses(tset)
+					corrupt = protocol.Silence(tset)
 				} else {
 					corrupt = zcpa.WrongValueProcesses(in, tset, "forged")
 				}

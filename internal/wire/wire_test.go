@@ -159,12 +159,18 @@ func TestWireRejectsScheduler(t *testing.T) {
 
 func TestWireRejectsChurn(t *testing.T) {
 	in := mustFixture(t, feasibility.TriplePath, gen.AdHoc)
-	opts := protocol.Options{
+	procs, err := core.Proto{}.Assemble(in, "x", protocol.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = network.Run(network.Config{
+		Graph:     in.G,
+		Processes: procs,
 		Engine:    Engine,
 		Churn:     []network.ChurnEvent{{Round: 2, RemoveEdges: [][2]int{{0, 1}}}},
-		Blueprint: &network.Blueprint{Instance: specText(in, gen.AdHoc)},
-	}
-	if _, err := protocol.RunByName("pka", in, "x", opts); err == nil || !strings.Contains(err.Error(), "churn") {
+		Blueprint: &network.Blueprint{Instance: specText(in, gen.AdHoc), Protocol: "pka", Value: "x"},
+	})
+	if err == nil || !strings.Contains(err.Error(), "churn") {
 		t.Fatalf("err = %v, want churn rejection", err)
 	}
 }

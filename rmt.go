@@ -331,7 +331,7 @@ func ResilientZCPA(in *Instance) (bool, error) { return protocol.Resilient(zcpa.
 
 // SilentCorruption corrupts every node of t with the silent (blocking)
 // strategy — the worst case for liveness against safe protocols.
-func SilentCorruption(t Set) map[int]Process { return byzantine.SilentProcesses(t) }
+func SilentCorruption(t Set) map[int]Process { return protocol.Silence(t) }
 
 // AttackStrategies returns the names of every registered Byzantine attack
 // strategy, sorted — the keys usable with NewAttack and rmtsim's -attack.
