@@ -150,12 +150,15 @@ fleetsmoke:
 	$(GO) run ./cmd/rmtload -fleet -smoke
 
 # Short coverage-guided fuzz smokes, one per native fuzz target: the text
-# parsers (instance spec, adversary structure, node set, edge list), every
+# parsers (instance spec, adversary structure, node set, edge list — the
+# last against the field-at-a-time reference parser), every
 # cut condition on the kernel against its reference (one decoded byte picks
 # Definitions 3 and 7 — verdicts, witnesses, completeness and both
 # verifiers —, Definition 10, PPA's pair cut, or the adversary cover over
 # decoded claims), delta application (Validate and Apply agree, and every
 # applied delta keys like a fresh build of the edited tuple), the
+# word-level key writer and the indexed Z_v on decoded tuples (dense or
+# spread IDs, every level) against the reference text and restriction, the
 # engine's run state (every inbox in sender-then-key order under every
 # schedule, metrics that reconcile, and a run on spread IDs equal by rank
 # to the run on IDs 0..n-1), and rmtd's /v1/run bodies (every answer a 200
@@ -167,6 +170,7 @@ fuzzsmoke:
 	$(GO) test ./internal/graph/ -run=^$$ -fuzz=FuzzParseEdgeList -fuzztime=10s
 	$(GO) test ./internal/cutsearch/ -run=^$$ -fuzz=FuzzCutSearchMatchesReference -fuzztime=10s
 	$(GO) test ./internal/instance/ -run=^$$ -fuzz=FuzzApplyDelta -fuzztime=10s
+	$(GO) test ./internal/instance/ -run=^$$ -fuzz=FuzzCanonicalKeyMatchesReference -fuzztime=10s
 	$(GO) test ./internal/network/ -run=^$$ -fuzz=FuzzRunStateOrder -fuzztime=10s
 	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzRunRequest -fuzztime=10s
 

@@ -11,8 +11,13 @@ package rmt
 // per-edge heap churn.
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
+	"time"
 
 	"rmt/internal/adversary"
 	"rmt/internal/benchdef"
@@ -26,21 +31,28 @@ import (
 // warm — one shared instance, whose run-state pool and memo caches the
 // first runs fill — and cold — a fresh pb.Instance() per run, the build
 // included, which is what /v1/run and every new sweep instance pay.
-// Budgets sit about a quarter above the counts measured when protocol runs
-// moved onto the sender tally, the one-pass loss sweeps and the one-pass
-// G_M; a per-message or per-recipient allocation costs hundreds more on
-// the Large rows.
+// Warm budgets sit about a quarter above the counts measured when protocol
+// runs moved onto the sender tally, the one-pass loss sweeps and the
+// one-pass G_M; a per-message or per-recipient allocation costs hundreds
+// more on the Large rows. Cold budgets sit about a quarter above the counts
+// measured when the instance layer moved onto node-ordered rows,
+// slab-built views and an indexed Z_v, per row before → after: PKARun
+// 384 → 238, PKARunLarge 7,590 → 4,788, ZCPARun 78 → 49, ZCPARunLarge
+// 2,247 → 263, PPARun 119 → 85, BroadcastRun 78 → 49, MBRBRun 126 → 65,
+// MBRBRunLarge 2,783 → 239, SMTRun 134 → 93, SMTRunLarge 657 → 432; a
+// table, row copy or set per node or edge costs hundreds more on the Large
+// rows.
 var protocolAllocBudget = map[string]struct{ warm, cold float64 }{
-	"PKARun":       {42, 485},
-	"PKARunLarge":  {55, 9490},
-	"ZCPARun":      {24, 98},
-	"ZCPARunLarge": {285, 2810},
-	"PPARun":       {88, 150},
-	"BroadcastRun": {24, 98},
-	"MBRBRun":      {58, 160},
-	"MBRBRunLarge": {380, 3585},
-	"SMTRun":       {92, 168},
-	"SMTRunLarge":  {515, 820},
+	"PKARun":       {42, 300},
+	"PKARunLarge":  {55, 6000},
+	"ZCPARun":      {24, 60},
+	"ZCPARunLarge": {285, 330},
+	"PPARun":       {88, 105},
+	"BroadcastRun": {24, 60},
+	"MBRBRun":      {58, 80},
+	"MBRBRunLarge": {380, 300},
+	"SMTRun":       {92, 115},
+	"SMTRunLarge":  {515, 540},
 }
 
 func TestProtocolAllocBudget(t *testing.T) {
@@ -131,17 +143,17 @@ func TestCutSearchAllocBudget(t *testing.T) {
 // cache lookup: parse the edge list, build the instance with its views at
 // one knowledge level, and hash it with CanonicalKey. The fixture is a
 // seeded G(14, 0.4) with singleton corruption on the relays. Counted when
-// the instance layer moved onto words (views on shared rows, the key
-// streamed by appends, Z_v left to first use), per level: adhoc
-// 1,061 → 174, radius1 1,139 → 275, radius2 1,522 → 249, radius3
-// 1,565 → 230, full 793 → 118. The budgets leave about a quarter of
-// slack and stay under half the per-edge, per-node counts they replaced.
+// the instance layer moved onto node-ordered rows, slab-built views, a
+// word-level key writer and a pooled hash, per level before → after: adhoc
+// 165 → 15, radius1 266 → 16, radius2 240 → 16, radius3 221 → 14, full
+// 109 → 9. The budgets leave about a quarter of slack; one allocation per
+// node or edge would exceed every one of them.
 var instanceBuildAllocBudget = map[gen.Knowledge]float64{
-	gen.AdHoc:         220,
-	gen.Radius1:       345,
-	gen.Radius2:       310,
-	gen.Radius3:       290,
-	gen.FullKnowledge: 150,
+	gen.AdHoc:         19,
+	gen.Radius1:       20,
+	gen.Radius2:       20,
+	gen.Radius3:       18,
+	gen.FullKnowledge: 11,
 }
 
 func TestInstanceBuildAllocBudget(t *testing.T) {
@@ -167,5 +179,129 @@ func TestInstanceBuildAllocBudget(t *testing.T) {
 		if budget := instanceBuildAllocBudget[level]; avg > budget {
 			t.Errorf("%s: parse + build + key allocates %.0f allocs/op, budget %.0f — the instance layer allocates per edge or per node again", level, avg, budget)
 		}
+	}
+}
+
+// bytesPerRun returns the heap bytes one call of fn allocates, averaged
+// over runs calls after a warm-up call. The collector is off and one P
+// runs meanwhile, so sync.Pool hands the engine's run states back on every
+// call: the count is what fn's code allocates, not whether a collection
+// emptied a pool or a call ran on another P's pool.
+func bytesPerRun(runs int, fn func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestInstanceBytesGrowLinearly: doubling an instance's node count at
+// most about doubles what building it allocates, and what a cold PKA run
+// on it allocates — no table per view sized by the largest ID, no scan of
+// all of 𝒵 per node. The families are the lopsided relay chains {1, 1,
+// 196} → {1, 1, 396} ad hoc and four 50-hop → 100-hop chains at radius 2.
+// Before the instance layer kept node-ordered rows, slab-built views and
+// an indexed Z_v, these grew 3.77× and 3.68× (builds) and 3.46× (cold PKA
+// run); after, 2.14×, 2.04× and 2.05×.
+func TestInstanceBytesGrowLinearly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const maxGrowth = 2.2
+	lopsided := func(long int) func() *Instance {
+		return func() *Instance {
+			in, err := benchdef.LopsidedChainInstance([]int{1, 1, long}, gen.AdHoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return in
+		}
+	}
+	chains := func(hops int) func() *Instance {
+		return func() *Instance {
+			in, err := benchdef.ChainInstance(4, hops, gen.Radius2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return in
+		}
+	}
+	coldPKA := func(build func() *Instance) func() *Instance {
+		return func() *Instance {
+			in := build()
+			res, err := RunProtocol(ProtocolPKA, in, "x", nil, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := res.DecisionOf(in.Receiver); !ok {
+				t.Fatal("undecided")
+			}
+			return in
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		small, double func() *Instance
+	}{
+		{"build lopsided 200 → 400 nodes, adhoc", lopsided(196), lopsided(396)},
+		{"build 4 chains 200 → 400 nodes, radius2", chains(50), chains(100)},
+		{"cold PKA run lopsided 200 → 400 nodes, adhoc", coldPKA(lopsided(196)), coldPKA(lopsided(396))},
+	} {
+		small := bytesPerRun(5, func() { tc.small() })
+		double := bytesPerRun(5, func() { tc.double() })
+		if growth := double / small; growth > maxGrowth {
+			t.Errorf("%s: %.0f → %.0f bytes, %.2f× (at most %.1f×)", tc.name, small, double, growth, maxGrowth)
+		}
+		t.Logf("%s: %.0f → %.0f bytes, %.2f×", tc.name, small, double, double/small)
+	}
+}
+
+// TestSparseHubBuildCost: a 24-node body whose hub is node 2^20 —
+// 20 leaves of the hub plus 0-2 2-1, D = 0, R = 1 — costs what its size
+// says, not its largest ID. Parse, build and CanonicalKey must allocate
+// under 16 MB at adhoc and at full; with a table of MaxID+1 rows per view
+// they allocated 636 MB at adhoc. The time taken is logged, not bounded:
+// bytes are deterministic, wall-clock time on a shared machine is not.
+func TestSparseHubBuildCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var b strings.Builder
+	for leaf := 3; leaf < 23; leaf++ {
+		fmt.Fprintf(&b, "%d-%d ", leaf, graph.MaxNodeID)
+	}
+	b.WriteString("0-2 2-1")
+	edges := b.String()
+	for _, level := range []gen.Knowledge{gen.AdHoc, gen.FullKnowledge} {
+		run := func() {
+			g, err := graph.ParseEdgeList(edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			z, err := cliutil.ParseStructure("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := gen.Build(g, z, level, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(in.CanonicalKey()) != 64 {
+				t.Fatal("malformed key")
+			}
+		}
+		bytes := bytesPerRun(3, run)
+		start := time.Now()
+		run()
+		elapsed := time.Since(start)
+		if bytes > 16<<20 {
+			t.Errorf("%s: parse + build + key of the hub body allocated %.1f MB (at most 16 MB)", level, bytes/(1<<20))
+		}
+		t.Logf("%s: parse + build + key of the hub body: %v, %.2f MB", level, elapsed, bytes/(1<<20))
 	}
 }

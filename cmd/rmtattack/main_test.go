@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -55,9 +56,11 @@ func TestExitCodes(t *testing.T) {
 		want int
 	}{
 		{[]string{"-trials", "1", "-protocols", "pka", "-strategies", "value-flip", "-engines", "lockstep"}, 0},
-		// A silent adversary never fools the gullible canary, so Report.Err
-		// fails the sweep for a toothless oracle.
-		{[]string{"-trials", "1", "-protocols", "pka", "-strategies", "silent", "-engines", "lockstep"}, 1},
+		// A sweep narrowed to the silent adversary still runs each canary
+		// under the strategy that fools it, so the oracle keeps its teeth.
+		{[]string{"-trials", "1", "-protocols", "pka", "-strategies", "silent", "-engines", "lockstep"}, 0},
+		// A sweep that cannot write its trace fails without being misused.
+		{[]string{"-trials", "1", "-protocols", "pka", "-engines", "lockstep", "-out", filepath.Join(t.TempDir(), "missing", "out.jsonl")}, 1},
 		{[]string{"-nope"}, 2},
 		{[]string{"-engines", "nope"}, 2},
 		{[]string{"-strategies", "nope"}, 2},

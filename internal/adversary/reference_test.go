@@ -20,6 +20,30 @@ func refRestrict(z Structure, a nodeset.Set) Structure {
 	return Structure{maximal: reduceToAntichainOwned(restricted)}
 }
 
+// refRestrictScan is Restrict as it scanned every maximal set of z for
+// each domain, in a slice reserved for all of them: the z itself when every
+// set lies inside A, else the intersections of the sets that meet A.
+func refRestrictScan(z Structure, a nodeset.Set) Structure {
+	zm := z.antichain()
+	inside := true
+	for _, m := range zm {
+		if !m.SubsetOf(a) {
+			inside = false
+			break
+		}
+	}
+	if inside {
+		return Structure{maximal: zm}
+	}
+	restricted := make([]nodeset.Set, 0, len(zm))
+	for _, m := range zm {
+		if m.Intersects(a) {
+			restricted = append(restricted, m.Intersect(a))
+		}
+	}
+	return Structure{maximal: reduceToAntichainOwned(restricted)}
+}
+
 // refSetString, refStructureString and refRestrictedString are the
 // Builder- and Sprintf-based renderers AppendString replaced.
 func refSetString(s nodeset.Set) string {
@@ -67,7 +91,8 @@ func randomSpreadSubset(r *rand.Rand, span int, p float64) nodeset.Set {
 // TestRestrictMatchesReference: over seeded random structures (the zero
 // value, the trivial structure, and random antichains over dense and
 // multi-word universes) and random domains A (empty, disjoint, partial,
-// covering), Restrict equals the intersect-everything reference, and the
+// covering), Restrict and one Index reused across the trial's domains
+// equal the intersect-everything and scan-every-set references, and the
 // restricted value renders exactly as the reference renderers do.
 func TestRestrictMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
@@ -95,8 +120,14 @@ func TestRestrictMatchesReference(t *testing.T) {
 			a = randomSpreadSubset(r, span, 0.2+0.6*r.Float64())
 		}
 		got, want := z.Restrict(a), refRestrict(z, a)
-		if !got.Equal(want) {
+		if !got.Equal(want) || !got.Equal(refRestrictScan(z, a)) {
 			t.Fatalf("trial %d: %v restricted to %v = %v, reference %v", trial, z, a, got, want)
+		}
+		ix := NewIndex(z)
+		for _, d := range []nodeset.Set{a, randomSpreadSubset(r, span, 0.3), z.Ground(), nodeset.Empty(), a} {
+			if got := ix.RestrictTo(d); !got.Equal(Restricted{Domain: d, Structure: refRestrict(z, d)}) {
+				t.Fatalf("trial %d: indexed %v restricted to %v = %v, reference %v", trial, z, d, got, refRestrict(z, d))
+			}
 		}
 		rz := z.RestrictTo(a)
 		if got, want := rz.String(), refRestrictedString(rz); got != want {

@@ -17,7 +17,8 @@
 package adversary
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"rmt/internal/nodeset"
 )
@@ -89,7 +90,9 @@ func reduceToAntichainOwned(sets []nodeset.Set) []nodeset.Set {
 	if len(sets) == 0 {
 		return []nodeset.Set{nodeset.Empty()}
 	}
-	sort.Slice(sets, func(i, j int) bool { return sets[i].Compare(sets[j]) > 0 })
+	// Compare is a total order that ties only equal sets, so any sort gives
+	// the same sequence.
+	slices.SortFunc(sets, func(a, b nodeset.Set) int { return b.Compare(a) })
 	max := sets[:0]
 	for _, s := range sets {
 		if len(max) > 0 && s.Equal(max[len(max)-1]) {
@@ -193,7 +196,8 @@ func (z Structure) WithSet(s nodeset.Set) Structure {
 // shares its antichain. Otherwise only the maximal sets that meet A are
 // intersected: a set disjoint from A contributes ∅, which any non-empty
 // intersection dominates, and the reduction still yields {∅} when no set
-// meets A.
+// meets A. The result holds exactly the sets that meet A; an Index finds
+// them without a scan of every maximal set.
 func (z Structure) Restrict(a nodeset.Set) Structure {
 	zm := z.antichain()
 	inside := true
@@ -206,19 +210,129 @@ func (z Structure) Restrict(a nodeset.Set) Structure {
 	if inside {
 		return Structure{maximal: zm}
 	}
-	restricted := make([]nodeset.Set, 0, len(zm))
+	n := 0
 	for _, m := range zm {
 		if m.Intersects(a) {
-			restricted = append(restricted, m.Intersect(a))
+			n++
 		}
 	}
-	return Structure{maximal: reduceToAntichainOwned(restricted)}
+	meet := make([]nodeset.Set, 0, n)
+	for _, m := range zm {
+		if m.Intersects(a) {
+			meet = append(meet, m)
+		}
+	}
+	return restrictMeeting(meet, a)
+}
+
+// restrictMeeting returns the restriction to a of the structure whose
+// maximal sets meeting a are meet, which it owns: each set becomes its
+// intersection with a — the set itself, shared, when it lies inside a —
+// and the antichain is reduced in place.
+func restrictMeeting(meet []nodeset.Set, a nodeset.Set) Structure {
+	if len(meet) == 0 {
+		return Structure{}
+	}
+	for i, m := range meet {
+		if !m.SubsetOf(a) {
+			meet[i] = m.Intersect(a)
+		}
+	}
+	return Structure{maximal: reduceToAntichainOwned(meet)}
 }
 
 // RestrictTo returns the restriction as a Restricted value carrying its
 // domain, ready for the ⊕ operation.
 func (z Structure) RestrictTo(a nodeset.Set) Restricted {
 	return Restricted{Domain: a, Structure: z.Restrict(a)}
+}
+
+// Index maps every node to the maximal sets of a structure that contain
+// it, so a restriction to a small domain — a player's view — visits only
+// the sets that meet it instead of scanning all of 𝒵. An Index reuses a
+// scratch across calls, so it is not safe for concurrent use.
+type Index struct {
+	z      Structure
+	ground nodeset.Set
+	nodes  []int32 // the ground's nodes, in increasing ID order
+	start  []int32 // node nodes[i] lies in sets[start[i]:start[i+1]]
+	sets   []int32 // positions in z.Maximal()
+	mark   []uint32
+	epoch  uint32
+	meet   []int32
+}
+
+// NewIndex builds the index of z in O(Σ|M|) over its maximal sets M.
+func NewIndex(z Structure) *Index {
+	zm := z.antichain()
+	ix := &Index{z: z, ground: z.Ground(), mark: make([]uint32, len(zm))}
+	ix.nodes = make([]int32, 0, ix.ground.Len())
+	ix.ground.ForEach(func(v int) bool {
+		ix.nodes = append(ix.nodes, int32(v))
+		return true
+	})
+	ix.start = make([]int32, len(ix.nodes)+1)
+	for _, m := range zm {
+		m.ForEach(func(v int) bool {
+			ix.start[ix.rank(v)+1]++
+			return true
+		})
+	}
+	for i := range ix.nodes {
+		ix.start[i+1] += ix.start[i]
+	}
+	ix.sets = make([]int32, ix.start[len(ix.nodes)])
+	fill := slices.Clone(ix.start[:len(ix.nodes)])
+	for j, m := range zm {
+		m.ForEach(func(v int) bool {
+			r := ix.rank(v)
+			ix.sets[fill[r]] = int32(j)
+			fill[r]++
+			return true
+		})
+	}
+	return ix
+}
+
+// rank returns the position of the ground node v in ix.nodes.
+func (ix *Index) rank(v int) int {
+	if uint(v) < uint(len(ix.nodes)) && int(ix.nodes[v]) == v {
+		return v
+	}
+	i, _ := slices.BinarySearch(ix.nodes, int32(v))
+	return i
+}
+
+// RestrictTo returns z.RestrictTo(a), reading only the maximal sets that
+// contain a node of a: Σ over a's nodes of the sets each lies in, rather
+// than every maximal set. Equal inputs give equal results to
+// Structure.RestrictTo.
+func (ix *Index) RestrictTo(a nodeset.Set) Restricted {
+	if ix.ground.SubsetOf(a) {
+		return Restricted{Domain: a, Structure: Structure{maximal: ix.z.antichain()}}
+	}
+	if ix.epoch++; ix.epoch == 0 {
+		clear(ix.mark)
+		ix.epoch = 1
+	}
+	ix.meet = ix.meet[:0]
+	for w := 0; w < min(a.Width(), ix.ground.Width()); w++ {
+		for x := a.Word(w) & ix.ground.Word(w); x != 0; x &= x - 1 {
+			r := ix.rank(w*64 + bits.TrailingZeros64(x))
+			for _, j := range ix.sets[ix.start[r]:ix.start[r+1]] {
+				if ix.mark[j] != ix.epoch {
+					ix.mark[j] = ix.epoch
+					ix.meet = append(ix.meet, j)
+				}
+			}
+		}
+	}
+	zm := ix.z.antichain()
+	meet := make([]nodeset.Set, len(ix.meet))
+	for i, j := range ix.meet {
+		meet[i] = zm[j]
+	}
+	return Restricted{Domain: a, Structure: restrictMeeting(meet, a)}
 }
 
 // Members enumerates every member of the family exactly once, in an

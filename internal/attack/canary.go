@@ -186,7 +186,7 @@ var canaries = []struct {
 	// must be caught with and without message loss.
 	suppress bool
 }{
-	{proto: canaryProto{}, fixture: canaryFixture},
+	{proto: canaryProto{}, fixture: canaryFixture, always: byzantine.ValueFlipName},
 	{proto: mbrbCanaryProto{}, fixture: mbrbCanaryFixture, always: byzantine.ReadyForgerName, suppress: true},
 }
 

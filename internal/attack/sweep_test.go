@@ -100,6 +100,33 @@ func TestSweepFlagsCanaryViolation(t *testing.T) {
 	}
 }
 
+// TestNarrowedSweepKeepsCanaryTeeth: a sweep narrowed to a strategy that
+// forges nothing still runs each canary under the one strategy that
+// speaks its rule's message type, so the report passes with every canary
+// flagged instead of failing the teeth check although no protocol
+// violated safety.
+func TestNarrowedSweepKeepsCanaryTeeth(t *testing.T) {
+	rep, err := Sweep(Config{
+		Seed:       1,
+		Trials:     1,
+		Workers:    1,
+		Protocols:  []string{protocol.PKA},
+		Strategies: []string{byzantine.SilentName},
+		Engines:    []network.Engine{network.Lockstep},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatalf("narrowed sweep failed: %v", err)
+	}
+	for _, name := range []string{CanaryName, MBRBCanaryName} {
+		if tally := rep.Canaries[name]; tally.Flagged == 0 {
+			t.Fatalf("%s ran %d times and was never flagged", name, tally.Runs)
+		}
+	}
+}
+
 func TestReportErrRequiresTeeth(t *testing.T) {
 	rep := &Report{Canaries: map[string]CanaryTally{CanaryName: {Runs: 5}}}
 	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "teeth") {

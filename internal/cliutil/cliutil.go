@@ -6,6 +6,7 @@ package cliutil
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,31 +33,57 @@ func parseBoundedID(s string) (int, error) {
 
 // ParseStructure parses an adversary structure written as semicolon-
 // separated corruption sets of comma-separated node IDs, e.g. "1,2;3;4,5".
-// An empty string yields the no-corruption structure.
+// An empty string yields the no-corruption structure. Every ID is read
+// first; then each set is built in place, its words carved from one slab.
 func ParseStructure(s string) (adversary.Structure, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return adversary.Trivial(), nil
 	}
-	var sets []nodeset.Set
-	for _, part := range strings.Split(s, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+	// ids holds every set's members, each set closed by -1.
+	var buf [64]int
+	ids := buf[:0]
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ";")
+		if part = strings.TrimSpace(part); part == "" {
 			continue
 		}
-		set := nodeset.Empty()
-		for _, f := range strings.Split(part, ",") {
-			f = strings.TrimSpace(f)
-			if f == "" {
+		for fields, fmore := part, true; fmore; {
+			var f string
+			f, fields, fmore = strings.Cut(fields, ",")
+			if f = strings.TrimSpace(f); f == "" {
 				continue
 			}
 			id, err := parseBoundedID(f)
 			if err != nil {
 				return adversary.Structure{}, fmt.Errorf("cliutil: bad node %q in structure: %w", f, err)
 			}
-			set = set.Add(id)
+			ids = append(ids, id)
+		}
+		ids = append(ids, -1)
+	}
+	words, n, top := 0, 0, -1
+	for _, id := range ids {
+		if id >= 0 {
+			top = max(top, id)
+			continue
+		}
+		words += (top + 64) / 64
+		n++
+		top = -1
+	}
+	sl := nodeset.NewSlab(words)
+	sets := make([]nodeset.Set, 0, n)
+	for len(ids) > 0 {
+		end := slices.Index(ids, -1)
+		top := slices.Max(ids[:end+1])
+		set := sl.Reserve((top + 64) / 64)
+		for _, id := range ids[:end] {
+			set.MutateAdd(id)
 		}
 		sets = append(sets, set)
+		ids = ids[end+1:]
 	}
 	return adversary.FromSets(sets...), nil
 }

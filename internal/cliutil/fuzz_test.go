@@ -1,9 +1,47 @@
 package cliutil
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
 
-// FuzzParseStructure checks the structure parser never panics and accepted
-// inputs round-trip through FormatStructure.
+	"rmt/internal/adversary"
+	"rmt/internal/nodeset"
+)
+
+// refParseStructure is ParseStructure as it grew each set one Add (one
+// copy of the set) per ID.
+func refParseStructure(s string) (adversary.Structure, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return adversary.Trivial(), nil
+	}
+	var sets []nodeset.Set
+	for _, part := range strings.Split(s, ";") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		set := nodeset.Empty()
+		for _, f := range strings.Split(part, ",") {
+			f = strings.TrimSpace(f)
+			if f == "" {
+				continue
+			}
+			id, err := parseBoundedID(f)
+			if err != nil {
+				return adversary.Structure{}, fmt.Errorf("cliutil: bad node %q in structure: %w", f, err)
+			}
+			set = set.Add(id)
+		}
+		sets = append(sets, set)
+	}
+	return adversary.FromSets(sets...), nil
+}
+
+// FuzzParseStructure checks the structure parser never panics, agrees
+// with the set-at-a-time reference — the same structure or the same error
+// text — and that accepted inputs round-trip through FormatStructure.
 func FuzzParseStructure(f *testing.F) {
 	for _, seed := range []string{
 		"1,2;3",
@@ -15,13 +53,22 @@ func FuzzParseStructure(f *testing.F) {
 		"-1",
 		"1,x",
 		"9999999",
+		"1048576,3;70,2,,;, ;200",
+		" ; , ;",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		z, err := ParseStructure(s)
+		ref, refErr := refParseStructure(s)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("%q: error %v, reference %v", s, err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !z.Equal(ref) {
+			t.Fatalf("%q: %v, reference %v", s, z, ref)
 		}
 		back, err := ParseStructure(FormatStructure(z))
 		if err != nil {

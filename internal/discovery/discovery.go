@@ -164,14 +164,16 @@ func (o *Observer) Reconstruct() *Result {
 // observer's reconstruction. Corrupted nodes run the supplied processes
 // (the observer itself cannot be corrupted).
 func Run(g *graph.Graph, z adversary.Structure, gamma view.Function, observer int, corrupt map[int]network.Process, engine network.Engine) (*Result, error) {
-	obs := NewObserver(observer, gamma.Of(observer), gamma.LocalStructure(z, observer))
+	// Every node's Z_v goes through one index of 𝒵.
+	ix := adversary.NewIndex(z)
+	obs := NewObserver(observer, gamma.Of(observer), ix.RestrictTo(gamma.NodesOf(observer)))
 	procs := make(map[int]network.Process, g.NumNodes())
 	g.Nodes().ForEach(func(v int) bool {
 		if v == observer {
 			procs[v] = obs
 			return true
 		}
-		info := core.NodeInfo{Node: v, View: gamma.Of(v), Z: gamma.LocalStructure(z, v)}
+		info := core.NodeInfo{Node: v, View: gamma.Of(v), Z: ix.RestrictTo(gamma.NodesOf(v))}
 		procs[v] = core.NewRelayAt(v, g.Neighbors(v), info)
 		return true
 	})

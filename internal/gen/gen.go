@@ -18,14 +18,14 @@ import (
 
 // Line returns the path graph 0 − 1 − ... − (n−1).
 func Line(n int) *graph.Graph {
-	g := graph.New()
 	if n == 1 {
-		g.AddNode(0)
+		return graph.NewWithNodes(1)
 	}
+	edges := make([][2]int, 0, max(n-1, 0))
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		edges = append(edges, [2]int{i, i + 1})
 	}
-	return g
+	return graph.FromEdges(edges)
 }
 
 // Ring returns the cycle graph on n ≥ 3 nodes.
@@ -58,14 +58,16 @@ func Grid(rows, cols int) *graph.Graph {
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *graph.Graph {
-	g := graph.New()
+	if n == 1 {
+		return graph.NewWithNodes(1)
+	}
+	edges := make([][2]int, 0, max(n*(n-1)/2, 0))
 	for u := 0; u < n; u++ {
-		g.AddNode(u)
 		for v := u + 1; v < n; v++ {
-			g.AddEdge(u, v)
+			edges = append(edges, [2]int{u, v})
 		}
 	}
-	return g
+	return graph.FromEdges(edges)
 }
 
 // DisjointPaths returns a graph with `paths` internally disjoint relay
@@ -75,20 +77,11 @@ func DisjointPaths(paths, hops int) (g *graph.Graph, dealer, receiver int) {
 	if paths < 1 || hops < 1 {
 		panic("gen: DisjointPaths needs paths ≥ 1 and hops ≥ 1")
 	}
-	g = graph.New()
-	dealer = 0
-	receiver = paths*hops + 1
-	id := 1
-	for p := 0; p < paths; p++ {
-		prev := dealer
-		for h := 0; h < hops; h++ {
-			g.AddEdge(prev, id)
-			prev = id
-			id++
-		}
-		g.AddEdge(prev, receiver)
+	lens := make([]int, paths)
+	for p := range lens {
+		lens[p] = hops
 	}
-	return g, dealer, receiver
+	return DisjointPathsVar(lens)
 }
 
 // DisjointPathsVar generalizes DisjointPaths to chains of varying lengths:
@@ -108,20 +101,20 @@ func DisjointPathsVar(lens []int) (g *graph.Graph, dealer, receiver int) {
 		}
 		total += h
 	}
-	g = graph.New()
 	dealer = 0
 	receiver = total + 1
+	edges := make([][2]int, 0, total+len(lens))
 	id := 1
 	for _, hops := range lens {
 		prev := dealer
 		for h := 0; h < hops; h++ {
-			g.AddEdge(prev, id)
+			edges = append(edges, [2]int{prev, id})
 			prev = id
 			id++
 		}
-		g.AddEdge(prev, receiver)
+		edges = append(edges, [2]int{prev, receiver})
 	}
-	return g, dealer, receiver
+	return graph.FromEdges(edges), dealer, receiver
 }
 
 // Layered returns a layered network: dealer 0, `layers` layers of `width`
@@ -211,12 +204,7 @@ func RandomGNP(r *rand.Rand, n int, p float64) *graph.Graph {
 // Singletons returns the structure whose maximal sets are the singletons of
 // the given nodes.
 func Singletons(nodes nodeset.Set) adversary.Structure {
-	sets := make([]nodeset.Set, 0, nodes.Len())
-	nodes.ForEach(func(v int) bool {
-		sets = append(sets, nodeset.Of(v))
-		return true
-	})
-	return adversary.FromSets(sets...)
+	return adversary.FromSets(nodeset.Singletons(nodes)...)
 }
 
 // Knowledge names a level of topology knowledge for instance construction.

@@ -44,7 +44,7 @@ func (g *Graph) VertexConnectivity(src, dst int) int {
 	}
 	// Menger via max vertex-disjoint paths: unit-capacity node splitting,
 	// implemented as repeated augmenting DFS on the split digraph.
-	n := len(g.adj)
+	n := g.MaxID() + 1
 	// Node v splits into in-node 2v and out-node 2v+1 with capacity edge
 	// 2v -> 2v+1 (capacity 1, except src/dst: infinite, modeled by never
 	// saturating). Edges u-v become 2u+1 -> 2v and 2v+1 -> 2u.

@@ -2,8 +2,10 @@ package graph
 
 import "testing"
 
-// FuzzParseEdgeList checks that the parser never panics and that accepted
-// inputs round-trip through the canonical edge-list rendering.
+// FuzzParseEdgeList checks that the parser never panics, that it agrees
+// with the field-at-a-time reference parser — an Equal graph with one row
+// per node, or the same error text — and that accepted inputs round-trip
+// through the canonical edge-list rendering.
 func FuzzParseEdgeList(f *testing.F) {
 	for _, seed := range []string{
 		"0-1 1-2",
@@ -18,13 +20,24 @@ func FuzzParseEdgeList(f *testing.F) {
 		"-",
 		"0--1",
 		"1-1",
+		"3-1048576 0-2;2-1\t7",
+		"1048577",
+		"+1-2",
+		"é-1",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		g, err := ParseEdgeList(s)
+		ref, refErr := refParseEdgeList(s)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("%q: error %v, reference %v", s, err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if err := sameGraph(g, ref); err != nil {
+			t.Fatalf("%q: %v", s, err)
 		}
 		// Accepted graphs must be well-formed and re-parseable.
 		if g.NumNodes() < 0 || g.NumEdges() < 0 {

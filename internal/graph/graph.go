@@ -1,5 +1,5 @@
 // Package graph implements the undirected-graph substrate for the RMT
-// library: adjacency over dense node IDs, induced subgraphs, graph unions
+// library: adjacency rows kept in node order, induced subgraphs, graph unions
 // (the joint-view operation γ(S) on topologies), connectivity queries,
 // simple-path enumeration between the dealer and the receiver, and
 // vertex-separator (cut) queries and enumeration.
@@ -14,17 +14,26 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
 	"rmt/internal/nodeset"
 )
 
-// Graph is an undirected graph over integer node IDs.
+// Graph is an undirected graph over integer node IDs. It keeps one
+// adjacency row per node, in increasing ID order, so its tables grow with
+// |V| and not with the largest ID; rank finds a node's row.
 type Graph struct {
 	nodes nodeset.Set
-	adj   []nodeset.Set // indexed by node ID; entries for non-nodes are empty
+	rows  []row
+}
+
+// row is one node's adjacency row: the node and N(node).
+type row struct {
+	id  int
+	adj nodeset.Set
 }
 
 // New returns an empty graph.
@@ -34,49 +43,127 @@ func New() *Graph {
 
 // NewWithNodes returns a graph with nodes {0..n-1} and no edges.
 func NewWithNodes(n int) *Graph {
-	g := New()
-	for i := 0; i < n; i++ {
-		g.AddNode(i)
+	n = max(n, 0)
+	rows := make([]row, n)
+	for i := range rows {
+		rows[i].id = i
 	}
-	return g
+	return &Graph{nodes: nodeset.Universe(n), rows: rows}
 }
 
-func (g *Graph) ensure(id int) {
-	if id < 0 {
-		panic("graph: negative node ID")
+// search returns the index of the first row whose node is v or above.
+// slices.BinarySearchFunc does the same, but its comparison closure is
+// not inlined here: Neighbors over a 40-node graph on IDs below 3,000
+// took 2.5× as long with it (go1.24, amd64).
+func (g *Graph) search(v int) int {
+	lo, hi := 0, len(g.rows)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if g.rows[m].id < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	for len(g.adj) <= id {
-		g.adj = append(g.adj, nodeset.Empty())
+	return lo
+}
+
+// rank returns the index of v's row, or -1 when v is not a node. Under
+// IDs 0..n-1 it is v itself; any other ID set pays a binary search.
+func (g *Graph) rank(v int) int {
+	if uint(v) < uint(len(g.rows)) && g.rows[v].id == v {
+		return v
 	}
+	return g.sparseRank(v)
+}
+
+// sparseRank is rank off the dense path, kept apart so that rank inlines
+// into the row loops.
+func (g *Graph) sparseRank(v int) int {
+	if !g.nodes.Contains(v) {
+		return -1
+	}
+	return g.search(v)
 }
 
 // AddNode adds a node with the given ID. Adding an existing node is a no-op.
 func (g *Graph) AddNode(id int) {
+	if id < 0 {
+		panic("graph: negative node ID")
+	}
 	if g.nodes.Contains(id) {
 		return
 	}
-	g.ensure(id)
 	g.nodes = g.nodes.Add(id)
+	g.rows = slices.Insert(g.rows, g.search(id), row{id: id})
+}
+
+// starWords is the slab room a star's node set {v} ∪ leaves takes.
+func starWords(v int, leaves nodeset.Set) int {
+	return max(leaves.Width(), v/wordBits+1)
 }
 
 // NewStar returns the star with center v and the given leaves: nodes
 // {v} ∪ leaves and an edge from v to each leaf. The graph shares leaves as
 // v's row and one {v} row among all leaves (Sets are immutable, as in
 // Clone), so the star costs a constant number of allocations however many
-// leaves it has.
+// leaves it has, and its table holds |leaves|+1 rows.
 func NewStar(v int, leaves nodeset.Set) *Graph {
 	if leaves.Contains(v) {
 		panic("graph: self-loop")
 	}
-	nodes := leaves.Add(v)
-	adj := make([]nodeset.Set, nodes.Max()+1)
-	adj[v] = leaves
-	center := nodeset.Of(v)
-	leaves.ForEach(func(u int) bool {
-		adj[u] = center
-		return true
-	})
-	return &Graph{nodes: nodes, adj: adj}
+	sl := nodeset.NewSlab(starWords(v, leaves) + v/wordBits + 1)
+	g := &Graph{}
+	g.star(&sl, make([]row, leaves.Len()+1), v, leaves, sl.With(nodeset.Set{}, v))
+	return g
+}
+
+// Stars returns the star of every node of g, in increasing ID order:
+// element i equals NewStar(v, N(v)) for the i-th node v. The stars' node
+// sets come from one word slab, their {v} leaf rows from
+// nodeset.Singletons, their tables from one row slab and the graphs
+// themselves from one slab, so the n stars cost a constant number of
+// allocations; each center row is g's own row.
+func (g *Graph) Stars() []*Graph {
+	words, rows := 0, 0
+	for _, r := range g.rows {
+		words += starWords(r.id, r.adj)
+		rows += r.adj.Len() + 1
+	}
+	sl := nodeset.NewSlab(words)
+	rs := make(rowSlab, rows)
+	centers := nodeset.Singletons(g.nodes)
+	stars := make([]Graph, len(g.rows))
+	out := make([]*Graph, len(g.rows))
+	for i, r := range g.rows {
+		stars[i].star(&sl, rs.take(r.adj.Len()+1), r.id, r.adj, centers[i])
+		out[i] = &stars[i]
+	}
+	return out
+}
+
+// star makes g the star with center v over leaves (v ∉ leaves), whose
+// leaves share center = {v} as their row: its node set is carved from sl
+// and its table is rows, which holds |leaves|+1 entries.
+func (g *Graph) star(sl *nodeset.Slab, rows []row, v int, leaves, center nodeset.Set) {
+	g.nodes = sl.With(leaves, v)
+	g.rows = rows
+	i, placed := 0, false
+	for w := 0; w < leaves.Width(); w++ {
+		for x := leaves.Word(w); x != 0; x &= x - 1 {
+			u := w*wordBits + bits.TrailingZeros64(x)
+			if !placed && u > v {
+				rows[i] = row{id: v, adj: leaves}
+				i++
+				placed = true
+			}
+			rows[i] = row{id: u, adj: center}
+			i++
+		}
+	}
+	if !placed {
+		rows[i] = row{id: v, adj: leaves}
+	}
 }
 
 // AddEdge adds the undirected edge {u, v}, adding the endpoints as needed.
@@ -87,8 +174,9 @@ func (g *Graph) AddEdge(u, v int) {
 	}
 	g.AddNode(u)
 	g.AddNode(v)
-	g.adj[u] = g.adj[u].Add(v)
-	g.adj[v] = g.adj[v].Add(u)
+	ru, rv := g.rank(u), g.rank(v)
+	g.rows[ru].adj = g.rows[ru].adj.Add(v)
+	g.rows[rv].adj = g.rows[rv].adj.Add(u)
 }
 
 // RemoveEdge deletes the undirected edge {u, v}. The endpoints remain
@@ -100,22 +188,25 @@ func (g *Graph) RemoveEdge(u, v int) {
 	if !g.HasEdge(u, v) {
 		return
 	}
-	g.adj[u] = g.adj[u].Remove(v)
-	g.adj[v] = g.adj[v].Remove(u)
+	ru, rv := g.rank(u), g.rank(v)
+	g.rows[ru].adj = g.rows[ru].adj.Remove(v)
+	g.rows[rv].adj = g.rows[rv].adj.Remove(u)
 }
 
 // RemoveNode deletes the node and every edge incident to it, in place.
 // Removing an absent node is a no-op. See RemoveEdge for sharing caveats;
 // RemoveNodes is the non-mutating form.
 func (g *Graph) RemoveNode(id int) {
-	if !g.HasNode(id) {
+	r := g.rank(id)
+	if r < 0 {
 		return
 	}
-	g.adj[id].ForEach(func(v int) bool {
-		g.adj[v] = g.adj[v].Remove(id)
+	g.rows[r].adj.ForEach(func(v int) bool {
+		rv := g.rank(v)
+		g.rows[rv].adj = g.rows[rv].adj.Remove(id)
 		return true
 	})
-	g.adj[id] = nodeset.Empty()
+	g.rows = slices.Delete(g.rows, r, r+1)
 	g.nodes = g.nodes.Remove(id)
 }
 
@@ -130,26 +221,20 @@ func (g *Graph) AddPath(ids ...int) {
 func (g *Graph) HasNode(id int) bool { return g.nodes.Contains(id) }
 
 // HasEdge reports whether {u, v} is an edge of g.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.adj) {
-		return false
-	}
-	return g.adj[u].Contains(v)
-}
+func (g *Graph) HasEdge(u, v int) bool { return g.Neighbors(u).Contains(v) }
 
 // Nodes returns the node set of g.
 func (g *Graph) Nodes() nodeset.Set { return g.nodes }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return g.nodes.Len() }
+func (g *Graph) NumNodes() int { return len(g.rows) }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int {
 	total := 0
-	g.nodes.ForEach(func(id int) bool {
-		total += g.adj[id].Len()
-		return true
-	})
+	for _, r := range g.rows {
+		total += r.adj.Len()
+	}
 	return total / 2
 }
 
@@ -158,10 +243,10 @@ func (g *Graph) MaxID() int { return g.nodes.Max() }
 
 // Neighbors returns N(v), the neighborhood of v (not including v).
 func (g *Graph) Neighbors(v int) nodeset.Set {
-	if v < 0 || v >= len(g.adj) {
-		return nodeset.Empty()
+	if r := g.rank(v); r >= 0 {
+		return g.rows[r].adj
 	}
-	return g.adj[v]
+	return nodeset.Empty()
 }
 
 // ClosedNeighborhood returns N(v) ∪ {v}.
@@ -175,23 +260,35 @@ func (g *Graph) Degree(v int) int { return g.Neighbors(v).Len() }
 // Edges returns all edges as ordered pairs (u < v), sorted.
 func (g *Graph) Edges() [][2]int {
 	var out [][2]int
-	g.nodes.ForEach(func(u int) bool {
-		g.adj[u].ForEach(func(v int) bool {
-			if u < v {
-				out = append(out, [2]int{u, v})
+	for _, r := range g.rows {
+		r.adj.ForEach(func(v int) bool {
+			if r.id < v {
+				out = append(out, [2]int{r.id, v})
 			}
 			return true
 		})
-		return true
-	})
+	}
 	return out
 }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	cp := &Graph{nodes: g.nodes, adj: make([]nodeset.Set, len(g.adj))}
-	copy(cp.adj, g.adj) // Sets are immutable values; shallow copy is safe
-	return cp
+	// Sets are immutable values; copying the row headers is enough.
+	return &Graph{nodes: g.nodes, rows: slices.Clone(g.rows)}
+}
+
+// NonEdge returns an edge u-w of h that is not an edge of g — the first
+// in Edges() order — and ok = false when every edge of h is one of g. It
+// tests h's rows in ID order, one word-wise subset test N_h(u) ⊆ N_g(u)
+// each: both graphs are symmetric, so the first row u that fails holds
+// that edge, at w = min(N_h(u) \ N_g(u)).
+func (h *Graph) NonEdge(g *Graph) (u, w int, ok bool) {
+	for _, r := range h.rows {
+		if adj := g.Neighbors(r.id); !r.adj.SubsetOf(adj) {
+			return r.id, r.adj.Minus(adj).Min(), true
+		}
+	}
+	return 0, 0, false
 }
 
 // Equal reports whether g and h have identical node and edge sets.
@@ -199,35 +296,108 @@ func (g *Graph) Equal(h *Graph) bool {
 	if !g.nodes.Equal(h.nodes) {
 		return false
 	}
-	eq := true
-	g.nodes.ForEach(func(id int) bool {
-		if !g.adj[id].Equal(h.Neighbors(id)) {
-			eq = false
+	// Equal node sets give equal row orders.
+	for i, r := range g.rows {
+		if !r.adj.Equal(h.rows[i].adj) {
 			return false
 		}
-		return true
-	})
-	return eq
+	}
+	return true
 }
 
 // InducedSubgraph returns the subgraph induced by keep ∩ V(g): the nodes in
 // keep that exist in g, and every edge of g with both endpoints kept. A row
-// of g that lies inside the kept set is shared rather than copied.
+// of g that lies inside the kept set is shared rather than copied; the
+// others are masked in one word slab.
 func (g *Graph) InducedSubgraph(keep nodeset.Set) *Graph {
 	kept := g.nodes.Intersect(keep)
 	sub := &Graph{nodes: kept}
-	if m := kept.Max(); m >= 0 {
-		sub.adj = make([]nodeset.Set, m+1)
-		kept.ForEach(func(id int) bool {
-			if row := g.adj[id]; row.SubsetOf(kept) {
-				sub.adj[id] = row
-			} else {
-				sub.adj[id] = row.Intersect(kept)
-			}
-			return true
-		})
+	if n := kept.Len(); n > 0 {
+		sl := nodeset.NewSlab(g.inducedWords(kept))
+		sub.rows = make([]row, n)
+		g.induce(&sl, sub.rows, kept)
 	}
 	return sub
+}
+
+// inducedWords is the slab room induce takes for kept: every row of a
+// kept node that leaves kept is masked to it.
+func (g *Graph) inducedWords(kept nodeset.Set) int {
+	words := 0
+	for w := 0; w < kept.Width(); w++ {
+		for x := kept.Word(w); x != 0; x &= x - 1 {
+			adj := g.rows[g.rank(w*wordBits+bits.TrailingZeros64(x))].adj
+			if !adj.SubsetOf(kept) {
+				words += min(adj.Width(), kept.Width())
+			}
+		}
+	}
+	return words
+}
+
+// induce fills rows, one per member of kept ⊆ V(g), with g's rows induced
+// on kept: a row inside kept is shared, any other is masked in sl.
+func (g *Graph) induce(sl *nodeset.Slab, rows []row, kept nodeset.Set) {
+	i := 0
+	for w := 0; w < kept.Width(); w++ {
+		for x := kept.Word(w); x != 0; x &= x - 1 {
+			u := w*wordBits + bits.TrailingZeros64(x)
+			adj := g.rows[g.rank(u)].adj
+			if !adj.SubsetOf(kept) {
+				adj = sl.Intersect(adj, kept)
+			}
+			rows[i] = row{id: u, adj: adj}
+			i++
+		}
+	}
+}
+
+// Balls returns, for every node v of g in increasing ID order, the
+// subgraph of g induced by Ball(v, radius): element i equals
+// g.InducedSubgraph(g.Ball(v, radius)) for the i-th node v, and is g
+// itself when the ball holds every node, as under full knowledge. Each
+// ball grows in one scratch set, once to size the slabs and once to fill
+// them: the other balls' node sets and masked rows come from one word
+// slab, their tables from one row slab and the graphs from one slab, so
+// the n subgraphs cost a constant number of allocations. Rows inside a
+// ball are g's own.
+func (g *Graph) Balls(radius int) []*Graph {
+	var sc ballScratch
+	words, rows := 0, 0
+	for _, r := range g.rows {
+		if ball := sc.grow(g, r.id, radius); !ball.Equal(g.nodes) {
+			words += ball.Width() + g.inducedWords(ball)
+			rows += ball.Len()
+		}
+	}
+	sl := nodeset.NewSlab(words)
+	rs := make(rowSlab, rows)
+	balls := make([]Graph, len(g.rows))
+	out := make([]*Graph, len(g.rows))
+	for i, r := range g.rows {
+		ball := sc.grow(g, r.id, radius)
+		if ball.Equal(g.nodes) {
+			out[i] = g
+			continue
+		}
+		b := &balls[i]
+		b.nodes = sl.Copy(ball)
+		b.rows = rs.take(ball.Len())
+		g.induce(&sl, b.rows, b.nodes)
+		out[i] = b
+	}
+	return out
+}
+
+// rowSlab hands out row tables from one slice allocated up front, as
+// nodeset.Slab does words; each table is capped at its length.
+type rowSlab []row
+
+// take returns the next n rows of the slab.
+func (rs *rowSlab) take(n int) []row {
+	t := (*rs)[:n:n]
+	*rs = (*rs)[n:]
+	return t
 }
 
 // RemoveNodes returns the subgraph induced by V(g) \ drop.
@@ -238,24 +408,16 @@ func (g *Graph) RemoveNodes(drop nodeset.Set) *Graph {
 // Union returns the graph (V(g) ∪ V(h), E(g) ∪ E(h)). This is the topology
 // half of the joint-view operation γ(S) from the paper.
 func (g *Graph) Union(h *Graph) *Graph {
-	u := g.Clone()
-	h.nodes.ForEach(func(id int) bool {
-		u.AddNode(id)
-		return true
-	})
-	h.nodes.ForEach(func(id int) bool {
-		u.adj[id] = u.adj[id].Union(h.adj[id])
-		return true
-	})
-	return u
+	return UnionInduced(g.nodes.Union(h.nodes), []*Graph{g, h})
 }
 
 // UnionInduced returns the union of graphs induced on keep: the nodes of
 // keep that lie in some graph, and every edge of some graph with both
 // endpoints kept. It is the fold of Union over graphs followed by
-// InducedSubgraph(keep), built in one pass over the graphs' rows: each kept
-// row is allocated once and masked in place, and the union itself is never
-// materialized.
+// InducedSubgraph(keep), built in one pass over the graphs' rows: the
+// table holds one row per kept node, and each kept row is carved once, at
+// its final width, from one word slab and masked in place; the union
+// itself is never materialized.
 func UnionInduced(keep nodeset.Set, graphs []*Graph) *Graph {
 	var all nodeset.Set
 	for _, h := range graphs {
@@ -263,25 +425,45 @@ func UnionInduced(keep nodeset.Set, graphs []*Graph) *Graph {
 	}
 	kept := all.Intersect(keep)
 	sub := &Graph{nodes: kept}
-	m := kept.Max()
-	if m < 0 {
+	n := kept.Len()
+	if n == 0 {
 		return sub
 	}
-	sub.adj = make([]nodeset.Set, m+1)
-	for _, h := range graphs {
-		h.nodes.ForEach(func(u int) bool {
-			if kept.Contains(u) {
-				sub.adj[u].MutateUnion(h.adj[u])
-			}
-			return true
-		})
-	}
-	// Every row lies inside all, so masking it to kept drops all \ keep.
-	drop := all.Minus(keep)
+	sub.rows = make([]row, n)
+	i := 0
 	kept.ForEach(func(u int) bool {
-		sub.adj[u].MutateMinus(drop)
+		sub.rows[i].id = u
+		i++
 		return true
 	})
+	// A kept row is as wide as its widest contributing row.
+	width := make([]int, n)
+	words := 0
+	for _, h := range graphs {
+		for _, r := range h.rows {
+			if k := sub.rank(r.id); k >= 0 && r.adj.Width() > width[k] {
+				words += r.adj.Width() - width[k]
+				width[k] = r.adj.Width()
+			}
+		}
+	}
+	sl := nodeset.NewSlab(words)
+	for k := range sub.rows {
+		sub.rows[k].adj = sl.Reserve(width[k])
+	}
+	for _, h := range graphs {
+		for _, r := range h.rows {
+			if k := sub.rank(r.id); k >= 0 {
+				sub.rows[k].adj.MutateUnion(r.adj)
+			}
+		}
+	}
+	// Every row lies inside all, so masking it to kept drops all \ keep.
+	if drop := all.Minus(keep); !drop.IsEmpty() {
+		for k := range sub.rows {
+			sub.rows[k].adj.MutateMinus(drop)
+		}
+	}
 	return sub
 }
 
@@ -296,7 +478,7 @@ func (g *Graph) ComponentOf(v int) nodeset.Set {
 	for len(frontier) > 0 {
 		u := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
-		g.adj[u].ForEach(func(w int) bool {
+		g.Neighbors(u).ForEach(func(w int) bool {
 			if !visited.Contains(w) {
 				visited = visited.Add(w)
 				frontier = append(frontier, w)
@@ -340,7 +522,7 @@ func (g *Graph) IsConnected() bool {
 // non-nodes) map to -1. The result slice is indexed by node ID and has
 // length MaxID()+1.
 func (g *Graph) Distances(src int) []int {
-	dist := make([]int, len(g.adj))
+	dist := make([]int, g.MaxID()+1)
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -352,7 +534,7 @@ func (g *Graph) Distances(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		g.adj[u].ForEach(func(w int) bool {
+		g.Neighbors(u).ForEach(func(w int) bool {
 			if dist[w] == -1 {
 				dist[w] = dist[u] + 1
 				queue = append(queue, w)
@@ -367,25 +549,42 @@ func (g *Graph) Distances(src int) []int {
 // including v itself. It grows the ball one BFS layer at a time: each
 // layer is the union of its predecessor's neighbor rows minus the ball.
 func (g *Graph) Ball(v, radius int) nodeset.Set {
-	if !g.HasNode(v) || radius < 0 {
+	if !g.HasNode(v) {
 		return nodeset.Empty()
 	}
-	ball := nodeset.Of(v)
-	frontier := nodeset.Of(v)
+	var sc ballScratch
+	return sc.grow(g, v, radius)
+}
+
+// ballScratch holds the sets a ball grows in, reused from ball to ball.
+type ballScratch struct{ ball, frontier, next nodeset.Set }
+
+// grow returns the ball of the given radius around node v of g (empty
+// for a negative radius). The result is the scratch's own set: it is
+// overwritten by the next grow.
+func (sc *ballScratch) grow(g *Graph, v, radius int) nodeset.Set {
+	sc.ball.MutateClear()
+	if radius < 0 {
+		return sc.ball
+	}
+	sc.ball.MutateAdd(v)
+	sc.frontier.MutateClear()
+	sc.frontier.MutateAdd(v)
 	for d := 0; d < radius; d++ {
-		var next nodeset.Set
-		frontier.ForEach(func(u int) bool {
-			next.MutateUnion(g.adj[u])
-			return true
-		})
-		next.MutateMinus(ball)
-		if next.IsEmpty() {
+		sc.next.MutateClear()
+		for w := 0; w < sc.frontier.Width(); w++ {
+			for x := sc.frontier.Word(w); x != 0; x &= x - 1 {
+				sc.next.MutateUnion(g.rows[g.rank(w*wordBits+bits.TrailingZeros64(x))].adj)
+			}
+		}
+		sc.next.MutateMinus(sc.ball)
+		if sc.next.IsEmpty() {
 			break
 		}
-		ball.MutateUnion(next)
-		frontier = next
+		sc.ball.MutateUnion(sc.next)
+		sc.frontier, sc.next = sc.next, sc.frontier
 	}
-	return ball
+	return sc.ball
 }
 
 // Diameter returns the maximum finite BFS distance over all node pairs,
@@ -418,56 +617,66 @@ func (g *Graph) AppendString(dst []byte) []byte {
 }
 
 // AppendEdges appends the edges of g as "u-v" pairs (u < v) in Edges order,
-// separated by sep, to dst and returns the extended slice.
+// separated by sep, to dst and returns the extended slice. It walks the
+// rows word by word and renders each row's "u-" once.
 func (g *Graph) AppendEdges(dst []byte, sep string) []byte {
-	first := true
-	g.nodes.ForEach(func(u int) bool {
-		g.adj[u].ForEach(func(v int) bool {
-			if v > u {
-				if !first {
-					dst = append(dst, sep...)
-				}
-				first = false
-				dst = strconv.AppendInt(dst, int64(u), 10)
-				dst = append(dst, '-')
-				dst = strconv.AppendInt(dst, int64(v), 10)
+	start := len(dst)
+	var ubuf [24]byte
+	for _, r := range g.rows {
+		lo := r.id + 1 // the row's neighbors above u
+		var u []byte   // "u-", rendered at the row's first edge
+		for w := lo / wordBits; w < r.adj.Width(); w++ {
+			x := r.adj.Word(w)
+			if w == lo/wordBits {
+				x &^= 1<<uint(lo%wordBits) - 1
 			}
-			return true
-		})
-		return true
-	})
+			if x == 0 {
+				continue
+			}
+			if u == nil {
+				u = append(strconv.AppendInt(ubuf[:0], int64(r.id), 10), '-')
+			}
+			for ; x != 0; x &= x - 1 {
+				dst = append(dst, u...)
+				dst = strconv.AppendInt(dst, int64(w*wordBits+bits.TrailingZeros64(x)), 10)
+				dst = append(dst, sep...)
+			}
+		}
+	}
+	if len(dst) > start {
+		dst = dst[:len(dst)-len(sep)]
+	}
 	return dst
 }
 
 // MaxNodeID bounds the node IDs accepted from external input — edge lists,
-// structures, node sets and topology deltas. Adjacency rows and node sets
-// are dense (indexed by ID), so an absurd ID would allocate memory
+// structures, node sets and topology deltas. Node sets, and so adjacency
+// rows, are bitsets indexed by ID, so an absurd ID would allocate memory
 // proportional to the ID rather than to the graph.
 const MaxNodeID = 1 << 20
 
 // ParseEdgeList builds a graph from a string like "0-1, 1-2, 2-3; 7" where
 // edges are "u-v" pairs and bare integers add isolated nodes. Separators may
 // be commas, semicolons, whitespace or newlines. IDs above MaxNodeID are
-// rejected.
+// rejected. Every field is read first; then the node set, the row table
+// and every row's words are allocated once, at their final sizes.
 func ParseEdgeList(s string) (*Graph, error) {
-	g := New()
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return r == ',' || r == ';' || r == ' ' || r == '\n' || r == '\t' || r == '\r'
-	})
-	parseID := func(s, context string) (int, error) {
-		id, err := strconv.Atoi(s)
-		if err != nil {
-			return 0, fmt.Errorf("graph: bad %s %q: %w", context, s, err)
+	// An edge is recorded as its two endpoints, a bare node as (id, -1);
+	// a request-sized list stays on the stack.
+	var buf [64][2]int
+	ends := buf[:0]
+	maxID := -1
+	for i := 0; i < len(s); {
+		if isEdgeListSep(s[i]) {
+			i++
+			continue
 		}
-		if id < 0 {
-			return 0, fmt.Errorf("graph: negative node %d in %s", id, context)
+		j := i + 1
+		for j < len(s) && !isEdgeListSep(s[j]) {
+			j++
 		}
-		if id > MaxNodeID {
-			return 0, fmt.Errorf("graph: node %d in %s exceeds the %d ID limit", id, context, MaxNodeID)
-		}
-		return id, nil
-	}
-	for _, f := range fields {
+		f := s[i:j]
+		i = j
 		if dash := strings.IndexByte(f, '-'); dash >= 0 {
 			u, err := parseID(f[:dash], "edge")
 			if err != nil {
@@ -480,21 +689,119 @@ func ParseEdgeList(s string) (*Graph, error) {
 			if u == v {
 				return nil, fmt.Errorf("graph: self-loop %q", f)
 			}
-			g.AddEdge(u, v)
+			ends = append(ends, [2]int{u, v})
+			maxID = max(maxID, u, v)
 			continue
 		}
 		id, err := parseID(f, "node")
 		if err != nil {
 			return nil, err
 		}
-		g.AddNode(id)
+		ends = append(ends, [2]int{id, -1})
+		maxID = max(maxID, id)
 	}
-	return g, nil
+	return fromEnds(ends, maxID), nil
+}
+
+// isEdgeListSep reports whether b separates edge-list fields. Every
+// separator is ASCII, so scanning bytes splits UTF-8 text as scanning
+// runes would.
+func isEdgeListSep(b byte) bool {
+	return b == ',' || b == ';' || b == ' ' || b == '\n' || b == '\t' || b == '\r'
+}
+
+// parseID parses one node ID of an edge-list field.
+func parseID(s, context string) (int, error) {
+	id, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("graph: bad %s %q: %w", context, s, err)
+	}
+	if id < 0 {
+		return 0, fmt.Errorf("graph: negative node %d in %s", id, context)
+	}
+	if id > MaxNodeID {
+		return 0, fmt.Errorf("graph: node %d in %s exceeds the %d ID limit", id, context, MaxNodeID)
+	}
+	return id, nil
+}
+
+// FromEdges returns the graph with the given edges and their endpoints as
+// its nodes. Like ParseEdgeList it allocates the node set, the row table
+// and every row's words once, at their final sizes, so assembling a large
+// graph costs O(|V| + |E|) words rather than a row copy per edge. It
+// panics on a self-loop or a negative ID, as AddEdge does.
+func FromEdges(edges [][2]int) *Graph {
+	maxID := -1
+	for _, e := range edges {
+		if e[0] < 0 || e[1] < 0 {
+			panic("graph: negative node ID")
+		}
+		if e[0] == e[1] {
+			panic("graph: self-loop")
+		}
+		maxID = max(maxID, e[0], e[1])
+	}
+	return fromEnds(edges, maxID)
+}
+
+// fromEnds builds the graph of endpoint pairs, an edge as (u, v) and a
+// bare node as (id, -1), whose largest ID is maxID: the node set, then
+// the row table in ID order, then each row reserved at its final width in
+// one word slab and filled in place.
+func fromEnds(ends [][2]int, maxID int) *Graph {
+	g := &Graph{}
+	if maxID < 0 {
+		return g
+	}
+	w := maxID/wordBits + 1
+	nodeSlab := nodeset.NewSlab(w)
+	g.nodes = nodeSlab.Reserve(w)
+	for _, e := range ends {
+		for _, v := range e {
+			if v >= 0 {
+				g.nodes.MutateAdd(v)
+			}
+		}
+	}
+	g.rows = make([]row, g.nodes.Len())
+	i := 0
+	for w := 0; w < g.nodes.Width(); w++ {
+		for x := g.nodes.Word(w); x != 0; x &= x - 1 {
+			g.rows[i].id = w*wordBits + bits.TrailingZeros64(x)
+			i++
+		}
+	}
+	// top[r] is one more than the largest neighbor of row r's node.
+	top := make([]int, len(g.rows))
+	for _, e := range ends {
+		if u, v := e[0], e[1]; v >= 0 {
+			ru, rv := g.rank(u), g.rank(v)
+			top[ru] = max(top[ru], v+1)
+			top[rv] = max(top[rv], u+1)
+		}
+	}
+	words := 0
+	for _, t := range top {
+		words += (t + wordBits - 1) / wordBits
+	}
+	sl := nodeset.NewSlab(words)
+	for r, t := range top {
+		g.rows[r].adj = sl.Reserve((t + wordBits - 1) / wordBits)
+	}
+	for _, e := range ends {
+		if u, v := e[0], e[1]; v >= 0 {
+			g.rows[g.rank(u)].adj.MutateAdd(v)
+			g.rows[g.rank(v)].adj.MutateAdd(u)
+		}
+	}
+	return g
 }
 
 // SortedIDs returns the graph's node IDs in increasing order.
 func (g *Graph) SortedIDs() []int {
-	ids := g.nodes.Members()
-	sort.Ints(ids)
+	ids := make([]int, len(g.rows))
+	for i, r := range g.rows {
+		ids[i] = r.id
+	}
 	return ids
 }

@@ -163,7 +163,7 @@ func (g *Graph) ShortestPath(src, dst int, avoid nodeset.Set) Path {
 	if src == dst {
 		return Path{src}
 	}
-	prev := make([]int, len(g.adj))
+	prev := make([]int, g.MaxID()+1)
 	for i := range prev {
 		prev[i] = -1
 	}

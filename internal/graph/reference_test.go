@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,10 +39,56 @@ func refInducedSubgraph(g *Graph, keep nodeset.Set) *Graph {
 		return true
 	})
 	kept.ForEach(func(id int) bool {
-		sub.adj[id] = g.adj[id].Intersect(kept)
+		sub.rows[sub.rank(id)].adj = g.Neighbors(id).Intersect(kept)
 		return true
 	})
 	return sub
+}
+
+// refParseEdgeList is ParseEdgeList as it assembled the graph one field
+// at a time: strings.FieldsFunc, then one AddEdge per edge (cloning both
+// rows) and one AddNode per bare node (cloning the node set).
+func refParseEdgeList(s string) (*Graph, error) {
+	g := New()
+	fields := strings.FieldsFunc(s, func(r rune) bool {
+		return r == ',' || r == ';' || r == ' ' || r == '\n' || r == '\t' || r == '\r'
+	})
+	parseID := func(s, context string) (int, error) {
+		id, err := strconv.Atoi(s)
+		if err != nil {
+			return 0, fmt.Errorf("graph: bad %s %q: %w", context, s, err)
+		}
+		if id < 0 {
+			return 0, fmt.Errorf("graph: negative node %d in %s", id, context)
+		}
+		if id > MaxNodeID {
+			return 0, fmt.Errorf("graph: node %d in %s exceeds the %d ID limit", id, context, MaxNodeID)
+		}
+		return id, nil
+	}
+	for _, f := range fields {
+		if dash := strings.IndexByte(f, '-'); dash >= 0 {
+			u, err := parseID(f[:dash], "edge")
+			if err != nil {
+				return nil, err
+			}
+			v, err := parseID(f[dash+1:], "edge")
+			if err != nil {
+				return nil, err
+			}
+			if u == v {
+				return nil, fmt.Errorf("graph: self-loop %q", f)
+			}
+			g.AddEdge(u, v)
+			continue
+		}
+		id, err := parseID(f, "node")
+		if err != nil {
+			return nil, err
+		}
+		g.AddNode(id)
+	}
+	return g, nil
 }
 
 // refStar is the star with center v over leaves by one AddEdge per leaf.
@@ -88,9 +135,25 @@ func spreadGraph(r *rand.Rand, n, span int, p float64) *Graph {
 	return g
 }
 
+// sameGraph reports how a differs from the reference b: nodes, edges, or
+// a row table that is not exactly one row per node in ID order.
 func sameGraph(a, b *Graph) error {
 	if !a.Equal(b) || a.MaxID() != b.MaxID() || a.NumEdges() != b.NumEdges() {
 		return fmt.Errorf("%v vs reference %v", a, b)
+	}
+	return rowPerNode(a)
+}
+
+// rowPerNode reports a row table that is not exactly one row per member
+// of a's node set, in increasing ID order.
+func rowPerNode(a *Graph) error {
+	if a.nodes.Len() != len(a.rows) {
+		return fmt.Errorf("%d rows for %d nodes", len(a.rows), a.nodes.Len())
+	}
+	for i, r := range a.rows {
+		if i > 0 && a.rows[i-1].id >= r.id || !a.nodes.Contains(r.id) {
+			return fmt.Errorf("row %d holds node %d out of order", i, r.id)
+		}
 	}
 	return nil
 }
@@ -142,6 +205,133 @@ func TestWordLevelConstructorsMatchReference(t *testing.T) {
 	}
 }
 
+// TestBatchViewsMatchReference: over seeded random graphs with dense and
+// spread IDs, Stars() equals NewStar and the AddEdge-built star at every
+// node, and Balls(k) for k from -1 to 4 equals InducedSubgraph(Ball) and
+// the AddNode-built induced ball, element by element in ID order; a ball
+// that holds every node is g itself. Every table holds one row per node.
+func TestBatchViewsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + r.Intn(14)
+		span := n
+		if trial%2 == 1 {
+			span = n + r.Intn(300)
+		}
+		g := spreadGraph(r, n, span, 0.1+0.6*r.Float64())
+		ids := g.SortedIDs()
+		stars := g.Stars()
+		if len(stars) != len(ids) {
+			t.Fatalf("trial %d: %d stars for %d nodes", trial, len(stars), len(ids))
+		}
+		for i, v := range ids {
+			for _, want := range []*Graph{NewStar(v, g.Neighbors(v)), refStar(v, g.Neighbors(v))} {
+				if err := sameGraph(stars[i], want); err != nil {
+					t.Fatalf("trial %d: star of %d: %v", trial, v, err)
+				}
+			}
+		}
+		for radius := -1; radius <= 4; radius++ {
+			balls := g.Balls(radius)
+			for i, v := range ids {
+				ball := g.Ball(v, radius)
+				if radius < 0 {
+					ball = nodeset.Empty()
+				}
+				if !ball.Equal(refBall(g, v, radius)) {
+					t.Fatalf("trial %d: Ball(%d, %d) = %v, reference %v", trial, v, radius, ball, refBall(g, v, radius))
+				}
+				for _, want := range []*Graph{g.InducedSubgraph(ball), refInducedSubgraph(g, ball)} {
+					if err := sameGraph(balls[i], want); err != nil {
+						t.Fatalf("trial %d: ball(%d, %d): %v", trial, v, radius, err)
+					}
+				}
+				if (balls[i] == g) != ball.Equal(g.Nodes()) {
+					t.Fatalf("trial %d: ball(%d, %d) covering %t but shared %t", trial, v, radius, ball.Equal(g.Nodes()), balls[i] == g)
+				}
+			}
+		}
+		if err := sameGraph(g.Clone(), g); err != nil {
+			t.Fatalf("trial %d: Clone: %v", trial, err)
+		}
+	}
+}
+
+// TestParseEdgeListMatchesReference: on seeded random edge lists — dense
+// and spread IDs, duplicate and reversed edges, bare nodes, every
+// separator — and on malformed ones, ParseEdgeList returns a graph Equal
+// to the field-at-a-time reference's, with a table of one row per node, or
+// exactly its error text.
+func TestParseEdgeListMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	seps := []string{" ", ",", ";", "\n", "\t", "\r", ", ", " ;\t"}
+	junk := []string{"", "-", "--", "x", "+3", "-4", "1-1", "2--3", "007", "1048577", "1048576", "99999999999999999999", "é", "3-"}
+	for trial := 0; trial < 3000; trial++ {
+		span := 1 + r.Intn(20)
+		if trial%3 == 1 {
+			span = 64 + r.Intn(400)
+		}
+		var b strings.Builder
+		for f := r.Intn(30); f > 0; f-- {
+			switch {
+			case trial%4 == 3 && r.Intn(10) == 0:
+				b.WriteString(junk[r.Intn(len(junk))])
+			case r.Intn(6) == 0:
+				b.WriteString(strconv.Itoa(r.Intn(span)))
+			default:
+				u, v := r.Intn(span), r.Intn(span)
+				if u == v {
+					v = (v + 1) % (span + 1)
+				}
+				fmt.Fprintf(&b, "%d-%d", u, v)
+			}
+			b.WriteString(seps[r.Intn(len(seps))])
+		}
+		s := b.String()
+		got, err := ParseEdgeList(s)
+		want, wantErr := refParseEdgeList(s)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("trial %d: %q: error %v, reference %v", trial, s, err, wantErr)
+		}
+		if err == nil {
+			if err := sameGraph(got, want); err != nil {
+				t.Fatalf("trial %d: %q: %v", trial, s, err)
+			}
+		}
+	}
+}
+
+// TestTablesSizedToTheGraph: a graph whose IDs reach 2^20 keeps one row
+// per node, and so do its stars, balls, induced subgraphs, unions and
+// clones: building every view of a 24-node graph whose hub is ID 2^20
+// allocates megabytes, not the gigabytes an ID-indexed table per view
+// would.
+func TestTablesSizedToTheGraph(t *testing.T) {
+	var b strings.Builder
+	for leaf := 3; leaf < 23; leaf++ {
+		fmt.Fprintf(&b, "%d-%d ", leaf, MaxNodeID)
+	}
+	b.WriteString("0-2 2-1")
+	g, err := ParseEdgeList(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range append(append(g.Stars(), g.Balls(1)...),
+		g.InducedSubgraph(nodeset.Of(0, 2, 5, MaxNodeID)), UnionInduced(g.Nodes(), []*Graph{g, g}), g.Clone(), NewStar(MaxNodeID, nodeset.Of(1, 2))) {
+		if err := rowPerNode(h); err != nil {
+			t.Fatalf("%v: %v", h.Nodes(), err)
+		}
+	}
+	bytes := bytesAllocated(func() {
+		g, _ := ParseEdgeList(b.String())
+		g.Stars()
+		g.Balls(2)
+	})
+	if bytes > 16<<20 {
+		t.Fatalf("parsing the hub and building its views allocated %d bytes", bytes)
+	}
+}
+
 // TestNewStarSharesRowsSafely: the star's rows are shared Sets, so editing
 // the star must leave the graph whose row it borrowed untouched, and a
 // self-loop leaf is rejected like AddEdge rejects it.
@@ -167,22 +357,58 @@ func TestNewStarSharesRowsSafely(t *testing.T) {
 // refUnionInPlace is the accumulator G_M was folded with before
 // UnionInduced: g grows by h's nodes and rows.
 func refUnionInPlace(g, h *Graph) *Graph {
-	if m := h.nodes.Max(); m >= 0 {
-		g.ensure(m)
-	}
-	g.nodes = g.nodes.Union(h.nodes)
 	h.nodes.ForEach(func(id int) bool {
-		g.adj[id] = g.adj[id].Union(h.adj[id])
+		g.AddNode(id)
+		return true
+	})
+	h.nodes.ForEach(func(id int) bool {
+		r := g.rank(id)
+		g.rows[r].adj = g.rows[r].adj.Union(h.Neighbors(id))
 		return true
 	})
 	return g
 }
 
+// refUnionInduced is UnionInduced as it was built on a table with one row
+// per ID up to the kept set's largest: each kept row unioned in place
+// across the graphs, then masked to keep.
+func refUnionInduced(keep nodeset.Set, graphs []*Graph) *Graph {
+	var all nodeset.Set
+	for _, h := range graphs {
+		all.MutateUnion(h.nodes)
+	}
+	kept := all.Intersect(keep)
+	m := kept.Max()
+	if m < 0 {
+		return &Graph{nodes: kept}
+	}
+	adj := make([]nodeset.Set, m+1)
+	for _, h := range graphs {
+		h.nodes.ForEach(func(u int) bool {
+			if kept.Contains(u) {
+				adj[u].MutateUnion(h.Neighbors(u))
+			}
+			return true
+		})
+	}
+	drop := all.Minus(keep)
+	sub := New()
+	kept.ForEach(func(u int) bool {
+		adj[u].MutateMinus(drop)
+		sub.AddNode(u)
+		sub.rows[sub.rank(u)].adj = adj[u]
+		return true
+	})
+	return sub
+}
+
 // TestUnionInducedMatchesFoldAndInduce: on 1,000 seeded families of
 // overlapping views — spread IDs and shared nodes — and keep sets that cut
 // them and include non-nodes, UnionInduced equals folding the views with
-// refUnionInPlace in order and inducing on keep: nodes, rows, row-slice
-// length and rendering.
+// refUnionInPlace in order and inducing on keep, and equals the one-pass
+// build on an ID-indexed table (refUnionInduced): nodes, rows, a table of
+// one row per kept node, and rendering. Union of two views equals their
+// fold.
 func TestUnionInducedMatchesFoldAndInduce(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 1000; trial++ {
@@ -208,11 +434,19 @@ func TestUnionInducedMatchesFoldAndInduce(t *testing.T) {
 		}
 		ref := joint.InducedSubgraph(keep)
 		got := UnionInduced(keep, views)
-		if err := sameGraph(got, ref); err != nil {
-			t.Fatalf("trial %d: UnionInduced(%v): %v", trial, keep, err)
+		for _, want := range []*Graph{ref, refUnionInduced(keep, views)} {
+			if err := sameGraph(got, want); err != nil {
+				t.Fatalf("trial %d: UnionInduced(%v): %v", trial, keep, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("trial %d: %q, reference %q", trial, got, want)
+			}
 		}
-		if len(got.adj) != len(ref.adj) || got.String() != ref.String() {
-			t.Fatalf("trial %d: %d rows %q, reference %d rows %q", trial, len(got.adj), got, len(ref.adj), ref)
+		if len(views) >= 2 {
+			fold := refUnionInPlace(refUnionInPlace(New(), views[0]), views[1])
+			if err := sameGraph(views[0].Union(views[1]), fold); err != nil {
+				t.Fatalf("trial %d: Union: %v", trial, err)
+			}
 		}
 	}
 }

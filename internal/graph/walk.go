@@ -47,8 +47,9 @@ type Walk struct {
 // goes deeper than |V| − 1, so smaller graphs get exactly |V| frames.
 const seedFrames = 16
 
-// NewWalk returns a walk over g, with g's adjacency rows, its rank table
-// and the first frames of the stack in one allocation.
+// NewWalk returns a walk over g, with g's adjacency rows, copied in g's
+// own row order, its rank table and the first frames of the stack in one
+// allocation.
 func (g *Graph) NewWalk() Walk {
 	w, n := g.RowWidth(), g.NumNodes()
 	seed := min(max(n, 1), seedFrames)
@@ -65,10 +66,10 @@ func (g *Graph) NewWalk() Walk {
 	r := 0
 	for i, x := range wk.nodes {
 		wk.before[i] = uint64(r)
-		for ; x != 0; x &= x - 1 {
-			g.adj[i*wordBits+bits.TrailingZeros64(x)].CopyTo(wk.adj[r*w : (r+1)*w])
-			r++
-		}
+		r += bits.OnesCount64(x)
+	}
+	for r, rw := range g.rows {
+		rw.adj.CopyTo(wk.adj[r*w : (r+1)*w])
 	}
 	return wk
 }

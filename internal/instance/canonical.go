@@ -3,10 +3,12 @@ package instance
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"hash"
 	"io"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"rmt/internal/adversary"
 	"rmt/internal/graph"
@@ -30,7 +32,7 @@ import (
 // which makes the derived hash a sound cache key.
 func (in *Instance) CanonicalString() string {
 	var b strings.Builder
-	in.writeCanonical(&b)
+	in.writeCanonical(&b, make([]byte, 0, 2*canonicalFlushAt))
 	return b.String()
 }
 
@@ -41,20 +43,41 @@ func (in *Instance) CanonicalString() string {
 // the hash, never held whole, and the key is memoized.
 func (in *Instance) CanonicalKey() string {
 	in.lazy.keyOnce.Do(func() {
-		h := sha256.New()
-		in.writeCanonical(h)
-		var sum [sha256.Size]byte
-		in.lazy.key = hex.EncodeToString(h.Sum(sum[:0]))
+		kw := keyWriters.Get().(*keyWriter)
+		kw.h.Reset()
+		kw.buf = in.writeCanonical(kw.h, kw.buf[:0])
+		kw.buf = kw.h.Sum(kw.buf[:0])
+		var key [2 * sha256.Size]byte
+		hex.Encode(key[:], kw.buf)
+		in.lazy.key = string(key[:])
+		if cap(kw.buf) <= maxPooledKeyBuffer {
+			keyWriters.Put(kw)
+		}
 	})
 	return in.lazy.key
 }
 
+// keyWriter is the hash and the line buffer one CanonicalKey streams
+// through. Every request computes a key, so they are pooled.
+type keyWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// maxPooledKeyBuffer keeps a buffer that one large instance grew — a view
+// line holds its node set's key, one word per 64 IDs — out of the pool.
+const maxPooledKeyBuffer = 64 << 10
+
+var keyWriters = sync.Pool{New: func() any {
+	return &keyWriter{h: sha256.New(), buf: make([]byte, 0, 2*canonicalFlushAt)}
+}}
+
 // canonicalFlushAt bounds writeCanonical's line buffer: the buffer is
-// handed to the writer once it holds this many bytes.
+// handed to the writer once it holds this many bytes past G's text.
 const canonicalFlushAt = 1 << 10
 
-// writeCanonical streams the rmt-instance-v1 text to w through one reused
-// byte buffer:
+// writeCanonical streams the rmt-instance-v1 text to w through buf, which
+// it reuses and returns:
 //
 //	rmt-instance-v1
 //	graph: V{<Key of V(G)>} E{u-v u-v ...}
@@ -64,40 +87,43 @@ const canonicalFlushAt = 1 << 10
 //	dealer: <D>
 //	receiver: <R>
 //
+// Graphs render straight from their rows, word by word
+// (graph.AppendEdges), and the views are walked in node order by index.
 // G's text is rendered once and reused for every view that is G or equal
 // to it — every view under full knowledge, and every ball that reaches
-// all of V(G).
-func (in *Instance) writeCanonical(w io.Writer) {
-	buf := make([]byte, 0, 2*canonicalFlushAt)
+// all of V(G): the buffer keeps it as its head and flushes only what
+// follows.
+func (in *Instance) writeCanonical(w io.Writer, buf []byte) []byte {
 	buf = append(buf, "rmt-instance-v1\ngraph: "...)
-	start := len(buf)
+	gStart := len(buf)
 	buf = appendCanonicalGraph(buf, in.G)
-	gText := string(buf[start:])
+	gEnd, flushed := len(buf), 0
 	buf = append(buf, "\nstructure: "...)
 	buf = appendCanonicalStructure(buf, in.Z)
 	buf = append(buf, "\ngamma:\n"...)
-	in.Gamma.Domain().ForEach(func(v int) bool {
-		if len(buf) >= canonicalFlushAt {
-			w.Write(buf)
-			buf = buf[:0]
+	for i := 0; i < in.Gamma.Len(); i++ {
+		if len(buf)-gEnd >= canonicalFlushAt {
+			w.Write(buf[flushed:])
+			buf, flushed = buf[:gEnd], gEnd
 		}
+		v, sub := in.Gamma.At(i)
 		buf = append(buf, "  "...)
 		buf = strconv.AppendInt(buf, int64(v), 10)
 		buf = append(buf, ": "...)
-		if sub := in.Gamma.Of(v); sub == in.G || sub.Equal(in.G) {
-			buf = append(buf, gText...)
+		if sub == in.G || sub.Equal(in.G) {
+			buf = append(buf, buf[gStart:gEnd]...)
 		} else {
 			buf = appendCanonicalGraph(buf, sub)
 		}
 		buf = append(buf, '\n')
-		return true
-	})
+	}
 	buf = append(buf, "dealer: "...)
 	buf = strconv.AppendInt(buf, int64(in.Dealer), 10)
 	buf = append(buf, "\nreceiver: "...)
 	buf = strconv.AppendInt(buf, int64(in.Receiver), 10)
 	buf = append(buf, '\n')
-	w.Write(buf)
+	w.Write(buf[flushed:])
+	return buf
 }
 
 // appendCanonicalGraph renders nodes and edges in sorted order. The node
@@ -112,9 +138,11 @@ func appendCanonicalGraph(dst []byte, g *graph.Graph) []byte {
 
 // appendCanonicalStructure renders the antichain of maximal sets sorted by
 // their canonical set keys — the stored antichain order can depend on the
-// order sets were supplied in, so it is normalized here.
+// order sets were supplied in, so it is normalized here, in a copy that
+// stays on the stack for small structures.
 func appendCanonicalStructure(dst []byte, z adversary.Structure) []byte {
-	sorted := slices.Clone(z.Maximal())
+	var arr [16]nodeset.Set
+	sorted := append(arr[:0], z.Maximal()...)
 	slices.SortFunc(sorted, nodeset.Set.KeyCompare)
 	for i, s := range sorted {
 		if i > 0 {

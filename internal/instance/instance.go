@@ -7,6 +7,7 @@ package instance
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rmt/internal/adversary"
@@ -36,6 +37,7 @@ type Instance struct {
 // pointer so Instance stays copy-safe and copies share it.
 type lazy struct {
 	localMu sync.Mutex
+	index   *adversary.Index         // 𝒵's node → maximal-set index, built with the first Z_v
 	localOf adversary.LocalKnowledge // Z_v, one node at a time
 	keyOnce sync.Once
 	key     string
@@ -63,15 +65,17 @@ func New(g *graph.Graph, z adversary.Structure, gamma view.Function, dealer, rec
 	if dealer == receiver {
 		return nil, ErrDealerIsReceiver
 	}
-	ground := z.Ground()
-	if ground.Contains(dealer) {
+	// The checks below read 𝒵's ground set, the union of its maximal sets,
+	// one maximal set at a time.
+	maximal := z.Maximal()
+	if slices.ContainsFunc(maximal, func(m nodeset.Set) bool { return m.Contains(dealer) }) {
 		return nil, ErrDealerCorruptib
 	}
-	if ground.Contains(receiver) {
+	if slices.ContainsFunc(maximal, func(m nodeset.Set) bool { return m.Contains(receiver) }) {
 		return nil, ErrReceiverCorrupt
 	}
-	if !ground.SubsetOf(g.Nodes()) {
-		return nil, fmt.Errorf("instance: adversary structure mentions non-nodes %v", ground.Minus(g.Nodes()))
+	if slices.ContainsFunc(maximal, func(m nodeset.Set) bool { return !m.SubsetOf(g.Nodes()) }) {
+		return nil, fmt.Errorf("instance: adversary structure mentions non-nodes %v", z.Ground().Minus(g.Nodes()))
 	}
 	if err := gamma.ConsistentWith(g); err != nil {
 		return nil, fmt.Errorf("instance: %w", err)
@@ -105,7 +109,9 @@ func AdHoc(g *graph.Graph, z adversary.Structure, dealer, receiver int) (*Instan
 
 // LocalStructure returns the memoized Z_v for node v, building only Z_v:
 // a certification rule that reads one player's structure (the 𝒵-CPA
-// receiver's, say) never pays for every node's.
+// receiver's, say) never pays for every node's. The first call builds an
+// index from each node to the maximal sets of 𝒵 that contain it, so each
+// Z_v reads only the sets that meet V(γ(v)), not all of 𝒵.
 func (in *Instance) LocalStructure(v int) adversary.Restricted {
 	l := in.lazy
 	l.localMu.Lock()
@@ -116,10 +122,11 @@ func (in *Instance) LocalStructure(v int) adversary.Restricted {
 	if !in.Gamma.Domain().Contains(v) {
 		return adversary.Identity()
 	}
-	if l.localOf == nil {
-		l.localOf = make(adversary.LocalKnowledge)
+	if l.index == nil {
+		l.index = adversary.NewIndex(in.Z)
+		l.localOf = make(adversary.LocalKnowledge, in.G.NumNodes())
 	}
-	r := in.Gamma.LocalStructure(in.Z, v)
+	r := l.index.RestrictTo(in.Gamma.NodesOf(v))
 	l.localOf[v] = r
 	return r
 }

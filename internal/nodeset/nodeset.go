@@ -13,7 +13,9 @@
 package nodeset
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -220,12 +222,19 @@ func (s *Set) MutateRemove(id int) {
 }
 
 // MutateUnion sets s to s ∪ t in place. t is never retained or modified:
-// growing allocates a fresh word slice rather than aliasing t.
+// growing reuses s's spare capacity, as MutateAdd does, or allocates a
+// fresh word slice, never aliasing t.
 func (s *Set) MutateUnion(t Set) {
-	if len(t.words) > len(s.words) {
-		words := make([]uint64, len(t.words))
-		copy(words, s.words)
-		s.words = words
+	if n := len(t.words); n > len(s.words) {
+		if n <= cap(s.words) {
+			old := len(s.words)
+			s.words = s.words[:n]
+			clear(s.words[old:])
+		} else {
+			words := make([]uint64, n)
+			copy(words, s.words)
+			s.words = words
+		}
 	}
 	for i, w := range t.words {
 		s.words[i] |= w
@@ -255,6 +264,15 @@ func (s Set) SymmetricDiff(t Set) Set {
 	}
 	return normalize(words)
 }
+
+// Width returns the number of 64-bit words s occupies: ⌈(Max()+1)/64⌉,
+// or 0 for the empty set. It is the room a copy of s needs in a Slab.
+func (s Set) Width() int { return len(s.words) }
+
+// Word returns word i of s's bitset (members 64·i to 64·i+63), for
+// i < Width(). With Width it lets word-level writers walk a set without a
+// callback per member.
+func (s Set) Word(i int) uint64 { return s.words[i] }
 
 // IsEmpty reports whether s has no members.
 func (s Set) IsEmpty() bool { return len(s.words) == 0 }
@@ -442,10 +460,9 @@ func (s Set) KeyCompare(t Set) int {
 // slice. It is the allocation-free form of Key for callers assembling
 // compound map keys in a reused buffer.
 func (s Set) AppendKey(dst []byte) []byte {
+	dst = slices.Grow(dst, 8*len(s.words))
 	for _, w := range s.words {
-		for i := 0; i < 8; i++ {
-			dst = append(dst, byte(w>>(8*i)))
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
 	return dst
 }
@@ -485,6 +502,96 @@ func (s Set) Words() []uint64 {
 func (s Set) CopyTo(dst []uint64) {
 	n := copy(dst, s.words)
 	clear(dst[n:])
+}
+
+// Singletons returns the set {v} for every member v of s, in increasing
+// order. The sets share their words, read-only: {v} is v/64 zero words and
+// then the word holding bit v, so all singletons of one residue v mod 64
+// are suffixes of one run of zeros ending in that residue's bit. The n
+// sets take at most 64·s.Width() words, and about n when s is a range of
+// IDs, where one allocation per set would take Θ(n²/64).
+func Singletons(s Set) []Set {
+	// Walking s from its last word down, the first word holding residue j
+	// fixes the length of j's run: one more than that word's index.
+	var run [wordBits]int32
+	var present uint64
+	for i := len(s.words) - 1; i >= 0; i-- {
+		for x := s.words[i] &^ present; x != 0; x &= x - 1 {
+			run[bits.TrailingZeros64(x)] = int32(i + 1)
+		}
+		present |= s.words[i]
+	}
+	total := 0
+	for x := present; x != 0; x &= x - 1 {
+		total += int(run[bits.TrailingZeros64(x)])
+	}
+	// Lay the runs out in residue order; run[j] becomes the index of j's
+	// one-bit word, the last of its run.
+	words := make([]uint64, total)
+	off := int32(0)
+	for x := present; x != 0; x &= x - 1 {
+		j := bits.TrailingZeros64(x)
+		off += run[j]
+		run[j] = off - 1
+		words[off-1] = 1 << uint(j)
+	}
+	out := make([]Set, 0, s.Len())
+	for i, w := range s.words {
+		for x := w; x != 0; x &= x - 1 {
+			e := int(run[bits.TrailingZeros64(x)])
+			out = append(out, Set{words: words[e-i : e+1 : e+1]})
+		}
+	}
+	return out
+}
+
+// Slab carves sets out of one word slice allocated up front, so that a
+// builder of many sets — every row of a parsed graph, every view of an
+// instance — pays one allocation for all their words. Each carved set's
+// words are capped at its reservation: growing it past that reallocates
+// instead of writing into a neighbour's words.
+type Slab struct{ words []uint64 }
+
+// NewSlab returns a slab of n words.
+func NewSlab(n int) Slab { return Slab{words: make([]uint64, n)} }
+
+// Reserve returns an empty set with room for n words of the slab. The
+// caller owns it: MutateAdd and MutateUnion fill it in place while its
+// members stay below 64·n. It panics if the slab has fewer than n words
+// left.
+func (sl *Slab) Reserve(n int) Set {
+	w := sl.words[:0:n]
+	sl.words = sl.words[n:]
+	return Set{words: w}
+}
+
+// Copy returns a copy of s in the slab, taking s.Width() words.
+func (sl *Slab) Copy(s Set) Set {
+	c := sl.Reserve(len(s.words))
+	c.words = c.words[:len(s.words)]
+	copy(c.words, s.words)
+	return c
+}
+
+// With returns s ∪ {id} in the slab, taking max(s.Width(), id/64+1) words.
+func (sl *Slab) With(s Set, id int) Set {
+	c := sl.Reserve(max(len(s.words), id/wordBits+1))
+	c.MutateUnion(s)
+	c.MutateAdd(id)
+	return c
+}
+
+// Intersect returns s ∩ t in the slab, taking min(s.Width(), t.Width())
+// words, some of which stay unused when the intersection is narrower.
+func (sl *Slab) Intersect(s, t Set) Set {
+	n := min(len(s.words), len(t.words))
+	c := sl.Reserve(n)
+	c.words = c.words[:n]
+	for i := range c.words {
+		c.words[i] = s.words[i] & t.words[i]
+	}
+	c.trim()
+	return c
 }
 
 // FromWords builds a Set from raw bitset words.

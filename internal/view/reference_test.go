@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rmt/internal/adversary"
 	"rmt/internal/graph"
 	"rmt/internal/nodeset"
 )
@@ -21,6 +22,17 @@ func refAdHoc(g *graph.Graph) map[int]*graph.Graph {
 			return true
 		})
 		views[v] = star
+		return true
+	})
+	return views
+}
+
+// refRadius is Radius as it built each view on its own: one
+// InducedSubgraph of one Ball per node, kept in a map.
+func refRadius(g *graph.Graph, k int) map[int]*graph.Graph {
+	views := make(map[int]*graph.Graph, g.NumNodes())
+	g.Nodes().ForEach(func(v int) bool {
+		views[v] = g.InducedSubgraph(g.Ball(v, k))
 		return true
 	})
 	return views
@@ -69,7 +81,9 @@ func randomSpreadGraph(r *rand.Rand) *graph.Graph {
 
 // TestAdHocAndConsistencyMatchReference: over seeded random graphs, every
 // ad hoc star equals the AddEdge-built one (same graph, same MaxID), every
-// constructor records the domain a map scan would give, and ConsistentWith
+// radius-k view from 0 to 3 equals the one-ball-at-a-time build, walked in
+// ID order by At and found by Of, every constructor records the domain a
+// map scan would give, and ConsistentWith
 // returns exactly the reference's error, both on the views as built and
 // with one view broken by up to three non-edges or a foreign node.
 func TestAdHocAndConsistencyMatchReference(t *testing.T) {
@@ -85,6 +99,21 @@ func TestAdHocAndConsistencyMatchReference(t *testing.T) {
 			}
 			return true
 		})
+		for k := 0; k <= 3; k++ {
+			fk, ref := Radius(g, k), refRadius(g, k)
+			if fk.Len() != len(ref) {
+				t.Fatalf("trial %d: radius %d has %d views, reference %d", trial, k, fk.Len(), len(ref))
+			}
+			for i := 0; i < fk.Len(); i++ {
+				v, got := fk.At(i)
+				if want := ref[v]; !got.Equal(want) || fk.Of(v) != got {
+					t.Fatalf("trial %d: radius-%d γ(%d) = %v, reference %v", trial, k, v, got, want)
+				}
+			}
+		}
+		if f.Of(g.MaxID()+1).NumNodes() != 0 || f.Of(-1).NumNodes() != 0 {
+			t.Fatalf("trial %d: a non-node has a view", trial)
+		}
 		for _, fn := range []Function{f, Radius(g, r.Intn(4)), Full(g)} {
 			if !fn.Domain().Equal(g.Nodes()) {
 				t.Fatalf("trial %d: domain %v, want %v", trial, fn.Domain(), g.Nodes())
@@ -96,7 +125,9 @@ func TestAdHocAndConsistencyMatchReference(t *testing.T) {
 
 		// Break one view of a copy: add a non-edge, or a node outside G.
 		views := make(map[int]*graph.Graph, len(ref))
-		for v, sub := range Radius(g, 1+r.Intn(2)).views {
+		balls := Radius(g, 1+r.Intn(2))
+		for i := 0; i < balls.Len(); i++ {
+			v, sub := balls.At(i)
 			views[v] = sub
 		}
 		ids := g.SortedIDs()
@@ -131,6 +162,38 @@ func TestAdHocAndConsistencyMatchReference(t *testing.T) {
 		}
 		if !bad.Domain().Equal(domain) {
 			t.Fatalf("trial %d: FromMap domain %v, want %v", trial, bad.Domain(), domain)
+		}
+	}
+}
+
+// TestAllLocalStructuresMatchRestrict: over seeded random graphs and
+// structures, every Z_v that AllLocalStructures builds through one index
+// of 𝒵 prints as the scan restriction z.RestrictTo(V(γ(v))), at ad hoc,
+// radius 1 and 2, and full knowledge.
+func TestAllLocalStructuresMatchRestrict(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 300; trial++ {
+		g := randomSpreadGraph(r)
+		ids := g.SortedIDs()
+		sets := make([]nodeset.Set, r.Intn(6))
+		for i := range sets {
+			for k := r.Intn(4); k > 0; k-- {
+				sets[i].MutateAdd(ids[r.Intn(len(ids))])
+			}
+		}
+		z := adversary.FromSets(sets...)
+		for _, f := range []Function{AdHoc(g), Radius(g, 1), Radius(g, 2), Full(g)} {
+			lk := f.AllLocalStructures(z)
+			if len(lk) != f.Len() {
+				t.Fatalf("trial %d: %d local structures for %d views", trial, len(lk), f.Len())
+			}
+			for i := 0; i < f.Len(); i++ {
+				v, view := f.At(i)
+				got, want := lk[v].String(), z.RestrictTo(view.Nodes()).String()
+				if got != want {
+					t.Fatalf("trial %d: Z_%d = %s, scan %s", trial, v, got, want)
+				}
+			}
 		}
 	}
 }

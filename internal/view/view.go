@@ -15,6 +15,7 @@ package view
 
 import (
 	"fmt"
+	"slices"
 
 	"rmt/internal/adversary"
 	"rmt/internal/graph"
@@ -25,70 +26,94 @@ import (
 // every node of the underlying graph. Functions are immutable after
 // construction.
 type Function struct {
-	views  map[int]*graph.Graph
-	domain nodeset.Set // the nodes that have views, recorded at construction
+	nodes  []node      // one per node with a view, in increasing ID order
+	domain nodeset.Set // the nodes that have views
+}
+
+// node is one entry of a view function: a node and its view.
+type node struct {
+	id   int
+	view *graph.Graph
 }
 
 // FromMap builds a view function from an explicit node→subgraph map,
 // validating that every view contains its owner.
 func FromMap(views map[int]*graph.Graph) (Function, error) {
+	f := Function{nodes: make([]node, 0, len(views))}
 	for v, sub := range views {
 		if !sub.HasNode(v) {
 			return Function{}, fmt.Errorf("view: γ(%d) does not include node %d", v, v)
 		}
+		f.nodes = append(f.nodes, node{id: v, view: sub})
+		f.domain.MutateAdd(v)
 	}
-	cp := make(map[int]*graph.Graph, len(views))
-	ids := make([]int, 0, len(views))
-	for v, sub := range views {
-		cp[v] = sub
-		ids = append(ids, v)
-	}
-	return Function{views: cp, domain: nodeset.Of(ids...)}, nil
+	slices.SortFunc(f.nodes, func(a, b node) int { return a.id - b.id })
+	return f, nil
+}
+
+// over returns the view function on g's nodes whose i-th view, in
+// increasing ID order, is views[i].
+func over(g *graph.Graph, views []*graph.Graph) Function {
+	f := Function{nodes: make([]node, 0, len(views)), domain: g.Nodes()}
+	g.Nodes().ForEach(func(v int) bool {
+		f.nodes = append(f.nodes, node{id: v, view: views[len(f.nodes)]})
+		return true
+	})
+	return f
 }
 
 // AdHoc returns the ad hoc view function on g: γ(v) is the star consisting
 // of v, its neighbors, and the edges from v to them. This is the paper's
-// "knowledge of the local neighborhood only" model.
-func AdHoc(g *graph.Graph) Function {
-	views := make(map[int]*graph.Graph, g.NumNodes())
-	g.Nodes().ForEach(func(v int) bool {
-		views[v] = graph.NewStar(v, g.Neighbors(v))
-		return true
-	})
-	return Function{views: views, domain: g.Nodes()}
-}
+// "knowledge of the local neighborhood only" model. The n stars are built
+// together from shared slabs (graph.Stars).
+func AdHoc(g *graph.Graph) Function { return over(g, g.Stars()) }
 
 // Radius returns the view function where γ(v) is the subgraph of g induced
 // by the ball of hop radius k around v. Radius(g, 0) gives isolated
 // self-knowledge; large k converges to Full(g). Note Radius(g, 1) is
 // slightly stronger than AdHoc(g): it also contains edges between
-// neighbors.
-func Radius(g *graph.Graph, k int) Function {
-	views := make(map[int]*graph.Graph, g.NumNodes())
-	g.Nodes().ForEach(func(v int) bool {
-		views[v] = g.InducedSubgraph(g.Ball(v, k))
-		return true
-	})
-	return Function{views: views, domain: g.Nodes()}
-}
+// neighbors. The n balls are built together from shared slabs
+// (graph.Balls), and a ball that reaches every node is g itself.
+func Radius(g *graph.Graph, k int) Function { return over(g, g.Balls(k)) }
 
 // Full returns the full-knowledge view function: γ(v) = g for every v.
 func Full(g *graph.Graph) Function {
-	views := make(map[int]*graph.Graph, g.NumNodes())
+	f := Function{nodes: make([]node, 0, g.NumNodes()), domain: g.Nodes()}
 	g.Nodes().ForEach(func(v int) bool {
-		views[v] = g
+		f.nodes = append(f.nodes, node{id: v, view: g})
 		return true
 	})
-	return Function{views: views, domain: g.Nodes()}
+	return f
+}
+
+// rank returns the index of v's entry, or -1 when v has no view. Under
+// IDs 0..n-1 it is v itself; any other ID set pays a binary search.
+func (f Function) rank(v int) int {
+	if uint(v) < uint(len(f.nodes)) && f.nodes[v].id == v {
+		return v
+	}
+	if !f.domain.Contains(v) {
+		return -1
+	}
+	i, _ := slices.BinarySearchFunc(f.nodes, v, func(e node, v int) int { return e.id - v })
+	return i
 }
 
 // Of returns γ(v). Unknown nodes get an empty graph.
 func (f Function) Of(v int) *graph.Graph {
-	if sub, ok := f.views[v]; ok {
-		return sub
+	if i := f.rank(v); i >= 0 {
+		return f.nodes[i].view
 	}
 	return graph.New()
 }
+
+// Len returns the number of nodes that have views.
+func (f Function) Len() int { return len(f.nodes) }
+
+// At returns the i-th node with a view, in increasing ID order, and its
+// view, for 0 ≤ i < Len(): the way to walk γ without a lookup or a
+// callback per node.
+func (f Function) At(i int) (int, *graph.Graph) { return f.nodes[i].id, f.nodes[i].view }
 
 // NodesOf returns V(γ(v)).
 func (f Function) NodesOf(v int) nodeset.Set { return f.Of(v).Nodes() }
@@ -97,8 +122,8 @@ func (f Function) NodesOf(v int) nodeset.Set { return f.Of(v).Nodes() }
 func (f Function) Joint(s nodeset.Set) *graph.Graph {
 	out := graph.New()
 	s.ForEach(func(v int) bool {
-		if sub, ok := f.views[v]; ok {
-			out = out.Union(sub)
+		if i := f.rank(v); i >= 0 {
+			out = out.Union(f.nodes[i].view)
 		}
 		return true
 	})
@@ -114,11 +139,14 @@ func (f Function) LocalStructure(z adversary.Structure, v int) adversary.Restric
 	return z.RestrictTo(f.NodesOf(v))
 }
 
-// AllLocalStructures precomputes Z_v for every node.
+// AllLocalStructures precomputes Z_v for every node through one
+// adversary.Index, so each Z_v reads only the maximal sets that meet
+// V(γ(v)) rather than all of 𝒵.
 func (f Function) AllLocalStructures(z adversary.Structure) adversary.LocalKnowledge {
-	lk := make(adversary.LocalKnowledge, len(f.views))
-	for v := range f.views {
-		lk[v] = f.LocalStructure(z, v)
+	lk := make(adversary.LocalKnowledge, len(f.nodes))
+	ix := adversary.NewIndex(z)
+	for _, e := range f.nodes {
+		lk[e.id] = ix.RestrictTo(e.view.Nodes())
 	}
 	return lk
 }
@@ -126,7 +154,8 @@ func (f Function) AllLocalStructures(z adversary.Structure) adversary.LocalKnowl
 // Refines reports whether f ≥ g in the paper's partial order: for every
 // node, g's view is a subgraph of f's view (f knows at least as much).
 func (f Function) Refines(g Function) bool {
-	for v, sub := range g.views {
+	for _, e := range g.nodes {
+		v, sub := e.id, e.view
 		mine := f.Of(v)
 		if !sub.Nodes().SubsetOf(mine.Nodes()) {
 			return false
@@ -143,16 +172,15 @@ func (f Function) Refines(g Function) bool {
 // ConsistentWith reports whether every view is a genuine subgraph of g that
 // contains its owner — the well-formedness condition of the model. Views
 // are checked in node order, and each view row by row in node order with
-// one word-wise subset test N_γ(v)(u) ⊆ N_G(u). Both graphs are symmetric,
-// so the first row u that fails holds the view's first non-edge in Edges()
-// order: u-w, with w the least member of N_γ(v)(u) \ N_G(u).
+// one word-wise subset test N_γ(v)(u) ⊆ N_G(u) (graph.NonEdge), which
+// names the view's first non-edge in Edges() order.
 func (f Function) ConsistentWith(g *graph.Graph) error {
-	var err error
-	f.domain.ForEach(func(v int) bool {
-		err = consistentView(g, v, f.views[v])
-		return err == nil
-	})
-	return err
+	for _, e := range f.nodes {
+		if err := consistentView(g, e.id, e.view); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func consistentView(g *graph.Graph, v int, sub *graph.Graph) error {
@@ -165,13 +193,8 @@ func consistentView(g *graph.Graph, v int, sub *graph.Graph) error {
 	if !sub.Nodes().SubsetOf(g.Nodes()) {
 		return fmt.Errorf("view: γ(%d) contains nodes outside G", v)
 	}
-	var err error
-	sub.Nodes().ForEach(func(u int) bool {
-		if row := sub.Neighbors(u); !row.SubsetOf(g.Neighbors(u)) {
-			w := row.Minus(g.Neighbors(u)).Min()
-			err = fmt.Errorf("view: γ(%d) contains non-edge %d-%d", v, u, w)
-		}
-		return err == nil
-	})
-	return err
+	if u, w, ok := sub.NonEdge(g); ok {
+		return fmt.Errorf("view: γ(%d) contains non-edge %d-%d", v, u, w)
+	}
+	return nil
 }
