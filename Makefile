@@ -112,7 +112,9 @@ daemonsmoke:
 # incremental ≡ fresh across every feasibility fixture × CHURN_CHAINS
 # seeded random delta chains of CHURN_STEPS single edits each: every
 # revision's incremental RMT-cut and 𝒵-pp-cut verdicts (and verified
-# witnesses) must match a from-scratch search. Second, cutsearch's own
+# witnesses) must match a from-scratch search, and at ad hoc knowledge the
+# two checkers must agree on verdict, witness and repaired/fresh counts
+# (one checker answers both in rmtd). Second, cutsearch's own
 # differential over CHURN_CHAINS random-instance chains: both
 # instantiations of cutsearch.Incremental must match the reference
 # repair-then-search flow down to witnesses and repaired/fresh counts.
@@ -161,8 +163,11 @@ fleetsmoke:
 # spread IDs, every level) against the reference text and restriction, the
 # engine's run state (every inbox in sender-then-key order under every
 # schedule, metrics that reconcile, and a run on spread IDs equal by rank
-# to the run on IDs 0..n-1), and rmtd's /v1/run bodies (every answer a 200
-# or a 400 with a JSON body).
+# to the run on IDs 0..n-1), the delta writer behind ChainKey against the
+# reference text and key, rmtd's /v1/run bodies (every answer a 200 or a
+# 400 with a JSON body) and whole /v1/watch streams (a 400 with a JSON
+# body, or revision events in order with keys, witnesses and ad hoc zcpa
+# verdicts that match a replay, then at most one error line).
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseStructure -fuzztime=10s
@@ -171,8 +176,10 @@ fuzzsmoke:
 	$(GO) test ./internal/cutsearch/ -run=^$$ -fuzz=FuzzCutSearchMatchesReference -fuzztime=10s
 	$(GO) test ./internal/instance/ -run=^$$ -fuzz=FuzzApplyDelta -fuzztime=10s
 	$(GO) test ./internal/instance/ -run=^$$ -fuzz=FuzzCanonicalKeyMatchesReference -fuzztime=10s
+	$(GO) test ./internal/instance/ -run=^$$ -fuzz=FuzzChainKeyMatchesReference -fuzztime=10s
 	$(GO) test ./internal/network/ -run=^$$ -fuzz=FuzzRunStateOrder -fuzztime=10s
 	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzRunRequest -fuzztime=10s
+	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzWatchStream -fuzztime=10s
 
 # Per-package coverage with a repo-level floor. The threshold gates total
 # statement coverage across every package, example mains included — the

@@ -87,8 +87,12 @@ func TestProtocolAllocBudget(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				run(in)
 			}
-			warm := testing.AllocsPerRun(20, func() { run(in) })
-			cold := testing.AllocsPerRun(20, func() { run(fresh()) })
+			// AllocsPerRun pins one P; with the collector off too, no
+			// collection empties the engine's run-state pool mid-count.
+			warm, cold := func() (float64, float64) {
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				return testing.AllocsPerRun(20, func() { run(in) }), testing.AllocsPerRun(20, func() { run(fresh()) })
+			}()
 			if warm > budget.warm {
 				t.Errorf("a warm run allocates %.0f allocs/op, budget %.0f", warm, budget.warm)
 			}

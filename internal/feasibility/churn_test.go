@@ -21,6 +21,11 @@ import (
 // Chain seeds come from the eval.TrialSeed splitmix64 streams (stream =
 // fixture index), so a failure replays from (fixture, chain) alone.
 //
+// At ad hoc knowledge the two checkers must also agree with each other at
+// every revision — found, witness and repaired/fresh counts — which pins
+// Repair as well as Search to the ad hoc identity rmtd relies on when one
+// checker answers both verdicts.
+//
 // `make churnfuzz` scales the sweep up via CHURN_CHAINS / CHURN_STEPS.
 func TestIncrementalMatchesFreshAcrossChurn(t *testing.T) {
 	chains := envInt(t, "CHURN_CHAINS", 100)
@@ -76,6 +81,21 @@ func TestIncrementalMatchesFreshAcrossChurn(t *testing.T) {
 						}
 						if err := zcpa.VerifyZppCut(cur, freshZpp); err != nil {
 							t.Fatalf("chain %d rev %d (seed %d): fresh 𝒵-pp witness invalid: %v", chain, rev, seed, err)
+						}
+					}
+					if level == gen.AdHoc {
+						// V(γ(u)) = N(u) ∪ {u} and u ∉ C2: the two
+						// conditions test every side alike, so the two
+						// checkers repair and search in step (DESIGN §29).
+						if incFound != incFoundZ || incFound && !(incW.C1.Equal(incZ.C1) && incW.C2.Equal(incZ.C2) && incW.B.Equal(incZ.B)) {
+							t.Fatalf("chain %d rev %d (seed %d): ad hoc RMT-cut checker (found %v, %v) differs from 𝒵-pp checker (found %v, %v)",
+								chain, rev, seed, incFound, incW, incFoundZ, incZ)
+						}
+						rr, rf := incRMT.Stats()
+						zr, zf := incZpp.Stats()
+						if rr != zr || rf != zf {
+							t.Fatalf("chain %d rev %d (seed %d): ad hoc RMT-cut checker repaired %d / searched %d, 𝒵-pp checker %d / %d",
+								chain, rev, seed, rr, rf, zr, zf)
 						}
 					}
 				}

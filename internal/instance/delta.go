@@ -1,11 +1,12 @@
 package instance
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"rmt/internal/graph"
 	"rmt/internal/view"
@@ -47,60 +48,53 @@ type Delta struct {
 // class deduplicated and sorted, edges normalized to (min, max). Two deltas
 // render equal strings iff they describe the same edit batch, which makes
 // the rendering a sound ChainKey ingredient.
-func (d Delta) CanonicalString() string {
-	var b strings.Builder
-	b.WriteString("rmt-delta-v1\n")
-	fmt.Fprintf(&b, "+V{%s} +E{%s} -E{%s} -V{%s}",
-		canonicalIDs(d.AddNodes), canonicalEdges(d.AddEdges),
-		canonicalEdges(d.RemoveEdges), canonicalIDs(d.RemoveNodes))
-	return b.String()
+func (d Delta) CanonicalString() string { return string(d.appendCanonical(nil)) }
+
+// appendCanonical appends CanonicalString's text to buf.
+func (d Delta) appendCanonical(buf []byte) []byte {
+	buf = append(buf, "rmt-delta-v1\n+V{"...)
+	buf = appendIDs(buf, d.AddNodes)
+	buf = append(buf, "} +E{"...)
+	buf = appendEdges(buf, d.AddEdges)
+	buf = append(buf, "} -E{"...)
+	buf = appendEdges(buf, d.RemoveEdges)
+	buf = append(buf, "} -V{"...)
+	buf = appendIDs(buf, d.RemoveNodes)
+	return append(buf, '}')
 }
 
-func canonicalIDs(ids []int) string {
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	var b strings.Builder
-	last := -1
-	for _, id := range sorted {
-		if id == last {
-			continue
+func appendIDs(buf []byte, ids []int) []byte {
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	for i, id := range slices.Compact(sorted) {
+		if i > 0 {
+			buf = append(buf, ' ')
 		}
-		if last >= 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", id)
-		last = id
+		buf = strconv.AppendInt(buf, int64(id), 10)
 	}
-	return b.String()
+	return buf
 }
 
-func canonicalEdges(edges [][2]int) string {
+func appendEdges(buf []byte, edges [][2]int) []byte {
 	sorted := make([][2]int, len(edges))
 	for i, e := range edges {
-		if e[0] > e[1] {
-			e[0], e[1] = e[1], e[0]
-		}
-		sorted[i] = e
+		sorted[i] = [2]int{min(e[0], e[1]), max(e[0], e[1])}
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i][0] != sorted[j][0] {
-			return sorted[i][0] < sorted[j][0]
+	slices.SortFunc(sorted, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return sorted[i][1] < sorted[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
-	var b strings.Builder
-	last := [2]int{-1, -1}
-	for _, e := range sorted {
-		if e == last {
-			continue
+	for i, e := range slices.Compact(sorted) {
+		if i > 0 {
+			buf = append(buf, ' ')
 		}
-		if last[0] >= 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d-%d", e[0], e[1])
-		last = e
+		buf = strconv.AppendInt(buf, int64(e[0]), 10)
+		buf = append(buf, '-')
+		buf = strconv.AppendInt(buf, int64(e[1]), 10)
 	}
-	return b.String()
+	return buf
 }
 
 // ChainKey extends a version-chain key by one delta:
@@ -114,7 +108,11 @@ func canonicalEdges(edges [][2]int) string {
 // preimage), and order-sensitive — applying the same edits in a different
 // order is a different subscription history and gets different keys.
 func ChainKey(prev string, d Delta) string {
-	sum := sha256.Sum256([]byte("rmt-delta-chain-v1\n" + prev + "\n" + d.CanonicalString()))
+	buf := make([]byte, 0, 128+len(prev))
+	buf = append(buf, "rmt-delta-chain-v1\n"...)
+	buf = append(buf, prev...)
+	buf = append(buf, '\n')
+	sum := sha256.Sum256(d.appendCanonical(buf))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -134,9 +132,9 @@ func ChainKeys(in *Instance, deltas []Delta) []string {
 // Validate checks a delta against the instance it is to be applied to,
 // without applying it: every referenced ID lies in [0, graph.MaxNodeID],
 // added edges are not self-loops, removed edges/nodes exist (after this
-// delta's additions), and the terminals survive. Apply calls it; the watch
-// API calls it to reject a bad subscription step with a useful error
-// instead of a failed instance rebuild.
+// delta's additions), and the terminals survive. Apply calls it first and
+// returns its error as it is, so the watch API's error line for a bad
+// subscription step names the bad edit, not a failed instance rebuild.
 func (d Delta) Validate(in *Instance) error {
 	present := func(id int) bool {
 		if in.G.HasNode(id) {

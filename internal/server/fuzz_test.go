@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"rmt/internal/gen"
 	"rmt/internal/graph"
+	"rmt/internal/instance"
 )
 
 // FuzzRunRequest posts each input as a /v1/run body to one in-process
@@ -68,4 +72,124 @@ func FuzzRunRequest(f *testing.F) {
 			t.Fatalf("status %d for %s: body is not JSON: %q", rec.Code, body, rec.Body.Bytes())
 		}
 	})
+}
+
+// FuzzWatchStream posts each input as a whole /v1/watch body to one
+// in-process server. Every answer must be a 400 with a JSON body, or a 200
+// whose lines are WatchEvents — rev 0 first, revs increasing — optionally
+// ended by one {"error","rev"} line. The test replays the body's deltas
+// the way the handler reads them, so each event must also carry its
+// revision's key and knowledge level, a witness exactly when unsolvable,
+// witnesses that name nodes of its revision, and at ad hoc a zcpa verdict
+// equal to its pka verdict. To bound the cost of one input, a base graph
+// of more than 10 nodes is skipped, a subscription takes at most 16
+// deltas and each revision's check at most 200 ms.
+func FuzzWatchStream(f *testing.F) {
+	for _, seed := range []string{
+		// The butterfly's scripted history, at ad hoc and full knowledge.
+		watchBody(solvableButterfly, watchDeltas...),
+		watchBody(`{"graph":"0-1 0-2 0-3 1-4 2-4 3-4","structure":"1;2;3","knowledge":"full","dealer":0,"receiver":4}`, `{"remove_nodes":[3]}`),
+		watchBody(`{"graph":"0-1 0-2 0-3 1-4 2-4 3-4","structure":"1;2;3","knowledge":"radius1","dealer":0,"receiver":4}`, watchDeltas...),
+		// Bad subscriptions: no instance line, bad JSON, an unknown field,
+		// a receiver that is not a node, a delta that does not apply, a
+		// delta that does not decode, and a blank line between deltas.
+		"",
+		"{\n",
+		`{"graph":"0-1","dealer":0,"receiver":1,"bogus":1}` + "\n",
+		`{"graph":"0-1","dealer":0,"receiver":9}` + "\n",
+		watchBody(solvableButterfly, `{"remove_edges":[[1,3]]}`),
+		watchBody(solvableButterfly, `{"remove_nodes":[4]}`, `{"add_edges":[[1,1]]}`),
+		watchBody(solvableButterfly, `{"add_edges":[[1,-2]]}`),
+		watchBody(solvableButterfly, `{"add_nodes":"x"}`),
+		watchBody(solvableButterfly, `{"remove_nodes":[3]}`, "", `{"add_nodes":[3],"add_edges":[[0,3],[3,4]]}`),
+	} {
+		f.Add([]byte(seed))
+	}
+	const maxDeltas = 16
+	srv := New(Options{LogWriter: io.Discard, MaxWatchDeltas: maxDeltas, RequestTimeout: 200 * time.Millisecond})
+	f.Cleanup(srv.Close)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		level, revs, keys := replayWatch(t, body, maxDeltas)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/watch", bytes.NewReader(body)))
+		reply := rec.Body.Bytes()
+		switch {
+		case rec.Code == http.StatusBadRequest && len(revs) == 0:
+			if !json.Valid(reply) {
+				t.Fatalf("400 body is not JSON: %q", reply)
+			}
+			return
+		case rec.Code != http.StatusOK || len(revs) == 0:
+			t.Fatalf("status %d for %q (base builds: %v): %s", rec.Code, body, len(revs) > 0, reply)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(reply, []byte("\n")), []byte("\n"))
+		last := -1
+		for i, line := range lines {
+			if bytes.Contains(line, []byte(`"error":`)) {
+				var we watchError
+				if err := decodeLine(line, &we); err != nil || i != len(lines)-1 || we.Rev <= last || last < 0 && we.Rev != 0 {
+					t.Fatalf("line %d %s: not a terminal error after rev %d (%v)", i, line, last, err)
+				}
+				continue
+			}
+			var ev WatchEvent
+			if err := decodeLine(line, &ev); err != nil {
+				t.Fatalf("line %d %s: %v", i, line, err)
+			}
+			if ev.Rev <= last || i == 0 && ev.Rev != 0 || ev.Rev >= len(revs) {
+				t.Fatalf("line %d is rev %d after rev %d; %d revisions replay", i, ev.Rev, last, len(revs))
+			}
+			last = ev.Rev
+			if ev.Key != keys[ev.Rev] || ev.Knowledge != level.String() {
+				t.Fatalf("rev %d: key %s, knowledge %s; want %s, %s", ev.Rev, ev.Key, ev.Knowledge, keys[ev.Rev], level)
+			}
+			if (level == gen.AdHoc) != (ev.ZCPA != nil) || ev.ZCPA != nil && mustJSON(t, ev.ZCPA) != mustJSON(t, ev.PKA) {
+				t.Fatalf("rev %d at %s: zcpa verdict %s, pka %s", ev.Rev, level, mustJSON(t, ev.ZCPA), mustJSON(t, ev.PKA))
+			}
+			if ev.PKA.Solvable == (ev.PKA.Witness != nil) || !witnessOn(revs[ev.Rev].G, &ev.PKA) {
+				t.Fatalf("rev %d: verdict %s on %v", ev.Rev, mustJSON(t, ev.PKA), revs[ev.Rev].G)
+			}
+		}
+	})
+}
+
+// replayWatch reads a /v1/watch body the way handleWatch does and returns
+// the knowledge level, every revision it reaches (none when the instance
+// line is rejected) and their keys. It skips bodies whose base graph has
+// more than 10 nodes.
+func replayWatch(t *testing.T, body []byte, maxDeltas int) (gen.Knowledge, []*instance.Instance, []string) {
+	sc := bufio.NewScanner(bytes.NewReader(body))
+	sc.Buffer(nil, 1<<20)
+	first, err := nextLine(sc)
+	if err != nil {
+		return 0, nil, nil
+	}
+	var req InstanceRequest
+	if decodeLine(first, &req) != nil {
+		return 0, nil, nil
+	}
+	if g, err := graph.ParseEdgeList(req.Graph); err == nil && g.NumNodes() > 10 {
+		t.Skip("more than 10 nodes")
+	}
+	in, level, err := req.build()
+	if err != nil {
+		return 0, nil, nil
+	}
+	revs, keys := []*instance.Instance{in}, []string{in.CanonicalKey()}
+	for len(revs) <= maxDeltas {
+		line, err := nextLine(sc)
+		if err != nil {
+			break
+		}
+		var d instance.Delta
+		if decodeLine(line, &d) != nil {
+			break
+		}
+		next, err := gen.ApplyDelta(revs[len(revs)-1], d, level)
+		if err != nil {
+			break
+		}
+		revs, keys = append(revs, next), append(keys, instance.ChainKey(keys[len(keys)-1], d))
+	}
+	return level, revs, keys
 }

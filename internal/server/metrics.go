@@ -29,6 +29,8 @@ type serverMetrics struct {
 	cancels     atomic.Int64 // client disconnected mid-compute: 499s and abandoned watches
 	watchEvents atomic.Int64 // verdict-change lines streamed by /v1/watch
 
+	cutChecks [2]atomic.Int64 // cut checks answered by [0] the full search, [1] a witness repair
+
 	latency map[string]*histogram // endpoint → latency histogram
 }
 
@@ -110,6 +112,8 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, workers, cacheEntries in
 	fmt.Fprintf(w, "# TYPE rmtd_timeouts_total counter\nrmtd_timeouts_total %d\n", m.timeouts.Load())
 	fmt.Fprintf(w, "# TYPE rmtd_client_cancels_total counter\nrmtd_client_cancels_total %d\n", m.cancels.Load())
 	fmt.Fprintf(w, "# TYPE rmtd_watch_events_total counter\nrmtd_watch_events_total %d\n", m.watchEvents.Load())
+	fmt.Fprintf(w, "# TYPE rmtd_cut_checks_total counter\nrmtd_cut_checks_total{answer=\"repaired\"} %d\nrmtd_cut_checks_total{answer=\"searched\"} %d\n",
+		m.cutChecks[1].Load(), m.cutChecks[0].Load())
 
 	// Counter cells are never removed, so a snapshot of the pointers under
 	// the lock is enough; the atomic loads happen outside it.

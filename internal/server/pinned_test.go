@@ -75,10 +75,10 @@ func pinnedInstances(t *testing.T) []pinnedInstance {
 
 // serve sends one request straight to the handler and returns the body,
 // failing on any status but 200.
-func serve(t *testing.T, srv *Server, path, body string) []byte {
+func serve(t *testing.T, h http.Handler, path, body string) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%s %s: %d %s", path, body, rec.Code, rec.Body.Bytes())
 	}

@@ -41,7 +41,6 @@ import (
 	"rmt/internal/byzantine"
 	"rmt/internal/cliutil"
 	"rmt/internal/core"
-	"rmt/internal/cutsearch"
 	"rmt/internal/eval"
 	"rmt/internal/feasibility"
 	"rmt/internal/gen"
@@ -49,7 +48,6 @@ import (
 	"rmt/internal/network"
 	"rmt/internal/nodeset"
 	"rmt/internal/protocol"
-	"rmt/internal/zcpa"
 )
 
 // Options configures a Server. The zero value is usable: every field has a
@@ -554,9 +552,9 @@ type SMTVerdict struct {
 
 // FeasibilityResponse is the POST /v1/feasibility body. PKA is the partial
 // knowledge characterization (Definition 3 RMT-cut); ZCPA is the ad hoc one
-// (Definition 7 𝒵-pp cut), present only for adhoc-knowledge instances; MBRB
-// is the message-adversary broadcast bound n > 3t + 2d, present only for
-// complete-graph instances.
+// (Definition 7 𝒵-pp cut), present only for adhoc-knowledge instances,
+// where it equals PKA; MBRB is the message-adversary broadcast bound
+// n > 3t + 2d, present only for complete-graph instances.
 type FeasibilityResponse struct {
 	// Key is the instance's canonical content hash — equal keys mean equal
 	// (G, 𝒵, γ, D, R) tuples, however the request spelled them.
@@ -605,69 +603,54 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 			resp.MBRB = &mv
 		}
 		resp.SMT = smtVerdictOf(in, listen)
-		var cuts cutCheckers
+		var cut core.IncrementalCut
 		var err error
-		if resp.PKA, resp.ZCPA, err = cuts.verdicts(ctx, in, level); err != nil {
+		if resp.PKA, resp.ZCPA, err = s.cutVerdicts(ctx, &cut, in, level); err != nil {
 			return nil, err
 		}
 		return marshalBody(resp)
 	})
 }
 
-// cutCheckers computes, renders and re-seeds the verdicts of the paper's
-// two tight cut conditions: Definition 3's RMT-cut (pka) at every
-// knowledge level and Definition 7's 𝒵-pp cut (zcpa) on ad hoc instances.
-// A /v1/feasibility request uses a zero value, whose first check is a
-// plain search; a /v1/watch subscription keeps one across its revisions,
-// so each revision first repairs the last one's witness.
-type cutCheckers struct {
-	pka  core.IncrementalCut
-	zcpa zcpa.IncrementalCut
-}
-
-// verdicts checks in under both conditions; z is nil unless level is ad
-// hoc.
-func (c *cutCheckers) verdicts(ctx context.Context, in *instance.Instance, level gen.Knowledge) (pka Verdict, z *Verdict, err error) {
-	if pka, err = checkCut(ctx, &c.pka, in); err != nil || level != gen.AdHoc {
-		return pka, nil, err
-	}
-	zv, err := checkCut(ctx, &c.zcpa, in)
-	return pka, &zv, err
-}
-
-// seed primes both checkers with the verdicts of a revision served from a
-// cache rather than computed, so the next revision can still repair.
-func (c *cutCheckers) seed(in *instance.Instance, pka Verdict, z *Verdict) {
-	seedCut(&c.pka, in, &pka)
-	seedCut(&c.zcpa, in, z)
-}
-
-// checkCut runs one checker on in and renders its verdict.
-func checkCut[W cutsearch.Cut](ctx context.Context, ic *cutsearch.Incremental[W], in *instance.Instance) (Verdict, error) {
+// cutVerdicts checks in for Definition 3's RMT-cut with ic and renders the
+// pka verdict, and at ad hoc knowledge the zcpa verdict of Definition 7's
+// 𝒵-pp cut, which is the same verdict: V(γ(u)) = N(u) ∪ {u} and u ∉ C2, so
+// the two test every side alike (DESIGN §4, §29). z is nil at other levels.
+// A zero ic runs a plain Search (/v1/feasibility); a subscription's ic
+// first repairs the last revision's witness (/v1/watch). Each check is
+// counted in rmtd_cut_checks_total.
+func (s *Server) cutVerdicts(ctx context.Context, ic *core.IncrementalCut, in *instance.Instance, level gen.Knowledge) (pka Verdict, z *Verdict, err error) {
+	before, _ := ic.Stats()
 	w, found, err := ic.CheckCtx(ctx, in)
 	if err != nil {
-		return Verdict{}, err
+		return Verdict{}, nil, err
 	}
-	if !found {
-		return Verdict{Solvable: true}, nil
+	after, _ := ic.Stats()
+	s.metrics.cutChecks[after-before].Add(1)
+	pka.Solvable = !found
+	if found {
+		pka.Witness = &CutWitness{C1: members(w.C1), C2: members(w.C2), B: members(w.B)}
 	}
-	c := cutsearch.Witness(w)
-	return Verdict{Witness: &CutWitness{C1: members(c.C1), C2: members(c.C2), B: members(c.B)}}, nil
+	if level == gen.AdHoc {
+		zv := pka
+		z = &zv
+	}
+	return pka, z, nil
 }
 
-// seedCut seeds ic with v, if there is one. A cached witness is verified
-// first: the body is cache-authentic, but the checker trusts its seeds.
-func seedCut[W cutsearch.Cut](ic *cutsearch.Incremental[W], in *instance.Instance, v *Verdict) {
+// seedCut primes ic with the pka verdict of a revision served from a cache
+// rather than computed, so the next revision can still repair. A cached
+// witness is verified first: the body is cache-authentic, but the checker
+// trusts its seeds.
+func seedCut(ic *core.IncrementalCut, in *instance.Instance, v Verdict) {
 	switch {
-	case v == nil:
 	case v.Witness != nil:
-		w := W(cutsearch.Witness{C1: nodeset.Of(v.Witness.C1...), C2: nodeset.Of(v.Witness.C2...), B: nodeset.Of(v.Witness.B...)})
-		if cutsearch.Verify(cutsearch.FromInstance(in, w.Rule()), cutsearch.Witness(w)) == nil {
+		w := core.RMTCut{C1: nodeset.Of(v.Witness.C1...), C2: nodeset.Of(v.Witness.C2...), B: nodeset.Of(v.Witness.B...)}
+		if core.VerifyRMTCut(in, w) == nil {
 			ic.Seed(w, true)
 		}
 	case v.Solvable:
-		var none W
-		ic.Seed(none, false)
+		ic.Seed(core.RMTCut{}, false)
 	}
 }
 

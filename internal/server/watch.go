@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 
+	"rmt/internal/core"
 	"rmt/internal/gen"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
@@ -46,7 +47,7 @@ type watchError struct {
 //	response: one WatchEvent per verdict change (rev 0 always reports the
 //	          base verdict), or a terminal {"error": ...} line
 //
-// Each revision is answered by the incremental checkers (witness repair
+// Each revision is answered by one incremental checker (witness repair
 // first, full enumeration only on fallback) and cached in the result LRU
 // under the revision's chain key — a domain-separated hash of (previous
 // key, delta) that can never equal any base instance's canonical key, so
@@ -62,8 +63,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	rc.EnableFullDuplex()
 
+	// The line buffer starts at 4 KiB and grows up to MaxBodyBytes.
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), int(s.opts.MaxBodyBytes))
+	sc.Buffer(nil, int(s.opts.MaxBodyBytes))
 
 	first, err := nextLine(sc)
 	if err != nil {
@@ -71,9 +73,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InstanceRequest
-	dec := json.NewDecoder(bytes.NewReader(first))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeLine(first, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "instance line: %v", err)
 		return
 	}
@@ -88,7 +88,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	base := in.CanonicalKey()
 	key := base
-	var cuts cutCheckers
+	var cut core.IncrementalCut
 	cur := in
 	var prev *WatchEvent
 	for rev := 0; ; rev++ {
@@ -96,7 +96,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			s.watchFail(w, rc, rev, "delta limit %d exceeded", s.opts.MaxWatchDeltas)
 			return
 		}
-		ev, body, err := s.watchVerdict(r.Context(), &cuts, cur, level, base, key, rev)
+		ev, body, err := s.watchVerdict(r.Context(), &cut, cur, level, base, key, rev)
 		if err != nil {
 			s.watchFail(w, rc, rev, "%v", err)
 			return
@@ -118,16 +118,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return // end of subscription
 		}
 		var d instance.Delta
-		ddec := json.NewDecoder(bytes.NewReader(line))
-		ddec.DisallowUnknownFields()
-		if err := ddec.Decode(&d); err != nil {
+		if err := decodeLine(line, &d); err != nil {
 			s.watchFail(w, rc, rev+1, "delta %d: %v", rev+1, err)
 			return
 		}
-		if err := d.Validate(cur); err != nil {
-			s.watchFail(w, rc, rev+1, "delta %d: %v", rev+1, err)
-			return
-		}
+		// ApplyDelta validates d first and returns Validate's error as is.
 		next, err := gen.ApplyDelta(cur, d, level)
 		if err != nil {
 			s.watchFail(w, rc, rev+1, "delta %d: %v", rev+1, err)
@@ -138,36 +133,51 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// decodeLine decodes one ndjson line into v, rejecting unknown fields.
+func decodeLine(line []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // watchVerdict produces one revision's verdict event through cached, under
 // the base owner's key, so equal chains stream byte-identical events
-// fleet-wide. A computed revision advances the subscription's checkers; a
-// revision served from a cache re-seeds them from its witnesses, so the
-// next revision can still repair.
-func (s *Server) watchVerdict(ctx context.Context, cuts *cutCheckers, cur *instance.Instance, level gen.Knowledge, base, key string, rev int) (*WatchEvent, []byte, error) {
+// fleet-wide. A computed revision advances the subscription's checker, and
+// its event is used as computed unless another subscription stored its body
+// first (see resultCache.put). Any other body is decoded, and a hit or a
+// peer's body re-seeds the checker so the next revision can still repair.
+func (s *Server) watchVerdict(ctx context.Context, cut *core.IncrementalCut, cur *instance.Instance, level gen.Knowledge, base, key string, rev int) (*WatchEvent, []byte, error) {
 	// A peer's body must decode, and its witnesses must name nodes of this
-	// revision's graph: cuts.seed builds node sets from them, and
-	// nodeset.Of panics on a negative ID.
+	// revision's graph: it is served as it is, seedCut builds node sets
+	// from it, and nodeset.Of panics on a negative ID.
 	valid := func(body []byte) bool {
 		ev, err := decodeWatchEvent(body)
 		return err == nil && witnessOn(cur.G, &ev.PKA) && witnessOn(cur.G, ev.ZCPA)
 	}
+	var computed *WatchEvent
+	var computedBody []byte
 	body, source, err := s.cached(ctx, "watch-v1\n"+level.String()+"\n"+key, base, valid, func(ctx context.Context) ([]byte, error) {
 		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
 		var err error
-		if ev.PKA, ev.ZCPA, err = cuts.verdicts(ctx, cur, level); err != nil {
+		if ev.PKA, ev.ZCPA, err = s.cutVerdicts(ctx, cut, cur, level); err != nil {
 			return nil, err
 		}
-		return marshalBody(ev)
+		computed = ev
+		computedBody, err = marshalBody(ev)
+		return computedBody, err
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	if source == "miss" && bytes.Equal(body, computedBody) {
+		return computed, body, nil
 	}
 	ev, err := decodeWatchEvent(body)
 	if err != nil {
 		return nil, nil, err
 	}
 	if source != "miss" {
-		cuts.seed(cur, ev.PKA, ev.ZCPA)
+		seedCut(cut, cur, ev.PKA)
 	}
 	return ev, body, nil
 }
