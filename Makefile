@@ -50,8 +50,10 @@ benchguard:
 # ordinary tests inside `go test ./...` (and therefore inside tier1); the
 # named target runs every *AllocBudget test alone: every protocol
 # benchmark row (TestProtocolAllocBudget), warm on a shared instance and
-# cold on a fresh one, the cut searches, the connected-set walk, and
-# parse + build + CanonicalKey at every knowledge level.
+# cold on a fresh one, the cut searches (a solvable one that walks every
+# side included), the connected-set walk, the walk that must not step
+# into sets whose boundary holds the dealer (no frame chunk for their
+# depths), and parse + build + CanonicalKey at every knowledge level.
 allocguard:
 	$(GO) test -run 'AllocBudget' -count=1 . ./internal/graph/
 

@@ -125,16 +125,23 @@ func TestCutSearchAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The RMTCutSolvable row's fixture: no cut, so every side is walked.
+	solvable, err := gen.RandomInstance(rand.New(rand.NewSource(1)), 14, 0.4, 3, 0.3, gen.AdHoc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		search func() bool
+		cut    bool
 	}{
-		{"FindRMTCut/chimera", func() bool { _, found := FindRMTCut(chimera); return found }},
-		{"FindZppCut/chimera", func() bool { _, found := FindZppCut(chimera); return found }},
-		{"FindRMTCut/churn-line", func() bool { _, found := FindRMTCut(line); return found }},
+		{"FindRMTCut/chimera", func() bool { _, found := FindRMTCut(chimera); return found }, true},
+		{"FindZppCut/chimera", func() bool { _, found := FindZppCut(chimera); return found }, true},
+		{"FindRMTCut/churn-line", func() bool { _, found := FindRMTCut(line); return found }, true},
+		{"FindRMTCut/solvable", func() bool { _, found := FindRMTCut(solvable); return found }, false},
 	} {
-		if !tc.search() {
-			t.Fatalf("%s: fixture must have a cut", tc.name)
+		if found := tc.search(); found != tc.cut {
+			t.Fatalf("%s: cut found = %v, want %v", tc.name, found, tc.cut)
 		}
 		avg := testing.AllocsPerRun(20, func() { tc.search() })
 		if avg > cutSearchAllocBudget {

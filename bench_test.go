@@ -5,6 +5,7 @@ package rmt
 // Regenerate the printed tables themselves with: go run ./cmd/rmtbench
 import (
 	"io"
+	"math/rand"
 	"testing"
 
 	"rmt/internal/benchdef"
@@ -120,6 +121,22 @@ func BenchmarkRMTCutCheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FindRMTCut(in)
+	}
+}
+
+// BenchmarkRMTCutSolvable times a search that finds no cut, so it walks
+// every receiver side: a solvable ad hoc G(14, 0.4).
+func BenchmarkRMTCutSolvable(b *testing.B) {
+	in, err := gen.RandomInstance(rand.New(rand.NewSource(1)), 14, 0.4, 3, 0.3, gen.AdHoc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, found := FindRMTCut(in); found {
+			b.Fatal("solvable bench instance must have no RMT-cut")
+		}
 	}
 }
 

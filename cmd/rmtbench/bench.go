@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -85,10 +86,23 @@ func runBenches(out io.Writer) ([]benchResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A solvable ad hoc G(14, 0.4): the search walks every receiver side
+	// and finds no cut.
+	solvable, err := gen.RandomInstance(rand.New(rand.NewSource(1)), 14, 0.4, 3, 0.3, gen.AdHoc)
+	if err != nil {
+		return nil, err
+	}
 	benches = append(benches,
 		namedBench{"RMTCutCheck", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rmt.FindRMTCut(chimera)
+			}
+		}},
+		namedBench{"RMTCutSolvable", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, found := rmt.FindRMTCut(solvable); found {
+					b.Fatal("solvable bench instance must have no RMT-cut")
+				}
 			}
 		}},
 		namedBench{"ZppCutCheck", func(b *testing.B) {

@@ -18,7 +18,9 @@ import (
 // it before the cut kernel: over every receiver side B of G_M, the ⊕ fold
 // of the claimed structures and the union of the claimed views, exactly
 // as the definition is written. It is the reference coverFor is compared
-// against.
+// against, so it walks every connected set from the receiver with the
+// dealer banned and drops those whose boundary holds the dealer itself,
+// sharing no prune with the kernel's walk.
 func coverFresh(gm *graph.Graph, dealer, receiver int, members []int, combo []claimVer) bool {
 	lk := adversary.LocalKnowledge{}
 	views := map[int]nodeset.Set{}
@@ -28,8 +30,11 @@ func coverFresh(gm *graph.Graph, dealer, receiver int, members []int, combo []cl
 	}
 	covered := false
 	wk := gm.NewWalk()
-	wk.Sides(receiver, nodeset.Of(dealer), dealer, func(row, cutRow []uint64) bool {
+	wk.Sides(receiver, nodeset.Of(dealer), -1, func(row, cutRow []uint64) bool {
 		b, cut := nodeset.FromWords(row), nodeset.FromWords(cutRow)
+		if cut.Contains(dealer) {
+			return true
+		}
 		var vgb nodeset.Set
 		b.ForEach(func(v int) bool {
 			vgb.MutateUnion(views[v])

@@ -24,11 +24,15 @@ import (
 )
 
 // refSides hands fn the receiver sides (B, N(B)) of D–R cuts excluding the
-// dealer, as Sets.
+// dealer, as Sets: every connected set from the receiver with the dealer
+// banned, dropping those whose boundary holds the dealer here rather than
+// through the walk's skip, so the kernel's pruned walk is compared against
+// one that prunes nothing.
 func refSides(g *graph.Graph, dealer, receiver int, fn func(b, cut nodeset.Set) bool) {
 	wk := g.NewWalk()
-	wk.Sides(receiver, nodeset.Of(dealer), dealer, func(b, cut []uint64) bool {
-		return fn(nodeset.FromWords(b), nodeset.FromWords(cut))
+	wk.Sides(receiver, nodeset.Of(dealer), -1, func(b, row []uint64) bool {
+		cut := nodeset.FromWords(row)
+		return cut.Contains(dealer) || fn(nodeset.FromWords(b), cut)
 	})
 }
 

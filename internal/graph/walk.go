@@ -94,16 +94,18 @@ func (wk *Walk) Row(v int) []uint64 {
 
 // Sides calls fn(B, N(B)) for every connected node set B with start ∈ B
 // that avoids banned and skip and whose boundary misses skip, once per
-// set, until fn returns false. Sets whose boundary holds skip are not
-// passed to fn but are still extended: supersets of B may absorb other
-// neighbors first and avoid it. A skip that is not a node (-1, say)
-// constrains nothing, and nothing is enumerated when start is not a node,
-// is banned or is skip.
+// set, until fn returns false. A set holding a neighbor of skip has skip
+// on its boundary, and so has every superset that avoids skip: so the walk
+// returns at once when start is a neighbor of skip and never adds one to
+// B. Skip then never reaches a boundary, and every set the walk steps into
+// is passed to fn. A skip that is not a node (-1, say) constrains nothing,
+// and nothing is enumerated when start is not a node, is banned or is
+// skip.
 //
 // The receiver sides of a D–R cut C = N(B) that excludes the dealer are
-// Sides(R, ∅, D): connected sets holding R, avoiding D, whose boundary
-// misses D. The rows passed to fn are the walk's own state: fn must
-// neither modify nor retain them.
+// Sides(R, ∅, D): connected sets holding R, avoiding D ∪ N(D), which is
+// exactly the sets whose boundary misses D. The rows passed to fn are the
+// walk's own state: fn must neither modify nor retain them.
 func (wk *Walk) Sides(start int, banned nodeset.Set, skip int, fn func(b, bnd []uint64) bool) {
 	if !wk.g.HasNode(start) || banned.Contains(start) || start == skip {
 		return
@@ -111,9 +113,13 @@ func (wk *Walk) Sides(start int, banned nodeset.Set, skip int, fn func(b, bnd []
 	bnd, excl := wk.frame(0)
 	banned.CopyTo(excl)
 	if wk.g.HasNode(skip) {
-		excl[skip/wordBits] |= 1 << uint(skip%wordBits)
-	} else {
-		skip = -1
+		nskip := wk.Row(skip)
+		if nskip[start/wordBits]&(1<<uint(start%wordBits)) != 0 {
+			return
+		}
+		for i, x := range nskip {
+			excl[i] |= x
+		}
 	}
 	// Depth 0 is B = {start}; graphs have no self-loops, so N(start) is
 	// already a valid boundary.
@@ -121,17 +127,15 @@ func (wk *Walk) Sides(start int, banned nodeset.Set, skip int, fn func(b, bnd []
 	wk.b[start/wordBits] |= 1 << uint(start%wordBits)
 	copy(bnd, wk.Row(start))
 	excl[start/wordBits] |= 1 << uint(start%wordBits)
-	wk.rec(0, skip, fn)
+	wk.rec(0, fn)
 }
 
-// rec emits depth d's set (unless its boundary holds skip) and recurses
-// into each extension. It reports false once fn has stopped the walk.
-func (wk *Walk) rec(d, skip int, fn func(b, bnd []uint64) bool) bool {
+// rec passes depth d's set to fn and recurses into each extension. It
+// reports false once fn has stopped the walk.
+func (wk *Walk) rec(d int, fn func(b, bnd []uint64) bool) bool {
 	bnd, excl := wk.frame(d)
-	if skip < 0 || bnd[skip/wordBits]&(1<<uint(skip%wordBits)) == 0 {
-		if !fn(wk.b, bnd) {
-			return false
-		}
+	if !fn(wk.b, bnd) {
+		return false
 	}
 	var nbnd, nexcl []uint64
 	for i := range bnd {
@@ -147,7 +151,7 @@ func (wk *Walk) rec(d, skip int, fn func(b, bnd []uint64) bool) bool {
 			for j := range nbnd {
 				nbnd[j] = (bnd[j] | adj[j]) &^ wk.b[j]
 			}
-			if !wk.rec(d+1, skip, fn) {
+			if !wk.rec(d+1, fn) {
 				return false
 			}
 			wk.b[i] &^= bit

@@ -117,6 +117,95 @@ func TestWalkMatchesSetEnumeration(t *testing.T) {
 	}
 }
 
+// TestWalkSidesExhaustive checks the receiver sides Sides(start, ∅, skip)
+// on every graph on 2–6 labelled nodes (2–5 under -short) and every pair
+// start ≠ skip against the reference enumeration from start with skip
+// banned, minus the sets whose boundary holds skip: the same sides, in the
+// same order.
+func TestWalkSidesExhaustive(t *testing.T) {
+	maxN := 6
+	if testing.Short() {
+		maxN = 5
+	}
+	var want, got []candidate
+	for n := 2; n <= maxN; n++ {
+		var pairs [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				pairs = append(pairs, [2]int{u, v})
+			}
+		}
+		for mask := 0; mask < 1<<len(pairs); mask++ {
+			g := NewWithNodes(n)
+			for i, e := range pairs {
+				if mask&(1<<i) != 0 {
+					g.AddEdge(e[0], e[1])
+				}
+			}
+			wk := g.NewWalk()
+			for start := 0; start < n; start++ {
+				for skip := 0; skip < n; skip++ {
+					if skip == start {
+						continue
+					}
+					want = want[:0]
+					setConnectedSets(g, start, nodeset.Of(skip), func(b, bnd nodeset.Set) bool {
+						if !bnd.Contains(skip) {
+							want = append(want, candidate{b, bnd})
+						}
+						return true
+					})
+					got = got[:0]
+					wk.Sides(start, nodeset.Set{}, skip, func(b, bnd []uint64) bool {
+						got = append(got, candidate{nodeset.FromWords(b), nodeset.FromWords(bnd)})
+						return true
+					})
+					if len(got) != len(want) {
+						t.Fatalf("n=%d edges %v start %d skip %d: %d sides, reference %d", n, g.Edges(), start, skip, len(got), len(want))
+					}
+					for k := range want {
+						if !got[k].b.Equal(want[k].b) || !got[k].bnd.Equal(want[k].bnd) {
+							t.Fatalf("n=%d edges %v start %d skip %d: side %d is (%v, %v), reference (%v, %v)",
+								n, g.Edges(), start, skip, k, got[k].b, got[k].bnd, want[k].b, want[k].bnd)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWalkDeadSidesAllocBudget pins that the walk never steps into a set
+// whose boundary holds skip. On the line 1–2–…–41 with the dealer 0
+// attached to node 2, the only receiver side from 1 is ({1}, {2}), and a
+// walk allocates its rows and nothing else: no frame chunk for the deeper
+// sets, all of which hold 2 and so keep 0 on their boundary.
+func TestWalkDeadSidesAllocBudget(t *testing.T) {
+	g := NewWithNodes(42)
+	for v := 1; v < 41; v++ {
+		g.AddEdge(v, v+1)
+	}
+	g.AddEdge(0, 2)
+	var sides []candidate
+	wk := g.NewWalk()
+	wk.Sides(1, nodeset.Of(0), 0, func(b, bnd []uint64) bool {
+		sides = append(sides, candidate{nodeset.FromWords(b), nodeset.FromWords(bnd)})
+		return true
+	})
+	if len(sides) != 1 || !sides[0].b.Equal(nodeset.Of(1)) || !sides[0].bnd.Equal(nodeset.Of(2)) {
+		t.Fatalf("receiver sides %v, want only ({1}, {2})", sides)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		wk := g.NewWalk()
+		wk.Sides(1, nodeset.Of(0), 0, func(b, bnd []uint64) bool { return true })
+	})
+	// The walk's rows and the banned set.
+	const budget = 2
+	if allocs > budget {
+		t.Fatalf("walk over one receiver side allocated %.1f times, want ≤ %d", allocs, budget)
+	}
+}
+
 // TestWalkAllocBudget pins that a walk allocates its rows once and then
 // one chunk per doubling of the depth it reaches, never per candidate.
 func TestWalkAllocBudget(t *testing.T) {

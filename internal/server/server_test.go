@@ -517,6 +517,39 @@ func TestRunTrialStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// TestCompleteGraphSearchIsCheap: the cut search walks only receiver sides
+// that avoid the dealer's neighbors, so on K_28, where the receiver is one,
+// it has none to walk and answers at once. A walk that stepped into the
+// 2^26 sets holding a neighbor of the dealer would poll no deadline there:
+// the request would answer 504 and hold the only worker for seconds after.
+func TestCompleteGraphSearchIsCheap(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, RequestTimeout: 200 * time.Millisecond})
+	var edges []string
+	for u := 0; u < 28; u++ {
+		for v := u + 1; v < 28; v++ {
+			edges = append(edges, fmt.Sprintf("%d-%d", u, v))
+		}
+	}
+	body := fmt.Sprintf(`{"graph":%q,"structure":"2;3","dealer":0,"receiver":27}`, strings.Join(edges, " "))
+	code, resp := post(t, ts, "/v1/feasibility", body)
+	if code != http.StatusOK {
+		t.Fatalf("K_28 answered %d %s, want 200", code, resp)
+	}
+	var got struct {
+		PKA  struct{ Solvable bool } `json:"pka"`
+		MBRB *json.RawMessage        `json:"mbrb"`
+	}
+	if err := json.Unmarshal(resp, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.PKA.Solvable || got.MBRB == nil {
+		t.Fatalf("K_28 answered %s, want a solvable pka verdict and an mbrb verdict", resp)
+	}
+	if code, resp := post(t, ts, "/v1/feasibility", solvableButterfly); code != http.StatusOK {
+		t.Fatalf("the request after it answered %d %s, want 200", code, resp)
+	}
+}
+
 // TestClientCancelNotCountedAsTimeout: a client that disconnects while its
 // request waits on the pool is recorded in rmtd_client_cancels_total (and
 // logged as 499), not in rmtd_timeouts_total — the timeout metric must only
