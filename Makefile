@@ -48,14 +48,16 @@ benchguard:
 # Allocation-only hot-path guards. Unlike wall-clock numbers, allocation
 # counts are deterministic, so these DO gate every PR — they run as
 # ordinary tests inside `go test ./...` (and therefore inside tier1); the
-# named target runs every *AllocBudget test alone: every protocol
-# benchmark row (TestProtocolAllocBudget), warm on a shared instance and
-# cold on a fresh one, the cut searches (a solvable one that walks every
-# side included), the connected-set walk, the walk that must not step
-# into sets whose boundary holds the dealer (no frame chunk for their
-# depths), and parse + build + CanonicalKey at every knowledge level.
+# named target runs every *AllocBudget and *BytesBudget test alone: every
+# protocol benchmark row (TestProtocolAllocBudget), warm on a shared
+# instance and cold on a fresh one, the cut searches (a solvable one that
+# walks every side included), the connected-set walk, the walk that must
+# not step into sets whose boundary holds the dealer (no frame chunk for
+# their depths), parse + build + CanonicalKey at every knowledge level, a
+# one-edge delta at ad hoc and radius 1 (only the views it reaches are
+# built), and the bytes of one /v1/watch subscription.
 allocguard:
-	$(GO) test -run 'AllocBudget' -count=1 . ./internal/graph/
+	$(GO) test -run 'AllocBudget|BytesBudget' -count=1 . ./internal/graph/ ./internal/server/
 
 # The steady rmtd benchmark (rmtdbench/, run by `bash rmtdbench/run.sh`) is
 # its own Go module, so the root `go build ./...` and `go vet ./...` never

@@ -316,3 +316,43 @@ func TestSparseHubBuildCost(t *testing.T) {
 		t.Logf("%s: parse + build + key of the hub body: %v, %.2f MB", level, elapsed, bytes/(1<<20))
 	}
 }
+
+// applyDeltaBudget bounds one one-edge delta on the 256-node path, the
+// shape of a watch revision: the chord {127, 129} applied with
+// gen.ApplyDelta (collector off, one P). Before a delta carried views
+// over, it rebuilt all 256 views and checked them all; after, it builds
+// and checks the 2 stars or the 5 radius-1 balls the chord reaches, per
+// level before → after: adhoc 71,712 B in 13 allocs → 15,176 B in 15,
+// radius1 74,384 B in 23 allocs → 16,072 B in 22. The budgets sit about
+// a quarter above; most of what is left is the clone of G's row table
+// and the new γ's node table, 12 KB together. Rebuilding every view
+// again would cost some 55 KB more.
+var applyDeltaBudget = map[gen.Knowledge]struct{ bytes, allocs float64 }{
+	gen.AdHoc:   {19_000, 19},
+	gen.Radius1: {20_000, 28},
+}
+
+func TestApplyDeltaAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 256
+	d := Delta{AddEdges: [][2]int{{n/2 - 1, n/2 + 1}}}
+	for _, level := range []gen.Knowledge{gen.AdHoc, gen.Radius1} {
+		in, err := gen.Build(gen.Line(n), adversary.FromSlices([]int{n / 2}), level, 0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply := func() {
+			if _, err := gen.ApplyDelta(in, d, level); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bytes, allocs := bytesPerRun(20, apply), testing.AllocsPerRun(20, apply)
+		t.Logf("%s: %.0f bytes, %.0f allocs", level, bytes, allocs)
+		budget := applyDeltaBudget[level]
+		if bytes > budget.bytes || allocs > budget.allocs {
+			t.Errorf("%s: a one-edge delta allocates %.0f bytes in %.0f allocs, budget %.0f bytes in %.0f", level, bytes, allocs, budget.bytes, budget.allocs)
+		}
+	}
+}

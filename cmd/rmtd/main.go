@@ -24,7 +24,7 @@
 //	rmtd -addr :8080 -router -shards http://h:8081,http://h:8082
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, in-flight
-// requests finish (bounded by -drain), then the worker pool is released.
+// requests finish (bounded by -drain), then admitted computations drain.
 package main
 
 import (

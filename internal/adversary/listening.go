@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"context"
+
 	"rmt/internal/graph"
 	"rmt/internal/nodeset"
 )
@@ -72,14 +74,25 @@ func (a Generalised) DisruptionCut(g *graph.Graph, d, r int) (nodeset.Set, bool)
 // — it never adds a cut of its own, so "no listening" can never make a
 // feasible instance infeasible.
 func (a Generalised) SecrecyCut(g *graph.Graph, d, r int) (cut, listen nodeset.Set, found bool) {
+	cut, listen, found, _ = a.SecrecyCutCtx(context.Background(), g, d, r)
+	return cut, listen, found
+}
+
+// SecrecyCutCtx is SecrecyCut polling ctx before each maximal listening
+// set's search, so a structure with many sets stops at ctx's deadline; it
+// returns ctx's error then.
+func (a Generalised) SecrecyCutCtx(ctx context.Context, g *graph.Graph, d, r int) (cut, listen nodeset.Set, found bool, err error) {
 	ground := a.Z.Ground()
 	for _, l := range a.L.Maximal() {
+		if err := ctx.Err(); err != nil {
+			return nodeset.Empty(), nodeset.Empty(), false, err
+		}
 		combined := ground.Union(l)
 		if combined.Contains(d) || combined.Contains(r) || !g.HasHonestPath(d, r, combined) {
-			return combined, l, true
+			return combined, l, true, nil
 		}
 	}
-	return nodeset.Empty(), nodeset.Empty(), false
+	return nodeset.Empty(), nodeset.Empty(), false, nil
 }
 
 // Feasible reports whether secure message transmission from d to r is

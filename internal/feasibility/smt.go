@@ -1,11 +1,14 @@
 package feasibility
 
 import (
+	"context"
+
 	"rmt/internal/adversary"
 	"rmt/internal/gen"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
+	"rmt/internal/protocol"
 	"rmt/internal/smt"
 )
 
@@ -47,22 +50,40 @@ type SMTVerdict struct {
 // the protocol's own planner, so the verdict and an smt run can never
 // disagree about solvability.
 func SMTVerdictFor(in *instance.Instance, listen adversary.Structure) SMTVerdict {
+	v, _ := SMTVerdictCtx(context.Background(), in, listen)
+	return v
+}
+
+// SMTVerdictCtx is SMTVerdictFor under ctx. The secrecy scan and the
+// planner run one search per maximal listening set; ctx is polled before
+// the disruption check and before each of those searches, and its error is
+// returned as soon as it is seen.
+func SMTVerdictCtx(ctx context.Context, in *instance.Instance, listen adversary.Structure) (SMTVerdict, error) {
+	if err := ctx.Err(); err != nil {
+		return SMTVerdict{}, err
+	}
 	v := SMTVerdict{}
 	a := adversary.NewGeneralised(in.Z, listen)
 	v.DisruptionCut, v.DisruptionFound = a.DisruptionCut(in.G, in.Dealer, in.Receiver)
-	v.SecrecyCut, v.SecrecyListen, v.SecrecyFound = a.SecrecyCut(in.G, in.Dealer, in.Receiver)
-	if v.DisruptionFound || v.SecrecyFound {
-		return v
+	var err error
+	if v.SecrecyCut, v.SecrecyListen, v.SecrecyFound, err = a.SecrecyCutCtx(ctx, in.G, in.Dealer, in.Receiver); err != nil {
+		return SMTVerdict{}, err
 	}
-	plan, err := smt.NewPlan(in, listen)
-	if err != nil {
+	if v.DisruptionFound || v.SecrecyFound {
+		return v, nil
+	}
+	plan, err := smt.NewPlanCtx(ctx, in, listen)
+	if protocol.IsCapsError(err) {
 		// The cut conditions passed, so the planner must succeed; reaching
 		// here would mean predicate and protocol have drifted apart.
 		panic("feasibility: cut conditions hold but smt.NewPlan failed: " + err.Error())
 	}
+	if err != nil {
+		return SMTVerdict{}, err
+	}
 	v.Feasible = true
 	v.Paths = plan.Paths
-	return v
+	return v, nil
 }
 
 // SMTBoundaryPoint is one side of an SMT boundary pair: an instance builder

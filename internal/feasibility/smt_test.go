@@ -1,6 +1,10 @@
 package feasibility
 
 import (
+	"context"
+	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"rmt/internal/adversary"
@@ -148,5 +152,52 @@ func TestSMTFeasibleChimera(t *testing.T) {
 	if v.Feasible || !v.DisruptionFound || !v.DisruptionCut.Equal(nodeset.Of(1, 2, 3)) {
 		t.Fatalf("chimera under trivial listening: feasible %v, disruption cut %v (found %v); want infeasible with cut {1, 2, 3}",
 			v.Feasible, v.DisruptionCut, v.DisruptionFound)
+	}
+}
+
+// pollCtx is a context whose Err reports context.Canceled from its
+// (live+1)-th call on, counting the calls.
+type pollCtx struct {
+	context.Context
+	live, polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSMTVerdictPollsOncePerSet: SMTVerdictCtx polls its context before
+// the disruption check and before each maximal listening set's search in
+// the secrecy scan and the planner. A cancelled context returns its error
+// at the first poll, before any search; one cancelled at any later poll
+// returns at that poll; a live one gives SMTVerdictFor's verdict, after
+// 1 + 2|ℒ| polls on a feasible instance with |ℒ| maximal sets.
+func TestSMTVerdictPollsOncePerSet(t *testing.T) {
+	for _, b := range SMTBoundaries() {
+		for _, side := range []SMTBoundaryPoint{b.Feasible, b.Infeasible} {
+			in, err := side.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := SMTVerdictFor(in, side.Listen)
+			live := &pollCtx{Context: context.Background(), live: math.MaxInt}
+			got, err := SMTVerdictCtx(live, in, side.Listen)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: live context gave %+v, %v; want %+v", b.Name, got, err, want)
+			}
+			if sets := len(side.Listen.Maximal()); want.Feasible && live.polls != 1+2*sets {
+				t.Fatalf("%s: %d polls for %d listening sets, want %d", b.Name, live.polls, sets, 1+2*sets)
+			}
+			for k := 0; k < live.polls; k++ {
+				c := &pollCtx{Context: context.Background(), live: k}
+				if _, err := SMTVerdictCtx(c, in, side.Listen); !errors.Is(err, context.Canceled) || c.polls != k+1 {
+					t.Fatalf("%s: cancelled at poll %d: %v after %d polls", b.Name, k+1, err, c.polls)
+				}
+			}
+		}
 	}
 }

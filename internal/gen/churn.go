@@ -5,6 +5,7 @@ import (
 
 	"rmt/internal/graph"
 	"rmt/internal/instance"
+	"rmt/internal/nodeset"
 	"rmt/internal/view"
 )
 
@@ -14,15 +15,30 @@ import (
 
 // ApplyDelta applies a topology delta to an instance whose views were
 // built at knowledge level k, rebuilding γ from the edited graph at the
-// same level. This is the delta application every caller with a knowledge
-// level wants; instance.Apply is the level-free primitive.
+// same level. Only the views the delta can reach are built and checked:
+// at ad hoc the stars of the nodes whose neighborhood changed, at radius
+// k the balls of the nodes within k hops of them, under full knowledge
+// every view, which is G. Every other view is carried over from in, the
+// same pointer, and equals what a full rebuild makes (DESIGN §31).
 func ApplyDelta(in *instance.Instance, d instance.Delta, k Knowledge) (*instance.Instance, error) {
-	return instance.Apply(in, d, func(g *graph.Graph) view.Function { return k.View(g) })
+	return instance.Apply(in, d, k.rebuild)
 }
 
 // ApplyDeltaChain folds ApplyDelta over a delta sequence.
 func ApplyDeltaChain(in *instance.Instance, deltas []instance.Delta, k Knowledge) (*instance.Instance, error) {
-	return instance.ApplyChain(in, deltas, func(g *graph.Graph) view.Function { return k.View(g) })
+	return instance.ApplyChain(in, deltas, k.rebuild)
+}
+
+// rebuild is k's instance.Rebuild.
+func (k Knowledge) rebuild(g *graph.Graph, prev view.Function, changed nodeset.Set) (view.Function, nodeset.Set) {
+	switch k {
+	case AdHoc:
+		return view.AdHocAfter(g, prev, changed)
+	case FullKnowledge:
+		return view.Full(g), g.Nodes()
+	default:
+		return view.RadiusAfter(g, k.radius(), prev, changed)
+	}
 }
 
 // churnRand is the splitmix64 stream used by RandomDeltaChain — the same

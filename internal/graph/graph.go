@@ -119,25 +119,37 @@ func NewStar(v int, leaves nodeset.Set) *Graph {
 }
 
 // Stars returns the star of every node of g, in increasing ID order:
-// element i equals NewStar(v, N(v)) for the i-th node v. The stars' node
-// sets come from one word slab, their {v} leaf rows from
+// element i equals NewStar(v, N(v)) for the i-th node v. It is StarsOf
+// over every node.
+func (g *Graph) Stars() []*Graph { return g.StarsOf(g.nodes) }
+
+// StarsOf returns the star of every node of s ⊆ V(g), in increasing ID
+// order: element i equals NewStar(v, N(v)) for the i-th member v of s.
+// The stars' node sets come from one word slab, their {v} leaf rows from
 // nodeset.Singletons, their tables from one row slab and the graphs
-// themselves from one slab, so the n stars cost a constant number of
+// themselves from one slab, so the stars cost a constant number of
 // allocations; each center row is g's own row.
-func (g *Graph) Stars() []*Graph {
-	words, rows := 0, 0
+func (g *Graph) StarsOf(s nodeset.Set) []*Graph {
+	words, rows, n := 0, 0, 0
 	for _, r := range g.rows {
-		words += starWords(r.id, r.adj)
-		rows += r.adj.Len() + 1
+		if s.Contains(r.id) {
+			words += starWords(r.id, r.adj)
+			rows += r.adj.Len() + 1
+			n++
+		}
 	}
 	sl := nodeset.NewSlab(words)
 	rs := make(rowSlab, rows)
-	centers := nodeset.Singletons(g.nodes)
-	stars := make([]Graph, len(g.rows))
-	out := make([]*Graph, len(g.rows))
-	for i, r := range g.rows {
-		stars[i].star(&sl, rs.take(r.adj.Len()+1), r.id, r.adj, centers[i])
-		out[i] = &stars[i]
+	centers := nodeset.Singletons(s)
+	stars := make([]Graph, n)
+	out := make([]*Graph, n)
+	i := 0
+	for _, r := range g.rows {
+		if s.Contains(r.id) {
+			stars[i].star(&sl, rs.take(r.adj.Len()+1), r.id, r.adj, centers[i])
+			out[i] = &stars[i]
+			i++
+		}
 	}
 	return out
 }
@@ -353,18 +365,26 @@ func (g *Graph) induce(sl *nodeset.Slab, rows []row, kept nodeset.Set) {
 }
 
 // Balls returns, for every node v of g in increasing ID order, the
-// subgraph of g induced by Ball(v, radius): element i equals
-// g.InducedSubgraph(g.Ball(v, radius)) for the i-th node v, and is g
-// itself when the ball holds every node, as under full knowledge. Each
+// subgraph of g induced by Ball(v, radius). It is BallsOf over every node.
+func (g *Graph) Balls(radius int) []*Graph { return g.BallsOf(g.nodes, radius) }
+
+// BallsOf returns, for every node v of s ⊆ V(g) in increasing ID order,
+// the subgraph of g induced by Ball(v, radius): element i equals
+// g.InducedSubgraph(g.Ball(v, radius)) for the i-th member v of s, and is
+// g itself when the ball holds every node, as under full knowledge. Each
 // ball grows in one scratch set, once to size the slabs and once to fill
 // them: the other balls' node sets and masked rows come from one word
 // slab, their tables from one row slab and the graphs from one slab, so
-// the n subgraphs cost a constant number of allocations. Rows inside a
+// the subgraphs cost a constant number of allocations. Rows inside a
 // ball are g's own.
-func (g *Graph) Balls(radius int) []*Graph {
+func (g *Graph) BallsOf(s nodeset.Set, radius int) []*Graph {
 	var sc ballScratch
-	words, rows := 0, 0
+	words, rows, n := 0, 0, 0
 	for _, r := range g.rows {
+		if !s.Contains(r.id) {
+			continue
+		}
+		n++
 		if ball := sc.grow(g, r.id, radius); !ball.Equal(g.nodes) {
 			words += ball.Width() + g.inducedWords(ball)
 			rows += ball.Len()
@@ -372,19 +392,24 @@ func (g *Graph) Balls(radius int) []*Graph {
 	}
 	sl := nodeset.NewSlab(words)
 	rs := make(rowSlab, rows)
-	balls := make([]Graph, len(g.rows))
-	out := make([]*Graph, len(g.rows))
-	for i, r := range g.rows {
+	balls := make([]Graph, n)
+	out := make([]*Graph, n)
+	i := 0
+	for _, r := range g.rows {
+		if !s.Contains(r.id) {
+			continue
+		}
 		ball := sc.grow(g, r.id, radius)
 		if ball.Equal(g.nodes) {
 			out[i] = g
-			continue
+		} else {
+			b := &balls[i]
+			b.nodes = sl.Copy(ball)
+			b.rows = rs.take(ball.Len())
+			g.induce(&sl, b.rows, b.nodes)
+			out[i] = b
 		}
-		b := &balls[i]
-		b.nodes = sl.Copy(ball)
-		b.rows = rs.take(ball.Len())
-		g.induce(&sl, b.rows, b.nodes)
-		out[i] = b
+		i++
 	}
 	return out
 }
@@ -570,6 +595,13 @@ func (sc *ballScratch) grow(g *Graph, v, radius int) nodeset.Set {
 	sc.ball.MutateAdd(v)
 	sc.frontier.MutateClear()
 	sc.frontier.MutateAdd(v)
+	return sc.spread(g, radius)
+}
+
+// spread adds up to radius BFS layers to sc.ball, whose newest layer is
+// sc.frontier, and returns sc.ball: each layer is the union of its
+// predecessor's neighbor rows minus the ball.
+func (sc *ballScratch) spread(g *Graph, radius int) nodeset.Set {
 	for d := 0; d < radius; d++ {
 		sc.next.MutateClear()
 		for w := 0; w < sc.frontier.Width(); w++ {
@@ -585,6 +617,19 @@ func (sc *ballScratch) grow(g *Graph, v, radius int) nodeset.Set {
 		sc.frontier, sc.next = sc.next, sc.frontier
 	}
 	return sc.ball
+}
+
+// Near returns the nodes of g within the given hop radius of some member
+// of s ⊆ V(g), s included: the union of their balls, grown from all of s
+// at once.
+func (g *Graph) Near(s nodeset.Set, radius int) nodeset.Set {
+	var sc ballScratch
+	if radius < 0 {
+		return sc.ball
+	}
+	sc.ball.MutateUnion(s)
+	sc.frontier.MutateUnion(s)
+	return sc.spread(g, radius)
 }
 
 // Diameter returns the maximum finite BFS distance over all node pairs,

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"rmt/internal/graph"
+	"rmt/internal/nodeset"
 	"rmt/internal/view"
 )
 
@@ -18,9 +19,10 @@ import (
 //
 // An Instance is immutable; applying a Delta produces a fresh Instance over
 // the edited graph, with the adversary structure restricted to the
-// surviving nodes and the view function rebuilt from the new topology (a
-// node's view is derived from the graph, so a topology edit changes what
-// its neighbors see — views cannot be patched independently).
+// surviving nodes and the view function rebuilt from the new topology. A
+// node's view is derived from the graph near it, so an edit changes the
+// views of the nodes near the edited ones and no others: the rebuild
+// builds those and carries every other view over, the same pointer.
 //
 // Identity is deliberately path-dependent: ChainKey hashes the base
 // instance's CanonicalKey with each delta's canonical rendering in order,
@@ -214,43 +216,63 @@ func edgeAdded(added [][2]int, e [2]int) bool {
 	return false
 }
 
+// Rebuild derives the view function of an edited graph g from prev, the
+// view function before the edit. changed holds every node of g whose
+// neighborhood the edit changed, the added nodes included. It returns γ
+// and the nodes whose views it built: Apply checks those against g, and
+// every other view must be prev's view of a node the edit cannot have
+// reached (DESIGN §31). A rebuild that builds every view returns V(g).
+type Rebuild func(g *graph.Graph, prev view.Function, changed nodeset.Set) (gamma view.Function, built nodeset.Set)
+
 // Apply produces the instance after the delta: the graph is cloned and
 // edited, the adversary structure is restricted to the surviving nodes,
-// and rebuildView derives the new view function γ from the edited graph
-// (callers with a gen.Knowledge level pass level.View; see gen.ApplyDelta).
-// The receiver and dealer must survive; the returned instance is validated
-// by New, so e.g. a delta that grows the graph under a view function whose
-// domain no longer matches fails loudly.
-func Apply(in *Instance, d Delta, rebuildView func(*graph.Graph) view.Function) (*Instance, error) {
+// and rebuild derives the new view function γ from the edited graph and
+// the old γ (callers with a gen.Knowledge level use gen.ApplyDelta, which
+// rebuilds only the views the delta can reach). The receiver and dealer
+// must survive; the returned instance is validated as New validates it,
+// with only the views rebuild built checked against the new graph, so
+// e.g. a delta that grows the graph under a view function whose domain no
+// longer matches fails loudly.
+func Apply(in *Instance, d Delta, rebuild Rebuild) (*Instance, error) {
 	if err := d.Validate(in); err != nil {
 		return nil, err
 	}
 	g := in.G.Clone()
+	var changed nodeset.Set
 	for _, n := range d.AddNodes {
 		g.AddNode(n)
+		changed.MutateAdd(n)
 	}
 	for _, e := range d.AddEdges {
 		g.AddEdge(e[0], e[1])
+		changed.MutateAdd(e[0])
+		changed.MutateAdd(e[1])
 	}
 	for _, e := range d.RemoveEdges {
 		g.RemoveEdge(e[0], e[1])
+		changed.MutateAdd(e[0])
+		changed.MutateAdd(e[1])
 	}
 	for _, n := range d.RemoveNodes {
+		// A removed node's edges count as removed; it has no view left.
+		changed.MutateUnion(g.Neighbors(n))
+		changed.MutateRemove(n)
 		g.RemoveNode(n)
 	}
 	z := in.Z
 	if len(d.RemoveNodes) > 0 {
 		z = z.Restrict(g.Nodes())
 	}
-	return New(g, z, rebuildView(g), in.Dealer, in.Receiver)
+	gamma, built := rebuild(g, in.Gamma, changed)
+	return build(g, z, gamma, built, in.Dealer, in.Receiver)
 }
 
 // ApplyChain folds Apply over a delta sequence, returning the final
 // instance. It fails on the first delta that does not apply.
-func ApplyChain(in *Instance, deltas []Delta, rebuildView func(*graph.Graph) view.Function) (*Instance, error) {
+func ApplyChain(in *Instance, deltas []Delta, rebuild Rebuild) (*Instance, error) {
 	cur := in
 	for i, d := range deltas {
-		next, err := Apply(cur, d, rebuildView)
+		next, err := Apply(cur, d, rebuild)
 		if err != nil {
 			return nil, fmt.Errorf("delta %d: %w", i, err)
 		}

@@ -4,12 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
 	"rmt/internal/gen"
+	"rmt/internal/graph"
 	"rmt/internal/instance"
+	"rmt/internal/nodeset"
 )
 
 // refDeltaCanonicalString is Delta.CanonicalString as it was written
@@ -115,4 +118,120 @@ func FuzzChainKeyMatchesReference(f *testing.F) {
 			prev = key
 		}
 	})
+}
+
+// refApply is delta application as it was before Apply carried views
+// over: clone G and edit it, restrict 𝒵 when nodes were removed, then
+// build every view at the level and check all of them in New.
+func refApply(in *instance.Instance, d instance.Delta, level gen.Knowledge) (*instance.Instance, error) {
+	if err := d.Validate(in); err != nil {
+		return nil, err
+	}
+	g := in.G.Clone()
+	for _, n := range d.AddNodes {
+		g.AddNode(n)
+	}
+	for _, e := range d.AddEdges {
+		g.AddEdge(e[0], e[1])
+	}
+	for _, e := range d.RemoveEdges {
+		g.RemoveEdge(e[0], e[1])
+	}
+	for _, n := range d.RemoveNodes {
+		g.RemoveNode(n)
+	}
+	z := in.Z
+	if len(d.RemoveNodes) > 0 {
+		z = z.Restrict(g.Nodes())
+	}
+	return instance.New(g, z, level.View(g), in.Dealer, in.Receiver)
+}
+
+// changedNodes returns the nodes whose neighborhood differs between g
+// and h, the nodes of only one of them included.
+func changedNodes(g, h *graph.Graph) nodeset.Set {
+	var x nodeset.Set
+	g.Nodes().Union(h.Nodes()).ForEach(func(v int) bool {
+		if !g.HasNode(v) || !h.HasNode(v) || !g.Neighbors(v).Equal(h.Neighbors(v)) {
+			x.MutateAdd(v)
+		}
+		return true
+	})
+	return x
+}
+
+// TestApplyDeltaMatchesReference replays seeded random delta chains on
+// random instances at every knowledge level through gen.ApplyDelta and
+// refApply. Every revision must have the reference's graph, structure and
+// canonical key and, node by node, views equal to the reference's. Every
+// view the delta cannot reach must be the previous revision's view, the
+// same pointer: at ad hoc the star of each node whose neighborhood did
+// not change, at radius k the ball of each node farther than k hops from
+// those that did; under full knowledge every view is the new G.
+func TestApplyDeltaMatchesReference(t *testing.T) {
+	chains, steps := 30, 12
+	if testing.Short() {
+		chains = 8
+	}
+	carried := map[gen.Knowledge]int{}
+	for _, level := range gen.Levels() {
+		for c := 0; c < chains; c++ {
+			seed := int64(c + 1)
+			rng := rand.New(rand.NewSource(seed))
+			in, err := gen.RandomInstance(rng, 6+rng.Intn(10), 0.2+0.3*rng.Float64(), 2, 0.3, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltas, err := gen.RandomDeltaChain(in, level, steps, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := in
+			for i, d := range deltas {
+				next, err := gen.ApplyDelta(cur, d, level)
+				if err != nil {
+					t.Fatalf("%s chain %d delta %d %+v: %v", level, c, i, d, err)
+				}
+				ref, err := refApply(cur, d, level)
+				if err != nil {
+					t.Fatalf("%s chain %d delta %d %+v: reference: %v", level, c, i, d, err)
+				}
+				if !next.G.Equal(ref.G) || next.Z.String() != ref.Z.String() || next.CanonicalKey() != ref.CanonicalKey() {
+					t.Fatalf("%s chain %d delta %d %+v: %v %v, reference %v %v", level, c, i, d, next.G, next.Z, ref.G, ref.Z)
+				}
+				// reached reports whether the delta can reach γ(v).
+				x := changedNodes(cur.G, next.G)
+				reached := func(v int) bool {
+					switch level {
+					case gen.AdHoc:
+						return x.Contains(v)
+					case gen.FullKnowledge:
+						return true
+					default:
+						return next.G.Ball(v, int(level-gen.AdHoc)).Intersects(x)
+					}
+				}
+				next.G.Nodes().ForEach(func(v int) bool {
+					got, want := next.Gamma.Of(v), ref.Gamma.Of(v)
+					if !got.Equal(want) {
+						t.Fatalf("%s chain %d delta %d %+v: γ(%d) = %v, reference %v", level, c, i, d, v, got, want)
+					}
+					if !reached(v) {
+						if got != cur.Gamma.Of(v) {
+							t.Fatalf("%s chain %d delta %d %+v: γ(%d) was rebuilt, but the delta changed only %v", level, c, i, d, v, x)
+						}
+						carried[level]++
+					}
+					return true
+				})
+				cur = next
+			}
+		}
+	}
+	for _, level := range gen.Levels() {
+		if level != gen.FullKnowledge && carried[level] == 0 {
+			t.Errorf("%s: no view was carried over", level)
+		}
+	}
+	t.Logf("views carried over: %v", carried)
 }

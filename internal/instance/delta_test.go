@@ -21,7 +21,11 @@ func lineInstance(t *testing.T, n int, zSets ...[]int) *instance.Instance {
 	return in
 }
 
-func adhocView(g *graph.Graph) view.Function { return view.AdHoc(g) }
+// adhocView rebuilds every ad hoc view, as rmt.ApplyDelta's wrapper of a
+// caller's view function does.
+func adhocView(g *graph.Graph, _ view.Function, _ nodeset.Set) (view.Function, nodeset.Set) {
+	return view.AdHoc(g), g.Nodes()
+}
 
 func TestDeltaCanonicalStringNormalizes(t *testing.T) {
 	a := instance.Delta{
@@ -157,5 +161,19 @@ func TestApplyChainMatchesStepwise(t *testing.T) {
 	}
 	if chained.CanonicalKey() != step.CanonicalKey() {
 		t.Fatal("ApplyChain disagrees with stepwise Apply")
+	}
+}
+
+// TestApplyChecksBuiltViews: Apply checks every view its rebuild reports
+// as built against the edited graph, as New does, so a rebuild that hands
+// back the stars from before an edge removal is refused.
+func TestApplyChecksBuiltViews(t *testing.T) {
+	in := lineInstance(t, 5, []int{2})
+	stale := func(g *graph.Graph, prev view.Function, _ nodeset.Set) (view.Function, nodeset.Set) {
+		return prev, g.Nodes()
+	}
+	_, err := instance.Apply(in, instance.Delta{RemoveEdges: [][2]int{{1, 2}}}, stale)
+	if err == nil || !strings.Contains(err.Error(), "non-edge 1-2") {
+		t.Fatalf("Apply with stale views: %v, want a non-edge error", err)
 	}
 }

@@ -56,6 +56,12 @@ var (
 // dealer and the receiver are presumed honest, so structures that allow
 // corrupting either are rejected; views must be consistent subgraphs of G.
 func New(g *graph.Graph, z adversary.Structure, gamma view.Function, dealer, receiver int) (*Instance, error) {
+	return build(g, z, gamma, g.Nodes(), dealer, receiver)
+}
+
+// build is New checking only the views of the members of check for
+// consistency with g; Apply passes the views its rebuild built.
+func build(g *graph.Graph, z adversary.Structure, gamma view.Function, check nodeset.Set, dealer, receiver int) (*Instance, error) {
 	if !g.HasNode(dealer) {
 		return nil, ErrDealerMissing
 	}
@@ -77,7 +83,7 @@ func New(g *graph.Graph, z adversary.Structure, gamma view.Function, dealer, rec
 	if slices.ContainsFunc(maximal, func(m nodeset.Set) bool { return !m.SubsetOf(g.Nodes()) }) {
 		return nil, fmt.Errorf("instance: adversary structure mentions non-nodes %v", z.Ground().Minus(g.Nodes()))
 	}
-	if err := gamma.ConsistentWith(g); err != nil {
+	if err := gamma.ConsistentOn(g, check); err != nil {
 		return nil, fmt.Errorf("instance: %w", err)
 	}
 	if !gamma.Domain().Equal(g.Nodes()) {

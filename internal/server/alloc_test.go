@@ -32,11 +32,16 @@ func watchChainBody(t *testing.T, in *instance.Instance, level gen.Knowledge, de
 // watchBytesBudget bounds the heap bytes of one /v1/watch subscription
 // that computes every revision: an 11-node ad hoc instance and a 10-delta
 // chain. It sits about a quarter above the count measured when a revision
-// came to cost one cut check: 156 KB before, 83 KB after (collector off,
-// one P, the mean of 10 subscriptions). A 4 KiB scanner buffer in place of
-// a 64 KiB one saved 61 KB of that; one checker for both ad hoc verdicts
-// and the computed event used without decoding its own body saved 11 KB.
-const watchBytesBudget = 104_000
+// came to pay only for its delta: 83,413 B before, 52,501 B after
+// (collector off, one P, the mean of 10 subscriptions), from building and
+// checking only the stars a delta changes and running each cut check on
+// the request's goroutine, with no job closure, result channel or
+// deadline Done channel. When a
+// revision came to cost one cut check it fell from 156 KB to 83 KB: a
+// 4 KiB scanner buffer in place of a 64 KiB one saved 61 KB of that, one
+// checker for both ad hoc verdicts and the computed event used without
+// decoding its own body 11 KB.
+const watchBytesBudget = 66_000
 
 func TestWatchBytesBudget(t *testing.T) {
 	if raceEnabled {

@@ -18,8 +18,9 @@ import (
 // FuzzRunRequest posts each input as a /v1/run body to one in-process
 // server: every answer must be 200 or 400 with a JSON body. A rejection is
 // the client's mistake, never a 500 or a dropped connection. To bound the
-// cost of one input, a body that decodes has trials clamped to 2 and
-// max_rounds to 64, and graphs of more than 8 nodes are skipped.
+// cost of one input, a body that decodes as the handler decodes it has
+// trials clamped to 2 and max_rounds to 64, and graphs of more than 8
+// nodes are skipped.
 func FuzzRunRequest(f *testing.F) {
 	const (
 		triple  = `"graph":"0-1 0-2 0-3 1-4 2-4 3-4","structure":"1;2;3","dealer":0,"receiver":4`
@@ -44,6 +45,9 @@ func FuzzRunRequest(f *testing.F) {
 		`{` + diamond + `,"corrupt":[-1]}`,
 		`{` + diamond + `,"corrupt":[1,2]}`,
 		`{` + diamond + `,"attack":"nope"}`,
+		// Data after the document: bytes, then a second document.
+		`{` + triple + `}garbage`,
+		`{` + triple + `} {"x":1}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -51,9 +55,7 @@ func FuzzRunRequest(f *testing.F) {
 	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req RunRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&req) == nil {
+		if decodeOne(bytes.NewReader(body), &req) == nil {
 			if g, err := graph.ParseEdgeList(req.Graph); err == nil && g.NumNodes() > 8 {
 				t.Skip("more than 8 nodes")
 			}
@@ -102,6 +104,11 @@ func FuzzWatchStream(f *testing.F) {
 		watchBody(solvableButterfly, `{"add_edges":[[1,-2]]}`),
 		watchBody(solvableButterfly, `{"add_nodes":"x"}`),
 		watchBody(solvableButterfly, `{"remove_nodes":[3]}`, "", `{"add_nodes":[3],"add_edges":[[0,3],[3,4]]}`),
+		// Data after a line's document: after the instance, and a second
+		// delta on one line.
+		solvableButterfly + "garbage\n",
+		solvableButterfly + ` {"x":1}` + "\n",
+		watchBody(solvableButterfly, `{"add_edges":[[1,4]]} {"remove_nodes":[2]}`),
 	} {
 		f.Add([]byte(seed))
 	}

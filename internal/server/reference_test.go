@@ -81,7 +81,7 @@ func refSeedCut[W cutsearch.Cut](ic *cutsearch.Incremental[W], in *instance.Inst
 }
 
 // refHandler serves /v1/feasibility and /v1/watch of s through the
-// reference path, over s's cache, pool and metrics.
+// reference path, over s's cache, gate and metrics.
 func refHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/feasibility", s.instrument("/v1/feasibility", s.refHandleFeasibility))
@@ -115,7 +115,8 @@ func (s *Server) refHandleFeasibility(w http.ResponseWriter, r *http.Request) {
 		if mv, err := feasibility.MBRBVerdictFor(in, req.MABudget); err == nil {
 			resp.MBRB = &mv
 		}
-		resp.SMT = smtVerdictOf(in, listen)
+		// The parent's SMT verdict polled no context.
+		resp.SMT, _ = smtVerdictOf(context.Background(), in, listen)
 		var cuts refCutCheckers
 		var err error
 		if resp.PKA, resp.ZCPA, err = cuts.verdicts(ctx, in, level); err != nil {

@@ -44,7 +44,7 @@ type RouterOptions struct {
 // spelling of the same (G, 𝒵, γ, D, R) tuple lands on the same shard's LRU,
 // so the fleet caches each distinct instance exactly once.
 //
-// The router holds no cache and no worker pool; shard replies are relayed
+// The router holds no cache and computes nothing; shard replies are relayed
 // verbatim, preserving the shards' byte-identity guarantee end to end.
 type Router struct {
 	opts RouterOptions

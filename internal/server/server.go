@@ -10,15 +10,19 @@
 //     request parameters, so repeated queries — the common shape when a
 //     notebook or script sweeps seeds around one topology — are served from
 //     memory, byte-identically;
-//   - heavy work runs on a bounded worker pool (eval.Pool) with queue-depth
-//     backpressure: when the queue is full the daemon answers 429 instead of
-//     accumulating goroutines. The per-request deadline context is plumbed
-//     into the compute itself — the cut searches poll it once per candidate
-//     and protocol runs once per round — so a timed-out request
-//     answers 504 *and* frees its worker slot promptly rather than leaking
-//     it to a stuck exponential search. A client that disconnects early
-//     cancels its compute the same way, logged as 499 and counted
-//     separately from deadline expiries.
+//   - heavy work passes a gate of two counting semaphores: at most Workers
+//     computations run, each on its request's own goroutine, and at most
+//     QueueDepth more wait for a slot; beyond that the daemon answers 429
+//     at once instead of accumulating goroutines. A request whose deadline
+//     passes, or whose client leaves, while it waits answers 504 or 499
+//     without starting. The per-request deadline context is plumbed into
+//     the compute itself — the cut searches poll it once per candidate,
+//     the SMT verdict once per listening set and protocol runs once per
+//     round — so a running computation answers 504 when it next polls its
+//     context, and frees its slot with it, rather than holding it for a
+//     stuck exponential search. A client that disconnects early cancels its
+//     compute the same way, logged as 499 and counted separately from
+//     deadline expiries.
 //
 // Endpoints: POST /v1/feasibility, POST /v1/run, GET /v1/protocols,
 // GET /healthz, GET /metrics (Prometheus text format).
@@ -33,6 +37,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -53,7 +58,8 @@ import (
 // Options configures a Server. The zero value is usable: every field has a
 // production default.
 type Options struct {
-	// Workers is the compute pool size (≤ 0 = one per logical CPU).
+	// Workers bounds the computations that run at once (≤ 0 = one per
+	// logical CPU).
 	Workers int
 	// QueueDepth bounds admitted-but-unstarted requests; beyond it the
 	// daemon sheds load with 429. Default 256.
@@ -86,6 +92,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
 	}
@@ -111,10 +120,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the rmtd HTTP handler. Create with New, serve with any
-// http.Server, release the worker pool with Close.
+// http.Server, drain admitted computations with Close.
 type Server struct {
 	opts    Options
-	pool    *eval.Pool
+	gate    *gate
 	cache   *resultCache
 	metrics *serverMetrics
 	mux     *http.ServeMux
@@ -127,12 +136,12 @@ type Server struct {
 	logMu sync.Mutex
 }
 
-// New builds a Server with started workers.
+// New builds a Server.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:    opts,
-		pool:    eval.NewPool(opts.Workers, opts.QueueDepth),
+		gate:    newGate(opts.Workers, opts.QueueDepth),
 		cache:   newResultCache(opts.CacheSize),
 		metrics: newServerMetrics(),
 		mux:     http.NewServeMux(),
@@ -155,7 +164,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Close stops admission and drains in-flight work — the SIGTERM half of
 // graceful shutdown (the HTTP listener is shut down by the caller first).
-func (s *Server) Close() { s.pool.Close() }
+func (s *Server) Close() { s.gate.close() }
 
 // CacheHitRatio exposes hits/(hits+misses) for tests and the load driver.
 func (s *Server) CacheHitRatio() float64 { return s.metrics.hitRatio() }
@@ -241,7 +250,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.render(w, s.pool.Depth(), s.pool.Workers(), s.cache.len())
+	s.metrics.render(w, s.gate.depth(), s.gate.workers(), s.cache.len())
 }
 
 // ProtocolInfo describes one registered protocol to clients.
@@ -312,57 +321,49 @@ func (q InstanceRequest) build() (*instance.Instance, gen.Knowledge, error) {
 	return in, spec.Knowledge, err
 }
 
-// ------------------------------------------------------- pooled computation
+// ------------------------------------------------------------ computation
 
 // statusClientClosedRequest is nginx's convention for "the client went away
 // before we could answer" — there is no official HTTP code for it.
 const statusClientClosedRequest = 499
 
-// The failed outcomes of pooled, each wrapped with its detail.
+// The failed outcomes of compute, each wrapped with its detail.
 var (
 	errOverloaded   = errors.New("overloaded")
 	errClientClosed = errors.New("client closed the request")
 	errDeadline     = errors.New("deadline exceeded")
 )
 
-// pooled runs fn on the worker pool under the per-request deadline derived
-// from parent and returns its body. fn receives the deadline context, which
-// is also canceled when parent is (the client disconnected); fn must poll
-// it during long work so an abandoned request frees its worker slot. Every
-// failed outcome is recorded in the metrics: overload as errOverloaded
-// (rmtd_rejected_total), a client disconnect as errClientClosed
-// (rmtd_client_cancels_total — not a compute timeout, and it must not skew
-// that metric), deadline expiry as errDeadline (rmtd_timeouts_total).
-func (s *Server) pooled(parent context.Context, fn func(ctx context.Context) ([]byte, error)) ([]byte, error) {
-	type outcome struct {
-		body []byte
-		err  error
-	}
+// compute runs fn through the gate, on the calling goroutine, under the
+// per-request deadline derived from parent, and returns its body. fn
+// receives the deadline context, which is also canceled when parent is
+// (the client disconnected); fn must poll it during long work so an
+// abandoned request frees its slot. Every failed outcome is recorded in
+// the metrics: overload as errOverloaded (rmtd_rejected_total), a client
+// disconnect as errClientClosed (rmtd_client_cancels_total — not a
+// compute timeout, and it must not skew that metric), deadline expiry as
+// errDeadline (rmtd_timeouts_total), whether it came while the request
+// waited for a slot or when fn polled the context.
+func (s *Server) compute(parent context.Context, fn func(ctx context.Context) ([]byte, error)) (body []byte, err error) {
 	ctx, cancel := context.WithTimeout(parent, s.opts.RequestTimeout)
 	defer cancel()
-	done := make(chan outcome, 1)
-	job := func() {
+	gerr := s.gate.do(ctx, func() {
 		defer func() {
 			// A panicking query must not take the daemon down with it:
 			// protocol and search code trusts its inputs more than a
 			// network service should.
 			if p := recover(); p != nil {
-				done <- outcome{nil, fmt.Errorf("panic: %v", p)}
+				body, err = nil, fmt.Errorf("panic: %v", p)
 			}
 		}()
-		body, err := fn(ctx)
-		done <- outcome{body, err}
-	}
-	if !s.pool.TrySubmit(job) {
+		body, err = fn(ctx)
+	})
+	if errors.Is(gerr, errOverloaded) {
 		s.metrics.rejected.Add(1)
-		return nil, fmt.Errorf("%w: %d requests in flight", errOverloaded, s.pool.Depth())
+		return nil, fmt.Errorf("%w: %d requests in flight", errOverloaded, s.gate.depth())
 	}
-	select {
-	case out := <-done:
-		if !errors.Is(out.err, context.Canceled) && !errors.Is(out.err, context.DeadlineExceeded) {
-			return out.body, out.err
-		}
-	case <-ctx.Done():
+	if gerr == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		return body, err
 	}
 	if parent.Err() != nil {
 		s.metrics.cancels.Add(1)
@@ -402,7 +403,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerK
 
 // cached returns the body for key: from the result LRU, else — on a fleet
 // shard that does not own ownerKey — from the owning peer's cache (see
-// fetchFromPeer), else computed by fn through pooled. A peer's body is
+// fetchFromPeer), else computed by fn through compute. A peer's body is
 // stored only if valid accepts it. Every stored body is read back, because
 // the incumbent wins (see resultCache.put): equal keys get byte-identical
 // bodies regardless of worker count, arrival order or shard. source is
@@ -417,7 +418,7 @@ func (s *Server) cached(ctx context.Context, key, ownerKey string, valid func([]
 	source = "peer"
 	if !ok || !valid(body) {
 		source = "miss"
-		if body, err = s.pooled(ctx, fn); err != nil {
+		if body, err = s.compute(ctx, fn); err != nil {
 			return nil, source, err
 		}
 	}
@@ -468,7 +469,7 @@ func (s *Server) fetchFromPeer(ctx context.Context, key, ownerKey string) ([]byt
 
 // handleInternalCache is the shard-to-shard cache protocol: the request body
 // is a full result-cache key, the response is the cached body verbatim (200)
-// or 404 on a miss. It never computes — peers fall back to their own pool —
+// or 404 on a miss. It never computes — peers fall back to their own compute —
 // so a fetch storm cannot amplify load across the fleet.
 func (s *Server) handleInternalCache(w http.ResponseWriter, r *http.Request) {
 	key, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes))
@@ -484,14 +485,32 @@ func (s *Server) handleInternalCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
+// decode reads the request body into v, answering 400 when it is not one
+// JSON document (see decodeOne).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeOne(io.LimitReader(r.Body, s.opts.MaxBodyBytes), v); err != nil {
 		writeError(w, http.StatusBadRequest, "body: %v", err)
 		return false
 	}
 	return true
+}
+
+// errTrailingData rejects bytes other than whitespace after a document.
+var errTrailingData = errors.New("invalid data after the JSON document")
+
+// decodeOne decodes exactly one JSON document from r into v, rejecting
+// unknown fields and, as json.Unmarshal does (and so the router), anything
+// but whitespace after the document: a second read must hit io.EOF.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errTrailingData
+	}
+	return nil
 }
 
 // -------------------------------------------------------------- feasibility
@@ -602,9 +621,11 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 		if mv, err := feasibility.MBRBVerdictFor(in, req.MABudget); err == nil {
 			resp.MBRB = &mv
 		}
-		resp.SMT = smtVerdictOf(in, listen)
-		var cut core.IncrementalCut
 		var err error
+		if resp.SMT, err = smtVerdictOf(ctx, in, listen); err != nil {
+			return nil, err
+		}
+		var cut core.IncrementalCut
 		if resp.PKA, resp.ZCPA, err = s.cutVerdicts(ctx, &cut, in, level); err != nil {
 			return nil, err
 		}
@@ -655,9 +676,14 @@ func seedCut(ic *core.IncrementalCut, in *instance.Instance, v Verdict) {
 }
 
 // smtVerdictOf evaluates the Dowden cut conditions under the requested
-// listening structure and flattens the witnesses for JSON.
-func smtVerdictOf(in *instance.Instance, listen adversary.Structure) *SMTVerdict {
-	fv := feasibility.SMTVerdictFor(in, listen)
+// listening structure and flattens the witnesses for JSON. It polls ctx
+// once per maximal listening set and returns its error, which compute
+// answers as it answers the cut search's.
+func smtVerdictOf(ctx context.Context, in *instance.Instance, listen adversary.Structure) (*SMTVerdict, error) {
+	fv, err := feasibility.SMTVerdictCtx(ctx, in, listen)
+	if err != nil {
+		return nil, err
+	}
 	v := &SMTVerdict{Feasible: fv.Feasible, Listen: make([][]int, 0, listen.NumMaximal())}
 	for _, l := range listen.Maximal() {
 		v.Listen = append(v.Listen, members(l))
@@ -672,7 +698,7 @@ func smtVerdictOf(in *instance.Instance, listen adversary.Structure) *SMTVerdict
 		v.SecrecyCut = members(fv.SecrecyCut)
 		v.SecrecyListen = members(fv.SecrecyListen)
 	}
-	return v
+	return v, nil
 }
 
 // members is Members() with a non-nil result, so JSON renders [] not null.
@@ -781,8 +807,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Validate everything on the request goroutine so bad requests are
-	// rejected in microseconds without consuming a pool slot. The
-	// protocol's capability check runs at assembly, in the pool.
+	// rejected in microseconds without taking a gate slot. The
+	// protocol's capability check runs at assembly, inside the gate.
 	run, err := cliutil.ResolveRun(network.Blueprint{
 		Protocol: req.Protocol, Value: req.Value, Corrupt: req.Corrupt, Attack: req.Attack, Forged: req.Forged,
 	}, in)
@@ -835,7 +861,7 @@ func runCacheKey(in *instance.Instance, req *RunRequest) string {
 }
 
 // runTrialWorkers bounds one request's internal fan-out so a large Trials
-// value cannot monopolize the host on top of the pool's own parallelism.
+// value cannot monopolize the host on top of the gate's own parallelism.
 const runTrialWorkers = 4
 
 func (s *Server) runTrials(ctx context.Context, run *cliutil.Run, req *RunRequest, eng network.Engine) (*RunResponse, error) {

@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"rmt/internal/cliutil"
+	"rmt/internal/feasibility"
 )
 
 // solvableButterfly is the paper's quick-start instance: three disjoint
@@ -445,20 +450,75 @@ func TestRunBytesIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestOverloadSheds: with the single worker blocked and the queue full, an
-// uncached request is answered 429 instead of queuing unboundedly.
+// TestTrailingDataRejected: a body, or a watch line, is one JSON document
+// and nothing but whitespace after it. A lone daemon and a fleet router
+// answer each body alike: 400 before a watch stream starts, and an in-band
+// error line for a delta line that carries a second document, which a
+// decoder that stops after the first value would silently drop.
+func TestTrailingDataRejected(t *testing.T) {
+	_, lone := newTestServer(t, Options{})
+	_, _, rt := newFleet(t, 2)
+	fleet := httptest.NewServer(rt)
+	defer fleet.Close()
+	for _, tc := range []struct {
+		path, body string
+		code       int
+		errorRev   int // the rev of a watch stream's error line; -1 for none
+	}{
+		{"/v1/feasibility", solvableButterfly + "garbage", http.StatusBadRequest, -1},
+		{"/v1/feasibility", solvableButterfly + ` {"x":1}`, http.StatusBadRequest, -1},
+		{"/v1/feasibility", solvableButterfly + " \n\t\n", http.StatusOK, -1},
+		{"/v1/run", solvableButterfly + "garbage", http.StatusBadRequest, -1},
+		{"/v1/run", solvableButterfly + ` {"x":1}`, http.StatusBadRequest, -1},
+		{"/v1/run", solvableButterfly + " \n", http.StatusOK, -1},
+		{"/v1/watch", solvableButterfly + "garbage\n", http.StatusBadRequest, -1},
+		{"/v1/watch", solvableButterfly + ` {"x":1}` + "\n", http.StatusBadRequest, -1},
+		{"/v1/watch", solvableButterfly + "\n" + `{"add_edges":[[1,4]]} {"remove_nodes":[2]}` + "\n", http.StatusOK, 1},
+		{"/v1/watch", solvableButterfly + "\n" + `{"remove_nodes":[2]}` + " \t\n", http.StatusOK, -1},
+	} {
+		for name, ts := range map[string]*httptest.Server{"daemon": lone, "router": fleet} {
+			code, body := post(t, ts, tc.path, tc.body)
+			if code != tc.code {
+				t.Errorf("%s %s %q: %d %s, want %d", name, tc.path, tc.body, code, body, tc.code)
+				continue
+			}
+			if tc.path != "/v1/watch" || code != http.StatusOK {
+				continue
+			}
+			lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+			var we watchError
+			failed := json.Unmarshal([]byte(lines[len(lines)-1]), &we) == nil && we.Error != ""
+			if !strings.HasPrefix(lines[0], `{"rev":0,`) || failed != (tc.errorRev >= 0) || failed && we.Rev != tc.errorRev {
+				t.Errorf("%s %s %q: stream %s, want rev 0 and an error line at rev %d", name, tc.path, tc.body, body, tc.errorRev)
+			}
+		}
+	}
+}
+
+// holdGate admits running computations that each take a running slot and
+// waiting ones queued behind them, all blocking until release is closed,
+// and returns once the gate holds them all.
+func holdGate(t *testing.T, s *Server, running, waiting int, release <-chan struct{}) {
+	t.Helper()
+	for i := 0; i < running+waiting; i++ {
+		go s.gate.do(context.Background(), func() { <-release })
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.gate.depth() < running+waiting || len(s.gate.running) < running {
+		if time.Now().After(deadline) {
+			t.Fatalf("gate holds %d computations, %d running; want %d, %d", s.gate.depth(), len(s.gate.running), running+waiting, running)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOverloadSheds: with the single running slot held and the queue full,
+// an uncached request is answered 429 instead of queuing unboundedly.
 func TestOverloadSheds(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
 	defer close(release)
-	blocked := make(chan struct{})
-	if !s.pool.TrySubmit(func() { close(blocked); <-release }) {
-		t.Fatal("could not occupy the worker")
-	}
-	<-blocked
-	if !s.pool.TrySubmit(func() {}) {
-		t.Fatal("could not fill the queue slot")
-	}
+	holdGate(t, s, 1, 1, release)
 	code, body := post(t, ts, "/v1/feasibility", solvableButterfly)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("saturated daemon answered %d %s, want 429", code, body)
@@ -468,18 +528,13 @@ func TestOverloadSheds(t *testing.T) {
 	}
 }
 
-// TestDeadlineAnswers504: a request stuck behind a blocked worker is
-// answered 504 when its deadline passes; the abandoned job sees its
-// canceled context and aborts instead of occupying the freed worker, so
-// the retry recomputes and succeeds.
+// TestDeadlineAnswers504: a request stuck behind a held running slot is
+// answered 504 when its deadline passes, and never starts: the freed slot
+// goes to the retry, which computes and succeeds.
 func TestDeadlineAnswers504(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, RequestTimeout: 50 * time.Millisecond})
 	release := make(chan struct{})
-	blocked := make(chan struct{})
-	if !s.pool.TrySubmit(func() { close(blocked); <-release }) {
-		t.Fatal("could not occupy the worker")
-	}
-	<-blocked
+	holdGate(t, s, 1, 0, release)
 	code, body := post(t, ts, "/v1/feasibility", solvableButterfly)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("stuck request answered %d %s, want 504", code, body)
@@ -488,7 +543,7 @@ func TestDeadlineAnswers504(t *testing.T) {
 		t.Fatalf("timeouts counter = %d", got)
 	}
 	close(release)
-	// The abandoned job aborts on its dead context; the retry recomputes.
+	// The held computation returns its slot; the retry recomputes.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if code, _ := post(t, ts, "/v1/feasibility", solvableButterfly); code == http.StatusOK {
@@ -498,6 +553,104 @@ func TestDeadlineAnswers504(t *testing.T) {
 			t.Fatal("retry after drain never succeeded")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestGateBoundsAndDrains: with Workers 2 and QueueDepth 3, never more
+// than 2 computations run at once and never more than 5 are admitted —
+// the next is answered 429 —; a computation whose deadline passes while
+// it waits never starts (a worker pool ran such jobs later, on a dead
+// context); and Close returns only after every admitted computation has
+// finished, refusing new ones meanwhile. tier1 runs it under -race.
+func TestGateBoundsAndDrains(t *testing.T) {
+	s := New(Options{Workers: 2, QueueDepth: 3, RequestTimeout: 50 * time.Millisecond, LogWriter: io.Discard})
+	var running, peak, finished atomic.Int32
+	block := func(release <-chan struct{}) func() {
+		return func() {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			<-release
+			running.Add(-1)
+			finished.Add(1)
+		}
+	}
+	admit := func(release <-chan struct{}, want int) {
+		t.Helper()
+		go s.gate.do(context.Background(), block(release))
+		deadline := time.Now().Add(5 * time.Second)
+		for s.gate.depth() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("gate holds %d computations, want %d", s.gate.depth(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	release := make(chan struct{})
+	for i := 1; i <= 4; i++ {
+		admit(release, i)
+	}
+	// Two run and two wait; a fifth waits until its deadline passes.
+	var started atomic.Bool
+	_, err := s.compute(context.Background(), func(context.Context) ([]byte, error) {
+		started.Store(true)
+		return []byte("{}\n"), nil
+	})
+	if !errors.Is(err, errDeadline) || started.Load() {
+		t.Fatalf("a computation whose deadline passed while it waited: err %v, started %t", err, started.Load())
+	}
+	admit(release, 5)
+	if _, err := s.compute(context.Background(), func(context.Context) ([]byte, error) { return nil, nil }); !errors.Is(err, errOverloaded) {
+		t.Fatalf("a sixth computation: %v, want overloaded", err)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feasibility", strings.NewReader(solvableButterfly)))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("a request past 5 admitted answered %d %s, want 429", rec.Code, rec.Body.Bytes())
+	}
+	close(release)
+	for finished.Load() < 5 {
+		time.Sleep(time.Millisecond)
+	}
+
+	// Close waits for two running and two waiting computations, and
+	// refuses a new one from the moment it begins, though one slot is free.
+	release = make(chan struct{})
+	for i := 1; i <= 4; i++ {
+		admit(release, i)
+	}
+	closed := make(chan int32)
+	go func() {
+		s.Close()
+		closed <- finished.Load()
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		probe, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		err := s.gate.do(probe, func() { t.Error("a computation started after Close began") })
+		cancel()
+		if errors.Is(err, errOverloaded) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("admission never stopped after Close began")
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted computations were blocked")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if got := <-closed; got != 9 {
+		t.Fatalf("Close returned after %d of 9 computations finished", got)
+	}
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("%d computations ran at once, Workers is 2", p)
+	}
+	if got := s.metrics.timeouts.Load(); got != 1 {
+		t.Fatalf("timeouts counter = %d, want 1", got)
 	}
 }
 
@@ -550,19 +703,57 @@ func TestCompleteGraphSearchIsCheap(t *testing.T) {
 	}
 }
 
+// TestSMTVerdictAnswers504AtDeadline: the SMT verdict polls the request
+// context once per maximal listening set, so a listening structure with
+// thousands of sets answers 504 at the deadline, not after the whole
+// scan. The instance joins D to R through k relays and ℒ holds the k
+// relay singletons: no one set cuts D from R, so the secrecy scan and the
+// planner each search once per set. The deadline is a tenth of what the
+// unpolled verdict takes, and the 504 must come before half of that.
+func TestSMTVerdictAnswers504AtDeadline(t *testing.T) {
+	const k = 2000
+	var edges, listen []string
+	for v := 1; v <= k; v++ {
+		edges = append(edges, fmt.Sprintf("0-%d %d-%d", v, v, k+1))
+		listen = append(listen, fmt.Sprint(v))
+	}
+	req := FeasibilityRequest{
+		InstanceRequest: InstanceRequest{Graph: strings.Join(edges, " "), Dealer: 0, Receiver: k + 1},
+		Listen:          strings.Join(listen, ";"),
+	}
+	in, _, err := req.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := cliutil.ParseStructure(req.Listen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if v := feasibility.SMTVerdictFor(in, l); !v.Feasible {
+		t.Fatal("the relay fan is not SMT-feasible")
+	}
+	full := time.Since(start)
+	_, ts := newTestServer(t, Options{Workers: 1, RequestTimeout: full / 10})
+	start = time.Now()
+	code, body := post(t, ts, "/v1/feasibility", mustJSON(t, req))
+	elapsed := time.Since(start)
+	if code != http.StatusGatewayTimeout || elapsed > full/2 {
+		t.Fatalf("answered %d %s after %v at a %v deadline; the unpolled verdict takes %v", code, body, elapsed, full/10, full)
+	}
+	t.Logf("504 after %v at a %v deadline; the unpolled verdict takes %v", elapsed, full/10, full)
+}
+
 // TestClientCancelNotCountedAsTimeout: a client that disconnects while its
-// request waits on the pool is recorded in rmtd_client_cancels_total (and
-// logged as 499), not in rmtd_timeouts_total — the timeout metric must only
-// count genuine compute-deadline expiries.
+// request waits for a running slot is recorded in
+// rmtd_client_cancels_total (and logged as 499), not in
+// rmtd_timeouts_total — the timeout metric must only count genuine
+// compute-deadline expiries.
 func TestClientCancelNotCountedAsTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	release := make(chan struct{})
 	defer close(release)
-	blocked := make(chan struct{})
-	if !s.pool.TrySubmit(func() { close(blocked); <-release }) {
-		t.Fatal("could not occupy the worker")
-	}
-	<-blocked
+	holdGate(t, s, 1, 0, release)
 	cctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
@@ -578,7 +769,7 @@ func TestClientCancelNotCountedAsTimeout(t *testing.T) {
 		}
 		errc <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the request queue behind the blocked worker
+	time.Sleep(50 * time.Millisecond) // let the request queue behind the held slot
 	cancel()
 	if err := <-errc; err == nil {
 		t.Fatal("canceled request did not error on the client side")

@@ -133,12 +133,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeLine decodes one ndjson line into v, rejecting unknown fields.
-func decodeLine(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
+// decodeLine decodes one ndjson line into v, rejecting unknown fields and
+// a second document on the line.
+func decodeLine(line []byte, v any) error { return decodeOne(bytes.NewReader(line), v) }
 
 // watchVerdict produces one revision's verdict event through cached, under
 // the base owner's key, so equal chains stream byte-identical events

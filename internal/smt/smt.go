@@ -24,6 +24,7 @@
 package smt
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -112,6 +113,12 @@ func (p Plan) Dependent() int { return len(p.Paths) - 1 }
 // function of (instance, ℒ): every player recomputes it and gets the same
 // family, which is what makes exact-path validation possible.
 func NewPlan(in *instance.Instance, listen adversary.Structure) (Plan, error) {
+	return NewPlanCtx(context.Background(), in, listen)
+}
+
+// NewPlanCtx is NewPlan polling ctx before each maximal listening set's
+// path search; it returns ctx's error as soon as it sees it.
+func NewPlanCtx(ctx context.Context, in *instance.Instance, listen adversary.Structure) (Plan, error) {
 	ground := in.Z.Ground()
 	if ground.Contains(in.Dealer) || ground.Contains(in.Receiver) {
 		return Plan{}, protocol.Capsf(protocol.SMT,
@@ -120,6 +127,9 @@ func NewPlan(in *instance.Instance, listen adversary.Structure) (Plan, error) {
 	var plan Plan
 	index := map[string]int{}
 	for _, l := range listen.Maximal() {
+		if err := ctx.Err(); err != nil {
+			return Plan{}, err
+		}
 		avoid := ground.Union(l)
 		var p graph.Path
 		if !avoid.Contains(in.Dealer) && !avoid.Contains(in.Receiver) {

@@ -286,10 +286,14 @@ func FindRMTCut(in *Instance) (RMTCut, bool) { return core.FindRMTCut(in) }
 func FindZppCut(in *Instance) (ZppCut, bool) { return zcpa.FindRMTZppCut(in) }
 
 // ApplyDelta applies a topology delta to an instance, rebuilding the view
-// function from the edited graph with rebuildView (callers holding a
-// gen.Knowledge level can use gen.ApplyDelta, which passes level.View).
+// function from the edited graph with rebuildView and checking every view
+// it returns (callers holding a gen.Knowledge level can use
+// gen.ApplyDelta, which builds and checks only the views the delta can
+// reach).
 func ApplyDelta(in *Instance, d Delta, rebuildView func(*Graph) ViewFunction) (*Instance, error) {
-	return instance.Apply(in, d, rebuildView)
+	return instance.Apply(in, d, func(g *graph.Graph, _ view.Function, _ nodeset.Set) (view.Function, nodeset.Set) {
+		return rebuildView(g), g.Nodes()
+	})
 }
 
 // ChainKey extends a (base instance, delta chain) cache key by one delta:
