@@ -317,42 +317,34 @@ func TestSparseHubBuildCost(t *testing.T) {
 	}
 }
 
-// applyDeltaBudget bounds one one-edge delta on the 256-node path, the
-// shape of a watch revision: the chord {127, 129} applied with
-// gen.ApplyDelta (collector off, one P). Before a delta carried views
-// over, it rebuilt all 256 views and checked them all; after, it builds
-// and checks the 2 stars or the 5 radius-1 balls the chord reaches, per
-// level before → after: adhoc 71,712 B in 13 allocs → 15,176 B in 15,
-// radius1 74,384 B in 23 allocs → 16,072 B in 22. The budgets sit about
-// a quarter above; most of what is left is the clone of G's row table
-// and the new γ's node table, 12 KB together. Rebuilding every view
-// again would cost some 55 KB more.
-var applyDeltaBudget = map[gen.Knowledge]struct{ bytes, allocs float64 }{
-	gen.AdHoc:   {19_000, 19},
-	gen.Radius1: {20_000, 28},
-}
+// applyDeltaBudget bounds one one-edge ad hoc delta on the 256-node
+// path, the shape of a watch revision: the chord {127, 129} applied with
+// gen.ApplyDelta (collector off, one P). Before a delta carried stars
+// over, it rebuilt all 256 stars and checked them all, 71,712 B in 13
+// allocs; now it builds and checks the 2 stars the chord reaches, 15,176
+// B in 15. The budget sits about a quarter above; most of what is left
+// is the clone of G's row table and the new γ's node table, 12 KB
+// together. Rebuilding every star again would cost some 55 KB more.
+const applyDeltaBytesBudget, applyDeltaAllocsBudget = 19_000, 19
 
 func TestApplyDeltaAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const n = 256
+	in, err := gen.Build(gen.Line(n), adversary.FromSlices([]int{n / 2}), gen.AdHoc, 0, n-1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := Delta{AddEdges: [][2]int{{n/2 - 1, n/2 + 1}}}
-	for _, level := range []gen.Knowledge{gen.AdHoc, gen.Radius1} {
-		in, err := gen.Build(gen.Line(n), adversary.FromSlices([]int{n / 2}), level, 0, n-1)
-		if err != nil {
+	apply := func() {
+		if _, err := gen.ApplyDelta(in, d, gen.AdHoc); err != nil {
 			t.Fatal(err)
 		}
-		apply := func() {
-			if _, err := gen.ApplyDelta(in, d, level); err != nil {
-				t.Fatal(err)
-			}
-		}
-		bytes, allocs := bytesPerRun(20, apply), testing.AllocsPerRun(20, apply)
-		t.Logf("%s: %.0f bytes, %.0f allocs", level, bytes, allocs)
-		budget := applyDeltaBudget[level]
-		if bytes > budget.bytes || allocs > budget.allocs {
-			t.Errorf("%s: a one-edge delta allocates %.0f bytes in %.0f allocs, budget %.0f bytes in %.0f", level, bytes, allocs, budget.bytes, budget.allocs)
-		}
+	}
+	bytes, allocs := bytesPerRun(20, apply), testing.AllocsPerRun(20, apply)
+	t.Logf("%.0f bytes, %.0f allocs", bytes, allocs)
+	if bytes > applyDeltaBytesBudget || allocs > applyDeltaAllocsBudget {
+		t.Errorf("a one-edge delta allocates %.0f bytes in %.0f allocs, budget %d bytes in %d", bytes, allocs, applyDeltaBytesBudget, applyDeltaAllocsBudget)
 	}
 }

@@ -108,7 +108,7 @@ func TestCoverMatchesFoldReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcv := newReceiver(in, sharedOf(in), 0)
+		rcv := newReceiver(in, sharedOf(in), 0, nil)
 		ghost, ghosted := n, false
 		var members []int
 		var combo []claimVer
@@ -130,7 +130,7 @@ func TestCoverMatchesFoldReference(t *testing.T) {
 			combo = append(combo, claimVer{info: info})
 		}
 		gm := rcv.graphOfCombo(members, combo)
-		got := rcv.coverFor(gm, members, combo)
+		got, _ := rcv.coverFor(gm, members, combo)
 		if want := coverFresh(gm, in.Dealer, in.Receiver, members, combo); got != want {
 			t.Fatalf("trial %d on %v, G_M %v: coverFor %v, reference %v", trial, in, gm, got, want)
 		}
@@ -233,7 +233,7 @@ func TestGraphOfComboMatchesFoldAndInduce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcv := newReceiver(in, sharedOf(in), 0)
+		rcv := newReceiver(in, sharedOf(in), 0, nil)
 		members := []int{in.Dealer, in.Receiver}
 		combo := []claimVer{{info: TrueInfo(in, in.Dealer)}, {info: TrueInfo(in, in.Receiver)}}
 		ghosted := false

@@ -127,7 +127,7 @@ func NewProcesses(in *instance.Instance, xD network.Value, corrupt map[int]netwo
 		case in.Dealer:
 			return newDealer(in, xD, sh)
 		case in.Receiver:
-			return newReceiver(in, sh, opts.Horizon)
+			return newReceiver(in, sh, opts.Horizon, opts.Context)
 		default:
 			return sh.relay(in, v, opts.Horizon)
 		}

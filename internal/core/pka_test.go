@@ -378,7 +378,7 @@ func TestForgerAdmissionRules(t *testing.T) {
 
 func TestReceiverDiscardsForgedTails(t *testing.T) {
 	in := adhocInstance(t, "0-1 1-2", adversary.Trivial(), 0, 2)
-	r := newReceiver(in, sharedOf(in), 0)
+	r := newReceiver(in, sharedOf(in), 0, nil)
 	// Type-1 claiming a direct dealer send, but delivered by node 1.
 	r.Round(1, []network.Message{
 		{From: 1, To: 2, Payload: ValueMsg{X: "forged", P: graph.Path{0}}},

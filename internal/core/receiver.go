@@ -92,6 +92,12 @@ type Receiver struct {
 	dirty   bool // new messages since the last search
 	horizon int  // Horizon-PKA bound on D–R path length in nodes; 0 = off
 
+	// ctx is the run's context (protocol.Options.Context), polled once
+	// per subset and once per candidate of the search: a search that
+	// finds it ended gives up undecided, and the engine ends the run with
+	// its error.
+	ctx context.Context
+
 	// The instance's interners and its candidate-record store for this
 	// horizon (pkaShared.stores).
 	paths *pathInterner
@@ -131,13 +137,18 @@ type Receiver struct {
 	pnodes         []nodeset.Set // interner node-set snapshot per search
 }
 
-// newReceiver builds R's process on the instance's warm store.
-func newReceiver(in *instance.Instance, sh *pkaShared, horizon int) *Receiver {
+// newReceiver builds R's process on the instance's warm store for a run
+// whose context is ctx (nil for none).
+func newReceiver(in *instance.Instance, sh *pkaShared, horizon int, ctx context.Context) *Receiver {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	n := in.N()
 	r := &Receiver{
 		id:       in.Receiver,
 		dealer:   in.Dealer,
 		horizon:  horizon,
+		ctx:      ctx,
 		paths:    &sh.paths,
 		vers:     &sh.vers,
 		store:    sh.stores.Get(horizon, func() *candStore { return new(candStore) }),
@@ -333,7 +344,8 @@ func (r *Receiver) claimOf(id int) claimVer {
 // cover. It first tries the canonical candidate that includes every known
 // node (the one that fires against silent adversaries, per the Theorem 5
 // sufficiency proof), then falls back to an exhaustive search over node
-// subsets and claim versions.
+// subsets and claim versions. It gives up undecided once the run's
+// context ends.
 func (r *Receiver) searchDecision() (network.Value, bool) {
 	if r.claims[r.dealer] == nil {
 		return "", false // G_M cannot contain D–R paths without D's info
@@ -375,6 +387,9 @@ func (r *Receiver) searchDecision() (network.Value, bool) {
 		var found network.Value
 		ok := false
 		forEachSubsetOfSize(optional, size, func(subset []int) bool {
+			if r.ctx.Err() != nil {
+				return false
+			}
 			members := append(r.membersScratch[:0], r.dealer, r.id)
 			members = append(members, subset...)
 			r.membersScratch = members
@@ -383,6 +398,9 @@ func (r *Receiver) searchDecision() (network.Value, bool) {
 				return true // no value can be full on these members
 			}
 			r.forEachCombo(members, func(combo []claimVer) bool {
+				if r.ctx.Err() != nil {
+					return false
+				}
 				if x, got := r.evalCandidate(members, combo, pass); got {
 					found, ok = x, true
 					return false
@@ -514,7 +532,11 @@ func (r *Receiver) evalCandidate(members []int, combo []claimVer, pass []*valSta
 		}
 		c := rec.cover.Load()
 		if c == 0 {
-			if r.coverFor(rec.gm, members, combo) {
+			covered, err := r.coverFor(rec.gm, members, combo)
+			if err != nil {
+				return "", false // the run's context ended: no verdict to store
+			}
+			if covered {
 				c = 1
 			} else {
 				c = 2
@@ -714,14 +736,15 @@ func overHasStr(over []overPath, key string) bool {
 // inside one of u's claimed maximal sets — for claims whose structure
 // lives on their view's nodes, which ingestInfo enforces. Minimal cuts
 // C = N(B) per receiver-side candidate B suffice (the condition is
-// monotone-decreasing in C).
-func (r *Receiver) coverFor(gm *graph.Graph, members []int, combo []claimVer) bool {
+// monotone-decreasing in C). The search polls the run's context once per
+// side and returns its error.
+func (r *Receiver) coverFor(gm *graph.Graph, members []int, combo []claimVer) (bool, error) {
 	claims := &candidateClaims{members: members, combo: combo}
-	_, found, _, _ := cutsearch.Search(context.Background(), cutsearch.Input{
+	_, found, _, err := cutsearch.Search(r.ctx, cutsearch.Input{
 		G: gm, Dealer: r.dealer, Receiver: r.id,
 		C1: noCorruption, Views: claims, Fit: claims.maximal, Rule: cutsearch.JointView,
 	}, 0)
-	return found
+	return found, err
 }
 
 // candidateClaims is a candidate M's claims as the cut kernel reads them:

@@ -15,11 +15,10 @@ import (
 
 // ApplyDelta applies a topology delta to an instance whose views were
 // built at knowledge level k, rebuilding γ from the edited graph at the
-// same level. Only the views the delta can reach are built and checked:
-// at ad hoc the stars of the nodes whose neighborhood changed, at radius
-// k the balls of the nodes within k hops of them, under full knowledge
-// every view, which is G. Every other view is carried over from in, the
-// same pointer, and equals what a full rebuild makes (DESIGN §31).
+// same level. At ad hoc only the stars of the nodes whose neighborhood
+// changed are built and checked; every other star is carried over from
+// in, the same pointer, and equals what a full rebuild makes (DESIGN
+// §31). The other levels build and check every view.
 func ApplyDelta(in *instance.Instance, d instance.Delta, k Knowledge) (*instance.Instance, error) {
 	return instance.Apply(in, d, k.rebuild)
 }
@@ -31,14 +30,10 @@ func ApplyDeltaChain(in *instance.Instance, deltas []instance.Delta, k Knowledge
 
 // rebuild is k's instance.Rebuild.
 func (k Knowledge) rebuild(g *graph.Graph, prev view.Function, changed nodeset.Set) (view.Function, nodeset.Set) {
-	switch k {
-	case AdHoc:
+	if k == AdHoc {
 		return view.AdHocAfter(g, prev, changed)
-	case FullKnowledge:
-		return view.Full(g), g.Nodes()
-	default:
-		return view.RadiusAfter(g, k.radius(), prev, changed)
 	}
+	return k.View(g), g.Nodes()
 }
 
 // churnRand is the splitmix64 stream used by RandomDeltaChain — the same

@@ -242,22 +242,14 @@ func (k Knowledge) View(g *graph.Graph) view.Function {
 	switch k {
 	case AdHoc:
 		return view.AdHoc(g)
+	case Radius1:
+		return view.Radius(g, 1)
+	case Radius2:
+		return view.Radius(g, 2)
+	case Radius3:
+		return view.Radius(g, 3)
 	case FullKnowledge:
 		return view.Full(g)
-	default:
-		return view.Radius(g, k.radius())
-	}
-}
-
-// radius returns the hop radius of a radius level.
-func (k Knowledge) radius() int {
-	switch k {
-	case Radius1:
-		return 1
-	case Radius2:
-		return 2
-	case Radius3:
-		return 3
 	default:
 		panic("gen: unknown knowledge level")
 	}

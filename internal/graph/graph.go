@@ -365,26 +365,18 @@ func (g *Graph) induce(sl *nodeset.Slab, rows []row, kept nodeset.Set) {
 }
 
 // Balls returns, for every node v of g in increasing ID order, the
-// subgraph of g induced by Ball(v, radius). It is BallsOf over every node.
-func (g *Graph) Balls(radius int) []*Graph { return g.BallsOf(g.nodes, radius) }
-
-// BallsOf returns, for every node v of s ⊆ V(g) in increasing ID order,
-// the subgraph of g induced by Ball(v, radius): element i equals
-// g.InducedSubgraph(g.Ball(v, radius)) for the i-th member v of s, and is
-// g itself when the ball holds every node, as under full knowledge. Each
+// subgraph of g induced by Ball(v, radius): element i equals
+// g.InducedSubgraph(g.Ball(v, radius)) for the i-th node v, and is g
+// itself when the ball holds every node, as under full knowledge. Each
 // ball grows in one scratch set, once to size the slabs and once to fill
 // them: the other balls' node sets and masked rows come from one word
 // slab, their tables from one row slab and the graphs from one slab, so
-// the subgraphs cost a constant number of allocations. Rows inside a
+// the n subgraphs cost a constant number of allocations. Rows inside a
 // ball are g's own.
-func (g *Graph) BallsOf(s nodeset.Set, radius int) []*Graph {
+func (g *Graph) Balls(radius int) []*Graph {
 	var sc ballScratch
-	words, rows, n := 0, 0, 0
+	words, rows := 0, 0
 	for _, r := range g.rows {
-		if !s.Contains(r.id) {
-			continue
-		}
-		n++
 		if ball := sc.grow(g, r.id, radius); !ball.Equal(g.nodes) {
 			words += ball.Width() + g.inducedWords(ball)
 			rows += ball.Len()
@@ -392,24 +384,19 @@ func (g *Graph) BallsOf(s nodeset.Set, radius int) []*Graph {
 	}
 	sl := nodeset.NewSlab(words)
 	rs := make(rowSlab, rows)
-	balls := make([]Graph, n)
-	out := make([]*Graph, n)
-	i := 0
-	for _, r := range g.rows {
-		if !s.Contains(r.id) {
-			continue
-		}
+	balls := make([]Graph, len(g.rows))
+	out := make([]*Graph, len(g.rows))
+	for i, r := range g.rows {
 		ball := sc.grow(g, r.id, radius)
 		if ball.Equal(g.nodes) {
 			out[i] = g
-		} else {
-			b := &balls[i]
-			b.nodes = sl.Copy(ball)
-			b.rows = rs.take(ball.Len())
-			g.induce(&sl, b.rows, b.nodes)
-			out[i] = b
+			continue
 		}
-		i++
+		b := &balls[i]
+		b.nodes = sl.Copy(ball)
+		b.rows = rs.take(ball.Len())
+		g.induce(&sl, b.rows, b.nodes)
+		out[i] = b
 	}
 	return out
 }
@@ -595,13 +582,6 @@ func (sc *ballScratch) grow(g *Graph, v, radius int) nodeset.Set {
 	sc.ball.MutateAdd(v)
 	sc.frontier.MutateClear()
 	sc.frontier.MutateAdd(v)
-	return sc.spread(g, radius)
-}
-
-// spread adds up to radius BFS layers to sc.ball, whose newest layer is
-// sc.frontier, and returns sc.ball: each layer is the union of its
-// predecessor's neighbor rows minus the ball.
-func (sc *ballScratch) spread(g *Graph, radius int) nodeset.Set {
 	for d := 0; d < radius; d++ {
 		sc.next.MutateClear()
 		for w := 0; w < sc.frontier.Width(); w++ {
@@ -617,19 +597,6 @@ func (sc *ballScratch) spread(g *Graph, radius int) nodeset.Set {
 		sc.frontier, sc.next = sc.next, sc.frontier
 	}
 	return sc.ball
-}
-
-// Near returns the nodes of g within the given hop radius of some member
-// of s ⊆ V(g), s included: the union of their balls, grown from all of s
-// at once.
-func (g *Graph) Near(s nodeset.Set, radius int) nodeset.Set {
-	var sc ballScratch
-	if radius < 0 {
-		return sc.ball
-	}
-	sc.ball.MutateUnion(s)
-	sc.frontier.MutateUnion(s)
-	return sc.spread(g, radius)
 }
 
 // Diameter returns the maximum finite BFS distance over all node pairs,

@@ -228,11 +228,11 @@ type Rebuild func(g *graph.Graph, prev view.Function, changed nodeset.Set) (gamm
 // edited, the adversary structure is restricted to the surviving nodes,
 // and rebuild derives the new view function γ from the edited graph and
 // the old γ (callers with a gen.Knowledge level use gen.ApplyDelta, which
-// rebuilds only the views the delta can reach). The receiver and dealer
-// must survive; the returned instance is validated as New validates it,
-// with only the views rebuild built checked against the new graph, so
-// e.g. a delta that grows the graph under a view function whose domain no
-// longer matches fails loudly.
+// at ad hoc rebuilds only the stars the delta changed). The receiver and
+// dealer must survive; the returned instance is validated as New
+// validates it, with only the views rebuild built checked against the new
+// graph, so e.g. a delta that grows the graph under a view function whose
+// domain no longer matches fails loudly.
 func Apply(in *Instance, d Delta, rebuild Rebuild) (*Instance, error) {
 	if err := d.Validate(in); err != nil {
 		return nil, err

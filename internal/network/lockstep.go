@@ -87,6 +87,12 @@ func runRounds(cfg Config, parallel bool) (*Result, error) {
 			break
 		}
 	}
+	// Players may poll the context too and give up work mid-round (the
+	// RMT-PKA receiver does), so a run whose context ended in its last
+	// round has no result either.
+	if err == nil && cfg.Context != nil {
+		err = cfg.Context.Err()
+	}
 	// An aborted run still drains its calendar, so the pooled state is
 	// clean for the next run.
 	res := st.result()

@@ -188,8 +188,10 @@ type Config struct {
 	// optional transcript recorder are installed automatically.
 	Tracers []Tracer
 	// Context, when non-nil, is polled once per round; once it is done the
-	// run stops and returns its error. A server passes its request deadline
-	// here so that one long run cannot hold a worker past it.
+	// run stops and returns its error, as does a run that ends with it
+	// done: players may poll it as well and give up mid-round work. A
+	// server passes its request deadline here so that one long run cannot
+	// hold its request past it.
 	Context context.Context
 }
 

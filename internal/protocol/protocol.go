@@ -115,7 +115,8 @@ type Options struct {
 	// structures). Read by: zcpa, broadcast.
 	Decider Decider
 	// Context, when non-nil, stops the run at the first round boundary
-	// after it is done, with its error (see network.Config.Context).
+	// after it is done, with its error (see network.Config.Context). The
+	// RMT-PKA receiver also polls it once per candidate of its search.
 	Context context.Context
 }
 

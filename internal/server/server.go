@@ -17,10 +17,11 @@
 //     passes, or whose client leaves, while it waits answers 504 or 499
 //     without starting. The per-request deadline context is plumbed into
 //     the compute itself — the cut searches poll it once per candidate,
-//     the SMT verdict once per listening set and protocol runs once per
-//     round — so a running computation answers 504 when it next polls its
-//     context, and frees its slot with it, rather than holding it for a
-//     stuck exponential search. A client that disconnects early cancels its
+//     the SMT verdict once per listening set, protocol runs once per round
+//     and the RMT-PKA receiver once per candidate of its search — so a
+//     running computation answers 504 when it next polls its context, and
+//     frees its slot with it, rather than holding it for a stuck
+//     exponential search. A client that disconnects early cancels its
 //     compute the same way, logged as 499 and counted separately from
 //     deadline expiries.
 //

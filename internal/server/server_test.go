@@ -14,9 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"rmt/internal/cliutil"
-	"rmt/internal/feasibility"
 )
 
 // solvableButterfly is the paper's quick-start instance: three disjoint
@@ -670,6 +667,43 @@ func TestRunTrialStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// TestRunRoundAnswers504AtDeadline: the RMT-PKA receiver polls the run's
+// context once per candidate of its search, not only the engine once per
+// round, so a run stuck inside one round answers 504 at the deadline. D
+// reaches R through 20 relays, 𝒵's two sets split them in halves, and a
+// value flipper holds one half: no candidate certifies, and in round 2
+// the receiver walks every subset of the 20 relays, which takes 8 s on a
+// 2-vCPU VM without the poll. With max_rounds 2 that round is the last,
+// and the run must still end with the deadline's error, not with the
+// undecided result of a search that gave up.
+func TestRunRoundAnswers504AtDeadline(t *testing.T) {
+	const k = 20
+	var edges, a, b []string
+	for v := 1; v <= k; v++ {
+		edges = append(edges, fmt.Sprintf("0-%d %d-%d", v, v, k+1))
+		if v <= k/2 {
+			a = append(a, fmt.Sprint(v))
+		} else {
+			b = append(b, fmt.Sprint(v))
+		}
+	}
+	s, ts := newTestServer(t, Options{Workers: 1, RequestTimeout: 100 * time.Millisecond})
+	for i, rounds := range []string{"", `,"max_rounds":2`} {
+		body := fmt.Sprintf(`{"graph":%q,"structure":"%s;%s","dealer":0,"receiver":%d,"corrupt":[%s],"attack":"value-flip"%s}`,
+			strings.Join(edges, " "), strings.Join(a, ","), strings.Join(b, ","), k+1, strings.Join(a, ","), rounds)
+		start := time.Now()
+		code, resp := post(t, ts, "/v1/run", body)
+		elapsed := time.Since(start)
+		if code != http.StatusGatewayTimeout || elapsed > 2*time.Second {
+			t.Fatalf("run%s answered %d %s after %v at a 100ms deadline, want 504 at once", rounds, code, resp, elapsed)
+		}
+		if got := s.metrics.timeouts.Load(); got != int64(i+1) {
+			t.Fatalf("timeouts counter = %d", got)
+		}
+		t.Logf("run%s: 504 after %v", rounds, elapsed)
+	}
+}
+
 // TestCompleteGraphSearchIsCheap: the cut search walks only receiver sides
 // that avoid the dealer's neighbors, so on K_28, where the receiver is one,
 // it has none to walk and answers at once. A walk that stepped into the
@@ -703,45 +737,20 @@ func TestCompleteGraphSearchIsCheap(t *testing.T) {
 	}
 }
 
-// TestSMTVerdictAnswers504AtDeadline: the SMT verdict polls the request
-// context once per maximal listening set, so a listening structure with
-// thousands of sets answers 504 at the deadline, not after the whole
-// scan. The instance joins D to R through k relays and ℒ holds the k
-// relay singletons: no one set cuts D from R, so the secrecy scan and the
-// planner each search once per set. The deadline is a tenth of what the
-// unpolled verdict takes, and the 504 must come before half of that.
+// TestSMTVerdictAnswers504AtDeadline: the SMT verdict's context error
+// answers 504, as the cut search's does. The deadline has passed before
+// the computation starts; the free running slot runs it anyway, and the
+// verdict, the first to poll, fails before its first BFS. That it polls
+// once per maximal listening set is TestSMTVerdictPollsOncePerSet's.
 func TestSMTVerdictAnswers504AtDeadline(t *testing.T) {
-	const k = 2000
-	var edges, listen []string
-	for v := 1; v <= k; v++ {
-		edges = append(edges, fmt.Sprintf("0-%d %d-%d", v, v, k+1))
-		listen = append(listen, fmt.Sprint(v))
+	s, ts := newTestServer(t, Options{Workers: 1, RequestTimeout: time.Nanosecond})
+	code, body := post(t, ts, "/v1/feasibility", `{"graph":"0-1 0-2 0-3 1-4 2-4 3-4","structure":"1;2;3","listen":"1;2;3","dealer":0,"receiver":4}`)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("answered %d %s past the deadline, want 504", code, body)
 	}
-	req := FeasibilityRequest{
-		InstanceRequest: InstanceRequest{Graph: strings.Join(edges, " "), Dealer: 0, Receiver: k + 1},
-		Listen:          strings.Join(listen, ";"),
+	if got := s.metrics.timeouts.Load(); got != 1 {
+		t.Fatalf("timeouts counter = %d", got)
 	}
-	in, _, err := req.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := cliutil.ParseStructure(req.Listen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if v := feasibility.SMTVerdictFor(in, l); !v.Feasible {
-		t.Fatal("the relay fan is not SMT-feasible")
-	}
-	full := time.Since(start)
-	_, ts := newTestServer(t, Options{Workers: 1, RequestTimeout: full / 10})
-	start = time.Now()
-	code, body := post(t, ts, "/v1/feasibility", mustJSON(t, req))
-	elapsed := time.Since(start)
-	if code != http.StatusGatewayTimeout || elapsed > full/2 {
-		t.Fatalf("answered %d %s after %v at a %v deadline; the unpolled verdict takes %v", code, body, elapsed, full/10, full)
-	}
-	t.Logf("504 after %v at a %v deadline; the unpolled verdict takes %v", elapsed, full/10, full)
 }
 
 // TestClientCancelNotCountedAsTimeout: a client that disconnects while its

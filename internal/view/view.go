@@ -81,44 +81,29 @@ func Radius(g *graph.Graph, k int) Function { return over(g, g.Balls(k)) }
 // of g whose neighborhood the edit changed (added nodes included). A
 // node's star is the node, N(v) and the edges between them, so only the
 // stars of changed are built; every other node keeps prev's star, the
-// same pointer. It also returns the nodes whose stars it built.
+// same pointer. Both functions list their nodes in ID order, so prev is
+// read in one merged pass. It also returns the nodes whose stars it
+// built.
 func AdHocAfter(g *graph.Graph, prev Function, changed nodeset.Set) (Function, nodeset.Set) {
-	return carry(g, prev, changed, g.StarsOf(changed)), changed
-}
-
-// RadiusAfter is AdHocAfter for Radius(g, k): a ball of radius k around a
-// node farther than k hops from changed reads only rows the edit left
-// alone, so only the balls of the nodes within k hops of changed in g are
-// built (DESIGN §31), and every other node keeps prev's ball, the same
-// pointer. It also returns the nodes whose balls it built.
-func RadiusAfter(g *graph.Graph, k int, prev Function, changed nodeset.Set) (Function, nodeset.Set) {
-	built := g.Near(changed, k)
-	return carry(g, prev, built, g.BallsOf(built, k)), built
-}
-
-// carry returns the view function on g whose views of the members of
-// built are views, in increasing ID order, and whose view of every other
-// node is prev's. Both functions list their nodes in ID order, so prev is
-// read in one merged pass.
-func carry(g *graph.Graph, prev Function, built nodeset.Set, views []*graph.Graph) Function {
+	stars := g.StarsOf(changed)
 	f := Function{nodes: make([]node, 0, g.NumNodes()), domain: g.Nodes()}
 	i := 0
 	g.Nodes().ForEach(func(v int) bool {
-		if built.Contains(v) {
-			f.nodes = append(f.nodes, node{id: v, view: views[0]})
-			views = views[1:]
+		if changed.Contains(v) {
+			f.nodes = append(f.nodes, node{id: v, view: stars[0]})
+			stars = stars[1:]
 			return true
 		}
 		for i < len(prev.nodes) && prev.nodes[i].id < v {
 			i++
 		}
 		if i == len(prev.nodes) || prev.nodes[i].id != v {
-			panic(fmt.Sprintf("view: node %d has no view to carry over", v))
+			panic(fmt.Sprintf("view: node %d has no star to carry over", v))
 		}
 		f.nodes = append(f.nodes, prev.nodes[i])
 		return true
 	})
-	return f
+	return f, changed
 }
 
 // Full returns the full-knowledge view function: γ(v) = g for every v.

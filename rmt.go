@@ -288,8 +288,8 @@ func FindZppCut(in *Instance) (ZppCut, bool) { return zcpa.FindRMTZppCut(in) }
 // ApplyDelta applies a topology delta to an instance, rebuilding the view
 // function from the edited graph with rebuildView and checking every view
 // it returns (callers holding a gen.Knowledge level can use
-// gen.ApplyDelta, which builds and checks only the views the delta can
-// reach).
+// gen.ApplyDelta, which at ad hoc builds and checks only the stars the
+// delta changed).
 func ApplyDelta(in *Instance, d Delta, rebuildView func(*Graph) ViewFunction) (*Instance, error) {
 	return instance.Apply(in, d, func(g *graph.Graph, _ view.Function, _ nodeset.Set) (view.Function, nodeset.Set) {
 		return rebuildView(g), g.Nodes()
