@@ -55,7 +55,8 @@ benchguard:
 # not step into sets whose boundary holds the dealer (no frame chunk for
 # their depths), parse + build + CanonicalKey at every knowledge level, a
 # one-edge delta at ad hoc and radius 1 (only the views it reaches are
-# built), and the bytes of one /v1/watch subscription.
+# built), the bytes of one /v1/watch subscription, and the decode of a
+# feasibility-hot body (one allocation per string field).
 allocguard:
 	$(GO) test -run 'AllocBudget|BytesBudget' -count=1 . ./internal/graph/ ./internal/server/
 
@@ -168,10 +169,13 @@ fleetsmoke:
 # engine's run state (every inbox in sender-then-key order under every
 # schedule, metrics that reconcile, and a run on spread IDs equal by rank
 # to the run on IDs 0..n-1), the delta writer behind ChainKey against the
-# reference text and key, rmtd's /v1/run bodies (every answer a 200 or a
-# 400 with a JSON body) and whole /v1/watch streams (a 400 with a JSON
-# body, or revision events in order with keys, witnesses and ad hoc zcpa
-# verdicts that match a replay, then at most one error line).
+# reference text and key, rmtd's /v1/run and /v1/feasibility bodies (every
+# answer a 200, a 400 or — feasibility, under a 1 KiB limit — a 413 with a
+# JSON body), whole /v1/watch streams (a 400 with a JSON body, or revision
+# events in order with keys, witnesses and ad hoc zcpa verdicts that match
+# a replay, then at most one error line), and rmtd's plain request reader
+# against encoding/json (the same value and error text for every input and
+# each of the four request shapes).
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseStructure -fuzztime=10s
@@ -184,6 +188,8 @@ fuzzsmoke:
 	$(GO) test ./internal/network/ -run=^$$ -fuzz=FuzzRunStateOrder -fuzztime=10s
 	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzRunRequest -fuzztime=10s
 	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzWatchStream -fuzztime=10s
+	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzFeasibilityRequest -fuzztime=10s
+	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzDecodeMatchesReference -fuzztime=10s
 
 # Per-package coverage with a repo-level floor. The threshold gates total
 # statement coverage across every package, example mains included — the

@@ -26,8 +26,9 @@ import (
 // /v1/watch before one checker answered both ad hoc verdicts, as the
 // reference the served bytes are compared against: one incremental
 // checker per definition, each repaired or searched on its own; a watch
-// handler that validates every delta before applying it; and a watch
-// verdict that decodes every body, the ones it computed included.
+// handler that validates every delta before applying it; a watch verdict
+// that decodes every body, the ones it computed included; and requests
+// and bodies read and written by encoding/json alone.
 
 // refCutCheckers checks Definition 3's RMT-cut (pka) at every knowledge
 // level and Definition 7's 𝒵-pp cut (zcpa) on ad hoc instances, each with
@@ -91,7 +92,8 @@ func refHandler(s *Server) http.Handler {
 
 func (s *Server) refHandleFeasibility(w http.ResponseWriter, r *http.Request) {
 	var req FeasibilityRequest
-	if !s.decode(w, r, &req) {
+	if err := decodeOne(io.LimitReader(r.Body, s.opts.MaxBodyBytes), &req); err != nil {
+		writeError(w, http.StatusBadRequest, "body: %v", err)
 		return
 	}
 	in, level, err := req.build()
@@ -137,7 +139,7 @@ func (s *Server) refHandleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InstanceRequest
-	if err := decodeLine(first, &req); err != nil {
+	if err := decodeOne(bytes.NewReader(first), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "instance line: %v", err)
 		return
 	}
@@ -180,7 +182,7 @@ func (s *Server) refHandleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var d instance.Delta
-		if err := decodeLine(line, &d); err != nil {
+		if err := decodeOne(bytes.NewReader(line), &d); err != nil {
 			s.watchFail(w, rc, rev+1, "delta %d: %v", rev+1, err)
 			return
 		}

@@ -492,6 +492,78 @@ func TestTrailingDataRejected(t *testing.T) {
 	}
 }
 
+// limitedTiers returns a lone daemon and a fleet router over one shard,
+// each reading bodies and lines of at most limit bytes.
+func limitedTiers(t *testing.T, limit int64) map[string]*httptest.Server {
+	t.Helper()
+	_, lone := newTestServer(t, Options{MaxBodyBytes: limit})
+	_, shard := newTestServer(t, Options{MaxBodyBytes: limit})
+	rt, err := NewRouter(RouterOptions{Shards: []string{shard.URL}, MaxBodyBytes: limit, LogWriter: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := httptest.NewServer(rt)
+	t.Cleanup(fleet.Close)
+	return map[string]*httptest.Server{"daemon": lone, "router": fleet}
+}
+
+// TestOversizeBodiesAnswer413: a body longer than MaxBodyBytes answers 413
+// with a JSON error that names the limit, on a lone daemon and through a
+// router, even when its JSON document ends inside the limit; a body of
+// exactly the limit is served.
+func TestOversizeBodiesAnswer413(t *testing.T) {
+	const limit = 64
+	doc := `{"graph":"0-1 1-2","dealer":0,"receiver":2}`
+	pad := func(n int) string { return doc + strings.Repeat(" ", n-len(doc)) }
+	for name, ts := range limitedTiers(t, limit) {
+		for _, path := range []string{"/v1/feasibility", "/v1/run"} {
+			for _, tc := range []struct {
+				body string
+				code int
+			}{
+				{doc + strings.Repeat(" ", 40) + "garbage", http.StatusRequestEntityTooLarge},
+				{pad(limit + 1), http.StatusRequestEntityTooLarge},
+				{pad(limit), http.StatusOK},
+			} {
+				code, body := post(t, ts, path, tc.body)
+				if code != tc.code {
+					t.Errorf("%s %s, %d-byte body: %d %s, want %d", name, path, len(tc.body), code, body, tc.code)
+					continue
+				}
+				var e struct{ Error string }
+				if code == http.StatusRequestEntityTooLarge && (json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, "64-byte limit")) {
+					t.Errorf("%s %s: 413 body %s does not name the limit", name, path, body)
+				}
+			}
+		}
+	}
+}
+
+// TestOversizeWatchInstanceLine: a watch whose instance line is longer
+// than MaxBodyBytes answers 413 naming the limit on both tiers, a line of
+// exactly the limit is served, and a delta line over the limit still ends
+// an open stream with an in-band error line.
+func TestOversizeWatchInstanceLine(t *testing.T) {
+	const limit = 64
+	doc := `{"graph":"0-1 1-2","dealer":0,"receiver":2}`
+	pad := func(line string, n int) string { return line + strings.Repeat(" ", n-len(line)) }
+	for name, ts := range limitedTiers(t, limit) {
+		code, lines := postWatch(t, ts, pad(doc, limit+1)+"\n")
+		var e struct{ Error string }
+		if code != http.StatusRequestEntityTooLarge || len(lines) != 1 || json.Unmarshal(lines[0], &e) != nil || !strings.Contains(e.Error, "64-byte limit") {
+			t.Errorf("%s: oversize instance line: %d %s, want 413 naming the limit", name, code, bytes.Join(lines, nil))
+		}
+		if code, lines = postWatch(t, ts, pad(doc, limit)+"\n"); code != http.StatusOK || len(lines) != 1 || !bytes.HasPrefix(lines[0], []byte(`{"rev":0,`)) {
+			t.Errorf("%s: instance line of the limit: %d %s", name, code, bytes.Join(lines, nil))
+		}
+		code, lines = postWatch(t, ts, doc+"\n"+pad(`{"add_nodes":[3]}`, limit+1)+"\n")
+		var we watchError
+		if code != http.StatusOK || len(lines) != 2 || json.Unmarshal(lines[1], &we) != nil || we.Rev != 1 || we.Error == "" {
+			t.Errorf("%s: oversize delta line: %d %s, want rev 0 and an error line at rev 1", name, code, bytes.Join(lines, []byte("\n")))
+		}
+	}
+}
+
 // holdGate admits running computations that each take a running slot and
 // waiting ones queued behind them, all blocking until release is closed,
 // and returns once the gate holds them all.
