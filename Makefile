@@ -152,7 +152,9 @@ watchsmoke:
 # router. Drives the workload through the router (0 drops, all 2xx), then
 # hits every shard directly and requires the non-owners to serve the owning
 # peer's cached bytes — cross-shard peer cache hits > 0, all replies
-# byte-identical to the router's.
+# byte-identical to the router's. Then subscribes the watch smoke's history
+# through the router and directly at each shard: the four streams must be
+# identical line for line.
 fleetsmoke:
 	$(GO) run ./cmd/rmtload -fleet -smoke
 

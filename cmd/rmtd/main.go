@@ -11,13 +11,16 @@
 //
 //	POST /v1/feasibility   {"graph":"0-1 ...","structure":"1;2","dealer":0,"receiver":4}
 //	POST /v1/run           the above plus protocol/engine/schedule/seed/trials/...
+//	POST /v1/watch         ndjson: the above's instance line, then one delta per
+//	                       line; streams the verdict changes back
 //	GET  /v1/protocols     registered protocols, engines, schedules, attacks
 //	GET  /healthz          liveness
 //	GET  /metrics          Prometheus text format
 //
 // Fleet mode shards the cache horizontally (see internal/server): a router
 // forwards each query to the shard owning its canonical instance key, and
-// shards consult the owning peer's cache before computing:
+// each watch subscription to the next shard in turn, and shards consult the
+// owning peer's cache before computing:
 //
 //	rmtd -addr :8081 -self http://h:8081 -peers http://h:8081,http://h:8082
 //	rmtd -addr :8082 -self http://h:8082 -peers http://h:8081,http://h:8082
@@ -121,7 +124,7 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 		closeFn()
 		return err
 	}
-	httpServer := &http.Server{Handler: handler}
+	httpServer := newHTTPServer(handler)
 	fmt.Fprintf(logw, "%s: listening on %s\n", role, ln.Addr())
 	if onReady != nil {
 		onReady(ln.Addr().String())
@@ -147,6 +150,19 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 	closeFn()
 	fmt.Fprintf(logw, "%s: stopped\n", role)
 	return nil
+}
+
+// A client gets readHeaderTimeout to send a request's header, and an idle
+// connection is closed after idleTimeout. No read or write timeout bounds
+// a whole request: a watch stream is open as long as its client watches.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the http.Server of either role.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // splitURLs parses a comma-separated URL list, trimming blanks.

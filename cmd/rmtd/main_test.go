@@ -72,6 +72,19 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts: both roles drop a client that sends no header
+// and an idle connection, and put no bound on a whole request or reply,
+// which would cut open watch streams.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != 10*time.Second || hs.IdleTimeout != 2*time.Minute {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v; want 10s and 2m", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout %v, WriteTimeout %v; want none", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}
+
 func TestBadFlagsError(t *testing.T) {
 	err := run(context.Background(), []string{"-addr"}, io.Discard, nil)
 	if err == nil {

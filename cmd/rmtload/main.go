@@ -21,7 +21,9 @@
 // (the rmtd fleet topology) and adds the fleet acceptance bar: the router
 // spreads distinct instances across shards, direct hits on non-owning
 // shards are served out of the owning peer's cache (cross-shard peer hits
-// > 0), and every shard serves bytes identical to the router's.
+// > 0), and every shard serves bytes identical to the router's. The -watch
+// history, subscribed through the router and directly at each shard, must
+// stream the same lines all four times.
 //
 // Usage:
 //
@@ -96,7 +98,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *watch {
-		return runWatchSmoke(out, base)
+		_, err := runWatchSmoke(out, base)
+		return err
 	}
 	if err := driveLoad(out, base, []string{base}, *concurrency, *requests); err != nil {
 		return err
@@ -341,7 +344,8 @@ func checkByteIdentity(out io.Writer) error {
 //
 // Any extra line, missing line, wrong revision or wrong verdict fails — the
 // stream contract is "rev 0 plus exactly the flips", not "at least them".
-func runWatchSmoke(out io.Writer, base string) error {
+// It returns the stream.
+func runWatchSmoke(out io.Writer, base string) ([]byte, error) {
 	const instanceLine = `{"graph":"0-1 0-2 0-3 1-4 2-4 3-4","structure":"1;2;3","dealer":0,"receiver":4}`
 	deltas := []string{
 		`{"add_edges":[[1,2]]}`,
@@ -353,15 +357,15 @@ func runWatchSmoke(out io.Writer, base string) error {
 	client := &http.Client{Timeout: 60 * time.Second}
 	resp, err := client.Post(base+"/v1/watch", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("watch: %w", err)
+		return nil, fmt.Errorf("watch: %w", err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("watch: read stream: %w", err)
+		return nil, fmt.Errorf("watch: read stream: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("watch: status %d: %s", resp.StatusCode, raw)
+		return nil, fmt.Errorf("watch: status %d: %s", resp.StatusCode, raw)
 	}
 
 	type event struct {
@@ -382,10 +386,10 @@ func runWatchSmoke(out io.Writer, base string) error {
 		}
 		var ev event
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("watch: bad stream line %s: %w", line, err)
+			return nil, fmt.Errorf("watch: bad stream line %s: %w", line, err)
 		}
 		if ev.Error != "" {
-			return fmt.Errorf("watch: in-band error at rev %d: %s", ev.Rev, ev.Error)
+			return nil, fmt.Errorf("watch: in-band error at rev %d: %s", ev.Rev, ev.Error)
 		}
 		events = append(events, ev)
 	}
@@ -395,23 +399,23 @@ func runWatchSmoke(out io.Writer, base string) error {
 		solvable bool
 	}{{0, true}, {2, false}, {3, true}}
 	if len(events) != len(want) {
-		return fmt.Errorf("watch: %d events, want exactly %d (rev 0 + the two flips):\n%s", len(events), len(want), raw)
+		return nil, fmt.Errorf("watch: %d events, want exactly %d (rev 0 + the two flips):\n%s", len(events), len(want), raw)
 	}
 	for i, w := range want {
 		ev := events[i]
 		if ev.Rev != w.rev {
-			return fmt.Errorf("watch: event %d at rev %d, want rev %d", i, ev.Rev, w.rev)
+			return nil, fmt.Errorf("watch: event %d at rev %d, want rev %d", i, ev.Rev, w.rev)
 		}
 		if ev.PKA.Solvable != w.solvable {
-			return fmt.Errorf("watch: rev %d pka solvable=%v, want %v", ev.Rev, ev.PKA.Solvable, w.solvable)
+			return nil, fmt.Errorf("watch: rev %d pka solvable=%v, want %v", ev.Rev, ev.PKA.Solvable, w.solvable)
 		}
 		if ev.ZCPA == nil || ev.ZCPA.Solvable != w.solvable {
-			return fmt.Errorf("watch: rev %d zcpa verdict %+v, want solvable=%v", ev.Rev, ev.ZCPA, w.solvable)
+			return nil, fmt.Errorf("watch: rev %d zcpa verdict %+v, want solvable=%v", ev.Rev, ev.ZCPA, w.solvable)
 		}
 		fmt.Fprintf(out, "watch event rev=%d solvable=%v key=%s\n", ev.Rev, ev.PKA.Solvable, ev.Key[:12])
 	}
 	fmt.Fprintln(out, "watch smoke PASS")
-	return nil
+	return raw, nil
 }
 
 // ------------------------------------------------------------------- fleet
@@ -420,7 +424,10 @@ func runWatchSmoke(out io.Writer, base string) error {
 // through the router, then hit every shard directly with every item. The
 // direct hits land on shards that do not own the instance; those must serve
 // the owning peer's cached bytes (cross-shard peer hits > 0) and every
-// reply must be byte-identical to the router's.
+// reply must be byte-identical to the router's. Last, the watch smoke's
+// history goes through the router and directly to every shard: no shard
+// caches a revision, so the four streams must be equal by determinism
+// alone.
 func runFleet(out io.Writer, concurrency, requests int) error {
 	stop, routerBase, shardBases, err := bootFleet(3, concurrency)
 	if err != nil {
@@ -481,6 +488,21 @@ func runFleet(out io.Writer, concurrency, requests int) error {
 	if peerHits == 0 {
 		return fmt.Errorf("no cross-shard cache reuse: every shard recomputed its misses")
 	}
+
+	routed, err := runWatchSmoke(out, routerBase)
+	if err != nil {
+		return fmt.Errorf("router: %w", err)
+	}
+	for _, base := range shardBases {
+		direct, err := runWatchSmoke(io.Discard, base)
+		if err != nil {
+			return fmt.Errorf("direct %s: %w", base, err)
+		}
+		if !bytes.Equal(direct, routed) {
+			return fmt.Errorf("shard %s streams different lines than the router:\n%s\nvs\n%s", base, direct, routed)
+		}
+	}
+	fmt.Fprintln(out, "fleet watch streams identical across router and shards PASS")
 	fmt.Fprintln(out, "fleet check PASS")
 	return nil
 }

@@ -31,14 +31,15 @@ func TestRejectsBadArgs(t *testing.T) {
 }
 
 // TestFleetSmokeRun exercises the fleet driver at CI scale: 3 in-process
-// shards behind a router, zero drops, cross-shard peer cache hits, and
-// byte-identical bodies whichever shard answers.
+// shards behind a router, zero drops, cross-shard peer cache hits,
+// byte-identical bodies whichever shard answers, and one watch stream
+// through the router and at every shard.
 func TestFleetSmokeRun(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-fleet", "-smoke"}, &out); err != nil {
 		t.Fatalf("fleet smoke failed: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"load check PASS", "fleet byte-identity across shards PASS", "cross-shard peer cache hits", "fleet check PASS"} {
+	for _, want := range []string{"load check PASS", "fleet byte-identity across shards PASS", "cross-shard peer cache hits", "fleet watch streams identical across router and shards PASS", "fleet check PASS"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}

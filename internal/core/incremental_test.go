@@ -88,26 +88,6 @@ func TestIncrementalCutFallsBackWhenWitnessDies(t *testing.T) {
 	}
 }
 
-func TestIncrementalCutSeed(t *testing.T) {
-	in := incrLine(t, 12)
-	w, found := core.FindRMTCut(in)
-	if !found {
-		t.Fatal("expected infeasible base")
-	}
-	ic := core.NewIncrementalCut()
-	ic.Seed(w, true)
-	next, err := gen.ApplyDelta(in, instance.Delta{AddEdges: [][2]int{{0, 2}}}, gen.AdHoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, found := ic.Check(next); !found {
-		t.Fatal("seeded checker lost the verdict")
-	}
-	if repaired, fresh := ic.Stats(); repaired != 1 || fresh != 0 {
-		t.Fatalf("seeded checker should repair, not enumerate: (%d, %d)", repaired, fresh)
-	}
-}
-
 func TestIncrementalCutCtxCancelLeavesStateRetryable(t *testing.T) {
 	in := incrLine(t, 12)
 	ic := core.NewIncrementalCut()

@@ -28,20 +28,13 @@ type Cut interface {
 // decides, so the verdict always equals a fresh Search's, though the
 // witness may differ.
 //
-// The zero value is ready to use, and until it is primed a Check is a
-// plain Search. Not safe for concurrent use.
+// The zero value is ready to use: its first Check is a plain Search. Not
+// safe for concurrent use.
 type Incremental[W Cut] struct {
-	witness       W
-	found, primed bool
+	witness W
+	found   bool
 
 	repaired, fresh int
-}
-
-// Seed primes the checker with a known verdict for the current revision,
-// e.g. one decoded from a cache. A seeded witness is trusted; callers
-// holding untrusted bytes Verify it first.
-func (ic *Incremental[W]) Seed(witness W, found bool) {
-	ic.witness, ic.found, ic.primed = witness, found, true
 }
 
 // Check evaluates the next revision, preferring witness repair over a
@@ -56,7 +49,7 @@ func (ic *Incremental[W]) Check(in *instance.Instance) (W, bool) {
 // (the revision was not decided), and the caller may retry.
 func (ic *Incremental[W]) CheckCtx(ctx context.Context, in *instance.Instance) (W, bool, error) {
 	cond := FromInstance(in, ic.witness.Rule())
-	if ic.primed && ic.found {
+	if ic.found {
 		if w, ok := Repair(cond, Witness(ic.witness)); ok {
 			ic.repaired++
 			ic.witness = W(w)
@@ -69,7 +62,7 @@ func (ic *Incremental[W]) CheckCtx(ctx context.Context, in *instance.Instance) (
 		return none, false, err
 	}
 	ic.fresh++
-	ic.witness, ic.found, ic.primed = W(w), found, true
+	ic.witness, ic.found = W(w), found
 	return ic.witness, found, nil
 }
 

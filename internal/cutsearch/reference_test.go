@@ -139,12 +139,12 @@ func refRepair(in *instance.Instance, rule cutsearch.Rule, old cutsearch.Witness
 type refIncremental struct {
 	rule            cutsearch.Rule
 	witness         cutsearch.Witness
-	found, primed   bool
+	found           bool
 	repaired, fresh int
 }
 
 func (ic *refIncremental) check(in *instance.Instance) (cutsearch.Witness, bool) {
-	if ic.primed && ic.found {
+	if ic.found {
 		if w, ok := refRepair(in, ic.rule, ic.witness); ok {
 			ic.repaired++
 			ic.witness = w
@@ -153,7 +153,7 @@ func (ic *refIncremental) check(in *instance.Instance) (cutsearch.Witness, bool)
 	}
 	w, f, _, _ := refSearch(context.Background(), in, ic.rule, 0)
 	ic.fresh++
-	ic.witness, ic.found, ic.primed = w, f, true
+	ic.witness, ic.found = w, f
 	return w, f
 }
 

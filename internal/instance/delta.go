@@ -27,9 +27,8 @@ import (
 // Identity is deliberately path-dependent: ChainKey hashes the base
 // instance's CanonicalKey with each delta's canonical rendering in order,
 // so "base" and "base plus a delta that happens to round-trip to the same
-// graph" occupy distinct cache lines. The rmtd watch API relies on this:
-// a subscription's step results are cached under its chain keys and can
-// never collide with — or evict — the base instance's entry.
+// graph" get distinct keys. The rmtd watch API names each revision it
+// streams by its chain key; it caches no revision.
 
 // Delta is one batch of topology edits. The zero value is the empty delta.
 // Fields use the JSON names the rmtd watch API accepts on the wire.
@@ -104,7 +103,7 @@ func appendEdges(buf []byte, edges [][2]int) []byte {
 //	k_0 = base.CanonicalKey()
 //	k_i = hex(SHA-256("rmt-delta-chain-v1\n" + k_{i-1} + "\n" + delta_i.CanonicalString()))
 //
-// The chain is what keys server caches for evolving topologies: it is
+// The chain names the revisions of an evolving topology: it is
 // injective on (base, delta sequence) up to hash collision, never equal to
 // any base instance's CanonicalKey (the chain hashes a domain-separated
 // preimage), and order-sensitive — applying the same edits in a different

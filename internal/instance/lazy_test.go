@@ -66,7 +66,7 @@ func TestLazyStateConcurrentFirstUse(t *testing.T) {
 
 // TestCutSearchesLeaveZvUnbuilt: building, keying, both feasibility cut
 // searches, their verifiers and PPA's pair cut read V(γ(v)) and 𝒵 only, so
-// a feasibility request or a watch re-seed never pays for the local
+// a feasibility request or a watch revision never pays for the local
 // structures; a LocalStructure call builds the one Z_v it asks for.
 func TestCutSearchesLeaveZvUnbuilt(t *testing.T) {
 	g, z, d, rcv := gen.ChimeraScaled(2)

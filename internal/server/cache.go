@@ -45,15 +45,16 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 }
 
 // put stores body under key, evicting the least recently used entry when
-// the bound is exceeded. The first body stored for a key wins: concurrent
-// computations of the same key are deterministic and byte-identical, so
-// keeping the incumbent preserves the byte-identity guarantee trivially.
-func (c *resultCache) put(key string, body []byte) {
+// the bound is exceeded, and returns the body stored under key. The first
+// body stored for a key wins: concurrent computations of the same key are
+// deterministic and byte-identical, so keeping the incumbent preserves the
+// byte-identity guarantee trivially.
+func (c *resultCache) put(key string, body []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		return
+		return el.Value.(*cacheEntry).body
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
 	for c.order.Len() > c.max {
@@ -61,6 +62,7 @@ func (c *resultCache) put(key string, body []byte) {
 		c.order.Remove(last)
 		delete(c.entries, last.Value.(*cacheEntry).key)
 	}
+	return body
 }
 
 // len returns the current entry count.

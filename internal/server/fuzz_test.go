@@ -170,6 +170,22 @@ func FuzzWatchStream(f *testing.F) {
 	})
 }
 
+// witnessOn reports whether every ID of v's cut witness, if any, is a node
+// of g.
+func witnessOn(g *graph.Graph, v *Verdict) bool {
+	if v == nil || v.Witness == nil {
+		return true
+	}
+	for _, ids := range [][]int{v.Witness.C1, v.Witness.C2, v.Witness.B} {
+		for _, id := range ids {
+			if !g.HasNode(id) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // replayWatch reads a /v1/watch body the way handleWatch does, but decodes
 // each line with decodeOne, so a line the plain reader misreads shows as a
 // stream that differs from the replay. It returns the knowledge level,

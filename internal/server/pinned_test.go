@@ -96,9 +96,7 @@ func mustJSON(t *testing.T, v any) string {
 
 // pinnedBodies computes the recorded corpus as "label sha256" lines. Each
 // endpoint gets its own server, and the requests go one at a time in a
-// fixed order, so cache state — which decides, for example, whether a
-// watch revision's witness was computed or seeded from a cached body — is
-// the same on every run.
+// fixed order, so cache state is the same on every run.
 func pinnedBodies(t *testing.T) []string {
 	t.Helper()
 	var lines []string

@@ -26,9 +26,9 @@ import (
 // /v1/watch before one checker answered both ad hoc verdicts, as the
 // reference the served bytes are compared against: one incremental
 // checker per definition, each repaired or searched on its own; a watch
-// handler that validates every delta before applying it; a watch verdict
-// that decodes every body, the ones it computed included; and requests
-// and bodies read and written by encoding/json alone.
+// handler that validates every delta before applying it and computes
+// every revision with its own checkers; and requests and bodies read and
+// written by encoding/json alone.
 
 // refCutCheckers checks Definition 3's RMT-cut (pka) at every knowledge
 // level and Definition 7's 𝒵-pp cut (zcpa) on ad hoc instances, each with
@@ -48,13 +48,6 @@ func (c *refCutCheckers) verdicts(ctx context.Context, in *instance.Instance, le
 	return pka, &zv, err
 }
 
-// seed primes both checkers with the verdicts of a revision served from a
-// cache rather than computed.
-func (c *refCutCheckers) seed(in *instance.Instance, pka Verdict, z *Verdict) {
-	refSeedCut(&c.pka, in, &pka)
-	refSeedCut(&c.zcpa, in, z)
-}
-
 func refCheckCut[W cutsearch.Cut](ctx context.Context, ic *cutsearch.Incremental[W], in *instance.Instance) (Verdict, error) {
 	w, found, err := ic.CheckCtx(ctx, in)
 	if err != nil {
@@ -65,20 +58,6 @@ func refCheckCut[W cutsearch.Cut](ctx context.Context, ic *cutsearch.Incremental
 	}
 	c := cutsearch.Witness(w)
 	return Verdict{Witness: &CutWitness{C1: members(c.C1), C2: members(c.C2), B: members(c.B)}}, nil
-}
-
-func refSeedCut[W cutsearch.Cut](ic *cutsearch.Incremental[W], in *instance.Instance, v *Verdict) {
-	switch {
-	case v == nil:
-	case v.Witness != nil:
-		w := W(cutsearch.Witness{C1: nodeset.Of(v.Witness.C1...), C2: nodeset.Of(v.Witness.C2...), B: nodeset.Of(v.Witness.B...)})
-		if cutsearch.Verify(cutsearch.FromInstance(in, w.Rule()), cutsearch.Witness(w)) == nil {
-			ic.Seed(w, true)
-		}
-	case v.Solvable:
-		var none W
-		ic.Seed(none, false)
-	}
 }
 
 // refHandler serves /v1/feasibility and /v1/watch of s through the
@@ -151,8 +130,7 @@ func (s *Server) refHandleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 
-	base := in.CanonicalKey()
-	key := base
+	key := in.CanonicalKey()
 	var cuts refCutCheckers
 	cur := in
 	var prev *WatchEvent
@@ -161,7 +139,14 @@ func (s *Server) refHandleWatch(w http.ResponseWriter, r *http.Request) {
 			s.watchFail(w, rc, rev, "delta limit %d exceeded", s.opts.MaxWatchDeltas)
 			return
 		}
-		ev, body, err := s.refWatchVerdict(r.Context(), &cuts, cur, level, base, key, rev)
+		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
+		body, err := s.compute(r.Context(), func(ctx context.Context) ([]byte, error) {
+			var err error
+			if ev.PKA, ev.ZCPA, err = cuts.verdicts(ctx, cur, level); err != nil {
+				return nil, err
+			}
+			return marshalBody(ev)
+		})
 		if err != nil {
 			s.watchFail(w, rc, rev, "%v", err)
 			return
@@ -200,40 +185,13 @@ func (s *Server) refHandleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) refWatchVerdict(ctx context.Context, cuts *refCutCheckers, cur *instance.Instance, level gen.Knowledge, base, key string, rev int) (*WatchEvent, []byte, error) {
-	valid := func(body []byte) bool {
-		ev, err := decodeWatchEvent(body)
-		return err == nil && witnessOn(cur.G, &ev.PKA) && witnessOn(cur.G, ev.ZCPA)
-	}
-	body, source, err := s.cached(ctx, "watch-v1\n"+level.String()+"\n"+key, base, valid, func(ctx context.Context) ([]byte, error) {
-		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
-		var err error
-		if ev.PKA, ev.ZCPA, err = cuts.verdicts(ctx, cur, level); err != nil {
-			return nil, err
-		}
-		return marshalBody(ev)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	ev, err := decodeWatchEvent(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	if source != "miss" {
-		cuts.seed(cur, ev.PKA, ev.ZCPA)
-	}
-	return ev, body, nil
-}
-
 // TestServedBytesMatchReference serves one seeded stream from this server
 // and from a server on the reference path: /v1/feasibility for every
 // feasibility fixture and pinnedDraws seeded draws at all five knowledge
 // levels, and /v1/watch chains of 10 seeded deltas at ad hoc, radius 1
-// and full knowledge. Each chain is first sent with half its deltas, so
-// the full chain that follows is served from the LRU up to that revision,
-// seeds its checker from the cached witnesses and computes the rest. The
-// stream is sent once to cold servers and again through the warm LRU.
+// and full knowledge. Each chain is first sent with half its deltas and
+// then whole. The stream is sent once to cold servers and again through
+// the warm LRU, which holds feasibility bodies only.
 // Every body must be byte-identical to the reference's, and every ad hoc
 // zcpa verdict must equal the pka one, with a witness that
 // zcpa.VerifyZppCut accepts.

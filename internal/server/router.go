@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -23,7 +22,9 @@ type RouterOptions struct {
 	// be configured with the same list as its Peers for the fleet-wide
 	// ownership ring to agree.
 	Shards []string
-	// MaxBodyBytes bounds request bodies. Default 1 MiB (the shard default).
+	// MaxBodyBytes bounds /v1/feasibility and /v1/run bodies. Default 1 MiB
+	// (the shard default). A watch stream is forwarded unread, so its lines
+	// are bounded by the shard's Options.MaxBodyBytes.
 	MaxBodyBytes int64
 	// LogWriter receives one JSON object per routed request. Default
 	// os.Stderr; use io.Discard to silence.
@@ -37,18 +38,20 @@ type RouterOptions struct {
 	ShardTimeout time.Duration
 }
 
-// Router is the fleet front door: a stateless HTTP handler that forwards
-// each query to the shard owning its instance (consistent hash over
+// Router is the fleet front door: an HTTP handler that forwards each query
+// to the shard owning its instance (consistent hash over
 // instance.CanonicalKey, the same ring every shard builds from its Peers
 // list). Routing by canonical key — not by raw request bytes — means every
 // spelling of the same (G, 𝒵, γ, D, R) tuple lands on the same shard's LRU,
-// so the fleet caches each distinct instance exactly once.
+// so the fleet caches each distinct instance exactly once. Watch
+// subscriptions, which no shard caches, go to the shards in turn.
 //
 // The router holds no cache and computes nothing; shard replies are relayed
 // verbatim, preserving the shards' byte-identity guarantee end to end.
 type Router struct {
-	opts RouterOptions
-	ring *hashRing
+	opts    RouterOptions
+	ring    *hashRing
+	watches atomic.Uint64 // watch subscriptions forwarded, the round-robin cursor
 	// client answers the unary query endpoints under ShardTimeout;
 	// streamClient forwards long-lived watch subscriptions and has no
 	// overall deadline (both share one transport and its pool).
@@ -207,56 +210,31 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string, 
 	rt.logRequest(r.Method, r.URL.Path, shard, resp.StatusCode, time.Since(start))
 }
 
-// handleWatch routes POST /v1/watch. Unlike handleQuery it cannot slurp the
-// body — the body IS the subscription, a possibly-unbounded delta stream —
-// so it reads exactly the first line (the base instance), computes the
-// canonical key, and splices the consumed bytes back in front of the
-// remainder for the shard. The whole stream goes to the *base* key's owner,
-// which is what keeps every chain revision's cache entry on one shard.
-// Streams ride streamClient (no overall deadline) and each shard chunk is
-// flushed through as it arrives.
+// handleWatch forwards POST /v1/watch to the next shard in turn, and reads
+// no byte of the body itself: the body is the subscription, a delta stream
+// that may not end for a long time, and the shard validates its instance
+// line, so a bad one is answered exactly as a lone daemon answers it. Every
+// shard computes each revision of a subscription itself and caches none
+// (see Server.handleWatch), so any shard serves any stream alike. Streams
+// ride streamClient (no overall deadline) and each shard chunk is flushed
+// through as it arrives.
 func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReader(r.Body)
-	line, err := readLimitedLine(br, rt.opts.MaxBodyBytes)
-	if errors.Is(err, errLineTooLong) {
-		rt.badRequests.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge, "watch: instance line exceeds the %d-byte limit", rt.opts.MaxBodyBytes)
-		return
-	}
-	if err != nil {
-		rt.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "watch: instance line: %v", err)
-		return
-	}
-	var req InstanceRequest
-	if err := json.Unmarshal(line, &req); err != nil {
-		rt.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "instance line: %v", err)
-		return
-	}
-	in, _, err := req.build()
-	if err != nil {
-		rt.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "instance: %v", err)
-		return
-	}
-	shard := rt.ring.owner(in.CanonicalKey())
+	shard := rt.opts.Shards[(rt.watches.Add(1)-1)%uint64(len(rt.opts.Shards))]
 
 	// The client may interleave deltas with our streamed verdicts; allow
 	// reading the request body after response bytes have been written.
-	// As on the shard, this starts with the stream, and the connection
-	// ends with it (see Server.handleWatch), a 502 included.
+	// The connection ends with the stream (see Server.handleWatch), a 502
+	// included.
 	rc := http.NewResponseController(w)
 	rc.EnableFullDuplex()
 	w.Header().Set("Connection", "close")
 	// The transport reads the upload on its own goroutine; it must have
 	// stopped by the time this handler returns.
-	up := newUpload(br, rc)
+	up := newUpload(r.Body, rc)
 	defer up.stop()
 
 	start := time.Now()
-	body := io.MultiReader(bytes.NewReader(line), up)
-	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, shard+r.URL.Path, body)
+	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, shard+r.URL.Path, up)
 	if err != nil {
 		rt.shardErrors.Add(1)
 		writeError(w, http.StatusBadGateway, "shard %s: %v", shard, err)
@@ -295,7 +273,9 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 // A shard stream can end while the client is still uploading, and the
 // handler may not return while another goroutine reads its request body,
 // so stop cuts a pending read short with a read deadline and turns every
-// later read into errStreamEnded.
+// later read into errStreamEnded. Without a pending read, net/http reads
+// what is left of the upload once the handler returns, and stop's deadline
+// ends that read after watchDrainGrace, as on a shard.
 type upload struct {
 	r  io.Reader
 	rc *http.ResponseController
@@ -335,39 +315,13 @@ func (u *upload) stop() {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.stopped = true
-	if u.reading {
-		u.rc.SetReadDeadline(time.Now())
-		for u.reading {
-			u.idle.Wait()
-		}
+	if !u.reading {
+		u.rc.SetReadDeadline(time.Now().Add(watchDrainGrace))
+		return
 	}
-}
-
-// errLineTooLong is readLimitedLine's error for a line longer than its
-// limit.
-var errLineTooLong = errors.New("line too long")
-
-// readLimitedLine reads one newline-terminated line (newline included, so
-// the bytes splice back verbatim), failing with errLineTooLong once more
-// than limit bytes precede the newline instead of buffering an unbounded
-// first line.
-func readLimitedLine(br *bufio.Reader, limit int64) ([]byte, error) {
-	line := make([]byte, 0, 256)
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			if err == io.EOF && len(line) > 0 {
-				return line, nil
-			}
-			return nil, err
-		}
-		line = append(line, b)
-		if b == '\n' {
-			return line, nil
-		}
-		if int64(len(line)) > limit {
-			return nil, errLineTooLong
-		}
+	u.rc.SetReadDeadline(time.Now())
+	for u.reading {
+		u.idle.Wait()
 	}
 }
 

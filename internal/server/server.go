@@ -5,11 +5,11 @@
 //
 // Two pieces make it a daemon rather than a CGI script:
 //
-//   - results are cached in a size-bounded LRU keyed by the instance's
-//     canonical content hash (instance.CanonicalKey) plus the normalized
-//     request parameters, so repeated queries — the common shape when a
-//     notebook or script sweeps seeds around one topology — are served from
-//     memory, byte-identically;
+//   - feasibility and run results are cached in a size-bounded LRU keyed
+//     by the instance's canonical content hash (instance.CanonicalKey) plus
+//     the normalized request parameters, so repeated queries — the common
+//     shape when a notebook or script sweeps seeds around one topology —
+//     are served from memory, byte-identically;
 //   - heavy work passes a gate of two counting semaphores: at most Workers
 //     computations run, each on its request's own goroutine, and at most
 //     QueueDepth more wait for a slot; beyond that the daemon answers 429
@@ -25,8 +25,8 @@
 //     compute the same way, logged as 499 and counted separately from
 //     deadline expiries.
 //
-// Endpoints: POST /v1/feasibility, POST /v1/run, GET /v1/protocols,
-// GET /healthz, GET /metrics (Prometheus text format).
+// Endpoints: POST /v1/feasibility, POST /v1/run, POST /v1/watch,
+// GET /v1/protocols, GET /healthz, GET /metrics (Prometheus text format).
 package server
 
 import (
@@ -365,13 +365,32 @@ func (s *Server) compute(parent context.Context, fn func(ctx context.Context) ([
 	return nil, fmt.Errorf("%w after %v", errDeadline, s.opts.RequestTimeout)
 }
 
-// serveCached answers a POST endpoint through cached, mapping a failed
-// compute to 400 (a protocol.CapsError: the protocol refused the
-// instance), 429 (overload), 499 (client disconnect), 504 (deadline) or
-// 500. ownerKey is the instance's canonical content hash, the unit of
-// fleet ownership.
+// serveCached answers a POST endpoint with the body for key: from the
+// result LRU, else — on a fleet shard that does not own ownerKey, the
+// instance's canonical content hash and the unit of fleet ownership — from
+// the owning peer's cache if it is JSON (see fetchFromPeer), else computed
+// by fn through compute. The stored body is served, because the incumbent
+// wins (see resultCache.put): equal keys get byte-identical bodies
+// regardless of worker count, arrival order or shard. A failed compute
+// answers 400 (a protocol.CapsError: the protocol refused the instance),
+// 429 (overload), 499 (client disconnect), 504 (deadline) or 500.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerKey string, fn func(ctx context.Context) ([]byte, error)) {
-	body, source, err := s.cached(r.Context(), key, ownerKey, json.Valid, fn)
+	source := "hit"
+	body, ok := s.cache.get(key)
+	var err error
+	if ok {
+		s.metrics.cacheHits.Add(1)
+	} else {
+		s.metrics.cacheMisses.Add(1)
+		source = "peer"
+		if body, ok = s.fetchFromPeer(r.Context(), key, ownerKey); !ok || !json.Valid(body) {
+			source = "miss"
+			body, err = s.compute(r.Context(), fn)
+		}
+		if err == nil {
+			body = s.cache.put(key, body)
+		}
+	}
 	if rec, ok := w.(*statusRecorder); ok {
 		rec.cache = source
 	}
@@ -391,34 +410,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerK
 		code = http.StatusGatewayTimeout
 	}
 	writeError(w, code, "%v", err)
-}
-
-// cached returns the body for key: from the result LRU, else — on a fleet
-// shard that does not own ownerKey — from the owning peer's cache (see
-// fetchFromPeer), else computed by fn through compute. A peer's body is
-// stored only if valid accepts it. Every stored body is read back, because
-// the incumbent wins (see resultCache.put): equal keys get byte-identical
-// bodies regardless of worker count, arrival order or shard. source is
-// "hit", "peer" or "miss" (computed, or failed with err).
-func (s *Server) cached(ctx context.Context, key, ownerKey string, valid func([]byte) bool, fn func(ctx context.Context) ([]byte, error)) (body []byte, source string, err error) {
-	if body, ok := s.cache.get(key); ok {
-		s.metrics.cacheHits.Add(1)
-		return body, "hit", nil
-	}
-	s.metrics.cacheMisses.Add(1)
-	body, ok := s.fetchFromPeer(ctx, key, ownerKey)
-	source = "peer"
-	if !ok || !valid(body) {
-		source = "miss"
-		if body, err = s.compute(ctx, fn); err != nil {
-			return nil, source, err
-		}
-	}
-	s.cache.put(key, body)
-	if stored, ok := s.cache.get(key); ok {
-		body = stored
-	}
-	return body, source, nil
 }
 
 // fetchFromPeer asks the owning peer's cache for key when this server is a
@@ -669,22 +660,6 @@ func (s *Server) cutVerdicts(ctx context.Context, ic *core.IncrementalCut, in *i
 		z = &zv
 	}
 	return pka, z, nil
-}
-
-// seedCut primes ic with the pka verdict of a revision served from a cache
-// rather than computed, so the next revision can still repair. A cached
-// witness is verified first: the body is cache-authentic, but the checker
-// trusts its seeds.
-func seedCut(ic *core.IncrementalCut, in *instance.Instance, v Verdict) {
-	switch {
-	case v.Witness != nil:
-		w := core.RMTCut{C1: nodeset.Of(v.Witness.C1...), C2: nodeset.Of(v.Witness.C2...), B: nodeset.Of(v.Witness.B...)}
-		if core.VerifyRMTCut(in, w) == nil {
-			ic.Seed(w, true)
-		}
-	case v.Solvable:
-		ic.Seed(core.RMTCut{}, false)
-	}
 }
 
 // smtVerdictOf evaluates the Dowden cut conditions under the requested

@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"rmt/internal/core"
 	"rmt/internal/gen"
-	"rmt/internal/graph"
 	"rmt/internal/instance"
 )
 
@@ -47,14 +47,12 @@ type watchError struct {
 //	response: one WatchEvent per verdict change (rev 0 always reports the
 //	          base verdict), or a terminal {"error": ...} line
 //
-// Each revision is answered by one incremental checker (witness repair
-// first, full enumeration only on fallback) and cached in the result LRU
-// under the revision's chain key — a domain-separated hash of (previous
-// key, delta) that can never equal any base instance's canonical key, so
-// chain revisions and base instances never shadow or evict one another. In
-// a fleet the whole stream is routed by the *base* key and every revision's
-// cache entry lives on the base owner's shard, preserving the peer-cache
-// ownership semantics for the chain.
+// Each revision is computed by the subscription's own incremental checker
+// (witness repair first, the full search only on fallback), through the
+// gate under its own deadline, and written as marshalled. No revision is
+// cached: its event is a deterministic function of the base instance and
+// its delta chain, so equal chains stream byte-identical events on any
+// server, and a fleet router may send a subscription to any shard.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// The line buffer starts at 4 KiB and grows to hold a line of
 	// MaxBodyBytes and its newline.
@@ -99,8 +97,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "close")
 	w.WriteHeader(http.StatusOK)
 
-	base := in.CanonicalKey()
-	key := base
+	key := in.CanonicalKey()
 	var cut core.IncrementalCut
 	cur := in
 	var prev *WatchEvent
@@ -109,7 +106,14 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			s.watchFail(w, rc, rev, "delta limit %d exceeded", s.opts.MaxWatchDeltas)
 			return
 		}
-		ev, body, err := s.watchVerdict(r.Context(), &cut, cur, level, base, key, rev)
+		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
+		body, err := s.compute(r.Context(), func(ctx context.Context) ([]byte, error) {
+			var err error
+			if ev.PKA, ev.ZCPA, err = s.cutVerdicts(ctx, &cut, cur, level); err != nil {
+				return nil, err
+			}
+			return marshalBody(ev)
+		})
 		if err != nil {
 			s.watchFail(w, rc, rev, "%v", err)
 			return
@@ -146,72 +150,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// watchVerdict produces one revision's verdict event through cached, under
-// the base owner's key, so equal chains stream byte-identical events
-// fleet-wide. A computed revision advances the subscription's checker, and
-// its event is used as computed unless another subscription stored its body
-// first (see resultCache.put). Any other body is decoded, and a hit or a
-// peer's body re-seeds the checker so the next revision can still repair.
-func (s *Server) watchVerdict(ctx context.Context, cut *core.IncrementalCut, cur *instance.Instance, level gen.Knowledge, base, key string, rev int) (*WatchEvent, []byte, error) {
-	// A peer's body must decode, and its witnesses must name nodes of this
-	// revision's graph: it is served as it is, seedCut builds node sets
-	// from it, and nodeset.Of panics on a negative ID.
-	valid := func(body []byte) bool {
-		ev, err := decodeWatchEvent(body)
-		return err == nil && witnessOn(cur.G, &ev.PKA) && witnessOn(cur.G, ev.ZCPA)
-	}
-	var computed *WatchEvent
-	var computedBody []byte
-	body, source, err := s.cached(ctx, "watch-v1\n"+level.String()+"\n"+key, base, valid, func(ctx context.Context) ([]byte, error) {
-		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
-		var err error
-		if ev.PKA, ev.ZCPA, err = s.cutVerdicts(ctx, cut, cur, level); err != nil {
-			return nil, err
-		}
-		computed = ev
-		computedBody, err = marshalBody(ev)
-		return computedBody, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if source == "miss" && bytes.Equal(body, computedBody) {
-		return computed, body, nil
-	}
-	ev, err := decodeWatchEvent(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	if source != "miss" {
-		seedCut(cut, cur, ev.PKA)
-	}
-	return ev, body, nil
-}
-
-// witnessOn reports whether every ID of v's cut witness, if any, is a node
-// of g.
-func witnessOn(g *graph.Graph, v *Verdict) bool {
-	if v == nil || v.Witness == nil {
-		return true
-	}
-	for _, ids := range [][]int{v.Witness.C1, v.Witness.C2, v.Witness.B} {
-		for _, id := range ids {
-			if !g.HasNode(id) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func decodeWatchEvent(body []byte) (*WatchEvent, error) {
-	ev := &WatchEvent{}
-	if err := json.Unmarshal(body, ev); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
 // verdictChanged reports whether the solvability verdicts flipped between
 // consecutive revisions. Witness sets are free to differ (repair produces
 // different-but-valid cuts); only verdict flips are stream events.
@@ -225,14 +163,24 @@ func verdictChanged(prev, next *WatchEvent) bool {
 	return prev.ZCPA != nil && prev.ZCPA.Solvable != next.ZCPA.Solvable
 }
 
-// watchFail emits the terminal in-band error line of a watch stream.
+// watchDrainGrace bounds how long net/http goes on reading the upload of a
+// stream that ended before it: long enough for what a client that sent its
+// whole upload at once has in flight, and no longer, so a client that
+// never ends its upload is dropped.
+const watchDrainGrace = time.Second
+
+// watchFail emits the terminal in-band error line of a watch stream, which
+// ends it before its upload may have ended. Once the handler returns,
+// net/http reads what is left of the upload and then closes the
+// connection; the read deadline ends that read after watchDrainGrace. A
+// deadline of now would reset a connection whose client is still sending
+// the rest of its upload, and its transport can report the failed write
+// instead of the reply.
 func (s *Server) watchFail(w http.ResponseWriter, rc *http.ResponseController, rev int, format string, args ...any) {
-	b, err := json.Marshal(watchError{Error: fmt.Sprintf(format, args...), Rev: rev})
-	if err != nil {
-		return
-	}
+	b, _ := json.Marshal(watchError{Error: fmt.Sprintf(format, args...), Rev: rev})
 	w.Write(append(b, '\n'))
 	rc.Flush()
+	rc.SetReadDeadline(time.Now().Add(watchDrainGrace))
 }
 
 // nextLine returns the next non-blank line of the stream, or io.EOF when

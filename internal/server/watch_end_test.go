@@ -136,3 +136,40 @@ func checkErrorLine(t *testing.T, what string, line []byte, rev int, text string
 		t.Errorf("%s: last line %s, want an error at rev %d naming %q", what, line, rev, text)
 	}
 }
+
+// TestWatchEndDropsOpenUpload: a stream that ends before its upload (here
+// on an undecodable delta) closes its connection within watchDrainGrace,
+// on a lone daemon and through a router, while the client still holds its
+// upload open, so a client that never ends its upload holds no
+// connection.
+func TestWatchEndDropsOpenUpload(t *testing.T) {
+	tiers, all := watchEndTiers(t, Options{}, io.Discard)
+	defer func() {
+		for _, ts := range all {
+			ts.Close()
+		}
+	}()
+	line := func(s string) string { return fmt.Sprintf("%x\r\n%s\n\r\n", len(s)+1, s) }
+	for name, ts := range tiers {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(3 * time.Second))
+		io.WriteString(conn, "POST /v1/watch HTTP/1.1\r\nHost: rmtd\r\nTransfer-Encoding: chunked\r\n\r\n"+line(solvableButterfly))
+		br := bufio.NewReader(conn)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		io.WriteString(conn, line(`{"bogus":1}`))
+		stream, err := io.ReadAll(resp.Body)
+		if err != nil || !strings.Contains(string(stream), "unknown field") {
+			t.Fatalf("%s: stream %q, %v; want its error line and EOF", name, stream, err)
+		}
+		if n, err := br.Read(make([]byte, 1)); n > 0 || !errors.Is(err, io.EOF) {
+			t.Errorf("%s: with the upload open: %d bytes, %v; want the server to close the connection", name, n, err)
+		}
+	}
+}

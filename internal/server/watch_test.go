@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -206,73 +207,37 @@ func TestWatchInteractive(t *testing.T) {
 	}
 }
 
-// TestWatchByteIdentityAcrossSubscriptions: replaying the same subscription
-// serves every revision out of the result cache with byte-identical lines —
-// the first-body-wins rule extended to chains.
+// TestWatchByteIdentityAcrossSubscriptions: a subscription replayed on
+// the same server streams identical lines, and so does the same body on a
+// 1-worker and an 8-worker server. Every revision is computed by its own
+// subscription: the result LRU stays empty and the cache counters stay
+// at 0.
 func TestWatchByteIdentityAcrossSubscriptions(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
 	body := watchBody(solvableButterfly, watchDeltas...)
-	_, first := postWatch(t, ts, body)
-	missesAfterFirst := s.metrics.cacheMisses.Load()
-	_, second := postWatch(t, ts, body)
-	if !bytes.Equal(bytes.Join(first, []byte("\n")), bytes.Join(second, []byte("\n"))) {
-		t.Fatalf("replayed subscription differs:\n%s\nvs\n%s", bytes.Join(first, []byte("\n")), bytes.Join(second, []byte("\n")))
+	var streams [][]byte
+	for _, workers := range []int{1, 8} {
+		s, ts := newTestServer(t, Options{Workers: workers})
+		for i := 0; i < 2; i++ {
+			code, lines := postWatch(t, ts, body)
+			if code != http.StatusOK || len(lines) != 3 {
+				t.Fatalf("workers=%d: %d %q, want 3 events", workers, code, lines)
+			}
+			streams = append(streams, bytes.Join(lines, []byte("\n")))
+		}
+		_, m := get(t, ts, "/metrics")
+		for _, want := range []string{"rmtd_cache_entries 0\n", "rmtd_cache_hits_total 0\n", "rmtd_cache_misses_total 0\n"} {
+			if !strings.Contains(string(m), want) {
+				t.Errorf("workers=%d: metrics missing %q:\n%s", workers, want, m)
+			}
+		}
+		if n := s.cache.len(); n != 0 {
+			t.Errorf("workers=%d: the LRU holds %d entries after two subscriptions", workers, n)
+		}
 	}
-	if got := s.metrics.cacheMisses.Load(); got != missesAfterFirst {
-		t.Fatalf("replay missed the cache: %d misses, want %d", got, missesAfterFirst)
-	}
-	if s.metrics.cacheHits.Load() == 0 {
-		t.Fatal("replay recorded no cache hits")
-	}
-}
-
-// TestWatchChainKeysNeverServeBaseBytes pins the cache-identity guarantee
-// the watch API is built on: a revision's chain key is never the base
-// instance's canonical key, and fetching a chain revision through the peer
-// protocol (POST /internal/cache) returns that revision's bytes — never the
-// base instance's.
-func TestWatchChainKeysNeverServeBaseBytes(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	code, lines := postWatch(t, ts, watchBody(solvableButterfly, `{"remove_nodes":[3]}`))
-	if code != http.StatusOK || len(lines) != 2 {
-		t.Fatalf("watch: %d, %d lines", code, len(lines))
-	}
-	events := decodeEvents(t, lines)
-	base, chain := events[0], events[1]
-	if base.Key == chain.Key {
-		t.Fatalf("chain key equals base key: %s", base.Key)
-	}
-
-	fetch := func(key string) (int, []byte) {
-		t.Helper()
-		return post(t, ts, "/internal/cache", "watch-v1\nadhoc\n"+key)
-	}
-	code, got := fetch(chain.Key)
-	if code != http.StatusOK {
-		t.Fatalf("chain revision not in cache: %d", code)
-	}
-	if !bytes.Equal(bytes.TrimSpace(got), lines[1]) {
-		t.Fatalf("peer fetch for chain key served different bytes:\n%s\nvs\n%s", got, lines[1])
-	}
-	if bytes.Equal(bytes.TrimSpace(got), lines[0]) {
-		t.Fatal("peer fetch for chain key served the base instance's bytes")
-	}
-	var fetched WatchEvent
-	if err := json.Unmarshal(got, &fetched); err != nil {
-		t.Fatal(err)
-	}
-	if fetched.Rev != 1 || fetched.PKA.Solvable {
-		t.Fatalf("chain key resolved to %+v, want the rev-1 unsolvable verdict", fetched)
-	}
-
-	// The base revision lives under its own watch cache line, disjoint from
-	// the feasibility endpoint's entry for the same instance.
-	code, got = fetch(base.Key)
-	if code != http.StatusOK {
-		t.Fatalf("base revision not in cache: %d", code)
-	}
-	if !bytes.Equal(bytes.TrimSpace(got), lines[0]) {
-		t.Fatalf("peer fetch for base watch key served:\n%s\nwant\n%s", got, lines[0])
+	for i, stream := range streams[1:] {
+		if !bytes.Equal(stream, streams[0]) {
+			t.Fatalf("subscription %d differs:\n%s\nvs\n%s", i+1, stream, streams[0])
+		}
 	}
 }
 
@@ -321,53 +286,63 @@ func TestWatchValidation(t *testing.T) {
 
 // ------------------------------------------------------------ fleet routing
 
-// TestRouterForwardsWatchByBaseKey: a watch subscription through the router
-// produces the same event stream as a direct shard subscription, and the
-// whole stream lands on the shard owning the *base* instance's canonical
-// key — chain revisions never scatter across the ring.
-func TestRouterForwardsWatchByBaseKey(t *testing.T) {
+// TestRouterForwardsWatchRoundRobin: consecutive subscriptions through
+// the router go to consecutive shards, and each stream equals a direct
+// subscription at every shard (the router relays verbatim, and every
+// shard computes every revision alike).
+func TestRouterForwardsWatchRoundRobin(t *testing.T) {
 	_, urls, rt := newFleet(t, 3)
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
 	body := watchBody(solvableButterfly, watchDeltas...)
-	code, lines := postWatch(t, ts, body)
-	if code != http.StatusOK {
-		t.Fatalf("watch via router: %d", code)
+	want := map[string]int64{}
+	for _, url := range urls {
+		want[url] = 0
 	}
-	events := decodeEvents(t, lines)
-	if len(events) != 3 {
-		t.Fatalf("want 3 events via router, got %d:\n%s", len(events), bytes.Join(lines, []byte("\n")))
-	}
-
-	var q InstanceRequest
-	if err := json.Unmarshal([]byte(solvableButterfly), &q); err != nil {
-		t.Fatal(err)
-	}
-	in, _, err := q.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := newHashRing(urls).owner(in.CanonicalKey())
-	for shard, n := range rt.Forwards() {
-		want := int64(0)
-		if shard == owner {
-			want = 1
+	for i := 0; i < 2*len(urls); i++ {
+		code, lines := postWatch(t, ts, body)
+		if code != http.StatusOK || len(lines) != 3 {
+			t.Fatalf("subscription %d via router: %d %q, want 3 events", i, code, lines)
 		}
-		if n != want {
-			t.Fatalf("forwards[%s] = %d, want %d (owner %s): %v", shard, n, want, owner, rt.Forwards())
+		want[urls[i%len(urls)]]++
+		if got := rt.Forwards(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after subscription %d: forwards %v, want %v", i, got, want)
+		}
+		stream := bytes.Join(lines, []byte("\n"))
+		for _, url := range urls {
+			resp, err := http.Post(url+"/v1/watch", "application/x-ndjson", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if direct := bytes.TrimSpace(readAll(t, resp)); !bytes.Equal(direct, stream) {
+				t.Fatalf("router stream differs from a direct subscription at %s:\n%s\nvs\n%s", url, stream, direct)
+			}
 		}
 	}
+}
 
-	// Direct shard subscription serves byte-identical lines (router relays
-	// verbatim; the shard serves the cached chain).
-	resp, err := http.Post(owner+"/v1/watch", "application/x-ndjson", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := readAll(t, resp)
-	if !bytes.Equal(bytes.TrimSpace(direct), bytes.Join(lines, []byte("\n"))) {
-		t.Fatalf("router stream differs from direct shard stream:\n%s\nvs\n%s", bytes.Join(lines, []byte("\n")), direct)
+// TestRouterAnswersBadWatchLinesAsDaemon: the router reads no byte of a
+// watch body, so every bad instance line is answered by a shard, with the
+// lone daemon's exact status and body.
+func TestRouterAnswersBadWatchLinesAsDaemon(t *testing.T) {
+	const limit = 64
+	doc := `{"graph":"0-1 1-2","dealer":0,"receiver":2}`
+	tiers := limitedTiers(t, limit)
+	for name, body := range map[string]string{
+		"empty body":        "",
+		"bad json":          "{\n",
+		"unknown field":     `{"graph":"0-1","dealer":0,"receiver":1,"bogus":1}` + "\n",
+		"receiver not node": `{"graph":"0-1","dealer":0,"receiver":9}` + "\n",
+		"oversize line":     doc + strings.Repeat(" ", limit+1-len(doc)) + "\n",
+	} {
+		code, want := post(t, tiers["daemon"], "/v1/watch", body)
+		if code != http.StatusBadRequest && code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: daemon answered %d %s", name, code, want)
+		}
+		if gotCode, got := post(t, tiers["router"], "/v1/watch", body); gotCode != code || !bytes.Equal(got, want) {
+			t.Errorf("%s: router answered %d %s, daemon %d %s", name, gotCode, got, code, want)
+		}
 	}
 }
 
@@ -471,40 +446,5 @@ func TestWatchTimeoutCounted(t *testing.T) {
 	}
 	if _, m := get(t, ts, "/metrics"); !strings.Contains(string(m), "rmtd_timeouts_total 1") {
 		t.Fatalf("metrics missing rmtd_timeouts_total 1:\n%s", m)
-	}
-}
-
-// TestWatchRejectsPeerWitnessOffGraph: a peer's watch body is stored only
-// if its cut witnesses name nodes of the revision's graph. The fake owner
-// answers every /internal/cache fetch with a well-formed event whose
-// witness holds a negative ID (which nodeset.Of panics on) or a non-node.
-// The shard must fall back to local compute: the stream carries the
-// computed event, and the LRU holds the computed body, not the peer's.
-func TestWatchRejectsPeerWitnessOffGraph(t *testing.T) {
-	_, plain := newTestServer(t, Options{})
-	code, want := postWatch(t, plain, watchBody(solvableButterfly))
-	if code != http.StatusOK || len(want) != 1 {
-		t.Fatalf("standalone watch: %d, %d lines", code, len(want))
-	}
-	base := decodeEvents(t, want)[0].Key
-	for name, witness := range map[string]string{
-		"negative": `{"c1":[-1],"c2":[2],"b":[4]}`,
-		"non-node": `{"c1":[1],"c2":[99],"b":[4]}`,
-	} {
-		t.Run(name, func(t *testing.T) {
-			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				fmt.Fprintf(w, `{"rev":0,"key":%q,"knowledge":"adhoc","pka":{"solvable":false,"witness":%s}}`+"\n", base, witness)
-			}))
-			defer peer.Close()
-			s, ts := newTestServer(t, Options{Peers: []string{peer.URL}, Self: "http://self.invalid"})
-			code, got := postWatch(t, ts, watchBody(solvableButterfly))
-			if code != http.StatusOK || len(got) != 1 || !bytes.Equal(got[0], want[0]) {
-				t.Fatalf("watch with a bad peer body: %d %s, want %s", code, bytes.Join(got, []byte("\n")), want[0])
-			}
-			stored, ok := s.cache.get("watch-v1\nadhoc\n" + base)
-			if !ok || !bytes.Equal(bytes.TrimSpace(stored), want[0]) {
-				t.Fatalf("LRU holds %q, want the computed body %s", stored, want[0])
-			}
-		})
 	}
 }

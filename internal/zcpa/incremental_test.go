@@ -70,25 +70,8 @@ func TestIncrementalZppCutFallsBackWhenWitnessDies(t *testing.T) {
 	}
 }
 
-func TestIncrementalZppCutSeedAndCtx(t *testing.T) {
+func TestIncrementalZppCutCtx(t *testing.T) {
 	in := incrLine(t, 12)
-	w, found := zcpa.FindRMTZppCut(in)
-	if !found {
-		t.Fatal("expected infeasible base")
-	}
-	ic := zcpa.NewIncrementalCut()
-	ic.Seed(w, true)
-	next, err := gen.ApplyDelta(in, instance.Delta{AddEdges: [][2]int{{0, 2}}}, gen.AdHoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, found := ic.Check(next); !found {
-		t.Fatal("seeded checker lost the verdict")
-	}
-	if repaired, fresh := ic.Stats(); repaired != 1 || fresh != 0 {
-		t.Fatalf("seeded checker should repair, not enumerate: (%d, %d)", repaired, fresh)
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fresh := zcpa.NewIncrementalCut()
