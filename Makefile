@@ -55,10 +55,12 @@ benchguard:
 # not step into sets whose boundary holds the dealer (no frame chunk for
 # their depths), parse + build + CanonicalKey at every knowledge level, a
 # one-edge delta at ad hoc and radius 1 (only the views it reaches are
-# built), the bytes of one /v1/watch subscription, and the decode of a
-# feasibility-hot body (one allocation per string field).
+# built), the bytes of one /v1/watch subscription, the decode of a
+# feasibility-hot body (one allocation per string field), and an async run
+# under the fifo and lifo schedules (per-link state in one growing table,
+# no map).
 allocguard:
-	$(GO) test -run 'AllocBudget|BytesBudget' -count=1 . ./internal/graph/ ./internal/server/
+	$(GO) test -run 'AllocBudget|BytesBudget' -count=1 . ./internal/graph/ ./internal/server/ ./internal/network/
 
 # The steady rmtd benchmark (rmtdbench/, run by `bash rmtdbench/run.sh`) is
 # its own Go module, so the root `go build ./...` and `go vet ./...` never

@@ -29,8 +29,10 @@ import (
 
 // protocolAllocBudget bounds one run of every benchdef.ProtoBenches row,
 // warm — one shared instance, whose run-state pool and memo caches the
-// first runs fill — and cold — a fresh pb.Instance() per run, the build
-// included, which is what /v1/run and every new sweep instance pay.
+// first runs fill, as every /v1/run on an instance text rmtd has built
+// before — and cold — a fresh pb.Instance() per run, the build included,
+// which is what a /v1/run on new instance text and every new sweep
+// instance pay.
 // Warm budgets sit about a quarter above the counts measured when protocol
 // runs moved onto the sender tally, the one-pass loss sweeps and the
 // one-pass G_M; a per-message or per-recipient allocation costs hundreds

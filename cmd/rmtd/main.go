@@ -65,7 +65,7 @@ func run(ctx context.Context, args []string, logw io.Writer, onReady func(addr s
 		addr    = fs.String("addr", ":8080", "listen address")
 		workers = fs.Int("workers", 0, "compute workers (0 = one per logical CPU)")
 		queue   = fs.Int("queue", 256, "max queued requests before shedding with 429")
-		cache   = fs.Int("cache", 1024, "result cache entries")
+		cache   = fs.Int("cache", 1024, "entries of each cache: results, and the instances /v1/run built")
 		timeout = fs.Duration("timeout", 30*time.Second, "per-request compute deadline")
 		drain   = fs.Duration("drain", 10*time.Second, "graceful shutdown bound")
 		quiet   = fs.Bool("quiet", false, "suppress the request log")

@@ -45,7 +45,9 @@ func (in *Instance) CanonicalKey() string {
 	in.lazy.keyOnce.Do(func() {
 		kw := keyWriters.Get().(*keyWriter)
 		kw.h.Reset()
-		kw.buf = in.writeCanonical(kw.h, kw.buf[:0])
+		kw.n = 0
+		kw.buf = in.writeCanonical(kw, kw.buf[:0])
+		in.lazy.size = kw.n
 		kw.buf = kw.h.Sum(kw.buf[:0])
 		var key [2 * sha256.Size]byte
 		hex.Encode(key[:], kw.buf)
@@ -57,11 +59,27 @@ func (in *Instance) CanonicalKey() string {
 	return in.lazy.key
 }
 
+// CanonicalSize returns the byte length of CanonicalString, counted while
+// CanonicalKey streams the text, so it costs nothing once the key is known.
+// The text holds every node set and view of the tuple, so its length
+// tracks the instance's size; rmtd weighs cached instances by it.
+func (in *Instance) CanonicalSize() int {
+	in.CanonicalKey()
+	return in.lazy.size
+}
+
 // keyWriter is the hash and the line buffer one CanonicalKey streams
-// through. Every request computes a key, so they are pooled.
+// through, and the count of bytes written. Every request computes a key,
+// so they are pooled.
 type keyWriter struct {
 	h   hash.Hash
 	buf []byte
+	n   int
+}
+
+func (kw *keyWriter) Write(p []byte) (int, error) {
+	kw.n += len(p)
+	return kw.h.Write(p)
 }
 
 // maxPooledKeyBuffer keeps a buffer that one large instance grew — a view

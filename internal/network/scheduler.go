@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -67,9 +68,9 @@ func NewScheduler(name string, seed int64) (Scheduler, error) {
 	case SchedRandom:
 		return &randomScheduler{rng: newSplitMix(uint64(seed))}, nil
 	case SchedFIFO:
-		return &fifoScheduler{rng: newSplitMix(uint64(seed)), last: make(map[[2]int]int)}, nil
+		return &fifoScheduler{rng: newSplitMix(uint64(seed))}, nil
 	case SchedLIFO:
-		return &lifoScheduler{seed: uint64(seed), seq: make(map[[2]int]int)}, nil
+		return &lifoScheduler{seed: uint64(seed)}, nil
 	case SchedPartition:
 		return newPartitionScheduler(uint64(seed)), nil
 	default:
@@ -127,23 +128,78 @@ func (s *randomScheduler) DeliverAt(sent int, _ Message) int {
 	return sent + 1 + s.rng.intn(MaxSkew+1)
 }
 
+// linkTable is a scheduler's per-directed-link state: one int per link a
+// run has used, zero for a link not yet used. It is an open-addressing
+// table keyed by (from, to), sized to the links used — never to the
+// largest ID, so sparse or huge IDs cost what IDs 0..n−1 do — and probed
+// in place, so a send costs one hash and no map write.
+type linkTable struct {
+	slots []linkSlot // len is a power of two, at most 3/4 full
+	used  int
+	shift uint // 64 − log2(len(slots)): the hash's top bits index slots
+}
+
+// linkSlot is one link's state. Node IDs are never negative (they index
+// node sets), so from+1 = 0 marks a free slot.
+type linkSlot struct {
+	from1, to, val int
+}
+
+// minLinkSlots is a table's first size: every link of a sparse run on a
+// few dozen nodes, in one allocation.
+const minLinkSlots = 64
+
+// at returns the state of the link from → to, adding the link with state 0
+// when it is new.
+func (t *linkTable) at(from, to int) *int {
+	if 4*(t.used+1) > 3*len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	h := (uint64(from)+1)*0x9e3779b97f4a7c15 ^ (uint64(to)+1)*0xbf58476d1ce4e5b9
+	for i := int(h>>t.shift) & mask; ; i = (i + 1) & mask {
+		sl := &t.slots[i]
+		if sl.from1 == 0 {
+			sl.from1, sl.to = from+1, to
+			t.used++
+			return &sl.val
+		}
+		if sl.from1 == from+1 && sl.to == to {
+			return &sl.val
+		}
+	}
+}
+
+// grow doubles the table (or makes its first one) and re-adds every link.
+func (t *linkTable) grow() {
+	old := t.slots
+	size := max(2*len(old), minLinkSlots)
+	t.slots, t.used, t.shift = make([]linkSlot, size), 0, uint(64-bits.TrailingZeros(uint(size)))
+	for _, sl := range old {
+		if sl.from1 != 0 {
+			*t.at(sl.from1-1, sl.to) = sl.val
+		}
+	}
+}
+
 // fifoScheduler delays like randomScheduler but never lets a message
 // overtake an earlier one on the same directed link — the classic
-// reliable-FIFO-channel asynchrony model.
+// reliable-FIFO-channel asynchrony model. A link's state is the latest
+// delivery round it has been given.
 type fifoScheduler struct {
 	rng  *splitmix64
-	last map[[2]int]int
+	last linkTable
 }
 
 func (*fifoScheduler) Name() string { return SchedFIFO }
 
 func (s *fifoScheduler) DeliverAt(sent int, m Message) int {
-	link := [2]int{m.From, m.To}
 	at := sent + 1 + s.rng.intn(MaxSkew+1)
-	if prev := s.last[link]; at < prev {
-		at = prev
+	last := s.last.at(m.From, m.To)
+	if at < *last {
+		at = *last
 	}
-	s.last[link] = at
+	*last = at
 	return at
 }
 
@@ -153,29 +209,30 @@ func (s *fifoScheduler) DeliverAt(sent int, m Message) int {
 // phase within the cycle (so per-trial seeds explore different alignments
 // of the reorder windows against the protocol's send pattern), but never
 // the cycle itself — within every aligned window the reversal property is
-// preserved exactly.
+// preserved exactly. A link's state is one more than the sends it has
+// carried plus its phase, so 0 marks a link not yet used.
 type lifoScheduler struct {
 	seed uint64
-	seq  map[[2]int]int
+	seq  linkTable
 }
 
 func (*lifoScheduler) Name() string { return SchedLIFO }
 
 // phase derives the seed-chosen starting offset of a link's delay cycle.
-func (s *lifoScheduler) phase(link [2]int) int {
+func (s *lifoScheduler) phase(from, to int) int {
 	h := newSplitMix(s.seed ^
-		(uint64(link[0])+1)*0xbf58476d1ce4e5b9 ^
-		(uint64(link[1])+1)*0x94d049bb133111eb)
+		(uint64(from)+1)*0xbf58476d1ce4e5b9 ^
+		(uint64(to)+1)*0x94d049bb133111eb)
 	return h.intn(MaxSkew)
 }
 
 func (s *lifoScheduler) DeliverAt(sent int, m Message) int {
-	link := [2]int{m.From, m.To}
-	n, seen := s.seq[link]
-	if !seen {
-		n = s.phase(link)
+	seq := s.seq.at(m.From, m.To)
+	if *seq == 0 {
+		*seq = s.phase(m.From, m.To) + 1
 	}
-	s.seq[link] = n + 1
+	n := *seq - 1
+	*seq++
 	return sent + MaxSkew - n%MaxSkew // delays cycle 3, 2, 1, from the seeded phase
 }
 

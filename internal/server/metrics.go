@@ -29,6 +29,9 @@ type serverMetrics struct {
 	cancels     atomic.Int64 // client disconnected mid-compute: 499s and abandoned watches
 	watchEvents atomic.Int64 // verdict-change lines streamed by /v1/watch
 
+	instanceHits   atomic.Int64 // /v1/run instances found in the instance cache
+	instanceMisses atomic.Int64 // /v1/run instances parsed and built
+
 	cutChecks [2]atomic.Int64 // cut checks answered by [0] the full search, [1] a witness repair
 
 	latency map[string]*histogram // endpoint → latency histogram
@@ -96,9 +99,10 @@ func (m *serverMetrics) hitRatio() float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// render writes the Prometheus text format. queueDepth, workers and
-// cacheEntries are sampled by the caller (they live on the server).
-func (m *serverMetrics) render(w io.Writer, queueDepth, workers, cacheEntries int) {
+// render writes the Prometheus text format. queueDepth, workers and the
+// two caches' entry counts are sampled by the caller (they live on the
+// server). The rmtd_cache_* series count the result cache only.
+func (m *serverMetrics) render(w io.Writer, queueDepth, workers, cacheEntries, instanceEntries int) {
 	fmt.Fprintf(w, "# TYPE rmtd_uptime_seconds gauge\nrmtd_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
 	fmt.Fprintf(w, "# TYPE rmtd_workers gauge\nrmtd_workers %d\n", workers)
 	fmt.Fprintf(w, "# TYPE rmtd_queue_depth gauge\nrmtd_queue_depth %d\n", queueDepth)
@@ -106,6 +110,9 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, workers, cacheEntries in
 	fmt.Fprintf(w, "# TYPE rmtd_cache_hits_total counter\nrmtd_cache_hits_total %d\n", m.cacheHits.Load())
 	fmt.Fprintf(w, "# TYPE rmtd_cache_misses_total counter\nrmtd_cache_misses_total %d\n", m.cacheMisses.Load())
 	fmt.Fprintf(w, "# TYPE rmtd_cache_hit_ratio gauge\nrmtd_cache_hit_ratio %.6f\n", m.hitRatio())
+	fmt.Fprintf(w, "# TYPE rmtd_instance_cache_entries gauge\nrmtd_instance_cache_entries %d\n", instanceEntries)
+	fmt.Fprintf(w, "# TYPE rmtd_instance_cache_hits_total counter\nrmtd_instance_cache_hits_total %d\n", m.instanceHits.Load())
+	fmt.Fprintf(w, "# TYPE rmtd_instance_cache_misses_total counter\nrmtd_instance_cache_misses_total %d\n", m.instanceMisses.Load())
 	fmt.Fprintf(w, "# TYPE rmtd_peer_cache_hits_total counter\nrmtd_peer_cache_hits_total %d\n", m.peerHits.Load())
 	fmt.Fprintf(w, "# TYPE rmtd_peer_cache_misses_total counter\nrmtd_peer_cache_misses_total %d\n", m.peerMisses.Load())
 	fmt.Fprintf(w, "# TYPE rmtd_rejected_total counter\nrmtd_rejected_total %d\n", m.rejected.Load())
