@@ -151,7 +151,7 @@ func newReceiver(in *instance.Instance, sh *pkaShared, horizon int, ctx context.
 		ctx:      ctx,
 		paths:    &sh.paths,
 		vers:     &sh.vers,
-		store:    sh.stores.Get(horizon, func() *candStore { return new(candStore) }),
+		store:    sh.stores.Get(horizon, func() *candStore { return &candStore{owner: in} }),
 		claims:   make(map[int][]claimVer, n),
 		knownIDs: make([]int, 1, n+1),
 		verSlab:  make([]claimVer, 0, n),

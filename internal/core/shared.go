@@ -15,7 +15,9 @@ import (
 // memory against adversaries that spray fresh claim versions or trails;
 // overflow never changes decisions, it only degrades to evaluation on
 // records that are not stored and to streamed fullness checks, which the
-// record-free differential tests pin.
+// record-free differential tests pin. Every entry a store keeps is also
+// charged to the instance (instance.Retain) by the estimates below, so a
+// server that keeps instances across requests can bound them in bytes.
 const (
 	// maxInternPaths caps the path intern table (received trails plus
 	// enumerated G_M paths). Paths beyond the cap fall back to per-run
@@ -41,6 +43,8 @@ const (
 // append-only: an ID, once assigned, always denotes the same path, which is
 // what lets candidate records carry interned path sets across runs.
 type pathInterner struct {
+	owner *instance.Instance // charged for each path interned; nil charges nothing
+
 	mu    sync.RWMutex
 	ids   map[string]int32
 	keys  []string      // ID → rendered path key
@@ -80,6 +84,7 @@ func (pi *pathInterner) intern(k []byte, p graph.Path) (int32, bool) {
 	pi.ids[key] = id
 	pi.keys = append(pi.keys, key)
 	pi.nodes = append(pi.nodes, ns)
+	retain(pi.owner, protocol.EntryBytes+len(key)+setBytes(ns))
 	return id, true
 }
 
@@ -112,6 +117,8 @@ func pathNodeSet(p graph.Path) (nodeset.Set, bool) {
 // instance-scoped, so candidate memo keys built from them mean the same
 // claim content in every run.
 type verInterner struct {
+	owner *instance.Instance // charged for each version interned; nil charges nothing
+
 	mu  sync.RWMutex
 	ids map[string]int32
 }
@@ -139,6 +146,7 @@ func (vi *verInterner) intern(k string) (int32, bool) {
 	}
 	id = int32(len(vi.ids))
 	vi.ids[k] = id
+	retain(vi.owner, protocol.EntryBytes+len(k))
 	return id, true
 }
 
@@ -157,6 +165,8 @@ type candRec struct {
 
 // candStore maps packed claim-version keys to candidate records.
 type candStore struct {
+	owner *instance.Instance // charged for each record stored; nil charges nothing
+
 	mu   sync.RWMutex
 	recs map[string]*candRec
 }
@@ -184,6 +194,11 @@ func (cs *candStore) put(k []byte, rec *candRec) *candRec {
 		cs.recs = make(map[string]*candRec)
 	}
 	cs.recs[string(k)] = rec
+	n := protocol.EntryBytes + len(k) + setBytes(rec.pathSet)
+	if rec.gm != nil {
+		n += graphBytes(rec.gm)
+	}
+	retain(cs.owner, n)
 	return rec
 }
 
@@ -227,6 +242,11 @@ func sharedOf(in *instance.Instance) *pkaShared {
 	return in.Derived(sharedKeyT{}, func() any { return newPKAShared(in) }).(*pkaShared)
 }
 
+// newPKAShared builds the instance's warm store. The sealed claims and the
+// relays are functions of the instance alone, so their memory follows the
+// instance's size and is not charged; every store whose entries the runs
+// choose — values, forged claims, trails, claim combinations — charges
+// each entry it keeps.
 func newPKAShared(in *instance.Instance) *pkaShared {
 	sh := &pkaShared{infos: make([]NodeInfo, in.G.MaxID()+1)}
 	in.G.Nodes().ForEach(func(v int) bool {
@@ -235,6 +255,10 @@ func newPKAShared(in *instance.Instance) *pkaShared {
 	})
 	sh.dealerInfoMsg = NewInfoMsg(sh.infos[in.Dealer], graph.Path{in.Dealer})
 	sh.dealerVals.Max = maxDealerVals
+	sh.dealerVals.Charge = func(_ network.Value, p network.Payload) {
+		in.Retain(protocol.EntryBytes + sh.payloadBytes(p))
+	}
+	sh.paths.owner, sh.vers.owner = in, in
 	return sh
 }
 
@@ -245,7 +269,65 @@ func (sh *pkaShared) relay(in *instance.Instance, v, horizon int) *Relay {
 	return sh.relays.Get(relayKey{horizon, v}, func() *Relay {
 		rel := NewRelayAt(v, in.G.Neighbors(v), sh.infos[v])
 		rel.horizon = horizon
-		rel.cache = &protocol.Cache[string, network.Payload]{Max: maxRelayCache}
+		rel.cache = &protocol.Cache[string, network.Payload]{
+			Max: maxRelayCache,
+			Charge: func(k string, p network.Payload) {
+				in.Retain(protocol.EntryBytes + len(k) + sh.payloadBytes(p))
+			},
+		}
 		return rel
 	})
+}
+
+// payloadBytes estimates the heap a stored RMT-PKA payload keeps beyond
+// protocol.EntryBytes: its key, its trail, a value's text, and a claim
+// other than its node's sealed honest one (a forged claim, which the
+// payload keeps alive; honest claims live in infos either way).
+func (sh *pkaShared) payloadBytes(p network.Payload) int {
+	switch m := p.(type) {
+	case ValueMsg:
+		return len(m.key) + len(m.X) + 8*len(m.P)
+	case InfoMsg:
+		n := len(m.key) + 8*len(m.P)
+		if v := m.Info.Node; v < 0 || v >= len(sh.infos) || sh.infos[v].key != m.Info.key {
+			n += infoBytes(m.Info)
+		}
+		return n
+	}
+	return 0
+}
+
+// infoBytes estimates the heap of a claim: its version key, view and local
+// structure.
+func infoBytes(ni NodeInfo) int {
+	n := len(ni.key) + setBytes(ni.Z.Domain)
+	if ni.View != nil {
+		n += graphBytes(ni.View)
+	}
+	for _, m := range ni.Z.Structure.Maximal() {
+		n += 24 + setBytes(m)
+	}
+	return n
+}
+
+// graphBytes estimates the heap of a graph: the node set, and per node a
+// row header and its adjacency set.
+func graphBytes(g *graph.Graph) int {
+	n := 64 + setBytes(g.Nodes())
+	g.Nodes().ForEach(func(v int) bool {
+		n += 32 + setBytes(g.Neighbors(v))
+		return true
+	})
+	return n
+}
+
+// setBytes estimates the heap of a node set's words.
+func setBytes(s nodeset.Set) int { return 8 * s.Width() }
+
+// retain charges n bytes to in; a store built without an instance, as in
+// tests, charges nothing.
+func retain(in *instance.Instance, n int) {
+	if in != nil {
+		in.Retain(n)
+	}
 }

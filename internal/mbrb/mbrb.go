@@ -77,7 +77,9 @@ func (m Msg) render() string { return "mbrb:" + string(m.Phase) + ":" + string(m
 // unsealed literal: one per (phase, value) its runs have broadcast, boxed
 // once with its key rendered and shared by every run, so a broadcast
 // allocates nothing once its payload exists. maxPayloads caps it against
-// runs with ever new values.
+// runs with ever new values. Each stored payload is charged to the
+// instance (instance.Retain): its value, shared by key and payload, and
+// its rendered key.
 type payloads = protocol.Cache[Msg, network.Payload]
 
 const maxPayloads = 64
@@ -85,7 +87,11 @@ const maxPayloads = 64
 type payloadsKey struct{}
 
 func payloadsOf(in *instance.Instance) *payloads {
-	return in.Derived(payloadsKey{}, func() any { return &payloads{Max: maxPayloads} }).(*payloads)
+	return in.Derived(payloadsKey{}, func() any {
+		return &payloads{Max: maxPayloads, Charge: func(m Msg, p network.Payload) {
+			in.Retain(protocol.EntryBytes + len(m.X) + len(p.Key()))
+		}}
+	}).(*payloads)
 }
 
 // Quorums are the three thresholds of an (n, t, d) MBRB run.

@@ -11,6 +11,10 @@ import "sync"
 // returns. The zero value is an empty, unbounded cache.
 type Cache[K comparable, V any] struct {
 	Max int // entry cap; 0 = unbounded
+	// Charge, when set, is called once for each entry the cache stores, so
+	// that its owner can count the heap the entries keep
+	// (instance.Retain).
+	Charge func(K, V)
 
 	mu sync.RWMutex
 	m  map[K]V
@@ -37,9 +41,18 @@ func (c *Cache[K, V]) Get(k K, build func() V) V {
 			c.m = make(map[K]V)
 		}
 		c.m[k] = v
+		if c.Charge != nil {
+			c.Charge(k, v)
+		}
 	}
 	return v
 }
+
+// EntryBytes estimates what one stored entry of a warm store keeps beyond
+// its variable-length data: a map slot, the string, slice and interface
+// headers of its key and value, one boxed payload or record, and the
+// allocator's rounding. Stores add it to each entry's charge.
+const EntryBytes = 128
 
 // Len returns the number of stored entries.
 func (c *Cache[K, V]) Len() int {
