@@ -61,6 +61,42 @@ func BenchmarkProtocols(b *testing.B) {
 	}
 }
 
+// BenchmarkMBRBRunAsync runs MBRB on K_28 on the async engine, one
+// sub-benchmark per schedule, with a fresh scheduler seeded by the
+// iteration. Every BenchmarkProtocols row runs on lockstep; here the
+// delaying schedules deliver hundreds of messages per run to players that
+// have already halted, so the engine's loss sweeps are on the path, and
+// lost/op reports how many. Run one with e.g.
+// go test -bench 'MBRBRunAsync/random$' .
+func BenchmarkMBRBRunAsync(b *testing.B) {
+	in, err := benchdef.CompleteInstance(28, gen.AdHoc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sched := range []string{"sync", "random", "fifo"} {
+		b.Run(sched, func(b *testing.B) {
+			lost := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := NewScheduler(sched, int64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := RunProtocol(ProtocolMBRB, in, "x", nil, RunOptions{Engine: Async, Scheduler: s, MABudget: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, ok := res.DecisionOf(in.Receiver); !ok {
+					b.Fatal("undecided")
+				}
+				lost += res.Metrics.MessagesLost
+			}
+			b.ReportMetric(float64(lost)/float64(b.N), "lost/op")
+		})
+	}
+}
+
 // benchInstance builds 3 disjoint relay chains with singleton corruption.
 // With hops = 2 the instance is ad hoc-UNSOLVABLE (chimera sets survive the
 // neighborhood-only ⊕) but solvable at radius-2 knowledge; with hops = 1 it

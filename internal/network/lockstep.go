@@ -64,11 +64,10 @@ func runRounds(cfg Config, parallel bool) (*Result, error) {
 			}
 		}
 		st.applyChurn(round)
-		live := st.takePending(round)
-		if live == 0 && st.futureLive() == 0 && st.allHalted() {
+		quiescent := st.takePending(round) == 0 && !st.futureLive()
+		if quiescent && st.allHalted() {
 			break
 		}
-		quiescent := live == 0 && st.futureLive() == 0
 
 		st.compute(round, bufs, outboxes, haltNow, wg)
 		st.mergeRound(round, bufs, haltNow)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -92,11 +93,40 @@ func (l *inboxLog) Deliver(round, player int, inbox []Message) {
 	l.lines = append(l.lines, line)
 }
 
+// eventLog records every event of a run as a line of text: the whole
+// event stream, cheaper to build than JSONL, for comparing a run with its
+// reference twin's.
+type eventLog struct{ b []byte }
+
+func (l *eventLog) add(format string, args ...any) { l.b = fmt.Appendf(l.b, format+"\n", args...) }
+
+func (l *eventLog) BeginRun(nodes, edges int, e Engine) {
+	l.add("begin %d %d %s", nodes, edges, e.Name())
+}
+func (l *eventLog) Send(round int, m Message)     { l.add("send %d %s", round, m.Key()) }
+func (l *eventLog) Delay(sent, at int, m Message) { l.add("delay %d %d %s", sent, at, m.Key()) }
+func (l *eventLog) Drop(round int, m Message)     { l.add("drop %d %s", round, m.Key()) }
+func (l *eventLog) Lose(round int, m Message)     { l.add("lose %d %s", round, m.Key()) }
+func (l *eventLog) Churn(round int, added, removed [][2]int) {
+	l.add("churn %d %v %v", round, added, removed)
+}
+func (l *eventLog) Deliver(round, player int, inbox []Message) {
+	l.add("deliver %d %d %d", round, player, len(inbox))
+	for _, m := range inbox {
+		l.add("  %s", m.Key())
+	}
+}
+func (l *eventLog) Decide(round, player int, x Value) { l.add("decide %d %d %s", round, player, x) }
+func (l *eventLog) Halt(round, player int)            { l.add("halt %d %d", round, player) }
+func (l *eventLog) EndRound(round, sent int)          { l.add("end-round %d %d", round, sent) }
+func (l *eventLog) EndRun(rounds int)                 { l.add("end-run %d", rounds) }
+
 // gossipRun runs gossip players on g (a graph over 0..n-1 spread by
-// stride) on the async engine under the named schedule, with the seeded
-// random message adversary at budget d when d > 0. Player i halts in
-// round halts[i] (0 = never).
-func gossipRun(g *graph.Graph, stride int, sched string, seed int64, d int, halts []int) (*Result, *inboxLog, error) {
+// stride) on engine e (the async engine or its reference twin) under the
+// named schedule, with the seeded random message adversary at budget d
+// when d > 0, and extra tracers. Player i halts in round halts[i] (0 =
+// never).
+func gossipRun(e Engine, g *graph.Graph, stride int, sched string, seed int64, d int, halts []int, extra ...Tracer) (*Result, *inboxLog, error) {
 	sg := spread(g, stride)
 	procs := map[int]Process{}
 	for i, v := range sg.Nodes().Members() {
@@ -106,10 +136,10 @@ func gossipRun(g *graph.Graph, stride int, sched string, seed int64, d int, halt
 	cfg := Config{
 		Graph:     sg,
 		Processes: procs,
-		Engine:    Async,
+		Engine:    e,
 		Scheduler: MustScheduler(sched, seed),
 		MaxRounds: 8,
-		Tracers:   []Tracer{il},
+		Tracers:   append([]Tracer{il}, extra...),
 	}
 	if d > 0 {
 		cfg.MsgAdversary = MustMessageAdversary(MARandom, d, seed)
@@ -198,8 +228,11 @@ func TestInboxOrderUnderEveryIDSet(t *testing.T) {
 
 // checkSpreadRun runs gossip on g and on g spread by stride, fails the
 // test if an inbox breaks the contract order or the metrics do not
-// reconcile, and, under an ID-blind schedule, if the two runs differ by
-// rank. It reports whether it compared the runs.
+// reconcile, if the run on g spread by stride differs in its event log or
+// Result from its reference twin's (ReferenceEngine, whose per-recipient
+// sweeps fix the Lose order the halting players' lost messages must
+// follow), and, under an ID-blind schedule, if the two runs differ by
+// rank. It reports whether it compared the runs by rank.
 func checkSpreadRun(t *testing.T, label string, g *graph.Graph, stride int, sched string, seed int64, d int) bool {
 	t.Helper()
 	halts := make([]int, g.NumNodes())
@@ -209,7 +242,8 @@ func checkSpreadRun(t *testing.T, label string, g *graph.Graph, stride int, sche
 		}
 	}
 	run := func(s int) (*Result, *inboxLog) {
-		res, il, err := gossipRun(g, s, sched, seed, d, halts)
+		var events, refEvents eventLog
+		res, il, err := gossipRun(Async, g, s, sched, seed, d, halts, &events)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,6 +252,19 @@ func checkSpreadRun(t *testing.T, label string, g *graph.Graph, stride int, sche
 		}
 		if err := res.Metrics.Reconcile(); err != nil {
 			t.Fatalf("%s, IDs spread by %d: %v", label, s, err)
+		}
+		if s != stride {
+			return res, il
+		}
+		ref, _, err := gossipRun(ReferenceEngine(Async), g, s, sched, seed, d, halts, &refEvents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(events.b, refEvents.b) {
+			t.Fatalf("%s, IDs spread by %d: event log\n%s\nreference\n%s", label, s, events.b, refEvents.b)
+		}
+		if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("%s, IDs spread by %d: result %+v, reference %+v", label, s, res, ref)
 		}
 		return res, il
 	}
@@ -238,8 +285,8 @@ func checkSpreadRun(t *testing.T, label string, g *graph.Graph, stride int, sche
 // FuzzRunStateOrder decodes a small graph, an ID stride, a schedule, a
 // seed and a message-adversary budget, and runs gossip players on it (see
 // checkSpreadRun): every inbox in contract order, metrics that reconcile,
-// and, for stride > 1 under an ID-blind schedule, the same run by rank as
-// on IDs 0..n-1. Layout:
+// the reference twin's event log and Result, and, for stride > 1 under an
+// ID-blind schedule, the same run by rank as on IDs 0..n-1. Layout:
 //
 //	[0] n = 2 + b%7 nodes      [1] ID stride 1 + b%8 (1 = dense)
 //	[2] schedule b%5, in SchedulerNames order

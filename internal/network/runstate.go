@@ -1,9 +1,7 @@
 package network
 
 import (
-	"cmp"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -45,23 +43,21 @@ type runState struct {
 	slab      []sendRec // backing store the send buffers are carved from
 	per       int       // records per buffer in slab
 	haltFlags []bool    // per-player halt flags of the compute phase
-	lostBuf   []Message // scratch for loseHalted and loseSevered
 	maxRounds int
-	procs     []Process         // procs[i] = cfg.Processes[ids[i]]
-	halted    []bool            // halted[i]: player ids[i] has halted
-	haltedN   int               // number of halted players
-	decided   []bool            // decided[i]: ids[i] is in the decisions map
-	future    map[int][]Message // delivery round → messages, in merge order
-	freeFlat  [][]Message       // consumed round buffers, ready for reuse
-	inboxes   [][]Message       // inboxes[i]: this round's inbox of ids[i]
-	counts    []int             // scatter offsets by recipient rank, reused every round
-	pendFlat  []Message         // round buffer currently backing the inboxes
-	inFlight  int               // undelivered scheduled messages
-	sched     Scheduler         // nil = synchronous delivery at sent+1
-	madv      MessageAdversary  // nil = no message suppression
-	churn     []ChurnEvent      // validated topology edits, in round order
-	churnIdx  int               // first churn event not yet applied
-	extra     []Tracer          // every observer but the metrics tracer
+	procs     []Process        // procs[i] = cfg.Processes[ids[i]]
+	halted    []bool           // halted[i]: player ids[i] has halted
+	haltedN   int              // number of halted players
+	decided   []bool           // decided[i]: ids[i] is in the decisions map
+	cal       []calSlot        // delivery calendar: round at in cal[at mod len(cal)]
+	inboxes   [][]Message      // inboxes[i]: this round's inbox of ids[i]
+	grouped   []Message        // messages grouped by recipient rank; the inboxes view it
+	counts    []int            // scatter offsets by recipient rank, reused every scatter
+	inFlight  int              // undelivered scheduled messages
+	sched     Scheduler        // nil = synchronous delivery at sent+1
+	madv      MessageAdversary // nil = no message suppression
+	churn     []ChurnEvent     // validated topology edits, in round order
+	churnIdx  int              // first churn event not yet applied
+	extra     []Tracer         // every observer but the metrics tracer
 	mt        MetricsTracer
 	tt        *TranscriptTracer // nil unless Config.RecordTranscript
 	rounds    int
@@ -73,10 +69,7 @@ type runState struct {
 func newRunState(cfg Config) *runState {
 	st, _ := statePool.Get().(*runState)
 	if st == nil {
-		st = &runState{
-			future:   make(map[int][]Message, 2),
-			freeFlat: make([][]Message, 0, 2),
-		}
+		st = &runState{cal: make([]calSlot, minCalSlots)}
 	}
 	st.cfg = cfg
 	// Node sets iterate in ascending order, so ids comes out sorted.
@@ -233,7 +226,7 @@ func (st *runState) setupBufs() ([]sendBuf, []Outbox) {
 // rounds pays for repeated lookups.
 func (st *runState) merge(round int, buf *sendBuf) {
 	lastAt := -1
-	var flat []Message
+	var s *calSlot
 	for _, r := range buf.recs {
 		if !r.ok {
 			st.mt.Drop(round, r.msg)
@@ -256,19 +249,9 @@ func (st *runState) merge(round int, buf *sendBuf) {
 		}
 		at := st.deliveryRound(round, r.msg)
 		if at != lastAt {
-			if lastAt >= 0 {
-				st.future[lastAt] = flat
-			}
-			flat = st.future[at]
-			if flat == nil {
-				if n := len(st.freeFlat); n > 0 {
-					flat = st.freeFlat[n-1]
-					st.freeFlat = st.freeFlat[:n-1]
-				}
-			}
-			lastAt = at
+			s, lastAt = st.slot(at), at
 		}
-		flat = append(flat, r.msg)
+		s.msgs = append(s.msgs, r.msg)
 		st.inFlight++
 		if at != round+1 {
 			st.mt.Delay(round, at, r.msg)
@@ -277,9 +260,76 @@ func (st *runState) merge(round int, buf *sendBuf) {
 			}
 		}
 	}
-	if lastAt >= 0 {
-		st.future[lastAt] = flat
+}
+
+// calSlot is one slot of the delivery calendar: the messages due in round
+// at, in merge order. A slot is free while msgs is empty, and it keeps its
+// buffer for whichever round is filed into it next.
+type calSlot struct {
+	at   int
+	msgs []Message
+}
+
+// minCalSlots is a new calendar's length: under synchronous delivery only
+// the round being delivered and the next one ever hold messages.
+const minCalSlots = 2
+
+// slot returns the calendar slot for round at, filing at there if the slot
+// is free. The calendar is a ring whose length is a power of two: round at
+// lives in slot at mod len(st.cal), and when that slot holds another round
+// the ring doubles until the two part. Its length follows the spread of
+// the rounds filed at once: under the stock schedulers they lie within
+// MaxSkew + 1 rounds of the current one or, for a partition, at its heal
+// round + 1 (at most 6), so the ring stays at most eight slots long. A
+// scheduler that files rounds far apart (a late heal round, or final-round
+// sends far past the end, which are not clamped) can make it as long as
+// that spread.
+func (st *runState) slot(at int) *calSlot {
+	for {
+		s := &st.cal[at&(len(st.cal)-1)]
+		if len(s.msgs) == 0 {
+			s.at = at
+			return s
+		}
+		if s.at == at {
+			return s
+		}
+		// Double the ring and move every filed round to its slot there.
+		// Filed rounds differ mod the old length, so they differ mod the
+		// new one too. Free slots' buffers are dropped: a pooled run state
+		// grows its ring once, to the longest its runs need.
+		ring := make([]calSlot, 2*len(st.cal))
+		for _, f := range st.cal {
+			if len(f.msgs) > 0 {
+				ring[f.at&(len(ring)-1)] = f
+			}
+		}
+		st.cal = ring
 	}
+}
+
+// filed returns the slot holding the messages due in round at, or nil
+// when none are.
+func (st *runState) filed(at int) *calSlot {
+	s := &st.cal[at&(len(st.cal)-1)]
+	if len(s.msgs) == 0 || s.at != at {
+		return nil
+	}
+	return s
+}
+
+// nextFiled returns the index of the slot holding the earliest round after
+// round after, or −1 when no later round is filed. Delivery rounds are
+// positive, so the walk from nextFiled(0) visits every filed round in
+// ascending order, without allocating.
+func (st *runState) nextFiled(after int) int {
+	next := -1
+	for i, s := range st.cal {
+		if len(s.msgs) > 0 && s.at > after && (next < 0 || s.at < st.cal[next].at) {
+			next = i
+		}
+	}
+	return next
 }
 
 // deliveryRound asks the scheduler (when one is installed) for the delivery
@@ -346,27 +396,26 @@ func (st *runState) applyChurn(round int) {
 func (st *runState) churnPending() bool { return st.churnIdx < len(st.churn) }
 
 // loseSevered sweeps the delivery calendar for messages whose carrying
-// edge was just removed, recording each as a loss in the deterministic
-// order drainCalendar uses: delivery rounds ascending, severed recipients
-// ascending, merge order within a recipient. Survivors are compacted in
-// place, keeping their merge order.
+// edge was just removed, recording each as a loss in the order
+// drainCalendar uses: delivery rounds ascending, severed recipients
+// ascending, merge order within a recipient (groupByRank's order).
+// Survivors are compacted in place, keeping their merge order.
 func (st *runState) loseSevered() {
 	g := st.cfg.Graph
-	rounds := make([]int, 0, len(st.future))
-	for at := range st.future {
-		rounds = append(rounds, at)
-	}
-	sort.Ints(rounds)
-	for _, at := range rounds {
-		flat := st.future[at]
-		kept := st.loseWhere(at, flat, func(m Message) bool { return !g.HasEdge(m.From, m.To) })
-		st.inFlight -= len(flat) - len(kept)
-		if len(kept) == 0 {
-			delete(st.future, at)
-			st.freeFlat = append(st.freeFlat, kept)
-		} else {
-			st.future[at] = kept
+	severed := func(m Message) bool { return !g.HasEdge(m.From, m.To) }
+	for i := st.nextFiled(0); i >= 0; i = st.nextFiled(st.cal[i].at) {
+		s := &st.cal[i]
+		if !slices.ContainsFunc(s.msgs, severed) {
+			continue
 		}
+		for _, m := range st.groupByRank(s.msgs) {
+			if severed(m) {
+				st.lose(s.at, m)
+			}
+		}
+		kept := slices.DeleteFunc(s.msgs, severed)
+		st.inFlight -= len(s.msgs) - len(kept)
+		s.msgs = kept
 	}
 }
 
@@ -374,66 +423,74 @@ func (st *runState) loseSevered() {
 // them into per-recipient inboxes sorted into the order the Process
 // contract promises (sender ID, ties broken by payload key); engines fetch
 // them from inboxes, by recipient rank. Messages addressed to players that
-// have already halted can never be received; they are removed and recorded
-// as losses so the send/delivery accounting reconciles. It returns the
-// number of deliverable messages — all addressed to live players, so this
-// is also the round's live-delivery count. The inboxes are views into one
-// reusable round buffer; call recycle once the round is fully processed.
+// have already halted can never be received; they are recorded as losses,
+// in groupByRank's order, so the send/delivery accounting reconciles. It
+// returns the number of deliverable messages — all addressed to live
+// players, so this is also the round's live-delivery count. The inboxes
+// are views into the grouping buffer; call recycle once the round is
+// fully processed.
 //
-// Grouping is a stable counting scatter by recipient rank, so each inbox
-// starts in merge order, and one insertion pass (sortInbox) then sorts it.
-// Under synchronous delivery merge order is already sender-ascending and
-// the pass only compares keys within one sender's run; a scheduler that
-// files several send rounds into one delivery round interleaves those
-// runs, and the pass merges them.
+// Grouping is groupByRank's stable scatter, so each inbox starts in merge
+// order, and one insertion pass (sortInbox) then sorts it. Under
+// synchronous delivery merge order is already sender-ascending and the
+// pass only compares keys within one sender's run; a scheduler that files
+// several send rounds into one delivery round interleaves those runs, and
+// the pass merges them.
 func (st *runState) takePending(round int) int {
-	flat := st.future[round]
-	delete(st.future, round)
-	st.inFlight -= len(flat)
-	flat = st.loseHalted(round, flat)
-	if len(flat) == 0 {
-		if flat != nil {
-			st.freeFlat = append(st.freeFlat, flat[:0])
-		}
+	s := st.filed(round)
+	if s == nil {
 		return 0
 	}
+	flat := s.msgs
+	s.msgs = flat[:0]
+	st.inFlight -= len(flat)
+	grouped := st.groupByRank(flat)
+	live, start := 0, 0
+	for i, end := range st.counts { // counts[i] is now the end of rank i's group
+		if end == start {
+			continue
+		}
+		group := grouped[start:end:end]
+		start = end
+		if st.halted[i] {
+			for _, m := range group {
+				st.lose(round, m)
+			}
+			continue
+		}
+		sortInbox(group)
+		st.inboxes[i] = group
+		live += len(group)
+	}
+	return live
+}
+
+// groupByRank copies msgs into st.grouped by recipient rank, in one stable
+// counting scatter: ranks ascending, merge order within a rank, which is
+// also the order every loss sweep records its losses in. It leaves in
+// st.counts the end of each rank's group and returns the grouped copy.
+// takePending's inboxes view that copy until recycle; the loss sweeps
+// group through it too, at times when no inbox is live (loseSevered runs
+// before takePending, drainCalendar after the last round).
+func (st *runState) groupByRank(msgs []Message) []Message {
 	counts := resize(st.counts, len(st.ids))
 	st.counts = counts
-	for _, m := range flat {
+	for _, m := range msgs {
 		counts[st.rank(m.To)]++
-	}
-	var dist []Message
-	if k := len(st.freeFlat); k > 0 {
-		dist = st.freeFlat[k-1]
-		st.freeFlat = st.freeFlat[:k-1]
-	}
-	if cap(dist) < len(flat) {
-		dist = make([]Message, len(flat))
-	} else {
-		dist = dist[:len(flat)]
 	}
 	off := 0
 	for i, c := range counts {
 		counts[i] = off
 		off += c
 	}
-	for _, m := range flat {
+	grouped := slices.Grow(st.grouped[:0], len(msgs))[:len(msgs)]
+	for _, m := range msgs {
 		i := st.rank(m.To)
-		dist[counts[i]] = m
+		grouped[counts[i]] = m
 		counts[i]++
 	}
-	start := 0
-	for i, end := range counts { // counts[i] is now the end of rank i's group
-		if end > start {
-			inbox := dist[start:end:end]
-			sortInbox(inbox)
-			st.inboxes[i] = inbox
-			start = end
-		}
-	}
-	st.freeFlat = append(st.freeFlat, flat[:0])
-	st.pendFlat = dist
-	return len(dist)
+	st.grouped = grouped
+	return grouped
 }
 
 // sortInbox is a stable insertion sort by sender, then payload key. Inboxes
@@ -467,62 +524,11 @@ func sortInbox(inbox []Message) {
 // isHalted reports whether player v has halted.
 func (st *runState) isHalted(v int) bool { return st.halted[st.rank(v)] }
 
-// loseHalted strips messages addressed to halted players from one round
-// buffer, recording each as a loss (see loseWhere for the order). The
-// surviving messages are compacted in place.
-func (st *runState) loseHalted(round int, flat []Message) []Message {
-	if st.haltedN == 0 {
-		return flat
-	}
-	return st.loseWhere(round, flat, func(m Message) bool { return st.isHalted(m.To) })
-}
-
-// loseWhere records the messages of flat that lost reports as losses in
-// round, in one stable pass: recipients ascending, each recipient's
-// messages in merge order — the event order every loss sweep emits. It
-// returns the other messages, compacted in place in merge order.
-func (st *runState) loseWhere(round int, flat []Message, lost func(Message) bool) []Message {
-	first := slices.IndexFunc(flat, lost)
-	if first < 0 {
-		return flat
-	}
-	gone := st.lostBuf[:0]
-	kept := flat[:first]
-	for _, m := range flat[first:] {
-		if lost(m) {
-			gone = append(gone, m)
-		} else {
-			kept = append(kept, m)
-		}
-	}
-	st.loseByRecipient(round, gone)
-	clear(gone)
-	st.lostBuf = gone[:0]
-	return kept
-}
-
-// loseByRecipient records msgs as losses in round, recipients ascending
-// and each recipient's messages in their given order. It reorders msgs.
-func (st *runState) loseByRecipient(round int, msgs []Message) {
-	slices.SortStableFunc(msgs, func(a, b Message) int { return cmp.Compare(a.To, b.To) })
-	for _, m := range msgs {
-		st.lose(round, m)
-	}
-}
-
-// recycle returns the round buffer behind the current inboxes (from
-// takePending) to the free list and clears the grouping for the next
-// round. Callers must only recycle once the round is fully processed:
-// inbox slices alias the buffer, and the Process contract lets players
-// read them only during their Round call.
-func (st *runState) recycle() {
-	if st.pendFlat == nil {
-		return
-	}
-	clear(st.inboxes)
-	st.freeFlat = append(st.freeFlat, st.pendFlat[:0])
-	st.pendFlat = nil
-}
+// recycle clears the inboxes handed out this round (from takePending).
+// Callers must only recycle once the round is fully processed: inboxes
+// alias the grouping buffer, and the Process contract lets players read
+// them only during their Round call.
+func (st *runState) recycle() { clear(st.inboxes) }
 
 // lose reports one accepted send that will never reach a live player.
 func (st *runState) lose(round int, m Message) {
@@ -535,25 +541,22 @@ func (st *runState) lose(round int, m Message) {
 // drainCalendar sweeps the undelivered remainder of the delivery calendar
 // at run end — sends made in the final round (necessarily undeliverable,
 // as under synchronous delivery) and sends scheduled past an early stop —
-// recording each as a loss and zeroing the in-flight count. Without the
-// sweep these messages stayed in st.future/inFlight forever: counted as
-// MessagesSent but never delivered or dropped, so metrics did not
+// recording each as a loss, delivery rounds ascending and each round in
+// groupByRank's order, and zeroing the in-flight count. Without the sweep
+// these messages stayed in the calendar and st.inFlight forever: counted
+// as MessagesSent but never delivered or dropped, so metrics did not
 // reconcile.
 func (st *runState) drainCalendar() {
 	if st.inFlight == 0 {
 		return
 	}
-	rounds := make([]int, 0, len(st.future))
-	for at := range st.future {
-		rounds = append(rounds, at)
+	for i := st.nextFiled(0); i >= 0; i = st.nextFiled(st.cal[i].at) {
+		s := &st.cal[i]
+		for _, m := range st.groupByRank(s.msgs) {
+			st.lose(s.at, m)
+		}
+		s.msgs = s.msgs[:0]
 	}
-	sort.Ints(rounds)
-	for _, at := range rounds {
-		flat := st.future[at]
-		st.loseByRecipient(at, flat)
-		st.freeFlat = append(st.freeFlat, flat[:0])
-	}
-	clear(st.future)
 	st.inFlight = 0
 }
 
@@ -586,22 +589,21 @@ func (st *runState) release() {
 	statePool.Put(st)
 }
 
-// futureLive counts the scheduled-but-undelivered messages addressed to
-// players that have not halted. While it is non-zero the run cannot be
-// quiescent: a later round will still see new input.
-func (st *runState) futureLive() int {
+// futureLive reports whether any scheduled-but-undelivered message is
+// addressed to a player that has not halted. While one is, the run cannot
+// be quiescent: a later round will still see new input.
+func (st *runState) futureLive() bool {
 	if st.inFlight == 0 {
-		return 0
+		return false
 	}
-	live := 0
-	for _, flat := range st.future {
-		for _, m := range flat {
+	for _, s := range st.cal {
+		for _, m := range s.msgs {
 			if !st.isHalted(m.To) {
-				live++
+				return true
 			}
 		}
 	}
-	return live
+	return false
 }
 
 // sealRound closes the round's accounting and returns the number of sends

@@ -291,6 +291,57 @@ func TestInstanceCacheBoundsRetainedHeap(t *testing.T) {
 	t.Logf("%d requests: %d instances of weight %.2f MB kept, %.2f MB of heap", 3*values, s.instances.len(), float64(s.instances.weight)/1e6, float64(kept)/1e6)
 }
 
+// TestResultCacheBoundsRetainedHeap: the result cache weighs each body by
+// its length against resultCacheBytes, so clients that ask for ever new
+// transcript runs cannot grow the heap past it. Every request carries a
+// distinct 500 KB dealer value and asks for three trials with their
+// transcripts, an 18 MB body, and together the bodies come to three times
+// the budget. The heap the server keeps after a collection must stay
+// within half a budget above it (the instance cache keeps up to
+// instanceCacheBytes of the values' warm state besides); with the result
+// cache bounded in entries alone it keeps every body.
+func TestResultCacheBoundsRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector multiplies the 200 MB this test allocates")
+	}
+	s := New(Options{LogWriter: io.Discard})
+	defer s.Close()
+	heap := func() int64 {
+		var ms runtime.MemStats
+		// The first collection only moves sync.Pool contents to the
+		// victim cache, encoding/json's buffers among them, each of which
+		// last held a whole body; the second frees them.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	sent, requests := 0, 0
+	for ; sent < 3*resultCacheBytes; requests++ {
+		b, err := json.Marshal(RunRequest{
+			InstanceRequest: InstanceRequest{Graph: "0-1 0-2 0-3 1-4 2-4 3-4", Structure: "1;2;3", Receiver: 4},
+			Value:           fmt.Sprint(requests) + strings.Repeat("v", 500<<10),
+			Trials:          3,
+			Transcript:      true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := serveRun(s, string(b))
+		if code != http.StatusOK {
+			t.Fatalf("request %d answered %d %.200s", requests, code, body)
+		}
+		sent += len(body)
+	}
+	kept := heap() - before
+	runtime.KeepAlive(s)
+	t.Logf("%d bodies of %.1f MB in all: %d kept, %.1f MB of heap", requests, float64(sent)/1e6, s.cache.len(), float64(kept)/1e6)
+	if kept > 3*resultCacheBytes/2 {
+		t.Fatalf("the server keeps %.1f MB after %.1f MB of bodies, want at most %.1f MB", float64(kept)/1e6, float64(sent)/1e6, 1.5*resultCacheBytes/1e6)
+	}
+}
+
 // historyRequests builds the /v1/run bodies TestRunBodiesIndependentOfHistory
 // sends: every registered protocol on small run-mix families × lockstep and
 // async under every schedule × no attack and every registered strategy,

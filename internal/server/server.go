@@ -73,7 +73,8 @@ type Options struct {
 	// daemon sheds load with 429. Default 256.
 	QueueDepth int
 	// CacheSize bounds each of the two LRUs in entries: the result cache,
-	// and /v1/run's cache of built instances, which is also bounded by
+	// which is also bounded by resultCacheBytes of body bytes, and
+	// /v1/run's cache of built instances, which is also bounded by
 	// instanceCacheBytes of canonical text and warm state. Default 1024.
 	CacheSize int
 	// RequestTimeout is the per-request compute deadline. Default 30s.
@@ -154,7 +155,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:      opts,
 		gate:      newGate(opts.Workers, opts.QueueDepth),
-		cache:     newLRU[[]byte](opts.CacheSize, 0, nil),
+		cache:     newLRU(opts.CacheSize, resultCacheBytes, func(body []byte) int { return len(body) }),
 		instances: newLRU(opts.CacheSize, instanceCacheBytes, instanceWeight),
 		metrics:   newServerMetrics(),
 		mux:       http.NewServeMux(),
@@ -341,6 +342,14 @@ func (q InstanceRequest) cacheKey() string {
 	b = strconv.AppendInt(b, int64(q.Receiver), 10)
 	return string(b)
 }
+
+// resultCacheBytes bounds the summed lengths of the bodies the result
+// cache keeps. A feasibility body is a few hundred bytes, so CacheSize
+// binds first on them; a /v1/run body carries every trial's decided value
+// and, with "transcript": true, every message of every trial, so a 500 KB
+// value and three trials make an 18 MB body. A body longer than the budget
+// is served but not kept.
+const resultCacheBytes = 64 << 20
 
 // instanceCacheBytes bounds the summed weights (instanceWeight) of the
 // instances /v1/run keeps; an instance heavier than it is run but not

@@ -107,10 +107,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
+		// Only the first revision and verdict flips are stream events, so
+		// only they are marshaled; any other revision computes no body.
 		body, err := s.compute(r.Context(), func(ctx context.Context) ([]byte, error) {
 			var err error
 			if ev.PKA, ev.ZCPA, err = s.cutVerdicts(ctx, &cut, cur, level); err != nil {
 				return nil, err
+			}
+			if prev != nil && !verdictChanged(prev, ev) {
+				return nil, nil
 			}
 			return marshalBody(ev)
 		})
@@ -118,7 +123,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			s.watchFail(w, rc, rev, "%v", err)
 			return
 		}
-		if prev == nil || verdictChanged(prev, ev) {
+		if body != nil {
 			if _, err := w.Write(body); err != nil {
 				return
 			}
