@@ -128,17 +128,27 @@ func ParseNodeSet(s string) (nodeset.Set, error) {
 }
 
 // FormatStructure renders a structure in ParseStructure's syntax.
-func FormatStructure(z adversary.Structure) string {
-	var parts []string
-	for _, m := range z.Maximal() {
-		ids := make([]string, 0, m.Len())
+func FormatStructure(z adversary.Structure) string { return string(AppendStructure(nil, z)) }
+
+// AppendStructure appends FormatStructure's text to dst: the maximal sets
+// in canonical order, ';'-separated, each set's members in increasing
+// order, ','-separated.
+func AppendStructure(dst []byte, z adversary.Structure) []byte {
+	for i, m := range z.Maximal() {
+		if i > 0 {
+			dst = append(dst, ';')
+		}
+		first := true
 		m.ForEach(func(v int) bool {
-			ids = append(ids, strconv.Itoa(v))
+			if !first {
+				dst = append(dst, ',')
+			}
+			first = false
+			dst = strconv.AppendInt(dst, int64(v), 10)
 			return true
 		})
-		parts = append(parts, strings.Join(ids, ","))
 	}
-	return strings.Join(parts, ";")
+	return dst
 }
 
 // FormatEdgeList renders a graph in graph.ParseEdgeList syntax.

@@ -2,9 +2,11 @@ package instance
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"io"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -66,6 +68,73 @@ func (in *Instance) CanonicalKey() string {
 func (in *Instance) CanonicalSize() int {
 	in.CanonicalKey()
 	return in.lazy.size
+}
+
+// AppendPartsKey appends the parts key of the tuple (G, 𝒵, D, R) to dst:
+// the hex-encoded SHA-256 of its parts form, written first into dst's
+// spare capacity,
+//
+//	"rmt-parts-v1\n"
+//	|V(G)|, then V(G) in increasing order
+//	for each node u in increasing order: the count of u's neighbours
+//	  above u, then those neighbours in increasing order
+//	the count of 𝒵's maximal sets, then each in Maximal's canonical
+//	  order: its size, then its members in increasing order
+//	D, R
+//
+// every number a uvarint. Each list follows its length, so the form is
+// injective on (V(G), E(G), 𝒵, D, R), and it takes O(|V| + |E| + Σ|Z|)
+// bytes whatever the IDs, where the canonical text renders a node set
+// per view at one word per 64 IDs. No view is read or built: at a fixed
+// knowledge level γ is a function of G, so two tuples built at one level
+// share a parts key exactly when they share a CanonicalKey (up to hash
+// collision). rmtd keys feasibility verdicts by it (DESIGN §12).
+func AppendPartsKey(dst []byte, g *graph.Graph, z adversary.Structure, dealer, receiver int) []byte {
+	start := len(dst)
+	dst = append(dst, "rmt-parts-v1\n"...)
+	nodes := g.Nodes()
+	dst = appendMembersFrom(dst, nodes, 0)
+	for w := 0; w < nodes.Width(); w++ {
+		for x := nodes.Word(w); x != 0; x &= x - 1 {
+			u := w*64 + bits.TrailingZeros64(x)
+			dst = appendMembersFrom(dst, g.Neighbors(u), u+1)
+		}
+	}
+	maximal := z.Maximal()
+	dst = binary.AppendUvarint(dst, uint64(len(maximal)))
+	for _, m := range maximal {
+		dst = appendMembersFrom(dst, m, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(dealer))
+	dst = binary.AppendUvarint(dst, uint64(receiver))
+	sum := sha256.Sum256(dst[start:])
+	return hex.AppendEncode(dst[:start], sum[:])
+}
+
+// appendMembersFrom appends the count of s's members at or above lo, then
+// those members in increasing order, as uvarints.
+func appendMembersFrom(dst []byte, s nodeset.Set, lo int) []byte {
+	first := lo / 64
+	n := 0
+	for w := first; w < s.Width(); w++ {
+		n += bits.OnesCount64(wordFrom(s, w, lo))
+	}
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for w := first; w < s.Width(); w++ {
+		for x := wordFrom(s, w, lo); x != 0; x &= x - 1 {
+			dst = binary.AppendUvarint(dst, uint64(w*64+bits.TrailingZeros64(x)))
+		}
+	}
+	return dst
+}
+
+// wordFrom is s's word w without the members below lo.
+func wordFrom(s nodeset.Set, w, lo int) uint64 {
+	x := s.Word(w)
+	if w == lo/64 {
+		x &^= 1<<uint(lo%64) - 1
+	}
+	return x
 }
 
 // keyWriter is the hash and the line buffer one CanonicalKey streams

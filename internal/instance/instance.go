@@ -63,29 +63,41 @@ func New(g *graph.Graph, z adversary.Structure, gamma view.Function, dealer, rec
 	return build(g, z, gamma, g.Nodes(), dealer, receiver)
 }
 
-// build is New checking only the views of the members of check for
-// consistency with g; Apply passes the views its rebuild built.
-func build(g *graph.Graph, z adversary.Structure, gamma view.Function, check nodeset.Set, dealer, receiver int) (*Instance, error) {
+// CheckParts runs New's checks that read no view: the dealer and the
+// receiver are distinct nodes of g, and every maximal set of z avoids both
+// and lies in V(g). It returns New's error for the first that fails. A
+// view built from g by a knowledge level always passes New's view checks,
+// so for such views CheckParts is every check New can fail.
+func CheckParts(g *graph.Graph, z adversary.Structure, dealer, receiver int) error {
 	if !g.HasNode(dealer) {
-		return nil, ErrDealerMissing
+		return ErrDealerMissing
 	}
 	if !g.HasNode(receiver) {
-		return nil, ErrReceiverMissing
+		return ErrReceiverMissing
 	}
 	if dealer == receiver {
-		return nil, ErrDealerIsReceiver
+		return ErrDealerIsReceiver
 	}
 	// The checks below read 𝒵's ground set, the union of its maximal sets,
 	// one maximal set at a time.
 	maximal := z.Maximal()
 	if slices.ContainsFunc(maximal, func(m nodeset.Set) bool { return m.Contains(dealer) }) {
-		return nil, ErrDealerCorruptib
+		return ErrDealerCorruptib
 	}
 	if slices.ContainsFunc(maximal, func(m nodeset.Set) bool { return m.Contains(receiver) }) {
-		return nil, ErrReceiverCorrupt
+		return ErrReceiverCorrupt
 	}
 	if slices.ContainsFunc(maximal, func(m nodeset.Set) bool { return !m.SubsetOf(g.Nodes()) }) {
-		return nil, fmt.Errorf("instance: adversary structure mentions non-nodes %v", z.Ground().Minus(g.Nodes()))
+		return fmt.Errorf("instance: adversary structure mentions non-nodes %v", z.Ground().Minus(g.Nodes()))
+	}
+	return nil
+}
+
+// build is New checking only the views of the members of check for
+// consistency with g; Apply passes the views its rebuild built.
+func build(g *graph.Graph, z adversary.Structure, gamma view.Function, check nodeset.Set, dealer, receiver int) (*Instance, error) {
+	if err := CheckParts(g, z, dealer, receiver); err != nil {
+		return nil, err
 	}
 	if err := gamma.ConsistentOn(g, check); err != nil {
 		return nil, fmt.Errorf("instance: %w", err)

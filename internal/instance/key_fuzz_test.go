@@ -3,6 +3,7 @@ package instance_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"rmt/internal/adversary"
@@ -106,6 +107,123 @@ func FuzzCanonicalKeyMatchesReference(f *testing.F) {
 			if !r.Equal(refLocalStructure(in, v)) {
 				t.Fatalf("LocalKnowledge[%d] = %v, reference %v", v, r, refLocalStructure(in, v))
 			}
+		}
+	})
+}
+
+// partsFuzzEdit derives a second tuple from (g, z, dealer, receiver), as
+// op picks from edit's bytes: a respelling of the same tuple (the edges
+// inserted in another order and orientation; a subset of a maximal set
+// added to 𝒵), or one edit (toggle an edge, add a node, toggle a relay's
+// membership in a maximal set, move the dealer or the receiver to a relay
+// no maximal set holds, or swap them when there is none). respelled
+// reports whether the tuple is the same one.
+func partsFuzzEdit(g *graph.Graph, z adversary.Structure, dealer, receiver int, op byte, edit []byte) (g2 *graph.Graph, z2 adversary.Structure, d2, r2 int, respelled bool) {
+	e := &deltaFuzzInput{data: edit}
+	ids := g.SortedIDs()
+	g2, z2, d2, r2 = g, z, dealer, receiver
+	switch op % 6 {
+	case 0:
+		edges := g.Edges()
+		for i := len(edges) - 1; i > 0; i-- {
+			j := int(e.byte()) % (i + 1)
+			edges[i], edges[j] = edges[j], edges[i]
+		}
+		g2 = graph.New()
+		for i, uv := range edges {
+			if e.byte()&1 != 0 || i%3 == 0 {
+				uv[0], uv[1] = uv[1], uv[0]
+			}
+			g2.AddEdge(uv[0], uv[1])
+		}
+		for i := len(ids) - 1; i >= 0; i-- {
+			g2.AddNode(ids[i])
+		}
+		return g2, z2, d2, r2, true
+	case 1:
+		maximal := z.Maximal()
+		members := maximal[int(e.byte())%len(maximal)].Members()
+		var sub nodeset.Set
+		for i, v := range members {
+			if e.byte()&1 != 0 || i == 0 {
+				sub.MutateAdd(v)
+			}
+		}
+		return g2, adversary.FromSets(append(slices.Clone(maximal), sub)...), d2, r2, true
+	case 2:
+		u, v := ids[int(e.byte())%len(ids)], ids[int(e.byte())%len(ids)]
+		if u == v {
+			v = ids[(slices.Index(ids, u)+1)%len(ids)]
+		}
+		g2 = g.Clone()
+		if g.HasEdge(u, v) {
+			g2.RemoveEdge(u, v)
+		} else {
+			g2.AddEdge(u, v)
+		}
+	case 3:
+		g2 = g.Clone()
+		g2.AddNode(g.MaxID() + 1 + int(e.byte()))
+	case 4:
+		relays := ids[1 : len(ids)-1]
+		if len(relays) == 0 {
+			break
+		}
+		sets := slices.Clone(z.Maximal())
+		i, v := int(e.byte())%len(sets), relays[int(e.byte())%len(relays)]
+		if sets[i].Contains(v) {
+			sets[i] = sets[i].Remove(v)
+		} else {
+			sets[i] = sets[i].Add(v)
+		}
+		z2 = adversary.FromSets(sets...)
+	case 5:
+		free := slices.DeleteFunc(slices.Clone(ids[1:len(ids)-1]), z.Ground().Contains)
+		switch b := e.byte(); {
+		case len(free) == 0:
+			d2, r2 = receiver, dealer
+		case b&1 == 0:
+			d2 = free[int(b>>1)%len(free)]
+		default:
+			r2 = free[int(b>>1)%len(free)]
+		}
+	}
+	return g2, z2, d2, r2, false
+}
+
+// FuzzPartsKeyMatchesCanonicalKey checks that the parts key names the
+// tuples CanonicalKey names: it decodes a tuple and a level
+// (keyFuzzTuple), derives a second tuple (partsFuzzEdit), builds both at
+// that level, and requires equal parts keys exactly when the canonical
+// keys are equal, and both equal for a respelling. rmtd's feasibility
+// cache keys by the parts key in place of the canonical key on this
+// equivalence.
+func FuzzPartsKeyMatchesCanonicalKey(f *testing.F) {
+	dense := []byte{0, 5, 12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 6, 2, 0xff, 0x0f, 0x3c, 0}
+	spread := []byte{0x81, 9, 3, 7, 30, 2, 11, 39, 5, 20, 1, 100, 25, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 0, 5, 3, 0x55, 0x01, 0xaa, 0x02, 0x0f, 0}
+	for op := byte(0); op < 6; op++ {
+		f.Add(dense, op, []byte{3, 1, 4, 1, 5, 9, 2, 6})
+		f.Add(spread, op, []byte{2, 7, 1, 8, 2, 8, 1, 8})
+	}
+	f.Fuzz(func(t *testing.T, data []byte, op byte, edit []byte) {
+		g, z, dealer, receiver, level := keyFuzzTuple(data)
+		g2, z2, d2, r2, respelled := partsFuzzEdit(g, z, dealer, receiver, op, edit)
+		a, err := gen.Build(g, z, level, dealer, receiver)
+		if err != nil {
+			t.Fatalf("decoded tuple rejected: %v", err)
+		}
+		b, err := gen.Build(g2, z2, level, d2, r2)
+		if err != nil {
+			t.Fatalf("op %d: derived tuple rejected: %v", op%6, err)
+		}
+		pa := string(instance.AppendPartsKey(nil, g, z, dealer, receiver))
+		pb := string(instance.AppendPartsKey(nil, g2, z2, d2, r2))
+		samePK, sameCK := pa == pb, a.CanonicalKey() == b.CanonicalKey()
+		if samePK != sameCK {
+			t.Fatalf("op %d at %s: parts keys equal %t, canonical keys equal %t\n%s\n%s", op%6, level, samePK, sameCK, a.CanonicalString(), b.CanonicalString())
+		}
+		if respelled && !samePK {
+			t.Fatalf("op %d at %s: a respelling moved the keys\n%s\n%s", op%6, level, a.CanonicalString(), b.CanonicalString())
 		}
 	})
 }

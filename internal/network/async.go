@@ -29,5 +29,8 @@ func (e asyncEngine) Run(cfg Config) (*Result, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = SyncScheduler{}
 	}
+	if lr, ok := cfg.Scheduler.(linkReserver); ok {
+		lr.reserveLinks(2 * cfg.Graph.NumEdges())
+	}
 	return runRounds(cfg, false)
 }

@@ -315,13 +315,15 @@ func (c *gossipProc) send(out Outbox) {
 // K_24, dense and with IDs spread over 2^20, under the fifo and lifo
 // schedules: 552 directed links, four sends on each. With per-link maps a
 // run allocated 30 (fifo) and 29 (lifo) times; on the link table, which
-// grows 64 → 1,024 slots in five allocations, 18 and 17. The budget sits
-// about a quarter above the latter.
+// grew 64 → 1,024 slots in five allocations, 18 and 17; on the table the
+// engine reserves for the graph's 2|E| links before the first round, one
+// allocation of 1,024 slots, 13 and 12. The budget sits about a quarter
+// above the latter.
 func TestLinkSchedulerAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const n, rounds, budget = 24, 3, 22
+	const n, rounds, budget = 24, 3, 16
 	for name, id := range map[string]func(i int) int{
 		"dense":  func(i int) int { return i },
 		"spread": func(i int) int { return i * (1 << 20) / n },

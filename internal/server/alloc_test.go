@@ -2,6 +2,7 @@ package server
 
 import (
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -99,5 +100,73 @@ func TestWatchBytesBudget(t *testing.T) {
 	t.Logf("one subscription allocates %.0f bytes", perSub)
 	if perSub > watchBytesBudget {
 		t.Errorf("one watch subscription allocates %.0f bytes, budget %d", perSub, watchBytesBudget)
+	}
+}
+
+// feasibilityHitBudget bounds the allocations of one /v1/feasibility
+// cache hit on a 14-node instance, the httptest request and recorder
+// included. A hit parses the request, checks the tuple's parts and keys
+// the result cache by the parts key, which reads no view: 37 allocations
+// (8.2 KB) at every knowledge level. Building the instance, its views
+// and its canonical text before the lookup had cost 49, 50, 50, 48 and
+// 43 (adhoc to full, 13.3 KB at adhoc). The budget sits a quarter above
+// 37.
+const feasibilityHitBudget = 46
+
+// TestFeasibilityHitAllocBudget primes one 14-node instance at each of
+// the five knowledge levels, then counts the allocations of N hits on
+// each with the collector off and one P. The count must be the same at
+// every level, since a hit builds no view and no canonical text, and
+// within feasibilityHitBudget.
+func TestFeasibilityHitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	in, err := gen.RandomInstance(rand.New(rand.NewSource(33)), 14, 0.4, 2, 0.3, gen.AdHoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{Workers: 1, LogWriter: io.Discard})
+	t.Cleanup(srv.Close)
+	post := func(body string) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feasibility", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("feasibility: %d %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const hits = 200
+	counts := map[gen.Knowledge]float64{}
+	for _, level := range gen.Levels() {
+		body := mustJSON(t, FeasibilityRequest{InstanceRequest: InstanceRequest{
+			Graph: cliutil.FormatEdgeList(in.G), Structure: cliutil.FormatStructure(in.Z),
+			Knowledge: level.String(), Dealer: in.Dealer, Receiver: in.Receiver,
+		}})
+		post(body)
+		hitsBefore := srv.metrics.cacheHits.Load()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < hits; i++ {
+			post(body)
+		}
+		runtime.ReadMemStats(&after)
+		if got := srv.metrics.cacheHits.Load() - hitsBefore; got != hits {
+			t.Fatalf("%s: %d of %d requests hit", level, got, hits)
+		}
+		// One stray allocation in a few hundred hits (a map or pool
+		// growing) is not the hit's own, so the mean is rounded.
+		counts[level] = math.Round(float64(after.Mallocs-before.Mallocs) / hits)
+		t.Logf("%s: one hit allocates %.0f times, %.0f bytes", level, counts[level], float64(after.TotalAlloc-before.TotalAlloc)/hits)
+	}
+	for _, level := range gen.Levels() {
+		if counts[level] != counts[gen.AdHoc] {
+			t.Errorf("a hit at %s allocates %.0f times, at adhoc %.0f: a hit must read no view", level, counts[level], counts[gen.AdHoc])
+		}
+		if counts[level] > feasibilityHitBudget {
+			t.Errorf("a hit at %s allocates %.0f times, budget %d", level, counts[level], feasibilityHitBudget)
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // lru is a bounded least-recently-used map from request keys to values
 // that are deterministic functions of their keys. rmtd keeps two: the
-// result cache, marshaled response bodies keyed by the instance's
-// canonical content hash plus the normalized query parameters (see
+// result cache, marshaled response bodies keyed by the instance's identity
+// plus the normalized query parameters (see feasibilityKey and
 // runCacheKey), and /v1/run's instance cache, built instances keyed by the
 // request's exact instance text (see InstanceRequest.cacheKey). Storing
 // the exact bytes that were first served, rather than re-marshaling per

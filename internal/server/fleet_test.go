@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"rmt/internal/adversary"
 )
 
 // ------------------------------------------------------------------- ring
@@ -70,11 +72,11 @@ func TestInternalCacheEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(solvableButterfly), &q); err != nil {
 		t.Fatal(err)
 	}
-	in, level, err := q.build()
+	spec, err := q.spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "feasibility-v3\n" + level.String() + "\nd=0\nlisten=\n" + in.CanonicalKey()
+	key := feasibilityKey(spec, 0, adversary.Trivial())
 
 	// A miss answers 404 and must not trigger any compute.
 	code, _ := post(t, ts, "/internal/cache", key)

@@ -5,10 +5,14 @@
 //
 // Three pieces make it a daemon rather than a CGI script:
 //
-//   - feasibility and run results are cached in a size-bounded LRU keyed
-//     by the instance's canonical content hash (instance.CanonicalKey) plus
-//     the normalized request parameters, so a repeated query is served from
-//     memory, byte-identically;
+//   - feasibility and run results are cached in a size-bounded LRU, so a
+//     repeated query is served from memory, byte-identically. A
+//     feasibility result is keyed by the knowledge level, the parsed
+//     tuple's parts key (instance.AppendPartsKey, a hash of G, 𝒵, D and R)
+//     and the parameters, so a hit parses and checks the request and
+//     builds no view; a run result is keyed by the instance's canonical
+//     content hash (instance.CanonicalKey) and the normalized run
+//     parameters;
 //   - /v1/run keeps the instances it built in a second LRU, keyed by the
 //     request's exact instance text and bounded in entries and in bytes of
 //     canonical text plus warm state, so a seed sweep around one topology
@@ -317,8 +321,13 @@ type InstanceRequest struct {
 	Receiver  int    `json:"receiver"`
 }
 
+// spec parses q's instance text.
+func (q InstanceRequest) spec() (cliutil.InstanceSpec, error) {
+	return cliutil.LoadSpec("", q.Graph, q.Structure, q.Knowledge, q.Dealer, q.Receiver)
+}
+
 func (q InstanceRequest) build() (*instance.Instance, gen.Knowledge, error) {
-	spec, err := cliutil.LoadSpec("", q.Graph, q.Structure, q.Knowledge, q.Dealer, q.Receiver)
+	spec, err := q.spec()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -438,31 +447,42 @@ func (s *Server) compute(parent context.Context, fn func(ctx context.Context) ([
 	return nil, fmt.Errorf("%w after %v", errDeadline, s.opts.RequestTimeout)
 }
 
-// serveCached answers a POST endpoint with the body for key: from the
-// result LRU, else — on a fleet shard that does not own ownerKey, the
-// instance's canonical content hash and the unit of fleet ownership — from
-// the owning peer's cache if it is JSON (see fetchFromPeer), else computed
-// by fn through compute. The stored body is served, because the incumbent
-// wins (see lru.put): equal keys get byte-identical bodies
-// regardless of worker count, arrival order or shard. A failed compute
-// answers 400 (a protocol.CapsError: the protocol refused the instance),
-// 429 (overload), 499 (client disconnect), 504 (deadline) or 500.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerKey string, fn func(ctx context.Context) ([]byte, error)) {
-	source := "hit"
+// serveHit answers a POST endpoint from the result LRU when it holds key,
+// and counts the lookup as a hit or a miss. It reports whether it
+// answered; on a miss the caller answers through serveMiss.
+func (s *Server) serveHit(w http.ResponseWriter, key string) bool {
 	body, ok := s.cache.get(key)
-	var err error
-	if ok {
-		s.metrics.cacheHits.Add(1)
-	} else {
+	if !ok {
 		s.metrics.cacheMisses.Add(1)
-		source = "peer"
-		if body, ok = s.fetchFromPeer(r.Context(), key, ownerKey); !ok || !json.Valid(body) {
-			source = "miss"
-			body, err = s.compute(r.Context(), fn)
-		}
-		if err == nil {
-			body = s.cache.put(key, body)
-		}
+		return false
+	}
+	s.metrics.cacheHits.Add(1)
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.cache = "hit"
+	}
+	writeJSON(w, http.StatusOK, body)
+	return true
+}
+
+// serveMiss answers a POST endpoint whose key missed the result LRU: on a
+// fleet shard that does not own ownerKey, the instance's canonical content
+// hash and the unit of fleet ownership, with the owning peer's cached body
+// if it is JSON (see fetchFromPeer), else with the body fn computes
+// through compute. The stored body is served, because the incumbent wins
+// (see lru.put): equal keys get byte-identical bodies regardless of
+// worker count, arrival order or shard. A failed compute answers 400 (a
+// protocol.CapsError: the protocol refused the instance), 429 (overload),
+// 499 (client disconnect), 504 (deadline) or 500.
+func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, key, ownerKey string, fn func(ctx context.Context) ([]byte, error)) {
+	source := "peer"
+	body, ok := s.fetchFromPeer(r.Context(), key, ownerKey)
+	var err error
+	if !ok || !json.Valid(body) {
+		source = "miss"
+		body, err = s.compute(r.Context(), fn)
+	}
+	if err == nil {
+		body = s.cache.put(key, body)
 	}
 	if rec, ok := w.(*statusRecorder); ok {
 		rec.cache = source
@@ -666,7 +686,13 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	in, level, err := req.build()
+	// Every check a request can fail runs before the cache lookup: the
+	// parse and New's checks that read no view. The views a knowledge
+	// level builds pass New's others, so a hit builds none.
+	spec, err := req.spec()
+	if err == nil {
+		err = instance.CheckParts(spec.Graph, spec.Z, spec.Dealer, spec.Receiver)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "instance: %v", err)
 		return
@@ -680,19 +706,19 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "listen: %v", err)
 		return
 	}
-	// The key carries the knowledge level alongside the canonical hash:
-	// the response depends on both (the "knowledge" field, and the
-	// adhoc-only ZCPA verdict), and distinct levels can share a canonical
-	// hash — on triangle-free graphs the radius-1 view γ coincides with the
-	// ad hoc one, so radius1 and adhoc requests describe the same instance
-	// tuple yet need different bodies. v2 added the suppression budget,
-	// which parameterizes the MBRB verdict; v3 added the normalized
-	// listening structure, which parameterizes the SMT verdict — the bump
-	// retires every v2-era entry, so a cached no-listening body can never
-	// answer a listening-structure request.
-	key := fmt.Sprintf("feasibility-v3\n%s\nd=%d\nlisten=%s\n%s",
-		level, req.MABudget, cliutil.FormatStructure(listen), in.CanonicalKey())
-	s.serveCached(w, r, key, in.CanonicalKey(), func(ctx context.Context) ([]byte, error) {
+	key := feasibilityKey(spec, req.MABudget, listen)
+	if s.serveHit(w, key) {
+		return
+	}
+	// A miss builds the views and the canonical key, which the body names
+	// and the fleet ring places, and computes the verdicts.
+	in, err := spec.Instance()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "instance: %v", err)
+		return
+	}
+	level := spec.Knowledge
+	s.serveMiss(w, r, key, in.CanonicalKey(), func(ctx context.Context) ([]byte, error) {
 		resp := FeasibilityResponse{Key: in.CanonicalKey(), Knowledge: level.String()}
 		if mv, err := feasibility.MBRBVerdictFor(in, req.MABudget); err == nil {
 			resp.MBRB = &mv
@@ -707,6 +733,36 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 		}
 		return marshalBody(resp)
 	})
+}
+
+// feasibilityKey is the result-cache key of a feasibility request:
+//
+//	feasibility-v4\n<level>\nd=<budget>\nlisten=<ℒ>\n<parts key>
+//
+// The key carries the knowledge level alongside the tuple: the response
+// depends on it (the "knowledge" field, and the adhoc-only ZCPA verdict),
+// and distinct levels can share an instance — on triangle-free graphs the
+// radius-1 view γ coincides with the ad hoc one, so radius1 and adhoc
+// requests describe the same instance tuple yet need different bodies. v2
+// added the suppression budget, which parameterizes the MBRB verdict; v3
+// added the normalized listening structure, which parameterizes the SMT
+// verdict, and retired every v2-era entry, so a cached no-listening body
+// can never answer a listening-structure request. v4 names the tuple by
+// its parts key (instance.AppendPartsKey), a hash of (G, 𝒵, D, R), where
+// v3 named it by its CanonicalKey, which needs every view γ(v) built: at
+// a fixed level γ is a function of G, so v4 keys group requests exactly
+// as v3 keys did, and a hit builds no view.
+func feasibilityKey(spec cliutil.InstanceSpec, budget int, listen adversary.Structure) string {
+	var buf [256]byte
+	b := append(buf[:0], "feasibility-v4\n"...)
+	b = append(b, spec.Knowledge.String()...)
+	b = append(b, "\nd="...)
+	b = strconv.AppendInt(b, int64(budget), 10)
+	b = append(b, "\nlisten="...)
+	b = cliutil.AppendStructure(b, listen)
+	b = append(b, '\n')
+	b = instance.AppendPartsKey(b, spec.Graph, spec.Z, spec.Dealer, spec.Receiver)
+	return string(b)
 }
 
 // cutVerdicts checks in for Definition 3's RMT-cut with ic and renders the
@@ -899,7 +955,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := runCacheKey(in, &req)
-	s.serveCached(w, r, key, in.CanonicalKey(), func(ctx context.Context) ([]byte, error) {
+	if s.serveHit(w, key) {
+		return
+	}
+	s.serveMiss(w, r, key, in.CanonicalKey(), func(ctx context.Context) ([]byte, error) {
 		defer s.instances.reweigh(ikey)
 		resp, err := s.runTrials(ctx, run, &req, eng)
 		if err != nil {
