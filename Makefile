@@ -55,11 +55,14 @@ benchguard:
 # not step into sets whose boundary holds the dealer (no frame chunk for
 # their depths), parse + build + CanonicalKey at every knowledge level, a
 # one-edge delta at ad hoc and radius 1 (only the views it reaches are
-# built), the bytes of one /v1/watch subscription, the decode of a
-# feasibility-hot body (one allocation per string field), a /v1/feasibility
-# cache hit (the same count at every knowledge level: no view and no
-# canonical text), and an async run under the fifo and lifo schedules
-# (per-link state in one table, reserved for the graph's links, no map).
+# built, in a fixed handful of allocations), the bytes of one /v1/watch
+# subscription and the allocations of one of its revisions (a delta, its
+# chain key and one cut check on kept scratch; an event only when
+# written), the decode of a feasibility-hot body (one allocation per string
+# field), a /v1/feasibility cache hit (the same count at every knowledge
+# level: no view and no canonical text), and an async run under the fifo
+# and lifo schedules (per-link state in one table, reserved for the
+# graph's links, no map).
 allocguard:
 	$(GO) test -run 'AllocBudget|BytesBudget' -count=1 . ./internal/graph/ ./internal/server/ ./internal/network/
 
@@ -180,9 +183,13 @@ fleetsmoke:
 # answer a 200, a 400 or — feasibility, under a 1 KiB limit — a 413 with a
 # JSON body), whole /v1/watch streams (a 400 with a JSON body, or revision
 # events in order with keys, witnesses and ad hoc zcpa verdicts that match
-# a replay, then at most one error line), and rmtd's plain request reader
+# a replay, then at most one error line), rmtd's plain request reader
 # against encoding/json (the same value and error text for every input and
-# each of the four request shapes).
+# each of the four request shapes), and the wire engine's two decoders of
+# what crosses its sockets: the payload envelope (no panic on any ID, and
+# an accepted envelope re-encodes to its kind and key) and the frame reader
+# (no panic, and an accepted frame consumes exactly its declared length),
+# seeded from a real wire run's frames.
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseStructure -fuzztime=10s
@@ -198,6 +205,8 @@ fuzzsmoke:
 	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzWatchStream -fuzztime=10s
 	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzFeasibilityRequest -fuzztime=10s
 	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzDecodeMatchesReference -fuzztime=10s
+	$(GO) test ./internal/wire/ -run=^$$ -fuzz=FuzzDecodePayload -fuzztime=10s
+	$(GO) test ./internal/wire/ -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s
 
 # Per-package coverage with a repo-level floor. The threshold gates total
 # statement coverage across every package, example mains included — the

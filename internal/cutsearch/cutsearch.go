@@ -114,13 +114,44 @@ type kernel struct {
 	fit  []int32  // index i's maximal sets are fits rows fit[2i] to fit[2i+1]
 	c2   []uint64 // scratch rows
 	t    []uint64
+	sc   *scratch // where the slab and a Repair's table come from
+}
+
+// scratch is the memory an Incremental keeps from one revision's check to
+// the next: a Search's walk rows (graph.NewWalkOn), the kernel slab and a
+// Repair's per-node table. Each check takes what it needs, sized for its
+// own revision and zeroed, so it reads as if freshly allocated; a witness
+// is copied out of it (nodeset.FromWords), so nothing a checker keeps
+// aliases it.
+type scratch struct{ words [numScratch][]uint64 }
+
+// The buffers of a scratch.
+const (
+	walkWords = iota
+	slabWords
+	tableWords
+	numScratch
+)
+
+// take returns n zeroed words: buffer i of sc, grown when it is short, or
+// with no scratch (sc nil, as in Search and Repair) a fresh allocation.
+func (sc *scratch) take(i, n int) []uint64 {
+	if sc == nil {
+		return make([]uint64, n)
+	}
+	if cap(sc.words[i]) < n {
+		sc.words[i] = make([]uint64, n)
+	}
+	b := sc.words[i][:n]
+	clear(b)
+	return b
 }
 
 // init carves the two scratch rows, extra rows for the caller (which it
-// returns) and C1's rows from one slab.
-func (k *kernel) init(in Input, w, extra int) []uint64 {
-	slab := make([]uint64, (2+extra+len(in.C1))*w)
-	*k = kernel{in: in, w: w, nc1: len(in.C1), c2: slab[:w:w], t: slab[w : 2*w : 2*w], sets: slab[(2+extra)*w:]}
+// returns) and C1's rows from one slab, taken zeroed from sc.
+func (k *kernel) init(in Input, w, extra int, sc *scratch) []uint64 {
+	slab := sc.take(slabWords, (2+extra+len(in.C1))*w)
+	*k = kernel{in: in, w: w, nc1: len(in.C1), sc: sc, c2: slab[:w:w], t: slab[w : 2*w : 2*w], sets: slab[(2+extra)*w:]}
 	for i, s := range in.C1 {
 		s.CopyTo(k.sets[i*w : (i+1)*w])
 	}
@@ -139,7 +170,7 @@ func (k *kernel) table(members []uint64) {
 		if k.in.Rule == Neighborhood {
 			n *= 2 // no walk to read N(u) from
 		}
-		k.view = make([]uint64, n*w)
+		k.view = k.sc.take(tableWords, n*w)
 		k.view, k.part = k.view[:size*w], k.view[size*w:]
 	}
 	// Fit rows are counted first so that they take one allocation.
@@ -186,10 +217,15 @@ func eachMember(row []uint64, fn func(i, u int)) {
 // inspected side and its error aborts the search. Terminals G separates
 // admit the empty cut, whose witness is returned without walking.
 func Search(ctx context.Context, in Input, maxCandidates int) (witness Witness, found, complete bool, err error) {
+	return search(ctx, in, maxCandidates, nil)
+}
+
+// search is Search with its walk rows and kernel slab taken from sc.
+func search(ctx context.Context, in Input, maxCandidates int, sc *scratch) (witness Witness, found, complete bool, err error) {
 	g := in.G
-	walk := g.NewWalk()
+	walk := g.NewWalkOn(sc.take(walkWords, g.WalkWords()))
 	var k kernel
-	k.view = k.init(in, g.RowWidth(), g.NumNodes())
+	k.view = k.init(in, g.RowWidth(), g.NumNodes(), sc)
 	g.Nodes().CopyTo(k.t)
 	k.table(k.t)
 
@@ -236,12 +272,15 @@ func Search(ctx context.Context, in Input, maxCandidates int) (witness Witness, 
 // reports false when the old cut no longer separates or the candidate
 // fails; the caller then falls back to Search. Cost: two BFS passes plus
 // one candidate, with rows built for B's members only.
-func Repair(in Input, old Witness) (Witness, bool) {
+func Repair(in Input, old Witness) (Witness, bool) { return repair(in, old, nil) }
+
+// repair is Repair with its kernel slab and table taken from sc.
+func repair(in Input, old Witness, sc *scratch) (Witness, bool) {
 	g := in.G
 	w := g.RowWidth()
-	// B, N(B), C_old and a neighbor row.
+	// B, N(B), C_old and a neighbor row, all empty.
 	var k kernel
-	rows := k.init(in, w, 4)
+	rows := k.init(in, w, 4, sc)
 	b, cut, blocked, nbr := rows[:w], rows[w:2*w], rows[2*w:3*w], rows[3*w:]
 	neighbors := func(v int) []uint64 {
 		g.Neighbors(v).CopyTo(nbr)
@@ -259,8 +298,7 @@ func Repair(in Input, old Witness) (Witness, bool) {
 		return Witness{}, false
 	}
 	// B = comp_R(G − C_old). Every neighbor of B outside B is blocked, so
-	// N(B) ⊆ C_old collects as the BFS goes.
-	clear(cut)
+	// N(B) ⊆ C_old collects in cut, empty so far, as the BFS goes.
 	component(b, k.t, in.Receiver, func(v int) []uint64 {
 		row := neighbors(v)
 		for i := range row {
@@ -440,7 +478,7 @@ func Verify(in Input, w Witness) error {
 	// Checks 4 and 5 on the kernel's rows; C1, C2 and B are node sets of G
 	// by now, so they fit them.
 	var k kernel
-	rows := k.init(in, g.RowWidth(), 2)
+	rows := k.init(in, g.RowWidth(), 2, nil)
 	c1, b := rows[:k.w], rows[k.w:]
 	w.C1.CopyTo(c1)
 	w.C2.CopyTo(k.c2)

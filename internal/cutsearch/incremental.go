@@ -28,6 +28,11 @@ type Cut interface {
 // decides, so the verdict always equals a fresh Search's, though the
 // witness may differ.
 //
+// A checker keeps its scratch memory from one revision to the next: the
+// walk rows and kernel slab of a Search and the slab and table of a
+// Repair, each sized for its revision and zeroed when it is taken. Search
+// and Repair called on their own allocate theirs.
+//
 // The zero value is ready to use: its first Check is a plain Search. Not
 // safe for concurrent use.
 type Incremental[W Cut] struct {
@@ -35,6 +40,7 @@ type Incremental[W Cut] struct {
 	found   bool
 
 	repaired, fresh int
+	scratch         scratch
 }
 
 // Check evaluates the next revision, preferring witness repair over a
@@ -50,13 +56,13 @@ func (ic *Incremental[W]) Check(in *instance.Instance) (W, bool) {
 func (ic *Incremental[W]) CheckCtx(ctx context.Context, in *instance.Instance) (W, bool, error) {
 	cond := FromInstance(in, ic.witness.Rule())
 	if ic.found {
-		if w, ok := Repair(cond, Witness(ic.witness)); ok {
+		if w, ok := repair(cond, Witness(ic.witness), &ic.scratch); ok {
 			ic.repaired++
 			ic.witness = W(w)
 			return ic.witness, true, nil
 		}
 	}
-	w, found, _, err := Search(ctx, cond, 0)
+	w, found, _, err := search(ctx, cond, 0, &ic.scratch)
 	if err != nil {
 		var none W
 		return none, false, err

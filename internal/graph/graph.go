@@ -119,39 +119,57 @@ func NewStar(v int, leaves nodeset.Set) *Graph {
 }
 
 // Stars returns the star of every node of g, in increasing ID order:
-// element i equals NewStar(v, N(v)) for the i-th node v. It is StarsOf
-// over every node.
-func (g *Graph) Stars() []*Graph { return g.StarsOf(g.nodes) }
-
-// StarsOf returns the star of every node of s ⊆ V(g), in increasing ID
-// order: element i equals NewStar(v, N(v)) for the i-th member v of s.
-// The stars' node sets come from one word slab, their {v} leaf rows from
+// element i equals NewStar(v, N(v)) for the i-th node v. The stars' node
+// sets come from one word slab, their {v} leaf rows from
 // nodeset.Singletons, their tables from one row slab and the graphs
-// themselves from one slab, so the stars cost a constant number of
-// allocations; each center row is g's own row.
-func (g *Graph) StarsOf(s nodeset.Set) []*Graph {
-	words, rows, n := 0, 0, 0
+// themselves from one slab, so the n stars cost a constant number of
+// allocations; each center row is g's own row. Singletons shares the {v}
+// rows' words, which keeps Θ(n²/64) words away when the IDs span a wide
+// range.
+func (g *Graph) Stars() []*Graph {
+	words, rows := 0, 0
 	for _, r := range g.rows {
-		if s.Contains(r.id) {
-			words += starWords(r.id, r.adj)
-			rows += r.adj.Len() + 1
-			n++
-		}
+		words += starWords(r.id, r.adj)
+		rows += r.adj.Len() + 1
 	}
 	sl := nodeset.NewSlab(words)
 	rs := make(rowSlab, rows)
-	centers := nodeset.Singletons(s)
-	stars := make([]Graph, n)
-	out := make([]*Graph, n)
-	i := 0
-	for _, r := range g.rows {
-		if s.Contains(r.id) {
-			stars[i].star(&sl, rs.take(r.adj.Len()+1), r.id, r.adj, centers[i])
-			out[i] = &stars[i]
-			i++
-		}
+	centers := nodeset.Singletons(g.nodes)
+	stars := make([]Graph, len(g.rows))
+	out := make([]*Graph, len(g.rows))
+	for i, r := range g.rows {
+		stars[i].star(&sl, rs.take(r.adj.Len()+1), r.id, r.adj, centers[i])
+		out[i] = &stars[i]
 	}
 	return out
+}
+
+// StarsOf returns the star of every member of s ⊆ V(g), in increasing ID
+// order, in one slice: element i equals NewStar(v, N(v)) for the i-th
+// member v of s. The stars' node sets and their {v} leaf rows come from
+// one word slab and their tables from one row slab, so the stars take
+// three allocations; each center row is g's own row. Each {v} row takes
+// v/64+1 words of its own, which suits the few stars an edit changes
+// (view.AdHocAfter); Stars shares them.
+func (g *Graph) StarsOf(s nodeset.Set) []Graph {
+	words, rows := 0, 0
+	s.ForEach(func(v int) bool {
+		r := g.rows[g.rank(v)]
+		words += starWords(v, r.adj) + v/wordBits + 1
+		rows += r.adj.Len() + 1
+		return true
+	})
+	sl := nodeset.NewSlab(words)
+	rs := make(rowSlab, rows)
+	stars := make([]Graph, s.Len())
+	i := 0
+	s.ForEach(func(v int) bool {
+		r := g.rows[g.rank(v)]
+		stars[i].star(&sl, rs.take(r.adj.Len()+1), v, r.adj, sl.With(nodeset.Set{}, v))
+		i++
+		return true
+	})
+	return stars
 }
 
 // star makes g the star with center v over leaves (v ∉ leaves), whose
@@ -285,8 +303,16 @@ func (g *Graph) Edges() [][2]int {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
+	c := new(Graph)
+	g.CloneInto(c)
+	return c
+}
+
+// CloneInto makes dst a deep copy of g, for a caller that holds the graph
+// inside a larger allocation.
+func (g *Graph) CloneInto(dst *Graph) {
 	// Sets are immutable values; copying the row headers is enough.
-	return &Graph{nodes: g.nodes, rows: slices.Clone(g.rows)}
+	*dst = Graph{nodes: g.nodes, rows: slices.Clone(g.rows)}
 }
 
 // NonEdge returns an edge u-w of h that is not an edge of g — the first

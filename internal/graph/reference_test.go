@@ -266,7 +266,7 @@ func TestBatchViewsMatchReference(t *testing.T) {
 			t.Fatalf("trial %d: %d stars for %d nodes of %v", trial, len(gotStars), sub.Len(), sub)
 		}
 		for i := range subStars {
-			if err := sameGraph(gotStars[i], subStars[i]); err != nil {
+			if err := sameGraph(&gotStars[i], subStars[i]); err != nil {
 				t.Fatalf("trial %d: StarsOf(%v)[%d]: %v", trial, sub, i, err)
 			}
 		}

@@ -50,10 +50,21 @@ const seedFrames = 16
 // NewWalk returns a walk over g, with g's adjacency rows, copied in g's
 // own row order, its rank table and the first frames of the stack in one
 // allocation.
-func (g *Graph) NewWalk() Walk {
+func (g *Graph) NewWalk() Walk { return g.NewWalkOn(make([]uint64, g.WalkWords())) }
+
+// WalkWords returns the length of a walk's first allocation over g: the
+// words NewWalkOn takes.
+func (g *Graph) WalkWords() int {
+	n := g.NumNodes()
+	return (n + 3 + 2*min(max(n, 1), seedFrames)) * g.RowWidth()
+}
+
+// NewWalkOn is NewWalk with its first allocation in rows, WalkWords()
+// words that a caller may keep from one walk to the next: the walk writes
+// every word before it reads it, and holds rows for as long as it is used.
+func (g *Graph) NewWalkOn(rows []uint64) Walk {
 	w, n := g.RowWidth(), g.NumNodes()
 	seed := min(max(n, 1), seedFrames)
-	rows := make([]uint64, (n+3+2*seed)*w)
 	wk := Walk{
 		g: g, w: w, seed: seed,
 		nodes:  rows[:w:w],
@@ -61,7 +72,7 @@ func (g *Graph) NewWalk() Walk {
 		b:      rows[2*w : 3*w : 3*w],
 		adj:    rows[3*w : (n+3)*w : (n+3)*w],
 	}
-	wk.chunks[0] = rows[(n+3)*w:]
+	wk.chunks[0] = rows[(n+3)*w : (n+3+2*seed)*w]
 	g.nodes.CopyTo(wk.nodes)
 	r := 0
 	for i, x := range wk.nodes {

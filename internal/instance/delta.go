@@ -64,8 +64,11 @@ func (d Delta) appendCanonical(buf []byte) []byte {
 	return append(buf, '}')
 }
 
+// appendIDs appends ids, sorted and deduplicated, space-separated. A
+// delta's few IDs are sorted in a stack array.
 func appendIDs(buf []byte, ids []int) []byte {
-	sorted := slices.Clone(ids)
+	var small [8]int
+	sorted := append(small[:0], ids...)
 	slices.Sort(sorted)
 	for i, id := range slices.Compact(sorted) {
 		if i > 0 {
@@ -76,10 +79,14 @@ func appendIDs(buf []byte, ids []int) []byte {
 	return buf
 }
 
+// appendEdges appends edges as "u-v" pairs (u < v), sorted and
+// deduplicated, space-separated. A delta's few edges are sorted in a stack
+// array.
 func appendEdges(buf []byte, edges [][2]int) []byte {
-	sorted := make([][2]int, len(edges))
-	for i, e := range edges {
-		sorted[i] = [2]int{min(e[0], e[1]), max(e[0], e[1])}
+	var small [8][2]int
+	sorted := small[:0]
+	for _, e := range edges {
+		sorted = append(sorted, [2]int{min(e[0], e[1]), max(e[0], e[1])})
 	}
 	slices.SortFunc(sorted, func(a, b [2]int) int {
 		if c := cmp.Compare(a[0], b[0]); c != 0 {
@@ -109,12 +116,23 @@ func appendEdges(buf []byte, edges [][2]int) []byte {
 // preimage), and order-sensitive — applying the same edits in a different
 // order is a different subscription history and gets different keys.
 func ChainKey(prev string, d Delta) string {
-	buf := make([]byte, 0, 128+len(prev))
-	buf = append(buf, "rmt-delta-chain-v1\n"...)
-	buf = append(buf, prev...)
-	buf = append(buf, '\n')
-	sum := sha256.Sum256(d.appendCanonical(buf))
-	return hex.EncodeToString(sum[:])
+	var key [2 * sha256.Size]byte
+	return string(AppendChainKey(key[:0], prev, d))
+}
+
+// AppendChainKey appends ChainKey's 64 hex digits for the key after prev,
+// given as text or bytes, to dst, and allocates nothing when dst has room
+// for them: the preimage is written into a stack buffer that holds a
+// delta of a few edits, and each edit class is sorted in a stack array. A
+// caller that keeps a chain's keys in two buffers of its own, as the rmtd
+// watch loop does, makes a string only of the keys it prints.
+func AppendChainKey[K string | []byte](dst []byte, prev K, d Delta) []byte {
+	var buf [256]byte
+	pre := append(buf[:0], "rmt-delta-chain-v1\n"...)
+	pre = append(pre, prev...)
+	pre = append(pre, '\n')
+	sum := sha256.Sum256(d.appendCanonical(pre))
+	return hex.AppendEncode(dst, sum[:])
 }
 
 // ChainKeys returns the full key chain k_1..k_n for a delta sequence
@@ -236,7 +254,11 @@ func Apply(in *Instance, d Delta, rebuild Rebuild) (*Instance, error) {
 	if err := d.Validate(in); err != nil {
 		return nil, err
 	}
-	g := in.G.Clone()
+	// The new instance, its lazy state and the edited graph's header take
+	// one allocation.
+	e := new(edited)
+	g := &e.g
+	in.G.CloneInto(g)
 	var changed nodeset.Set
 	for _, n := range d.AddNodes {
 		g.AddNode(n)
@@ -263,7 +285,13 @@ func Apply(in *Instance, d Delta, rebuild Rebuild) (*Instance, error) {
 		z = z.Restrict(g.Nodes())
 	}
 	gamma, built := rebuild(g, in.Gamma, changed)
-	return build(g, z, gamma, built, in.Dealer, in.Receiver)
+	return build(&e.shell, g, z, gamma, built, in.Dealer, in.Receiver)
+}
+
+// edited is a shell with the header of the graph an Apply edited.
+type edited struct {
+	shell
+	g graph.Graph
 }
 
 // ApplyChain folds Apply over a delta sequence, returning the final

@@ -60,7 +60,7 @@ var (
 // dealer and the receiver are presumed honest, so structures that allow
 // corrupting either are rejected; views must be consistent subgraphs of G.
 func New(g *graph.Graph, z adversary.Structure, gamma view.Function, dealer, receiver int) (*Instance, error) {
-	return build(g, z, gamma, g.Nodes(), dealer, receiver)
+	return build(nil, g, z, gamma, g.Nodes(), dealer, receiver)
 }
 
 // CheckParts runs New's checks that read no view: the dealer and the
@@ -93,9 +93,16 @@ func CheckParts(g *graph.Graph, z adversary.Structure, dealer, receiver int) err
 	return nil
 }
 
+// shell is an Instance and its lazy state in one allocation.
+type shell struct {
+	in   Instance
+	lazy lazy
+}
+
 // build is New checking only the views of the members of check for
-// consistency with g; Apply passes the views its rebuild built.
-func build(g *graph.Graph, z adversary.Structure, gamma view.Function, check nodeset.Set, dealer, receiver int) (*Instance, error) {
+// consistency with g; Apply passes the views its rebuild built. The
+// instance is made in sh, or in a shell of its own when sh is nil.
+func build(sh *shell, g *graph.Graph, z adversary.Structure, gamma view.Function, check nodeset.Set, dealer, receiver int) (*Instance, error) {
 	if err := CheckParts(g, z, dealer, receiver); err != nil {
 		return nil, err
 	}
@@ -105,14 +112,18 @@ func build(g *graph.Graph, z adversary.Structure, gamma view.Function, check nod
 	if !gamma.Domain().Equal(g.Nodes()) {
 		return nil, fmt.Errorf("instance: view function domain %v != V(G) %v", gamma.Domain(), g.Nodes())
 	}
-	return &Instance{
+	if sh == nil {
+		sh = new(shell)
+	}
+	sh.in = Instance{
 		G:        g,
 		Z:        z,
 		Gamma:    gamma,
 		Dealer:   dealer,
 		Receiver: receiver,
-		lazy:     &lazy{},
-	}, nil
+		lazy:     &sh.lazy,
+	}
+	return &sh.in, nil
 }
 
 // MustNew is New for tests and examples; it panics on invalid tuples.

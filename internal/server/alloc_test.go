@@ -32,10 +32,16 @@ func watchChainBody(t *testing.T, in *instance.Instance, level gen.Knowledge, de
 
 // watchBytesBudget bounds the heap bytes of one /v1/watch subscription,
 // which computes every revision: an 11-node ad hoc instance and a 10-delta
-// chain. It sits a quarter above the count measured when revisions stopped
-// being cached: 41,024 B before, 38,424 B after (collector off, one P, the
-// mean of 10 subscriptions), the cache key, LRU entry and stored-body read
-// of every revision gone.
+// chain (watchBudgetChain). It sits a quarter above the count measured
+// when a revision came to allocate only for its delta and its cut check:
+// 37,000 B before, 25,496 B after (collector off, one P, the mean of 10
+// subscriptions), with one deadline timer per subscription re-armed for
+// each revision, chain keys written into two stack buffers, events
+// rendered only when written, an Apply in ten allocations and the cut
+// check's scratch kept across revisions.
+// Earlier, revisions stopped being cached: 41,024 B before, 38,424 B
+// after, the cache key, LRU entry and stored-body read of every revision
+// gone.
 // Later, a revision came to marshal its event only when the stream writes
 // it (the first revision and verdict flips): 38,600 B before, 37,000 B
 // after.
@@ -50,25 +56,43 @@ func watchChainBody(t *testing.T, in *instance.Instance, level gen.Knowledge, de
 // scanner buffer in place of a 64 KiB one saved 61 KB of that, one
 // checker for both ad hoc verdicts and the computed event used without
 // decoding its own body 11 KB.
-const watchBytesBudget = 48_000
+const watchBytesBudget = 32_000
 
 func TestWatchBytesBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	_, perSub := subscriptionCost(t, watchBudgetChain(t, 10), 10)
+	t.Logf("one subscription allocates %.0f bytes", perSub)
+	if perSub > watchBytesBudget {
+		t.Errorf("one watch subscription allocates %.0f bytes, budget %d", perSub, watchBytesBudget)
+	}
+}
+
+// watchBudgetChain is the /v1/watch body of the allocation budgets: an
+// 11-node ad hoc instance and a seeded chain of steps deltas. Equal seeds
+// draw equal prefixes, so a longer chain extends a shorter one.
+func watchBudgetChain(t *testing.T, steps int) string {
+	t.Helper()
 	in, err := gen.RandomInstance(rand.New(rand.NewSource(26)), 11, 0.4, 2, 0.3, gen.AdHoc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas, err := gen.RandomDeltaChain(in, gen.AdHoc, 10, 26)
+	deltas, err := gen.RandomDeltaChain(in, gen.AdHoc, steps, 26)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := watchChainBody(t, in, gen.AdHoc, deltas)
+	return watchChainBody(t, in, gen.AdHoc, deltas)
+}
 
-	// Every subscription goes to a fresh server; servers, requests and
-	// recorders are made before the count.
-	const runs = 10
+// subscriptionCost returns the mean allocations and heap bytes of one
+// /v1/watch subscription to body over runs subscriptions, each on a fresh
+// server. Servers, requests and recorders are made before the count, and
+// one subscription runs before it; the collector is off and one P runs,
+// so the count is what one subscription allocates, not what a collection
+// freed from a pool.
+func subscriptionCost(t *testing.T, body string, runs int) (allocs, bytes float64) {
+	t.Helper()
 	servers := make([]*Server, runs+1)
 	reqs := make([]*http.Request, runs+1)
 	recs := make([]*httptest.ResponseRecorder, runs+1)
@@ -84,9 +108,6 @@ func TestWatchBytesBudget(t *testing.T) {
 			t.Fatalf("watch: %d %s", recs[i].Code, recs[i].Body.Bytes())
 		}
 	}
-
-	// The collector is off and one P runs, so the count is what one
-	// subscription allocates, not what a collection freed from a pool.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	subscribe(0)
@@ -96,10 +117,33 @@ func TestWatchBytesBudget(t *testing.T) {
 		subscribe(i)
 	}
 	runtime.ReadMemStats(&after)
-	perSub := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("one subscription allocates %.0f bytes", perSub)
-	if perSub > watchBytesBudget {
-		t.Errorf("one watch subscription allocates %.0f bytes, budget %d", perSub, watchBytesBudget)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// watchRevisionAllocBudget bounds the allocations of one /v1/watch
+// revision: a delta decoded, applied and keyed, and one cut check, with
+// its event rendered only when the stream writes it. A revision's cost is
+// the difference between a 100-delta and a 10-delta subscription to
+// watchBudgetChain's instance, over the 90 revisions between them
+// (collector off, one P). It read 29.6 allocations and 1,924 B with a
+// deadline context per revision, string chain keys, every event rendered
+// and a fresh walk and slab per cut check, and 12.0 and 956 B once a
+// revision allocated only for its delta and its cut check. The budget
+// sits a quarter above 12.
+const watchRevisionAllocBudget = 15
+
+func TestWatchRevisionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const short, long, runs = 10, 100, 5
+	shortAllocs, shortBytes := subscriptionCost(t, watchBudgetChain(t, short), runs)
+	longAllocs, longBytes := subscriptionCost(t, watchBudgetChain(t, long), runs)
+	allocs := (longAllocs - shortAllocs) / (long - short)
+	bytes := (longBytes - shortBytes) / (long - short)
+	t.Logf("one revision allocates %.1f times, %.0f bytes", allocs, bytes)
+	if allocs > watchRevisionAllocBudget {
+		t.Errorf("one watch revision allocates %.1f times, budget %d", allocs, watchRevisionAllocBudget)
 	}
 }
 

@@ -159,7 +159,7 @@ func (s *Server) refHandleWatch(w http.ResponseWriter, r *http.Request) {
 			s.watchFail(w, rc, rev, "%v", err)
 			return
 		}
-		if prev == nil || verdictChanged(prev, ev) {
+		if prev == nil || refVerdictChanged(prev, ev) {
 			if _, err := w.Write(body); err != nil {
 				return
 			}
@@ -426,4 +426,18 @@ func checkAdHocVerdicts(t *testing.T, path string, body []byte, revs []*instance
 		}
 	}
 	return verified
+}
+
+// refVerdictChanged reports whether the solvability verdicts flipped
+// between consecutive revisions: the reference's stream events are the
+// revisions where it is true. Witness sets are free to differ (repair
+// produces different-but-valid cuts).
+func refVerdictChanged(prev, next *WatchEvent) bool {
+	if prev.PKA.Solvable != next.PKA.Solvable {
+		return true
+	}
+	if (prev.ZCPA == nil) != (next.ZCPA == nil) {
+		return true
+	}
+	return prev.ZCPA != nil && prev.ZCPA.Solvable != next.ZCPA.Solvable
 }

@@ -409,18 +409,26 @@ var (
 )
 
 // compute runs fn through the gate, on the calling goroutine, under the
-// per-request deadline derived from parent, and returns its body. fn
-// receives the deadline context, which is also canceled when parent is
-// (the client disconnected); fn must poll it during long work so an
-// abandoned request frees its slot. Every failed outcome is recorded in
-// the metrics: overload as errOverloaded (rmtd_rejected_total), a client
+// per-request deadline derived from parent, and returns its body (see
+// computeIn).
+func (s *Server) compute(parent context.Context, fn func(ctx context.Context) ([]byte, error)) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(parent, s.opts.RequestTimeout)
+	defer cancel()
+	return s.computeIn(parent, ctx, fn)
+}
+
+// computeIn runs fn through the gate, on the calling goroutine, under ctx,
+// which ends RequestTimeout after the computation began or when parent,
+// the request's context, does: a /v1/feasibility or /v1/run request's own
+// deadline context (compute), or a watch revision's re-armed one
+// (revisionDeadline). fn must poll ctx during long work so an abandoned
+// request frees its slot. Every failed outcome is recorded in the
+// metrics: overload as errOverloaded (rmtd_rejected_total), a client
 // disconnect as errClientClosed (rmtd_client_cancels_total — not a
 // compute timeout, and it must not skew that metric), deadline expiry as
 // errDeadline (rmtd_timeouts_total), whether it came while the request
 // waited for a slot or when fn polled the context.
-func (s *Server) compute(parent context.Context, fn func(ctx context.Context) ([]byte, error)) (body []byte, err error) {
-	ctx, cancel := context.WithTimeout(parent, s.opts.RequestTimeout)
-	defer cancel()
+func (s *Server) computeIn(parent, ctx context.Context, fn func(ctx context.Context) ([]byte, error)) (body []byte, err error) {
 	gerr := s.gate.do(ctx, func() {
 		defer func() {
 			// A panicking query must not take the daemon down with it:
@@ -728,9 +736,11 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		var cut core.IncrementalCut
-		if resp.PKA, resp.ZCPA, err = s.cutVerdicts(ctx, &cut, in, level); err != nil {
+		wit, found, err := s.cutCheck(ctx, &cut, in)
+		if err != nil {
 			return nil, err
 		}
+		resp.PKA, resp.ZCPA = cutVerdicts(wit, found, level)
 		return marshalBody(resp)
 	})
 }
@@ -765,21 +775,26 @@ func feasibilityKey(spec cliutil.InstanceSpec, budget int, listen adversary.Stru
 	return string(b)
 }
 
-// cutVerdicts checks in for Definition 3's RMT-cut with ic and renders the
-// pka verdict, and at ad hoc knowledge the zcpa verdict of Definition 7's
-// 𝒵-pp cut, which is the same verdict: V(γ(u)) = N(u) ∪ {u} and u ∉ C2, so
-// the two test every side alike (DESIGN §4, §29). z is nil at other levels.
-// A zero ic runs a plain Search (/v1/feasibility); a subscription's ic
-// first repairs the last revision's witness (/v1/watch). Each check is
-// counted in rmtd_cut_checks_total.
-func (s *Server) cutVerdicts(ctx context.Context, ic *core.IncrementalCut, in *instance.Instance, level gen.Knowledge) (pka Verdict, z *Verdict, err error) {
+// cutCheck checks in for Definition 3's RMT-cut with ic and counts the
+// check in rmtd_cut_checks_total. A zero ic runs a plain Search
+// (/v1/feasibility); a subscription's ic first repairs the last
+// revision's witness (/v1/watch).
+func (s *Server) cutCheck(ctx context.Context, ic *core.IncrementalCut, in *instance.Instance) (core.RMTCut, bool, error) {
 	before, _ := ic.Stats()
 	w, found, err := ic.CheckCtx(ctx, in)
 	if err != nil {
-		return Verdict{}, nil, err
+		return core.RMTCut{}, false, err
 	}
 	after, _ := ic.Stats()
 	s.metrics.cutChecks[after-before].Add(1)
+	return w, found, nil
+}
+
+// cutVerdicts renders a cut check's answer: the pka verdict, and at ad hoc
+// knowledge the zcpa verdict of Definition 7's 𝒵-pp cut, which is the same
+// verdict: V(γ(u)) = N(u) ∪ {u} and u ∉ C2, so the two test every side
+// alike (DESIGN §4, §29). z is nil at other levels.
+func cutVerdicts(w core.RMTCut, found bool, level gen.Knowledge) (pka Verdict, z *Verdict) {
 	pka.Solvable = !found
 	if found {
 		pka.Witness = &CutWitness{C1: members(w.C1), C2: members(w.C2), B: members(w.B)}
@@ -788,7 +803,7 @@ func (s *Server) cutVerdicts(ctx context.Context, ic *core.IncrementalCut, in *i
 		zv := pka
 		z = &zv
 	}
-	return pka, z, nil
+	return pka, z
 }
 
 // smtVerdictOf evaluates the Dowden cut conditions under the requested

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,10 +50,11 @@ type watchError struct {
 //
 // Each revision is computed by the subscription's own incremental checker
 // (witness repair first, the full search only on fallback), through the
-// gate under its own deadline, and written as marshalled. No revision is
-// cached: its event is a deterministic function of the base instance and
-// its delta chain, so equal chains stream byte-identical events on any
-// server, and a fleet router may send a subscription to any shard.
+// gate under a deadline of its own, and only the revisions the stream
+// writes are rendered. No revision is cached: its event is a
+// deterministic function of the base instance and its delta chain, so
+// equal chains stream byte-identical events on any server, and a fleet
+// router may send a subscription to any shard.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// The line buffer starts at 4 KiB and grows to hold a line of
 	// MaxBodyBytes and its newline.
@@ -97,28 +99,41 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "close")
 	w.WriteHeader(http.StatusOK)
 
-	key := in.CanonicalKey()
-	var cut core.IncrementalCut
-	cur := in
-	var prev *WatchEvent
+	// Revision k's key lives in keys[k%2]: the chain key is read from one
+	// buffer and written to the other, and only a written event makes a
+	// string of it.
+	var keys [2][2 * sha256.Size]byte
+	key := append(keys[0][:0], in.CanonicalKey()...)
+	deadline := revisionDeadline{parent: r.Context(), timeout: s.opts.RequestTimeout}
+	defer deadline.stop()
+	var (
+		cut   core.IncrementalCut
+		cur   = in
+		found bool // whether the last revision had a cut
+	)
 	for rev := 0; ; rev++ {
 		if rev > s.opts.MaxWatchDeltas {
 			s.watchFail(w, rc, rev, "delta limit %d exceeded", s.opts.MaxWatchDeltas)
 			return
 		}
-		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
 		// Only the first revision and verdict flips are stream events, so
-		// only they are marshaled; any other revision computes no body.
-		body, err := s.compute(r.Context(), func(ctx context.Context) ([]byte, error) {
-			var err error
-			if ev.PKA, ev.ZCPA, err = s.cutVerdicts(ctx, &cut, cur, level); err != nil {
+		// only they are rendered. At a fixed level a flip is a change of
+		// found: the zcpa verdict, present at ad hoc only, is pka's.
+		body, err := s.computeIn(r.Context(), deadline.arm(), func(ctx context.Context) ([]byte, error) {
+			wit, f, err := s.cutCheck(ctx, &cut, cur)
+			if err != nil {
 				return nil, err
 			}
-			if prev != nil && !verdictChanged(prev, ev) {
+			flip := rev == 0 || f != found
+			found = f
+			if !flip {
 				return nil, nil
 			}
-			return marshalBody(ev)
+			ev := WatchEvent{Rev: rev, Key: string(key), Knowledge: level.String()}
+			ev.PKA, ev.ZCPA = cutVerdicts(wit, f, level)
+			return marshalBody(&ev)
 		})
+		deadline.disarm()
 		if err != nil {
 			s.watchFail(w, rc, rev, "%v", err)
 			return
@@ -130,7 +145,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			rc.Flush()
 			s.metrics.watchEvents.Add(1)
 		}
-		prev = ev
 
 		line, err := nextLine(sc)
 		if err != nil {
@@ -151,21 +165,58 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		cur = next
-		key = instance.ChainKey(key, d)
+		key = instance.AppendChainKey(keys[(rev+1)%2][:0], key, d)
 	}
 }
 
-// verdictChanged reports whether the solvability verdicts flipped between
-// consecutive revisions. Witness sets are free to differ (repair produces
-// different-but-valid cuts); only verdict flips are stream events.
-func verdictChanged(prev, next *WatchEvent) bool {
-	if prev.PKA.Solvable != next.PKA.Solvable {
-		return true
+// revisionDeadline gives each revision of one subscription its own
+// RequestTimeout from one cancel-cause context and one timer, re-armed
+// for every revision, where a context.WithTimeout per revision would
+// allocate a context, a timer and its registration with the request's
+// context each time. A timer that fires after its revision returned
+// (disarm lost the race) has canceled, or is about to cancel, that
+// revision's context, so the next revision gets a fresh context and
+// timer: a late fire never fails a later revision.
+type revisionDeadline struct {
+	parent  context.Context
+	timeout time.Duration
+	ctx     context.Context
+	cancel  context.CancelCauseFunc
+	timer   *time.Timer // nil before the first arm and after a fire
+}
+
+// arm starts the next revision's deadline and returns its context, which
+// ends timeout from now or when the parent does.
+func (d *revisionDeadline) arm() context.Context {
+	if d.timer != nil {
+		d.timer.Reset(d.timeout)
+		return d.ctx
 	}
-	if (prev.ZCPA == nil) != (next.ZCPA == nil) {
-		return true
+	if d.cancel != nil {
+		d.cancel(nil)
 	}
-	return prev.ZCPA != nil && prev.ZCPA.Solvable != next.ZCPA.Solvable
+	ctx, cancel := context.WithCancelCause(d.parent)
+	d.ctx, d.cancel = ctx, cancel
+	d.timer = time.AfterFunc(d.timeout, func() { cancel(errDeadline) })
+	return ctx
+}
+
+// disarm stops the running revision's deadline. When the timer has fired
+// already, the next arm starts afresh.
+func (d *revisionDeadline) disarm() {
+	if !d.timer.Stop() {
+		d.timer = nil
+	}
+}
+
+// stop releases the context and its timer when the subscription ends.
+func (d *revisionDeadline) stop() {
+	if d.timer != nil {
+		d.timer.Stop()
+	}
+	if d.cancel != nil {
+		d.cancel(nil)
+	}
 }
 
 // watchDrainGrace bounds how long net/http goes on reading the upload of a

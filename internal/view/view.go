@@ -82,15 +82,16 @@ func Radius(g *graph.Graph, k int) Function { return over(g, g.Balls(k)) }
 // node's star is the node, N(v) and the edges between them, so only the
 // stars of changed are built; every other node keeps prev's star, the
 // same pointer. Both functions list their nodes in ID order, so prev is
-// read in one merged pass. It also returns the nodes whose stars it
-// built.
+// read in one merged pass. The built stars live in one slice
+// (graph.StarsOf), which the new entries point into. It also returns the
+// nodes whose stars it built.
 func AdHocAfter(g *graph.Graph, prev Function, changed nodeset.Set) (Function, nodeset.Set) {
 	stars := g.StarsOf(changed)
 	f := Function{nodes: make([]node, 0, g.NumNodes()), domain: g.Nodes()}
 	i := 0
 	g.Nodes().ForEach(func(v int) bool {
 		if changed.Contains(v) {
-			f.nodes = append(f.nodes, node{id: v, view: stars[0]})
+			f.nodes = append(f.nodes, node{id: v, view: &stars[0]})
 			stars = stars[1:]
 			return true
 		}

@@ -126,7 +126,10 @@ func encodePayload(p network.Payload) (payloadEnvelope, error) {
 // decodePayload rebuilds the real payload value from its envelope. The
 // decoded payload must re-render the shipped canonical key — every payload
 // kind derives its key purely from encoded content — so codec drift is
-// detected instead of silently changing protocol behavior.
+// detected instead of silently changing protocol behavior. Every node ID
+// it reads must lie in [0, graph.MaxNodeID], as the view's edge list's
+// must: node sets are bitsets indexed by ID, so a negative ID would panic
+// and a huge one allocate before any check ran.
 func decodePayload(env payloadEnvelope) (network.Payload, error) {
 	var p network.Payload
 	switch env.Kind {
@@ -135,11 +138,17 @@ func decodePayload(env payloadEnvelope) (network.Payload, error) {
 		if err := json.Unmarshal(env.Data, &b); err != nil {
 			return nil, fmt.Errorf("wire: decode %s payload: %w", env.Kind, err)
 		}
+		if err := checkIDs(env.Kind, "p", b.P); err != nil {
+			return nil, err
+		}
 		p = core.NewValueMsg(network.Value(b.X), graph.Path(b.P))
 	case kindCoreInfo:
 		var b coreInfoBody
 		if err := json.Unmarshal(env.Data, &b); err != nil {
 			return nil, fmt.Errorf("wire: decode %s payload: %w", env.Kind, err)
+		}
+		if err := b.checkIDs(); err != nil {
+			return nil, err
 		}
 		view, err := graph.ParseEdgeList(b.View)
 		if err != nil {
@@ -176,6 +185,9 @@ func decodePayload(env payloadEnvelope) (network.Payload, error) {
 		if err := json.Unmarshal(env.Data, &b); err != nil {
 			return nil, fmt.Errorf("wire: decode %s payload: %w", env.Kind, err)
 		}
+		if err := checkIDs(env.Kind, "p", b.P); err != nil {
+			return nil, err
+		}
 		p = smt.ShareMsg{Idx: b.Idx, P: graph.Path(b.P), X: b.X}
 	default:
 		return nil, fmt.Errorf("wire: unknown payload kind %q", env.Kind)
@@ -184,6 +196,33 @@ func decodePayload(env payloadEnvelope) (network.Payload, error) {
 		return nil, fmt.Errorf("wire: %s payload key drift: decoded %q, shipped %q", env.Kind, got, env.Key)
 	}
 	return p, nil
+}
+
+// checkIDs returns an error naming the first of ids outside
+// [0, graph.MaxNodeID], read from field of a kind payload.
+func checkIDs(kind, field string, ids []int) error {
+	for _, id := range ids {
+		if id < 0 || id > graph.MaxNodeID {
+			return fmt.Errorf("wire: decode %s %s: node %d outside [0, %d]", kind, field, id, graph.MaxNodeID)
+		}
+	}
+	return nil
+}
+
+// checkIDs is checkIDs on every ID of a type-2 claim but its view's.
+func (b coreInfoBody) checkIDs() error {
+	if err := checkIDs(kindCoreInfo, "node", []int{b.Node}); err != nil {
+		return err
+	}
+	if err := checkIDs(kindCoreInfo, "domain", b.Domain); err != nil {
+		return err
+	}
+	for _, s := range b.Sets {
+		if err := checkIDs(kindCoreInfo, "sets", s); err != nil {
+			return err
+		}
+	}
+	return checkIDs(kindCoreInfo, "p", b.P)
 }
 
 // wirePayload is the coordinator-side view of a payload in transit: the
